@@ -1,11 +1,5 @@
 """Hot numeric kernels: cyclic coordinate descent sweeps for l1 problems.
 
-The two solver kernels below are JIT-compiled with numba by default. Setting
-the environment variable ``VOTELASSO_NO_NUMBA=1`` (before import) selects a
-pure NumPy fallback path: the exact same functions, uncompiled. The fallback
-is one to two orders of magnitude slower but produces the same results;
-``benchmarks/bench_kernels.py`` measures both paths.
-
 Both kernels solve
 
     min_w  (1/2) w' G w - c' w + lam * ||w||_1
@@ -16,31 +10,11 @@ least-squares lasso objective (1/2n)||y - Xw||^2 + lam*||w||_1.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_ENV_FLAG = "VOTELASSO_NO_NUMBA"
-
-
-def numba_disabled() -> bool:
-    return os.environ.get(NUMBA_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
+# The kernels are plain NumPy. The flag stays because benchmark manifests
+# (perfbench/run.py) record it for every run.
 USING_NUMBA = False
-if not numba_disabled():
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        pass
-
-
-def _jit(fn):
-    if USING_NUMBA:
-        return njit(cache=True)(fn)
-    return fn
 
 
 def _soft_threshold(z, gamma):
@@ -52,27 +26,20 @@ def _soft_threshold(z, gamma):
     return 0.0
 
 
-def _kkt_gram(c, u, w, lam, skip):
-    """Max KKT residual of the Gram-form objective at w, given u = G @ w."""
-    worst = 0.0
-    for j in range(c.shape[0]):
-        if j == skip:
-            continue
-        g = c[j] - u[j]
-        if w[j] > 0.0:
-            v = abs(g - lam)
-        elif w[j] < 0.0:
-            v = abs(g + lam)
-        else:
-            v = abs(g) - lam
-            if v < 0.0:
-                v = 0.0
-        if v > worst:
-            worst = v
-    return worst
+def kkt_residual(g: np.ndarray, w: np.ndarray, lam: float, skip: int = -1) -> float:
+    """Max KKT residual at ``w``, given the negative smooth gradient ``g``.
+
+    ``g`` is c - G w in the Gram form and X'(y - X w)/n in the residual form.
+    Active coordinates score |g_j - lam sign(w_j)|, inactive ones
+    max(|g_j| - lam, 0). Coordinate ``skip`` (if >= 0) is left out.
+    """
+    v = np.where(w == 0.0, np.abs(g) - lam, np.abs(g - lam * np.sign(w)))
+    if skip >= 0:
+        v[skip] = 0.0
+    return float(v.max(initial=0.0))
 
 
-def _cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
+def cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
     """Cyclic CD on the Gram form. ``w`` is updated in place.
 
     ``skip`` excludes one coordinate (held at 0), used for nodewise
@@ -104,32 +71,13 @@ def _cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
                 if ad > max_delta:
                     max_delta = ad
         if max_delta < coef_tol:
-            kkt = _kkt_gram(c, u, w, lam, skip)
+            kkt = kkt_residual(c - u, w, lam, skip)
             if kkt <= kkt_tol:
                 return u, sweeps, kkt, True
-    return u, sweeps, _kkt_gram(c, u, w, lam, skip), False
+    return u, sweeps, kkt_residual(c - u, w, lam, skip), False
 
 
-def _kkt_residual(X, r, w, lam):
-    """Max KKT residual of the lasso objective at w, given r = y - X @ w."""
-    n, d = X.shape
-    worst = 0.0
-    for j in range(d):
-        g = (X[:, j] @ r) / n
-        if w[j] > 0.0:
-            v = abs(g - lam)
-        elif w[j] < 0.0:
-            v = abs(g + lam)
-        else:
-            v = abs(g) - lam
-            if v < 0.0:
-                v = 0.0
-        if v > worst:
-            worst = v
-    return worst
-
-
-def _cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
+def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
     """Cyclic CD with covariance-free residual updates. ``w`` in place.
 
     X should be Fortran-ordered so column slices are contiguous.
@@ -159,39 +107,7 @@ def _cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
                 if ad > max_delta:
                     max_delta = ad
         if max_delta < coef_tol:
-            kkt = _kkt_residual(X, r, w, lam)
+            kkt = kkt_residual(X.T @ r / n, w, lam)
             if kkt <= kkt_tol:
                 return sweeps, kkt, True
-    return sweeps, _kkt_residual(X, r, w, lam), False
-
-
-# Uncompiled references are kept for the path-equivalence tests and the
-# benchmark; the public names are the (possibly) JIT-compiled versions.
-cd_gram_py = _cd_gram
-cd_residual_py = _cd_residual
-kkt_gram_py = _kkt_gram
-kkt_residual_py = _kkt_residual
-
-if USING_NUMBA:
-    # Helpers must be rebound to their compiled versions before the kernels
-    # that call them are compiled.
-    _soft_threshold = _jit(_soft_threshold)
-    _kkt_gram = _jit(_kkt_gram)
-    _kkt_residual = _jit(_kkt_residual)
-    cd_gram = _jit(_cd_gram)
-    cd_residual = _jit(_cd_residual)
-else:
-    cd_gram = _cd_gram
-    cd_residual = _cd_residual
-kkt_gram = _kkt_gram
-kkt_residual = _kkt_residual
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation on tiny inputs (no-op on the fallback path)."""
-    G = np.eye(2)
-    c = np.array([1.0, -0.5])
-    cd_gram(G, c, 0.1, np.zeros(2), -1, 5, 1e-9, 1e-7)
-    # Non-square so the array types as genuinely Fortran-contiguous.
-    X = np.asfortranarray(np.ones((3, 2)))
-    cd_residual(X, np.zeros(3), 0.1, np.zeros(2), 5, 1e-9, 1e-7)
+    return sweeps, kkt_residual(X.T @ r / n, w, lam), False

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
-from .datagen import ProblemSpec, make_theta_star, sample_responses, sample_shards, theta_min_from_snr
-from .debias import empirical_covariance, estimate_precision, sandwich_diag
+from .datagen import DataShard, GroundTruth, ProblemSpec, sample_responses
 from .harness import (
     SCHEMES,
     SECOND_ROUNDS,
@@ -26,12 +24,12 @@ from .harness import (
     SWEEP_AXES,
     TAU_MODES,
     ExperimentConfig,
+    build_design,
+    materialize,
     run_sweep,
 )
 from .serialize import load_jsonl, save_shards, shard_to_csv, write_csv_rows
-from .theory import TheoryConstants, thm2_regime, thm3_regime
-from . import harness
-from .datagen import compute_c_omega
+from .theory import thm2_regime, thm3_regime
 
 PAPER_SCALE = {"d": 5000, "n": 250, "machines": 100, "k": 5, "reps": 500}
 DESK_SCALE = {"d": 1000, "n": 200, "machines": 100, "k": 5, "reps": 100}
@@ -131,18 +129,17 @@ def cmd_generate(args) -> int:
     spec = _build_spec(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    shards = sample_shards(spec)
-    lam_omega = 2.0 * math.sqrt(math.log(spec.d) / spec.n)
-    diags = []
-    for shard in shards:
-        G = empirical_covariance(shard.X)
-        est = estimate_precision(shard.X, lam_omega, gram=G)
-        diags.append(sandwich_diag(est.omega_hat, G))
-    c_omega = compute_c_omega(diags)
-    sigma = spec.sigma_value()
-    theta_min = theta_min_from_snr(spec.d, sigma, spec.r, spec.n, c_omega)
-    truth = make_theta_star(spec, theta_min)
-    truth.c_omega = c_omega
+    config = ExperimentConfig(spec=spec)
+    design = build_design(config)
+    point = materialize(design, config)
+    sigma, c_omega = point.sigma, design.c_omega
+    truth = GroundTruth(
+        theta_star=point.theta_star,
+        support=design.support,
+        theta_min=point.theta_min,
+        c_omega=c_omega,
+    )
+    shards = [DataShard(machine_id=m, X=X) for m, X in enumerate(design.X)]
     shards = sample_responses(shards, truth.theta_star, sigma, spec.base_seed)
     bundle = out / "shards.npz"
     save_shards(
@@ -200,29 +197,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    consts = TheoryConstants(
-        C_bias=args.c_bias,
-        rho=args.rho,
-        K_omega=args.k_omega,
-        c_star=args.c_star,
-        c_small=args.c_small,
-        kappa=args.kappa,
-        kappa_omega=args.kappa_omega,
-    )
     fn = thm2_regime if args.theorem == 2 else thm3_regime
     report = fn(args.d, args.r, args.epsilon)
     payload = report.to_dict()
     payload["theorem"] = args.theorem
-    payload["constants"] = {
-        "C_bias": consts.C_bias,
-        "rho": consts.rho,
-        "K_omega": consts.K_omega,
-        "c_star": consts.c_star,
-        "c_small": consts.c_small,
-        "kappa": consts.kappa,
-        "kappa_omega": consts.kappa_omega,
-    }
-    payload["note"] = "constants are user-supplied; defaults are illustrative"
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -288,13 +266,6 @@ def main(argv=None) -> int:
     p_theory.add_argument("--d", type=int, required=True)
     p_theory.add_argument("--r", type=float, required=True)
     p_theory.add_argument("--epsilon", type=float, default=0.0)
-    p_theory.add_argument("--c-bias", type=float, default=1.0)
-    p_theory.add_argument("--rho", type=float, default=1.0)
-    p_theory.add_argument("--k-omega", type=int, default=2)
-    p_theory.add_argument("--c-star", type=float, default=0.25)
-    p_theory.add_argument("--c-small", type=float, default=0.25)
-    p_theory.add_argument("--kappa", type=float, default=8.0)
-    p_theory.add_argument("--kappa-omega", type=float, default=2.0)
     p_theory.set_defaults(fn=cmd_theory)
 
     p_report = sub.add_parser("report", help="merge run/sweep outputs into long CSV")

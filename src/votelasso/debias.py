@@ -56,7 +56,6 @@ class LocalFit:
     theta_hat: np.ndarray
     sigma_hat_sq_diag: np.ndarray
     xi_hat: np.ndarray
-    sigma_hat_emp: np.ndarray | None = None
     lasso_converged: bool = True
 
 
@@ -166,7 +165,6 @@ def local_fit(
     covariance: np.ndarray | None = None,
     c_diag: np.ndarray | None = None,
     residual_scale: str = "n",
-    store_covariance: bool = False,
     max_sweeps: int = MAX_SWEEPS,
 ) -> LocalFit:
     """Run one machine's full round-one computation on its shard.
@@ -192,6 +190,5 @@ def local_fit(
         theta_hat=theta_hat,
         sigma_hat_sq_diag=c_diag,
         xi_hat=xi,
-        sigma_hat_emp=G if store_covariance else None,
         lasso_converged=fit.converged,
     )

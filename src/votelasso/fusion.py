@@ -32,8 +32,27 @@ def _sorted_by_machine(messages: list[Message]) -> list[Message]:
     return sorted(messages, key=lambda m: m.machine_id)
 
 
+def _check_votes(msg: Message, d: int) -> None:
+    """Reject a round-1 vote payload that would be miscounted."""
+    idx = np.asarray(msg.payload.indices)
+    if idx.size and (idx[0] < 0 or idx[-1] >= d or (idx[1:] <= idx[:-1]).any()):
+        raise ValueError(
+            f"machine {msg.machine_id}: indices must be strictly increasing in [0, {d})"
+        )
+    if isinstance(msg.payload, SignedIndexSet):
+        signs = np.asarray(msg.payload.signs)
+        if signs.shape != idx.shape:
+            raise ValueError(f"machine {msg.machine_id}: {signs.size} signs for {idx.size} indices")
+        if not (np.abs(signs) == 1).all():
+            raise ValueError(f"machine {msg.machine_id}: signs must be -1 or +1")
+
+
 def tally(messages: list[Message], d: int) -> VoteTally:
-    """Count, per index, how many machines sent it; sum attached signs."""
+    """Count, per index, how many machines sent it; sum attached signs.
+
+    Raises ValueError for a payload whose indices are not strictly
+    increasing in [0, d), or whose signs are not +-1 one per index.
+    """
     votes = np.zeros(d, dtype=np.int64)
     sign_sums = np.zeros(d, dtype=np.int64)
     seen = set()
@@ -42,13 +61,12 @@ def tally(messages: list[Message], d: int) -> VoteTally:
             raise ValueError(f"duplicate sender {msg.machine_id}")
         seen.add(msg.machine_id)
         p = msg.payload
-        if isinstance(p, IndexSet):
-            votes[p.indices] += 1
-        elif isinstance(p, SignedIndexSet):
-            votes[p.indices] += 1
-            sign_sums[p.indices] += p.signs
-        else:
+        if not isinstance(p, (IndexSet, SignedIndexSet)):
             raise TypeError("tally expects IndexSet or SignedIndexSet payloads")
+        _check_votes(msg, d)
+        votes[p.indices] += 1
+        if isinstance(p, SignedIndexSet):
+            sign_sums[p.indices] += p.signs
     return VoteTally(votes=votes, sign_sums=sign_sums, contributing_machines=len(messages))
 
 

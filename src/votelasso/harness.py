@@ -30,9 +30,15 @@ from .datagen import (
     stream,
     theta_min_from_snr,
 )
-from .debias import LocalFit, empirical_covariance, estimate_precision, sandwich_diag
-from .lasso import KKT_TOL, MAX_SWEEPS, fit_lasso_gram
-from . import _kernels
+from .debias import (
+    LocalFit,
+    debias,
+    empirical_covariance,
+    estimate_precision,
+    sandwich_diag,
+    standardize,
+)
+from .lasso import fit_lasso, fit_lasso_gram
 from .serialize import dump_jsonl, write_csv_rows
 
 SCHEMES = (
@@ -302,17 +308,6 @@ def build_design(
     )
 
 
-def with_sparsity(design: DesignState, K: int) -> DesignState:
-    """Reuse a design's shards and precisions under a different sparsity.
-
-    Only the planted signal depends on K; redrawing it (from the same seed
-    stream) avoids re-estimating every machine's precision matrix.
-    """
-    spec = design.spec.with_(K=K)
-    truth = make_theta_star(spec, theta_min=1.0, rng=stream(spec.base_seed, TAG_THETA))
-    return replace(design, spec=spec, support=truth.support, theta_unit=truth.theta_star)
-
-
 def materialize(
     design: DesignState,
     config: ExperimentConfig,
@@ -382,29 +377,25 @@ def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], list[np.ndar
     design = point.design
     spec = design.spec
     n, sigma = point.n, point.sigma
-    sqrt_n = math.sqrt(n)
     fits, ys = [], []
     for m in range(point.M):
         X = design.X[m][:n]
         w = _draw_noise(spec, rep, m, design.n_cal, n)
         y = X @ point.theta_star + sigma * w
         if point.grams is not None:
-            c = X.T @ y / n
-            theta_t, _, _, _, conv = fit_lasso_gram(point.grams[m], c, point.lam)
+            theta_t, _, _, _, conv = fit_lasso_gram(point.grams[m], X.T @ y / n, point.lam)
         else:
-            theta_t = np.zeros(spec.d)
-            _, _, conv = _kernels.cd_residual(
-                np.asfortranarray(X), y.copy(), point.lam, theta_t, MAX_SWEEPS, 1e-9, KKT_TOL
-            )
-        resid = y - X @ theta_t
-        theta_h = theta_t + point.omegas[m] @ (X.T @ resid) / n
-        xi = sqrt_n * theta_h / (sigma * np.sqrt(point.c_diag[m]))
+            fit = fit_lasso(X, y, point.lam)
+            theta_t, conv = fit.coefficients, fit.converged
+        omega = point.omegas[m]
+        theta_h = debias(X, y, theta_t, omega)
+        xi, c_diag = standardize(theta_h, omega, None, sigma, n, c_diag=point.c_diag[m])
         fits.append(
             LocalFit(
                 machine_id=m,
                 theta_tilde=theta_t,
                 theta_hat=theta_h,
-                sigma_hat_sq_diag=point.c_diag[m],
+                sigma_hat_sq_diag=c_diag,
                 xi_hat=xi,
                 lasso_converged=bool(conv),
             )
@@ -617,9 +608,11 @@ def run_sweep(
 ) -> SweepResult:
     """Replicate every grid point (optionally under several schemes).
 
-    The design is calibrated once at the largest grid value of the swept
-    axis; smaller values reuse row/machine prefixes of it. Emits long-format
-    CSV rows plus per-replication JSON records.
+    In fixed-design mode the design is calibrated once at the largest grid
+    value of the swept axis (or ``design`` is used as given); smaller values
+    reuse row/machine prefixes of it. In redraw mode every replication
+    builds its own design at the grid value. Emits long-format CSV rows plus
+    per-replication JSON records.
     """
     if sweep_axis not in SWEEP_AXES:
         raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
@@ -630,23 +623,17 @@ def run_sweep(
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
-    if not config.fixed_design:
-        return _run_sweep_redraw(config, sweep_axis, grid, schemes, out_dir)
-    if design is None:
-        n_cal = max(grid) if sweep_axis == "n" else None
-        m_cal = max(grid) if sweep_axis == "M" else None
-        design = build_design(config, n_cal=n_cal, m_cal=m_cal)
+    if config.fixed_design and design is None:
+        design = _design_at(config, sweep_axis, max(grid))
     rows, records = [], []
     for value in grid:
-        if sweep_axis == "L":
-            point = materialize(design, config, L=int(value))
-        elif sweep_axis == "r":
-            point = materialize(design, config, r=float(value))
-        else:
-            point = materialize(design, config, **{sweep_axis: int(value)})
-        point.axis, point.value = sweep_axis, value
+        if config.fixed_design:
+            point = _grid_point(design, config, sweep_axis, value)
         per_scheme = {s: [] for s in schemes}
         for rep in range(config.reps):
+            if not config.fixed_design:
+                # Redraw mode: design, signal and noise are all drawn anew.
+                point = _grid_point(_design_at(config, sweep_axis, value, rep), config, sweep_axis, value)
             for rec in run_point_rep(point, config, schemes, rep):
                 per_scheme[rec.scheme].append(rec)
                 out = rec.to_dict()
@@ -660,29 +647,23 @@ def run_sweep(
     return result
 
 
-def _run_sweep_redraw(config, sweep_axis, grid, schemes, out_dir) -> SweepResult:
-    """Non-fixed-design mode: redraw design, signal and noise every rep."""
-    rows, records = [], []
-    for value in grid:
-        per_scheme = {s: [] for s in schemes}
-        for rep in range(config.reps):
-            n_cal = int(value) if sweep_axis == "n" else None
-            m_cal = int(value) if sweep_axis == "M" else None
-            design = build_design(config, n_cal=n_cal, m_cal=m_cal, rep=rep)
-            if sweep_axis == "L":
-                point = materialize(design, config, L=int(value))
-            elif sweep_axis == "r":
-                point = materialize(design, config, r=float(value))
-            else:
-                point = materialize(design, config, **{sweep_axis: int(value)})
-            for rec in run_point_rep(point, config, schemes, rep):
-                per_scheme[rec.scheme].append(rec)
-                out = rec.to_dict()
-                out["axis"], out["value"] = sweep_axis, value
-                records.append(out)
-        for s in schemes:
-            rows.append(_aggregate(sweep_axis, value, s, per_scheme[s]))
-    result = SweepResult(rows=rows, records=records)
-    if out_dir is not None:
-        result.write(out_dir)
-    return result
+def _design_at(config: ExperimentConfig, sweep_axis: str, value, rep: int = 0) -> DesignState:
+    """A design calibrated at ``value`` of the swept axis when that axis is n or M."""
+    return build_design(
+        config,
+        n_cal=int(value) if sweep_axis == "n" else None,
+        m_cal=int(value) if sweep_axis == "M" else None,
+        rep=rep,
+    )
+
+
+def _grid_point(design: DesignState, config: ExperimentConfig, sweep_axis: str, value) -> PointState:
+    """Materialize ``design`` at one grid value of the swept axis."""
+    if sweep_axis == "L":
+        point = materialize(design, config, L=int(value))
+    elif sweep_axis == "r":
+        point = materialize(design, config, r=float(value))
+    else:
+        point = materialize(design, config, **{sweep_axis: int(value)})
+    point.axis, point.value = sweep_axis, value
+    return point

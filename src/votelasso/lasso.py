@@ -31,17 +31,6 @@ class LassoFit:
     converged: bool
 
 
-def soft_threshold(z: float, gamma: float) -> float:
-    """sign(z) * max(|z| - gamma, 0). Ties |z| == gamma return 0."""
-    if gamma < 0:
-        raise ValueError("threshold must be nonnegative")
-    if z > gamma:
-        return z - gamma
-    if z < -gamma:
-        return z + gamma
-    return 0.0
-
-
 def fit_lasso(
     X: np.ndarray,
     y: np.ndarray,
@@ -99,16 +88,7 @@ def kkt_violation(X: np.ndarray, y: np.ndarray, lam: float, theta: np.ndarray) -
     X = np.asarray(X, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
     n = X.shape[0]
-    g = X.T @ (y - X @ theta) / n
-    active = theta != 0
-    viol_active = np.abs(g[active] - lam * np.sign(theta[active]))
-    viol_inactive = np.abs(g[~active]) - lam
-    worst = 0.0
-    if viol_active.size:
-        worst = max(worst, float(viol_active.max()))
-    if viol_inactive.size:
-        worst = max(worst, float(max(viol_inactive.max(), 0.0)))
-    return worst
+    return _kernels.kkt_residual(X.T @ (y - X @ theta) / n, theta, lam)
 
 
 def fit_lasso_gram(

@@ -165,6 +165,17 @@ def bit_cost(msg: Message, d: int) -> int:
 # Wire encoding
 
 
+_HEADER = struct.Struct("<BII")
+# Payload bytes of each tag as a function of its count field.
+_BODY_BYTES = {
+    TAG_INDEX_SET: lambda c: 4 * c,
+    TAG_SIGNED_INDEX_SET: lambda c: 4 * c + (c + 7) // 8,
+    TAG_DENSE: lambda c: 8 * c,
+    TAG_RESTRICTED: lambda c: 12 * c,
+    TAG_GRAM: lambda c: 12 * c + 8 * c * c,
+}
+
+
 def _pack_signs(signs: np.ndarray) -> bytes:
     bits = (np.asarray(signs) > 0).astype(np.uint8)
     return np.packbits(bits, bitorder="little").tobytes()
@@ -198,12 +209,26 @@ def encode_message(msg: Message) -> bytes:
         )
     else:
         raise TypeError(f"unknown payload type {type(p)!r}")
-    return struct.pack("<BII", tag, msg.machine_id, count) + body
+    return _HEADER.pack(tag, msg.machine_id, count) + body
 
 
 def decode_message(buf: bytes) -> Message:
-    tag, machine_id, count = struct.unpack_from("<BII", buf, 0)
-    off = struct.calcsize("<BII")
+    """Inverse of ``encode_message``.
+
+    Raises ValueError for an unknown tag, or when the buffer is shorter or
+    longer than its header and count field imply.
+    """
+    if len(buf) < _HEADER.size:
+        raise ValueError(f"message of {len(buf)} bytes is shorter than the {_HEADER.size}-byte header")
+    tag, machine_id, count = _HEADER.unpack_from(buf, 0)
+    if tag not in _BODY_BYTES:
+        raise ValueError(f"unknown wire tag {tag}")
+    off = _HEADER.size
+    expected = off + _BODY_BYTES[tag](count)
+    if len(buf) < expected:
+        raise ValueError(f"truncated message: {len(buf)} bytes, count {count} needs {expected}")
+    if len(buf) > expected:
+        raise ValueError(f"{len(buf) - expected} trailing bytes after the payload")
     if tag == TAG_INDEX_SET:
         idx = np.frombuffer(buf, dtype="<u4", count=count, offset=off).astype(np.int64)
         return Message(machine_id, IndexSet(idx))
@@ -220,15 +245,14 @@ def decode_message(buf: bytes) -> Message:
         off += 4 * count
         vals = np.frombuffer(buf, dtype="<f8", count=count, offset=off).copy()
         return Message(machine_id, RestrictedEstimate(idx, vals))
-    if tag == TAG_GRAM:
-        idx = np.frombuffer(buf, dtype="<u4", count=count, offset=off).astype(np.int64)
-        off += 4 * count
-        gram = np.frombuffer(buf, dtype="<f8", count=count * count, offset=off)
-        gram = gram.reshape(count, count).copy()
-        off += 8 * count * count
-        xty = np.frombuffer(buf, dtype="<f8", count=count, offset=off).copy()
-        return Message(machine_id, GramSummary(idx, gram, xty))
-    raise ValueError(f"unknown wire tag {tag}")
+    # TAG_GRAM
+    idx = np.frombuffer(buf, dtype="<u4", count=count, offset=off).astype(np.int64)
+    off += 4 * count
+    gram = np.frombuffer(buf, dtype="<f8", count=count * count, offset=off)
+    gram = gram.reshape(count, count).copy()
+    off += 8 * count * count
+    xty = np.frombuffer(buf, dtype="<f8", count=count, offset=off).copy()
+    return Message(machine_id, GramSummary(idx, gram, xty))
 
 
 def wire_bytes(msg: Message) -> int:

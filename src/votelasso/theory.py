@@ -28,8 +28,6 @@ class TheoryConstants:
     K_omega: int = 2
     c_star: float = 0.25
     c_small: float = 0.25
-    kappa: float = 8.0
-    kappa_omega: float = 2.0
 
     def __post_init__(self):
         for name, value in asdict(self).items():

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from votelasso import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the JIT kernels once so timed tests measure algorithm time."""
-    _kernels.warm_up()
-
 
 @pytest.fixture
 def rng():

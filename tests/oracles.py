@@ -44,6 +44,12 @@ def fista_lasso(X, y, lam, iters=20000, tol=1e-14):
     return w
 
 
+def soft_threshold(z, gamma):
+    """Elementwise sign(z) * max(|z| - gamma, 0)."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0)
+
+
 def normal_equations_ols(X_S, y):
     A = X_S.T @ X_S
     return np.linalg.solve(A, X_S.T @ y)

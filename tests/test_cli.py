@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from votelasso.cli import main
+from votelasso.datagen import ProblemSpec
+from votelasso.harness import ExperimentConfig, build_design, materialize
 from votelasso.serialize import load_shards
 
 
@@ -32,6 +34,18 @@ class TestGenerate:
         sb, tb, _ = load_shards(tmp_path / "b" / "shards.npz")
         assert np.array_equal(sa[0].y, sb[0].y)
         assert np.array_equal(ta.theta_star, tb.theta_star)
+
+    def test_truth_matches_harness_calibration(self, tmp_path):
+        main(["generate", *COMMON, "--out", str(tmp_path)])
+        shards, truth, _ = load_shards(tmp_path / "shards.npz")
+        cfg = ExperimentConfig(spec=ProblemSpec(d=40, K=2, M=4, n=30, r=0.8, base_seed=3))
+        design = build_design(cfg)
+        point = materialize(design, cfg)
+        assert np.array_equal(truth.theta_star, point.theta_star)
+        assert np.array_equal(truth.support, design.support)
+        assert truth.c_omega == design.c_omega
+        for shard, X in zip(shards, design.X):
+            assert np.array_equal(shard.X, X)
 
 
 class TestRun:
@@ -132,6 +146,13 @@ class TestTheory:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["m_lower"] - 136.3) <= 0.5
         assert abs(payload["m_upper"] - 2131) <= 5
+
+    def test_reports_no_unused_constants(self, capsys):
+        main(["theory", "--d", "100", "--r", "0.5"])
+        payload = json.loads(capsys.readouterr().out)
+        assert "constants" not in payload and "note" not in payload
+        with pytest.raises(SystemExit):
+            main(["theory", "--d", "100", "--r", "0.5", "--kappa", "8"])
 
 
 class TestReport:

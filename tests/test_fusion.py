@@ -81,6 +81,25 @@ class TestTally:
             assert np.array_equal(t.votes, votes)
             assert np.array_equal(t.sign_sums, signs)
 
+    @pytest.mark.parametrize("indices", [[-1, 2], [0, 4], [2, 2], [3, 1]])
+    def test_bad_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tally([_idx_msg(0, [1]), _idx_msg(1, indices)], d=4)
+
+    def test_out_of_range_signed_index_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tally([_signed_msg(0, [(1, 1), (-1, 1)])], d=4)
+
+    @pytest.mark.parametrize("sign", [0, 2, -3])
+    def test_bad_signs_rejected(self, sign):
+        with pytest.raises(ValueError, match="signs must be"):
+            tally([_signed_msg(0, [(0, 1), (2, sign)])], d=4)
+
+    def test_sign_count_mismatch_rejected(self):
+        msg = Message(0, SignedIndexSet(np.array([0, 2]), np.array([1])))
+        with pytest.raises(ValueError, match="1 signs for 2 indices"):
+            tally([msg], d=4)
+
 
 def _tally_of(votes, signs=None):
     votes = np.array(votes, dtype=np.int64)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 
 from votelasso.datagen import ProblemSpec, sample_shards, sample_responses, make_theta_star
+from votelasso.datagen import DataShard
+from votelasso.debias import estimate_precision, local_fit
 from votelasso.harness import (
     ExperimentConfig,
+    _rep_fits,
     build_design,
     f_measure,
     materialize,
@@ -288,6 +292,35 @@ class TestRunSweep:
         cfg = _config(d=30, M=4, n=25, reps=2, fixed_design=False)
         res = run_sweep(cfg, "r", [0.8])
         assert res.rows[0]["reps"] == 2
+
+    def test_redraw_records_equal_standalone_replications(self):
+        cfg = _config(d=30, M=4, n=25, reps=3, fixed_design=False)
+        res = run_sweep(cfg, "r", [cfg.spec.r])
+        assert [rec["rep"] for rec in res.records] == [0, 1, 2]
+        for rec in res.records:
+            alone = run_replication(cfg, rec["rep"]).to_dict()
+            for key, value in alone.items():
+                if key != "wall_time":
+                    assert rec[key] == value, key
+
+
+class TestRoundOnePaths:
+    def test_gram_residual_and_local_fit_agree(self, small_design):
+        cfg, design = small_design
+        point = materialize(design, cfg)
+        assert point.grams is not None
+        fits_gram, ys = _rep_fits(point, rep=1)
+        fits_res, ys_res = _rep_fits(dataclasses.replace(point, grams=None), rep=1)
+        X = design.X[0]
+        est = estimate_precision(X, design.lam_omega)
+        assert np.array_equal(est.omega_hat, point.omegas[0])
+        alone = local_fit(
+            DataShard(machine_id=0, X=X, y=ys[0]), point.lam, design.lam_omega, point.sigma, precision=est
+        )
+        assert np.array_equal(ys[0], ys_res[0])
+        assert np.abs(fits_gram[0].xi_hat - fits_res[0].xi_hat).max() <= 1e-8
+        assert np.abs(fits_gram[0].xi_hat - alone.xi_hat).max() <= 1e-8
+        assert fits_gram[0].lasso_converged and fits_res[0].lasso_converged and alone.lasso_converged
 
 
 class TestScaleInvariance:

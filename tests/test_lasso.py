@@ -8,34 +8,19 @@ from votelasso.lasso import (
     kkt_violation,
     lasso_objective,
     restricted_ols,
-    soft_threshold,
 )
 
-from oracles import fista_lasso, lasso_objective as oracle_objective, normal_equations_ols
+from oracles import (
+    fista_lasso,
+    lasso_objective as oracle_objective,
+    normal_equations_ols,
+    soft_threshold,
+)
 
 
 def _orthonormal_design(rng, n, d):
     Q, _ = np.linalg.qr(rng.standard_normal((n, d)))
     return np.sqrt(n) * Q[:, :d]
-
-
-class TestSoftThreshold:
-    def test_linear_shrinkage(self):
-        assert soft_threshold(3.0, 1.0) == 2.0
-
-    def test_dead_zone(self):
-        assert soft_threshold(0.5, 1.0) == 0.0
-
-    def test_sign_preserved(self):
-        assert soft_threshold(-2.0, 0.5) == -1.5
-
-    def test_tie_returns_zero(self):
-        assert soft_threshold(1.0, 1.0) == 0.0
-        assert soft_threshold(-1.0, 1.0) == 0.0
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            soft_threshold(1.0, -0.1)
 
 
 class TestFitLasso:
@@ -53,7 +38,7 @@ class TestFitLasso:
         y = rng.standard_normal(n)
         lam = 0.15
         z = X.T @ y / n
-        expected = np.array([soft_threshold(v, lam) for v in z])
+        expected = soft_threshold(z, lam)
         fit = fit_lasso(X, y, lam)
         assert np.abs(fit.coefficients - expected).max() <= 1e-8
 
@@ -136,7 +121,7 @@ class TestKktViolation:
         X = _orthonormal_design(rng, n, d)
         y = rng.standard_normal(n)
         lam = 0.1
-        theta = np.array([soft_threshold(v, lam) for v in X.T @ y / n])
+        theta = soft_threshold(X.T @ y / n, lam)
         # X'X/n deviates from I only by roundoff here.
         assert kkt_violation(X, y, lam, theta) <= 1e-10
 

@@ -1,0 +1,59 @@
+"""The names the benchmark instruments (perfbench/probes.py) must exist.
+
+The benchmark patches module attributes to count solver work and check KKT
+certificates; a renamed call site would silently drop out of its counts.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from votelasso import _kernels, debias, harness
+from votelasso.datagen import ProblemSpec
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def probes():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import probes
+
+        yield probes
+
+
+def test_every_span_site_exists(probes):
+    for name, sites in probes.SPANS.items():
+        for owner, attr in sites:
+            assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+    assert callable(harness.run_point_rep)
+    assert isinstance(_kernels.USING_NUMBA, bool)
+    # Nodewise fits are counted through this name: (theta, u, sweeps, kkt, converged).
+    assert len(debias.fit_lasso_gram(np.eye(3), np.array([1.0, 0.0, -0.5]), 0.1)) == 5
+
+
+def test_every_replication_fit_goes_through_a_patched_name(monkeypatch):
+    spec = ProblemSpec(d=20, K=2, M=3, n=30, r=0.8, base_seed=1)
+    config = harness.ExperimentConfig(spec=spec)
+    point = harness.materialize(harness.build_design(config), config)
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append(len(out))
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(harness, "fit_lasso_gram", counting(harness.fit_lasso_gram))
+    monkeypatch.setattr(_kernels, "cd_residual", counting(_kernels.cd_residual))
+    harness._rep_fits(point, rep=0)
+    assert calls == [5] * spec.M  # Gram branch: (theta, u, sweeps, kkt, converged)
+    calls.clear()
+    harness._rep_fits(dataclasses.replace(point, grams=None), rep=0)
+    assert calls == [3] * spec.M  # covariance-free branch: (sweeps, kkt, converged)
+

@@ -229,6 +229,37 @@ class TestWireFormat:
         assert int.from_bytes(raw[9:13], "little") == 7
         assert wire_bytes(msg) == 13
 
+    def test_short_header_rejected(self):
+        raw = encode_message(Message(1, IndexSet(np.array([3]))))
+        with pytest.raises(ValueError, match="header"):
+            decode_message(raw[:8])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            IndexSet(np.array([1, 5])),
+            SignedIndexSet(np.array([1, 5]), np.array([1, -1])),
+            DenseEstimate(np.ones(3)),
+            RestrictedEstimate(np.array([0, 2]), np.ones(2)),
+            GramSummary(np.array([0, 2]), np.eye(2), np.ones(2)),
+        ],
+    )
+    def test_truncated_payload_rejected(self, payload):
+        raw = encode_message(Message(1, payload))
+        with pytest.raises(ValueError, match="truncated"):
+            decode_message(raw[:-1])
+
+    def test_trailing_bytes_rejected(self):
+        raw = encode_message(Message(1, SignedIndexSet(np.array([1, 5]), np.array([1, -1]))))
+        with pytest.raises(ValueError, match="trailing"):
+            decode_message(raw + b"\x00")
+
+    def test_unknown_tag_rejected(self):
+        raw = bytearray(encode_message(Message(1, IndexSet(np.array([3])))))
+        raw[0] = 99
+        with pytest.raises(ValueError, match="unknown wire tag"):
+            decode_message(bytes(raw))
+
 
 class TestCommLedger:
     def test_totals_equal_sum_of_bit_costs(self, rng):
