@@ -4,9 +4,11 @@ Subcommands: ``generate`` (emit shards and ground truth), ``run`` (one
 configuration), ``sweep`` (grid of configurations), ``theory`` (feasibility
 report), ``report`` (merge sweep outputs into one long-format CSV).
 
-A ``--config FILE`` of ``key = value`` lines (same keys as the long flags,
-underscores for dashes, ``#`` comments) may supply any argument; explicit
-flags override the file.
+A ``--config FILE`` of ``key = value`` lines (the long flag names,
+underscores for dashes, ``#`` comments) may supply the problem and run
+options; explicit flags override the file. Output, sweep-grid and scale
+flags are command-line only, and a key the command does not read is an
+error.
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ from .theory import thm2_regime, thm3_regime
 PAPER_SCALE = {"d": 5000, "n": 250, "machines": 100, "k": 5, "reps": 500}
 DESK_SCALE = {"d": 1000, "n": 200, "machines": 100, "k": 5, "reps": 100}
 
+# Keys a config file may set: ``generate`` reads the problem keys, run and sweep both.
+PROBLEM_KEYS = ("d", "n", "machines", "k", "r", "corr_decay", "sigma", "seed")
+RUN_KEYS = (
+    "scheme", "sparsity_mode", "l", "tau_mode", "tau_value", "second_round", "reps",
+    "nodewise_scale", "no_precision_reuse", "redraw_design",
+)
+# Flags a config file cannot set.
+FLAG_ONLY_KEYS = ("out", "csv", "axis", "grid", "paper_scale", "config")
+
 
 def _read_config_file(path: str) -> dict[str, str]:
     values = {}
@@ -46,6 +57,28 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, val = (part.strip() for part in line.split("=", 1))
         values[key.replace("-", "_")] = val
     return values
+
+
+def _file_values(args: argparse.Namespace) -> dict[str, str]:
+    """The ``--config`` file's values; exits naming any key the command does not read."""
+    if not args.config:
+        return {}
+    readable = PROBLEM_KEYS if args.command == "generate" else PROBLEM_KEYS + RUN_KEYS
+    values = _read_config_file(args.config)
+    for key in values:
+        if key in FLAG_ONLY_KEYS:
+            flag = "--" + key.replace("_", "-")
+            raise SystemExit(f"config key {key!r} cannot be set from a config file; pass {flag}")
+        if key not in readable:
+            raise SystemExit(f"unknown config key {key!r} for {args.command}")
+    return values
+
+
+def _parse_bool(raw: str) -> bool:
+    value = raw.lower()
+    if value not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return value == "true"
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -82,12 +115,14 @@ def _merged(args: argparse.Namespace, file_values: dict[str, str], key: str, cas
         return flag
     if key in file_values:
         raw = file_values[key]
-        return raw if cast is str else cast(raw)
+        try:
+            return raw if cast is str else cast(raw)
+        except ValueError as exc:
+            raise SystemExit(f"config key {key!r}: {exc}") from None
     return default
 
 
-def _build_spec(args) -> ProblemSpec:
-    file_values = _read_config_file(args.config) if args.config else {}
+def _build_spec(args, file_values: dict[str, str]) -> ProblemSpec:
     scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
     sigma = _merged(args, file_values, "sigma", str, "from_r")
     if sigma != "from_r":
@@ -104,8 +139,9 @@ def _build_spec(args) -> ProblemSpec:
     )
 
 
-def _build_config(args, spec: ProblemSpec) -> tuple[ExperimentConfig, list[str]]:
-    file_values = _read_config_file(args.config) if args.config else {}
+def _build_config(
+    args, spec: ProblemSpec, file_values: dict[str, str]
+) -> tuple[ExperimentConfig, list[str]]:
     scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
     schemes_raw = _merged(args, file_values, "scheme", str, "thresh_votes")
     schemes = [s.strip() for s in schemes_raw.split(",") if s.strip()]
@@ -119,14 +155,14 @@ def _build_config(args, spec: ProblemSpec) -> tuple[ExperimentConfig, list[str]]
         second_round=_merged(args, file_values, "second_round", str, "average"),
         reps=_merged(args, file_values, "reps", int, scale["reps"]),
         nodewise_residual_scale=_merged(args, file_values, "nodewise_scale", str, "n"),
-        fixed_design=not args.redraw_design,
-        precision_reuse=not args.no_precision_reuse,
+        fixed_design=not _merged(args, file_values, "redraw_design", _parse_bool, False),
+        precision_reuse=not _merged(args, file_values, "no_precision_reuse", _parse_bool, False),
     )
     return config, schemes
 
 
 def cmd_generate(args) -> int:
-    spec = _build_spec(args)
+    spec = _build_spec(args, _file_values(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = ExperimentConfig(spec=spec)
@@ -165,8 +201,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    spec = _build_spec(args)
-    config, schemes = _build_config(args, spec)
+    file_values = _file_values(args)
+    spec = _build_spec(args, file_values)
+    config, schemes = _build_config(args, spec, file_values)
     result = run_sweep(config, "r", [spec.r], schemes=schemes, out_dir=args.out)
     for row in result.rows:
         print(
@@ -179,8 +216,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _build_spec(args)
-    config, schemes = _build_config(args, spec)
+    file_values = _file_values(args)
+    spec = _build_spec(args, file_values)
+    config, schemes = _build_config(args, spec, file_values)
     grid_vals = [float(v) for v in args.grid.split(",")]
     if args.axis in ("n", "M", "L"):
         grid = [int(v) for v in grid_vals]

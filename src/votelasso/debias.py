@@ -4,8 +4,9 @@ debiased lasso, and its standardized (unit-variance) form.
 The precision matrix is built column by column: regress each design column
 on all the others with an l1 penalty, normalize by the penalized residual
 scale tau_i^2, and assemble rows of Omega_hat. All d nodewise problems share
-one Gram matrix, so the whole estimate costs one X'X plus d cheap
-coordinate-descent solves.
+one Gram matrix, so the whole estimate costs one X'X plus d active-set
+coordinate-descent solves. Each solve touches only the few columns of its
+working set, because the nodewise rows are very sparse.
 
 For the residual scale two conventions are supported:
 
@@ -57,6 +58,8 @@ class LocalFit:
     sigma_hat_sq_diag: np.ndarray
     xi_hat: np.ndarray
     lasso_converged: bool = True
+    lasso_sweeps: int = 0
+    lasso_kkt: float = 0.0
 
 
 def empirical_covariance(X: np.ndarray) -> np.ndarray:
@@ -191,4 +194,6 @@ def local_fit(
         sigma_hat_sq_diag=c_diag,
         xi_hat=xi,
         lasso_converged=fit.converged,
+        lasso_sweeps=fit.iterations,
+        lasso_kkt=fit.max_kkt_violation,
     )

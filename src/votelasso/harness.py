@@ -150,14 +150,20 @@ class ExperimentConfig:
 
 @dataclass
 class RepFlags:
+    """Per-replication status; the solver fields are maxima over machines."""
+
     empty_support: bool = False
     nonconverged_fits: int = 0
     round2_failed: bool = False
+    max_sweeps: int = 0
+    max_kkt: float = 0.0
 
     def to_dict(self) -> dict:
         return {
             "empty_support": self.empty_support,
             "nonconverged_fits": self.nonconverged_fits,
+            "max_sweeps": self.max_sweeps,
+            "max_kkt": self.max_kkt,
             "round2_failed": self.round2_failed,
         }
 
@@ -383,10 +389,12 @@ def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], list[np.ndar
         w = _draw_noise(spec, rep, m, design.n_cal, n)
         y = X @ point.theta_star + sigma * w
         if point.grams is not None:
-            theta_t, _, _, _, conv = fit_lasso_gram(point.grams[m], X.T @ y / n, point.lam)
+            theta_t, _, sweeps, kkt, conv = fit_lasso_gram(point.grams[m], X.T @ y / n, point.lam)
         else:
             fit = fit_lasso(X, y, point.lam)
-            theta_t, conv = fit.coefficients, fit.converged
+            theta_t, sweeps, kkt, conv = (
+                fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged
+            )
         omega = point.omegas[m]
         theta_h = debias(X, y, theta_t, omega)
         xi, c_diag = standardize(theta_h, omega, None, sigma, n, c_diag=point.c_diag[m])
@@ -398,6 +406,8 @@ def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], list[np.ndar
                 sigma_hat_sq_diag=c_diag,
                 xi_hat=xi,
                 lasso_converged=bool(conv),
+                lasso_sweeps=int(sweeps),
+                lasso_kkt=float(kkt),
             )
         )
         ys.append(y)
@@ -472,7 +482,11 @@ def _eval_scheme(
     spec = config.spec
     d = spec.d
     t0 = time.perf_counter()
-    flags = RepFlags(nonconverged_fits=sum(1 for f in fits if not f.lasso_converged))
+    flags = RepFlags(
+        nonconverged_fits=sum(1 for f in fits if not f.lasso_converged),
+        max_sweeps=max(f.lasso_sweeps for f in fits),
+        max_kkt=max(f.lasso_kkt for f in fits),
+    )
     msgs = _round1_messages(scheme, config, point, fits)
     bits_r1 = [protocol.bit_cost(m, d) for m in msgs]
     theta_avg, est, t = _select_support(scheme, config, point, msgs)

@@ -1,10 +1,13 @@
 """Lasso solver and least-squares helpers used by every machine.
 
-The solver is cyclic coordinate descent with covariance-free residual
-updates: no Gram matrix is formed, columns are visited in order and the
-residual vector is patched after every coefficient move. Convergence
-requires both a small coefficient change and a small KKT residual, so a
-converged fit carries an optimality certificate.
+The solver is active-set coordinate descent (``_kernels``): each outer
+pass checks the KKT conditions of every coordinate with one vectorized
+gradient, then runs cyclic coordinate descent over the nonzero coordinates
+plus the violators only. ``fit_lasso`` forms the working-set block of
+X'X/n from the design columns it needs; ``fit_lasso_gram`` reads it from
+a cached Gram matrix. Convergence requires both a small coefficient change
+and a small KKT residual over all coordinates, so a converged fit carries
+an optimality certificate.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def fit_lasso(
     max_sweeps: int = MAX_SWEEPS,
     kkt_tol: float = KKT_TOL,
 ) -> LassoFit:
-    """Solve the lasso by cyclic coordinate descent.
+    """Solve the lasso by active-set coordinate descent.
 
     Returns a LassoFit whose ``max_kkt_violation`` is recomputed from
     scratch at the solution; ``converged`` is True only when that residual
@@ -58,9 +61,8 @@ def fit_lasso(
     w = np.zeros(d) if warm_start is None else np.array(warm_start, dtype=np.float64)
     if w.shape != (d,):
         raise ValueError("warm_start has wrong length")
-    Xf = np.asfortranarray(X)
     sweeps, _, converged = _kernels.cd_residual(
-        Xf, y.copy(), float(lam), w, int(max_sweeps), COEF_TOL, kkt_tol
+        X, y, float(lam), w, int(max_sweeps), COEF_TOL, kkt_tol
     )
     viol = kkt_violation(X, y, lam, w)
     return LassoFit(
@@ -100,7 +102,7 @@ def fit_lasso_gram(
     max_sweeps: int = MAX_SWEEPS,
     kkt_tol: float = KKT_TOL,
 ) -> tuple[np.ndarray, np.ndarray, int, float, bool]:
-    """Gram-form variant sharing the CD kernel: G = X'X/n, c = X'y/n.
+    """Gram-form variant sharing the CD solver: G = X'X/n, c = X'y/n.
 
     Used where many fits share one design (nodewise regressions, fixed-design
     replications). ``skip`` holds one coordinate at zero. Returns

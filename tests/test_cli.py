@@ -87,6 +87,43 @@ class TestRun:
             main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("machine = 5", "unknown config key 'machine'"),
+            ("out = elsewhere", "config key 'out' cannot be set from a config file; pass --out"),
+        ],
+        ids=["unknown", "flag_only"],
+    )
+    def test_config_key_not_read_rejected(self, tmp_path, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"d = 30\n{line}\n")
+        with pytest.raises(SystemExit, match=message):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+
+    def test_run_key_rejected_by_generate(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scheme = bnm21\n")
+        with pytest.raises(SystemExit, match="unknown config key 'scheme' for generate"):
+            main(["generate", *COMMON, "--config", str(cfg), "--out", str(tmp_path)])
+
+    def test_boolean_keys_from_config_file(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("reps = 2\nredraw_design = true\n")
+        main(["run", *COMMON, "--config", str(cfg), "--out", str(tmp_path / "file")])
+        main(["run", *COMMON, "--reps", "2", "--redraw-design", "--out", str(tmp_path / "flag")])
+        main(["run", *COMMON, "--reps", "2", "--out", str(tmp_path / "fixed")])
+        def errors(out):
+            lines = (tmp_path / out / "records.jsonl").read_text().splitlines()
+            return [json.loads(line)["l2_error"] for line in lines]
+
+        assert errors("file") == errors("flag") != errors("fixed")
+        cfg.write_text("redraw_design = maybe\n")
+        with pytest.raises(SystemExit, match="redraw_design"):
+            main(["run", *COMMON, "--config", str(cfg), "--out", str(tmp_path / "bad")])
+
+
 class TestSweep:
     def test_sweep_r_axis(self, tmp_path, capsys):
         rc = main(

@@ -14,7 +14,7 @@ from votelasso.debias import (
 )
 from votelasso.lasso import fit_lasso, kkt_violation
 
-from oracles import naive_covariance, naive_debias
+from oracles import fista_lasso, naive_covariance, naive_debias
 
 
 def _orthonormal_design(rng, n, d):
@@ -81,6 +81,16 @@ class TestEstimatePrecision:
             others = [j for j in range(8) if j != i]
             direct = fit_lasso(X[:, others], X[:, i], lam)
             assert np.abs(est.gamma[i] - direct.coefficients).max() <= 1e-6
+
+    def test_rows_match_fista_nodewise_fits(self):
+        spec = ProblemSpec(d=60, K=2, M=1, n=100, r=0.8, base_seed=4)
+        X = sample_shards(spec)[0].X
+        lam = 2.0 * math.sqrt(math.log(60) / 100)
+        est = estimate_precision(X, lam)
+        assert np.count_nonzero(est.gamma) > 60  # the nodewise fits are not trivial
+        for i in range(60):
+            expected = fista_lasso(np.delete(X, i, axis=1), X[:, i], lam, iters=3000, tol=0.0)
+            assert np.abs(est.gamma[i] - expected).max() <= 1e-7
 
     def test_duplicate_columns_degenerate(self, rng):
         # An exact copy column drives the nodewise residual to zero; with a

@@ -281,6 +281,18 @@ class TestRunSweep:
         res = run_sweep(cfg, "n", [20, 40])
         assert len(res.rows) == 2
 
+    @pytest.mark.parametrize("axis, grid", [("r", [0.8]), ("n", [30, 50])])
+    def test_records_carry_solver_certificates(self, axis, grid):
+        # A small explicit lambda keeps the replication fits nonzero; the n
+        # sweep below n_cal runs the covariance-free branch.
+        cfg = _config(M=4, reps=2, lambda_rule="explicit", lambda_value=0.1)
+        res = run_sweep(cfg, axis, grid)
+        for rec in res.records:
+            flags = rec["flags"]
+            assert 0.0 <= flags["max_kkt"] <= 1e-7
+            assert flags["max_sweeps"] >= 2
+            assert flags["nonconverged_fits"] == 0
+
     def test_bad_axis_rejected(self, small_design):
         cfg, _ = small_design
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
-"""Coordinate-descent kernel edge cases and the shared KKT certificate."""
+"""Active-set coordinate-descent solver: edge cases, working sets, budgets
+and the shared KKT certificate."""
 
 import numpy as np
 import pytest
 
 from votelasso import _kernels
+
+from oracles import fista_lasso
 
 
 @pytest.fixture
@@ -34,6 +37,122 @@ def test_zero_column_forced_to_zero(rng):
     _kernels.cd_residual(np.asfortranarray(X), y.copy(), 0.1, w, 1000, 1e-9, 1e-7)
     assert w[2] == 0.0
 
+
+@pytest.fixture
+def working_sets(monkeypatch):
+    """Every working set the solver forms, in order, as sets of indices."""
+    seen = []
+    solve = _kernels._active_set_cd
+
+    def spy(gradient, block, *rest):
+        def recording(A):
+            seen.append(set(A.tolist()))
+            return block(A)
+
+        return solve(gradient, recording, *rest)
+
+    monkeypatch.setattr(_kernels, "_active_set_cd", spy)
+    return seen
+
+
+def _ar1_problem(seed, n=60, d=30, rho=0.6):
+    """Correlated design where part of the final support is not violating at the start."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, d))
+    X = np.empty_like(Z)
+    X[:, 0] = Z[:, 0]
+    for j in range(1, d):
+        X[:, j] = rho * X[:, j - 1] + np.sqrt(1 - rho**2) * Z[:, j]
+    theta = np.zeros(d)
+    theta[[3, 4, 10, 11, 20]] = [1.5, -1.2, 1.0, -0.9, 0.7]
+    return X, X @ theta + 0.5 * rng.standard_normal(n)
+
+
+def _both_forms(X, y, lam, w0, max_sweeps=10_000):
+    """(w, sweeps, kkt, converged) from the Gram form, then the residual form.
+
+    Each form is solved only when the generator reaches it, so a caller can
+    inspect the working sets of one form before the next runs.
+    """
+    n = X.shape[0]
+    wg, wr = w0.copy(), w0.copy()
+    _, sweeps, kkt, conv = _kernels.cd_gram(
+        X.T @ X / n, X.T @ y / n, lam, wg, -1, max_sweeps, 1e-9, 1e-7
+    )
+    yield wg, sweeps, kkt, conv
+    yield (wr, *_kernels.cd_residual(X, y, lam, wr, max_sweeps, 1e-9, 1e-7))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "wrong_support"])
+def test_violators_enter_in_later_passes(working_sets, warm):
+    X, y = _ar1_problem(1)
+    lam = 0.1
+    expected = fista_lasso(X, y, lam, tol=0.0)
+    w0 = np.zeros(X.shape[1])
+    if warm:
+        w0[[0, 15, 25]] = 0.5  # none of these is in the true support
+    for w, _, kkt, conv in _both_forms(X, y, lam, w0):
+        assert conv and kkt <= 1e-7
+        assert np.abs(w - expected).max() <= 1e-7
+        # Part of the final support only enters after the first pass.
+        assert len(working_sets) >= 2
+        assert set(np.flatnonzero(w).tolist()) - working_sets[0]
+        working_sets.clear()
+
+
+def test_max_sweeps_caps_all_outer_passes():
+    X, y = _ar1_problem(1)
+    needed = min(sweeps for _, sweeps, _, _ in _both_forms(X, y, 0.1, np.zeros(30)))
+    assert needed > 4
+    for budget in (1, 2, needed // 2, needed - 1):
+        for _, sweeps, _, conv in _both_forms(X, y, 0.1, np.zeros(30), budget):
+            assert sweeps == budget and not conv
+
+
+def test_skip_and_zero_diagonal_never_enter(working_sets, rng):
+    n, d, skip, dead = 40, 8, 2, 5
+    X = rng.standard_normal((n, d))
+    X[:, dead] = 0.0
+    # Coordinate ``skip`` carries signal, so it would violate KKT if it could enter.
+    y = X[:, :4] @ np.array([1.0, -1.0, 2.0, 0.5]) + 0.1 * rng.standard_normal(n)
+    G = X.T @ X / n
+    w = np.full(d, 0.3)
+    _, _, kkt, conv = _kernels.cd_gram(G, X.T @ y / n, 0.05, w, skip, 1000, 1e-9, 1e-7)
+    assert conv and kkt <= 1e-7
+    assert w[skip] == 0.0 and w[dead] == 0.0
+    assert working_sets and all(skip not in A and dead not in A for A in working_sets)
+    working_sets.clear()
+    w = np.full(d, 0.3)
+    _, _, conv = _kernels.cd_residual(X, y, 0.05, w, 1000, 1e-9, 1e-7)
+    assert conv and w[dead] == 0.0
+    assert working_sets and all(dead not in A for A in working_sets)
+
+
+@pytest.mark.parametrize(
+    "diag, c, expected",
+    [
+        ([1.0, 0.0, 2.0], [0.5, 1.0, -0.4], [0.4, 0.0, -0.15]),
+        ([1.0, 0.0], [0.05, 1.0], [0.0, 0.0]),  # the working set stays empty
+    ],
+    ids=["with_working_set", "empty_working_set"],
+)
+def test_zero_diagonal_violator_stops_within_budget(diag, c, expected):
+    # Coordinate 1 violates KKT (|c_1| > lam) but cannot move: G_11 = 0.
+    w = np.zeros(len(diag))
+    _, sweeps, kkt, conv = _kernels.cd_gram(np.diag(diag), np.array(c), 0.1, w, -1, 25, 1e-9, 1e-7)
+    assert not conv and sweeps == 25
+    assert kkt == pytest.approx(0.9)
+    assert w.tolist() == pytest.approx(expected)
+    assert w[1] == 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5])
+def test_zero_solution_at_lambda_max(problem, scale):
+    X, y = problem
+    lam = scale * np.abs(X.T @ y / X.shape[0]).max()
+    for w, sweeps, kkt, conv in _both_forms(X, y, lam, np.zeros(X.shape[1])):
+        assert not w.any()
+        assert conv and kkt == 0.0 and sweeps >= 1
 
 
 def _kkt_loop(g, w, lam, skip=-1):

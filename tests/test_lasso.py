@@ -56,6 +56,22 @@ class TestFitLasso:
             assert obj_cd <= obj_or + 1e-6 * max(1.0, abs(obj_or))
             assert fit.max_kkt_violation <= 1e-7
 
+    def test_coefficients_match_oracle_from_wrong_support(self, rng):
+        n, d = 80, 40
+        X = rng.standard_normal((n, d)) + 0.8 * rng.standard_normal((n, 1))  # equicorrelated
+        theta = np.zeros(d)
+        theta[[2, 9, 17, 30]] = [1.0, -0.8, 0.6, 1.2]
+        y = X @ theta + 0.4 * rng.standard_normal(n)
+        lam = 0.08
+        expected = fista_lasso(X, y, lam, tol=0.0)
+        wrong = np.zeros(d)
+        wrong[[0, 5, 25]] = 1.0
+        fit = fit_lasso(X, y, lam, warm_start=wrong)
+        w, _, _, kkt, conv = fit_lasso_gram(X.T @ X / n, X.T @ y / n, lam, warm_start=wrong)
+        assert fit.converged and conv and kkt <= 1e-7
+        assert np.abs(fit.coefficients - expected).max() <= 1e-7
+        assert np.abs(w - expected).max() <= 1e-7
+
     def test_nan_rejected(self, rng):
         X = rng.standard_normal((10, 3))
         y = rng.standard_normal(10)
