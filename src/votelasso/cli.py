@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .datagen import DataShard, GroundTruth, ProblemSpec, sample_responses
+from .debias import RESIDUAL_SCALES
 from .harness import (
     SCHEMES,
     SECOND_ROUNDS,
@@ -102,7 +103,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau-value", type=float, default=None)
     p.add_argument("--second-round", choices=SECOND_ROUNDS, default=None)
     p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--nodewise-scale", choices=("n", "2n"), default=None)
+    p.add_argument("--nodewise-scale", choices=RESIDUAL_SCALES, default=None)
     p.add_argument("--no-precision-reuse", action="store_true")
     p.add_argument("--redraw-design", action="store_true", help="redraw design each replication")
     p.add_argument("--out", default="out", help="output directory")

@@ -1,6 +1,12 @@
 """Experiment orchestration: the two-round schemes end to end, baselines,
 metrics, and seeded replication sweeps with bit-exact communication ledgers.
 
+The schemes of one replication share its work: the local fits and the
+oracle, one round-1 message set and tally per round-1 rule (``bnm21`` and
+``thresh_votes`` send the same thresholded votes), and one round two per
+distinct selected support. Each record reports that shared time once as
+``shared_time`` and its scheme's own remaining work as ``wall_time``.
+
 Simulation protocol (fixed-design mode, the default): design matrices are
 drawn once per experiment, each machine's precision matrix is estimated once
 on its full design, the largest sandwich-variance entry calibrates the
@@ -31,6 +37,7 @@ from .datagen import (
     theta_min_from_snr,
 )
 from .debias import (
+    RESIDUAL_SCALES,
     LocalFit,
     debias,
     empirical_covariance,
@@ -51,6 +58,8 @@ SCHEMES = (
 )
 SPARSITY_MODES = ("known", "unknown")
 TAU_MODES = ("sqrt_2_log_d", "sqrt_2r_log_d", "explicit")
+LAMBDA_RULES = ("fixed_8", "sigma_scaled_8", "explicit")
+LAMBDA_OMEGA_RULES = ("fixed_2", "explicit")
 SECOND_ROUNDS = ("average", "gram_exact", "none")
 SWEEP_AXES = ("r", "n", "M", "L")
 
@@ -83,9 +92,9 @@ class ExperimentConfig:
     L: int | None = None
     tau_mode: str = "sqrt_2_log_d"
     tau_value: float | None = None
-    lambda_rule: str = "fixed_8"  # 8 sqrt(ln d / n); sigma_scaled_8 | explicit
+    lambda_rule: str = "fixed_8"  # 8 sqrt(ln d / n); sigma_scaled_8 multiplies by sigma
     lambda_value: float | None = None
-    lambda_omega_rule: str = "fixed_2"  # 2 sqrt(ln d / n); explicit
+    lambda_omega_rule: str = "fixed_2"  # 2 sqrt(ln d / n)
     lambda_omega_value: float | None = None
     nodewise_residual_scale: str = "n"
     second_round: str = "average"
@@ -106,6 +115,16 @@ class ExperimentConfig:
             raise ValueError("reps must be positive")
         if self.tau_mode == "explicit" and self.tau_value is None:
             raise ValueError("explicit tau_mode needs tau_value")
+        if self.lambda_rule not in LAMBDA_RULES:
+            raise ValueError(f"lambda_rule must be one of {LAMBDA_RULES}")
+        if self.lambda_rule == "explicit" and self.lambda_value is None:
+            raise ValueError("explicit lambda_rule needs lambda_value")
+        if self.lambda_omega_rule not in LAMBDA_OMEGA_RULES:
+            raise ValueError(f"lambda_omega_rule must be one of {LAMBDA_OMEGA_RULES}")
+        if self.lambda_omega_rule == "explicit" and self.lambda_omega_value is None:
+            raise ValueError("explicit lambda_omega_rule needs lambda_omega_value")
+        if self.nodewise_residual_scale not in RESIDUAL_SCALES:
+            raise ValueError(f"nodewise_residual_scale must be one of {RESIDUAL_SCALES}")
         if self.scheme.startswith("top_L"):
             L = self.L if self.L is not None else self.spec.K
             if not 1 <= L <= self.spec.d:
@@ -118,24 +137,14 @@ class ExperimentConfig:
 
     def lam(self, n: int, sigma: float) -> float:
         if self.lambda_rule == "explicit":
-            if self.lambda_value is None:
-                raise ValueError("explicit lambda_rule needs lambda_value")
             return self.lambda_value
         base = 8.0 * math.sqrt(math.log(self.spec.d) / n)
-        if self.lambda_rule == "sigma_scaled_8":
-            return sigma * base
-        if self.lambda_rule == "fixed_8":
-            return base
-        raise ValueError(f"unknown lambda_rule {self.lambda_rule!r}")
+        return sigma * base if self.lambda_rule == "sigma_scaled_8" else base
 
     def lam_omega(self, n: int) -> float:
         if self.lambda_omega_rule == "explicit":
-            if self.lambda_omega_value is None:
-                raise ValueError("explicit lambda_omega_rule needs lambda_omega_value")
             return self.lambda_omega_value
-        if self.lambda_omega_rule == "fixed_2":
-            return 2.0 * math.sqrt(math.log(self.spec.d) / n)
-        raise ValueError(f"unknown lambda_omega_rule {self.lambda_omega_rule!r}")
+        return 2.0 * math.sqrt(math.log(self.spec.d) / n)
 
     def tau(self, r: float) -> float:
         if self.tau_mode == "explicit":
@@ -170,6 +179,14 @@ class RepFlags:
 
 @dataclass
 class ExperimentRecord:
+    """One scheme's result on one replication.
+
+    ``shared_time`` is the time of the work all schemes of the replication
+    share (local fits, oracle, round-1 messages, tallies and round two) and
+    is the same on each of its records; ``wall_time`` is this scheme's own
+    remaining work (selection, metrics, the record). Seconds, wall clock.
+    """
+
     rep: int
     scheme: str
     S_hat: list[int]
@@ -182,6 +199,7 @@ class ExperimentRecord:
     bits_round1_total: int
     bits_round2_total: int
     wall_time: float
+    shared_time: float = 0.0
     flags: RepFlags = field(default_factory=RepFlags)
     fusion_log: dict | None = None
 
@@ -199,6 +217,7 @@ class ExperimentRecord:
             "bits_round1_total": self.bits_round1_total,
             "bits_round2_total": self.bits_round2_total,
             "wall_time": self.wall_time,
+            "shared_time": self.shared_time,
             "flags": self.flags.to_dict(),
             "fusion_log": self.fusion_log,
         }
@@ -414,23 +433,28 @@ def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], list[np.ndar
     return fits, ys
 
 
-def _round1_messages(scheme: str, config: ExperimentConfig, point: PointState, fits):
-    if scheme == "thresh_votes" or scheme == "bnm21":
+# bnm21 sends the thresholded votes of thresh_votes and differs only in its
+# selection rule, so the two schemes share one round-1 message set and tally.
+_ROUND1_RULE = {"bnm21": "thresh_votes"}
+
+
+def _round1_messages(rule: str, config: ExperimentConfig, point: PointState, fits):
+    if rule == "thresh_votes":
         return [protocol.round1_thresh_votes(f, point.tau) for f in fits]
-    if scheme == "thresh_signs":
+    if rule == "thresh_signs":
         return [protocol.round1_thresh_signs(f, point.tau) for f in fits]
-    if scheme == "top_L_votes":
+    if rule == "top_L_votes":
         L = point.L if point.L is not None else config.resolved_L()
         return [protocol.round1_top_L(f, L, signed=False) for f in fits]
-    if scheme == "top_L_signs":
+    if rule == "top_L_signs":
         L = point.L if point.L is not None else config.resolved_L()
         return [protocol.round1_top_L(f, L, signed=True) for f in fits]
-    if scheme == "avg_deblasso":
+    if rule == "avg_deblasso":
         return [protocol.round1_dense(f) for f in fits]
-    raise ValueError(f"unknown scheme {scheme!r}")
+    raise ValueError(f"unknown scheme {rule!r}")
 
 
-def _select_support(scheme, config, point, msgs):
+def _select_support(scheme, config, point, msgs, t):
     """Fusion-center support rule for each scheme/sparsity mode."""
     spec = config.spec
     if scheme == "avg_deblasso":
@@ -439,15 +463,13 @@ def _select_support(scheme, config, point, msgs):
         else:
             threshold = 11.0 * math.log(spec.d) / point.n
             theta_avg, est = fusion.avg_debiased(msgs, threshold=threshold)
-        return theta_avg, est, None
-    t = fusion.tally(msgs, spec.d)
+        return theta_avg, est
     use_signs = scheme.endswith("signs")
     if scheme == "bnm21":
-        return None, fusion.select_majority(t, point.M), t
+        return None, fusion.select_majority(t, point.M)
     if config.sparsity_mode == "known":
-        return None, fusion.select_topk(t, spec.K, use_signs=use_signs), t
-    est = fusion.select_vote_threshold(t, 2.0 * math.log(spec.d), use_signs=use_signs)
-    return None, est, t
+        return None, fusion.select_topk(t, spec.K, use_signs=use_signs)
+    return None, fusion.select_vote_threshold(t, 2.0 * math.log(spec.d), use_signs=use_signs)
 
 
 def _second_round(config, point, ys, support) -> tuple[np.ndarray, int]:
@@ -469,27 +491,82 @@ def _second_round(config, point, ys, support) -> tuple[np.ndarray, int]:
     return fusion.aggregate_round2(msgs, support, d), bits
 
 
+class _RepMemo:
+    """The work one replication's schemes share, computed on first use.
+
+    Round-1 messages, their bits and their tally depend only on (fits,
+    round-1 rule), and round two only on (ys, support), so each is built
+    once per rule or per distinct support and reused by every later scheme.
+    Shared arrays are made read-only. ``seconds`` sums the time spent on
+    shared work.
+    """
+
+    def __init__(self, config: ExperimentConfig, point: PointState, fits, ys, seconds: float):
+        self.config, self.point, self.fits, self.ys = config, point, fits, ys
+        self.seconds = seconds
+        self._round1: dict = {}
+        self._round2: dict = {}
+
+    def _cached(self, table: dict, key, compute):
+        if key not in table:
+            t0 = time.perf_counter()
+            table[key] = compute()
+            self.seconds += time.perf_counter() - t0
+        return table[key]
+
+    def round1(self, scheme: str) -> tuple[list, list[int], fusion.VoteTally | None]:
+        """(messages, bits per machine, tally) of the scheme's round-1 rule;
+        the tally is None for dense messages."""
+        rule = _ROUND1_RULE.get(scheme, scheme)
+
+        def compute():
+            d = self.config.spec.d
+            msgs = _round1_messages(rule, self.config, self.point, self.fits)
+            bits = [protocol.bit_cost(m, d) for m in msgs]
+            if rule == "avg_deblasso":
+                return msgs, bits, None
+            t = fusion.tally(msgs, d)
+            t.votes.setflags(write=False)
+            t.sign_sums.setflags(write=False)
+            return msgs, bits, t
+
+        return self._cached(self._round1, rule, compute)
+
+    def round2(self, support: np.ndarray) -> tuple[np.ndarray, int] | None:
+        """(theta_hat, total bits) of round two on ``support``; None if it
+        raised ValueError (a singular system), for every scheme alike."""
+
+        def compute():
+            try:
+                theta, bits = _second_round(self.config, self.point, self.ys, support)
+            except ValueError:
+                return None
+            theta.setflags(write=False)
+            return theta, bits
+
+        key = np.asarray(support, dtype=np.int64).tobytes()
+        return self._cached(self._round2, key, compute)
+
+
 def _eval_scheme(
     scheme: str,
     config: ExperimentConfig,
     point: PointState,
-    fits: list[LocalFit],
-    ys: list[np.ndarray],
+    memo: _RepMemo,
     rep: int,
     l2_oracle: float,
-    fit_seconds: float,
 ) -> ExperimentRecord:
-    spec = config.spec
-    d = spec.d
+    d = config.spec.d
     t0 = time.perf_counter()
+    shared_before = memo.seconds
+    fits = memo.fits
     flags = RepFlags(
         nonconverged_fits=sum(1 for f in fits if not f.lasso_converged),
         max_sweeps=max(f.lasso_sweeps for f in fits),
         max_kkt=max(f.lasso_kkt for f in fits),
     )
-    msgs = _round1_messages(scheme, config, point, fits)
-    bits_r1 = [protocol.bit_cost(m, d) for m in msgs]
-    theta_avg, est, t = _select_support(scheme, config, point, msgs)
+    msgs, bits_r1, t = memo.round1(scheme)
+    theta_avg, est = _select_support(scheme, config, point, msgs, t)
     S_hat = est.indices
     theta = np.zeros(d)
     bits_r2 = 0
@@ -502,12 +579,14 @@ def _eval_scheme(
     elif config.second_round == "none":
         no_estimate = True
     else:
-        try:
-            theta, bits_r2 = _second_round(config, point, ys, S_hat)
-        except ValueError:
+        second = memo.round2(S_hat)
+        if second is None:
             flags.round2_failed = True
+        else:
+            theta, bits_r2 = second
     f, prec, rec = f_measure(S_hat, point.design.support)
     l2 = None if no_estimate else float(np.linalg.norm(theta - point.theta_star))
+    log = fusion.fusion_log_record(scheme, est, t, point.tau, int(sum(bits_r1)))
     return ExperimentRecord(
         rep=rep,
         scheme=scheme,
@@ -517,12 +596,12 @@ def _eval_scheme(
         recall=rec,
         l2_error=l2,
         l2_error_oracle=l2_oracle,
-        bits_round1_per_machine=bits_r1,
+        bits_round1_per_machine=list(bits_r1),
         bits_round1_total=int(sum(bits_r1)),
         bits_round2_total=int(bits_r2),
-        wall_time=fit_seconds + (time.perf_counter() - t0),
+        wall_time=time.perf_counter() - t0 - (memo.seconds - shared_before),
         flags=flags,
-        fusion_log=fusion.fusion_log_record(scheme, est, t, point.tau, int(sum(bits_r1))),
+        fusion_log=log,
     )
 
 
@@ -540,14 +619,19 @@ def _oracle_error(point: PointState, ys) -> float:
 def run_point_rep(
     point: PointState, config: ExperimentConfig, schemes: list[str], rep: int
 ) -> list[ExperimentRecord]:
-    """One replication, evaluated under several schemes sharing local fits."""
+    """One replication, evaluated under several schemes sharing their work.
+
+    Every record carries the replication's shared time (fits, oracle and
+    the ``_RepMemo`` work) as ``shared_time``.
+    """
     t0 = time.perf_counter()
     fits, ys = _rep_fits(point, rep)
-    fit_seconds = time.perf_counter() - t0
     l2_oracle = _oracle_error(point, ys)
-    return [
-        _eval_scheme(s, config, point, fits, ys, rep, l2_oracle, fit_seconds) for s in schemes
-    ]
+    memo = _RepMemo(config, point, fits, ys, seconds=time.perf_counter() - t0)
+    records = [_eval_scheme(s, config, point, memo, rep, l2_oracle) for s in schemes]
+    for record in records:
+        record.shared_time = memo.seconds
+    return records
 
 
 def run_replication(

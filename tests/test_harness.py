@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from votelasso import fusion, protocol
 from votelasso.datagen import ProblemSpec, sample_shards, sample_responses, make_theta_star
 from votelasso.datagen import DataShard
 from votelasso.debias import estimate_precision, local_fit
 from votelasso.harness import (
+    SCHEMES,
     ExperimentConfig,
     _rep_fits,
     build_design,
@@ -20,6 +23,8 @@ from votelasso.harness import (
     run_sweep,
 )
 from votelasso.lasso import restricted_ols
+
+TIMING_FIELDS = ("wall_time", "shared_time")
 
 
 def _config(**kw):
@@ -97,9 +102,9 @@ class TestRunReplication:
         a = run_point_rep(point, cfg, [cfg.scheme], 0)[0]
         b = run_point_rep(point, cfg, [cfg.scheme], 0)[0]
         assert a.to_dict() == b.to_dict() or (
-            # wall_time differs; compare everything else
-            {k: v for k, v in a.to_dict().items() if k != "wall_time"}
-            == {k: v for k, v in b.to_dict().items() if k != "wall_time"}
+            # the timings differ; compare everything else
+            {k: v for k, v in a.to_dict().items() if k not in TIMING_FIELDS}
+            == {k: v for k, v in b.to_dict().items() if k not in TIMING_FIELDS}
         )
 
     def test_standalone_matches_prepared_point(self, small_design):
@@ -220,6 +225,95 @@ class TestSchemes:
             _config(tau_mode="explicit")  # missing tau_value
         with pytest.raises(ValueError):
             _config(second_round="third")
+        for bad in (
+            dict(lambda_rule="fixed8"),
+            dict(lambda_rule="explicit"),  # missing lambda_value
+            dict(lambda_omega_rule="fixed2"),
+            dict(lambda_omega_rule="explicit"),  # missing lambda_omega_value
+            dict(nodewise_residual_scale="3n"),
+        ):
+            with pytest.raises(ValueError):
+                _config(**bad)
+        cfg = _config(lambda_rule="sigma_scaled_8", nodewise_residual_scale="2n")
+        assert cfg.lam(50, 2.0) == 2.0 * _config().lam(50, 2.0)
+        assert _config(lambda_omega_rule="explicit", lambda_omega_value=0.3).lam_omega(50) == 0.3
+
+
+def _untimed(rec) -> dict:
+    return {k: v for k, v in rec.to_dict().items() if k not in TIMING_FIELDS}
+
+
+def _round2_supports(recs) -> set:
+    return {tuple(r.S_hat) for r in recs if r.scheme != "avg_deblasso" and r.S_hat}
+
+
+class TestSharedWork:
+    """The schemes of one replication share round 1, tallies and round 2."""
+
+    @pytest.mark.parametrize("second_round", ["average", "gram_exact"])
+    @pytest.mark.parametrize("sparsity_mode", ["known", "unknown"])
+    def test_joint_run_equals_single_scheme_runs(self, small_design, second_round, sparsity_mode):
+        cfg, design = small_design
+        cfg = cfg.with_(second_round=second_round, sparsity_mode=sparsity_mode)
+        point = materialize(design, cfg)
+        joint = [run_point_rep(point, cfg, list(SCHEMES), rep) for rep in (0, 1)]
+        # Both replications select a common support, so work kept from the
+        # first would change the second's records.
+        assert _round2_supports(joint[0]) & _round2_supports(joint[1])
+        for rep, recs in zip((0, 1), joint):
+            alone = [run_point_rep(point, cfg, [s], rep)[0] for s in SCHEMES]
+            assert [_untimed(r) for r in recs] == [_untimed(r) for r in alone]
+
+    def test_shared_time_is_counted_once(self, small_design):
+        cfg, design = small_design
+        point = materialize(design, cfg)
+        t0 = time.perf_counter()
+        recs = run_point_rep(point, cfg, list(SCHEMES), 0)
+        elapsed = time.perf_counter() - t0
+        assert len({r.shared_time for r in recs}) == 1
+        assert all(r.wall_time >= 0.0 for r in recs)
+        # Disjoint spans of one call: shared work plus each scheme's own.
+        assert recs[0].shared_time + sum(r.wall_time for r in recs) <= elapsed
+
+    def test_one_round2_per_support_and_one_tally_per_rule(self, small_design, monkeypatch):
+        cfg, design = small_design
+        point = materialize(design, cfg)
+        calls = {"round2": 0, "tally": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(protocol, "round2_restricted", counting("round2", protocol.round2_restricted))
+        monkeypatch.setattr(fusion, "tally", counting("tally", fusion.tally))
+        recs = run_point_rep(point, cfg, list(SCHEMES), 0)
+        supports = _round2_supports(recs)
+        assert 1 < len(supports) < 5
+        assert calls["round2"] == point.M * len(supports)
+        assert calls["tally"] == 4  # bnm21 and thresh_votes share one
+
+    def test_round2_failure_flags_every_scheme_with_that_support(self, small_design, monkeypatch):
+        cfg, design = small_design
+        point = materialize(design, cfg)
+        failing = run_point_rep(point, cfg, ["thresh_votes"], 0)[0].S_hat
+        original = protocol.round2_restricted
+
+        def round2(shard, support):
+            if list(support) == failing:
+                raise ValueError("singular restricted design")
+            return original(shard, support)
+
+        monkeypatch.setattr(protocol, "round2_restricted", round2)
+        recs = run_point_rep(point, cfg, list(SCHEMES), 0)
+        failed = {r.scheme for r in recs if r.flags.round2_failed}
+        expected = {r.scheme for r in recs if r.scheme != "avg_deblasso" and r.S_hat == failing}
+        assert failed == expected
+        assert 2 <= len(expected) < 5
+        zero_error = float(np.linalg.norm(point.theta_star))
+        assert all(r.l2_error == pytest.approx(zero_error) for r in recs if r.scheme in failed)
 
 
 class TestRunSweep:
@@ -312,7 +406,7 @@ class TestRunSweep:
         for rec in res.records:
             alone = run_replication(cfg, rec["rep"]).to_dict()
             for key, value in alone.items():
-                if key != "wall_time":
+                if key not in TIMING_FIELDS:
                     assert rec[key] == value, key
 
 
