@@ -82,6 +82,10 @@ def _parse_bool(raw: str) -> bool:
     return value == "true"
 
 
+def _parse_sigma(raw: str) -> str | float:
+    return raw if raw == "from_r" else float(raw)
+
+
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, help="dimension")
     p.add_argument("--n", type=int, help="samples per machine")
@@ -89,7 +93,9 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="sparsity K")
     p.add_argument("--r", type=float, help="SNR parameter in (0, 1]")
     p.add_argument("--corr-decay", type=float, default=None, help="AR(1) parameter (default 0.5)")
-    p.add_argument("--sigma", default=None, help="noise level, or 'from_r' (default)")
+    p.add_argument(
+        "--sigma", type=_parse_sigma, default=None, help="noise level, or 'from_r' (default)"
+    )
     p.add_argument("--seed", type=int, help="base seed")
     p.add_argument("--paper-scale", action="store_true", help="use d=5000, n=250, reps=500 defaults")
     p.add_argument("--config", help="key = value file; flags override")
@@ -125,19 +131,19 @@ def _merged(args: argparse.Namespace, file_values: dict[str, str], key: str, cas
 
 def _build_spec(args, file_values: dict[str, str]) -> ProblemSpec:
     scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
-    sigma = _merged(args, file_values, "sigma", str, "from_r")
-    if sigma != "from_r":
-        sigma = float(sigma)
-    return ProblemSpec(
-        d=_merged(args, file_values, "d", int, scale["d"]),
-        K=_merged(args, file_values, "k", int, scale["k"]),
-        M=_merged(args, file_values, "machines", int, scale["machines"]),
-        n=_merged(args, file_values, "n", int, scale["n"]),
-        r=_merged(args, file_values, "r", float, 0.8),
-        corr_decay=_merged(args, file_values, "corr_decay", float, 0.5),
-        sigma=sigma,
-        base_seed=_merged(args, file_values, "seed", int, 0),
-    )
+    try:
+        return ProblemSpec(
+            d=_merged(args, file_values, "d", int, scale["d"]),
+            K=_merged(args, file_values, "k", int, scale["k"]),
+            M=_merged(args, file_values, "machines", int, scale["machines"]),
+            n=_merged(args, file_values, "n", int, scale["n"]),
+            r=_merged(args, file_values, "r", float, 0.8),
+            corr_decay=_merged(args, file_values, "corr_decay", float, 0.5),
+            sigma=_merged(args, file_values, "sigma", _parse_sigma, "from_r"),
+            base_seed=_merged(args, file_values, "seed", int, 0),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"bad problem configuration: {exc}") from None
 
 
 def _build_config(
@@ -146,19 +152,27 @@ def _build_config(
     scale = PAPER_SCALE if args.paper_scale else DESK_SCALE
     schemes_raw = _merged(args, file_values, "scheme", str, "thresh_votes")
     schemes = [s.strip() for s in schemes_raw.split(",") if s.strip()]
-    config = ExperimentConfig(
-        spec=spec,
-        scheme=schemes[0],
-        sparsity_mode=_merged(args, file_values, "sparsity_mode", str, "known"),
-        L=_merged(args, file_values, "l", int, None),
-        tau_mode=_merged(args, file_values, "tau_mode", str, "sqrt_2_log_d"),
-        tau_value=_merged(args, file_values, "tau_value", float, None),
-        second_round=_merged(args, file_values, "second_round", str, "average"),
-        reps=_merged(args, file_values, "reps", int, scale["reps"]),
-        nodewise_residual_scale=_merged(args, file_values, "nodewise_scale", str, "n"),
-        fixed_design=not _merged(args, file_values, "redraw_design", _parse_bool, False),
-        precision_reuse=not _merged(args, file_values, "no_precision_reuse", _parse_bool, False),
-    )
+    if not schemes:
+        raise SystemExit(f"scheme: no scheme given; choose from {', '.join(SCHEMES)}")
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise SystemExit(f"scheme: unknown scheme {scheme!r}; choose from {', '.join(SCHEMES)}")
+    try:
+        config = ExperimentConfig(
+            spec=spec,
+            scheme=schemes[0],
+            sparsity_mode=_merged(args, file_values, "sparsity_mode", str, "known"),
+            L=_merged(args, file_values, "l", int, None),
+            tau_mode=_merged(args, file_values, "tau_mode", str, "sqrt_2_log_d"),
+            tau_value=_merged(args, file_values, "tau_value", float, None),
+            second_round=_merged(args, file_values, "second_round", str, "average"),
+            reps=_merged(args, file_values, "reps", int, scale["reps"]),
+            nodewise_residual_scale=_merged(args, file_values, "nodewise_scale", str, "n"),
+            fixed_design=not _merged(args, file_values, "redraw_design", _parse_bool, False),
+            precision_reuse=not _merged(args, file_values, "no_precision_reuse", _parse_bool, False),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"bad run configuration: {exc}") from None
     return config, schemes
 
 
@@ -220,7 +234,10 @@ def cmd_sweep(args) -> int:
     file_values = _file_values(args)
     spec = _build_spec(args, file_values)
     config, schemes = _build_config(args, spec, file_values)
-    grid_vals = [float(v) for v in args.grid.split(",")]
+    try:
+        grid_vals = [float(v) for v in args.grid.split(",")]
+    except ValueError:
+        raise SystemExit(f"--grid: expected comma-separated numbers, got {args.grid!r}") from None
     if args.axis in ("n", "M", "L"):
         grid = [int(v) for v in grid_vals]
     else:

@@ -103,3 +103,84 @@ def exact_binomial_upper_tail(M, p, threshold):
         if k > threshold:
             total += math.comb(M, k) * p**k * (1 - p) ** (M - k)
     return total
+
+
+# Active-set coordinate descent in its plainest form: NumPy scalars, the
+# KKT residual on every pass, no early stop. It is the bitwise reference
+# for ``_kernels.cd_gram`` and ``_kernels.cd_residual``, which must return
+# the same coefficients, sweeps, residual and flag; do not optimize it.
+
+
+def _scalar_soft_threshold(z, gamma):
+    # |z| == gamma maps to 0: the subgradient contains 0 there.
+    if z > gamma:
+        return z - gamma
+    if z < -gamma:
+        return z + gamma
+    return 0.0
+
+
+def _where_kkt_residual(g, w, lam, skip=-1):
+    v = np.where(w == 0.0, np.abs(g) - lam, np.abs(g - lam * np.sign(w)))
+    if skip >= 0:
+        v[skip] = 0.0
+    return float(v.max(initial=0.0))
+
+
+def _scalar_active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
+    free = diag > 0.0
+    if skip >= 0:
+        free[skip] = False
+    w[~free] = 0.0
+    sweeps, inner_converged = 0, False
+    while True:
+        g = gradient(np.flatnonzero(w))
+        kkt = _where_kkt_residual(g, w, lam, skip)
+        converged = inner_converged and kkt <= kkt_tol
+        if converged or sweeps >= max_sweeps:
+            return sweeps, kkt, converged
+        A = np.flatnonzero(free & ((w != 0.0) | (np.abs(g) > lam)))
+        B = block(A)
+        gA, wA = g[A], w[A]
+        inner_converged = False
+        while sweeps < max_sweeps and not inner_converged:
+            sweeps += 1
+            max_delta = 0.0
+            for k in range(A.size):
+                bkk = B[k, k]
+                wk = _scalar_soft_threshold(gA[k] + bkk * wA[k], lam) / bkk
+                delta = wk - wA[k]
+                if delta != 0.0:
+                    gA -= delta * B[k]
+                    wA[k] = wk
+                    max_delta = max(max_delta, abs(delta))
+            inner_converged = max_delta < coef_tol
+        w[A] = wA
+
+
+def scalar_cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
+    """Reference for ``_kernels.cd_gram``: same arguments, same return."""
+    sweeps, kkt, converged = _scalar_active_set_cd(
+        lambda nz: c - w[nz] @ G[nz],
+        lambda A: G[np.ix_(A, A)],
+        np.diag(G),
+        lam, w, skip, max_sweeps, coef_tol, kkt_tol,
+    )
+    nz = np.flatnonzero(w)
+    return w[nz] @ G[nz], sweeps, kkt, converged
+
+
+def scalar_cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
+    """Reference for ``_kernels.cd_residual``: same arguments, same return."""
+    n = X.shape[0]
+
+    def block(A):
+        XA = X[:, A]
+        return XA.T @ XA / n
+
+    return _scalar_active_set_cd(
+        lambda nz: X.T @ (y - X[:, nz] @ w[nz]) / n,
+        block,
+        np.einsum("ij,ij->j", X, X) / n,
+        lam, w, -1, max_sweeps, coef_tol, kkt_tol,
+    )

@@ -124,6 +124,31 @@ class TestRun:
             main(["run", *COMMON, "--config", str(cfg), "--out", str(tmp_path / "bad")])
 
 
+    @pytest.mark.parametrize(
+        "flags, file_text, message",
+        [
+            (["--tau-mode", "explicit"], None, "explicit tau_mode needs tau_value"),
+            ([], "tau_mode = explicit\n", "explicit tau_mode needs tau_value"),
+            (["--d", "1"], None, "d must be at least 2"),
+            (["--sigma", "-1"], None, "sigma must be positive"),
+            ([], "sigma = loud\n", "config key 'sigma'"),
+            (["--scheme", "thresh_votes,bogus"], None, "unknown scheme 'bogus'"),
+            (["--scheme", " , "], None, "no scheme given"),
+        ],
+        ids=["tau_flag", "tau_file", "d", "sigma", "sigma_file", "later_scheme", "no_scheme"],
+    )
+    def test_bad_configuration_exits_with_one_line(self, tmp_path, flags, file_text, message):
+        argv = ["run", *COMMON, *flags, "--out", str(tmp_path / "o")]
+        if file_text is not None:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(file_text)
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(argv)
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert not (tmp_path / "o").exists()
+
+
 class TestSweep:
     def test_sweep_r_axis(self, tmp_path, capsys):
         rc = main(
@@ -165,6 +190,13 @@ class TestSweep:
         assert rc == 0
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert [l.split(",")[1] for l in lines[1:]] == ["2", "4"]
+
+
+    def test_non_numeric_grid_exits_with_one_line(self, tmp_path):
+        argv = ["sweep", *COMMON, "--axis", "r", "--grid", "0.5,high", "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit, match="--grid: expected comma-separated numbers"):
+            main(argv)
+        assert not (tmp_path / "o").exists()
 
 
 class TestTheory:

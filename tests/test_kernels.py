@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from votelasso import _kernels
+from votelasso.lasso import MAX_SWEEPS
 
-from oracles import fista_lasso
+from oracles import fista_lasso, scalar_cd_gram, scalar_cd_residual
 
 
 @pytest.fixture
@@ -128,6 +129,23 @@ def test_skip_and_zero_diagonal_never_enter(working_sets, rng):
     assert working_sets and all(dead not in A for A in working_sets)
 
 
+@pytest.fixture
+def gradient_calls(monkeypatch):
+    """The number of gradient evaluations the solver makes, in a one-item list."""
+    calls = [0]
+    solve = _kernels._active_set_cd
+
+    def spy(gradient, *rest):
+        def counting(nz):
+            calls[0] += 1
+            return gradient(nz)
+
+        return solve(counting, *rest)
+
+    monkeypatch.setattr(_kernels, "_active_set_cd", spy)
+    return calls
+
+
 @pytest.mark.parametrize(
     "diag, c, expected",
     [
@@ -136,14 +154,18 @@ def test_skip_and_zero_diagonal_never_enter(working_sets, rng):
     ],
     ids=["with_working_set", "empty_working_set"],
 )
-def test_zero_diagonal_violator_stops_within_budget(diag, c, expected):
+def test_zero_diagonal_violator_stops_within_budget(gradient_calls, diag, c, expected):
     # Coordinate 1 violates KKT (|c_1| > lam) but cannot move: G_11 = 0.
     w = np.zeros(len(diag))
-    _, sweeps, kkt, conv = _kernels.cd_gram(np.diag(diag), np.array(c), 0.1, w, -1, 25, 1e-9, 1e-7)
-    assert not conv and sweeps == 25
+    _, sweeps, kkt, conv = _kernels.cd_gram(
+        np.diag(diag), np.array(c), 0.1, w, -1, MAX_SWEEPS, 1e-9, 1e-7
+    )
+    assert not conv and sweeps == MAX_SWEEPS
     assert kkt == pytest.approx(0.9)
     assert w.tolist() == pytest.approx(expected)
     assert w[1] == 0.0
+    # Once a pass moves nothing, later passes would repeat it: no more gradients.
+    assert gradient_calls[0] <= 2
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.5])
@@ -178,3 +200,61 @@ def test_kkt_residual_matches_coordinate_loop(rng):
         skip = int(rng.integers(-1, 9))
         assert _kernels.kkt_residual(g, w, lam, skip) == _kkt_loop(g, w, lam, skip)
 
+
+# Working sets from 1 to about 200 coordinates: (d, n, lambda / lambda_max).
+_IDENTITY_SHAPES = [(3, 20, 0.5), (12, 30, 0.3), (40, 60, 0.1), (120, 150, 0.05), (240, 300, 0.01)]
+
+
+def _identity_case(seed):
+    """Seeded problem (G, c, X, y, lam, w0, skip, max_sweeps) for the bitwise check.
+
+    The seed picks the shape, a cold or warm start, a skipped coordinate
+    (nodewise form, c = G[skip]), zero columns, a KKT violator that cannot
+    move (its diagonal is 0 but c is not; Gram form only) and the budget.
+    """
+    rng = np.random.default_rng(seed)
+    d, n, frac = _IDENTITY_SHAPES[seed % 5]
+    X = rng.standard_normal((n, d))
+    X[:, 1:] = 0.5 * X[:, :-1] + np.sqrt(0.75) * X[:, 1:]
+    theta = np.zeros(d)
+    support = rng.choice(d, size=max(1, d // 3), replace=False)
+    theta[support] = rng.uniform(0.3, 1.5, support.size) * rng.choice([-1.0, 1.0], support.size)
+    if seed % 4 == 1:
+        X[:, rng.choice(d, size=1 + d // 20, replace=False)] = 0.0
+    y = X @ theta + 0.5 * rng.standard_normal(n)
+    G, c = X.T @ X / n, X.T @ y / n
+    skip = int(rng.integers(d)) if seed % 3 == 2 else -1
+    if skip >= 0:
+        c = G[skip].copy()
+    max_sweeps = [1, 2, 7, 500, 10_000][(seed // 2) % 5]
+    dead = np.flatnonzero(np.diag(G) == 0.0)
+    if seed % 8 == 5 and dead.size:
+        c[dead[0]] = 1.0
+        # Tiny moves can keep every pass busy until the budget runs out.
+        max_sweeps = min(max_sweeps, 300)
+    lam = frac * max(np.abs(c).max(), 1e-3)
+    w0 = np.zeros(d)
+    if (seed // 5) % 2:
+        warm = rng.choice(d, size=max(1, d // 4), replace=False)
+        w0[warm] = rng.standard_normal(warm.size)
+    return G, c, X, y, lam, w0, skip, max_sweeps
+
+
+def _same(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_bit_identical_to_scalar_reference(seed):
+    G, c, X, y, lam, w0, skip, max_sweeps = _identity_case(seed)
+    tols = (max_sweeps, 1e-9, 1e-7)
+    w, w_ref = w0.copy(), w0.copy()
+    u, *out = _kernels.cd_gram(G, c, lam, w, skip, *tols)
+    u_ref, *out_ref = scalar_cd_gram(G, c, lam, w_ref, skip, *tols)
+    assert out == out_ref  # sweeps, kkt and converged
+    assert _same(w, w_ref) and _same(u, u_ref)
+    if skip < 0:
+        w, w_ref = w0.copy(), w0.copy()
+        out = _kernels.cd_residual(X, y, lam, w, *tols)
+        assert out == scalar_cd_residual(X, y, lam, w_ref, *tols)
+        assert _same(w, w_ref)
