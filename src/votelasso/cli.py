@@ -28,6 +28,7 @@ from .harness import (
     TAU_MODES,
     ExperimentConfig,
     build_design,
+    check_grid,
     materialize,
     run_sweep,
 )
@@ -242,6 +243,10 @@ def cmd_sweep(args) -> int:
         grid = [int(v) for v in grid_vals]
     else:
         grid = grid_vals
+    try:
+        check_grid(spec, args.axis, grid)
+    except ValueError as exc:
+        raise SystemExit(f"bad problem configuration: {exc}") from None
     result = run_sweep(config, args.axis, grid, schemes=schemes, out_dir=args.out)
     for row in result.rows:
         print(

@@ -39,6 +39,7 @@ from .datagen import (
 from .debias import (
     RESIDUAL_SCALES,
     LocalFit,
+    SparseRows,
     debias,
     empirical_covariance,
     estimate_precision,
@@ -260,7 +261,7 @@ class DesignState:
     lam_omega: float
     residual_scale: str
     X: list[np.ndarray]
-    omegas: list[np.ndarray]
+    omegas: list[SparseRows]
     c_diag_cal: list[np.ndarray]
     c_omega: float
     support: np.ndarray
@@ -282,7 +283,7 @@ class PointState:
     theta_min: float
     theta_star: np.ndarray
     c_diag: list[np.ndarray]
-    omegas: list[np.ndarray]
+    omegas: list[SparseRows]
     grams: list[np.ndarray] | None
     oracle_gram: np.ndarray
     value: float | int | None = None
@@ -309,7 +310,7 @@ def build_design(
         est = estimate_precision(
             shard.X, lam_omega, residual_scale=config.nodewise_residual_scale, gram=G
         )
-        cd = sandwich_diag(est.omega_hat, G)
+        cd = sandwich_diag(est.omega_hat, shard.X)
         X.append(shard.X)
         omegas.append(est.omega_hat)
         c_diags.append(cd)
@@ -341,11 +342,13 @@ def materialize(
     r: float | None = None,
     L: int | None = None,
 ) -> PointState:
-    """Slice a design down to one grid point and scale the planted signal."""
-    spec = design.spec
-    n = spec.n if n is None else n
-    M = spec.M if M is None else M
-    r = spec.r if r is None else r
+    """Slice a design down to one grid point and scale the planted signal.
+
+    The point's n, M and r are checked as a ``ProblemSpec`` (ValueError).
+    """
+    given = {"n": n, "M": M, "r": r}
+    spec = design.spec.with_(**{k: v for k, v in given.items() if v is not None})
+    n, M, r = spec.n, spec.M, spec.r
     if n > design.n_cal or M > design.m_cal:
         raise ValueError("grid point exceeds the calibrated design")
     sigma = spec.sigma_value(r)
@@ -359,15 +362,14 @@ def materialize(
         omegas, c_diag = [], []
         for m in range(M):
             Xn = design.X[m][:n]
-            Gn = empirical_covariance(Xn)
             if config.precision_reuse:
                 omega = design.omegas[m]
             else:
                 omega = estimate_precision(
-                    Xn, config.lam_omega(n), residual_scale=design.residual_scale, gram=Gn
+                    Xn, config.lam_omega(n), residual_scale=design.residual_scale
                 ).omega_hat
             omegas.append(omega)
-            c_diag.append(sandwich_diag(omega, Gn))
+            c_diag.append(sandwich_diag(omega, Xn))
         grams = None
     S = design.support
     oracle_gram = np.zeros((S.size, S.size))
@@ -414,16 +416,14 @@ def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], list[np.ndar
             theta_t, sweeps, kkt, conv = (
                 fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged
             )
-        omega = point.omegas[m]
-        theta_h = debias(X, y, theta_t, omega)
-        xi, c_diag = standardize(theta_h, omega, None, sigma, n, c_diag=point.c_diag[m])
+        theta_h = debias(X, y, theta_t, point.omegas[m])
         fits.append(
             LocalFit(
                 machine_id=m,
                 theta_tilde=theta_t,
                 theta_hat=theta_h,
-                sigma_hat_sq_diag=c_diag,
-                xi_hat=xi,
+                sigma_hat_sq_diag=point.c_diag[m],
+                xi_hat=standardize(theta_h, point.c_diag[m], sigma, n),
                 lasso_converged=bool(conv),
                 lasso_sweeps=int(sweeps),
                 lasso_kkt=float(kkt),
@@ -712,11 +712,8 @@ def run_sweep(
     builds its own design at the grid value. Emits long-format CSV rows plus
     per-replication JSON records.
     """
-    if sweep_axis not in SWEEP_AXES:
-        raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
     grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
+    check_grid(config.spec, sweep_axis, grid)
     schemes = [config.scheme] if schemes is None else list(schemes)
     for s in schemes:
         if s not in SCHEMES:
@@ -743,6 +740,21 @@ def run_sweep(
     if out_dir is not None:
         result.write(out_dir)
     return result
+
+
+def check_grid(spec: ProblemSpec, sweep_axis: str, grid: list) -> None:
+    """Raise ValueError unless every grid value of the swept axis gives a
+    valid problem: n, M and r through ``ProblemSpec``, L in [1, d]."""
+    if sweep_axis not in SWEEP_AXES:
+        raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
+    if not grid:
+        raise ValueError("grid must be nonempty")
+    for value in grid:
+        if sweep_axis == "L":
+            if not 1 <= value <= spec.d:
+                raise ValueError("L must lie in [1, d]")
+        else:
+            spec.with_(**{sweep_axis: value})
 
 
 def _design_at(config: ExperimentConfig, sweep_axis: str, value, rep: int = 0) -> DesignState:

@@ -1,4 +1,4 @@
-"""Serialization of shards, ground truth and precision estimates.
+"""Serialization of shards, ground truth and experiment records.
 
 Binary container: NumPy ``.npz`` archives with documented keys.
 
@@ -6,8 +6,6 @@ Binary container: NumPy ``.npz`` archives with documented keys.
   (when a ground truth is attached) ``theta_star``, ``support``,
   ``theta_min``, ``c_omega``, and a ``meta`` JSON string with the generating
   configuration.
-* Precision estimate: ``omega_hat``, ``tau_sq``, ``gamma``,
-  ``lambda_omega``, ``residual_scale``.
 
 CSV: one file per shard, header ``x_1,...,x_d,y``, one row per sample.
 """
@@ -21,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import DataShard, GroundTruth
-from .debias import PrecisionEstimate
 
 
 def save_shards(
@@ -81,28 +78,6 @@ def shard_to_csv(shard: DataShard, path) -> None:
 def shard_from_csv(path, machine_id: int = 0) -> DataShard:
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return DataShard(machine_id=machine_id, X=rows[:, :-1], y=rows[:, -1])
-
-
-def save_precision(path, est: PrecisionEstimate) -> None:
-    np.savez_compressed(
-        path,
-        omega_hat=est.omega_hat,
-        tau_sq=est.tau_sq,
-        gamma=est.gamma,
-        lambda_omega=np.array(est.lambda_omega),
-        residual_scale=np.array(est.residual_scale),
-    )
-
-
-def load_precision(path) -> PrecisionEstimate:
-    with np.load(path, allow_pickle=False) as data:
-        return PrecisionEstimate(
-            omega_hat=data["omega_hat"],
-            tau_sq=data["tau_sq"],
-            gamma=data["gamma"],
-            lambda_omega=float(data["lambda_omega"]),
-            residual_scale=str(data["residual_scale"]),
-        )
 
 
 def dump_jsonl(path, records: list[dict]) -> None:

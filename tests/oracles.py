@@ -76,6 +76,55 @@ def naive_debias(X, y, theta_tilde, omega):
     )
 
 
+def dense_rows(rows):
+    """The dense d x d matrix of ``debias.SparseRows``, filled row by row."""
+    d = rows.indptr.size - 1
+    out = np.zeros((d, d))
+    for i in range(d):
+        lo, hi = int(rows.indptr[i]), int(rows.indptr[i + 1])
+        for k in range(lo, hi):
+            out[i, int(rows.indices[k])] = rows.data[k]
+    return out
+
+
+def sparse_rows(A):
+    """``debias.SparseRows`` holding the nonzeros of the square matrix A."""
+    from votelasso.debias import SparseRows
+
+    A = np.asarray(A, dtype=np.float64)
+    indptr, indices, data = [0], [], []
+    for row in A:
+        for j, v in enumerate(row):
+            if v != 0.0:
+                indices.append(j)
+                data.append(v)
+        indptr.append(len(indices))
+    return SparseRows(indptr=np.array(indptr), indices=np.array(indices), data=np.array(data))
+
+
+def dense_precision(X, lam, residual_scale="n"):
+    """Omega_hat as a dense d x d array from the same warm-started nodewise
+    fits as ``estimate_precision``: row i is -w / tau_i^2 with 1 / tau_i^2
+    on the diagonal. Returns (omega, tau_sq)."""
+    from votelasso.lasso import fit_lasso_gram
+
+    d = X.shape[1]
+    G = X.T @ X / X.shape[0]
+    omega = np.zeros((d, d))
+    tau_sq = np.empty(d)
+    w = np.zeros(d)
+    for i in range(d):
+        c = np.ascontiguousarray(G[i])
+        w, u, _, _, _ = fit_lasso_gram(G, c, lam, warm_start=w, skip=i)
+        rss_n = G[i, i] - 2.0 * (c @ w) + w @ u
+        scale = 0.5 if residual_scale == "2n" else 1.0
+        tau2 = scale * rss_n + lam * np.abs(w).sum()
+        tau_sq[i] = tau2
+        omega[i] = -w / tau2
+        omega[i, i] = 1.0 / tau2
+    return omega, tau_sq
+
+
 def naive_tally(payloads, d):
     """payloads: list of lists of (index, sign) or bare indices."""
     votes = [0] * d

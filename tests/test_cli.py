@@ -192,6 +192,24 @@ class TestSweep:
         assert [l.split(",")[1] for l in lines[1:]] == ["2", "4"]
 
 
+    @pytest.mark.parametrize(
+        "axis, grid, message",
+        [
+            ("r", "0.5,1.5", "r must lie in"),
+            ("n", "0,30", "M and n must be positive"),
+            ("M", "2,-1", "M and n must be positive"),
+            ("L", "2,41", "L must lie in"),
+        ],
+    )
+    def test_bad_grid_value_exits_with_one_line(self, tmp_path, axis, grid, message):
+        # The same check as the problem flags: --r 1.5 is rejected, so is --grid 1.5.
+        argv = ["sweep", *COMMON, "--axis", axis, "--grid", grid, "--reps", "1",
+                "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit, match=f"bad problem configuration: {message}") as exc:
+            main(argv)
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert not (tmp_path / "o").exists()
+
     def test_non_numeric_grid_exits_with_one_line(self, tmp_path):
         argv = ["sweep", *COMMON, "--axis", "r", "--grid", "0.5,high", "--out", str(tmp_path / "o")]
         with pytest.raises(SystemExit, match="--grid: expected comma-separated numbers"):

@@ -5,21 +5,46 @@ import pytest
 
 from votelasso.datagen import DataShard, ProblemSpec, sample_shards
 from votelasso.debias import (
+    SparseRows,
     empirical_covariance,
     debias,
     estimate_precision,
-    local_fit,
     sandwich_diag,
     standardize,
 )
 from votelasso.lasso import fit_lasso, kkt_violation
 
-from oracles import fista_lasso, naive_covariance, naive_debias
+from oracles import (
+    dense_precision,
+    dense_rows,
+    fista_lasso,
+    naive_covariance,
+    naive_debias,
+    sparse_rows,
+)
 
 
 def _orthonormal_design(rng, n, d):
     Q, _ = np.linalg.qr(rng.standard_normal((n, d)))
     return np.sqrt(n) * Q[:, :d]
+
+
+def _nodewise_coefficients(est):
+    """Row i: the nodewise lasso of column i on the others (d - 1 entries),
+    read back as -tau_sq_i times the off-diagonal entries of row i."""
+    omega = dense_rows(est.omega_hat)
+    d = omega.shape[0]
+    off = omega[~np.eye(d, dtype=bool)].reshape(d, d - 1)
+    return -est.tau_sq[:, None] * off
+
+
+def _round_one(X, y, lam, est, sigma):
+    """One machine's round one from its own precision estimate:
+    (theta_tilde, theta_hat, xi_hat)."""
+    theta_tilde = fit_lasso(X, y, lam).coefficients
+    theta_hat = debias(X, y, theta_tilde, est.omega_hat)
+    c_diag = sandwich_diag(est.omega_hat, X)
+    return theta_tilde, theta_hat, standardize(theta_hat, c_diag, sigma, X.shape[0])
 
 
 class TestEmpiricalCovariance:
@@ -49,12 +74,12 @@ class TestEstimatePrecision:
         X = _orthonormal_design(rng, n, d)  # X'X/n = I to roundoff
         lam = 0.5  # above every cross moment, so all nodewise fits are zero
         est_2n = estimate_precision(X, lam, residual_scale="2n")
-        assert np.count_nonzero(est_2n.gamma) == 0
+        assert np.count_nonzero(_nodewise_coefficients(est_2n)) == 0
         # tau_i^2 = ||x_i||^2 / (2n) with the printed 1/(2n) factor
         assert np.allclose(est_2n.tau_sq, 0.5, atol=1e-10)
-        assert np.allclose(est_2n.omega_hat, 2.0 * np.eye(d), atol=1e-9)
+        assert np.allclose(dense_rows(est_2n.omega_hat), 2.0 * np.eye(d), atol=1e-9)
         est_n = estimate_precision(X, lam, residual_scale="n")
-        assert np.allclose(est_n.omega_hat, np.eye(d), atol=1e-9)
+        assert np.allclose(dense_rows(est_n.omega_hat), np.eye(d), atol=1e-9)
 
     def test_row_normalization_identity_under_n_scale(self, rng):
         # With the 1/n residual scale, (Omega_hat Sigma_hat)_ii = 1 exactly
@@ -62,35 +87,64 @@ class TestEstimatePrecision:
         X = rng.standard_normal((50, 8))
         G = empirical_covariance(X)
         est = estimate_precision(X, 0.2, residual_scale="n")
-        assert np.abs(np.diag(est.omega_hat @ G) - 1.0).max() <= 1e-8
+        assert np.abs(np.diag(dense_rows(est.omega_hat) @ G) - 1.0).max() <= 1e-8
 
     def test_nodewise_fits_satisfy_kkt(self, rng):
         X = rng.standard_normal((40, 5))
         lam = 0.15
-        est = estimate_precision(X, lam)
+        gamma = _nodewise_coefficients(estimate_precision(X, lam))
         for i in range(5):
             others = [j for j in range(5) if j != i]
-            viol = kkt_violation(X[:, others], X[:, i], lam, est.gamma[i])
+            viol = kkt_violation(X[:, others], X[:, i], lam, gamma[i])
             assert viol <= 1e-7
 
     def test_gamma_matches_direct_lasso(self, rng):
         X = rng.standard_normal((60, 8))
         lam = 0.1
-        est = estimate_precision(X, lam)
+        gamma = _nodewise_coefficients(estimate_precision(X, lam))
         for i in (0, 3, 7):
             others = [j for j in range(8) if j != i]
             direct = fit_lasso(X[:, others], X[:, i], lam)
-            assert np.abs(est.gamma[i] - direct.coefficients).max() <= 1e-6
+            assert np.abs(gamma[i] - direct.coefficients).max() <= 1e-6
 
     def test_rows_match_fista_nodewise_fits(self):
         spec = ProblemSpec(d=60, K=2, M=1, n=100, r=0.8, base_seed=4)
         X = sample_shards(spec)[0].X
         lam = 2.0 * math.sqrt(math.log(60) / 100)
-        est = estimate_precision(X, lam)
-        assert np.count_nonzero(est.gamma) > 60  # the nodewise fits are not trivial
+        gamma = _nodewise_coefficients(estimate_precision(X, lam))
+        assert np.count_nonzero(gamma) > 60  # the nodewise fits are not trivial
         for i in range(60):
             expected = fista_lasso(np.delete(X, i, axis=1), X[:, i], lam, iters=3000, tol=0.0)
-            assert np.abs(est.gamma[i] - expected).max() <= 1e-7
+            assert np.abs(gamma[i] - expected).max() <= 1e-7
+
+    @pytest.mark.parametrize("residual_scale", ["n", "2n"])
+    def test_rows_equal_dense_layout_bit_for_bit(self, residual_scale):
+        spec = ProblemSpec(d=120, K=2, M=1, n=80, r=0.8, base_seed=6)
+        X = sample_shards(spec)[0].X
+        lam = math.sqrt(math.log(120) / 80)
+        est = estimate_precision(X, lam, residual_scale=residual_scale)
+        omega, tau_sq = dense_precision(X, lam, residual_scale=residual_scale)
+        assert np.count_nonzero(omega) > 2 * 120  # rows beyond the diagonal
+        assert np.array_equal(dense_rows(est.omega_hat), omega)
+        assert np.array_equal(est.tau_sq, tau_sq)
+
+    def test_rows_store_sorted_nonzeros_only(self):
+        spec = ProblemSpec(d=90, K=2, M=1, n=60, r=0.8, base_seed=2)
+        X = sample_shards(spec)[0].X
+        rows = estimate_precision(X, 0.15).omega_hat
+        assert rows.indptr[0] == 0 and rows.indptr[-1] == rows.data.size == rows.indices.size
+        assert (rows.data != 0).all()
+        assert (rows != 0).sum() == np.count_nonzero(dense_rows(rows))
+        assert rows.nbytes == rows.indptr.nbytes + rows.indices.nbytes + rows.data.nbytes
+        for i in range(90):
+            cols = rows.indices[rows.indptr[i] : rows.indptr[i + 1]].astype(np.int64)
+            assert (np.diff(cols) > 0).all()
+            assert i in cols  # the diagonal 1 / tau_i^2 is always stored
+
+    def test_empty_row_rejected(self):
+        # A row without entries would break the row-wise products.
+        with pytest.raises(ValueError, match="at least one entry"):
+            SparseRows(indptr=np.array([0, 1, 1]), indices=np.array([0]), data=np.array([1.0]))
 
     def test_duplicate_columns_degenerate(self, rng):
         # An exact copy column drives the nodewise residual to zero; with a
@@ -115,7 +169,7 @@ class TestDebias:
         X = rng.standard_normal((20, 4))
         theta = rng.standard_normal(4)
         y = X @ theta
-        out = debias(X, y, theta, rng.standard_normal((4, 4)))
+        out = debias(X, y, theta, sparse_rows(rng.standard_normal((4, 4))))
         assert np.allclose(out, theta)
 
     def test_exact_inverse_recovers_ols(self, rng):
@@ -123,7 +177,7 @@ class TestDebias:
         n, d = 50, 6
         X = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
-        omega = np.linalg.inv(empirical_covariance(X))
+        omega = sparse_rows(np.linalg.inv(empirical_covariance(X)))
         ols = np.linalg.lstsq(X, y, rcond=None)[0]
         for theta0 in (np.zeros(d), rng.standard_normal(d)):
             assert np.abs(debias(X, y, theta0, omega) - ols).max() <= 1e-8
@@ -133,43 +187,64 @@ class TestDebias:
         y = rng.standard_normal(9)
         theta = rng.standard_normal(4)
         omega = rng.standard_normal((4, 4))
-        assert np.abs(debias(X, y, theta, omega) - naive_debias(X, y, theta, omega)).max() <= 1e-12
+        out = debias(X, y, theta, sparse_rows(omega))
+        assert np.abs(out - naive_debias(X, y, theta, omega)).max() <= 1e-12
+
+    def test_matches_dense_matvec_on_nodewise_rows(self):
+        spec = ProblemSpec(d=100, K=2, M=1, n=70, r=0.8, base_seed=9)
+        X = sample_shards(spec)[0].X
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal(70)
+        est = estimate_precision(X, 0.2)
+        omega = dense_rows(est.omega_hat)
+        for theta in (np.zeros(100), rng.standard_normal(100)):
+            dense = theta + omega @ (X.T @ (y - X @ theta)) / 70
+            assert np.abs(debias(X, y, theta, est.omega_hat) - dense).max() <= 1e-12
 
 
 class TestStandardize:
-    def test_identity_sandwich(self):
-        theta = np.full(4, 0.3)
-        xi, c = standardize(theta, np.eye(4), np.eye(4), sigma=1.0, n=100)
-        assert np.allclose(xi, 3.0)
+    def test_identity_sandwich(self, rng):
+        X = _orthonormal_design(rng, 100, 4)  # X'X/n = I to roundoff
+        c = sandwich_diag(sparse_rows(np.eye(4)), X)
         assert np.allclose(c, 1.0)
+        xi = standardize(np.full(4, 0.3), c, sigma=1.0, n=100)
+        assert np.allclose(xi, 3.0)
 
     def test_plugged_values(self):
         # sqrt(100) * 1 / (2 * sqrt(4)) = 2.5
-        xi, _ = standardize(np.array([1.0]), None, None, sigma=2.0, n=100, c_diag=np.array([4.0]))
+        xi = standardize(np.array([1.0]), np.array([4.0]), sigma=2.0, n=100)
         assert xi[0] == pytest.approx(2.5)
 
     def test_zero_estimate(self, rng):
         X = rng.standard_normal((30, 3))
-        G = empirical_covariance(X)
-        xi, _ = standardize(np.zeros(3), np.eye(3), G, 1.0, 30)
-        assert np.array_equal(xi, np.zeros(3))
+        c = sandwich_diag(sparse_rows(np.eye(3)), X)
+        assert np.array_equal(standardize(np.zeros(3), c, 1.0, 30), np.zeros(3))
 
     def test_scaling_identity(self, rng):
         # xi_k * sigma * sqrt(c_kk) == sqrt(n) * theta_k
         theta = rng.standard_normal(5)
         c_diag = rng.uniform(0.5, 2.0, 5)
-        xi, c = standardize(theta, None, None, sigma=1.3, n=77, c_diag=c_diag)
-        assert np.allclose(xi * 1.3 * np.sqrt(c), math.sqrt(77) * theta, rtol=1e-10)
+        xi = standardize(theta, c_diag, sigma=1.3, n=77)
+        assert np.allclose(xi * 1.3 * np.sqrt(c_diag), math.sqrt(77) * theta, rtol=1e-10)
 
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(ValueError, match="invalid sandwich variance"):
-            standardize(np.ones(2), None, None, 1.0, 10, c_diag=np.array([1.0, 0.0]))
+            standardize(np.ones(2), np.array([1.0, 0.0]), 1.0, 10)
 
     def test_sandwich_positive_for_valid_inputs(self, rng):
         X = rng.standard_normal((40, 6))
-        G = empirical_covariance(X)
         est = estimate_precision(X, 0.2)
-        assert sandwich_diag(est.omega_hat, G).min() > 0
+        assert sandwich_diag(est.omega_hat, X).min() > 0
+
+    @pytest.mark.parametrize("d, n, seed", [(60, 40, 1), (150, 100, 4), (200, 250, 7)])
+    def test_sandwich_matches_dense_product(self, d, n, seed):
+        spec = ProblemSpec(d=d, K=2, M=1, n=n, r=0.8, base_seed=seed)
+        X = sample_shards(spec)[0].X
+        est = estimate_precision(X, 2.0 * math.sqrt(math.log(d) / n))
+        omega = dense_rows(est.omega_hat)
+        G = empirical_covariance(X)
+        dense = np.einsum("ij,ij->i", omega @ G, omega)
+        assert np.abs(sandwich_diag(est.omega_hat, X) / dense - 1.0).max() <= 1e-12
 
 
 class TestLocalFit:
@@ -184,40 +259,35 @@ class TestLocalFit:
 
     def test_noiseless_signs_recovered(self, rng):
         shard, theta = self._shard(rng)
-        fit = local_fit(shard, lam=0.05, lambda_omega=0.2, sigma=1e-6)
+        est = estimate_precision(shard.X, 0.2)
+        _, _, xi = _round_one(shard.X, shard.y, 0.05, est, sigma=1e-6)
         support = np.flatnonzero(theta)
-        assert np.array_equal(np.sign(fit.xi_hat[support]), np.sign(theta[support]))
+        assert np.array_equal(np.sign(xi[support]), np.sign(theta[support]))
 
     def test_precomputed_precision_is_transparent(self, rng):
+        # A precision estimated from a precomputed Gram matrix gives the
+        # same round one as one estimated inline.
         shard, _ = self._shard(rng, sigma=0.5)
-        est = estimate_precision(shard.X, 0.2)
-        inline = local_fit(shard, 0.1, 0.2, sigma=0.5)
-        cached = local_fit(shard, 0.1, 0.2, sigma=0.5, precision=est)
-        assert np.array_equal(inline.xi_hat, cached.xi_hat)
-        assert np.array_equal(inline.theta_hat, cached.theta_hat)
+        inline = estimate_precision(shard.X, 0.2)
+        cached = estimate_precision(shard.X, 0.2, gram=empirical_covariance(shard.X))
+        for a, b in zip(
+            _round_one(shard.X, shard.y, 0.1, inline, 0.5),
+            _round_one(shard.X, shard.y, 0.1, cached, 0.5),
+        ):
+            assert np.array_equal(a, b)
 
     def test_null_coordinates_standard_gaussian_rate(self):
         # theta* = 0: the fraction of |xi| above 1.96 should sit near 5%.
         n, d, reps = 200, 50, 120
         spec = ProblemSpec(d=d, K=1, M=1, n=n, r=0.5, base_seed=11)
-        shard = sample_shards(spec)[0]
+        X = sample_shards(spec)[0].X
         lam_omega = 2.0 * math.sqrt(math.log(d) / n)
         lam = math.sqrt(2.0 * math.log(d) / n)
-        est = estimate_precision(shard.X, lam_omega)
-        G = empirical_covariance(shard.X)
-        c_diag = sandwich_diag(est.omega_hat, G)
+        est = estimate_precision(X, lam_omega)
         rng = np.random.default_rng(5)
         hits = 0
         for _ in range(reps):
-            y = rng.standard_normal(n)
-            s = DataShard(machine_id=0, X=shard.X, y=y)
-            fit = local_fit(s, lam, lam_omega, sigma=1.0, precision=est, covariance=G, c_diag=c_diag)
-            hits += int(np.count_nonzero(np.abs(fit.xi_hat) > 1.96))
+            _, _, xi = _round_one(X, rng.standard_normal(n), lam, est, sigma=1.0)
+            hits += int(np.count_nonzero(np.abs(xi) > 1.96))
         frac = hits / (reps * d)
         assert 0.03 <= frac <= 0.07
-
-    def test_requires_response(self, rng):
-        spec = ProblemSpec(d=5, K=1, M=1, n=10, r=0.5, base_seed=1)
-        shard = sample_shards(spec)[0]
-        with pytest.raises(ValueError, match="no response"):
-            local_fit(shard, 0.1, 0.1, sigma=1.0)

@@ -8,8 +8,7 @@ import pytest
 
 from votelasso import fusion, protocol
 from votelasso.datagen import ProblemSpec, sample_shards, sample_responses, make_theta_star
-from votelasso.datagen import DataShard
-from votelasso.debias import estimate_precision, local_fit
+from votelasso.debias import debias, estimate_precision, sandwich_diag, standardize
 from votelasso.harness import (
     SCHEMES,
     ExperimentConfig,
@@ -23,6 +22,8 @@ from votelasso.harness import (
     run_sweep,
 )
 from votelasso.lasso import restricted_ols
+
+from oracles import dense_rows
 
 TIMING_FIELDS = ("wall_time", "shared_time")
 
@@ -394,6 +395,20 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(cfg, "r", [])
 
+    @pytest.mark.parametrize(
+        "axis, grid, message",
+        [("r", [0.5, 1.5], "r must lie"), ("r", [0.0], "r must lie"),
+         ("n", [0], "must be positive"), ("M", [-1], "must be positive"), ("L", [0], "L must lie")],
+    )
+    def test_bad_grid_values_rejected(self, small_design, axis, grid, message):
+        # Every grid value is checked as the problem flags are, before any work.
+        cfg, design = small_design
+        with pytest.raises(ValueError, match=message):
+            run_sweep(cfg, axis, grid, design=design)
+        if axis != "L":
+            with pytest.raises(ValueError, match=message):
+                materialize(design, cfg, **{axis: grid[-1]})
+
     def test_redraw_design_mode(self):
         cfg = _config(d=30, M=4, n=25, reps=2, fixed_design=False)
         res = run_sweep(cfg, "r", [0.8])
@@ -412,41 +427,61 @@ class TestRunSweep:
 
 class TestRoundOnePaths:
     def test_gram_residual_and_local_fit_agree(self, small_design):
+        # The Gram and covariance-free branches give the same local fit,
+        # on the design's stored precision rows.
         cfg, design = small_design
         point = materialize(design, cfg)
         assert point.grams is not None
         fits_gram, ys = _rep_fits(point, rep=1)
         fits_res, ys_res = _rep_fits(dataclasses.replace(point, grams=None), rep=1)
-        X = design.X[0]
-        est = estimate_precision(X, design.lam_omega)
-        assert np.array_equal(est.omega_hat, point.omegas[0])
-        alone = local_fit(
-            DataShard(machine_id=0, X=X, y=ys[0]), point.lam, design.lam_omega, point.sigma, precision=est
-        )
+        rows = estimate_precision(design.X[0], design.lam_omega).omega_hat
+        stored = point.omegas[0]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(rows, name), getattr(stored, name))
+        assert np.array_equal(point.c_diag[0], sandwich_diag(stored, design.X[0]))
         assert np.array_equal(ys[0], ys_res[0])
         assert np.abs(fits_gram[0].xi_hat - fits_res[0].xi_hat).max() <= 1e-8
-        assert np.abs(fits_gram[0].xi_hat - alone.xi_hat).max() <= 1e-8
-        assert fits_gram[0].lasso_converged and fits_res[0].lasso_converged and alone.lasso_converged
+        assert fits_gram[0].lasso_converged and fits_res[0].lasso_converged
+
+    def test_below_n_cal_sandwich_matches_dense_product(self):
+        # Below the calibration size the sandwich comes from the first n
+        # rows, for reused and for refitted precision rows alike.
+        for reuse in (True, False):
+            cfg = _config(d=50, M=3, n=40, precision_reuse=reuse)
+            design = build_design(cfg)
+            point = materialize(design, cfg, n=25)
+            for m in range(3):
+                X = design.X[m][:25]
+                omega = dense_rows(point.omegas[m])
+                dense = np.einsum("ij,ij->i", omega @ (X.T @ X / 25), omega)
+                assert np.abs(point.c_diag[m] / dense - 1.0).max() <= 1e-12
+                assert (point.omegas[m] is design.omegas[m]) == reuse
 
 
 class TestScaleInvariance:
     def test_round1_payloads_invariant_under_joint_scaling(self):
         # Scaling y and sigma by the same constant (with lambda following
         # sigma) leaves every standardized vote unchanged.
-        from votelasso.datagen import DataShard
-        from votelasso.debias import estimate_precision, local_fit
+        from votelasso.debias import LocalFit
+        from votelasso.lasso import fit_lasso
         from votelasso.protocol import round1_thresh_votes
 
         spec = ProblemSpec(d=40, K=2, M=1, n=60, r=0.5, base_seed=8)
         shard = sample_shards(spec)[0]
         truth = make_theta_star(spec, 0.6)
         shard = sample_responses([shard], truth.theta_star, 1.0, spec.base_seed)[0]
-        est = estimate_precision(shard.X, 0.3)
-        lam = 0.4
-        fit1 = local_fit(shard, lam, 0.3, sigma=1.0, precision=est)
-        c = 3.7
-        scaled = DataShard(machine_id=0, X=shard.X, y=c * shard.y)
-        fit2 = local_fit(scaled, c * lam, 0.3, sigma=c, precision=est)
+        X = shard.X
+        omega = estimate_precision(X, 0.3).omega_hat
+        c_diag = sandwich_diag(omega, X)
+
+        def fit(y, lam, sigma):
+            theta_hat = debias(X, y, fit_lasso(X, y, lam).coefficients, omega)
+            xi = standardize(theta_hat, c_diag, sigma, X.shape[0])
+            return LocalFit(0, None, theta_hat, c_diag, xi)
+
+        lam, c = 0.4, 3.7
+        fit1 = fit(shard.y, lam, sigma=1.0)
+        fit2 = fit(c * shard.y, c * lam, sigma=c)
         m1 = round1_thresh_votes(fit1, 2.0)
         m2 = round1_thresh_votes(fit2, 2.0)
         assert np.array_equal(m1.payload.indices, m2.payload.indices)

@@ -13,6 +13,8 @@ import pytest
 from votelasso import _kernels, debias, harness
 from votelasso.datagen import ProblemSpec
 
+from oracles import dense_rows
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -23,6 +25,15 @@ def probes():
         import probes
 
         yield probes
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import run
+
+        yield run
 
 
 def test_every_span_site_exists(probes):
@@ -57,3 +68,16 @@ def test_every_replication_fit_goes_through_a_patched_name(monkeypatch):
     harness._rep_fits(dataclasses.replace(point, grams=None), rep=0)
     assert calls == [3] * spec.M  # covariance-free branch: (sweeps, kkt, converged)
 
+
+def test_design_state_reads_the_precision_layout(bench_run):
+    # ``--trace 1`` reports Omega_hat's nonzeros per row and bytes through
+    # ``(o != 0).sum()`` and ``o.nbytes`` of each ``design.omegas`` entry.
+    spec = ProblemSpec(d=30, K=2, M=3, n=40, r=0.8, base_seed=2)
+    design = harness.build_design(harness.ExperimentConfig(spec=spec))
+    state = bench_run.design_state(design)
+    nnz = sum(np.count_nonzero(dense_rows(o)) for o in design.omegas)
+    assert nnz > 30 * 3  # the rows hold more than their diagonal
+    assert state["omega_nnz_per_row"] == nnz / (30 * 3)
+    layout = sum(o.indptr.nbytes + o.indices.nbytes + o.data.nbytes for o in design.omegas)
+    assert state["omega_bytes"] == layout
+    assert state["gram_cache_bytes"] == 3 * 30 * 30 * 8

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from votelasso.datagen import GroundTruth, ProblemSpec, make_theta_star, sample_responses, sample_shards
-from votelasso.debias import estimate_precision
 from votelasso.serialize import (
     dump_jsonl,
     load_jsonl,
-    load_precision,
     load_shards,
-    save_precision,
     save_shards,
     shard_from_csv,
     shard_to_csv,
@@ -50,19 +47,6 @@ class TestNpzContainer:
         loaded, truth, meta = load_shards(path)
         assert truth is None and meta is None
         assert loaded[0].y is None
-
-    def test_precision_roundtrip(self, bundle, rng):
-        tmp, *_ = bundle
-        X = rng.standard_normal((30, 6))
-        est = estimate_precision(X, 0.2, residual_scale="2n")
-        path = tmp / "precision.npz"
-        save_precision(path, est)
-        back = load_precision(path)
-        assert np.array_equal(back.omega_hat, est.omega_hat)
-        assert np.array_equal(back.tau_sq, est.tau_sq)
-        assert np.array_equal(back.gamma, est.gamma)
-        assert back.lambda_omega == est.lambda_omega
-        assert back.residual_scale == "2n"
 
 
 class TestCsv:
