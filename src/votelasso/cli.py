@@ -240,11 +240,13 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise SystemExit(f"--grid: expected comma-separated numbers, got {args.grid!r}") from None
     if args.axis in ("n", "M", "L"):
+        if not all(v.is_integer() for v in grid_vals):
+            raise SystemExit(f"--grid: expected whole numbers for --axis {args.axis}, got {args.grid!r}")
         grid = [int(v) for v in grid_vals]
     else:
         grid = grid_vals
     try:
-        check_grid(spec, args.axis, grid)
+        check_grid(config, args.axis, grid, schemes)
     except ValueError as exc:
         raise SystemExit(f"bad problem configuration: {exc}") from None
     result = run_sweep(config, args.axis, grid, schemes=schemes, out_dir=args.out)

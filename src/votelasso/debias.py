@@ -11,7 +11,8 @@ working set, because the nodewise rows are very sparse.
 Omega_hat is stored as compressed sparse rows (``SparseRows``), never as a
 dense d x d array: the benchmark designs average 2.1 nonzeros per row and a
 paper-scale machine (d=5000, n=250) about 2.9, so one machine's estimate
-takes 0.15 MB instead of 200 MB. The debiasing step is a sparse mat-vec, and
+takes 0.15 MB instead of 200 MB. The debiasing step (all machines of a
+replication at once, stacked along a leading axis) is a sparse mat-vec, and
 the sandwich variance (Omega_hat Sigma_hat Omega_hat')_ii is computed row by
 row as ||X omega_i||^2 / n from the design columns of row i's nonzeros,
 without a Gram matrix.
@@ -182,18 +183,30 @@ def sandwich_diag(omega: SparseRows, X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", Z, Z) / X.shape[0]
 
 
-def debias(X: np.ndarray, y: np.ndarray, theta_tilde: np.ndarray, omega: SparseRows) -> np.ndarray:
-    """One-step correction: theta_tilde + Omega_hat X'(y - X theta_tilde)/n."""
+def debias(
+    X: np.ndarray, Y: np.ndarray, theta_tilde: np.ndarray, omegas: list[SparseRows]
+) -> np.ndarray:
+    """One-step correction of M machines at once, stacked along axis 0:
+    row m is theta_tilde_m + Omega_m X_m'(y_m - X_m theta_tilde_m)/n.
+
+    ``X`` is (M, n, d), ``Y`` is (M, n), ``theta_tilde`` is (M, d) and
+    ``omegas`` holds the M precision estimates; returns (M, d). The residuals
+    and X'r are one batched product each, written so that every row equals
+    the single-machine product bit for bit; the sparse mat-vec runs per
+    machine.
+    """
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    resid = y - X @ theta_tilde
-    return theta_tilde + omega.matvec(X.T @ resid) / n
+    n = X.shape[1]
+    resid = Y - (X @ theta_tilde[:, :, None])[:, :, 0]
+    xtr = (resid[:, None, :] @ X)[:, 0, :]
+    return theta_tilde + np.array([omega.matvec(v) for omega, v in zip(omegas, xtr)]) / n
 
 
 def standardize(theta_hat: np.ndarray, c_diag: np.ndarray, sigma: float, n: int) -> np.ndarray:
     """Scale each debiased coordinate to unit noise variance:
     xi_k = sqrt(n) theta_hat_k / (sigma * sqrt(c_kk)), where ``c_diag`` is
     the sandwich diagonal (``sandwich_diag``; fixed whenever the design is).
+    Elementwise, so (M, d) arrays standardize M machines at once.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")

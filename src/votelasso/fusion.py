@@ -32,42 +32,101 @@ def _sorted_by_machine(messages: list[Message]) -> list[Message]:
     return sorted(messages, key=lambda m: m.machine_id)
 
 
-def _check_votes(msg: Message, d: int) -> None:
-    """Reject a round-1 vote payload that would be miscounted."""
-    idx = np.asarray(msg.payload.indices)
-    if idx.size and (idx[0] < 0 or idx[-1] >= d or (idx[1:] <= idx[:-1]).any()):
-        raise ValueError(
-            f"machine {msg.machine_id}: indices must be strictly increasing in [0, {d})"
-        )
-    if isinstance(msg.payload, SignedIndexSet):
-        signs = np.asarray(msg.payload.signs)
-        if signs.shape != idx.shape:
-            raise ValueError(f"machine {msg.machine_id}: {signs.size} signs for {idx.size} indices")
-        if not (np.abs(signs) == 1).all():
-            raise ValueError(f"machine {msg.machine_id}: signs must be -1 or +1")
+def sum_rows(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a 2-D array, added one row after another.
+
+    ``rows.sum(axis=0)`` adds a single column pairwise, which can differ in
+    the last bits from accumulating the machines' vectors in order.
+    """
+    return np.add.accumulate(rows, axis=0)[-1]
+
+
+_NO_INDICES = np.empty(0, dtype=np.int64)
+
+# The checks ``tally`` makes of each message, in the order it makes them.
+_DUPLICATE, _NOT_VOTES, _BAD_INDICES, _SIGN_COUNT, _BAD_SIGNS = range(5)
+
+
+def _vote_fault(msgs: list[Message], d: int) -> Exception:
+    """The exception for the first message, in machine-id order, that fails
+    a check of ``tally``, at the first check it fails.
+
+    Every check runs on all messages at once: ``faults[check, i]`` is set
+    when message i fails that check.
+    """
+    payloads = [msg.payload for msg in msgs]
+    ids = [msg.machine_id for msg in msgs]
+    voting = [isinstance(p, (IndexSet, SignedIndexSet)) for p in payloads]
+    idx = [np.asarray(p.indices) if ok else _NO_INDICES for p, ok in zip(payloads, voting)]
+    signs = [
+        np.asarray(p.signs) if isinstance(p, SignedIndexSet) else np.ones(a.size)
+        for p, a in zip(payloads, idx)
+    ]
+    faults = np.zeros((5, len(msgs)), dtype=bool)
+    faults[_DUPLICATE, 1:] = [a == b for a, b in zip(ids, ids[1:])]
+    faults[_NOT_VOTES] = [not ok for ok in voting]
+    faults[_SIGN_COUNT] = [s.shape != a.shape for a, s in zip(idx, signs)]
+    # One entry per sent index: its message's position, its value and its
+    # sign (+1 where a message carries no signs, or not one per index).
+    owner = np.repeat(np.arange(len(msgs)), [a.size for a in idx])
+    flat = np.concatenate([_NO_INDICES, *idx], dtype=np.int64, casting="same_kind")
+    sign = np.concatenate(
+        [_NO_INDICES] + [s if s.shape == a.shape else np.ones(a.size) for a, s in zip(idx, signs)]
+    )
+    bad = (flat < 0) | (flat >= d)
+    bad[1:] |= (flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])
+    faults[_BAD_INDICES, owner[bad]] = True
+    faults[_BAD_SIGNS, owner[np.abs(sign) != 1]] = True
+    i = int(faults.any(axis=0).argmax())
+    check = int(faults[:, i].argmax())
+    machine = msgs[i].machine_id
+    if check == _DUPLICATE:
+        return ValueError(f"duplicate sender {machine}")
+    if check == _NOT_VOTES:
+        return TypeError("tally expects IndexSet or SignedIndexSet payloads")
+    if check == _BAD_INDICES:
+        return ValueError(f"machine {machine}: indices must be strictly increasing in [0, {d})")
+    if check == _SIGN_COUNT:
+        return ValueError(f"machine {machine}: {signs[i].size} signs for {idx[i].size} indices")
+    return ValueError(f"machine {machine}: signs must be -1 or +1")
 
 
 def tally(messages: list[Message], d: int) -> VoteTally:
     """Count, per index, how many machines sent it; sum attached signs.
 
-    Raises ValueError for a payload whose indices are not strictly
-    increasing in [0, d), or whose signs are not +-1 one per index.
+    Raises ValueError for a duplicate sender, or for a payload whose
+    indices are not strictly increasing in [0, d) or whose signs are not
+    +-1 one per index; TypeError for a payload that is not a vote. Messages
+    are checked in machine-id order, each through those checks in turn, and
+    the first fault found is raised. The checks and the counts each run as
+    one vectorized pass over all messages' concatenated indices.
     """
-    votes = np.zeros(d, dtype=np.int64)
-    sign_sums = np.zeros(d, dtype=np.int64)
-    seen = set()
-    for msg in _sorted_by_machine(messages):
-        if msg.machine_id in seen:
-            raise ValueError(f"duplicate sender {msg.machine_id}")
-        seen.add(msg.machine_id)
-        p = msg.payload
-        if not isinstance(p, (IndexSet, SignedIndexSet)):
-            raise TypeError("tally expects IndexSet or SignedIndexSet payloads")
-        _check_votes(msg, d)
-        votes[p.indices] += 1
-        if isinstance(p, SignedIndexSet):
-            sign_sums[p.indices] += p.signs
-    return VoteTally(votes=votes, sign_sums=sign_sums, contributing_machines=len(messages))
+    msgs = _sorted_by_machine(messages)
+    payloads = [msg.payload for msg in msgs]
+    if len({msg.machine_id for msg in msgs}) < len(msgs) or not all(
+        isinstance(p, (IndexSet, SignedIndexSet)) for p in payloads
+    ):
+        raise _vote_fault(msgs, d)
+    idx = [np.asarray(p.indices) for p in payloads]
+    signed = [(a, np.asarray(p.signs)) for a, p in zip(idx, payloads) if isinstance(p, SignedIndexSet)]
+    if any(s.shape != a.shape for a, s in signed):
+        raise _vote_fault(msgs, d)
+    flat = np.concatenate([_NO_INDICES, *idx], dtype=np.int64, casting="same_kind")
+    s_idx = np.concatenate([_NO_INDICES, *(a for a, _ in signed)], dtype=np.int64, casting="same_kind")
+    s_val = np.concatenate([_NO_INDICES, *(s for _, s in signed)])
+    # Shifting message i's indices by i * d makes the whole list strictly
+    # increasing exactly when each message's indices are, given that they
+    # all lie in [0, d).
+    key = flat + np.repeat(np.arange(0, len(idx) * d, d), [a.size for a in idx])
+    in_order = flat.size == 0 or (flat.min() >= 0 and flat.max() < d and (key[1:] > key[:-1]).all())
+    if not (in_order and (np.abs(s_val) == 1).all()):
+        raise _vote_fault(msgs, d)
+    return VoteTally(
+        votes=np.bincount(flat, minlength=d).astype(np.int64, copy=False),
+        # Exact: the weights are +-1, so every sum is a small integer.
+        sign_sums=np.bincount(s_idx, weights=s_val, minlength=d).astype(np.int64),
+        contributing_machines=len(messages),
+    )
 
 
 def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -146,20 +205,30 @@ def avg_debiased(
 def aggregate_round2(messages: list[Message], support, d: int) -> np.ndarray:
     """Average the per-machine restricted LS solutions onto the support."""
     support = np.asarray(support, dtype=np.int64)
-    msgs = _sorted_by_machine(messages)
-    if not msgs:
+    payloads = [msg.payload for msg in _sorted_by_machine(messages)]
+    if not payloads:
         raise ValueError("no machines")
-    acc = np.zeros(support.size)
-    for msg in msgs:
-        p = msg.payload
-        if not isinstance(p, RestrictedEstimate):
-            raise TypeError("aggregate_round2 expects RestrictedEstimate payloads")
-        if p.support.size != support.size or not np.array_equal(p.support, support):
-            raise ValueError("inconsistent round-2 support")
-        acc += p.values
+    if not (
+        all(isinstance(p, RestrictedEstimate) and p.support.shape == support.shape for p in payloads)
+        and (np.array([p.support for p in payloads]) == support).all()
+    ):
+        raise _round2_fault(payloads, support)
     theta = np.zeros(d)
-    theta[support] = acc / len(msgs)
+    theta[support] = sum_rows(np.array([p.values for p in payloads])) / len(payloads)
     return theta
+
+
+def _round2_fault(payloads: list, support: np.ndarray) -> Exception:
+    """The exception for the first payload, in machine-id order, that is not
+    a restricted estimate on ``support``; all supports are compared at once."""
+    typed = [isinstance(p, RestrictedEstimate) for p in payloads]
+    same = np.zeros(len(payloads), dtype=bool)
+    shaped = [i for i, p in enumerate(payloads) if typed[i] and p.support.shape == support.shape]
+    if shaped:
+        same[shaped] = (np.array([payloads[i].support for i in shaped]) == support).all(axis=1)
+    if not typed[int(same.argmin())]:
+        return TypeError("aggregate_round2 expects RestrictedEstimate payloads")
+    return ValueError("inconsistent round-2 support")
 
 
 def centralized_ls(messages: list[Message], support, d: int) -> np.ndarray:

@@ -14,6 +14,21 @@ planted signal, and only the noise is redrawn across replications. Sweeps
 over n reuse the decorrelation matrices fitted at the largest sample size
 (``precision_reuse``), mirroring a semi-supervised setting; sweeps over M
 calibrate on the largest machine count and use prefixes.
+
+A design stores its machines stacked: ``DesignState.X`` is one C-contiguous
+(m_cal, n_cal, d) array and the sandwich diagonals one (m_cal, d) array, so a
+grid point's machines are the prefix ``X[:M, :n]``. A replication's
+arithmetic that is the same on every machine runs as one batched pass over
+that prefix: the responses, the lasso's X'y, the debiasing residuals and
+X'r, the standardization and the oracle's cross moments. Every row of these
+equals the single-machine result bit for bit, and sums over machines add
+them in machine order (``fusion.sum_rows``), so records do not depend on the
+batching. Three steps stay per machine. Each machine's noise comes from its
+own seeded stream. Each lasso fit (``fit_lasso_gram``, ``fit_lasso``) and
+each Omega_hat mat-vec solves that machine's own problem, and the fits are
+the call sites the benchmark's probes count. Each round-1 and round-2
+message is built by ``protocol`` for one machine, as that machine would
+send it, and the benchmark's probes count those calls too.
 """
 
 from __future__ import annotations
@@ -260,9 +275,9 @@ class DesignState:
     m_cal: int
     lam_omega: float
     residual_scale: str
-    X: list[np.ndarray]
+    X: np.ndarray  # (m_cal, n_cal, d), C-contiguous; X[m] is machine m's design
     omegas: list[SparseRows]
-    c_diag_cal: list[np.ndarray]
+    c_diag_cal: np.ndarray  # (m_cal, d) sandwich diagonals at n_cal
     c_omega: float
     support: np.ndarray
     theta_unit: np.ndarray  # planted vector at theta_min = 1
@@ -282,7 +297,7 @@ class PointState:
     lam: float
     theta_min: float
     theta_star: np.ndarray
-    c_diag: list[np.ndarray]
+    c_diag: np.ndarray  # (M, d)
     omegas: list[SparseRows]
     grams: list[np.ndarray] | None
     oracle_gram: np.ndarray
@@ -304,16 +319,20 @@ def build_design(
     lam_omega = config.lam_omega(n_cal)
     shards = sample_shards(spec.with_(M=m_cal), rep=rep, n=n_cal)
     keep_gram = m_cal * spec.d * spec.d * 8 <= GRAM_CACHE_BYTES
-    X, omegas, c_diags, grams = [], [], [], [] if keep_gram else None
-    for shard in shards:
-        G = empirical_covariance(shard.X)
+    X = np.empty((m_cal, n_cal, spec.d))
+    c_diags = np.empty((m_cal, spec.d))
+    omegas, grams = [], [] if keep_gram else None
+    for m in range(m_cal):
+        # Each shard moves into the stacked array and its own copy is
+        # dropped at once, so the designs are never held twice.
+        X[m] = shards[m].X
+        shards[m] = None
+        G = empirical_covariance(X[m])
         est = estimate_precision(
-            shard.X, lam_omega, residual_scale=config.nodewise_residual_scale, gram=G
+            X[m], lam_omega, residual_scale=config.nodewise_residual_scale, gram=G
         )
-        cd = sandwich_diag(est.omega_hat, shard.X)
-        X.append(shard.X)
+        c_diags[m] = sandwich_diag(est.omega_hat, X[m])
         omegas.append(est.omega_hat)
-        c_diags.append(cd)
         if keep_gram:
             grams.append(G)
     c_omega = compute_c_omega(c_diags)
@@ -359,7 +378,7 @@ def materialize(
         c_diag = design.c_diag_cal[:M]
         grams = design.grams[:M] if design.grams is not None else None
     else:
-        omegas, c_diag = [], []
+        omegas, c_diag = [], np.empty((M, spec.d))
         for m in range(M):
             Xn = design.X[m][:n]
             if config.precision_reuse:
@@ -369,7 +388,7 @@ def materialize(
                     Xn, config.lam_omega(n), residual_scale=design.residual_scale
                 ).omega_hat
             omegas.append(omega)
-            c_diag.append(sandwich_diag(omega, Xn))
+            c_diag[m] = sandwich_diag(omega, Xn)
         grams = None
     S = design.support
     oracle_gram = np.zeros((S.size, S.size))
@@ -394,43 +413,48 @@ def materialize(
     )
 
 
-def _draw_noise(spec: ProblemSpec, rep: int, m: int, n_cal: int, n: int) -> np.ndarray:
-    # Full-length draw then slice: grid points at smaller n share noise prefixes.
-    return stream(spec.base_seed, TAG_NOISE, rep, m).standard_normal(n_cal)[:n]
+def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], np.ndarray]:
+    """All machines' round-one computations for one noise replication.
 
-
-def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], list[np.ndarray]]:
-    """All machines' round-one computations for one noise replication."""
+    Returns the local fits and the (M, n) responses, one row per machine.
+    """
     design = point.design
     spec = design.spec
-    n, sigma = point.n, point.sigma
-    fits, ys = [], []
-    for m in range(point.M):
-        X = design.X[m][:n]
-        w = _draw_noise(spec, rep, m, design.n_cal, n)
-        y = X @ point.theta_star + sigma * w
-        if point.grams is not None:
-            theta_t, _, sweeps, kkt, conv = fit_lasso_gram(point.grams[m], X.T @ y / n, point.lam)
-        else:
-            fit = fit_lasso(X, y, point.lam)
-            theta_t, sweeps, kkt, conv = (
-                fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged
-            )
-        theta_h = debias(X, y, theta_t, point.omegas[m])
-        fits.append(
-            LocalFit(
-                machine_id=m,
-                theta_tilde=theta_t,
-                theta_hat=theta_h,
-                sigma_hat_sq_diag=point.c_diag[m],
-                xi_hat=standardize(theta_h, point.c_diag[m], sigma, n),
-                lasso_converged=bool(conv),
-                lasso_sweeps=int(sweeps),
-                lasso_kkt=float(kkt),
-            )
+    n, M, sigma = point.n, point.M, point.sigma
+    X = design.X[:M, :n]
+    W = np.empty((M, design.n_cal))
+    for m in range(M):
+        # A full-length draw: grid points at smaller n share noise prefixes.
+        stream(spec.base_seed, TAG_NOISE, rep, m).standard_normal(out=W[m])
+    Y = X @ point.theta_star + sigma * W[:, :n]
+    theta_t = np.empty((M, spec.d))
+    solver = []
+    if point.grams is not None:
+        XtY = (Y[:, None, :] @ X)[:, 0, :] / n
+        for m in range(M):
+            theta_t[m], _, sweeps, kkt, conv = fit_lasso_gram(point.grams[m], XtY[m], point.lam)
+            solver.append((conv, sweeps, kkt))
+    else:
+        for m in range(M):
+            fit = fit_lasso(X[m], Y[m], point.lam)
+            theta_t[m] = fit.coefficients
+            solver.append((fit.converged, fit.iterations, fit.max_kkt_violation))
+    theta_h = debias(X, Y, theta_t, point.omegas)
+    xi = standardize(theta_h, point.c_diag, sigma, n)
+    fits = [
+        LocalFit(
+            machine_id=m,
+            theta_tilde=theta_t[m],
+            theta_hat=theta_h[m],
+            sigma_hat_sq_diag=point.c_diag[m],
+            xi_hat=xi[m],
+            lasso_converged=bool(conv),
+            lasso_sweeps=int(sweeps),
+            lasso_kkt=float(kkt),
         )
-        ys.append(y)
-    return fits, ys
+        for m, (conv, sweeps, kkt) in enumerate(solver)
+    ]
+    return fits, Y
 
 
 # bnm21 sends the thresholded votes of thresh_votes and differs only in its
@@ -605,11 +629,10 @@ def _eval_scheme(
     )
 
 
-def _oracle_error(point: PointState, ys) -> float:
+def _oracle_error(point: PointState, ys: np.ndarray) -> float:
     S = point.design.support
-    v = np.zeros(S.size)
-    for m in range(point.M):
-        v += point.design.X[m][: point.n, S].T @ ys[m]
+    XS = point.design.X[: point.M, : point.n, S]
+    v = fusion.sum_rows((ys[:, None, :] @ XS)[:, 0, :])
     beta = np.linalg.solve(point.oracle_gram, v)
     theta = np.zeros(point.design.spec.d)
     theta[S] = beta
@@ -713,11 +736,11 @@ def run_sweep(
     per-replication JSON records.
     """
     grid = list(grid)
-    check_grid(config.spec, sweep_axis, grid)
     schemes = [config.scheme] if schemes is None else list(schemes)
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
+    check_grid(config, sweep_axis, grid, schemes)
     if config.fixed_design and design is None:
         design = _design_at(config, sweep_axis, max(grid))
     rows, records = [], []
@@ -742,17 +765,26 @@ def run_sweep(
     return result
 
 
-def check_grid(spec: ProblemSpec, sweep_axis: str, grid: list) -> None:
+def check_grid(config: ExperimentConfig, sweep_axis: str, grid: list, schemes: list[str]) -> None:
     """Raise ValueError unless every grid value of the swept axis gives a
-    valid problem: n, M and r through ``ProblemSpec``, L in [1, d]."""
+    valid run of every scheme in ``schemes``: n, M and r through
+    ``ProblemSpec``, n, M and L whole numbers, and L in [1, d] and, when a
+    top-L scheme runs under known sparsity, at least K, as ``ExperimentConfig``
+    requires of its own L."""
+    spec = config.spec
     if sweep_axis not in SWEEP_AXES:
         raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
     if not grid:
         raise ValueError("grid must be nonempty")
+    top_l_known = config.sparsity_mode == "known" and any(s.startswith("top_L") for s in schemes)
     for value in grid:
+        if sweep_axis != "r" and not float(value).is_integer():
+            raise ValueError(f"{sweep_axis} grid values must be whole numbers")
         if sweep_axis == "L":
             if not 1 <= value <= spec.d:
                 raise ValueError("L must lie in [1, d]")
+            if top_l_known and value < spec.K:
+                raise ValueError("top-L schemes need L >= K under known sparsity")
         else:
             spec.with_(**{sweep_axis: value})
 

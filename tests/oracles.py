@@ -140,6 +140,71 @@ def naive_tally(payloads, d):
     return np.array(votes), np.array(signs)
 
 
+def loop_rep_fits(point, rep):
+    """Round one machine by machine, as ``harness._rep_fits`` computed it
+    before its stacked pass: noise, response, X'y, lasso, debiasing and
+    standardization, each a separate call per machine. The bitwise
+    reference for the stacked pass; do not batch it. Returns (fits, ys)."""
+    from votelasso.datagen import TAG_NOISE, stream
+    from votelasso.debias import LocalFit, standardize
+    from votelasso.lasso import fit_lasso, fit_lasso_gram
+
+    design = point.design
+    spec = design.spec
+    n, sigma = point.n, point.sigma
+    fits, ys = [], []
+    for m in range(point.M):
+        X = design.X[m][:n]
+        w = stream(spec.base_seed, TAG_NOISE, rep, m).standard_normal(design.n_cal)[:n]
+        y = X @ point.theta_star + sigma * w
+        if point.grams is not None:
+            theta_t, _, sweeps, kkt, conv = fit_lasso_gram(point.grams[m], X.T @ y / n, point.lam)
+        else:
+            fit = fit_lasso(X, y, point.lam)
+            theta_t, sweeps, kkt, conv = (
+                fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged
+            )
+        resid = y - X @ theta_t
+        theta_h = theta_t + point.omegas[m].matvec(X.T @ resid) / n
+        fits.append(
+            LocalFit(
+                machine_id=m,
+                theta_tilde=theta_t,
+                theta_hat=theta_h,
+                sigma_hat_sq_diag=point.c_diag[m],
+                xi_hat=standardize(theta_h, point.c_diag[m], sigma, n),
+                lasso_converged=bool(conv),
+                lasso_sweeps=int(sweeps),
+                lasso_kkt=float(kkt),
+            )
+        )
+        ys.append(y)
+    return fits, ys
+
+
+def loop_oracle_error(point, ys):
+    """``harness._oracle_error`` accumulating X_{m,S}'y_m one machine at a time."""
+    S = point.design.support
+    v = np.zeros(S.size)
+    for m in range(point.M):
+        v += point.design.X[m][: point.n, S].T @ ys[m]
+    beta = np.linalg.solve(point.oracle_gram, v)
+    theta = np.zeros(point.design.spec.d)
+    theta[S] = beta
+    return float(np.linalg.norm(theta - point.theta_star))
+
+
+def loop_aggregate(values, support, d):
+    """The round-2 average of ``fusion.aggregate_round2``, summing the
+    machines' restricted estimates one at a time in the order given."""
+    acc = np.zeros(len(support))
+    for v in values:
+        acc += v
+    theta = np.zeros(d)
+    theta[support] = acc / len(values)
+    return theta
+
+
 def gaussian_upper_tail(t):
     """Phi^c(t) through the complementary error function."""
     return 0.5 * math.erfc(t / math.sqrt(2.0))

@@ -210,6 +210,28 @@ class TestSweep:
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert not (tmp_path / "o").exists()
 
+    def test_L_grid_below_K_exits_like_the_l_flag(self, tmp_path):
+        # `run --l 1` is rejected under known sparsity; so is `--axis L --grid 1`.
+        argv = ["sweep", "--d", "40", "--n", "30", "--machines", "2", "--k", "2",
+                "--scheme", "top_L_votes", "--axis", "L", "--grid", "1", "--reps", "1",
+                "--out", str(tmp_path / "o")]
+        message = "top-L schemes need L >= K under known sparsity"
+        with pytest.raises(SystemExit, match=f"bad problem configuration: {message}") as exc:
+            main(argv)
+        assert "\n" not in exc.value.code
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(SystemExit, match=message):
+            main(["run", *argv[1:9], "--scheme", "top_L_votes", "--l", "1", "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("axis, grid", [("n", "20.7,30"), ("M", "1.5,2"), ("L", "2,3.5")])
+    def test_fractional_integer_grid_exits_with_one_line(self, tmp_path, axis, grid):
+        argv = ["sweep", *COMMON, "--scheme", "top_L_votes", "--axis", axis, "--grid", grid,
+                "--reps", "1", "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit, match=f"--grid: expected whole numbers for --axis {axis}") as exc:
+            main(argv)
+        assert "\n" not in exc.value.code
+        assert not (tmp_path / "o").exists()
+
     def test_non_numeric_grid_exits_with_one_line(self, tmp_path):
         argv = ["sweep", *COMMON, "--axis", "r", "--grid", "0.5,high", "--out", str(tmp_path / "o")]
         with pytest.raises(SystemExit, match="--grid: expected comma-separated numbers"):

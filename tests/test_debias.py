@@ -42,7 +42,7 @@ def _round_one(X, y, lam, est, sigma):
     """One machine's round one from its own precision estimate:
     (theta_tilde, theta_hat, xi_hat)."""
     theta_tilde = fit_lasso(X, y, lam).coefficients
-    theta_hat = debias(X, y, theta_tilde, est.omega_hat)
+    theta_hat = debias(X[None], y[None], theta_tilde[None], [est.omega_hat])[0]
     c_diag = sandwich_diag(est.omega_hat, X)
     return theta_tilde, theta_hat, standardize(theta_hat, c_diag, sigma, X.shape[0])
 
@@ -169,7 +169,7 @@ class TestDebias:
         X = rng.standard_normal((20, 4))
         theta = rng.standard_normal(4)
         y = X @ theta
-        out = debias(X, y, theta, sparse_rows(rng.standard_normal((4, 4))))
+        out = debias(X[None], y[None], theta[None], [sparse_rows(rng.standard_normal((4, 4)))])[0]
         assert np.allclose(out, theta)
 
     def test_exact_inverse_recovers_ols(self, rng):
@@ -180,14 +180,14 @@ class TestDebias:
         omega = sparse_rows(np.linalg.inv(empirical_covariance(X)))
         ols = np.linalg.lstsq(X, y, rcond=None)[0]
         for theta0 in (np.zeros(d), rng.standard_normal(d)):
-            assert np.abs(debias(X, y, theta0, omega) - ols).max() <= 1e-8
+            assert np.abs(debias(X[None], y[None], theta0[None], [omega])[0] - ols).max() <= 1e-8
 
     def test_matches_naive_oracle(self, rng):
         X = rng.standard_normal((9, 4))
         y = rng.standard_normal(9)
         theta = rng.standard_normal(4)
         omega = rng.standard_normal((4, 4))
-        out = debias(X, y, theta, sparse_rows(omega))
+        out = debias(X[None], y[None], theta[None], [sparse_rows(omega)])[0]
         assert np.abs(out - naive_debias(X, y, theta, omega)).max() <= 1e-12
 
     def test_matches_dense_matvec_on_nodewise_rows(self):
@@ -199,7 +199,7 @@ class TestDebias:
         omega = dense_rows(est.omega_hat)
         for theta in (np.zeros(100), rng.standard_normal(100)):
             dense = theta + omega @ (X.T @ (y - X @ theta)) / 70
-            assert np.abs(debias(X, y, theta, est.omega_hat) - dense).max() <= 1e-12
+            assert np.abs(debias(X[None], y[None], theta[None], [est.omega_hat])[0] - dense).max() <= 1e-12
 
 
 class TestStandardize:

@@ -67,7 +67,7 @@ class TestTally:
             payloads = []
             msgs = []
             for m in range(M):
-                size = int(rng.integers(0, d + 1))
+                size = 0 if rng.random() < 0.2 else int(rng.integers(1, d + 1))
                 idx = np.sort(rng.choice(d, size=size, replace=False))
                 if rng.random() < 0.5:
                     signs = rng.choice([-1, 1], size=size)
@@ -99,6 +99,80 @@ class TestTally:
         msg = Message(0, SignedIndexSet(np.array([0, 2]), np.array([1])))
         with pytest.raises(ValueError, match="1 signs for 2 indices"):
             tally([msg], d=4)
+
+
+def _faulty(kind, machine, d):
+    """A message from ``machine`` that fails the named check of ``tally``."""
+    if kind == "index below 0":
+        return _idx_msg(machine, [-1, 2])
+    if kind == "index d or more":
+        return _signed_msg(machine, [(1, 1), (d, -1)])
+    if kind == "not increasing":
+        return _idx_msg(machine, [2, 1])
+    if kind == "sign count":
+        return Message(machine, SignedIndexSet(np.array([0, 2]), np.array([1])))
+    return _signed_msg(machine, [(0, 1), (2, 0)])
+
+
+def _fault_text(kind, machine, d):
+    if kind == "sign count":
+        return f"machine {machine}: 1 signs for 2 indices"
+    if kind == "bad sign":
+        return f"machine {machine}: signs must be -1 or +1"
+    return f"machine {machine}: indices must be strictly increasing in [0, {d})"
+
+
+FAULTS = ["index below 0", "index d or more", "not increasing", "sign count", "bad sign"]
+
+
+class TestTallyFaultOrder:
+    """The vectorized checks raise what a machine-by-machine pass raises:
+    the first faulty machine by id, at the first check it fails."""
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_names_the_lower_of_two_bad_machines(self, kind):
+        d = 6
+        msgs = [_faulty(kind, 7, d), _idx_msg(9, [0]), _faulty(kind, 4, d), _idx_msg(1, [3])]
+        with pytest.raises(ValueError) as exc:
+            tally(msgs, d)
+        assert str(exc.value) == _fault_text(kind, 4, d)
+
+    def test_duplicate_names_the_lower_of_two_repeated_senders(self):
+        msgs = [_idx_msg(7, [1]), _idx_msg(4, [1]), _idx_msg(7, [2]), _idx_msg(4, [2]), _idx_msg(1, [0])]
+        with pytest.raises(ValueError) as exc:
+            tally(msgs, 4)
+        assert str(exc.value) == "duplicate sender 4"
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_lower_machine_wins_over_an_earlier_check(self, kind):
+        # Machine 2's fault is raised although machine 5's duplicate and
+        # machine 3's payload type are checked before it on any one machine.
+        d = 6
+        msgs = [
+            _idx_msg(5, [0]), _idx_msg(5, [1]),
+            Message(3, DenseEstimate(np.zeros(d))),
+            _faulty(kind, 2, d), _idx_msg(0, [4]),
+        ]
+        with pytest.raises(ValueError) as exc:
+            tally(msgs, d)
+        assert str(exc.value) == _fault_text(kind, 2, d)
+
+    def test_non_vote_payload_before_a_later_fault(self):
+        msgs = [_faulty("bad sign", 5, 6), Message(3, DenseEstimate(np.zeros(6))), _idx_msg(0, [1])]
+        with pytest.raises(TypeError, match="tally expects IndexSet or SignedIndexSet payloads"):
+            tally(msgs, 6)
+
+    def test_first_check_of_one_machine(self):
+        # Out-of-range indices and a bad sign count on one machine: the
+        # index check comes first, then the count, then the sign values.
+        both = Message(3, SignedIndexSet(np.array([0, 9]), np.array([1])))
+        with pytest.raises(ValueError) as exc:
+            tally([both], 6)
+        assert str(exc.value) == "machine 3: indices must be strictly increasing in [0, 6)"
+        count_and_value = Message(3, SignedIndexSet(np.array([0, 2]), np.array([5])))
+        with pytest.raises(ValueError) as exc:
+            tally([count_and_value], 6)
+        assert str(exc.value) == "machine 3: 1 signs for 2 indices"
 
 
 def _tally_of(votes, signs=None):

@@ -12,6 +12,7 @@ from votelasso.debias import debias, estimate_precision, sandwich_diag, standard
 from votelasso.harness import (
     SCHEMES,
     ExperimentConfig,
+    _oracle_error,
     _rep_fits,
     build_design,
     f_measure,
@@ -23,7 +24,7 @@ from votelasso.harness import (
 )
 from votelasso.lasso import restricted_ols
 
-from oracles import dense_rows
+from oracles import dense_rows, loop_aggregate, loop_oracle_error, loop_rep_fits
 
 TIMING_FIELDS = ("wall_time", "shared_time")
 
@@ -409,6 +410,25 @@ class TestRunSweep:
             with pytest.raises(ValueError, match=message):
                 materialize(design, cfg, **{axis: grid[-1]})
 
+    @pytest.mark.parametrize("schemes", [["top_L_votes"], ["thresh_votes", "top_L_signs"]])
+    def test_L_below_K_rejected_for_top_L_under_known_sparsity(self, small_design, schemes):
+        # The same rule as ExperimentConfig's L: no L grid value below K.
+        cfg, design = small_design
+        with pytest.raises(ValueError, match="top-L schemes need L >= K under known sparsity"):
+            run_sweep(cfg, "L", [cfg.spec.K, cfg.spec.K - 1], schemes=schemes, design=design)
+
+    def test_L_below_K_allowed_under_unknown_sparsity(self, small_design):
+        cfg, design = small_design
+        cfg = cfg.with_(sparsity_mode="unknown", reps=1)
+        res = run_sweep(cfg, "L", [1], schemes=["top_L_votes"], design=design)
+        assert res.rows[0]["value"] == 1
+
+    @pytest.mark.parametrize("axis, grid", [("n", [20.7, 30]), ("M", [1.5, 2]), ("L", [3, 4.5])])
+    def test_fractional_integer_axis_values_rejected(self, small_design, axis, grid):
+        cfg, design = small_design
+        with pytest.raises(ValueError, match=f"{axis} grid values must be whole numbers"):
+            run_sweep(cfg.with_(scheme="top_L_votes"), axis, grid, design=design)
+
     def test_redraw_design_mode(self):
         cfg = _config(d=30, M=4, n=25, reps=2, fixed_design=False)
         res = run_sweep(cfg, "r", [0.8])
@@ -458,6 +478,84 @@ class TestRoundOnePaths:
                 assert (point.omegas[m] is design.omegas[m]) == reuse
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedRoundOne:
+    """The batched replication pass equals the per-machine loop bit for bit."""
+
+    # A small explicit lambda keeps the lasso fits, hence the debiasing
+    # residuals, nonzero.
+    LAM = dict(lambda_rule="explicit", lambda_value=0.1)
+
+    @staticmethod
+    def _assert_matches_loop(point, reps=(0, 3)):
+        for rep in reps:
+            fits, ys = _rep_fits(point, rep)
+            ref_fits, ref_ys = loop_rep_fits(point, rep)
+            assert ys.shape == (point.M, point.n)
+            assert len(fits) == len(ref_fits) == point.M
+            for m, (fit, ref) in enumerate(zip(fits, ref_fits)):
+                assert _same_bits(ys[m], ref_ys[m])
+                for name in ("theta_tilde", "theta_hat", "sigma_hat_sq_diag", "xi_hat"):
+                    assert _same_bits(getattr(fit, name), getattr(ref, name)), (m, name)
+                for name in ("machine_id", "lasso_converged", "lasso_sweeps", "lasso_kkt"):
+                    assert getattr(fit, name) == getattr(ref, name), (m, name)
+            assert any(np.count_nonzero(f.theta_tilde) for f in fits)
+            assert _oracle_error(point, ys) == loop_oracle_error(point, ref_ys)
+
+    def test_gram_branch(self, small_design):
+        cfg, design = small_design
+        point = materialize(design, cfg.with_(**self.LAM))
+        assert point.grams is not None
+        self._assert_matches_loop(point)
+
+    @pytest.mark.parametrize("reuse", [True, False])
+    def test_covariance_free_branch_below_n_cal(self, reuse):
+        cfg = _config(d=50, M=4, n=40, precision_reuse=reuse, **self.LAM)
+        design = build_design(cfg)
+        point = materialize(design, cfg, n=25)
+        assert point.grams is None and point.n < design.n_cal
+        self._assert_matches_loop(point)
+
+    @pytest.mark.parametrize("M", [3, 1])
+    def test_machine_prefix(self, small_design, M):
+        cfg, design = small_design
+        point = materialize(design, cfg.with_(**self.LAM), M=M)
+        assert point.M < design.m_cal
+        self._assert_matches_loop(point)
+
+    def test_oracle_sum_over_one_support_column(self):
+        # With |S| = 1 a NumPy axis-0 sum over 12 machines adds pairwise;
+        # the oracle must still add the machines in order.
+        cfg = _config(K=1, **self.LAM)
+        point = materialize(build_design(cfg), cfg)
+        assert point.design.support.size == 1 and point.M >= 9
+        for rep in range(4):
+            _, ys = _rep_fits(point, rep)
+            assert _oracle_error(point, ys) == loop_oracle_error(point, ys)
+
+    def test_design_is_one_stacked_array(self, small_design):
+        cfg, design = small_design
+        spec = cfg.spec
+        assert design.X.shape == (spec.M, spec.n, spec.d) and design.X.flags.c_contiguous
+        for shard, X in zip(sample_shards(spec), design.X):
+            assert np.array_equal(shard.X, X)
+
+    def test_aggregate_round2_equals_sequential_sum(self, rng):
+        for _ in range(200):
+            d = 20
+            k = int(rng.integers(1, 6))
+            M = int(rng.integers(1, 40))
+            support = np.sort(rng.choice(d, k, replace=False))
+            values = rng.standard_normal((M, k)) * 10.0 ** rng.integers(-3, 4, size=(M, 1))
+            msgs = [protocol.Message(m, protocol.RestrictedEstimate(support, v)) for m, v in enumerate(values)]
+            shuffled = [msgs[i] for i in rng.permutation(M)]
+            assert _same_bits(fusion.aggregate_round2(shuffled, support, d), loop_aggregate(values, support, d))
+
+
 class TestScaleInvariance:
     def test_round1_payloads_invariant_under_joint_scaling(self):
         # Scaling y and sigma by the same constant (with lambda following
@@ -475,7 +573,8 @@ class TestScaleInvariance:
         c_diag = sandwich_diag(omega, X)
 
         def fit(y, lam, sigma):
-            theta_hat = debias(X, y, fit_lasso(X, y, lam).coefficients, omega)
+            theta_tilde = fit_lasso(X, y, lam).coefficients
+            theta_hat = debias(X[None], y[None], theta_tilde[None], [omega])[0]
             xi = standardize(theta_hat, c_diag, sigma, X.shape[0])
             return LocalFit(0, None, theta_hat, c_diag, xi)
 
