@@ -191,8 +191,8 @@ def cmd_generate(args) -> int:
         theta_min=point.theta_min,
         c_omega=c_omega,
     )
-    shards = [DataShard(machine_id=m, X=X) for m, X in enumerate(design.X)]
-    shards = sample_responses(shards, truth.theta_star, sigma, spec.base_seed)
+    Y = sample_responses(design.X, truth.theta_star, sigma, spec.base_seed)
+    shards = [DataShard(machine_id=m, X=X, y=y) for m, (X, y) in enumerate(zip(design.X, Y))]
     bundle = out / "shards.npz"
     save_shards(
         bundle,
@@ -220,6 +220,10 @@ def cmd_run(args) -> int:
     file_values = _file_values(args)
     spec = _build_spec(args, file_values)
     config, schemes = _build_config(args, spec, file_values)
+    try:
+        check_grid(config, "r", [spec.r], schemes)
+    except ValueError as exc:
+        raise SystemExit(f"bad run configuration: {exc}") from None
     result = run_sweep(config, "r", [spec.r], schemes=schemes, out_dir=args.out)
     for row in result.rows:
         print(

@@ -4,6 +4,13 @@ Per-machine data are drawn from independent, reproducible streams derived by
 hashing (base_seed, stream_tag, replication, machine) through NumPy's
 SeedSequence, so shards can be generated in any order, in parallel, or
 re-generated bit-identically.
+
+The machines are stacked: ``sample_shards`` returns one C-contiguous
+(M, n, d) array whose slab ``X[m]`` is machine m's design, and
+``sample_responses`` turns such a stack into the (M, n) responses, one row
+per machine. Every consumer (the harness, ``cli generate``) reads this
+layout; ``DataShard`` wraps one machine's rows where a single machine's
+view is needed (its round-two message, the bundle and CSV writers).
 """
 
 from __future__ import annotations
@@ -116,32 +123,31 @@ def ar1_cholesky(d: int, corr_decay: float) -> np.ndarray:
     return L
 
 
-def _ar1_rows(rng: np.random.Generator, n: int, d: int, s: float) -> np.ndarray:
-    """n i.i.d. N(0, Sigma) rows via the AR(1) recursion (O(n d))."""
-    Z = rng.standard_normal((n, d))
+def _ar1_rows(rng: np.random.Generator, s: float, out: np.ndarray) -> None:
+    """Fill the (n, d) slab ``out`` with i.i.d. N(0, Sigma) rows via the
+    AR(1) recursion (O(n d)), in place over the standard normal draw."""
+    rng.standard_normal(out=out)
     if s == 0.0:
-        return Z
-    X = np.empty((n, d))
+        return
     q = math.sqrt(1.0 - s * s)
-    X[:, 0] = Z[:, 0]
-    for j in range(1, d):
-        X[:, j] = s * X[:, j - 1] + q * Z[:, j]
-    return X
+    for j in range(1, out.shape[1]):
+        out[:, j] = s * out[:, j - 1] + q * out[:, j]
 
 
-def sample_shards(spec: ProblemSpec, rep: int = 0, n: int | None = None) -> list[DataShard]:
-    """Draw the M design matrices; responses are filled separately.
+def sample_shards(spec: ProblemSpec, rep: int = 0, n: int | None = None) -> np.ndarray:
+    """Draw the M design matrices as one C-contiguous (M, n, d) array.
 
-    ``rep`` enters the seed derivation so non-fixed-design experiments can
-    redraw designs per replication; the default 0 is the fixed-design stream.
+    Machine m's rows come from ``stream(base_seed, TAG_DESIGN, rep, m)``
+    and are written straight into ``X[m]``. ``rep`` enters the seed
+    derivation so non-fixed-design experiments can redraw designs per
+    replication; the default 0 is the fixed-design stream. A draw at a
+    larger n extends a smaller one row for row.
     """
     n = spec.n if n is None else n
-    shards = []
+    X = np.empty((spec.M, n, spec.d))
     for m in range(spec.M):
-        rng = stream(spec.base_seed, TAG_DESIGN, rep, m)
-        X = _ar1_rows(rng, n, spec.d, spec.corr_decay)
-        shards.append(DataShard(machine_id=m, X=X))
-    return shards
+        _ar1_rows(stream(spec.base_seed, TAG_DESIGN, rep, m), spec.corr_decay, X[m])
+    return X
 
 
 def theta_min_from_snr(d: int, sigma: float, r: float, n: int, c_omega: float) -> float:
@@ -175,22 +181,27 @@ def make_theta_star(
 
 
 def sample_responses(
-    shards: list[DataShard],
+    X: np.ndarray,
     theta_star: np.ndarray,
     sigma: float,
     base_seed: int,
     rep: int = 0,
-) -> list[DataShard]:
-    """y = X theta* + w with w ~ N(0, sigma^2), one stream per (rep, machine)."""
+) -> np.ndarray:
+    """(M, n) responses y_m = X_m theta* + w_m of the stacked designs X.
+
+    Machine m's noise w_m ~ N(0, sigma^2 I_n) comes from
+    ``stream(base_seed, TAG_NOISE, rep, m)``. A length-n draw equals the
+    first n values of a longer draw from the same stream (checked for
+    NumPy 2.4 at n/n_cal = 60/100, 80/100, 1/7 and 33/250), so a grid point
+    at n below the calibrated size sees the prefix of the full-size noise.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    out = []
-    for shard in shards:
-        rng = stream(base_seed, TAG_NOISE, rep, shard.machine_id)
-        w = rng.standard_normal(shard.X.shape[0])
-        y = shard.X @ theta_star + sigma * w
-        out.append(DataShard(machine_id=shard.machine_id, X=shard.X, y=y))
-    return out
+    M, n = X.shape[:2]
+    W = np.empty((M, n))
+    for m in range(M):
+        stream(base_seed, TAG_NOISE, rep, m).standard_normal(out=W[m])
+    return X @ theta_star + sigma * W
 
 
 def compute_c_omega(sandwich_diags) -> float:

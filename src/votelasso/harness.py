@@ -1,5 +1,5 @@
 """Experiment orchestration: the two-round schemes end to end, baselines,
-metrics, and seeded replication sweeps with bit-exact communication ledgers.
+metrics, and seeded replication sweeps with bit-exact communication accounting.
 
 The schemes of one replication share its work: the local fits and the
 oracle, one round-1 message set and tally per round-1 rule (``bnm21`` and
@@ -15,16 +15,17 @@ over n reuse the decorrelation matrices fitted at the largest sample size
 (``precision_reuse``), mirroring a semi-supervised setting; sweeps over M
 calibrate on the largest machine count and use prefixes.
 
-A design stores its machines stacked: ``DesignState.X`` is one C-contiguous
-(m_cal, n_cal, d) array and the sandwich diagonals one (m_cal, d) array, so a
-grid point's machines are the prefix ``X[:M, :n]``. A replication's
-arithmetic that is the same on every machine runs as one batched pass over
-that prefix: the responses, the lasso's X'y, the debiasing residuals and
-X'r, the standardization and the oracle's cross moments. Every row of these
-equals the single-machine result bit for bit, and sums over machines add
-them in machine order (``fusion.sum_rows``), so records do not depend on the
-batching. Three steps stay per machine. Each machine's noise comes from its
-own seeded stream. Each lasso fit (``fit_lasso_gram``, ``fit_lasso``) and
+A design stores its machines stacked as ``datagen`` draws them:
+``DesignState.X`` is the C-contiguous (m_cal, n_cal, d) array of
+``sample_shards`` and the sandwich diagonals one (m_cal, d) array, so a grid
+point's machines are the prefix ``X[:M, :n]``. A replication's arithmetic
+that is the same on every machine runs as one batched pass over that prefix:
+the responses (``sample_responses``), the lasso's X'y, the debiasing
+residuals and X'r, the standardization and the oracle's cross moments.
+Every row of these equals the single-machine result bit for bit, and sums
+over machines add them in machine order (``fusion.sum_rows``), so records do
+not depend on the batching. Three steps stay per machine. Each machine's
+noise comes from its own seeded stream. Each lasso fit (``fit_lasso_gram``, ``fit_lasso``) and
 each Omega_hat mat-vec solves that machine's own problem, and the fits are
 the call sites the benchmark's probes count. Each round-1 and round-2
 message is built by ``protocol`` for one machine, as that machine would
@@ -41,12 +42,12 @@ import numpy as np
 
 from . import fusion, protocol
 from .datagen import (
-    TAG_NOISE,
     TAG_THETA,
-    ProblemSpec,
     DataShard,
+    ProblemSpec,
     compute_c_omega,
     make_theta_star,
+    sample_responses,
     sample_shards,
     stream,
     theta_min_from_snr,
@@ -98,6 +99,14 @@ CSV_COLUMNS = [
 ]
 
 
+def _check_L(L: int, spec: ProblemSpec, known_sparsity: bool) -> None:
+    """A top-L scheme's L lies in [1, d] and, under known sparsity, is at least K."""
+    if not 1 <= L <= spec.d:
+        raise ValueError("L must lie in [1, d]")
+    if known_sparsity and L < spec.K:
+        raise ValueError("top-L schemes need L >= K under known sparsity")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One scheme's run configuration on top of a generative ProblemSpec."""
@@ -142,11 +151,7 @@ class ExperimentConfig:
         if self.nodewise_residual_scale not in RESIDUAL_SCALES:
             raise ValueError(f"nodewise_residual_scale must be one of {RESIDUAL_SCALES}")
         if self.scheme.startswith("top_L"):
-            L = self.L if self.L is not None else self.spec.K
-            if not 1 <= L <= self.spec.d:
-                raise ValueError("L must lie in [1, d]")
-            if self.sparsity_mode == "known" and L < self.spec.K:
-                raise ValueError("top-L schemes need L >= K under known sparsity")
+            _check_L(self.resolved_L(), self.spec, self.sparsity_mode == "known")
 
     def resolved_L(self) -> int:
         return self.L if self.L is not None else self.spec.K
@@ -254,14 +259,6 @@ def f_measure(S_hat, S) -> tuple[float, float, float]:
     return f, prec, rec
 
 
-def oracle_ls(shards: list[DataShard], support) -> np.ndarray:
-    """Pooled least squares restricted to the true support, via Gram fusion."""
-    support = np.asarray(support, dtype=np.int64)
-    d = shards[0].X.shape[1]
-    msgs = [protocol.round2_gram(s, support) for s in shards]
-    return fusion.centralized_ls(msgs, support, d)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-design experiment state
 
@@ -301,9 +298,9 @@ class PointState:
     omegas: list[SparseRows]
     grams: list[np.ndarray] | None
     oracle_gram: np.ndarray
+    L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
     value: float | int | None = None
     axis: str | None = None
-    L: int | None = None
 
 
 def build_design(
@@ -317,16 +314,11 @@ def build_design(
     n_cal = spec.n if n_cal is None else n_cal
     m_cal = spec.M if m_cal is None else m_cal
     lam_omega = config.lam_omega(n_cal)
-    shards = sample_shards(spec.with_(M=m_cal), rep=rep, n=n_cal)
+    X = sample_shards(spec.with_(M=m_cal), rep=rep, n=n_cal)
     keep_gram = m_cal * spec.d * spec.d * 8 <= GRAM_CACHE_BYTES
-    X = np.empty((m_cal, n_cal, spec.d))
     c_diags = np.empty((m_cal, spec.d))
     omegas, grams = [], [] if keep_gram else None
     for m in range(m_cal):
-        # Each shard moves into the stacked array and its own copy is
-        # dropped at once, so the designs are never held twice.
-        X[m] = shards[m].X
-        shards[m] = None
         G = empirical_covariance(X[m])
         est = estimate_precision(
             X[m], lam_omega, residual_scale=config.nodewise_residual_scale, gram=G
@@ -409,7 +401,7 @@ def materialize(
         omegas=omegas,
         grams=grams,
         oracle_gram=oracle_gram,
-        L=L if L is not None else (config.L if config.scheme.startswith("top_L") else None),
+        L=L if L is not None else config.resolved_L(),
     )
 
 
@@ -422,11 +414,7 @@ def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], np.ndarray]:
     spec = design.spec
     n, M, sigma = point.n, point.M, point.sigma
     X = design.X[:M, :n]
-    W = np.empty((M, design.n_cal))
-    for m in range(M):
-        # A full-length draw: grid points at smaller n share noise prefixes.
-        stream(spec.base_seed, TAG_NOISE, rep, m).standard_normal(out=W[m])
-    Y = X @ point.theta_star + sigma * W[:, :n]
+    Y = sample_responses(X, point.theta_star, sigma, spec.base_seed, rep)
     theta_t = np.empty((M, spec.d))
     solver = []
     if point.grams is not None:
@@ -462,17 +450,15 @@ def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], np.ndarray]:
 _ROUND1_RULE = {"bnm21": "thresh_votes"}
 
 
-def _round1_messages(rule: str, config: ExperimentConfig, point: PointState, fits):
+def _round1_messages(rule: str, point: PointState, fits):
     if rule == "thresh_votes":
         return [protocol.round1_thresh_votes(f, point.tau) for f in fits]
     if rule == "thresh_signs":
         return [protocol.round1_thresh_signs(f, point.tau) for f in fits]
     if rule == "top_L_votes":
-        L = point.L if point.L is not None else config.resolved_L()
-        return [protocol.round1_top_L(f, L, signed=False) for f in fits]
+        return [protocol.round1_top_L(f, point.L, signed=False) for f in fits]
     if rule == "top_L_signs":
-        L = point.L if point.L is not None else config.resolved_L()
-        return [protocol.round1_top_L(f, L, signed=True) for f in fits]
+        return [protocol.round1_top_L(f, point.L, signed=True) for f in fits]
     if rule == "avg_deblasso":
         return [protocol.round1_dense(f) for f in fits]
     raise ValueError(f"unknown scheme {rule!r}")
@@ -545,7 +531,7 @@ class _RepMemo:
 
         def compute():
             d = self.config.spec.d
-            msgs = _round1_messages(rule, self.config, self.point, self.fits)
+            msgs = _round1_messages(rule, self.point, self.fits)
             bits = [protocol.bit_cost(m, d) for m in msgs]
             if rule == "avg_deblasso":
                 return msgs, bits, None
@@ -768,23 +754,24 @@ def run_sweep(
 def check_grid(config: ExperimentConfig, sweep_axis: str, grid: list, schemes: list[str]) -> None:
     """Raise ValueError unless every grid value of the swept axis gives a
     valid run of every scheme in ``schemes``: n, M and r through
-    ``ProblemSpec``, n, M and L whole numbers, and L in [1, d] and, when a
-    top-L scheme runs under known sparsity, at least K, as ``ExperimentConfig``
-    requires of its own L."""
+    ``ProblemSpec``, n, M and L whole numbers, and the L of the top-L schemes
+    (each grid value on an L sweep, else ``config.resolved_L()``) in [1, d]
+    and, under known sparsity, at least K, as ``ExperimentConfig`` requires
+    of the L of its own scheme."""
     spec = config.spec
     if sweep_axis not in SWEEP_AXES:
         raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
     if not grid:
         raise ValueError("grid must be nonempty")
-    top_l_known = config.sparsity_mode == "known" and any(s.startswith("top_L") for s in schemes)
+    top_l = any(s.startswith("top_L") for s in schemes)
+    known = config.sparsity_mode == "known" and top_l
+    if top_l and sweep_axis != "L":
+        _check_L(config.resolved_L(), spec, known)
     for value in grid:
         if sweep_axis != "r" and not float(value).is_integer():
             raise ValueError(f"{sweep_axis} grid values must be whole numbers")
         if sweep_axis == "L":
-            if not 1 <= value <= spec.d:
-                raise ValueError("L must lie in [1, d]")
-            if top_l_known and value < spec.K:
-                raise ValueError("top-L schemes need L >= K under known sparsity")
+            _check_L(value, spec, known)
         else:
             spec.with_(**{sweep_axis: value})
 

@@ -1,9 +1,12 @@
 """Machine-side message construction and bit-exact communication accounting.
 
 Bit model: an index in [d] costs ceil(log2 d) bits, a sign 1 bit, a real 64
-bits. Set-cardinality headers are excluded from the model count (the wire
-format below does carry an explicit count field; the ledger reports both
-model bits and wire bytes).
+bits. Set-cardinality headers are excluded from the model count; the wire
+format below does carry an explicit count field, and a message's wire bytes
+are ``len(encode_message(msg))``.
+
+Round-two messages are built from one machine's ``DataShard``, its rows of
+the stacked design with its responses.
 
 Wire format (little-endian): 1-byte payload tag, 4-byte machine id, 4-byte
 count, then the payload: indices as uint32, signs packed one bit each
@@ -13,7 +16,7 @@ count, then the payload: indices as uint32, signs packed one bit each
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -253,43 +256,3 @@ def decode_message(buf: bytes) -> Message:
     off += 8 * count * count
     xty = np.frombuffer(buf, dtype="<f8", count=count, offset=off).copy()
     return Message(machine_id, GramSummary(idx, gram, xty))
-
-
-def wire_bytes(msg: Message) -> int:
-    return len(encode_message(msg))
-
-
-@dataclass
-class CommLedger:
-    """Bit-exact account of every message, keyed by (machine, round)."""
-
-    entries: dict = field(default_factory=dict)
-
-    def record(self, msg: Message, round_no: int, d: int) -> int:
-        bits = bit_cost(msg, d)
-        key = (msg.machine_id, round_no)
-        payload_bits, count, nbytes = self.entries.get(key, (0, 0, 0))
-        self.entries[key] = (payload_bits + bits, count + 1, nbytes + wire_bytes(msg))
-        return bits
-
-    def total_bits(self, round_no: int | None = None) -> int:
-        return sum(
-            bits
-            for (_, rnd), (bits, _, _) in self.entries.items()
-            if round_no is None or rnd == round_no
-        )
-
-    def total_wire_bytes(self, round_no: int | None = None) -> int:
-        return sum(
-            nb
-            for (_, rnd), (_, _, nb) in self.entries.items()
-            if round_no is None or rnd == round_no
-        )
-
-    def machine_bits(self, round_no: int) -> dict[int, int]:
-        return {
-            mid: bits for (mid, rnd), (bits, _, _) in self.entries.items() if rnd == round_no
-        }
-
-    def message_count(self) -> int:
-        return sum(cnt for (_, _), (_, cnt, _) in self.entries.items())

@@ -1,13 +1,16 @@
-"""Serialization of shards, ground truth and experiment records.
+"""Writers of shards, ground truth and experiment records, and the JSONL
+reader of the records.
 
-Binary container: NumPy ``.npz`` archives with documented keys.
+Binary container: NumPy ``.npz`` archives with documented keys, readable
+with ``np.load``.
 
 * Shard bundle: ``X_<m>`` and ``y_<m>`` per machine, ``machine_ids``, plus
   (when a ground truth is attached) ``theta_star``, ``support``,
   ``theta_min``, ``c_omega``, and a ``meta`` JSON string with the generating
   configuration.
 
-CSV: one file per shard, header ``x_1,...,x_d,y``, one row per sample.
+CSV: one file per shard, header ``x_1,...,x_d,y``, one row per sample,
+readable with ``np.loadtxt(path, delimiter=",", skiprows=1)``.
 """
 
 from __future__ import annotations
@@ -45,25 +48,6 @@ def save_shards(
     np.savez_compressed(path, **arrays)
 
 
-def load_shards(path) -> tuple[list[DataShard], GroundTruth | None, dict | None]:
-    with np.load(path, allow_pickle=False) as data:
-        ids = data["machine_ids"]
-        shards = []
-        for m in ids:
-            y = data[f"y_{m}"] if f"y_{m}" in data else None
-            shards.append(DataShard(machine_id=int(m), X=data[f"X_{m}"], y=y))
-        truth = None
-        if "theta_star" in data:
-            truth = GroundTruth(
-                theta_star=data["theta_star"],
-                support=data["support"],
-                theta_min=float(data["theta_min"]),
-                c_omega=float(data["c_omega"]) if "c_omega" in data else None,
-            )
-        meta = json.loads(str(data["meta"])) if "meta" in data else None
-    return shards, truth, meta
-
-
 def shard_to_csv(shard: DataShard, path) -> None:
     d = shard.X.shape[1]
     if shard.y is None:
@@ -73,11 +57,6 @@ def shard_to_csv(shard: DataShard, path) -> None:
         writer.writerow([f"x_{j}" for j in range(1, d + 1)] + ["y"])
         for row, yi in zip(shard.X, shard.y):
             writer.writerow([repr(float(v)) for v in row] + [repr(float(yi))])
-
-
-def shard_from_csv(path, machine_id: int = 0) -> DataShard:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return DataShard(machine_id=machine_id, X=rows[:, :-1], y=rows[:, -1])
 
 
 def dump_jsonl(path, records: list[dict]) -> None:

@@ -1,38 +1,15 @@
-"""Executable closed-form bounds: Gaussian and binomial tails, the bias
-envelope of the debiased estimator, worst-case CDF approximation error, and
-the machine-count ranges under which voting recovers the support.
+"""Closed-form regime calculators: the machine-count ranges and SNR floors
+under which thresholded voting recovers the support (Theorems 2 and 3), as
+``votelasso theory`` prints them.
 
-Several constants in these bounds are never pinned down numerically by the
-underlying theory; ``TheoryConstants`` carries user-supplied values with
-illustrative defaults (see the docstring there). Infeasibility of a regime
-is reported, never raised, so sweep tooling can chart feasible regions.
+Infeasibility of a regime is reported, never raised, so sweep tooling can
+chart feasible regions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-
-
-@dataclass(frozen=True)
-class TheoryConstants:
-    """User-supplied constants for the non-explicit bounds.
-
-    Defaults are illustrative only: C_bias = rho = 1, exponents 0.25, and
-    K_omega = 2 (the AR(1) precision matrix is tridiagonal, so each row has
-    two off-diagonal nonzeros). All overridable.
-    """
-
-    C_bias: float = 1.0
-    rho: float = 1.0
-    K_omega: int = 2
-    c_star: float = 0.25
-    c_small: float = 0.25
-
-    def __post_init__(self):
-        for name, value in asdict(self).items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -43,93 +20,10 @@ class RegimeReport:
     m_lower: float
     m_upper: float
     feasible: bool
-    epsilon_tau: float
-    delta_R: float | None = None
+    epsilon: float
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def gaussian_tail_bounds(t: float) -> tuple[float, float]:
-    """Two-sided envelope of the standard Gaussian upper tail at t > 0:
-
-    t/(sqrt(2 pi)(t^2+1)) e^{-t^2/2}  <=  1 - Phi(t)  <=  1/(sqrt(2 pi) t) e^{-t^2/2}
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    core = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    return t * core / (t * t + 1.0), core / t
-
-
-def binomial_tail_bound(M: int, p: float, a: float) -> float:
-    """Chernoff-type bound on Pr(Bin(M, p) > M a) for 0 < p <= a < 1:
-    exp(M * F(a, p)) with F(a, p) = a ln(p/a) + (1-a) ln((1-p)/(1-a))."""
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0, 1)")
-    if a < p:
-        raise ValueError("bound requires a >= p")
-    if a >= 1:
-        raise ValueError("a must be strictly below 1")
-    F = a * math.log(p / a) + (1.0 - a) * math.log((1.0 - p) / (1.0 - a))
-    return math.exp(M * F)
-
-
-def delta_R_bound(consts: TheoryConstants, sigma: float, d: int, n: int, K: int) -> float:
-    """Envelope of the debiasing remainder:
-    C sigma (ln d / sqrt(n)) (rho sqrt(K) + min(K, K_omega))."""
-    if min(sigma, d, n, K) <= 0:
-        raise ValueError("all arguments must be positive")
-    return (
-        consts.C_bias
-        * sigma
-        * (math.log(d) / math.sqrt(n))
-        * (consts.rho * math.sqrt(K) + min(K, consts.K_omega))
-    )
-
-
-def vartheta(theta_star_k: float, n: int, sigma: float, sandwich_diag_kk: float) -> float:
-    """Normalized signal of one coordinate: sqrt(n) theta*_k / (sigma sqrt(c_kk))."""
-    if sigma <= 0 or sandwich_diag_kk <= 0:
-        raise ValueError("sigma and the sandwich diagonal must be positive")
-    return math.sqrt(n) * theta_star_k / (sigma * math.sqrt(sandwich_diag_kk))
-
-
-def _phi(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def epsilon_tau(
-    consts: TheoryConstants,
-    sigma: float,
-    d: int,
-    n: int,
-    K: int,
-    tau: float,
-    sandwich_diag_min: float,
-    vartheta_values,
-) -> float:
-    """Worst-case Gaussian-CDF approximation error of the standardized
-    estimator at threshold tau, maximized over the supplied normalized
-    signals (0 must be included to cover non-support coordinates):
-
-    max_k delta_R phi(tau - vartheta_k) / (sigma sqrt(c_min))
-        + 2 d e^{-c* n / K} + d e^{-c n} + 6 / d^2
-    """
-    if sandwich_diag_min <= 0:
-        raise ValueError("sandwich_diag_min must be positive")
-    values = list(vartheta_values)
-    if not values:
-        raise ValueError("vartheta_values must be nonempty")
-    dr = delta_R_bound(consts, sigma, d, n, K)
-    peak = max(_phi(tau - v) for v in values)
-    tails = (
-        2.0 * d * math.exp(-consts.c_star * n / K)
-        + d * math.exp(-consts.c_small * n)
-        + 6.0 / d**2
-    )
-    return dr * peak / (sigma * math.sqrt(sandwich_diag_min)) + tails
 
 
 def thm2_constant(r: float, d: int) -> float:
@@ -158,7 +52,7 @@ def thm2_regime(d: int, r: float, eps: float) -> RegimeReport:
         m_lower=m_lower,
         m_upper=m_upper,
         feasible=feasible,
-        epsilon_tau=eps,
+        epsilon=eps,
     )
 
 
@@ -180,15 +74,5 @@ def thm3_regime(d: int, r: float, eps: float) -> RegimeReport:
         m_lower=m_lower,
         m_upper=m_upper,
         feasible=feasible,
-        epsilon_tau=eps,
+        epsilon=eps,
     )
-
-
-def lemma2_condition(p_min: float, d: int, M: int) -> bool:
-    """Support coordinates are sent often enough: p_min >= 8 ln d / M."""
-    return p_min >= 8.0 * math.log(d) / M
-
-
-def lemma3_condition(p_max_nonsupport: float, M: int) -> bool:
-    """Non-support coordinates are sent rarely enough: p <= 1 / M."""
-    return p_max_nonsupport <= 1.0 / M

@@ -205,20 +205,6 @@ def loop_aggregate(values, support, d):
     return theta
 
 
-def gaussian_upper_tail(t):
-    """Phi^c(t) through the complementary error function."""
-    return 0.5 * math.erfc(t / math.sqrt(2.0))
-
-
-def exact_binomial_upper_tail(M, p, threshold):
-    """Pr(Bin(M, p) > threshold) by direct summation."""
-    total = 0.0
-    for k in range(M + 1):
-        if k > threshold:
-            total += math.comb(M, k) * p**k * (1 - p) ** (M - k)
-    return total
-
-
 # Active-set coordinate descent in its plainest form: NumPy scalars, the
 # KKT residual on every pass, no early stop. It is the bitwise reference
 # for ``_kernels.cd_gram`` and ``_kernels.cd_residual``, which must return

@@ -5,47 +5,65 @@ import pytest
 
 from votelasso.cli import main
 from votelasso.datagen import ProblemSpec
-from votelasso.harness import ExperimentConfig, build_design, materialize
-from votelasso.serialize import load_shards
+from votelasso.harness import ExperimentConfig, _rep_fits, build_design, materialize
 
 
 COMMON = ["--d", "40", "--n", "30", "--machines", "4", "--k", "2", "--r", "0.8", "--seed", "3"]
+
+
+def _bundle(path):
+    """The generate bundle's arrays, read with plain np.load."""
+    with np.load(path / "shards.npz", allow_pickle=False) as data:
+        return {key: data[key] for key in data.files}
 
 
 class TestGenerate:
     def test_writes_bundle_and_csv(self, tmp_path, capsys):
         rc = main(["generate", *COMMON, "--out", str(tmp_path), "--csv"])
         assert rc == 0
-        shards, truth, meta = load_shards(tmp_path / "shards.npz")
-        assert len(shards) == 4
-        assert shards[0].X.shape == (30, 40)
-        assert truth.support.size == 2
-        assert truth.c_omega is not None and truth.c_omega > 0
-        assert meta["d"] == 40
+        data = _bundle(tmp_path)
+        assert np.array_equal(data["machine_ids"], np.arange(4))
+        assert data["X_0"].shape == (30, 40) and data["y_3"].shape == (30,)
+        assert data["support"].size == 2
+        assert float(data["c_omega"]) > 0 and float(data["theta_min"]) > 0
+        assert json.loads(str(data["meta"]))["d"] == 40
         csvs = sorted(tmp_path.glob("shard_*.csv"))
         assert len(csvs) == 4
         header = csvs[0].read_text().splitlines()[0]
         assert header.startswith("x_1,") and header.endswith(",y")
+        rows = np.loadtxt(csvs[3], delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(rows[:, :-1], data["X_3"])
+        assert np.array_equal(rows[:, -1], data["y_3"])
 
     def test_deterministic(self, tmp_path):
         main(["generate", *COMMON, "--out", str(tmp_path / "a")])
         main(["generate", *COMMON, "--out", str(tmp_path / "b")])
-        sa, ta, _ = load_shards(tmp_path / "a" / "shards.npz")
-        sb, tb, _ = load_shards(tmp_path / "b" / "shards.npz")
-        assert np.array_equal(sa[0].y, sb[0].y)
-        assert np.array_equal(ta.theta_star, tb.theta_star)
+        a, b = _bundle(tmp_path / "a"), _bundle(tmp_path / "b")
+        assert np.array_equal(a["y_0"], b["y_0"])
+        assert np.array_equal(a["theta_star"], b["theta_star"])
 
     def test_truth_matches_harness_calibration(self, tmp_path):
         main(["generate", *COMMON, "--out", str(tmp_path)])
-        shards, truth, _ = load_shards(tmp_path / "shards.npz")
+        data = _bundle(tmp_path)
         cfg = ExperimentConfig(spec=ProblemSpec(d=40, K=2, M=4, n=30, r=0.8, base_seed=3))
         design = build_design(cfg)
         point = materialize(design, cfg)
-        assert np.array_equal(truth.theta_star, point.theta_star)
-        assert np.array_equal(truth.support, design.support)
-        assert truth.c_omega == design.c_omega
-        for shard, X in zip(shards, design.X):
-            assert np.array_equal(shard.X, X)
+        assert np.array_equal(data["theta_star"], point.theta_star)
+        assert np.array_equal(data["support"], design.support)
+        assert float(data["c_omega"]) == design.c_omega
+        for m, X in enumerate(design.X):
+            assert np.array_equal(data[f"X_{m}"], X)
+
+    def test_responses_are_the_harness_replication_zero(self, tmp_path):
+        # generate and the replications share one response generator: the
+        # bundle's y_<m> are replication 0's responses bit for bit.
+        main(["generate", *COMMON, "--out", str(tmp_path)])
+        data = _bundle(tmp_path)
+        cfg = ExperimentConfig(spec=ProblemSpec(d=40, K=2, M=4, n=30, r=0.8, base_seed=3))
+        _, ys = _rep_fits(materialize(build_design(cfg), cfg), 0)
+        for m in range(4):
+            y = data[f"y_{m}"]
+            assert y.dtype == ys.dtype and y.tobytes() == ys[m].tobytes()
 
 
 class TestRun:
@@ -123,6 +141,24 @@ class TestRun:
         with pytest.raises(SystemExit, match="redraw_design"):
             main(["run", *COMMON, "--config", str(cfg), "--out", str(tmp_path / "bad")])
 
+
+    @pytest.mark.parametrize(
+        "scheme, l, message",
+        [
+            ("thresh_votes,top_L_votes", "1", "top-L schemes need L >= K under known sparsity"),
+            ("top_L_votes", "1", "top-L schemes need L >= K under known sparsity"),
+            ("thresh_votes,top_L_signs", "0", "L must lie in"),
+            ("bnm21,top_L_votes", "500", "L must lie in"),
+        ],
+    )
+    def test_bad_L_of_any_top_L_scheme_exits_with_one_line(self, tmp_path, scheme, l, message):
+        # A top-L scheme listed after another one is held to the same L rule.
+        argv = ["run", "--d", "40", "--n", "30", "--machines", "2", "--k", "2", "--reps", "1",
+                "--scheme", scheme, "--l", l, "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit, match=f"bad run configuration: {message}") as exc:
+            main(argv)
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "flags, file_text, message",
@@ -259,7 +295,7 @@ class TestTheory:
     def test_reports_no_unused_constants(self, capsys):
         main(["theory", "--d", "100", "--r", "0.5"])
         payload = json.loads(capsys.readouterr().out)
-        assert "constants" not in payload and "note" not in payload
+        assert set(payload) == {"snr_floor", "m_lower", "m_upper", "feasible", "epsilon", "theorem"}
         with pytest.raises(SystemExit):
             main(["theory", "--d", "100", "--r", "0.5", "--kappa", "8"])
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from votelasso.datagen import (
+    TAG_NOISE,
     ProblemSpec,
     ar1_cholesky,
     compute_c_omega,
@@ -62,34 +63,41 @@ class TestAr1Cholesky:
 
 
 class TestSampleShards:
+    def test_one_stacked_array(self):
+        spec = _spec()
+        X = sample_shards(spec)
+        assert X.shape == (spec.M, spec.n, spec.d) and X.dtype == np.float64
+        assert X.flags.c_contiguous
+
     def test_deterministic(self):
         spec = _spec()
-        a = sample_shards(spec)
-        b = sample_shards(spec)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.X, sb.X)
+        assert np.array_equal(sample_shards(spec), sample_shards(spec))
 
     def test_machines_differ(self):
-        shards = sample_shards(_spec(M=2))
-        assert not np.array_equal(shards[0].X, shards[1].X)
+        X = sample_shards(_spec(M=2))
+        assert not np.array_equal(X[0], X[1])
+
+    def test_machine_slab_is_its_own_stream(self):
+        # Machine m's rows depend only on (base_seed, rep, m), not on M.
+        spec = _spec()
+        assert np.array_equal(sample_shards(spec.with_(M=2))[1], sample_shards(spec)[1])
 
     def test_row_prefix_consistency_across_n(self):
         # Larger draws extend smaller ones row-for-row (needed by n-sweeps).
         spec = _spec()
         small = sample_shards(spec, n=20)
         large = sample_shards(spec, n=50)
-        assert np.array_equal(large[0].X[:20], small[0].X)
+        assert np.array_equal(large[:, :20], small)
 
     def test_column_means_near_zero(self):
         spec = _spec(d=5, M=10, n=10_000, corr_decay=0.0)
-        shards = sample_shards(spec)
-        pooled = np.vstack([s.X for s in shards])
+        pooled = sample_shards(spec).reshape(-1, spec.d)
         se = 1.0 / math.sqrt(pooled.shape[0])
         assert np.abs(pooled.mean(axis=0)).max() <= 4 * se
 
     def test_pooled_covariance_converges(self):
         spec = _spec(d=10, M=10, n=10_000)
-        pooled = np.vstack([s.X for s in sample_shards(spec)])
+        pooled = sample_shards(spec).reshape(-1, spec.d)
         emp = pooled.T @ pooled / pooled.shape[0]
         idx = np.arange(10)
         Sigma = 0.5 ** np.abs(idx[:, None] - idx[None, :])
@@ -146,33 +154,55 @@ class TestThetaMinFromSnr:
 class TestSampleResponses:
     def test_noiseless_limit(self):
         spec = _spec()
-        shards = sample_shards(spec)
+        X = sample_shards(spec)
         truth = make_theta_star(spec, 0.5)
-        filled = sample_responses(shards, truth.theta_star, 1e-12, spec.base_seed)
-        for s in filled:
-            assert np.abs(s.y - s.X @ truth.theta_star).max() <= 1e-9
+        Y = sample_responses(X, truth.theta_star, 1e-12, spec.base_seed)
+        assert Y.shape == (spec.M, spec.n)
+        assert np.abs(Y - X @ truth.theta_star).max() <= 1e-9
 
     def test_noise_variance(self):
         spec = _spec(d=2, K=1, M=10, n=10_000)
-        shards = sample_shards(spec)
-        filled = sample_responses(shards, np.zeros(2), 1.7, spec.base_seed)
-        pooled = np.concatenate([s.y for s in filled])
-        assert abs(pooled.var() / 1.7**2 - 1.0) <= 0.05
+        Y = sample_responses(sample_shards(spec), np.zeros(2), 1.7, spec.base_seed)
+        assert abs(Y.var() / 1.7**2 - 1.0) <= 0.05
 
     def test_deterministic(self):
         spec = _spec()
-        shards = sample_shards(spec)
-        a = sample_responses(shards, np.zeros(spec.d), 1.0, spec.base_seed)
-        b = sample_responses(shards, np.zeros(spec.d), 1.0, spec.base_seed)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.y, sb.y)
+        X = sample_shards(spec)
+        a = sample_responses(X, np.zeros(spec.d), 1.0, spec.base_seed)
+        b = sample_responses(X, np.zeros(spec.d), 1.0, spec.base_seed)
+        assert np.array_equal(a, b)
 
     def test_rep_streams_differ(self):
         spec = _spec()
-        shards = sample_shards(spec)
-        a = sample_responses(shards, np.zeros(spec.d), 1.0, spec.base_seed, rep=0)
-        b = sample_responses(shards, np.zeros(spec.d), 1.0, spec.base_seed, rep=1)
-        assert not np.array_equal(a[0].y, b[0].y)
+        X = sample_shards(spec)
+        a = sample_responses(X, np.zeros(spec.d), 1.0, spec.base_seed, rep=0)
+        b = sample_responses(X, np.zeros(spec.d), 1.0, spec.base_seed, rep=1)
+        assert not np.array_equal(a[0], b[0])
+
+    def test_each_machine_uses_its_own_noise_stream(self):
+        spec = _spec()
+        X = sample_shards(spec)
+        theta = make_theta_star(spec, 0.5).theta_star
+        Y = sample_responses(X, theta, 0.7, spec.base_seed, rep=3)
+        for m in range(spec.M):
+            w = stream(spec.base_seed, TAG_NOISE, 3, m).standard_normal(spec.n)
+            assert np.array_equal(Y[m], X[m] @ theta + 0.7 * w)
+
+    @pytest.mark.parametrize("n, n_cal", [(60, 100), (80, 100), (1, 7), (33, 250)])
+    def test_short_draw_is_prefix_of_calibrated_draw(self, n, n_cal):
+        # Grid points below n_cal take the first n rows of the calibrated
+        # design; their noise must be the first n values of the n_cal draw.
+        # theta* = 0 makes each response exactly sigma times the noise.
+        spec = _spec(n=n_cal)
+        X = sample_shards(spec)
+        full = sample_responses(X, np.zeros(spec.d), 1.3, spec.base_seed, rep=2)
+        short = sample_responses(X[:, :n], np.zeros(spec.d), 1.3, spec.base_seed, rep=2)
+        assert np.array_equal(short, full[:, :n])
+
+    def test_nonpositive_sigma_rejected(self):
+        spec = _spec()
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            sample_responses(sample_shards(spec), np.zeros(spec.d), 0.0, spec.base_seed)
 
 
 class TestComputeCOmega:

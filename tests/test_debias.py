@@ -109,7 +109,7 @@ class TestEstimatePrecision:
 
     def test_rows_match_fista_nodewise_fits(self):
         spec = ProblemSpec(d=60, K=2, M=1, n=100, r=0.8, base_seed=4)
-        X = sample_shards(spec)[0].X
+        X = sample_shards(spec)[0]
         lam = 2.0 * math.sqrt(math.log(60) / 100)
         gamma = _nodewise_coefficients(estimate_precision(X, lam))
         assert np.count_nonzero(gamma) > 60  # the nodewise fits are not trivial
@@ -120,7 +120,7 @@ class TestEstimatePrecision:
     @pytest.mark.parametrize("residual_scale", ["n", "2n"])
     def test_rows_equal_dense_layout_bit_for_bit(self, residual_scale):
         spec = ProblemSpec(d=120, K=2, M=1, n=80, r=0.8, base_seed=6)
-        X = sample_shards(spec)[0].X
+        X = sample_shards(spec)[0]
         lam = math.sqrt(math.log(120) / 80)
         est = estimate_precision(X, lam, residual_scale=residual_scale)
         omega, tau_sq = dense_precision(X, lam, residual_scale=residual_scale)
@@ -130,7 +130,7 @@ class TestEstimatePrecision:
 
     def test_rows_store_sorted_nonzeros_only(self):
         spec = ProblemSpec(d=90, K=2, M=1, n=60, r=0.8, base_seed=2)
-        X = sample_shards(spec)[0].X
+        X = sample_shards(spec)[0]
         rows = estimate_precision(X, 0.15).omega_hat
         assert rows.indptr[0] == 0 and rows.indptr[-1] == rows.data.size == rows.indices.size
         assert (rows.data != 0).all()
@@ -192,7 +192,7 @@ class TestDebias:
 
     def test_matches_dense_matvec_on_nodewise_rows(self):
         spec = ProblemSpec(d=100, K=2, M=1, n=70, r=0.8, base_seed=9)
-        X = sample_shards(spec)[0].X
+        X = sample_shards(spec)[0]
         rng = np.random.default_rng(3)
         y = rng.standard_normal(70)
         est = estimate_precision(X, 0.2)
@@ -239,7 +239,7 @@ class TestStandardize:
     @pytest.mark.parametrize("d, n, seed", [(60, 40, 1), (150, 100, 4), (200, 250, 7)])
     def test_sandwich_matches_dense_product(self, d, n, seed):
         spec = ProblemSpec(d=d, K=2, M=1, n=n, r=0.8, base_seed=seed)
-        X = sample_shards(spec)[0].X
+        X = sample_shards(spec)[0]
         est = estimate_precision(X, 2.0 * math.sqrt(math.log(d) / n))
         omega = dense_rows(est.omega_hat)
         G = empirical_covariance(X)
@@ -250,12 +250,12 @@ class TestStandardize:
 class TestLocalFit:
     def _shard(self, rng, n=80, d=10, sigma=1e-6, theta=None):
         spec = ProblemSpec(d=d, K=2, M=1, n=n, r=0.5, base_seed=3)
-        shard = sample_shards(spec)[0]
+        X = sample_shards(spec)[0]
         if theta is None:
             theta = np.zeros(d)
             theta[[2, 7]] = [1.5, -2.0]
-        y = shard.X @ theta + sigma * rng.standard_normal(n)
-        return DataShard(machine_id=0, X=shard.X, y=y), theta
+        y = X @ theta + sigma * rng.standard_normal(n)
+        return DataShard(machine_id=0, X=X, y=y), theta
 
     def test_noiseless_signs_recovered(self, rng):
         shard, theta = self._shard(rng)
@@ -280,7 +280,7 @@ class TestLocalFit:
         # theta* = 0: the fraction of |xi| above 1.96 should sit near 5%.
         n, d, reps = 200, 50, 120
         spec = ProblemSpec(d=d, K=1, M=1, n=n, r=0.5, base_seed=11)
-        X = sample_shards(spec)[0].X
+        X = sample_shards(spec)[0]
         lam_omega = 2.0 * math.sqrt(math.log(d) / n)
         lam = math.sqrt(2.0 * math.log(d) / n)
         est = estimate_precision(X, lam_omega)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from votelasso import fusion, protocol
-from votelasso.datagen import ProblemSpec, sample_shards, sample_responses, make_theta_star
+from votelasso.datagen import ProblemSpec, make_theta_star, sample_responses, sample_shards
 from votelasso.debias import debias, estimate_precision, sandwich_diag, standardize
 from votelasso.harness import (
     SCHEMES,
@@ -15,9 +15,9 @@ from votelasso.harness import (
     _oracle_error,
     _rep_fits,
     build_design,
+    check_grid,
     f_measure,
     materialize,
-    oracle_ls,
     run_point_rep,
     run_replication,
     run_sweep,
@@ -68,33 +68,39 @@ class TestFMeasure:
 
 
 class TestOracleLs:
+    """The oracle of ``_oracle_error``: pooled least squares on the true support."""
+
+    @staticmethod
+    def _point(M):
+        cfg = _config(d=20, K=2, M=M, n=30)
+        return materialize(build_design(cfg), cfg)
+
+    @staticmethod
+    def _error(point, beta):
+        theta = np.zeros(point.design.spec.d)
+        theta[point.design.support] = beta
+        return float(np.linalg.norm(theta - point.theta_star))
+
     def test_noiseless_exact(self):
-        spec = ProblemSpec(d=20, K=2, M=3, n=30, r=0.5, base_seed=2)
-        shards = sample_shards(spec)
-        truth = make_theta_star(spec, 0.7)
-        shards = sample_responses(shards, truth.theta_star, 1e-12, spec.base_seed)
-        theta = oracle_ls(shards, truth.support)
-        assert np.abs(theta - truth.theta_star).max() <= 1e-9
+        point = self._point(M=3)
+        X = point.design.X[: point.M, : point.n]
+        ys = sample_responses(X, point.theta_star, 1e-12, point.design.spec.base_seed)
+        assert _oracle_error(point, ys) <= 1e-9
 
-    def test_matches_stacked_ols(self, rng):
-        spec = ProblemSpec(d=15, K=2, M=4, n=20, r=0.5, base_seed=3)
-        shards = sample_shards(spec)
-        truth = make_theta_star(spec, 0.5)
-        shards = sample_responses(shards, truth.theta_star, 1.0, spec.base_seed)
-        theta = oracle_ls(shards, truth.support)
-        X_all = np.vstack([s.X for s in shards])
-        y_all = np.concatenate([s.y for s in shards])
-        beta = restricted_ols(X_all[:, truth.support], y_all)
-        assert np.abs(theta[truth.support] - beta).max() <= 1e-8
+    def test_matches_stacked_ols(self):
+        point = self._point(M=4)
+        _, ys = _rep_fits(point, 0)
+        S = point.design.support
+        X_all = point.design.X[: point.M, : point.n].reshape(-1, point.design.spec.d)
+        beta = restricted_ols(X_all[:, S], ys.reshape(-1))
+        assert _oracle_error(point, ys) == pytest.approx(self._error(point, beta), abs=1e-10)
 
-    def test_single_machine_equals_restricted(self, rng):
-        spec = ProblemSpec(d=10, K=2, M=1, n=25, r=0.5, base_seed=4)
-        shards = sample_shards(spec)
-        truth = make_theta_star(spec, 0.5)
-        shards = sample_responses(shards, truth.theta_star, 0.5, spec.base_seed)
-        theta = oracle_ls(shards, truth.support)
-        beta = restricted_ols(shards[0].X[:, truth.support], shards[0].y)
-        assert np.allclose(theta[truth.support], beta)
+    def test_single_machine_equals_restricted(self):
+        point = self._point(M=1)
+        _, ys = _rep_fits(point, 0)
+        X = point.design.X[0][: point.n]
+        beta = restricted_ols(X[:, point.design.support], ys[0])
+        assert _oracle_error(point, ys) == pytest.approx(self._error(point, beta), abs=1e-10)
 
 
 class TestRunReplication:
@@ -417,6 +423,35 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="top-L schemes need L >= K under known sparsity"):
             run_sweep(cfg, "L", [cfg.spec.K, cfg.spec.K - 1], schemes=schemes, design=design)
 
+    @pytest.mark.parametrize(
+        "L, message",
+        [
+            (1, "top-L schemes need L >= K under known sparsity"),
+            (0, "L must lie in"),
+            (500, "L must lie in"),
+        ],
+    )
+    @pytest.mark.parametrize("axis, grid", [("r", [0.8]), ("n", [30, 50]), ("M", [6])])
+    def test_L_of_a_later_top_L_scheme_checked(self, small_design, L, message, axis, grid):
+        # config.scheme is not top-L, so ExperimentConfig does not check L;
+        # the top-L scheme listed second must not run with it either.
+        cfg, design = small_design
+        cfg = cfg.with_(L=L)
+        schemes = ["thresh_votes", "top_L_votes"]
+        with pytest.raises(ValueError, match=message):
+            check_grid(cfg, axis, grid, schemes)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(cfg, axis, grid, schemes=schemes, design=design)
+        check_grid(cfg, axis, grid, ["thresh_votes", "bnm21"])
+
+    def test_point_L_resolves_once(self, small_design):
+        # Every point carries the L its top-L schemes use: the L grid value,
+        # else the configured L, else K.
+        cfg, design = small_design
+        assert materialize(design, cfg).L == cfg.spec.K
+        assert materialize(design, cfg.with_(L=7)).L == 7
+        assert materialize(design, cfg.with_(scheme="top_L_votes", L=7), L=9).L == 9
+
     def test_L_below_K_allowed_under_unknown_sparsity(self, small_design):
         cfg, design = small_design
         cfg = cfg.with_(sparsity_mode="unknown", reps=1)
@@ -541,8 +576,7 @@ class TestStackedRoundOne:
         cfg, design = small_design
         spec = cfg.spec
         assert design.X.shape == (spec.M, spec.n, spec.d) and design.X.flags.c_contiguous
-        for shard, X in zip(sample_shards(spec), design.X):
-            assert np.array_equal(shard.X, X)
+        assert np.array_equal(sample_shards(spec), design.X)
 
     def test_aggregate_round2_equals_sequential_sum(self, rng):
         for _ in range(200):
@@ -565,10 +599,9 @@ class TestScaleInvariance:
         from votelasso.protocol import round1_thresh_votes
 
         spec = ProblemSpec(d=40, K=2, M=1, n=60, r=0.5, base_seed=8)
-        shard = sample_shards(spec)[0]
+        X = sample_shards(spec)[0]
         truth = make_theta_star(spec, 0.6)
-        shard = sample_responses([shard], truth.theta_star, 1.0, spec.base_seed)[0]
-        X = shard.X
+        y = sample_responses(X[None], truth.theta_star, 1.0, spec.base_seed)[0]
         omega = estimate_precision(X, 0.3).omega_hat
         c_diag = sandwich_diag(omega, X)
 
@@ -579,8 +612,8 @@ class TestScaleInvariance:
             return LocalFit(0, None, theta_hat, c_diag, xi)
 
         lam, c = 0.4, 3.7
-        fit1 = fit(shard.y, lam, sigma=1.0)
-        fit2 = fit(c * shard.y, c * lam, sigma=c)
+        fit1 = fit(y, lam, sigma=1.0)
+        fit2 = fit(c * y, c * lam, sigma=c)
         m1 = round1_thresh_votes(fit1, 2.0)
         m2 = round1_thresh_votes(fit2, 2.0)
         assert np.array_equal(m1.payload.indices, m2.payload.indices)

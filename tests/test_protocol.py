@@ -6,7 +6,6 @@ import pytest
 from votelasso.datagen import DataShard
 from votelasso.debias import LocalFit
 from votelasso.protocol import (
-    CommLedger,
     DenseEstimate,
     GramSummary,
     IndexSet,
@@ -25,7 +24,6 @@ from votelasso.protocol import (
     round2_gram,
     round2_restricted,
     snr_tau,
-    wire_bytes,
 )
 from votelasso.fusion import centralized_ls
 from votelasso.lasso import restricted_ols
@@ -227,7 +225,7 @@ class TestWireFormat:
         assert int.from_bytes(raw[1:5], "little") == 258
         assert int.from_bytes(raw[5:9], "little") == 1
         assert int.from_bytes(raw[9:13], "little") == 7
-        assert wire_bytes(msg) == 13
+        assert len(raw) == 13
 
     def test_short_header_rejected(self):
         raw = encode_message(Message(1, IndexSet(np.array([3]))))
@@ -259,27 +257,3 @@ class TestWireFormat:
         raw[0] = 99
         with pytest.raises(ValueError, match="unknown wire tag"):
             decode_message(bytes(raw))
-
-
-class TestCommLedger:
-    def test_totals_equal_sum_of_bit_costs(self, rng):
-        d = 100
-        ledger = CommLedger()
-        msgs = [
-            Message(m, IndexSet(np.sort(rng.choice(d, size=m + 1, replace=False))))
-            for m in range(5)
-        ]
-        expect = 0
-        for m in msgs:
-            expect += bit_cost(m, d)
-            ledger.record(m, round_no=1, d=d)
-        assert ledger.total_bits(1) == expect
-        assert ledger.total_bits() == expect
-        assert ledger.message_count() == 5
-        assert ledger.total_wire_bytes(1) == sum(wire_bytes(m) for m in msgs)
-
-    def test_per_machine_view(self):
-        ledger = CommLedger()
-        ledger.record(Message(0, IndexSet(np.arange(3))), 1, 64)
-        ledger.record(Message(0, IndexSet(np.arange(2))), 1, 64)
-        assert ledger.machine_bits(1) == {0: 5 * index_bits(64)}

@@ -1,153 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
-from votelasso.theory import (
-    RegimeReport,
-    TheoryConstants,
-    binomial_tail_bound,
-    delta_R_bound,
-    epsilon_tau,
-    gaussian_tail_bounds,
-    lemma2_condition,
-    lemma3_condition,
-    thm2_constant,
-    thm2_regime,
-    thm3_regime,
-    vartheta,
-)
-
-from oracles import exact_binomial_upper_tail, gaussian_upper_tail
-
-
-class TestGaussianTailBounds:
-    def test_frozen_values_at_one(self):
-        lower, upper = gaussian_tail_bounds(1.0)
-        assert lower == pytest.approx(0.12099, abs=1e-5)
-        assert upper == pytest.approx(0.24197, abs=1e-5)
-        assert lower <= gaussian_upper_tail(1.0) <= upper
-
-    def test_tight_at_four(self):
-        lower, upper = gaussian_tail_bounds(4.0)
-        truth = gaussian_upper_tail(4.0)
-        assert abs(lower - truth) / truth <= 0.07
-        assert abs(upper - truth) / truth <= 0.07
-
-    def test_sandwich_on_grid(self):
-        for t in np.linspace(0.1, 8.0, 161):
-            lower, upper = gaussian_tail_bounds(float(t))
-            truth = gaussian_upper_tail(float(t))
-            assert lower <= truth <= upper
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_tail_bounds(0.0)
-
-
-class TestBinomialTailBound:
-    def test_degenerate_equality(self):
-        assert binomial_tail_bound(10, 0.3, 0.3) == pytest.approx(1.0)
-
-    def test_frozen_value(self):
-        # F = 0.05 ln(0.2) + 0.95 ln(0.99/0.95); e^{100 F} = 0.0161...
-        assert binomial_tail_bound(100, 0.01, 0.05) == pytest.approx(0.0161, abs=2e-4)
-
-    def test_dominates_exact_tail_small_M(self):
-        for M in range(1, 31):
-            for p in (0.01, 0.1, 0.3, 0.5):
-                for a in (p, 0.5, 0.7, 0.9):
-                    if a < p:
-                        continue
-                    bound = binomial_tail_bound(M, p, a)
-                    exact = exact_binomial_upper_tail(M, p, M * a)
-                    assert bound >= exact - 1e-12
-
-    def test_monte_carlo_cross_check(self):
-        rng = np.random.default_rng(1)
-        draws = rng.binomial(100, 0.01, size=1_000_000)
-        mc = np.mean(draws > 5)
-        bound = binomial_tail_bound(100, 0.01, 0.05)
-        # bound covers Pr(V > M a) up to MC error
-        assert bound >= mc - 3 * math.sqrt(mc * (1 - mc) / draws.size)
-
-    def test_a_below_p_rejected(self):
-        with pytest.raises(ValueError, match="requires a >= p"):
-            binomial_tail_bound(10, 0.5, 0.4)
-
-
-class TestDeltaR:
-    def test_hand_evaluated(self):
-        # At ln d = 1 the formula reads (1/10) * (sqrt(4) + min(4, 2)) = 0.4;
-        # integer d makes ln d = log 3, so scale the hand value accordingly.
-        consts = TheoryConstants(C_bias=1.0, rho=1.0, K_omega=2)
-        val = delta_R_bound(consts, sigma=1.0, d=3, n=100, K=4)
-        assert val == pytest.approx(0.4 * math.log(3))
-
-    def test_min_term_saturates(self):
-        big_komega = TheoryConstants(K_omega=50)
-        small_komega = TheoryConstants(K_omega=2)
-        a = delta_R_bound(big_komega, 1.0, 100, 100, 4)
-        # K_omega >= K: min term equals K
-        assert a == pytest.approx(
-            (math.log(100) / 10.0) * (math.sqrt(4) + 4)
-        )
-        assert delta_R_bound(small_komega, 1.0, 100, 100, 4) < a
-
-    def test_linear_in_sigma(self):
-        consts = TheoryConstants()
-        assert delta_R_bound(consts, 2.0, 100, 100, 3) == pytest.approx(
-            2 * delta_R_bound(consts, 1.0, 100, 100, 3)
-        )
-
-
-class TestVartheta:
-    def test_zero_signal(self):
-        assert vartheta(0.0, 100, 1.0, 1.0) == 0.0
-
-    def test_simple_value(self):
-        assert vartheta(0.3, 100, 1.0, 1.0) == pytest.approx(3.0)
-
-    def test_algebraic_identity_with_theta_min(self):
-        # With theta* = theta_min(d, sigma, r, n, c) and diag = c, the
-        # normalized signal collapses to sqrt(2 r ln d).
-        from votelasso.datagen import theta_min_from_snr
-
-        d, sigma, r, n, c = 800, 1.7, 0.45, 130, 1.9
-        tmin = theta_min_from_snr(d, sigma, r, n, c)
-        assert vartheta(tmin, n, sigma, c) == pytest.approx(math.sqrt(2 * r * math.log(d)))
-
-
-class TestEpsilonTau:
-    def test_residual_term_only(self):
-        # delta_R = 0 via C_bias -> 0 is disallowed; instead zero the phi part
-        # with a huge gap and kill the exponentials with huge n.
-        consts = TheoryConstants(C_bias=1e-300)
-        val = epsilon_tau(consts, 1.0, 100, 10**9, 5, tau=4.0, sandwich_diag_min=1.0, vartheta_values=[0.0])
-        assert val == pytest.approx(6.0 / 100**2)
-
-    def test_frozen_residual_value(self):
-        consts = TheoryConstants(C_bias=1e-300)
-        val = epsilon_tau(consts, 1.0, 100, 10**9, 5, 4.0, 1.0, [0.0])
-        assert val == pytest.approx(6e-4)
-
-    def test_monotone_nonincreasing_in_n(self):
-        consts = TheoryConstants()
-        vals = [
-            epsilon_tau(consts, 1.0, 200, n, 5, 3.0, 1.0, [0.0, 2.0])
-            for n in (100, 200, 400, 800, 1600)
-        ]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_peak_at_vartheta_equal_tau(self):
-        consts = TheoryConstants()
-        near = epsilon_tau(consts, 1.0, 200, 100, 5, 3.0, 1.0, [3.0])
-        far = epsilon_tau(consts, 1.0, 200, 100, 5, 3.0, 1.0, [0.0])
-        assert near > far
-
-    def test_empty_varthetas_rejected(self):
-        with pytest.raises(ValueError):
-            epsilon_tau(TheoryConstants(), 1.0, 100, 100, 5, 3.0, 1.0, [])
+from votelasso.theory import RegimeReport, thm2_constant, thm2_regime, thm3_regime
 
 
 class TestThm2Regime:
@@ -212,14 +67,14 @@ class TestThm3Regime:
         assert not rep.feasible
 
 
-class TestLemmaConditions:
-    def test_lemma2_threshold(self):
-        d, M = 1000, 200
-        edge = 8 * math.log(d) / M
-        assert lemma2_condition(edge, d, M)
-        assert lemma2_condition(edge + 1e-12, d, M)
-        assert not lemma2_condition(edge - 1e-9, d, M)
+class TestVartheta:
+    def test_algebraic_identity_with_theta_min(self):
+        # With theta* = theta_min(d, sigma, r, n, c) and sandwich diagonal c,
+        # the normalized signal vartheta = sqrt(n) theta* / (sigma sqrt(c))
+        # collapses to sqrt(2 r ln d), the threshold of Theorem 3's regime.
+        from votelasso.datagen import theta_min_from_snr
 
-    def test_lemma3_threshold(self):
-        assert lemma3_condition(0.005, 200)
-        assert not lemma3_condition(0.0051, 200)
+        d, sigma, r, n, c = 800, 1.7, 0.45, 130, 1.9
+        tmin = theta_min_from_snr(d, sigma, r, n, c)
+        vartheta = math.sqrt(n) * tmin / (sigma * math.sqrt(c))
+        assert vartheta == pytest.approx(math.sqrt(2 * r * math.log(d)))
