@@ -24,6 +24,13 @@ otherwise. That covers every fit whose working set is empty (a lasso whose
 solution is 0) and KKT violators that cannot move (zero diagonal). The
 floating-point operations and their order are those of a plain scalar
 sweep, so results do not depend on these choices.
+
+One stop does change a result: when a pass moves no coefficient by
+``coef_tol`` or more and every coordinate that can move satisfies the KKT
+conditions, the remaining residual belongs to coordinates held at zero
+(zero diagonal), so no budget could cure it. The solve returns out of
+budget at once instead of spending the rest of ``max_sweeps`` on
+roundoff-sized moves.
 """
 
 from __future__ import annotations
@@ -62,13 +69,16 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
     caps the inner sweeps summed over all outer passes, and every pass
     spends at least one, so the loop always ends. A pass that moves no
     coefficient ends the loop: every later pass would see the same gradient
-    and repeat it until ``max_sweeps``. Returns (sweeps, kkt, converged).
+    and repeat it until ``max_sweeps``. So does a one-sweep pass that moved
+    nothing by ``coef_tol`` or more when the KKT residual comes only from
+    coordinates that are not free. Both report ``max_sweeps``, as a budget
+    run out would. Returns (sweeps, kkt, converged).
     """
     free = diag > 0.0
     if skip >= 0:
         free[skip] = False
     w[~free] = 0.0
-    sweeps, inner_converged = 0, False
+    sweeps, inner_converged, settled = 0, False, False
     while True:
         g = gradient(w.nonzero()[0])
         # Only the first pass starts with an unconverged inner loop and budget
@@ -79,10 +89,14 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
             converged = inner_converged and kkt <= kkt_tol
             if converged or sweeps >= max_sweeps:
                 return sweeps, kkt, converged
+            # Only coordinates held at zero violate KKT, and the working set has
+            # settled: every later pass would make roundoff-sized moves.
+            if settled and kkt_residual(g[free], w[free], lam) <= kkt_tol:
+                return max_sweeps, kkt, False
         A = (free & ((w != 0.0) | (np.abs(g) > lam))).nonzero()[0]
         B = block(A)
         gA, wA, bA = g[A], w[A].tolist(), B.diagonal().tolist()
-        moved, inner_converged = False, False
+        moved, inner_converged, start = False, False, sweeps
         while sweeps < max_sweeps and not inner_converged:
             sweeps += 1
             max_delta = 0.0
@@ -103,6 +117,7 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
                     if abs(delta) > max_delta:
                         max_delta = abs(delta)
             inner_converged = max_delta < coef_tol
+        settled = inner_converged and sweeps == start + 1
         if not moved:
             if kkt is None:
                 kkt = kkt_residual(g, w, lam, skip)

@@ -174,6 +174,9 @@ def _build_config(
         )
     except ValueError as exc:
         raise SystemExit(f"bad run configuration: {exc}") from None
+    # A given --l is checked even when no top-L scheme reads it.
+    if config.L is not None and not 1 <= config.L <= spec.d:
+        raise SystemExit("bad run configuration: L must lie in [1, d]")
     return config, schemes
 
 
@@ -265,7 +268,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_theory(args) -> int:
     fn = thm2_regime if args.theorem == 2 else thm3_regime
-    report = fn(args.d, args.r, args.epsilon)
+    try:
+        report = fn(args.d, args.r, args.epsilon)
+    except ValueError as exc:
+        raise SystemExit(f"bad theory arguments: {exc}") from None
     payload = report.to_dict()
     payload["theorem"] = args.theorem
     print(json.dumps(payload, indent=2))

@@ -8,6 +8,12 @@ X'X/n from the design columns it needs; ``fit_lasso_gram`` reads it from
 a cached Gram matrix. Convergence requires both a small coefficient change
 and a small KKT residual over all coordinates, so a converged fit carries
 an optimality certificate.
+
+Restricted least squares, the round-two fit on a broadcast support, is
+``restricted_gram_inverse(X_S) @ (y @ X_S)``. The inverse Gram comes from
+one thin SVD and accepts a stack of designs, so a caller that solves many
+responses on the same columns (every replication of a fixed design)
+factors them once.
 """
 
 from __future__ import annotations
@@ -116,18 +122,37 @@ def fit_lasso_gram(
     return w, u, int(sweeps), float(kkt), bool(converged)
 
 
-def restricted_ols(X_S: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares on a column subset, solved by orthogonal factorization.
+def restricted_gram_inverse(X_S: np.ndarray) -> np.ndarray:
+    """(X_S'X_S)^-1 of a column subset, or of each matrix of a stack.
 
-    Requires n >= k and full column rank; raises otherwise. The returned
-    residual is orthogonal to the columns of X_S up to roundoff.
+    ``X_S`` is (n, k) or stacked (..., n, k); the result is (k, k) or
+    (..., k, k), built from the thin SVD X_S = U diag(s) V' as
+    V diag(1/s^2) V'. The rank rule is the default cutoff of NumPy's
+    least-squares solver: a matrix is full rank when its smallest singular
+    value exceeds eps * max(n, k) times its largest. Raises ValueError
+    unless every matrix is.
     """
     X_S = np.asarray(X_S, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, k = X_S.shape
+    n, k = X_S.shape[-2:]
     if n < k:
         raise ValueError("restricted design not full rank: fewer rows than columns")
-    beta, _, rank, _ = np.linalg.lstsq(X_S, y, rcond=None)
-    if rank < k:
+    if k == 0:
+        return np.zeros(X_S.shape[:-2] + (0, 0))
+    _, s, vt = np.linalg.svd(X_S, full_matrices=False)
+    if not (s[..., -1] > np.finfo(np.float64).eps * max(n, k) * s[..., 0]).all():
         raise ValueError("restricted design not full rank")
-    return beta
+    return (vt.swapaxes(-1, -2) / (s * s)[..., None, :]) @ vt
+
+
+def restricted_ols(X_S: np.ndarray, y: np.ndarray, gram_inv: np.ndarray | None = None) -> np.ndarray:
+    """Least squares on a column subset: (X_S'X_S)^-1 X_S'y.
+
+    ``gram_inv`` is X_S's ``restricted_gram_inverse``, computed here when
+    not given; a caller that solves many responses on one design passes it
+    to pay for the factorization once. Requires n >= k and full column rank
+    (ValueError otherwise).
+    """
+    X_S = np.asarray(X_S, dtype=np.float64)
+    if gram_inv is None:
+        gram_inv = restricted_gram_inverse(X_S)
+    return gram_inv @ (np.asarray(y, dtype=np.float64) @ X_S)

@@ -6,7 +6,11 @@ format below does carry an explicit count field, and a message's wire bytes
 are ``len(encode_message(msg))``.
 
 Round-two messages are built from one machine's ``DataShard``, its rows of
-the stacked design with its responses.
+the stacked design with its responses. Under the ``average`` rule a machine
+sends its least-squares fit on the broadcast support S,
+(X_S'X_S)^-1 X_S'y; the inverse Gram depends only on the design and S, so
+a caller that already holds it passes it in and the message costs two
+small mat-vecs.
 
 Wire format (little-endian): 1-byte payload tag, 4-byte machine id, 4-byte
 count, then the payload: indices as uint32, signs packed one bit each
@@ -126,14 +130,17 @@ def round1_dense(fit: LocalFit) -> Message:
     return Message(fit.machine_id, DenseEstimate(fit.theta_hat.copy()))
 
 
-def round2_restricted(shard: DataShard, support) -> Message:
-    """Per-machine least squares restricted to the broadcast support."""
+def round2_restricted(shard: DataShard, support, gram_inv: np.ndarray | None = None) -> Message:
+    """Per-machine least squares restricted to the broadcast support.
+
+    ``gram_inv`` is the machine's (X_S'X_S)^-1 on the support
+    (``lasso.restricted_gram_inverse``); without it the machine factors its
+    restricted design itself. ValueError for a rank-deficient one.
+    """
     support = _as_index_array(support)
     if support.size < 1:
         raise ValueError("support must be nonempty")
-    if shard.X.shape[0] < support.size:
-        raise ValueError("restricted design not full rank: fewer rows than columns")
-    beta = restricted_ols(shard.X[:, support], shard.y)
+    beta = restricted_ols(shard.X[:, support], shard.y, gram_inv)
     return Message(shard.machine_id, RestrictedEstimate(support, beta))
 
 

@@ -206,9 +206,12 @@ def loop_aggregate(values, support, d):
 
 
 # Active-set coordinate descent in its plainest form: NumPy scalars, the
-# KKT residual on every pass, no early stop. It is the bitwise reference
-# for ``_kernels.cd_gram`` and ``_kernels.cd_residual``, which must return
-# the same coefficients, sweeps, residual and flag; do not optimize it.
+# KKT residual on every pass, and one early stop only: a one-sweep pass
+# that moved nothing by ``coef_tol`` or more while the KKT residual of the
+# free coordinates is within tolerance ends the solve out of budget. It is
+# the bitwise reference for ``_kernels.cd_gram`` and
+# ``_kernels.cd_residual``, which must return the same coefficients, sweeps,
+# residual and flag; do not optimize it.
 
 
 def _scalar_soft_threshold(z, gamma):
@@ -232,17 +235,19 @@ def _scalar_active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_
     if skip >= 0:
         free[skip] = False
     w[~free] = 0.0
-    sweeps, inner_converged = 0, False
+    sweeps, inner_converged, pass_delta = 0, False, np.inf
     while True:
         g = gradient(np.flatnonzero(w))
         kkt = _where_kkt_residual(g, w, lam, skip)
         converged = inner_converged and kkt <= kkt_tol
         if converged or sweeps >= max_sweeps:
             return sweeps, kkt, converged
+        if pass_delta < coef_tol and _where_kkt_residual(g[free], w[free], lam) <= kkt_tol:
+            return max_sweeps, kkt, False
         A = np.flatnonzero(free & ((w != 0.0) | (np.abs(g) > lam)))
         B = block(A)
         gA, wA = g[A], w[A]
-        inner_converged = False
+        inner_converged, pass_delta = False, 0.0
         while sweeps < max_sweeps and not inner_converged:
             sweeps += 1
             max_delta = 0.0
@@ -255,6 +260,7 @@ def _scalar_active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_
                     wA[k] = wk
                     max_delta = max(max_delta, abs(delta))
             inner_converged = max_delta < coef_tol
+            pass_delta = max(pass_delta, max_delta)
         w[A] = wA
 
 

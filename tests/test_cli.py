@@ -160,6 +160,23 @@ class TestRun:
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("l", ["0", "41"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_L_out_of_range_exits_without_a_top_L_scheme(self, tmp_path, command, l):
+        # A given L is checked against [1, d] even when no scheme reads it.
+        argv = [command, "--d", "40", "--n", "30", "--machines", "2", "--k", "2", "--reps", "1",
+                "--scheme", "thresh_votes", "--l", l, "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--axis", "r", "--grid", "0.8"]
+        with pytest.raises(SystemExit, match=r"^bad run configuration: L must lie in \[1, d\]$"):
+            main(argv)
+        assert not (tmp_path / "o").exists()
+
+    def test_L_in_range_accepted_without_a_top_L_scheme(self, tmp_path):
+        argv = ["run", "--d", "40", "--n", "30", "--machines", "2", "--k", "2", "--reps", "1",
+                "--scheme", "thresh_votes", "--l", "40", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+
     @pytest.mark.parametrize(
         "flags, file_text, message",
         [
@@ -298,6 +315,19 @@ class TestTheory:
         assert set(payload) == {"snr_floor", "m_lower", "m_upper", "feasible", "epsilon", "theorem"}
         with pytest.raises(SystemExit):
             main(["theory", "--d", "100", "--r", "0.5", "--kappa", "8"])
+
+
+    @pytest.mark.parametrize("theorem", ["2", "3"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--d", "100", "--r", "1.0"], ["--d", "1", "--r", "0.5"], ["--d", "100", "--r", "0.5", "--epsilon", "-1"]],
+        ids=["r", "d", "epsilon"],
+    )
+    def test_out_of_range_argument_exits_with_one_line(self, capsys, theorem, flags):
+        with pytest.raises(SystemExit, match="^bad theory arguments: need d >= 2") as exc:
+            main(["theory", "--theorem", theorem, *flags])
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert capsys.readouterr().out == ""
 
 
 class TestReport:

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from votelasso import fusion, protocol
-from votelasso.datagen import ProblemSpec, make_theta_star, sample_responses, sample_shards
+from votelasso import fusion, harness, protocol
+from votelasso.datagen import DataShard, ProblemSpec, make_theta_star, sample_responses, sample_shards
 from votelasso.debias import debias, estimate_precision, sandwich_diag, standardize
 from votelasso.harness import (
     SCHEMES,
@@ -22,7 +22,7 @@ from votelasso.harness import (
     run_replication,
     run_sweep,
 )
-from votelasso.lasso import restricted_ols
+from votelasso.lasso import restricted_gram_inverse, restricted_ols
 
 from oracles import dense_rows, loop_aggregate, loop_oracle_error, loop_rep_fits
 
@@ -309,10 +309,10 @@ class TestSharedWork:
         failing = run_point_rep(point, cfg, ["thresh_votes"], 0)[0].S_hat
         original = protocol.round2_restricted
 
-        def round2(shard, support):
+        def round2(shard, support, gram_inv=None):
             if list(support) == failing:
                 raise ValueError("singular restricted design")
-            return original(shard, support)
+            return original(shard, support, gram_inv)
 
         monkeypatch.setattr(protocol, "round2_restricted", round2)
         recs = run_point_rep(point, cfg, list(SCHEMES), 0)
@@ -322,6 +322,115 @@ class TestSharedWork:
         assert 2 <= len(expected) < 5
         zero_error = float(np.linalg.norm(point.theta_star))
         assert all(r.l2_error == pytest.approx(zero_error) for r in recs if r.scheme in failed)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The shape of every design stack round two factors, in call order."""
+    calls = []
+    original = harness.restricted_gram_inverse
+
+    def counting(X_S):
+        calls.append(X_S.shape)
+        return original(X_S)
+
+    monkeypatch.setattr(harness, "restricted_gram_inverse", counting)
+    return calls
+
+
+class TestRoundTwoFactors:
+    """The average rule factors each (grid point, support) once for all machines."""
+
+    def test_one_factorization_per_support_over_replications(self, small_design, factor_calls, monkeypatch):
+        cfg, design = small_design
+        point = materialize(design, cfg)
+        round2_calls = [0]
+        original = protocol.round2_restricted
+
+        def counting(*args, **kwargs):
+            round2_calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "round2_restricted", counting)
+        seen, requests, expected_round2 = set(), 0, 0
+        for rep in range(20):
+            supports = _round2_supports(run_point_rep(point, cfg, list(SCHEMES), rep))
+            seen |= supports
+            requests += len(supports)
+            expected_round2 += point.M * len(supports)
+        assert 1 < len(seen) < requests
+        assert len(factor_calls) == len(seen)
+        assert sorted(factor_calls) == sorted((point.M, point.n, len(S)) for S in seen)
+        assert set(point.round2_factors) == {np.array(S, dtype=np.int64).tobytes() for S in seen}
+        # The benchmark's probe still sees one message per machine and support.
+        assert round2_calls[0] == expected_round2
+
+    def test_stacked_factor_rows_are_each_machines_own(self, small_design):
+        cfg, design = small_design
+        point = materialize(design, cfg, M=7, n=40)
+        run_point_rep(point, cfg, list(SCHEMES), 0)
+        assert point.round2_factors
+        _, ys = _rep_fits(point, 0)
+        for key, factor in point.round2_factors.items():
+            S = np.frombuffer(key, dtype=np.int64)
+            assert factor.shape == (7, S.size, S.size)
+            for m in range(7):
+                X_S = design.X[m][:40][:, S]
+                assert factor[m].tobytes() == restricted_gram_inverse(X_S).tobytes()
+                shard = DataShard(machine_id=m, X=design.X[m][:40], y=ys[m])
+                alone = protocol.round2_restricted(shard, S).payload.values
+                given = protocol.round2_restricted(shard, S, factor[m]).payload.values
+                assert alone.tobytes() == given.tobytes()
+
+    def test_singular_support_fails_in_every_replication(self, small_design, factor_calls):
+        cfg, design = small_design
+        S = design.support
+        X = design.X.copy()
+        X[1][:, S[1]] = X[1][:, S[0]]  # machine 1 cannot tell S[0] from S[1]
+        point = materialize(dataclasses.replace(design, X=X, grams=None), cfg)
+        selected_in = set()
+        for rep in range(20):
+            for rec in run_point_rep(point, cfg, list(SCHEMES), rep):
+                if rec.scheme == "avg_deblasso" or not rec.S_hat:
+                    continue
+                singular = {int(S[0]), int(S[1])} <= set(rec.S_hat)
+                assert rec.flags.round2_failed == singular
+                if singular:
+                    selected_in.add(rep)
+        assert len(selected_in) >= 5
+        failed = [v for v in point.round2_factors.values() if isinstance(v, ValueError)]
+        assert failed and len(failed) < len(point.round2_factors)
+        # Each support was factored once, the failing ones included.
+        assert len(factor_calls) == len(point.round2_factors)
+
+    def test_every_point_starts_cold(self, small_design, factor_calls):
+        cfg, design = small_design
+        point = materialize(design, cfg)
+        run_point_rep(point, cfg, ["thresh_votes"], 0)
+        assert point.round2_factors
+        assert materialize(design, cfg).round2_factors == {}
+        factor_calls.clear()
+        run_sweep(cfg, "r", [cfg.spec.r], schemes=list(SCHEMES), design=design)
+        once = len(factor_calls)
+        run_sweep(cfg, "r", [cfg.spec.r], schemes=list(SCHEMES), design=design)
+        assert once > 0 and len(factor_calls) == 2 * once
+
+    def test_redraw_mode_factors_every_replication(self, factor_calls):
+        cfg = _config(d=30, M=4, n=25, reps=3, fixed_design=False)
+        res = run_sweep(cfg, "r", [cfg.spec.r], schemes=list(SCHEMES))
+        per_rep = {}
+        for rec in res.records:
+            if rec["scheme"] != "avg_deblasso" and rec["S_hat"]:
+                per_rep.setdefault(rec["rep"], set()).add(tuple(rec["S_hat"]))
+        assert len(factor_calls) == sum(len(v) for v in per_rep.values()) >= 3
+
+    def test_gram_exact_factors_nothing(self, small_design, factor_calls):
+        cfg, design = small_design
+        cfg = cfg.with_(second_round="gram_exact")
+        point = materialize(design, cfg)
+        recs = run_point_rep(point, cfg, list(SCHEMES), 0)
+        assert _round2_supports(recs) and not factor_calls
+        assert point.round2_factors == {}
 
 
 class TestRunSweep:

@@ -1,6 +1,8 @@
 """Active-set coordinate-descent solver: edge cases, working sets, budgets
 and the shared KKT certificate."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,22 @@ def test_bit_identical_to_scalar_reference(seed):
         out = _kernels.cd_residual(X, y, lam, w, *tols)
         assert out == scalar_cd_residual(X, y, lam, w_ref, *tols)
         assert _same(w, w_ref)
+
+
+def test_settled_working_set_beside_unmovable_violator_stops():
+    # Seed 29's Gram problem: a zero-diagonal coordinate violates KKT while
+    # the working set keeps moving by less than coef_tol, but never by 0.
+    # Without the settled stop it ran on for all MAX_SWEEPS sweeps (~47 s).
+    G, c, _, _, lam, w0, skip, _ = _identity_case(29)
+    w, w_ref = w0.copy(), w0.copy()
+    t0 = time.process_time()
+    u, *out = _kernels.cd_gram(G, c, lam, w, skip, MAX_SWEEPS, 1e-9, 1e-7)
+    assert time.process_time() - t0 < 1.0
+    sweeps, kkt, conv = out
+    assert not conv and sweeps == MAX_SWEEPS and kkt > 0.9
+    free = np.diag(G) > 0.0
+    free[skip] = False
+    assert _kernels.kkt_residual((c - G @ w)[free], w[free], lam) <= 1e-7
+    u_ref, *out_ref = scalar_cd_gram(G, c, lam, w_ref, skip, MAX_SWEEPS, 1e-9, 1e-7)
+    assert out == out_ref
+    assert _same(w, w_ref) and _same(u, u_ref)

@@ -7,6 +7,7 @@ from votelasso.lasso import (
     fit_lasso_gram,
     kkt_violation,
     lasso_objective,
+    restricted_gram_inverse,
     restricted_ols,
 )
 
@@ -192,3 +193,82 @@ class TestRestrictedOls:
         X = np.column_stack([x, x])
         with pytest.raises(ValueError, match="not full rank"):
             restricted_ols(X, rng.standard_normal(10))
+
+
+def _conditioned_design(rng, n, k, cond):
+    """An (n, k) design with singular values spread log-evenly over [1/cond, 1]."""
+    U, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    V, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return (U * np.logspace(0, -np.log10(cond), k)) @ V.T
+
+
+class TestRestrictedGramInverse:
+    @pytest.mark.parametrize("cond", [1.0, 10.0, 1e2, 1e3])
+    def test_ols_agrees_with_lstsq(self, rng, cond):
+        for n, k in ((8, 1), (30, 5), (100, 12)):
+            for _ in range(20):
+                X = _conditioned_design(rng, n, k, cond)
+                y = X @ rng.standard_normal(k) + 0.3 * rng.standard_normal(n)
+                ref = np.linalg.lstsq(X, y, rcond=None)[0]
+                beta = restricted_ols(X, y)
+                assert np.linalg.norm(beta - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_is_the_inverse_gram(self, rng):
+        X = rng.standard_normal((40, 6))
+        inv = restricted_gram_inverse(X)
+        assert inv.shape == (6, 6)
+        assert np.allclose(inv, inv.T, rtol=0.0, atol=1e-15)
+        assert np.abs(inv @ (X.T @ X) - np.eye(6)).max() <= 1e-12
+
+    def test_given_factor_is_used(self, rng):
+        X = rng.standard_normal((30, 4))
+        y = rng.standard_normal(30)
+        inv = restricted_gram_inverse(X)
+        assert np.array_equal(restricted_ols(X, y, inv), restricted_ols(X, y))
+        assert np.array_equal(restricted_ols(X, y, 2.0 * inv), 2.0 * restricted_ols(X, y))
+
+    @pytest.mark.parametrize("n, k", [(5, 1), (20, 5), (100, 5), (50, 12)])
+    def test_stacked_rows_equal_single_factors_bitwise(self, rng, n, k):
+        Xs = rng.standard_normal((7, n, k))
+        stacked = restricted_gram_inverse(Xs)
+        assert stacked.shape == (7, k, k)
+        for m in range(7):
+            assert stacked[m].tobytes() == restricted_gram_inverse(Xs[m]).tobytes()
+        # A machine-prefix slice of a C-contiguous (M, n, d) design, as the harness gathers it.
+        design = rng.standard_normal((7, n + 3, k + 6))
+        support = np.sort(rng.choice(k + 6, size=k, replace=False))
+        stacked = restricted_gram_inverse(design[:5, :n][:, :, support])
+        for m in range(5):
+            single = restricted_gram_inverse(design[m][:n][:, support])
+            assert stacked[m].tobytes() == single.tobytes()
+
+    def test_rank_rule_matches_lstsq(self, rng):
+        with pytest.raises(ValueError, match="fewer rows than columns"):
+            restricted_gram_inverse(rng.standard_normal((4, 3, 5)))
+        x = rng.standard_normal(10)
+        duplicated = np.column_stack([x, rng.standard_normal(10), x])
+        assert np.linalg.lstsq(duplicated, np.ones(10), rcond=None)[2] == 2
+        with pytest.raises(ValueError, match="not full rank"):
+            restricted_gram_inverse(duplicated)
+        # lstsq (rcond=None) counts singular values above eps * max(n, k) * s_max.
+        n, k = 20, 4
+        Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        cutoff = np.finfo(np.float64).eps * max(n, k)
+        X = Q * np.array([1.0, 1.0, 1.0, 1.5 * cutoff])
+        assert np.linalg.lstsq(X, np.ones(n), rcond=None)[2] == k
+        assert np.isfinite(restricted_ols(X, np.ones(n))).all()
+        X = Q * np.array([1.0, 1.0, 1.0, 0.5 * cutoff])
+        assert np.linalg.lstsq(X, np.ones(n), rcond=None)[2] == k - 1
+        with pytest.raises(ValueError, match="not full rank"):
+            restricted_ols(X, np.ones(n))
+
+    def test_no_columns_give_an_empty_solution(self, rng):
+        assert restricted_gram_inverse(rng.standard_normal((3, 5, 0))).shape == (3, 0, 0)
+        assert restricted_ols(np.zeros((5, 0)), np.ones(5)).shape == (0,)
+
+    def test_one_singular_matrix_fails_the_stack(self, rng):
+        Xs = rng.standard_normal((4, 10, 3))
+        Xs[2, :, 1] = Xs[2, :, 0]
+        with pytest.raises(ValueError, match="not full rank"):
+            restricted_gram_inverse(Xs)
+        restricted_gram_inverse(np.delete(Xs, 2, axis=0))
