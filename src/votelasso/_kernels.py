@@ -1,23 +1,31 @@
 """Hot numeric kernels: active-set coordinate descent for l1 problems.
 
-Both entry points solve
+Every entry point solves
 
     min_w  (1/2) w' G w - c' w + lam * ||w||_1
 
 up to an additive constant. With G = X'X/n and c = X'y/n this is the
 least-squares lasso objective (1/2n)||y - Xw||^2 + lam*||w||_1.
 
-They share one active-set solver (Friedman, Hastie & Tibshirani 2010,
-*J. Stat. Softw.*): each outer pass checks the KKT conditions of every
-coordinate with one gradient product, then runs cyclic coordinate descent
-over the nonzero coordinates plus the violators only.
+``cd_gram`` and ``cd_residual`` solve one problem and share one active-set
+solver (Friedman, Hastie & Tibshirani 2010, *J. Stat. Softw.*): each outer
+pass checks the KKT conditions of every coordinate with one gradient
+product, then runs cyclic coordinate descent over the nonzero coordinates
+plus the violators only. ``cd_gram_stack`` solves many problems that share
+one G (a machine's nodewise regressions) with the same passes, in lockstep:
+one gradient product for all unfinished problems, their working sets padded
+to a common width, and each coordinate update applied to every problem at
+once. Each problem keeps its own stopping rules and KKT certificate.
 
 Most fits are tiny (a nodewise regression has two or three nonzeros and
 takes about two passes), so per-call cost matters more than arithmetic.
-The inner sweep reads the working-set diagonal, the coefficients and each
-gradient entry as Python floats and updates the working-set gradient with
-one NumPy row operation per moved coordinate, which keeps working sets of
-hundreds of coordinates fast. A pass that moves no coefficient ends the
+The single-problem inner sweep reads the working-set diagonal, the
+coefficients and each gradient entry as Python floats and updates the
+working-set gradient with one NumPy row operation per moved coordinate,
+which keeps working sets of hundreds of coordinates fast. A fit that starts
+at zero, where zero already satisfies the KKT conditions (every replication
+fit under a large lambda), returns after the first gradient with the
+result the full loop would give. A pass that moves no coefficient ends the
 solve, because every later pass would see the same gradient: the result is
 converged if the KKT residual is within tolerance and out of budget
 otherwise. That covers every fit whose working set is empty (a lasso whose
@@ -78,9 +86,18 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
     if skip >= 0:
         free[skip] = False
     w[~free] = 0.0
+    nz = w.nonzero()[0]
+    g = gradient(nz)
+    # From a zero start where zero already satisfies KKT, the loop below
+    # makes one pass with an empty working set and returns (1, 0.0, True).
+    if not nz.size and max_sweeps >= 1:
+        v = np.abs(g)
+        if skip >= 0:
+            v[skip] = 0.0
+        if v.max(initial=0.0) <= lam:
+            return 1, 0.0, True
     sweeps, inner_converged, settled = 0, False, False
     while True:
-        g = gradient(w.nonzero()[0])
         # Only the first pass starts with an unconverged inner loop and budget
         # left; it needs the KKT residual only if it moves nothing.
         kkt = None
@@ -125,6 +142,7 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
                 return sweeps, kkt, True
             return max_sweeps, kkt, False
         w[A] = wA
+        g = gradient(w.nonzero()[0])
 
 
 def cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
@@ -164,3 +182,220 @@ def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
         np.einsum("ij,ij->j", X, X) / n,
         lam, w, -1, max_sweeps, coef_tol, kkt_tol,
     )
+
+
+def _padded(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of each row's True entries, increasing and left-aligned in
+    a (B, k) index array, k the largest count. Padding slots hold column 0
+    and are False in the returned (B, k) validity mask."""
+    # A 2-D nonzero() is several times slower than a flat one.
+    r, j = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    counts = np.bincount(r, minlength=mask.shape[0])
+    k = int(counts.max(initial=0))
+    pos = np.arange(r.size) - (np.cumsum(counts) - counts)[r]
+    idx = np.zeros((mask.shape[0], k), dtype=np.intp)
+    valid = np.zeros((mask.shape[0], k), dtype=bool)
+    idx[r, pos] = j
+    valid[r, pos] = True
+    return idx, valid
+
+
+def nonzero_slots(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of each row of ``W`` (B, d) as padded slots: (B, k)
+    column indices and values, k the most nonzeros of any row. Padding slots
+    hold value 0."""
+    idx, valid = _padded(W != 0.0)
+    return idx, np.where(valid, W[np.arange(W.shape[0])[:, None], idx], 0.0)
+
+
+# Stacked products and residuals run over blocks of rows of about this many
+# doubles: small transients reuse freed memory, while a (B, d) temporary per
+# step pays for fresh pages, which costs more than the arithmetic.
+_BLOCK = 16384
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    step = max(1, _BLOCK // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _slots_times_gram(idx: np.ndarray, w: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """W @ G for rows W given as padded slots (``nonzero_slots``): each row's
+    product over its k gathered rows of G."""
+    u = np.empty((idx.shape[0], G.shape[1]))
+    for part in _row_blocks(idx.shape[0], idx.shape[1] * G.shape[1]):
+        u[part] = (w[part, None, :] @ G[idx[part]])[:, 0]
+    return u
+
+
+def _subtract_slots_times_gram(g, idx, w, G):
+    """g -= W @ G in place, the rows of W given as padded slots."""
+    for part in _row_blocks(idx.shape[0], idx.shape[1] * G.shape[1]):
+        g[part] -= (w[part, None, :] @ G[idx[part]])[:, 0]
+
+
+def kkt_residual_rows(c, idx, w, lam, skip, u=None):
+    """``kkt_residual`` of every row of a stack: (B,) residuals of the (B, d)
+    gradients g = c - u (g = c without ``u``) at coefficients given as padded
+    slots (``nonzero_slots``). Row r leaves out coordinate ``skip[r]`` when
+    it is >= 0. Only a block of rows of g is formed at a time."""
+    B, d = c.shape
+    r, s = (w != 0.0).nonzero()
+    j = idx[r, s]
+    g_active = c[r, j] if u is None else c[r, j] - u[r, j]
+    active = np.abs(g_active - lam * np.sign(w[r, s]))
+    out = np.empty(B)
+    for part in _row_blocks(B, d):
+        v = np.abs(c[part] if u is None else c[part] - u[part])
+        v -= lam
+        lo, hi = np.searchsorted(r, [part.start, part.stop])
+        v[r[lo:hi] - part.start, j[lo:hi]] = active[lo:hi]
+        sk = skip[part]
+        at = (sk >= 0).nonzero()[0]
+        v[at, sk[at]] = 0.0
+        out[part] = v.max(axis=1, initial=0.0)
+    return out
+
+
+def _rows_residual(at, g, idx, w, lam, skip):
+    """``kkt_residual_rows`` of the rows ``at`` only, without copying ``g``
+    when they are all of its rows."""
+    if at.size == g.shape[0]:
+        return kkt_residual_rows(g, idx, w, lam, skip)
+    return kkt_residual_rows(g[at], idx[at], w[at], lam, skip[at])
+
+
+def _lockstep_sweeps(gA, wA, blocks, lam, sweeps, max_sweeps, coef_tol):
+    """Cyclic CD over padded working sets, one row per problem, all rows in
+    lockstep. ``gA``, ``wA`` (B, k) and ``sweeps`` (B,) are updated in place;
+    ``blocks`` is (B, k, k), with a zero off-diagonal and a unit diagonal in
+    every padding slot, whose gradient and coefficient are 0 so it never
+    moves. A row leaves the loop once a sweep moves none of its coefficients
+    by ``coef_tol`` or more, or its sweeps reach ``max_sweeps``; every row
+    enters with sweeps below it. Returns (moved, inner_converged) per row.
+    The arithmetic of each row is that of ``_active_set_cd``'s inner sweep."""
+    B, k = wA.shape
+    moved = np.zeros(B, dtype=bool)
+    inner = np.zeros(B, dtype=bool)
+    live = np.arange(B)
+    g, w, blk, bd = gA, wA, blocks, blocks.diagonal(axis1=1, axis2=2)
+    while live.size:
+        sweeps[live] += 1
+        w_start = w.copy()
+        for s in range(k):
+            z = g[:, s] + bd[:, s] * w[:, s]
+            # (z -+ lam) / b beyond lam, and 0 on |z| <= lam, where the
+            # subgradient contains 0.
+            wk = np.where(np.abs(z) > lam, (z - np.copysign(lam, z)) / bd[:, s], 0.0)
+            g -= (wk - w[:, s])[:, None] * blk[:, s]
+            w[:, s] = wk
+        # Each slot moves once per sweep, so these are the sweep's deltas.
+        max_delta = np.abs(w - w_start).max(axis=1, initial=0.0)
+        moved[live] |= max_delta > 0.0
+        inner[live] = max_delta < coef_tol
+        keep = ~inner[live] & (sweeps[live] < max_sweeps)
+        if not keep.all():
+            gA[live], wA[live] = g, w
+            live, g, w, blk, bd = live[keep], g[keep], w[keep], blk[keep], bd[keep]
+    return moved, inner
+
+
+def cd_gram_stack(G, C, lam, W, skip, max_sweeps, coef_tol, kkt_tol):
+    """Active-set CD on B Gram-form problems that share ``G``, in lockstep.
+
+    Row r of ``C`` (B, d) is problem r's c; ``W`` (B, d) holds the starts
+    and is updated in place; ``skip`` (B,) holds each row's excluded
+    coordinate, or -1. Each row follows ``_active_set_cd``'s rules: its
+    coordinate ``skip[r]`` and coordinates with a nonpositive diagonal are
+    held at 0, an outer pass forms its working set from a full gradient, the
+    sweeps of its passes are capped by ``max_sweeps``, and it stops on the
+    same converged, no-move and settled-unmovable-violator conditions.
+
+    Each pass forms the gradient of every unfinished row at once, one
+    gathered row of G per nonzero, pads the working sets to (rows, k)
+    indices with (rows, k, k) blocks of G and sweeps all rows together
+    (``_lockstep_sweeps``). The inner sweeps repeat the scalar kernel's
+    floating-point operations; the gradient sums its terms in another order,
+    so results agree with ``cd_gram`` to roundoff, not bit for bit.
+    Returns (U, sweeps, kkt, converged): U = W @ G at the solution and, per
+    row, the sweeps, the KKT residual and the flag.
+    """
+    B, d = C.shape
+    fixed = ~(G.diagonal() > 0.0)
+    W[:, fixed] = 0.0
+    has_skip = (skip >= 0).nonzero()[0]
+    W[has_skip, skip[has_skip]] = 0.0
+    sweeps = np.zeros(B, dtype=np.int64)
+    kkt = np.zeros(B)
+    converged = np.zeros(B, dtype=bool)
+    inner = np.zeros(B, dtype=bool)
+    settled = np.zeros(B, dtype=bool)
+    # The unfinished rows and their nonzeros as padded slots.
+    live = np.arange(B)
+    idx, w = nonzero_slots(W)
+    while True:
+        if idx.shape[1]:
+            g = C[live]
+            _subtract_slots_times_gram(g, idx, w, G)
+        else:
+            g = C if live.size == B else C[live]
+        sk = skip[live]
+        sw, inn = sweeps[live], inner[live]
+        done = inn | (sw >= max_sweeps)
+        res = np.full(live.size, np.nan)
+        at = done.nonzero()[0]
+        res[at] = _rows_residual(at, g, idx, w, lam, sk)
+        conv = inn & (res <= kkt_tol)
+        stuck = done & ~conv & (sw < max_sweeps) & settled[live]
+        if stuck.any():
+            # Only coordinates held at zero violate KKT, and the working set
+            # has settled: later passes would make roundoff-sized moves.
+            at = stuck.nonzero()[0]
+            free_g = g[at]
+            free_g[:, fixed] = 0.0
+            stuck[at] = kkt_residual_rows(free_g, idx[at], w[at], lam, sk[at]) <= kkt_tol
+            sw[stuck] = max_sweeps
+        done &= conv | (sw >= max_sweeps)
+        at = live[done]
+        kkt[at], converged[at], sweeps[at] = res[done], conv[done], sw[done]
+        go = (~done).nonzero()[0]
+        if not go.size:
+            del g  # U below is a second (B, d) array; do not hold a third
+            return _slots_times_gram(*nonzero_slots(W), G), sweeps, kkt, converged
+        # Working sets: the nonzeros plus the KKT violators, free coordinates only.
+        if go.size < live.size:
+            g = g[go]
+        rows, idx, w, sk = live[go], idx[go], w[go], sk[go]
+        A = (g > lam) | (g < -lam)
+        r, s = (w != 0.0).nonzero()
+        A[r, idx[r, s]] = True
+        A[:, fixed] = False
+        at = (sk >= 0).nonzero()[0]
+        A[at, sk[at]] = False
+        pidx, valid = _padded(A)
+        gA = np.where(valid, np.take_along_axis(g, pidx, 1), 0.0)
+        wA = np.where(valid, W[rows[:, None], pidx], 0.0)
+        pair = valid[:, :, None] & valid[:, None, :]
+        blocks = np.where(pair, G[pidx[:, :, None], pidx[:, None, :]], 0.0)
+        k = pidx.shape[1]
+        blocks[:, np.arange(k), np.arange(k)] += ~valid
+        start = sweeps[rows]
+        sw = start.copy()
+        moved, inn = _lockstep_sweeps(gA, wA, blocks, lam, sw, max_sweeps, coef_tol)
+        sweeps[rows], inner[rows] = sw, inn
+        settled[rows] = inn & (sw == start + 1)
+        # A pass that moved nothing ends the row: its gradient is unchanged.
+        still = (~moved).nonzero()[0]
+        if still.size:
+            res = _rows_residual(still, g, idx, w, lam, sk)
+            ok = inn[still] & (res <= kkt_tol)
+            at = rows[still]
+            kkt[at], converged[at] = res, ok
+            sweeps[at[~ok]] = max_sweeps
+        r, s = valid.nonzero()
+        W[rows[r], pidx[r, s]] = wA[r, s]
+        # The next gradient needs only the nonzeros of the rows that moved.
+        keep, valid = _padded(wA[moved] != 0.0)
+        live = rows[moved]
+        idx = np.take_along_axis(pidx[moved], keep, 1)
+        w = np.where(valid, np.take_along_axis(wA[moved], keep, 1), 0.0)

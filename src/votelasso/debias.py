@@ -1,12 +1,18 @@
 """Per-machine statistical engine: nodewise precision estimation, the
 debiased lasso, and its standardized (unit-variance) form.
 
-The precision matrix is built column by column: regress each design column
-on all the others with an l1 penalty, normalize by the penalized residual
-scale tau_i^2, and assemble rows of Omega_hat. All d nodewise problems share
-one Gram matrix, so the whole estimate costs one X'X plus d active-set
-coordinate-descent solves. Each solve touches only the few columns of its
-working set, because the nodewise rows are very sparse.
+The precision matrix is built row by row: regress each design column on
+all the others with an l1 penalty, normalize by the penalized residual scale
+tau_i^2, and assemble rows of Omega_hat. All d nodewise problems share one
+Gram matrix, so the estimate costs one X'X plus one lockstep active-set
+solve per chunk of rows (``fit_lasso_gram`` on a stack of rows):
+each outer pass forms the gradients of all unfinished rows of the chunk at
+once and runs coordinate descent over every row's working set together.
+The working sets hold a few columns, because the nodewise rows are very
+sparse, so a machine's estimate is a few passes of array operations on
+chunk-sized arrays instead of d solver calls. Every row keeps its KKT
+certificate: a row that does not converge raises ValueError, and the
+estimate records the largest residual and the sweeps.
 
 Omega_hat is stored as compressed sparse rows (``SparseRows``), never as a
 dense d x d array: the benchmark designs average 2.1 nonzeros per row and a
@@ -35,9 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lasso import fit_lasso_gram
+from . import _kernels
+from .lasso import KKT_TOL, fit_lasso_gram
 
 RESIDUAL_SCALES = ("n", "2n")
+# Entries of one chunk of nodewise rows solved per lockstep call: 2 MiB per
+# chunk-sized array, so the solve's transients are a few such arrays and never
+# a second d x d (all 200 rows at d=200, 52 rows at the paper's d=5000, where
+# larger chunks measured slower and 30 MiB larger).
+NODEWISE_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,12 +93,16 @@ class PrecisionEstimate:
     Row i of ``omega_hat`` is (1, -g_i) / tau_sq_i on the appropriate
     columns, where g_i is the nodewise lasso of column i on all others; so
     g_i is -tau_sq_i times the off-diagonal entries of row i.
+    ``nodewise_kkt`` is the largest KKT residual of the d fits and
+    ``nodewise_sweeps`` their coordinate-descent sweeps summed.
     """
 
     omega_hat: SparseRows
     tau_sq: np.ndarray
     lambda_omega: float
     residual_scale: str = "n"
+    nodewise_kkt: float = 0.0
+    nodewise_sweeps: int = 0
 
 
 @dataclass
@@ -118,8 +134,10 @@ def estimate_precision(
 ) -> PrecisionEstimate:
     """Fit the d nodewise lassos and assemble Omega_hat as sparse rows.
 
-    Raises if any penalized residual scale tau_i^2 is not strictly positive
-    (collinear columns or lambda_omega too small).
+    Raises ValueError naming the first column whose nodewise fit did not
+    converge (its KKT residual, recomputed at the returned coefficients,
+    exceeds ``KKT_TOL``), or whose penalized residual scale tau_i^2 is not
+    strictly positive (collinear columns or lambda_omega too small).
     """
     X = np.asarray(X, dtype=np.float64)
     if lambda_omega <= 0:
@@ -130,30 +148,48 @@ def estimate_precision(
     if d < 2:
         raise ValueError("need at least two columns")
     G = empirical_covariance(X) if gram is None else gram
+    diag = G.diagonal()
     tau_sq = np.empty(d)
-    cols, vals = [], []
-    w = np.zeros(d)
-    for i in range(d):
-        c = np.ascontiguousarray(G[i])
-        # Warm start from the previous column's solution.
-        w, u, _, _, _ = fit_lasso_gram(G, c, lambda_omega, warm_start=w, skip=i)
-        rss_n = G[i, i] - 2.0 * (c @ w) + w @ u
-        l1 = np.abs(w).sum()
-        if residual_scale == "2n":
-            tau2 = 0.5 * rss_n + lambda_omega * l1
-        else:
-            tau2 = rss_n + lambda_omega * l1
-        if not tau2 > np.finfo(np.float64).eps:
-            raise ValueError(f"degenerate nodewise residual at column {i}")
-        tau_sq[i] = tau2
-        # w[i] is 0 (the fit skips column i), so the diagonal goes in place.
-        row = -w / tau2
-        row[i] = 1.0 / tau2
-        nz = row.nonzero()[0]
-        cols.append(nz)
-        vals.append(row[nz])
+    cols, counts, vals = [], [], []
+    sweeps, max_kkt = 0, 0.0
+    step = max(1, NODEWISE_CHUNK_ENTRIES // d)
+    for lo in range(0, d, step):
+        rows = np.arange(lo, min(lo + step, d))
+        C = G[lo : lo + rows.size]
+        W, U, chunk_sweeps, kkt, converged = fit_lasso_gram(G, C, lambda_omega, skip=rows)
+        idx, w = _kernels.nonzero_slots(W)
+        if not converged:
+            res = _kernels.kkt_residual_rows(C, idx, w, lambda_omega, rows, u=U)
+            bad = (res > KKT_TOL).nonzero()[0]
+            i = bad[0] if bad.size else res.argmax()
+            raise ValueError(
+                f"nodewise fit did not converge at column {rows[i]} (KKT residual {res[i]:.3g})"
+            )
+        sweeps += chunk_sweeps
+        max_kkt = max(max_kkt, kkt)
+        # Row sums over each fit's nonzeros: c'w, w'u and ||w||_1.
+        r = np.arange(rows.size)[:, None]
+        rss_n = diag[rows] - 2.0 * (C[r, idx] * w).sum(axis=1) + (U[r, idx] * w).sum(axis=1)
+        l1 = np.abs(w).sum(axis=1)
+        tau2 = (0.5 * rss_n if residual_scale == "2n" else rss_n) + lambda_omega * l1
+        bad = (~(tau2 > np.finfo(np.float64).eps)).nonzero()[0]
+        if bad.size:
+            raise ValueError(f"degenerate nodewise residual at column {rows[bad[0]]}")
+        tau_sq[rows] = tau2
+        # Row i: -w / tau_i^2 at the fit's nonzeros (column i is never one of
+        # them) and 1 / tau_i^2 at column i, sorted by column. Padding slots
+        # hold 0 and drop out, as does an entry that underflows to 0.
+        row_cols = np.concatenate([idx, rows[:, None]], axis=1)
+        row_vals = np.concatenate([-w / tau2[:, None], 1.0 / tau2[:, None]], axis=1)
+        order = np.argsort(np.where(row_vals != 0.0, row_cols, d), axis=1)
+        row_cols = np.take_along_axis(row_cols, order, 1)
+        row_vals = np.take_along_axis(row_vals, order, 1)
+        stored = row_vals != 0.0
+        cols.append(row_cols[stored])
+        counts.append(stored.sum(axis=1))
+        vals.append(row_vals[stored])
     indices = np.concatenate(cols)
-    indptr = np.cumsum([0] + [nz.size for nz in cols])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     omega = SparseRows(
         indptr=indptr.astype(np.min_scalar_type(indices.size)),
         indices=indices.astype(np.min_scalar_type(d - 1)),
@@ -164,6 +200,8 @@ def estimate_precision(
         tau_sq=tau_sq,
         lambda_omega=float(lambda_omega),
         residual_scale=residual_scale,
+        nodewise_kkt=max_kkt,
+        nodewise_sweeps=sweeps,
     )
 
 

@@ -5,9 +5,10 @@ pass checks the KKT conditions of every coordinate with one vectorized
 gradient, then runs cyclic coordinate descent over the nonzero coordinates
 plus the violators only. ``fit_lasso`` forms the working-set block of
 X'X/n from the design columns it needs; ``fit_lasso_gram`` reads it from
-a cached Gram matrix. Convergence requires both a small coefficient change
-and a small KKT residual over all coordinates, so a converged fit carries
-an optimality certificate.
+a cached Gram matrix, and solves a stack of problems that share one Gram
+matrix (a machine's nodewise regressions) in lockstep. Convergence requires
+both a small coefficient change and a small KKT residual over all
+coordinates, so a converged fit carries an optimality certificate.
 
 Restricted least squares, the round-two fit on a broadcast support, is
 ``restricted_gram_inverse(X_S) @ (y @ X_S)``. The inverse Gram comes from
@@ -104,7 +105,7 @@ def fit_lasso_gram(
     c: np.ndarray,
     lam: float,
     warm_start: np.ndarray | None = None,
-    skip: int = -1,
+    skip: int | np.ndarray = -1,
     max_sweeps: int = MAX_SWEEPS,
     kkt_tol: float = KKT_TOL,
 ) -> tuple[np.ndarray, np.ndarray, int, float, bool]:
@@ -113,13 +114,30 @@ def fit_lasso_gram(
     Used where many fits share one design (nodewise regressions, fixed-design
     replications). ``skip`` holds one coordinate at zero. Returns
     (theta, u, sweeps, kkt, converged) with u = G @ theta.
+
+    A stack ``c`` of shape (B, d), with ``skip`` of shape (B,) (-1 where a
+    row skips nothing), solves the B problems in lockstep
+    (``_kernels.cd_gram_stack``) and returns theta and u as (B, d) arrays,
+    the sweeps summed over the rows, the largest KKT residual of any row,
+    each recomputed from a fresh gradient c - u, and whether every row
+    converged with its residual within ``kkt_tol``.
     """
-    d = G.shape[0]
-    w = np.zeros(d) if warm_start is None else np.array(warm_start, dtype=np.float64)
-    u, sweeps, kkt, converged = _kernels.cd_gram(
-        G, c, float(lam), w, int(skip), int(max_sweeps), COEF_TOL, kkt_tol
+    c = np.asarray(c, dtype=np.float64)
+    w = np.zeros(c.shape) if warm_start is None else np.array(warm_start, dtype=np.float64)
+    if w.shape != c.shape:
+        raise ValueError("warm_start has wrong shape")
+    if c.ndim == 1:
+        u, sweeps, kkt, converged = _kernels.cd_gram(
+            G, c, float(lam), w, int(skip), int(max_sweeps), COEF_TOL, kkt_tol
+        )
+        return w, u, int(sweeps), float(kkt), bool(converged)
+    skip = np.broadcast_to(np.asarray(skip, dtype=np.intp), c.shape[:1])
+    u, sweeps, _, converged = _kernels.cd_gram_stack(
+        G, c, float(lam), w, skip, int(max_sweeps), COEF_TOL, kkt_tol
     )
-    return w, u, int(sweeps), float(kkt), bool(converged)
+    rows = _kernels.kkt_residual_rows(c, *_kernels.nonzero_slots(w), lam, skip, u=u)
+    kkt = float(rows.max(initial=0.0))
+    return w, u, int(sweeps.sum()), kkt, bool(converged.all() and kkt <= kkt_tol)
 
 
 def restricted_gram_inverse(X_S: np.ndarray) -> np.ndarray:

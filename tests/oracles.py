@@ -102,12 +102,18 @@ def sparse_rows(A):
     return SparseRows(indptr=np.array(indptr), indices=np.array(indices), data=np.array(data))
 
 
-def dense_precision(X, lam, residual_scale="n"):
-    """Omega_hat as a dense d x d array from the same warm-started nodewise
-    fits as ``estimate_precision``: row i is -w / tau_i^2 with 1 / tau_i^2
-    on the diagonal. Returns (omega, tau_sq)."""
-    from votelasso.lasso import fit_lasso_gram
+def dense_precision(X, lam, residual_scale="n", coef_tol=None):
+    """Omega_hat as a dense d x d array from the per-column path that
+    ``estimate_precision`` took before its lockstep solve: one scalar
+    ``cd_gram`` solve per column, warm-started from the previous column's
+    solution; row i is -w / tau_i^2 with 1 / tau_i^2 on the diagonal.
+    ``coef_tol`` defaults to the library's ``COEF_TOL``; a far smaller one
+    makes the reference exact well below the solver tolerance.
+    Returns (omega, tau_sq)."""
+    from votelasso import _kernels
+    from votelasso.lasso import COEF_TOL, KKT_TOL, MAX_SWEEPS
 
+    coef_tol = COEF_TOL if coef_tol is None else coef_tol
     d = X.shape[1]
     G = X.T @ X / X.shape[0]
     omega = np.zeros((d, d))
@@ -115,7 +121,7 @@ def dense_precision(X, lam, residual_scale="n"):
     w = np.zeros(d)
     for i in range(d):
         c = np.ascontiguousarray(G[i])
-        w, u, _, _, _ = fit_lasso_gram(G, c, lam, warm_start=w, skip=i)
+        u, _, _, _ = _kernels.cd_gram(G, c, lam, w, i, MAX_SWEEPS, coef_tol, KKT_TOL)
         rss_n = G[i, i] - 2.0 * (c @ w) + w @ u
         scale = 0.5 if residual_scale == "2n" else 1.0
         tau2 = scale * rss_n + lam * np.abs(w).sum()

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import votelasso.debias as debias_module
+from votelasso import _kernels
 from votelasso.datagen import DataShard, ProblemSpec, sample_shards
 from votelasso.debias import (
     SparseRows,
@@ -12,7 +15,7 @@ from votelasso.debias import (
     sandwich_diag,
     standardize,
 )
-from votelasso.lasso import fit_lasso, kkt_violation
+from votelasso.lasso import KKT_TOL, fit_lasso, fit_lasso_gram, kkt_violation
 
 from oracles import (
     dense_precision,
@@ -118,15 +121,96 @@ class TestEstimatePrecision:
             assert np.abs(gamma[i] - expected).max() <= 1e-7
 
     @pytest.mark.parametrize("residual_scale", ["n", "2n"])
-    def test_rows_equal_dense_layout_bit_for_bit(self, residual_scale):
-        spec = ProblemSpec(d=120, K=2, M=1, n=80, r=0.8, base_seed=6)
+    @pytest.mark.parametrize("seed", range(24))
+    def test_rows_match_per_column_reference(self, seed, residual_scale):
+        # The lockstep solve and the per-column path stop at the same
+        # tolerances from different starts, so they agree to about COEF_TOL,
+        # not bit for bit. The reference runs to coef_tol 1e-13, so the
+        # entries must hold the lockstep solve's own error.
+        spec = ProblemSpec(d=120, K=2, M=1, n=80, r=0.8, base_seed=seed)
         X = sample_shards(spec)[0]
         lam = math.sqrt(math.log(120) / 80)
         est = estimate_precision(X, lam, residual_scale=residual_scale)
-        omega, tau_sq = dense_precision(X, lam, residual_scale=residual_scale)
+        got = dense_rows(est.omega_hat)
+        omega, tau_sq = dense_precision(X, lam, residual_scale, coef_tol=1e-13)
         assert np.count_nonzero(omega) > 2 * 120  # rows beyond the diagonal
-        assert np.array_equal(dense_rows(est.omega_hat), omega)
-        assert np.array_equal(est.tau_sq, tau_sq)
+        assert np.array_equal(got != 0, omega != 0)
+        assert np.abs(got - omega).max() <= 1e-9 * np.abs(omega).max()
+        assert np.abs(est.tau_sq / tau_sq - 1.0).max() <= 1e-9
+        # The same supports as the per-column path at the solver's tolerance.
+        assert np.array_equal(got != 0, dense_precision(X, lam, residual_scale)[0] != 0)
+
+    def test_chunks_need_not_divide_d(self, monkeypatch):
+        spec = ProblemSpec(d=30, K=2, M=1, n=40, r=0.8, base_seed=5)
+        X = sample_shards(spec)[0]
+        whole = estimate_precision(X, 0.2).omega_hat
+        calls = []
+        fit = debias_module.fit_lasso_gram
+
+        def recording(G, C, lam, **kwargs):
+            calls.append(kwargs["skip"].tolist())
+            return fit(G, C, lam, **kwargs)
+
+        monkeypatch.setattr(debias_module, "NODEWISE_CHUNK_ENTRIES", 7 * 30)
+        monkeypatch.setattr(debias_module, "fit_lasso_gram", recording)
+        chunked = estimate_precision(X, 0.2).omega_hat
+        assert [len(rows) for rows in calls] == [7, 7, 7, 7, 2]
+        assert sum(calls, []) == list(range(30))
+        assert (whole != 0).sum() > 2 * 30
+        assert np.array_equal(chunked.indptr, whole.indptr)
+        assert np.array_equal(chunked.indices, whole.indices)
+        assert np.abs(chunked.data - whole.data).max() <= 1e-12 * np.abs(whole.data).max()
+
+    def test_lambda_above_every_cross_moment_gives_diagonal_rows(self, rng):
+        X = rng.standard_normal((50, 9))
+        X[:, 1:] += 0.4 * X[:, :-1]
+        G = empirical_covariance(X)
+        lam = 1.01 * np.abs(G - np.diag(np.diag(G))).max()
+        est = estimate_precision(X, lam)
+        rows = est.omega_hat
+        assert np.array_equal(rows.indptr, np.arange(10))
+        assert np.array_equal(rows.indices, np.arange(9))
+        assert np.array_equal(est.tau_sq, np.diag(G))
+        assert np.array_equal(rows.data, 1.0 / np.diag(G))
+        # One sweep over an empty working set per row, and zero is optimal.
+        assert est.nodewise_sweeps == 9 and est.nodewise_kkt == 0.0
+
+    def test_forms_no_second_dense_matrix(self):
+        # The lockstep solve works in chunks of rows: besides the given Gram
+        # matrix it never holds a d x d array (200 MB at paper scale).
+        d, n = 1500, 100
+        X = sample_shards(ProblemSpec(d=d, K=2, M=1, n=n, r=0.8, base_seed=1))[0]
+        G = empirical_covariance(X)
+        tracemalloc.start()
+        try:
+            est = estimate_precision(X, 2.0 * math.sqrt(math.log(d) / n), gram=G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (est.omega_hat != 0).sum() > 1.5 * d  # rows beyond the diagonal
+        assert peak < G.nbytes
+
+    def test_records_the_nodewise_certificate(self):
+        spec = ProblemSpec(d=60, K=2, M=1, n=50, r=0.8, base_seed=8)
+        est = estimate_precision(sample_shards(spec)[0], 0.15)
+        assert 0.0 < est.nodewise_kkt <= KKT_TOL
+        assert est.nodewise_sweeps > 2 * 60  # most rows take several sweeps
+
+    def test_unconverged_nodewise_fit_raises(self, monkeypatch):
+        spec = ProblemSpec(d=40, K=2, M=1, n=50, r=0.8, base_seed=3)
+        X = sample_shards(spec)[0]
+        lam = 0.1
+        G = empirical_covariance(X)
+        W, U, _, _, _ = fit_lasso_gram(G, G.copy(), lam, skip=np.arange(40), max_sweeps=1)
+        res = [_kernels.kkt_residual(G[i] - U[i], W[i], lam, i) for i in range(40)]
+        first = next(i for i in range(40) if res[i] > KKT_TOL)
+
+        def one_sweep(G, C, lam, **kwargs):
+            return fit_lasso_gram(G, C, lam, max_sweeps=1, **kwargs)
+
+        monkeypatch.setattr(debias_module, "fit_lasso_gram", one_sweep)
+        with pytest.raises(ValueError, match=rf"did not converge at column {first} \("):
+            estimate_precision(X, lam)
 
     def test_rows_store_sorted_nonzeros_only(self):
         spec = ProblemSpec(d=90, K=2, M=1, n=60, r=0.8, base_seed=2)
@@ -152,6 +236,13 @@ class TestEstimatePrecision:
         x = rng.standard_normal(30)
         X = np.column_stack([x, x, rng.standard_normal(30)])
         with pytest.raises(ValueError, match="degenerate nodewise residual"):
+            estimate_precision(X, 1e-300)
+
+    def test_copied_column_in_a_later_chunk_is_named(self, rng, monkeypatch):
+        X = rng.standard_normal((40, 12))
+        X[:, 10] = X[:, 9]
+        monkeypatch.setattr(debias_module, "NODEWISE_CHUNK_ENTRIES", 4 * 12)
+        with pytest.raises(ValueError, match="degenerate nodewise residual at column 9$"):
             estimate_precision(X, 1e-300)
 
     def test_rejects_bad_args(self, rng):

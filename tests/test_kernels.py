@@ -279,3 +279,142 @@ def test_settled_working_set_beside_unmovable_violator_stops():
     u_ref, *out_ref = scalar_cd_gram(G, c, lam, w_ref, skip, MAX_SWEEPS, 1e-9, 1e-7)
     assert out == out_ref
     assert _same(w, w_ref) and _same(u, u_ref)
+
+
+@pytest.mark.parametrize("max_sweeps", [0, 1, MAX_SWEEPS])
+def test_zero_solution_returns_after_one_gradient(gradient_calls, working_sets, rng, max_sweeps):
+    # Zero is optimal from a zero start: coordinate 2 is skipped although
+    # |c_2| > lam, coordinate 5 has a zero diagonal and |c_5| < lam, and the
+    # largest of the rest sits exactly at lam. Both forms must return what
+    # the full loop returns, bit for bit, without forming a working set.
+    n, d, skip, dead = 30, 8, 2, 5
+    X = rng.standard_normal((n, d))
+    X[:, dead] = 0.0
+    y = rng.standard_normal(n)
+    G, c = X.T @ X / n, X.T @ y / n
+    lam = float(np.abs(np.delete(c, [skip, dead])).max())
+    c[skip], c[dead] = 10.0 * lam, -0.5 * lam
+    tols = (max_sweeps, 1e-9, 1e-7)
+    w, w_ref = np.zeros(d), np.zeros(d)
+    u, *out = _kernels.cd_gram(G, c, lam, w, skip, *tols)
+    u_ref, *out_ref = scalar_cd_gram(G, c, lam, w_ref, skip, *tols)
+    assert out == out_ref and _same(u, u_ref) and _same(w, w_ref)
+    assert out == ([1, 0.0, True] if max_sweeps else [0, 0.0, False])
+    lam_r = float(np.abs(X.T @ y / n).max())
+    for scale in (1.0, 1.5):
+        w, w_ref = np.zeros(d), np.zeros(d)
+        out = _kernels.cd_residual(X, y, scale * lam_r, w, *tols)
+        assert out == scalar_cd_residual(X, y, scale * lam_r, w_ref, *tols)
+        assert _same(w, w_ref)
+    if max_sweeps:
+        # One gradient per solve and no working set: the early return ran.
+        assert gradient_calls[0] == 3 and working_sets == []
+
+
+def _stack_case(seed):
+    """The identity case's Gram problem stacked with nodewise rows of its G:
+    (G, C, W0, skip, lam, max_sweeps). Row 0 is the case's own c, skip and
+    start; the next rows regress columns of G on the others from 0; the last
+    is the case's c and start with no skipped coordinate."""
+    G, c, _, _, lam, w0, skip, max_sweeps = _identity_case(seed)
+    d = G.shape[0]
+    cols = np.random.default_rng(seed).choice(d, size=min(d, 6), replace=False)
+    C = np.vstack([c, G[cols], c])
+    skips = np.concatenate([[skip], cols, [-1]])
+    W0 = np.vstack([w0, np.zeros((cols.size, d)), w0])
+    return G, C, W0, skips, lam, max_sweeps
+
+
+def _close(a, b, rel=1e-12):
+    return np.abs(a - b).max(initial=0.0) <= rel * max(1.0, np.abs(b).max(initial=0.0))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_stack_rows_follow_the_single_problem_solver(seed):
+    # Per-row skip, zero-diagonal columns, an unmovable violator, warm
+    # starts and budgets from 1 sweep up: each row must stop where the
+    # single-problem solver stops. Only the gradient's summation order
+    # differs, so coefficients agree to roundoff.
+    G, C, W0, skips, lam, max_sweeps = _stack_case(seed)
+    W = W0.copy()
+    U, sweeps, kkt, conv = _kernels.cd_gram_stack(G, C, lam, W, skips, max_sweeps, 1e-9, 1e-7)
+    for r in range(C.shape[0]):
+        w = W0[r].copy()
+        u, s, k, cv = _kernels.cd_gram(G, C[r].copy(), lam, w, int(skips[r]), max_sweeps, 1e-9, 1e-7)
+        assert (sweeps[r], conv[r]) == (s, cv)
+        assert np.array_equal(W[r] != 0, w != 0)
+        assert _close(W[r], w) and _close(U[r], u)
+        assert kkt[r] == pytest.approx(k, abs=1e-12)
+
+
+def test_stack_skip_and_zero_diagonal_stay_zero(rng):
+    n, d, skip, dead = 40, 8, 2, 5
+    X = rng.standard_normal((n, d))
+    X[:, dead] = 0.0
+    # Coordinate ``skip`` carries signal, so it would leave 0 if it could enter.
+    y = X[:, :4] @ np.array([1.0, -1.0, 2.0, 0.5]) + 0.1 * rng.standard_normal(n)
+    G, c = X.T @ X / n, X.T @ y / n
+    C = np.vstack([c, G[0], G[3], c])
+    skips = np.array([skip, 0, 3, -1])
+    W = np.full((4, d), 0.3)
+    _, _, kkt, conv = _kernels.cd_gram_stack(G, C, 0.05, W, skips, 1000, 1e-9, 1e-7)
+    assert conv.all() and (kkt <= 1e-7).all()
+    assert not W[:, dead].any()
+    assert W[0, skip] == 0.0 and W[1, 0] == 0.0 and W[2, 3] == 0.0
+    assert W[3, skip] != 0.0  # the row that skips nothing uses the signal
+
+
+def test_stack_max_sweeps_caps_all_outer_passes():
+    X, y = _ar1_problem(1)
+    n, d = X.shape
+    G, c = X.T @ X / n, X.T @ y / n
+    W0 = np.zeros((2, d))
+    W0[1, [0, 15, 25]] = 0.5  # a start on the wrong support
+    needed = _kernels.cd_gram_stack(G, np.vstack([c, c]), 0.1, W0.copy(), np.full(2, -1),
+                                    10_000, 1e-9, 1e-7)[1]
+    assert needed.min() > 4
+    for budget in (1, 2, needed.min() // 2, needed.min() - 1):
+        _, sweeps, _, conv = _kernels.cd_gram_stack(
+            G, np.vstack([c, c]), 0.1, W0.copy(), np.full(2, -1), budget, 1e-9, 1e-7
+        )
+        assert (sweeps == budget).all() and not conv.any()
+
+
+def test_stack_zero_diagonal_violators_stop_within_budget():
+    # Coordinate 1 violates KKT in both rows (|c_1| > lam) but cannot move.
+    G = np.diag([1.0, 0.0, 2.0])
+    C = np.array([[0.5, 1.0, -0.4], [0.05, 1.0, 0.0]])
+    W = np.zeros((2, 3))
+    t0 = time.process_time()
+    _, sweeps, kkt, conv = _kernels.cd_gram_stack(G, C, 0.1, W, np.full(2, -1), MAX_SWEEPS, 1e-9, 1e-7)
+    assert time.process_time() - t0 < 1.0
+    assert (sweeps == MAX_SWEEPS).all() and not conv.any()
+    assert kkt == pytest.approx([0.9, 0.9])
+    assert W.ravel().tolist() == pytest.approx([0.4, 0.0, -0.15, 0.0, 0.0, 0.0])
+
+
+def test_stack_settled_working_set_beside_unmovable_violator_stops(monkeypatch):
+    # Seed 29's Gram problem (see the single-problem test above) stacked with
+    # a nodewise row. Without the settled stop its row would sweep on until
+    # MAX_SWEEPS; count the sweeps the lockstep loop actually runs.
+    spent = []
+    sweep = _kernels._lockstep_sweeps
+
+    def counting(gA, wA, blocks, lam, sweeps, *rest):
+        before = sweeps.copy()
+        out = sweep(gA, wA, blocks, lam, sweeps, *rest)
+        spent.append(int((sweeps - before).max()))
+        return out
+
+    monkeypatch.setattr(_kernels, "_lockstep_sweeps", counting)
+    G, C, W0, skips, lam, _ = _stack_case(29)
+    W = W0[:2].copy()
+    _, sweeps, kkt, conv = _kernels.cd_gram_stack(G, C[:2], lam, W, skips[:2], MAX_SWEEPS, 1e-9, 1e-7)
+    assert sum(spent) < 1000
+    assert sweeps[0] == MAX_SWEEPS and not conv[0] and kkt[0] > 0.9
+    assert conv[1] and kkt[1] <= 1e-7
+    w = W0[0].copy()
+    assert _kernels.cd_gram(G, C[0].copy(), lam, w, int(skips[0]), MAX_SWEEPS, 1e-9, 1e-7)[1:] == (
+        MAX_SWEEPS, pytest.approx(kkt[0], abs=1e-12), False
+    )
+    assert _close(W[0], w)

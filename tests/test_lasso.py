@@ -131,6 +131,29 @@ class TestFitLasso:
         assert conv and kkt <= 1e-7
         assert np.abs(w - fit.coefficients).max() <= 1e-7
 
+    def test_stacked_gram_fit_matches_single_fits(self, rng):
+        # A (B, d) stack of c rows with per-row skip returns each row's
+        # solution, the sweeps summed, the largest KKT residual and whether
+        # every row converged.
+        n, d = 60, 25
+        X = rng.standard_normal((n, d))
+        X[:, 1:] += 0.5 * X[:, :-1]
+        G = X.T @ X / n
+        C = np.vstack([X.T @ rng.standard_normal(n) / n, G[3], G[17]])
+        skip = np.array([-1, 3, 17])
+        W, U, sweeps, kkt, conv = fit_lasso_gram(G, C, 0.1, skip=skip)
+        assert W.shape == U.shape == (3, d)
+        singles = [fit_lasso_gram(G, C[r], 0.1, skip=int(skip[r])) for r in range(3)]
+        assert sweeps == sum(fit[2] for fit in singles)
+        assert conv and kkt == pytest.approx(max(fit[3] for fit in singles), abs=1e-12)
+        for r, (w, u, _, _, _) in enumerate(singles):
+            assert np.count_nonzero(w) >= 2
+            assert np.abs(W[r] - w).max() <= 1e-12 and np.abs(U[r] - u).max() <= 1e-12
+        _, _, _, kkt, conv = fit_lasso_gram(G, C, 0.1, skip=skip, max_sweeps=1)
+        assert not conv and kkt > 1e-7
+        with pytest.raises(ValueError, match="warm_start"):
+            fit_lasso_gram(G, C, 0.1, warm_start=np.zeros(d), skip=skip)
+
 
 class TestKktViolation:
     def test_exact_orthonormal_solution(self, rng):

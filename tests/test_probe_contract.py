@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from votelasso import _kernels, debias, harness
-from votelasso.datagen import ProblemSpec
+from votelasso.datagen import ProblemSpec, sample_shards
 
 from oracles import dense_rows
 
@@ -67,6 +67,45 @@ def test_every_replication_fit_goes_through_a_patched_name(monkeypatch):
     calls.clear()
     harness._rep_fits(dataclasses.replace(point, grams=None), rep=0)
     assert calls == [3] * spec.M  # covariance-free branch: (sweeps, kkt, converged)
+
+
+def test_every_nodewise_solve_goes_through_the_patched_name(monkeypatch, probes):
+    # The gate's kkt_nodewise is the largest KKT residual that calls of
+    # debias.fit_lasso_gram report. Each call must cover its rows' fits and
+    # report the largest residual of any of them, or the gate reads too little.
+    X = sample_shards(ProblemSpec(d=40, K=2, M=1, n=50, r=0.8, base_seed=3))[0]
+    lam = 0.15
+    calls = []
+    fit = debias.fit_lasso_gram
+
+    def recording(G, C, lam, **kwargs):
+        out = fit(G, C, lam, **kwargs)
+        calls.append((G, C.copy(), kwargs["skip"].copy(), out))
+        return out
+
+    monkeypatch.setattr(debias, "NODEWISE_CHUNK_ENTRIES", 16 * 40)
+    monkeypatch.setattr(debias, "fit_lasso_gram", recording)
+    est = debias.estimate_precision(X, lam)
+    assert len(calls) == 3
+    assert np.concatenate([skip for _, _, skip, _ in calls]).tolist() == list(range(40))
+    for G, C, skip, (theta, u, sweeps, kkt, converged) in calls:
+        assert sweeps > 0 and converged
+        assert np.abs(u - theta @ G).max() <= 1e-12
+        per_row = [
+            _kernels.kkt_residual(C[r] - G @ theta[r], theta[r], lam, int(skip[r]))
+            for r in range(skip.size)
+        ]
+        assert kkt == pytest.approx(max(per_row), rel=1e-6, abs=1e-15)
+    assert est.nodewise_kkt == max(out[3] for _, _, _, out in calls) > 0.0
+    assert est.nodewise_sweeps == sum(out[2] for _, _, _, out in calls)
+    # The benchmark's own probe reads the same certificate and sweeps.
+    monkeypatch.undo()
+    checks = probes.Checks()
+    with probes.Patches() as patches:
+        checks.install_nodewise(patches)
+        est = debias.estimate_precision(X, lam)
+    assert checks.max_kkt["nodewise"] == est.nodewise_kkt > 0.0
+    assert checks.counts["nodewise_sweeps"] == est.nodewise_sweeps
 
 
 def test_design_state_reads_the_precision_layout(bench_run):
