@@ -8,8 +8,8 @@ Monte-Carlo harness with bit-exact communication accounting. Data are
 stacked: each design is one (M, n, d) array, one slab per machine.
 """
 
-from .datagen import DataShard, GroundTruth, ProblemSpec
-from .debias import LocalFit, PrecisionEstimate
+from .datagen import GroundTruth, ProblemSpec
+from .debias import PrecisionEstimate
 from .fusion import SupportEstimate, VoteTally
 from .harness import ExperimentConfig, ExperimentRecord, run_replication, run_sweep
 from .protocol import Message
@@ -19,9 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ProblemSpec",
-    "DataShard",
     "GroundTruth",
-    "LocalFit",
     "PrecisionEstimate",
     "Message",
     "VoteTally",

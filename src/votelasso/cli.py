@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .datagen import DataShard, GroundTruth, ProblemSpec, sample_responses
+from .datagen import GroundTruth, ProblemSpec, sample_responses
 from .debias import RESIDUAL_SCALES
 from .harness import (
     SCHEMES,
@@ -195,11 +195,11 @@ def cmd_generate(args) -> int:
         c_omega=c_omega,
     )
     Y = sample_responses(design.X, truth.theta_star, sigma, spec.base_seed)
-    shards = [DataShard(machine_id=m, X=X, y=y) for m, (X, y) in enumerate(zip(design.X, Y))]
     bundle = out / "shards.npz"
     save_shards(
         bundle,
-        shards,
+        design.X,
+        Y,
         truth,
         meta={
             "d": spec.d,
@@ -213,8 +213,8 @@ def cmd_generate(args) -> int:
         },
     )
     if args.csv:
-        for shard in shards:
-            shard_to_csv(shard, out / f"shard_{shard.machine_id:04d}.csv")
+        for m in range(spec.M):
+            shard_to_csv(design.X[m], Y[m], out / f"shard_{m:04d}.csv")
     print(f"wrote {bundle} (M={spec.M}, n={spec.n}, d={spec.d}, c_omega={c_omega:.4f})")
     return 0
 

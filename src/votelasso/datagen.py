@@ -8,9 +8,10 @@ re-generated bit-identically.
 The machines are stacked: ``sample_shards`` returns one C-contiguous
 (M, n, d) array whose slab ``X[m]`` is machine m's design, and
 ``sample_responses`` turns such a stack into the (M, n) responses, one row
-per machine. Every consumer (the harness, ``cli generate``) reads this
-layout; ``DataShard`` wraps one machine's rows where a single machine's
-view is needed (its round-two message, the bundle and CSV writers).
+per machine. Every consumer (the harness, the protocol's message makers,
+the bundle and CSV writers, ``cli generate``) reads this layout, and a
+single machine's view is its row: the slab ``X[m]`` and the response row
+``Y[m]``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ class ProblemSpec:
             raise ValueError("K must satisfy 1 <= K < d")
         if self.M < 1 or self.n < 1:
             raise ValueError("M and n must be positive")
+        if self.M * self.n < self.K:
+            # The pooled oracle solves a K x K system from M*n samples.
+            raise ValueError("M * n must be at least K")
         if not 0 < self.r <= 1:
             raise ValueError("r must lie in (0, 1]")
         if not 0 <= self.corr_decay < 1:
@@ -74,19 +78,6 @@ class ProblemSpec:
 
 
 @dataclass
-class DataShard:
-    """One machine's design matrix and (optionally filled) response."""
-
-    machine_id: int
-    X: np.ndarray
-    y: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.y is not None and self.y.shape[0] != self.X.shape[0]:
-            raise ValueError("X and y row counts differ")
-
-
-@dataclass
 class GroundTruth:
     """Planted coefficient vector and its calibration constants."""
 
@@ -99,28 +90,6 @@ class GroundTruth:
 def stream(base_seed: int, tag: int, *keys: int) -> np.random.Generator:
     """Independent generator for (base_seed, tag, *keys)."""
     return np.random.default_rng(np.random.SeedSequence([int(base_seed), int(tag), *map(int, keys)]))
-
-
-def ar1_cholesky(d: int, corr_decay: float) -> np.ndarray:
-    """Closed-form lower Cholesky factor of Sigma_ij = corr_decay^|i-j|.
-
-    Row i is (s^i, s^{i-1} q, ..., s q, q, 0, ...) with q = sqrt(1 - s^2),
-    the coefficients of the stationary AR(1) recursion.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    if not 0 <= corr_decay < 1:
-        raise ValueError("corr_decay must lie in [0, 1)")
-    s = float(corr_decay)
-    q = math.sqrt(1.0 - s * s)
-    L = np.zeros((d, d))
-    powers = s ** np.arange(d)
-    for i in range(d):
-        L[i, 0] = powers[i]
-        if i >= 1:
-            # L[i, j] = q * s^(i - j) for 1 <= j <= i
-            L[i, 1 : i + 1] = q * powers[:i][::-1]
-    return L
 
 
 def _ar1_rows(rng: np.random.Generator, s: float, out: np.ndarray) -> None:

@@ -105,20 +105,6 @@ class PrecisionEstimate:
     nodewise_sweeps: int = 0
 
 
-@dataclass
-class LocalFit:
-    """Everything one machine computes from its shard in round one."""
-
-    machine_id: int
-    theta_tilde: np.ndarray
-    theta_hat: np.ndarray
-    sigma_hat_sq_diag: np.ndarray
-    xi_hat: np.ndarray
-    lasso_converged: bool = True
-    lasso_sweeps: int = 0
-    lasso_kkt: float = 0.0
-
-
 def empirical_covariance(X: np.ndarray) -> np.ndarray:
     """X'X / n."""
     X = np.asarray(X, dtype=np.float64)
@@ -140,8 +126,8 @@ def estimate_precision(
     strictly positive (collinear columns or lambda_omega too small).
     """
     X = np.asarray(X, dtype=np.float64)
-    if lambda_omega <= 0:
-        raise ValueError("lambda_omega must be positive")
+    if not 0 < lambda_omega < math.inf:
+        raise ValueError("lambda_omega must be finite and positive")
     if residual_scale not in RESIDUAL_SCALES:
         raise ValueError(f"residual_scale must be one of {RESIDUAL_SCALES}")
     d = X.shape[1]

@@ -25,11 +25,13 @@ residuals and X'r, the standardization and the oracle's cross moments.
 Every row of these equals the single-machine result bit for bit, and sums
 over machines add them in machine order (``fusion.sum_rows``), so records do
 not depend on the batching. Three steps stay per machine. Each machine's
-noise comes from its own seeded stream. Each lasso fit (``fit_lasso_gram``, ``fit_lasso``) and
-each Omega_hat mat-vec solves that machine's own problem, and the fits are
-the call sites the benchmark's probes count. Each round-1 and round-2
-message is built by ``protocol`` for one machine, as that machine would
-send it, and the benchmark's probes count those calls too.
+noise comes from its own seeded stream. Each lasso fit (``fit_lasso_gram``,
+``fit_lasso``) and each Omega_hat mat-vec solves that machine's own problem,
+and the fits are the call sites the benchmark's probes count. Each round-1
+and round-2 message is built by ``protocol`` for one machine from its rows
+of the replication's arrays (``_rep_fits``: its xi or theta_hat row, or its
+X[m] and Y[m]), as that machine would send it, and the benchmark's probes
+count those calls too.
 
 Round two under the ``average`` rule needs each machine's inverse Gram
 (X_S'X_S)^-1 on the selected support S, which depends only on the design
@@ -57,7 +59,6 @@ import numpy as np
 from . import fusion, protocol
 from .datagen import (
     TAG_THETA,
-    DataShard,
     ProblemSpec,
     compute_c_omega,
     make_theta_star,
@@ -68,7 +69,6 @@ from .datagen import (
 )
 from .debias import (
     RESIDUAL_SCALES,
-    LocalFit,
     SparseRows,
     debias,
     empirical_covariance,
@@ -162,6 +162,10 @@ class ExperimentConfig:
             raise ValueError(f"lambda_omega_rule must be one of {LAMBDA_OMEGA_RULES}")
         if self.lambda_omega_rule == "explicit" and self.lambda_omega_value is None:
             raise ValueError("explicit lambda_omega_rule needs lambda_omega_value")
+        for name in ("tau_value", "lambda_value", "lambda_omega_value"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.nodewise_residual_scale not in RESIDUAL_SCALES:
             raise ValueError(f"nodewise_residual_scale must be one of {RESIDUAL_SCALES}")
         if self.scheme.startswith("top_L"):
@@ -422,10 +426,13 @@ def materialize(
     )
 
 
-def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], np.ndarray]:
+def _rep_fits(point: PointState, rep: int):
     """All machines' round-one computations for one noise replication.
 
-    Returns the local fits and the (M, n) responses, one row per machine.
+    Returns (theta_tilde, theta_hat, xi, converged, sweeps, kkt, Y): the
+    lasso, debiased and standardized estimates as (M, d) arrays, each
+    machine's solver status as (M,) arrays, and the (M, n) responses. Row m
+    of each is machine m's.
     """
     design = point.design
     spec = design.spec
@@ -433,33 +440,23 @@ def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], np.ndarray]:
     X = design.X[:M, :n]
     Y = sample_responses(X, point.theta_star, sigma, spec.base_seed, rep)
     theta_t = np.empty((M, spec.d))
-    solver = []
+    converged = np.empty(M, dtype=bool)
+    sweeps = np.empty(M, dtype=np.int64)
+    kkt = np.empty(M)
     if point.grams is not None:
         XtY = (Y[:, None, :] @ X)[:, 0, :] / n
         for m in range(M):
-            theta_t[m], _, sweeps, kkt, conv = fit_lasso_gram(point.grams[m], XtY[m], point.lam)
-            solver.append((conv, sweeps, kkt))
+            theta_t[m], _, sweeps[m], kkt[m], converged[m] = fit_lasso_gram(
+                point.grams[m], XtY[m], point.lam
+            )
     else:
         for m in range(M):
             fit = fit_lasso(X[m], Y[m], point.lam)
             theta_t[m] = fit.coefficients
-            solver.append((fit.converged, fit.iterations, fit.max_kkt_violation))
+            converged[m], sweeps[m], kkt[m] = fit.converged, fit.iterations, fit.max_kkt_violation
     theta_h = debias(X, Y, theta_t, point.omegas)
     xi = standardize(theta_h, point.c_diag, sigma, n)
-    fits = [
-        LocalFit(
-            machine_id=m,
-            theta_tilde=theta_t[m],
-            theta_hat=theta_h[m],
-            sigma_hat_sq_diag=point.c_diag[m],
-            xi_hat=xi[m],
-            lasso_converged=bool(conv),
-            lasso_sweeps=int(sweeps),
-            lasso_kkt=float(kkt),
-        )
-        for m, (conv, sweeps, kkt) in enumerate(solver)
-    ]
-    return fits, Y
+    return theta_t, theta_h, xi, converged, sweeps, kkt, Y
 
 
 # bnm21 sends the thresholded votes of thresh_votes and differs only in its
@@ -467,17 +464,18 @@ def _rep_fits(point: PointState, rep: int) -> tuple[list[LocalFit], np.ndarray]:
 _ROUND1_RULE = {"bnm21": "thresh_votes"}
 
 
-def _round1_messages(rule: str, point: PointState, fits):
+def _round1_messages(rule: str, point: PointState, theta_hat: np.ndarray, xi: np.ndarray):
+    """One ``protocol`` call per machine, from its row of xi (or theta_hat)."""
     if rule == "thresh_votes":
-        return [protocol.round1_thresh_votes(f, point.tau) for f in fits]
+        return [protocol.round1_thresh_votes(m, row, point.tau) for m, row in enumerate(xi)]
     if rule == "thresh_signs":
-        return [protocol.round1_thresh_signs(f, point.tau) for f in fits]
+        return [protocol.round1_thresh_signs(m, row, point.tau) for m, row in enumerate(xi)]
     if rule == "top_L_votes":
-        return [protocol.round1_top_L(f, point.L, signed=False) for f in fits]
+        return [protocol.round1_top_L(m, row, point.L, signed=False) for m, row in enumerate(xi)]
     if rule == "top_L_signs":
-        return [protocol.round1_top_L(f, point.L, signed=True) for f in fits]
+        return [protocol.round1_top_L(m, row, point.L, signed=True) for m, row in enumerate(xi)]
     if rule == "avg_deblasso":
-        return [protocol.round1_dense(f) for f in fits]
+        return [protocol.round1_dense(m, row) for m, row in enumerate(theta_hat)]
     raise ValueError(f"unknown scheme {rule!r}")
 
 
@@ -522,18 +520,17 @@ def _round2_factor(point: PointState, support: np.ndarray) -> np.ndarray:
 
 def _second_round(config, point, ys, support) -> tuple[np.ndarray, int]:
     """Run round two over the machines; returns (theta_hat, total bits)."""
-    design = point.design
-    d = design.spec.d
+    d = point.design.spec.d
+    X = point.design.X[: point.M, : point.n]
     exact = config.second_round == "gram_exact"
     gram_inv = None if exact else _round2_factor(point, support)
     bits = 0
     msgs = []
     for m in range(point.M):
-        shard = DataShard(machine_id=m, X=design.X[m][: point.n], y=ys[m])
         if exact:
-            msg = protocol.round2_gram(shard, support)
+            msg = protocol.round2_gram(m, X[m], ys[m], support)
         else:
-            msg = protocol.round2_restricted(shard, support, gram_inv[m])
+            msg = protocol.round2_restricted(m, X[m], ys[m], support, gram_inv[m])
         bits += protocol.bit_cost(msg, d)
         msgs.append(msg)
     if exact:
@@ -544,15 +541,17 @@ def _second_round(config, point, ys, support) -> tuple[np.ndarray, int]:
 class _RepMemo:
     """The work one replication's schemes share, computed on first use.
 
-    Round-1 messages, their bits and their tally depend only on (fits,
-    round-1 rule), and round two only on (ys, support), so each is built
+    Round-1 messages, their bits and their tally depend only on (theta_hat,
+    xi, round-1 rule), and round two only on (ys, support), so each is built
     once per rule or per distinct support and reused by every later scheme.
-    Shared arrays are made read-only. ``seconds`` sums the time spent on
-    shared work.
+    Shared arrays are made read-only. ``flags`` holds the replication's
+    solver fields, which every record copies. ``seconds`` sums the time
+    spent on shared work.
     """
 
-    def __init__(self, config: ExperimentConfig, point: PointState, fits, ys, seconds: float):
-        self.config, self.point, self.fits, self.ys = config, point, fits, ys
+    def __init__(self, config, point, theta_hat, xi, ys, flags: RepFlags, seconds: float):
+        self.config, self.point = config, point
+        self.theta_hat, self.xi, self.ys, self.flags = theta_hat, xi, ys, flags
         self.seconds = seconds
         self._round1: dict = {}
         self._round2: dict = {}
@@ -571,7 +570,7 @@ class _RepMemo:
 
         def compute():
             d = self.config.spec.d
-            msgs = _round1_messages(rule, self.point, self.fits)
+            msgs = _round1_messages(rule, self.point, self.theta_hat, self.xi)
             bits = [protocol.bit_cost(m, d) for m in msgs]
             if rule == "avg_deblasso":
                 return msgs, bits, None
@@ -610,12 +609,7 @@ def _eval_scheme(
     d = config.spec.d
     t0 = time.perf_counter()
     shared_before = memo.seconds
-    fits = memo.fits
-    flags = RepFlags(
-        nonconverged_fits=sum(1 for f in fits if not f.lasso_converged),
-        max_sweeps=max(f.lasso_sweeps for f in fits),
-        max_kkt=max(f.lasso_kkt for f in fits),
-    )
+    flags = replace(memo.flags)
     msgs, bits_r1, t = memo.round1(scheme)
     theta_avg, est = _select_support(scheme, config, point, msgs, t)
     S_hat = est.indices
@@ -675,9 +669,14 @@ def run_point_rep(
     the ``_RepMemo`` work) as ``shared_time``.
     """
     t0 = time.perf_counter()
-    fits, ys = _rep_fits(point, rep)
+    _, theta_hat, xi, converged, sweeps, kkt, ys = _rep_fits(point, rep)
+    flags = RepFlags(
+        nonconverged_fits=int((~converged).sum()),
+        max_sweeps=int(sweeps.max()),
+        max_kkt=float(kkt.max()),
+    )
     l2_oracle = _oracle_error(point, ys)
-    memo = _RepMemo(config, point, fits, ys, seconds=time.perf_counter() - t0)
+    memo = _RepMemo(config, point, theta_hat, xi, ys, flags, seconds=time.perf_counter() - t0)
     records = [_eval_scheme(s, config, point, memo, rep, l2_oracle) for s in schemes]
     for record in records:
         record.shared_time = memo.seconds

@@ -19,6 +19,7 @@ factors them once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,11 @@ from . import _kernels
 KKT_TOL = 1e-7
 COEF_TOL = 1e-9
 MAX_SWEEPS = 100_000
+
+
+def _check_lam(lam: float) -> None:
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be finite and positive")
 
 
 @dataclass
@@ -58,8 +64,7 @@ def fit_lasso(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("NaN or inf in lasso inputs")
     n, d = X.shape
@@ -79,13 +84,6 @@ def fit_lasso(
         max_kkt_violation=float(viol),
         converged=bool(converged and viol <= kkt_tol),
     )
-
-
-def lasso_objective(X: np.ndarray, y: np.ndarray, lam: float, theta: np.ndarray) -> float:
-    """(1/2n)||y - X theta||^2 + lam * ||theta||_1."""
-    n = X.shape[0]
-    r = y - X @ theta
-    return float((r @ r) / (2 * n) + lam * np.abs(theta).sum())
 
 
 def kkt_violation(X: np.ndarray, y: np.ndarray, lam: float, theta: np.ndarray) -> float:
@@ -122,6 +120,7 @@ def fit_lasso_gram(
     each recomputed from a fresh gradient c - u, and whether every row
     converged with its residual within ``kkt_tol``.
     """
+    _check_lam(lam)
     c = np.asarray(c, dtype=np.float64)
     w = np.zeros(c.shape) if warm_start is None else np.array(warm_start, dtype=np.float64)
     if w.shape != c.shape:

@@ -5,12 +5,14 @@ bits. Set-cardinality headers are excluded from the model count; the wire
 format below does carry an explicit count field, and a message's wire bytes
 are ``len(encode_message(msg))``.
 
-Round-two messages are built from one machine's ``DataShard``, its rows of
-the stacked design with its responses. Under the ``average`` rule a machine
-sends its least-squares fit on the broadcast support S,
-(X_S'X_S)^-1 X_S'y; the inverse Gram depends only on the design and S, so
-a caller that already holds it passes it in and the message costs two
-small mat-vecs.
+A machine's state is its rows of the replication's stacked arrays: round
+one reads its standardized estimate xi (or, for the dense baseline, its
+debiased estimate theta_hat), round two its design X_m and responses y_m.
+Every maker takes the machine id first and builds that one machine's
+message. Under the ``average`` rule a machine sends its least-squares fit
+on the broadcast support S, (X_S'X_S)^-1 X_S'y; the inverse Gram depends
+only on the design and S, so a caller that already holds it passes it in
+and the message costs two small mat-vecs.
 
 Wire format (little-endian): 1-byte payload tag, 4-byte machine id, 4-byte
 count, then the payload: indices as uint32, signs packed one bit each
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import DataShard
-from .debias import LocalFit
 from .lasso import restricted_ols
 
 TAG_INDEX_SET = 1
@@ -94,43 +94,45 @@ def _as_index_array(idx) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
-def round1_thresh_votes(fit: LocalFit, tau: float) -> Message:
+def round1_thresh_votes(machine_id: int, xi: np.ndarray, tau: float) -> Message:
     """Indices whose standardized estimate strictly exceeds tau in magnitude."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    idx = np.flatnonzero(np.abs(fit.xi_hat) > tau).astype(np.int64)
-    return Message(fit.machine_id, IndexSet(idx))
+    idx = np.flatnonzero(np.abs(xi) > tau).astype(np.int64)
+    return Message(machine_id, IndexSet(idx))
 
 
-def round1_thresh_signs(fit: LocalFit, tau: float) -> Message:
+def round1_thresh_signs(machine_id: int, xi: np.ndarray, tau: float) -> Message:
     """Thresholded indices with their signs attached."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    idx = np.flatnonzero(np.abs(fit.xi_hat) > tau).astype(np.int64)
-    signs = np.sign(fit.xi_hat[idx]).astype(np.int64)
-    return Message(fit.machine_id, SignedIndexSet(idx, signs))
+    idx = np.flatnonzero(np.abs(xi) > tau).astype(np.int64)
+    signs = np.sign(xi[idx]).astype(np.int64)
+    return Message(machine_id, SignedIndexSet(idx, signs))
 
 
-def round1_top_L(fit: LocalFit, L: int, signed: bool = False) -> Message:
-    """Indices of the L largest |xi_hat| entries; ties break to lower index."""
-    d = fit.xi_hat.shape[0]
+def round1_top_L(machine_id: int, xi: np.ndarray, L: int, signed: bool = False) -> Message:
+    """Indices of the L largest |xi| entries; ties break to lower index."""
+    d = xi.shape[0]
     if not 1 <= L <= d:
         raise ValueError("L must lie in [1, d]")
-    order = np.argsort(-np.abs(fit.xi_hat), kind="stable")[:L]
+    order = np.argsort(-np.abs(xi), kind="stable")[:L]
     idx = np.sort(order).astype(np.int64)
     if not signed:
-        return Message(fit.machine_id, IndexSet(idx))
-    signs = np.sign(fit.xi_hat[idx]).astype(np.int64)
+        return Message(machine_id, IndexSet(idx))
+    signs = np.sign(xi[idx]).astype(np.int64)
     signs[signs == 0] = 1
-    return Message(fit.machine_id, SignedIndexSet(idx, signs))
+    return Message(machine_id, SignedIndexSet(idx, signs))
 
 
-def round1_dense(fit: LocalFit) -> Message:
+def round1_dense(machine_id: int, theta_hat: np.ndarray) -> Message:
     """The full debiased estimate (the O(d)-bits baseline payload)."""
-    return Message(fit.machine_id, DenseEstimate(fit.theta_hat.copy()))
+    return Message(machine_id, DenseEstimate(theta_hat.copy()))
 
 
-def round2_restricted(shard: DataShard, support, gram_inv: np.ndarray | None = None) -> Message:
+def round2_restricted(
+    machine_id: int, X_m: np.ndarray, y_m: np.ndarray, support, gram_inv: np.ndarray | None = None
+) -> Message:
     """Per-machine least squares restricted to the broadcast support.
 
     ``gram_inv`` is the machine's (X_S'X_S)^-1 on the support
@@ -140,17 +142,17 @@ def round2_restricted(shard: DataShard, support, gram_inv: np.ndarray | None = N
     support = _as_index_array(support)
     if support.size < 1:
         raise ValueError("support must be nonempty")
-    beta = restricted_ols(shard.X[:, support], shard.y, gram_inv)
-    return Message(shard.machine_id, RestrictedEstimate(support, beta))
+    beta = restricted_ols(X_m[:, support], y_m, gram_inv)
+    return Message(machine_id, RestrictedEstimate(support, beta))
 
 
-def round2_gram(shard: DataShard, support) -> Message:
+def round2_gram(machine_id: int, X_m: np.ndarray, y_m: np.ndarray, support) -> Message:
     """Exact restricted Gram matrix and cross moments for centralized LS."""
     support = _as_index_array(support)
     if support.size < 1:
         raise ValueError("support must be nonempty")
-    Xs = shard.X[:, support]
-    return Message(shard.machine_id, GramSummary(support, Xs.T @ Xs, Xs.T @ shard.y))
+    Xs = X_m[:, support]
+    return Message(machine_id, GramSummary(support, Xs.T @ Xs, Xs.T @ y_m))
 
 
 def bit_cost(msg: Message, d: int) -> int:

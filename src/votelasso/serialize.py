@@ -4,12 +4,13 @@ reader of the records.
 Binary container: NumPy ``.npz`` archives with documented keys, readable
 with ``np.load``.
 
-* Shard bundle: ``X_<m>`` and ``y_<m>`` per machine, ``machine_ids``, plus
+* Shard bundle: ``X_<m>`` and ``y_<m>`` per machine (slab m of the stacked
+  (M, n, d) designs and row m of the (M, n) responses), ``machine_ids``, plus
   (when a ground truth is attached) ``theta_star``, ``support``,
   ``theta_min``, ``c_omega``, and a ``meta`` JSON string with the generating
   configuration.
 
-CSV: one file per shard, header ``x_1,...,x_d,y``, one row per sample,
+CSV: one file per machine, header ``x_1,...,x_d,y``, one row per sample,
 readable with ``np.loadtxt(path, delimiter=",", skiprows=1)``.
 """
 
@@ -21,22 +22,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import DataShard, GroundTruth
+from .datagen import GroundTruth
 
 
 def save_shards(
     path,
-    shards: list[DataShard],
+    X: np.ndarray,
+    Y: np.ndarray,
     truth: GroundTruth | None = None,
     meta: dict | None = None,
 ) -> None:
-    arrays: dict[str, np.ndarray] = {
-        "machine_ids": np.array([s.machine_id for s in shards], dtype=np.int64)
-    }
-    for s in shards:
-        arrays[f"X_{s.machine_id}"] = s.X
-        if s.y is not None:
-            arrays[f"y_{s.machine_id}"] = s.y
+    """Write the stacked designs X (M, n, d) and responses Y (M, n)."""
+    if Y.shape != X.shape[:2]:
+        raise ValueError(f"responses of shape {Y.shape} do not match designs of shape {X.shape}")
+    arrays: dict[str, np.ndarray] = {"machine_ids": np.arange(X.shape[0], dtype=np.int64)}
+    for m, (X_m, y_m) in enumerate(zip(X, Y)):
+        arrays[f"X_{m}"] = X_m
+        arrays[f"y_{m}"] = y_m
     if truth is not None:
         arrays["theta_star"] = truth.theta_star
         arrays["support"] = truth.support
@@ -48,14 +50,13 @@ def save_shards(
     np.savez_compressed(path, **arrays)
 
 
-def shard_to_csv(shard: DataShard, path) -> None:
-    d = shard.X.shape[1]
-    if shard.y is None:
-        raise ValueError("shard has no response vector")
+def shard_to_csv(X_m: np.ndarray, y_m: np.ndarray, path) -> None:
+    """Write one machine's (n, d) design and length-n response."""
+    d = X_m.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x_{j}" for j in range(1, d + 1)] + ["y"])
-        for row, yi in zip(shard.X, shard.y):
+        for row, yi in zip(X_m, y_m):
             writer.writerow([repr(float(v)) for v in row] + [repr(float(yi))])
 
 

@@ -150,15 +150,17 @@ def loop_rep_fits(point, rep):
     """Round one machine by machine, as ``harness._rep_fits`` computed it
     before its stacked pass: noise, response, X'y, lasso, debiasing and
     standardization, each a separate call per machine. The bitwise
-    reference for the stacked pass; do not batch it. Returns (fits, ys)."""
+    reference for the stacked pass; do not batch it. Returns what
+    ``_rep_fits`` returns, (theta_tilde, theta_hat, xi, converged, sweeps,
+    kkt, Y), each stacked from the per-machine results."""
     from votelasso.datagen import TAG_NOISE, stream
-    from votelasso.debias import LocalFit, standardize
+    from votelasso.debias import standardize
     from votelasso.lasso import fit_lasso, fit_lasso_gram
 
     design = point.design
     spec = design.spec
     n, sigma = point.n, point.sigma
-    fits, ys = [], []
+    rows = []
     for m in range(point.M):
         X = design.X[m][:n]
         w = stream(spec.base_seed, TAG_NOISE, rep, m).standard_normal(design.n_cal)[:n]
@@ -172,20 +174,9 @@ def loop_rep_fits(point, rep):
             )
         resid = y - X @ theta_t
         theta_h = theta_t + point.omegas[m].matvec(X.T @ resid) / n
-        fits.append(
-            LocalFit(
-                machine_id=m,
-                theta_tilde=theta_t,
-                theta_hat=theta_h,
-                sigma_hat_sq_diag=point.c_diag[m],
-                xi_hat=standardize(theta_h, point.c_diag[m], sigma, n),
-                lasso_converged=bool(conv),
-                lasso_sweeps=int(sweeps),
-                lasso_kkt=float(kkt),
-            )
-        )
-        ys.append(y)
-    return fits, ys
+        xi = standardize(theta_h, point.c_diag[m], sigma, n)
+        rows.append((theta_t, theta_h, xi, bool(conv), int(sweeps), float(kkt), y))
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 def loop_oracle_error(point, ys):

@@ -60,7 +60,7 @@ class TestGenerate:
         main(["generate", *COMMON, "--out", str(tmp_path)])
         data = _bundle(tmp_path)
         cfg = ExperimentConfig(spec=ProblemSpec(d=40, K=2, M=4, n=30, r=0.8, base_seed=3))
-        _, ys = _rep_fits(materialize(build_design(cfg), cfg), 0)
+        ys = _rep_fits(materialize(build_design(cfg), cfg), 0)[-1]
         for m in range(4):
             y = data[f"y_{m}"]
             assert y.dtype == ys.dtype and y.tobytes() == ys[m].tobytes()
@@ -182,13 +182,17 @@ class TestRun:
         [
             (["--tau-mode", "explicit"], None, "explicit tau_mode needs tau_value"),
             ([], "tau_mode = explicit\n", "explicit tau_mode needs tau_value"),
+            (["--tau-mode", "explicit", "--tau-value", "-1"], None,
+             "bad run configuration: tau_value must be finite and positive"),
+            ([], "tau_mode = explicit\ntau_value = nan\n",
+             "bad run configuration: tau_value must be finite and positive"),
             (["--d", "1"], None, "d must be at least 2"),
             (["--sigma", "-1"], None, "sigma must be positive"),
             ([], "sigma = loud\n", "config key 'sigma'"),
             (["--scheme", "thresh_votes,bogus"], None, "unknown scheme 'bogus'"),
             (["--scheme", " , "], None, "no scheme given"),
         ],
-        ids=["tau_flag", "tau_file", "d", "sigma", "sigma_file", "later_scheme", "no_scheme"],
+        ids=["tau_flag", "tau_file", "tau_negative", "tau_nan", "d", "sigma", "sigma_file", "later_scheme", "no_scheme"],
     )
     def test_bad_configuration_exits_with_one_line(self, tmp_path, flags, file_text, message):
         argv = ["run", *COMMON, *flags, "--out", str(tmp_path / "o")]
@@ -199,6 +203,23 @@ class TestRun:
         with pytest.raises(SystemExit, match=message) as exc:
             main(argv)
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert not (tmp_path / "o").exists()
+
+
+    def test_fewer_pooled_samples_than_K_exits_before_the_design(self, tmp_path, monkeypatch):
+        def no_design(*args, **kwargs):
+            raise AssertionError("build_design called")
+
+        monkeypatch.setattr("votelasso.cli.build_design", no_design)
+        monkeypatch.setattr("votelasso.harness.build_design", no_design)
+        small = ["--d", "40", "--k", "5", "--seed", "1", "--reps", "1", "--out", str(tmp_path / "o")]
+        for argv in (
+            ["run", "--n", "3", "--machines", "1", *small],
+            ["sweep", "--n", "30", "--machines", "2", "--axis", "n", "--grid", "2,30", *small],
+        ):
+            with pytest.raises(SystemExit, match="bad problem configuration: M \\* n must be at least K") as exc:
+                main(argv)
+            assert "\n" not in exc.value.code
         assert not (tmp_path / "o").exists()
 
 

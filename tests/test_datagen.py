@@ -6,7 +6,6 @@ import pytest
 from votelasso.datagen import (
     TAG_NOISE,
     ProblemSpec,
-    ar1_cholesky,
     compute_c_omega,
     make_theta_star,
     sample_responses,
@@ -39,27 +38,17 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             _spec(sigma="weird")
 
+    def test_fewer_pooled_samples_than_K_rejected(self):
+        # The pooled oracle solves a K x K system from M * n samples.
+        with pytest.raises(ValueError, match="M \\* n must be at least K"):
+            _spec(K=5, M=1, n=4)
+        with pytest.raises(ValueError, match="M \\* n must be at least K"):
+            _spec(M=1, n=4).with_(M=1, n=2)
+        assert _spec(K=5, M=1, n=5).n == 5 and _spec(K=5, M=2, n=3).M == 2
+
     def test_sigma_from_r(self):
         assert _spec(r=0.25).sigma_value() == pytest.approx(2.0)
         assert _spec(sigma=3.0).sigma_value() == 3.0
-
-
-class TestAr1Cholesky:
-    def test_independent_design_is_identity(self):
-        assert np.array_equal(ar1_cholesky(2, 0.0), np.eye(2))
-
-    def test_hand_computed_2x2(self):
-        L = ar1_cholesky(2, 0.5)
-        assert L[0, 0] == 1.0
-        assert L[1, 0] == pytest.approx(0.5)
-        assert L[1, 1] == pytest.approx(math.sqrt(0.75))
-
-    @pytest.mark.parametrize("d,s", [(5, 0.5), (37, 0.5), (12, 0.9)])
-    def test_reconstructs_covariance(self, d, s):
-        L = ar1_cholesky(d, s)
-        idx = np.arange(d)
-        Sigma = s ** np.abs(idx[:, None] - idx[None, :])
-        assert np.abs(L @ L.T - Sigma).max() <= 1e-12
 
 
 class TestSampleShards:

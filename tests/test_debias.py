@@ -6,7 +6,7 @@ import pytest
 
 import votelasso.debias as debias_module
 from votelasso import _kernels
-from votelasso.datagen import DataShard, ProblemSpec, sample_shards
+from votelasso.datagen import ProblemSpec, sample_shards
 from votelasso.debias import (
     SparseRows,
     empirical_covariance,
@@ -249,6 +249,9 @@ class TestEstimatePrecision:
         X = rng.standard_normal((10, 3))
         with pytest.raises(ValueError):
             estimate_precision(X, 0.0)
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda_omega must be finite and positive"):
+                estimate_precision(X, lam)
         with pytest.raises(ValueError):
             estimate_precision(X, 0.1, residual_scale="3n")
         with pytest.raises(ValueError):
@@ -339,6 +342,8 @@ class TestStandardize:
 
 
 class TestLocalFit:
+    """One machine's round one: lasso, debiasing and standardization."""
+
     def _shard(self, rng, n=80, d=10, sigma=1e-6, theta=None):
         spec = ProblemSpec(d=d, K=2, M=1, n=n, r=0.5, base_seed=3)
         X = sample_shards(spec)[0]
@@ -346,24 +351,24 @@ class TestLocalFit:
             theta = np.zeros(d)
             theta[[2, 7]] = [1.5, -2.0]
         y = X @ theta + sigma * rng.standard_normal(n)
-        return DataShard(machine_id=0, X=X, y=y), theta
+        return X, y, theta
 
     def test_noiseless_signs_recovered(self, rng):
-        shard, theta = self._shard(rng)
-        est = estimate_precision(shard.X, 0.2)
-        _, _, xi = _round_one(shard.X, shard.y, 0.05, est, sigma=1e-6)
+        X, y, theta = self._shard(rng)
+        est = estimate_precision(X, 0.2)
+        _, _, xi = _round_one(X, y, 0.05, est, sigma=1e-6)
         support = np.flatnonzero(theta)
         assert np.array_equal(np.sign(xi[support]), np.sign(theta[support]))
 
     def test_precomputed_precision_is_transparent(self, rng):
         # A precision estimated from a precomputed Gram matrix gives the
         # same round one as one estimated inline.
-        shard, _ = self._shard(rng, sigma=0.5)
-        inline = estimate_precision(shard.X, 0.2)
-        cached = estimate_precision(shard.X, 0.2, gram=empirical_covariance(shard.X))
+        X, y, _ = self._shard(rng, sigma=0.5)
+        inline = estimate_precision(X, 0.2)
+        cached = estimate_precision(X, 0.2, gram=empirical_covariance(X))
         for a, b in zip(
-            _round_one(shard.X, shard.y, 0.1, inline, 0.5),
-            _round_one(shard.X, shard.y, 0.1, cached, 0.5),
+            _round_one(X, y, 0.1, inline, 0.5),
+            _round_one(X, y, 0.1, cached, 0.5),
         ):
             assert np.array_equal(a, b)
 

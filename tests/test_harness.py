@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from votelasso import fusion, harness, protocol
-from votelasso.datagen import DataShard, ProblemSpec, make_theta_star, sample_responses, sample_shards
+from votelasso.datagen import ProblemSpec, make_theta_star, sample_responses, sample_shards
 from votelasso.debias import debias, estimate_precision, sandwich_diag, standardize
 from votelasso.harness import (
     SCHEMES,
@@ -89,7 +89,7 @@ class TestOracleLs:
 
     def test_matches_stacked_ols(self):
         point = self._point(M=4)
-        _, ys = _rep_fits(point, 0)
+        ys = _rep_fits(point, 0)[-1]
         S = point.design.support
         X_all = point.design.X[: point.M, : point.n].reshape(-1, point.design.spec.d)
         beta = restricted_ols(X_all[:, S], ys.reshape(-1))
@@ -97,7 +97,7 @@ class TestOracleLs:
 
     def test_single_machine_equals_restricted(self):
         point = self._point(M=1)
-        _, ys = _rep_fits(point, 0)
+        ys = _rep_fits(point, 0)[-1]
         X = point.design.X[0][: point.n]
         beta = restricted_ols(X[:, point.design.support], ys[0])
         assert _oracle_error(point, ys) == pytest.approx(self._error(point, beta), abs=1e-10)
@@ -246,6 +246,17 @@ class TestSchemes:
         assert cfg.lam(50, 2.0) == 2.0 * _config().lam(50, 2.0)
         assert _config(lambda_omega_rule="explicit", lambda_omega_value=0.3).lam_omega(50) == 0.3
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "rule", [("tau_mode", "tau_value"), ("lambda_rule", "lambda_value"),
+                 ("lambda_omega_rule", "lambda_omega_value")],
+        ids=["tau", "lambda", "lambda_omega"],
+    )
+    def test_explicit_value_must_be_finite_and_positive(self, rule, value):
+        mode, key = rule
+        with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+            _config(**{mode: "explicit", key: value})
+
 
 def _untimed(rec) -> dict:
     return {k: v for k, v in rec.to_dict().items() if k not in TIMING_FIELDS}
@@ -309,10 +320,10 @@ class TestSharedWork:
         failing = run_point_rep(point, cfg, ["thresh_votes"], 0)[0].S_hat
         original = protocol.round2_restricted
 
-        def round2(shard, support, gram_inv=None):
+        def round2(machine_id, X_m, y_m, support, gram_inv=None):
             if list(support) == failing:
                 raise ValueError("singular restricted design")
-            return original(shard, support, gram_inv)
+            return original(machine_id, X_m, y_m, support, gram_inv)
 
         monkeypatch.setattr(protocol, "round2_restricted", round2)
         recs = run_point_rep(point, cfg, list(SCHEMES), 0)
@@ -370,16 +381,16 @@ class TestRoundTwoFactors:
         point = materialize(design, cfg, M=7, n=40)
         run_point_rep(point, cfg, list(SCHEMES), 0)
         assert point.round2_factors
-        _, ys = _rep_fits(point, 0)
+        ys = _rep_fits(point, 0)[-1]
         for key, factor in point.round2_factors.items():
             S = np.frombuffer(key, dtype=np.int64)
             assert factor.shape == (7, S.size, S.size)
             for m in range(7):
                 X_S = design.X[m][:40][:, S]
                 assert factor[m].tobytes() == restricted_gram_inverse(X_S).tobytes()
-                shard = DataShard(machine_id=m, X=design.X[m][:40], y=ys[m])
-                alone = protocol.round2_restricted(shard, S).payload.values
-                given = protocol.round2_restricted(shard, S, factor[m]).payload.values
+                X_m = design.X[m][:40]
+                alone = protocol.round2_restricted(m, X_m, ys[m], S).payload.values
+                given = protocol.round2_restricted(m, X_m, ys[m], S, factor[m]).payload.values
                 assert alone.tobytes() == given.tobytes()
 
     def test_singular_support_fails_in_every_replication(self, small_design, factor_calls):
@@ -596,16 +607,16 @@ class TestRoundOnePaths:
         cfg, design = small_design
         point = materialize(design, cfg)
         assert point.grams is not None
-        fits_gram, ys = _rep_fits(point, rep=1)
-        fits_res, ys_res = _rep_fits(dataclasses.replace(point, grams=None), rep=1)
+        _, _, xi_gram, conv_gram, _, _, ys = _rep_fits(point, rep=1)
+        _, _, xi_res, conv_res, _, _, ys_res = _rep_fits(dataclasses.replace(point, grams=None), rep=1)
         rows = estimate_precision(design.X[0], design.lam_omega).omega_hat
         stored = point.omegas[0]
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(rows, name), getattr(stored, name))
         assert np.array_equal(point.c_diag[0], sandwich_diag(stored, design.X[0]))
         assert np.array_equal(ys[0], ys_res[0])
-        assert np.abs(fits_gram[0].xi_hat - fits_res[0].xi_hat).max() <= 1e-8
-        assert fits_gram[0].lasso_converged and fits_res[0].lasso_converged
+        assert np.abs(xi_gram[0] - xi_res[0]).max() <= 1e-8
+        assert conv_gram[0] and conv_res[0]
 
     def test_below_n_cal_sandwich_matches_dense_product(self):
         # Below the calibration size the sandwich comes from the first n
@@ -637,17 +648,17 @@ class TestStackedRoundOne:
     @staticmethod
     def _assert_matches_loop(point, reps=(0, 3)):
         for rep in reps:
-            fits, ys = _rep_fits(point, rep)
-            ref_fits, ref_ys = loop_rep_fits(point, rep)
+            fits = _rep_fits(point, rep)
+            ref_fits = loop_rep_fits(point, rep)
+            names = ("theta_tilde", "theta_hat", "xi", "converged", "sweeps", "kkt", "Y")
+            assert len(fits) == len(ref_fits) == len(names)
+            ys, ref_ys = fits[-1], ref_fits[-1]
             assert ys.shape == (point.M, point.n)
-            assert len(fits) == len(ref_fits) == point.M
-            for m, (fit, ref) in enumerate(zip(fits, ref_fits)):
-                assert _same_bits(ys[m], ref_ys[m])
-                for name in ("theta_tilde", "theta_hat", "sigma_hat_sq_diag", "xi_hat"):
-                    assert _same_bits(getattr(fit, name), getattr(ref, name)), (m, name)
-                for name in ("machine_id", "lasso_converged", "lasso_sweeps", "lasso_kkt"):
-                    assert getattr(fit, name) == getattr(ref, name), (m, name)
-            assert any(np.count_nonzero(f.theta_tilde) for f in fits)
+            for name, rows, ref_rows in zip(names, fits, ref_fits):
+                assert len(rows) == len(ref_rows) == point.M
+                for m in range(point.M):
+                    assert _same_bits(rows[m], ref_rows[m]), (m, name)
+            assert np.count_nonzero(fits[0])
             assert _oracle_error(point, ys) == loop_oracle_error(point, ref_ys)
 
     def test_gram_branch(self, small_design):
@@ -678,7 +689,7 @@ class TestStackedRoundOne:
         point = materialize(build_design(cfg), cfg)
         assert point.design.support.size == 1 and point.M >= 9
         for rep in range(4):
-            _, ys = _rep_fits(point, rep)
+            ys = _rep_fits(point, rep)[-1]
             assert _oracle_error(point, ys) == loop_oracle_error(point, ys)
 
     def test_design_is_one_stacked_array(self, small_design):
@@ -703,7 +714,6 @@ class TestScaleInvariance:
     def test_round1_payloads_invariant_under_joint_scaling(self):
         # Scaling y and sigma by the same constant (with lambda following
         # sigma) leaves every standardized vote unchanged.
-        from votelasso.debias import LocalFit
         from votelasso.lasso import fit_lasso
         from votelasso.protocol import round1_thresh_votes
 
@@ -714,16 +724,15 @@ class TestScaleInvariance:
         omega = estimate_precision(X, 0.3).omega_hat
         c_diag = sandwich_diag(omega, X)
 
-        def fit(y, lam, sigma):
+        def standardized(y, lam, sigma):
             theta_tilde = fit_lasso(X, y, lam).coefficients
             theta_hat = debias(X[None], y[None], theta_tilde[None], [omega])[0]
-            xi = standardize(theta_hat, c_diag, sigma, X.shape[0])
-            return LocalFit(0, None, theta_hat, c_diag, xi)
+            return standardize(theta_hat, c_diag, sigma, X.shape[0])
 
         lam, c = 0.4, 3.7
-        fit1 = fit(y, lam, sigma=1.0)
-        fit2 = fit(c * y, c * lam, sigma=c)
-        m1 = round1_thresh_votes(fit1, 2.0)
-        m2 = round1_thresh_votes(fit2, 2.0)
+        xi1 = standardized(y, lam, sigma=1.0)
+        xi2 = standardized(c * y, c * lam, sigma=c)
+        m1 = round1_thresh_votes(0, xi1, 2.0)
+        m2 = round1_thresh_votes(0, xi2, 2.0)
         assert np.array_equal(m1.payload.indices, m2.payload.indices)
-        assert np.allclose(fit1.xi_hat, fit2.xi_hat)
+        assert np.allclose(xi1, xi2)

@@ -6,14 +6,13 @@ from votelasso.lasso import (
     fit_lasso,
     fit_lasso_gram,
     kkt_violation,
-    lasso_objective,
     restricted_gram_inverse,
     restricted_ols,
 )
 
 from oracles import (
     fista_lasso,
-    lasso_objective as oracle_objective,
+    lasso_objective,
     normal_equations_ols,
     soft_threshold,
 )
@@ -52,8 +51,8 @@ class TestFitLasso:
         for lam in (0.05, 0.2, 0.6):
             fit = fit_lasso(X, y, lam)
             w_oracle = fista_lasso(X, y, lam)
-            obj_cd = oracle_objective(X, y, lam, fit.coefficients)
-            obj_or = oracle_objective(X, y, lam, w_oracle)
+            obj_cd = lasso_objective(X, y, lam, fit.coefficients)
+            obj_or = lasso_objective(X, y, lam, w_oracle)
             assert obj_cd <= obj_or + 1e-6 * max(1.0, abs(obj_or))
             assert fit.max_kkt_violation <= 1e-7
 
@@ -84,6 +83,21 @@ class TestFitLasso:
         X = rng.standard_normal((10, 3))
         with pytest.raises(ValueError):
             fit_lasso(X, rng.standard_normal(10), 0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.1, np.nan, np.inf])
+    def test_lambda_not_finite_and_positive_rejected(self, rng, lam):
+        # Both solvers, single and stacked: a negative lambda used to
+        # "converge" and a NaN one to run every sweep.
+        X = rng.standard_normal((20, 4))
+        y = rng.standard_normal(20)
+        G, c = X.T @ X / 20, X.T @ y / 20
+        for solve in (
+            lambda: fit_lasso(X, y, lam, max_sweeps=50),
+            lambda: fit_lasso_gram(G, c, lam, max_sweeps=50),
+            lambda: fit_lasso_gram(G, np.stack([c, c]), lam, max_sweeps=50),
+        ):
+            with pytest.raises(ValueError, match="lam must be finite and positive"):
+                solve()
 
     def test_nonconvergence_reported_not_raised(self, rng):
         X = rng.standard_normal((30, 15))

@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from votelasso.datagen import DataShard
-from votelasso.debias import LocalFit
 from votelasso.protocol import (
     DenseEstimate,
     GramSummary,
@@ -29,16 +27,8 @@ from votelasso.fusion import centralized_ls
 from votelasso.lasso import restricted_ols
 
 
-def _fit(xi):
-    xi = np.asarray(xi, dtype=np.float64)
-    d = xi.size
-    return LocalFit(
-        machine_id=3,
-        theta_tilde=np.zeros(d),
-        theta_hat=xi.copy(),
-        sigma_hat_sq_diag=np.ones(d),
-        xi_hat=xi,
-    )
+def _xi(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 class TestThresholds:
@@ -49,54 +39,62 @@ class TestThresholds:
         assert snr_tau(5000, 0.5) == pytest.approx(default_tau(5000) / math.sqrt(2))
 
     def test_thresh_votes_filter(self):
-        msg = round1_thresh_votes(_fit([3.0, -4.0, 1.0]), tau=2.0)
+        msg = round1_thresh_votes(3, _xi([3.0, -4.0, 1.0]), tau=2.0)
         assert list(msg.payload.indices) == [0, 1]
 
     def test_strict_inequality(self):
-        msg = round1_thresh_votes(_fit([2.0, -2.0, 2.0000001]), tau=2.0)
+        msg = round1_thresh_votes(3, _xi([2.0, -2.0, 2.0000001]), tau=2.0)
         assert list(msg.payload.indices) == [2]
 
     def test_empty_payload_is_legal(self):
-        msg = round1_thresh_votes(_fit([0.5, -0.5]), tau=2.0)
+        msg = round1_thresh_votes(3, _xi([0.5, -0.5]), tau=2.0)
         assert msg.payload.indices.size == 0
 
     def test_thresh_signs(self):
-        msg = round1_thresh_signs(_fit([3.0, -4.0, 1.0]), tau=2.0)
+        msg = round1_thresh_signs(3, _xi([3.0, -4.0, 1.0]), tau=2.0)
         assert list(msg.payload.indices) == [0, 1]
         assert list(msg.payload.signs) == [1, -1]
 
     def test_raising_tau_never_adds_indices(self, rng):
         xi = rng.standard_normal(40) * 3
-        fit = _fit(xi)
-        prev = set(round1_thresh_votes(fit, 0.5).payload.indices)
+        prev = set(round1_thresh_votes(3, xi, 0.5).payload.indices)
         for tau in (1.0, 2.0, 3.0, 4.0):
-            cur = set(round1_thresh_votes(fit, tau).payload.indices)
+            cur = set(round1_thresh_votes(3, xi, tau).payload.indices)
             assert cur <= prev
             prev = cur
 
 
 class TestTopL:
     def test_tie_breaks_to_lower_index(self):
-        msg = round1_top_L(_fit([0.1, -5.0, 2.0, 2.0]), L=2)
+        msg = round1_top_L(3, _xi([0.1, -5.0, 2.0, 2.0]), L=2)
         assert list(msg.payload.indices) == [1, 2]
 
     def test_l_equals_d_sends_everything(self):
-        msg = round1_top_L(_fit([0.3, -0.1, 2.0]), L=3)
+        msg = round1_top_L(3, _xi([0.3, -0.1, 2.0]), L=3)
         assert list(msg.payload.indices) == [0, 1, 2]
 
     def test_signed_variant(self):
-        msg = round1_top_L(_fit([-5.0, 3.0]), L=2, signed=True)
+        msg = round1_top_L(3, _xi([-5.0, 3.0]), L=2, signed=True)
         assert list(msg.payload.indices) == [0, 1]
         assert list(msg.payload.signs) == [-1, 1]
 
     def test_always_exactly_L(self, rng):
-        fit = _fit(rng.standard_normal(25))
+        xi = rng.standard_normal(25)
         for L in (1, 5, 25):
-            assert round1_top_L(fit, L).payload.indices.size == L
+            assert round1_top_L(3, xi, L).payload.indices.size == L
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
-            round1_top_L(_fit([1.0, 2.0]), L=3)
+            round1_top_L(3, _xi([1.0, 2.0]), L=3)
+
+
+class TestDense:
+    def test_sends_a_copy_of_the_machines_row(self):
+        theta_hat = np.arange(6.0).reshape(2, 3)
+        msg = round1_dense(1, theta_hat[1])
+        assert msg.machine_id == 1
+        theta_hat[1] = 0.0
+        assert list(msg.payload.values) == [3.0, 4.0, 5.0]
 
 
 class TestRound2:
@@ -104,48 +102,43 @@ class TestRound2:
         X = rng.standard_normal((30, 8))
         theta = np.zeros(8)
         theta[[1, 4]] = [1.0, -2.0]
-        shard = DataShard(machine_id=0, X=X, y=X @ theta)
-        msg = round2_restricted(shard, [1, 4])
+        msg = round2_restricted(0, X, X @ theta, [1, 4])
         assert np.abs(msg.payload.values - [1.0, -2.0]).max() <= 1e-9
 
     def test_single_index_closed_form(self, rng):
         X = rng.standard_normal((20, 3))
         y = rng.standard_normal(20)
-        msg = round2_restricted(DataShard(0, X, y), [2])
+        msg = round2_restricted(0, X, y, [2])
         x = X[:, 2]
         assert msg.payload.values[0] == pytest.approx((x @ y) / (x @ x))
 
     def test_support_larger_than_n_rejected(self, rng):
         X = rng.standard_normal((3, 8))
-        shard = DataShard(0, X, rng.standard_normal(3))
         with pytest.raises(ValueError):
-            round2_restricted(shard, [0, 1, 2, 3])
+            round2_restricted(0, X, rng.standard_normal(3), [0, 1, 2, 3])
 
     def test_gram_single_machine_matches_normal_equations(self, rng):
         X = rng.standard_normal((25, 6))
         y = rng.standard_normal(25)
-        shard = DataShard(0, X, y)
         support = np.array([0, 3, 5])
-        theta = centralized_ls([round2_gram(shard, support)], support, 6)
+        theta = centralized_ls([round2_gram(0, X, y, support)], support, 6)
         beta = restricted_ols(X[:, support], y)
         assert np.abs(theta[support] - beta).max() <= 1e-8
 
     def test_gram_additivity(self, rng):
         X = rng.standard_normal((15, 4))
         y = rng.standard_normal(15)
-        a = round2_gram(DataShard(0, X, y), [0, 2])
-        b = round2_gram(DataShard(1, X, y), [0, 2])
+        a = round2_gram(0, X, y, [0, 2])
+        b = round2_gram(1, X, y, [0, 2])
         assert np.allclose(a.payload.gram + b.payload.gram, 2 * a.payload.gram)
 
     def test_fused_grams_match_pooled_ols(self, rng):
         support = np.array([1, 3])
-        shards = [
-            DataShard(m, rng.standard_normal((20, 5)), rng.standard_normal(20)) for m in range(3)
-        ]
-        msgs = [round2_gram(s, support) for s in shards]
+        X, Y = rng.standard_normal((3, 20, 5)), rng.standard_normal((3, 20))
+        msgs = [round2_gram(m, X[m], Y[m], support) for m in range(3)]
         theta = centralized_ls(msgs, support, 5)
-        X_all = np.vstack([s.X for s in shards])
-        y_all = np.concatenate([s.y for s in shards])
+        X_all = X.reshape(-1, 5)
+        y_all = Y.reshape(-1)
         beta = restricted_ols(X_all[:, support], y_all)
         assert np.abs(theta[support] - beta).max() <= 1e-8
 

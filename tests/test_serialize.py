@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from votelasso.datagen import (
-    DataShard,
     ProblemSpec,
     make_theta_star,
     sample_responses,
@@ -20,56 +19,46 @@ def bundle(tmp_path):
     truth = make_theta_star(spec, theta_min=0.4)
     truth.c_omega = 1.25
     Y = sample_responses(X, truth.theta_star, 1.0, spec.base_seed)
-    shards = [DataShard(machine_id=m, X=X[m], y=Y[m]) for m in range(spec.M)]
-    return tmp_path, spec, shards, truth
+    return tmp_path, spec, X, Y, truth
 
 
 class TestNpzContainer:
     def test_shard_roundtrip(self, bundle):
         # The documented keys, read back with plain np.load.
-        tmp, spec, shards, truth = bundle
+        tmp, spec, X, Y, truth = bundle
         path = tmp / "bundle.npz"
-        save_shards(path, shards, truth, meta={"d": spec.d, "seed": spec.base_seed})
+        save_shards(path, X, Y, truth, meta={"d": spec.d, "seed": spec.base_seed})
         with np.load(path, allow_pickle=False) as data:
             per_machine = [f"{k}_{m}" for m in range(spec.M) for k in ("X", "y")]
             truth_keys = ["theta_star", "support", "theta_min", "c_omega", "meta"]
             assert sorted(data.files) == sorted(["machine_ids", *per_machine, *truth_keys])
             assert np.array_equal(data["machine_ids"], np.arange(spec.M))
-            for shard in shards:
-                assert np.array_equal(data[f"X_{shard.machine_id}"], shard.X)
-                assert np.array_equal(data[f"y_{shard.machine_id}"], shard.y)
+            for m in range(spec.M):
+                assert np.array_equal(data[f"X_{m}"], X[m])
+                assert np.array_equal(data[f"y_{m}"], Y[m])
             assert np.array_equal(data["theta_star"], truth.theta_star)
             assert np.array_equal(data["support"], truth.support)
             assert float(data["theta_min"]) == truth.theta_min
             assert float(data["c_omega"]) == 1.25
             assert json.loads(str(data["meta"])) == {"d": 8, "seed": 4}
 
-    def test_designs_only_roundtrip(self, bundle):
-        tmp, spec, shards, _ = bundle
-        xonly = [DataShard(machine_id=s.machine_id, X=s.X) for s in shards]
-        path = tmp / "designs.npz"
-        save_shards(path, xonly)
-        with np.load(path, allow_pickle=False) as data:
-            assert sorted(data.files) == sorted(["machine_ids"] + [f"X_{m}" for m in range(spec.M)])
-            for shard in shards:
-                assert np.array_equal(data[f"X_{shard.machine_id}"], shard.X)
+    def test_mismatched_responses_rejected(self, bundle):
+        tmp, spec, X, Y, _ = bundle
+        with pytest.raises(ValueError, match="do not match"):
+            save_shards(tmp / "bad.npz", X, Y[:, :-1])
+        assert not (tmp / "bad.npz").exists()
 
 
 class TestCsv:
     def test_header_and_roundtrip(self, bundle):
-        tmp, spec, shards, _ = bundle
+        tmp, spec, X, Y, _ = bundle
         path = tmp / "shard0.csv"
-        shard_to_csv(shards[0], path)
+        shard_to_csv(X[0], Y[0], path)
         header = path.read_text().splitlines()[0]
         assert header == ",".join([f"x_{j}" for j in range(1, 9)] + ["y"])
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        assert np.array_equal(rows[:, :-1], shards[0].X)
-        assert np.array_equal(rows[:, -1], shards[0].y)
-
-    def test_missing_response_rejected(self, bundle):
-        tmp, spec, shards, _ = bundle
-        with pytest.raises(ValueError, match="no response"):
-            shard_to_csv(DataShard(machine_id=0, X=shards[0].X), tmp / "x.csv")
+        assert np.array_equal(rows[:, :-1], X[0])
+        assert np.array_equal(rows[:, -1], Y[0])
 
 
 def test_jsonl_roundtrip(tmp_path):
