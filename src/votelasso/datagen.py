@@ -62,8 +62,8 @@ class ProblemSpec:
         if isinstance(self.sigma, str):
             if self.sigma != "from_r":
                 raise ValueError("sigma must be a positive number or 'from_r'")
-        elif self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        elif not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.base_seed < 0:
             raise ValueError("base_seed must be a nonnegative integer")
 
@@ -164,8 +164,8 @@ def sample_responses(
     NumPy 2.4 at n/n_cal = 60/100, 80/100, 1/7 and 33/250), so a grid point
     at n below the calibrated size sees the prefix of the full-size noise.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     M, n = X.shape[:2]
     W = np.empty((M, n))
     for m in range(M):

@@ -2,7 +2,8 @@
 second-round aggregation that produces the final coefficient estimate.
 
 All folds sort messages by machine id first, so results are independent of
-arrival order. Ties in every selection rule break toward the lower index.
+arrival order, and reject a second message from the same machine. Ties in
+every selection rule break toward the lower index.
 """
 
 from __future__ import annotations
@@ -168,6 +169,33 @@ def select_majority(t: VoteTally, M: int) -> SupportEstimate:
     return SupportEstimate(indices=idx, rule="majority", rule_params={"M": M})
 
 
+def _receipt(
+    messages: list[Message], payload_type: type, fold: str, support: np.ndarray | None = None
+) -> list:
+    """The payloads of a second-round or dense fold, in machine-id order.
+
+    Raises ValueError when there are no messages, TypeError for a payload
+    that is not a ``payload_type``, ValueError for a duplicate sender and
+    then, given a ``support``, for a payload on another support; the first
+    fault found in that order is raised.
+    """
+    msgs = _sorted_by_machine(messages)
+    if not msgs:
+        raise ValueError("no machines")
+    payloads = [msg.payload for msg in msgs]
+    if not all(isinstance(p, payload_type) for p in payloads):
+        raise TypeError(f"{fold} expects {payload_type.__name__} payloads")
+    ids = [msg.machine_id for msg in msgs]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"duplicate sender {next(a for a, b in zip(ids, ids[1:]) if a == b)}")
+    if support is not None and not (
+        all(p.support.shape == support.shape for p in payloads)
+        and (np.array([p.support for p in payloads]) == support).all()
+    ):
+        raise ValueError("inconsistent round-2 support")
+    return payloads
+
+
 def avg_debiased(
     messages: list[Message], K: int | None = None, threshold: float | None = None
 ) -> tuple[np.ndarray, SupportEstimate]:
@@ -179,14 +207,7 @@ def avg_debiased(
     """
     if (K is None) == (threshold is None):
         raise ValueError("pass exactly one of K or threshold")
-    msgs = _sorted_by_machine(messages)
-    if not msgs:
-        raise ValueError("no machines")
-    values = []
-    for msg in msgs:
-        if not isinstance(msg.payload, DenseEstimate):
-            raise TypeError("avg_debiased expects DenseEstimate payloads")
-        values.append(msg.payload.values)
+    values = [p.values for p in _receipt(messages, DenseEstimate, "avg_debiased")]
     lengths = {v.shape[0] for v in values}
     if len(lengths) != 1:
         raise ValueError("dense estimates have mismatched lengths")
@@ -205,47 +226,19 @@ def avg_debiased(
 def aggregate_round2(messages: list[Message], support, d: int) -> np.ndarray:
     """Average the per-machine restricted LS solutions onto the support."""
     support = np.asarray(support, dtype=np.int64)
-    payloads = [msg.payload for msg in _sorted_by_machine(messages)]
-    if not payloads:
-        raise ValueError("no machines")
-    if not (
-        all(isinstance(p, RestrictedEstimate) and p.support.shape == support.shape for p in payloads)
-        and (np.array([p.support for p in payloads]) == support).all()
-    ):
-        raise _round2_fault(payloads, support)
+    payloads = _receipt(messages, RestrictedEstimate, "aggregate_round2", support)
     theta = np.zeros(d)
     theta[support] = sum_rows(np.array([p.values for p in payloads])) / len(payloads)
     return theta
 
 
-def _round2_fault(payloads: list, support: np.ndarray) -> Exception:
-    """The exception for the first payload, in machine-id order, that is not
-    a restricted estimate on ``support``; all supports are compared at once."""
-    typed = [isinstance(p, RestrictedEstimate) for p in payloads]
-    same = np.zeros(len(payloads), dtype=bool)
-    shaped = [i for i, p in enumerate(payloads) if typed[i] and p.support.shape == support.shape]
-    if shaped:
-        same[shaped] = (np.array([payloads[i].support for i in shaped]) == support).all(axis=1)
-    if not typed[int(same.argmin())]:
-        return TypeError("aggregate_round2 expects RestrictedEstimate payloads")
-    return ValueError("inconsistent round-2 support")
-
-
 def centralized_ls(messages: list[Message], support, d: int) -> np.ndarray:
     """Exact pooled least squares from summed Gram summaries."""
     support = np.asarray(support, dtype=np.int64)
-    msgs = _sorted_by_machine(messages)
-    if not msgs:
-        raise ValueError("no machines")
     k = support.size
     gram = np.zeros((k, k))
     xty = np.zeros(k)
-    for msg in msgs:
-        p = msg.payload
-        if not isinstance(p, GramSummary):
-            raise TypeError("centralized_ls expects GramSummary payloads")
-        if p.support.size != k or not np.array_equal(p.support, support):
-            raise ValueError("inconsistent round-2 support")
+    for p in _receipt(messages, GramSummary, "centralized_ls", support):
         gram += p.gram
         xty += p.xty
     try:

@@ -1,10 +1,5 @@
 """Machine-side message construction and bit-exact communication accounting.
 
-Bit model: an index in [d] costs ceil(log2 d) bits, a sign 1 bit, a real 64
-bits. Set-cardinality headers are excluded from the model count; the wire
-format below does carry an explicit count field, and a message's wire bytes
-are ``len(encode_message(msg))``.
-
 A machine's state is its rows of the replication's stacked arrays: round
 one reads its standardized estimate xi (or, for the dense baseline, its
 debiased estimate theta_hat), round two its design X_m and responses y_m.
@@ -14,25 +9,39 @@ on the broadcast support S, (X_S'X_S)^-1 X_S'y; the inverse Gram depends
 only on the design and S, so a caller that already holds it passes it in
 and the message costs two small mat-vecs.
 
-Wire format (little-endian): 1-byte payload tag, 4-byte machine id, 4-byte
-count, then the payload: indices as uint32, signs packed one bit each
-(LSB-first, set bit = +1) padded to a byte, reals as IEEE-754 float64.
+Each payload's format is one entry of a table keyed by payload type: its
+wire tag and its fields in wire order, each an array of index, sign or
+real elements, ``count`` or ``count**2`` of them, where ``count`` is the
+first field's length. Each kind of element is listed once with its model
+bits and its wire encoding:
+
+    kind    model bits      wire
+    index   ceil(log2 d)    uint32
+    sign    1               one bit, packed LSB-first (set bit = +1),
+                            the field padded to a byte
+    real    64              IEEE-754 float64
+
+``bit_cost``, ``encode_message`` and ``decode_message`` all read that
+table. A message's model bits sum its elements' bits; set-cardinality
+headers are excluded, so a dense estimate of d values costs 64 d. On the
+wire (little-endian) a message is a 1-byte tag, a 4-byte machine id and a
+4-byte count, then the fields; its wire bytes are
+``len(encode_message(msg))``. The encoder refuses (ValueError) any message
+the decoder could not give back: a machine id outside uint32, a field
+whose shape is not (count,) or (count, count) as the table says, an index
+outside [0, 2**32) or a sign other than +-1.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .lasso import restricted_ols
-
-TAG_INDEX_SET = 1
-TAG_SIGNED_INDEX_SET = 2
-TAG_DENSE = 3
-TAG_RESTRICTED = 4
-TAG_GRAM = 5
 
 
 @dataclass
@@ -96,16 +105,16 @@ def _as_index_array(idx) -> np.ndarray:
 
 def round1_thresh_votes(machine_id: int, xi: np.ndarray, tau: float) -> Message:
     """Indices whose standardized estimate strictly exceeds tau in magnitude."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be finite and positive")
     idx = np.flatnonzero(np.abs(xi) > tau).astype(np.int64)
     return Message(machine_id, IndexSet(idx))
 
 
 def round1_thresh_signs(machine_id: int, xi: np.ndarray, tau: float) -> Message:
     """Thresholded indices with their signs attached."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be finite and positive")
     idx = np.flatnonzero(np.abs(xi) > tau).astype(np.int64)
     signs = np.sign(xi[idx]).astype(np.int64)
     return Message(machine_id, SignedIndexSet(idx, signs))
@@ -155,73 +164,101 @@ def round2_gram(machine_id: int, X_m: np.ndarray, y_m: np.ndarray, support) -> M
     return Message(machine_id, GramSummary(support, Xs.T @ Xs, Xs.T @ y_m))
 
 
+# ---------------------------------------------------------------------------
+# Payload formats: one table read by the bit model and the wire codec
+
+
+class _Kind(NamedTuple):
+    """One kind of payload element: its model bits, scaled_bits *
+    ceil(log2 d) + fixed_bits, and its wire encoding, a little-endian dtype
+    or None for one bit per element, packed LSB-first (set bit = +1) and
+    padded to a byte."""
+
+    scaled_bits: int
+    fixed_bits: int
+    wire: np.dtype | None
+    host: type  # dtype of the decoded array
+    domain: str | None  # what the wire can carry, checked by the encoder
+
+
+_INDEX = _Kind(1, 0, np.dtype("<u4"), np.int64, "integers in [0, 2**32)")
+_SIGN = _Kind(0, 1, None, np.int64, "-1 or +1")
+_REAL = _Kind(0, 64, np.dtype("<f8"), np.float64, None)  # float64 carries every real, NaN too
+
+# Each payload type's wire tag and its fields in wire order: (name, kind, p)
+# is a field of count**p elements, count being the first field's length.
+_FORMATS = {
+    IndexSet: (1, [("indices", _INDEX, 1)]),
+    SignedIndexSet: (2, [("indices", _INDEX, 1), ("signs", _SIGN, 1)]),
+    DenseEstimate: (3, [("values", _REAL, 1)]),
+    RestrictedEstimate: (4, [("support", _INDEX, 1), ("values", _REAL, 1)]),
+    GramSummary: (5, [("support", _INDEX, 1), ("gram", _REAL, 2), ("xty", _REAL, 1)]),
+}
+_BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in _FORMATS.items()}
+# bit_cost's per-type constants, read off the table once: the count field,
+# then the scaled and fixed bits of all count-long fields, then of all
+# count**2-long fields.
+_BIT_COEFS = {
+    cls: (fields[0][0], *(sum(getattr(kind, c) for _, kind, p in fields if p == power)
+                          for power in (1, 2) for c in ("scaled_bits", "fixed_bits")))
+    for cls, (_, fields) in _FORMATS.items()
+}
+_HEADER = struct.Struct("<BII")
+
+
 def bit_cost(msg: Message, d: int) -> int:
     """Model bits of one message (cardinality headers excluded)."""
     b = index_bits(d)
-    p = msg.payload
-    if isinstance(p, IndexSet):
-        return p.indices.size * b
-    if isinstance(p, SignedIndexSet):
-        return p.indices.size * (b + 1)
-    if isinstance(p, DenseEstimate):
-        return 64 * d
-    if isinstance(p, RestrictedEstimate):
-        return p.support.size * (b + 64)
-    if isinstance(p, GramSummary):
-        k = p.support.size
-        return k * b + 64 * (k * k + k)
-    raise TypeError(f"unknown payload type {type(p)!r}")
+    try:
+        count_field, s1, f1, s2, f2 = _BIT_COEFS[type(msg.payload)]
+    except KeyError:
+        raise TypeError(f"unknown payload type {type(msg.payload)!r}") from None
+    k = getattr(msg.payload, count_field).size
+    return k * (s1 * b + f1) + k * k * (s2 * b + f2)
 
 
-# ---------------------------------------------------------------------------
-# Wire encoding
+def _pack(kind: _Kind, values: np.ndarray) -> bytes:
+    if kind.wire is None:
+        return np.packbits(values > 0, bitorder="little").tobytes()
+    return values.astype(kind.wire).tobytes()
 
 
-_HEADER = struct.Struct("<BII")
-# Payload bytes of each tag as a function of its count field.
-_BODY_BYTES = {
-    TAG_INDEX_SET: lambda c: 4 * c,
-    TAG_SIGNED_INDEX_SET: lambda c: 4 * c + (c + 7) // 8,
-    TAG_DENSE: lambda c: 8 * c,
-    TAG_RESTRICTED: lambda c: 12 * c,
-    TAG_GRAM: lambda c: 12 * c + 8 * c * c,
-}
+def _unpack(kind: _Kind, buf: bytes, offset: int, n: int) -> np.ndarray:
+    if kind.wire is None:
+        packed = np.frombuffer(buf, dtype=np.uint8, count=(n + 7) // 8, offset=offset)
+        return 2 * np.unpackbits(packed, count=n, bitorder="little").astype(kind.host) - 1
+    return np.frombuffer(buf, dtype=kind.wire, count=n, offset=offset).astype(kind.host)
 
 
-def _pack_signs(signs: np.ndarray) -> bytes:
-    bits = (np.asarray(signs) > 0).astype(np.uint8)
-    return np.packbits(bits, bitorder="little").tobytes()
-
-
-def _unpack_signs(buf: bytes, count: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")[:count]
-    return np.where(bits == 1, 1, -1).astype(np.int64)
+def _nbytes(kind: _Kind, n: int) -> int:
+    return (n + 7) // 8 if kind.wire is None else n * kind.wire.itemsize
 
 
 def encode_message(msg: Message) -> bytes:
-    p = msg.payload
-    if isinstance(p, IndexSet):
-        tag, count = TAG_INDEX_SET, p.indices.size
-        body = p.indices.astype("<u4").tobytes()
-    elif isinstance(p, SignedIndexSet):
-        tag, count = TAG_SIGNED_INDEX_SET, p.indices.size
-        body = p.indices.astype("<u4").tobytes() + _pack_signs(p.signs)
-    elif isinstance(p, DenseEstimate):
-        tag, count = TAG_DENSE, p.values.size
-        body = p.values.astype("<f8").tobytes()
-    elif isinstance(p, RestrictedEstimate):
-        tag, count = TAG_RESTRICTED, p.support.size
-        body = p.support.astype("<u4").tobytes() + p.values.astype("<f8").tobytes()
-    elif isinstance(p, GramSummary):
-        tag, count = TAG_GRAM, p.support.size
-        body = (
-            p.support.astype("<u4").tobytes()
-            + np.ascontiguousarray(p.gram, dtype="<f8").tobytes()
-            + p.xty.astype("<f8").tobytes()
-        )
-    else:
-        raise TypeError(f"unknown payload type {type(p)!r}")
-    return _HEADER.pack(tag, msg.machine_id, count) + body
+    """The message's wire bytes.
+
+    Raises ValueError for a message ``decode_message`` could not give back:
+    a machine id outside uint32, a field whose shape disagrees with the
+    count, or entries its kind cannot carry (an index outside [0, 2**32), a
+    sign other than +-1); TypeError for an unknown payload type.
+    """
+    try:
+        tag, fields = _FORMATS[type(msg.payload)]
+    except KeyError:
+        raise TypeError(f"unknown payload type {type(msg.payload)!r}") from None
+    if not 0 <= msg.machine_id < 2**32:
+        raise ValueError(f"machine id {msg.machine_id} is outside uint32")
+    arrays = [np.asarray(getattr(msg.payload, name)) for name, _, _ in fields]
+    count = arrays[0].size
+    body = []
+    for (name, kind, power), values in zip(fields, arrays):
+        if values.shape != (count,) * power:
+            raise ValueError(f"{name} has shape {values.shape}, count {count} needs {(count,) * power}")
+        raw = _pack(kind, values)
+        if kind.domain and not (_unpack(kind, raw, 0, values.size) == values.ravel()).all():
+            raise ValueError(f"{name} must hold {kind.domain}")
+        body.append(raw)
+    return _HEADER.pack(tag, msg.machine_id, count) + b"".join(body)
 
 
 def decode_message(buf: bytes) -> Message:
@@ -233,35 +270,17 @@ def decode_message(buf: bytes) -> Message:
     if len(buf) < _HEADER.size:
         raise ValueError(f"message of {len(buf)} bytes is shorter than the {_HEADER.size}-byte header")
     tag, machine_id, count = _HEADER.unpack_from(buf, 0)
-    if tag not in _BODY_BYTES:
+    if tag not in _BY_TAG:
         raise ValueError(f"unknown wire tag {tag}")
-    off = _HEADER.size
-    expected = off + _BODY_BYTES[tag](count)
+    cls, fields = _BY_TAG[tag]
+    sizes = [_nbytes(kind, count**power) for _, kind, power in fields]
+    expected = _HEADER.size + sum(sizes)
     if len(buf) < expected:
         raise ValueError(f"truncated message: {len(buf)} bytes, count {count} needs {expected}")
     if len(buf) > expected:
         raise ValueError(f"{len(buf) - expected} trailing bytes after the payload")
-    if tag == TAG_INDEX_SET:
-        idx = np.frombuffer(buf, dtype="<u4", count=count, offset=off).astype(np.int64)
-        return Message(machine_id, IndexSet(idx))
-    if tag == TAG_SIGNED_INDEX_SET:
-        idx = np.frombuffer(buf, dtype="<u4", count=count, offset=off).astype(np.int64)
-        off += 4 * count
-        signs = _unpack_signs(buf[off:], count)
-        return Message(machine_id, SignedIndexSet(idx, signs))
-    if tag == TAG_DENSE:
-        vals = np.frombuffer(buf, dtype="<f8", count=count, offset=off).copy()
-        return Message(machine_id, DenseEstimate(vals))
-    if tag == TAG_RESTRICTED:
-        idx = np.frombuffer(buf, dtype="<u4", count=count, offset=off).astype(np.int64)
-        off += 4 * count
-        vals = np.frombuffer(buf, dtype="<f8", count=count, offset=off).copy()
-        return Message(machine_id, RestrictedEstimate(idx, vals))
-    # TAG_GRAM
-    idx = np.frombuffer(buf, dtype="<u4", count=count, offset=off).astype(np.int64)
-    off += 4 * count
-    gram = np.frombuffer(buf, dtype="<f8", count=count * count, offset=off)
-    gram = gram.reshape(count, count).copy()
-    off += 8 * count * count
-    xty = np.frombuffer(buf, dtype="<f8", count=count, offset=off).copy()
-    return Message(machine_id, GramSummary(idx, gram, xty))
+    values, offset = {}, _HEADER.size
+    for (name, kind, power), size in zip(fields, sizes):
+        values[name] = _unpack(kind, buf, offset, count**power).reshape((count,) * power)
+        offset += size
+    return Message(machine_id, cls(**values))

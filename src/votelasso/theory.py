@@ -38,7 +38,8 @@ def thm2_regime(d: int, r: float, eps: float) -> RegimeReport:
     m_lower = 8 ln d * d^{(1-sqrt r)^2} / (C(r,d) - eps * d^{(1-sqrt r)^2}),
     m_upper = d / 3. A nonpositive denominator reports m_lower = inf.
     """
-    if d < 2 or not 0 < r < 1 or eps < 0:
+    # Negated comparisons, so that a NaN r or eps is rejected too.
+    if d < 2 or not 0 < r < 1 or not eps >= 0:
         raise ValueError("need d >= 2, r in (0, 1), eps >= 0")
     ln_d = math.log(d)
     snr_floor = 0.25 * math.log(48.0 * math.sqrt(math.pi) * ln_d**1.5) ** 2 / ln_d**2
@@ -62,7 +63,8 @@ def thm3_regime(d: int, r: float, eps: float) -> RegimeReport:
     m_lower = 16 ln d / (1 - 2 eps), m_upper = d^r, SNR floor
     ln(16 ln d)/ln d; requires eps < 1/(4 d^r).
     """
-    if d < 2 or not 0 < r < 1 or eps < 0:
+    # Negated comparisons, so that a NaN r or eps is rejected too.
+    if d < 2 or not 0 < r < 1 or not eps >= 0:
         raise ValueError("need d >= 2, r in (0, 1), eps >= 0")
     ln_d = math.log(d)
     snr_floor = math.log(16.0 * ln_d) / ln_d

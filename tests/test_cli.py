@@ -188,11 +188,14 @@ class TestRun:
              "bad run configuration: tau_value must be finite and positive"),
             (["--d", "1"], None, "d must be at least 2"),
             (["--sigma", "-1"], None, "sigma must be positive"),
+            (["--sigma", "nan"], None, "bad problem configuration: sigma must be positive"),
+            ([], "sigma = inf\n", "bad problem configuration: sigma must be positive"),
             ([], "sigma = loud\n", "config key 'sigma'"),
             (["--scheme", "thresh_votes,bogus"], None, "unknown scheme 'bogus'"),
             (["--scheme", " , "], None, "no scheme given"),
         ],
-        ids=["tau_flag", "tau_file", "tau_negative", "tau_nan", "d", "sigma", "sigma_file", "later_scheme", "no_scheme"],
+        ids=["tau_flag", "tau_file", "tau_negative", "tau_nan", "d", "sigma", "sigma_nan", "sigma_inf_file",
+             "sigma_file", "later_scheme", "no_scheme"],
     )
     def test_bad_configuration_exits_with_one_line(self, tmp_path, flags, file_text, message):
         argv = ["run", *COMMON, *flags, "--out", str(tmp_path / "o")]
@@ -341,8 +344,14 @@ class TestTheory:
     @pytest.mark.parametrize("theorem", ["2", "3"])
     @pytest.mark.parametrize(
         "flags",
-        [["--d", "100", "--r", "1.0"], ["--d", "1", "--r", "0.5"], ["--d", "100", "--r", "0.5", "--epsilon", "-1"]],
-        ids=["r", "d", "epsilon"],
+        [
+            ["--d", "100", "--r", "1.0"],
+            ["--d", "1", "--r", "0.5"],
+            ["--d", "100", "--r", "0.5", "--epsilon", "-1"],
+            ["--d", "100", "--r", "0.5", "--epsilon", "nan"],
+            ["--d", "100", "--r", "nan"],
+        ],
+        ids=["r", "d", "epsilon", "epsilon_nan", "r_nan"],
     )
     def test_out_of_range_argument_exits_with_one_line(self, capsys, theorem, flags):
         with pytest.raises(SystemExit, match="^bad theory arguments: need d >= 2") as exc:

@@ -38,6 +38,11 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             _spec(sigma="weird")
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0])
+    def test_nan_infinite_or_zero_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            _spec(sigma=sigma)
+
     def test_fewer_pooled_samples_than_K_rejected(self):
         # The pooled oracle solves a K x K system from M * n samples.
         with pytest.raises(ValueError, match="M \\* n must be at least K"):
@@ -192,6 +197,12 @@ class TestSampleResponses:
         spec = _spec()
         with pytest.raises(ValueError, match="sigma must be positive"):
             sample_responses(sample_shards(spec), np.zeros(spec.d), 0.0, spec.base_seed)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        spec = _spec()
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            sample_responses(sample_shards(spec), np.zeros(spec.d), sigma, spec.base_seed)
 
 
 class TestComputeCOmega:

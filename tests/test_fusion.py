@@ -350,6 +350,71 @@ class TestCentralizedLs:
         assert wins >= 0.9 * reps
 
 
+_RECEIPT_SUPPORT = np.array([1, 3])
+
+
+def _fold_message(fold, machine):
+    """A well-formed message from ``machine`` for one second-round or dense fold."""
+    if fold == "avg_debiased":
+        return Message(machine, DenseEstimate(np.full(4, float(machine))))
+    if fold == "aggregate_round2":
+        return Message(machine, RestrictedEstimate(_RECEIPT_SUPPORT, np.full(2, float(machine))))
+    return Message(machine, GramSummary(_RECEIPT_SUPPORT, np.eye(2), np.full(2, float(machine))))
+
+
+def _fold(fold, messages):
+    """The fold's coefficient vector (for ``avg_debiased``, the mean)."""
+    if fold == "avg_debiased":
+        return avg_debiased(messages, K=1)[0]
+    if fold == "aggregate_round2":
+        return aggregate_round2(messages, _RECEIPT_SUPPORT, 4)
+    return centralized_ls(messages, _RECEIPT_SUPPORT, 4)
+
+
+FOLDS = ["avg_debiased", "aggregate_round2", "centralized_ls"]
+
+
+@pytest.mark.parametrize("fold", FOLDS)
+class TestFoldReceipt:
+    """The checks the three non-vote folds share: no machines, then the
+    payload type, then a duplicate sender, each in machine-id order."""
+
+    def test_duplicate_sender_rejected(self, fold):
+        msgs = [_fold_message(fold, 2), _fold_message(fold, 0), _fold_message(fold, 0)]
+        with pytest.raises(ValueError) as exc:
+            _fold(fold, msgs)
+        assert str(exc.value) == "duplicate sender 0"
+
+    def test_duplicate_names_the_lower_repeated_sender(self, fold):
+        msgs = [_fold_message(fold, m) for m in (5, 3, 5, 3, 1)]
+        with pytest.raises(ValueError) as exc:
+            _fold(fold, msgs)
+        assert str(exc.value) == "duplicate sender 3"
+
+    def test_no_machines_rejected(self, fold):
+        with pytest.raises(ValueError, match="^no machines$"):
+            _fold(fold, [])
+
+    def test_payload_type_is_checked_before_duplicates(self, fold):
+        msgs = [_fold_message(fold, 0), _fold_message(fold, 0), _idx_msg(4, [1])]
+        with pytest.raises(TypeError, match=f"^{fold} expects"):
+            _fold(fold, msgs)
+
+    def test_distinct_senders_in_any_order_accepted(self, fold):
+        msgs = [_fold_message(fold, m) for m in (2, 0, 1)]
+        assert np.array_equal(_fold(fold, msgs), _fold(fold, msgs[::-1]))
+
+
+@pytest.mark.parametrize("fold", ["aggregate_round2", "centralized_ls"])
+def test_other_support_rejected_after_duplicates(fold):
+    other = _fold_message(fold, 1)
+    other.payload.support = np.array([1, 2])
+    with pytest.raises(ValueError, match="inconsistent round-2 support"):
+        _fold(fold, [_fold_message(fold, 0), other])
+    with pytest.raises(ValueError, match="duplicate sender 0"):
+        _fold(fold, [_fold_message(fold, 0), _fold_message(fold, 0), other])
+
+
 def test_fusion_log_record_shape():
     t = _tally_of([0, 2, 2])
     est = select_topk(t, K=1)

@@ -55,6 +55,12 @@ class TestThresholds:
         assert list(msg.payload.indices) == [0, 1]
         assert list(msg.payload.signs) == [1, -1]
 
+    @pytest.mark.parametrize("maker", [round1_thresh_votes, round1_thresh_signs])
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tau_must_be_finite_and_positive(self, maker, tau):
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            maker(0, _xi([5.0, -3.0]), tau)
+
     def test_raising_tau_never_adds_indices(self, rng):
         xi = rng.standard_normal(40) * 3
         prev = set(round1_thresh_votes(3, xi, 0.5).payload.indices)
@@ -250,3 +256,136 @@ class TestWireFormat:
         raw[0] = 99
         with pytest.raises(ValueError, match="unknown wire tag"):
             decode_message(bytes(raw))
+
+
+# One small message per payload type and its exact wire bytes: tag, machine
+# id, count, then the fields in wire order. These pin the format, not the
+# code that writes it.
+GOLDEN = [
+    (Message(7, IndexSet(np.array([1, 5, 300]))), "01" "07000000" "03000000" "01000000" "05000000" "2c010000"),
+    (Message(0, IndexSet(np.array([], dtype=np.int64))), "01" "00000000" "00000000"),
+    (
+        Message(2, SignedIndexSet(np.array([0, 3, 4, 6, 8, 9, 11, 12, 20]), np.array([1, -1, -1, 1, 1, -1, 1, 1, -1]))),
+        "02" "02000000" "09000000"
+        "00000000" "03000000" "04000000" "06000000" "08000000" "09000000" "0b000000" "0c000000" "14000000"
+        "d900",
+    ),
+    (
+        Message(1, DenseEstimate(np.array([1.5, -2.0, 0.0]))),
+        "03" "01000000" "03000000" "000000000000f83f" "00000000000000c0" "0000000000000000",
+    ),
+    (
+        Message(258, RestrictedEstimate(np.array([3, 8]), np.array([0.25, -1.0]))),
+        "04" "02010000" "02000000" "03000000" "08000000" "000000000000d03f" "000000000000f0bf",
+    ),
+    (
+        Message(9, GramSummary(np.array([0, 2]), np.array([[2.0, 0.5], [0.5, 4.0]]), np.array([1.0, -3.0]))),
+        "05" "09000000" "02000000" "00000000" "02000000"
+        "0000000000000040" "000000000000e03f" "000000000000e03f" "0000000000001040"
+        "000000000000f03f" "00000000000008c0",
+    ),
+]
+
+
+@pytest.mark.parametrize("msg, hexbytes", GOLDEN, ids=[type(m.payload).__name__ for m, _ in GOLDEN])
+class TestGoldenBytes:
+    def test_encodes_to_the_pinned_bytes(self, msg, hexbytes):
+        assert encode_message(msg).hex() == hexbytes
+
+    def test_pinned_bytes_decode_to_the_message(self, msg, hexbytes):
+        out = decode_message(bytes.fromhex(hexbytes))
+        assert out.machine_id == msg.machine_id
+        assert type(out.payload) is type(msg.payload)
+        for name, value in vars(msg.payload).items():
+            got = getattr(out.payload, name)
+            assert got.dtype == value.dtype and got.shape == value.shape and np.array_equal(got, value)
+
+
+class TestEncoderRejects:
+    """The encoder refuses every message whose bytes would decode to
+    something else, or not decode at all."""
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (IndexSet(np.array([-1])), "indices must hold integers in"),
+            (IndexSet(np.array([0, 2**32])), "indices must hold integers in"),
+            (IndexSet(np.array([1.5])), "indices must hold integers in"),
+            (RestrictedEstimate(np.array([-3, 1]), np.zeros(2)), "support must hold integers in"),
+            (GramSummary(np.array([2**40]), np.eye(1), np.ones(1)), "support must hold integers in"),
+            (SignedIndexSet(np.array([1, 2]), np.array([0, 3])), "signs must hold -1 or \\+1"),
+            (SignedIndexSet(np.array([1, 2]), np.array([1, 2])), "signs must hold -1 or \\+1"),
+            (SignedIndexSet(np.array([1, 2]), np.array([1])), "signs has shape \\(1,\\), count 2"),
+            (RestrictedEstimate(np.array([1, 2]), np.ones(1)), "values has shape \\(1,\\), count 2"),
+            (GramSummary(np.array([1, 2]), np.eye(3), np.ones(2)), "gram has shape \\(3, 3\\), count 2"),
+            (GramSummary(np.array([1, 2]), np.ones(4), np.ones(2)), "gram has shape \\(4,\\), count 2"),
+            (GramSummary(np.array([1, 2]), np.eye(2), np.ones(3)), "xty has shape \\(3,\\), count 2"),
+            (IndexSet(np.array([[1, 2]])), "indices has shape \\(1, 2\\)"),
+        ],
+        ids=[
+            "negative_index", "index_2_32", "fractional_index", "negative_support", "huge_support",
+            "sign_0_and_3", "sign_2", "sign_count", "restricted_values_count", "gram_side", "gram_flat",
+            "xty_count", "2d_indices",
+        ],
+    )
+    def test_payload_the_decoder_cannot_give_back(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            encode_message(Message(0, payload))
+
+    @pytest.mark.parametrize("machine_id", [-1, 2**32])
+    def test_machine_id_outside_uint32(self, machine_id):
+        with pytest.raises(ValueError, match="outside uint32"):
+            encode_message(Message(machine_id, IndexSet(np.array([1]))))
+
+    def test_largest_index_and_machine_id_round_trip(self):
+        msg = Message(2**32 - 1, IndexSet(np.array([0, 2**32 - 1])))
+        out = decode_message(encode_message(msg))
+        assert out.machine_id == 2**32 - 1
+        assert list(out.payload.indices) == [0, 2**32 - 1]
+
+    def test_unknown_payload_type(self):
+        with pytest.raises(TypeError, match="unknown payload type"):
+            encode_message(Message(0, np.zeros(3)))
+        with pytest.raises(TypeError, match="unknown payload type"):
+            bit_cost(Message(0, np.zeros(3)), 10)
+
+
+# Body bytes of each payload type for a count c, written out from the wire
+# format: uint32 indices, one bit per sign padded to a byte, float64 reals.
+_BODY = {
+    IndexSet: lambda c: 4 * c,
+    SignedIndexSet: lambda c: 4 * c + (c + 7) // 8,
+    DenseEstimate: lambda c: 8 * c,
+    RestrictedEstimate: lambda c: 12 * c,
+    GramSummary: lambda c: 12 * c + 8 * c * c,
+}
+
+
+def _random_payload(rng, kind, c):
+    idx = np.sort(rng.choice(2**32, size=c, replace=False)).astype(np.int64)
+    reals = rng.standard_normal(c) * 10.0 ** rng.integers(-300, 300, size=c)
+    if kind is IndexSet:
+        return IndexSet(idx)
+    if kind is SignedIndexSet:
+        return SignedIndexSet(idx, rng.choice([-1, 1], size=c))
+    if kind is DenseEstimate:
+        return DenseEstimate(np.where(rng.random(c) < 0.1, np.nan, reals))
+    if kind is RestrictedEstimate:
+        return RestrictedEstimate(idx, reals)
+    return GramSummary(idx, rng.standard_normal((c, c)), reals)
+
+
+def test_seeded_random_messages_round_trip():
+    rng = np.random.default_rng(13)
+    for _ in range(1000):
+        kind = list(_BODY)[rng.integers(len(_BODY))]
+        c = int(rng.integers(0, 20))
+        msg = Message(int(rng.integers(0, 2**32)), _random_payload(rng, kind, c))
+        raw = encode_message(msg)
+        assert len(raw) == 9 + _BODY[kind](c)
+        out = decode_message(raw)
+        assert out.machine_id == msg.machine_id and type(out.payload) is kind
+        for name, value in vars(msg.payload).items():
+            got = getattr(out.payload, name)
+            assert got.dtype == value.dtype and got.shape == value.shape
+            assert np.array_equal(got, value, equal_nan=True)

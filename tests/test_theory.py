@@ -67,6 +67,14 @@ class TestThm3Regime:
         assert not rep.feasible
 
 
+@pytest.mark.parametrize("regime", [thm2_regime, thm3_regime])
+def test_nan_epsilon_rejected(regime):
+    # A NaN epsilon fails every comparison, so it must be rejected up front
+    # rather than reported as a NaN machine range.
+    with pytest.raises(ValueError, match="eps >= 0"):
+        regime(100, 0.5, math.nan)
+
+
 class TestVartheta:
     def test_algebraic_identity_with_theta_min(self):
         # With theta* = theta_min(d, sigma, r, n, c) and sandwich diagonal c,
