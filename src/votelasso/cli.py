@@ -274,7 +274,7 @@ def cmd_theory(args) -> int:
         raise SystemExit(f"bad theory arguments: {exc}") from None
     payload = report.to_dict()
     payload["theorem"] = args.theorem
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return 0
 
 

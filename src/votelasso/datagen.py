@@ -12,6 +12,15 @@ per machine. Every consumer (the harness, the protocol's message makers,
 the bundle and CSV writers, ``cli generate``) reads this layout, and a
 single machine's view is its row: the slab ``X[m]`` and the response row
 ``Y[m]``.
+
+Only the streams are per machine. ``sample_shards`` fills each slab from
+its machine's stream and then runs the AR(1) column recursion once over
+the whole stack; ``sample_noise`` draws each machine's noise row from its
+own stream. The responses are X theta* + sigma W, and the noise W is the
+only part that changes between replications of a fixed design, so the
+harness forms X theta* once per grid point and calls ``sample_noise``
+itself, while ``cli generate`` calls ``sample_responses``: both draw the
+same W.
 """
 
 from __future__ import annotations
@@ -88,34 +97,44 @@ class GroundTruth:
 
 
 def stream(base_seed: int, tag: int, *keys: int) -> np.random.Generator:
-    """Independent generator for (base_seed, tag, *keys)."""
-    return np.random.default_rng(np.random.SeedSequence([int(base_seed), int(tag), *map(int, keys)]))
+    """Independent generator for (base_seed, tag, *keys).
 
-
-def _ar1_rows(rng: np.random.Generator, s: float, out: np.ndarray) -> None:
-    """Fill the (n, d) slab ``out`` with i.i.d. N(0, Sigma) rows via the
-    AR(1) recursion (O(n d)), in place over the standard normal draw."""
-    rng.standard_normal(out=out)
-    if s == 0.0:
-        return
-    q = math.sqrt(1.0 - s * s)
-    for j in range(1, out.shape[1]):
-        out[:, j] = s * out[:, j - 1] + q * out[:, j]
+    The seed is ``SeedSequence([base_seed, tag, *keys])``. When every value
+    fits one uint32 word it is passed as a uint32 array, which gives the
+    same words and hence the same draws while skipping the list's per-int
+    conversion (about a third of the cost of a short noise stream); a
+    larger value takes the list form, which splits it into 32-bit words.
+    """
+    words = (int(base_seed), int(tag), *map(int, keys))
+    if all(0 <= w < 2**32 for w in words):
+        entropy = np.array(words, dtype=np.uint32)
+    else:
+        entropy = list(words)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def sample_shards(spec: ProblemSpec, rep: int = 0, n: int | None = None) -> np.ndarray:
     """Draw the M design matrices as one C-contiguous (M, n, d) array.
 
-    Machine m's rows come from ``stream(base_seed, TAG_DESIGN, rep, m)``
-    and are written straight into ``X[m]``. ``rep`` enters the seed
-    derivation so non-fixed-design experiments can redraw designs per
-    replication; the default 0 is the fixed-design stream. A draw at a
-    larger n extends a smaller one row for row.
+    Machine m's standard normal draw comes from
+    ``stream(base_seed, TAG_DESIGN, rep, m)`` and is written straight into
+    ``X[m]``; the AR(1) recursion (rows i.i.d. N(0, Sigma),
+    Sigma_jk = corr_decay^|j-k|) then runs column by column over all
+    machines at once, the same arithmetic on every element as a
+    per-machine recursion. ``rep`` enters the seed derivation so
+    non-fixed-design experiments can redraw designs per replication; the
+    default 0 is the fixed-design stream. A draw at a larger n extends a
+    smaller one row for row.
     """
     n = spec.n if n is None else n
     X = np.empty((spec.M, n, spec.d))
     for m in range(spec.M):
-        _ar1_rows(stream(spec.base_seed, TAG_DESIGN, rep, m), spec.corr_decay, X[m])
+        stream(spec.base_seed, TAG_DESIGN, rep, m).standard_normal(out=X[m])
+    s = spec.corr_decay
+    if s != 0.0:
+        q = math.sqrt(1.0 - s * s)
+        for j in range(1, spec.d):
+            X[:, :, j] = s * X[:, :, j - 1] + q * X[:, :, j]
     return X
 
 
@@ -149,6 +168,21 @@ def make_theta_star(
     return GroundTruth(theta_star=theta, support=support, theta_min=float(theta_min))
 
 
+def sample_noise(M: int, n: int, base_seed: int, rep: int = 0) -> np.ndarray:
+    """(M, n) standard normal noise; row m comes from
+    ``stream(base_seed, TAG_NOISE, rep, m)``.
+
+    A length-n draw equals the first n values of a longer draw from the
+    same stream (checked for NumPy 2.4 at n/n_cal = 60/100, 80/100, 1/7 and
+    33/250), so a grid point at n below the calibrated size sees the prefix
+    of the full-size noise.
+    """
+    W = np.empty((M, n))
+    for m in range(M):
+        stream(base_seed, TAG_NOISE, rep, m).standard_normal(out=W[m])
+    return W
+
+
 def sample_responses(
     X: np.ndarray,
     theta_star: np.ndarray,
@@ -156,21 +190,12 @@ def sample_responses(
     base_seed: int,
     rep: int = 0,
 ) -> np.ndarray:
-    """(M, n) responses y_m = X_m theta* + w_m of the stacked designs X.
-
-    Machine m's noise w_m ~ N(0, sigma^2 I_n) comes from
-    ``stream(base_seed, TAG_NOISE, rep, m)``. A length-n draw equals the
-    first n values of a longer draw from the same stream (checked for
-    NumPy 2.4 at n/n_cal = 60/100, 80/100, 1/7 and 33/250), so a grid point
-    at n below the calibrated size sees the prefix of the full-size noise.
-    """
+    """(M, n) responses y_m = X_m theta* + sigma w_m of the stacked designs
+    X, with the noise w of ``sample_noise``."""
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
     M, n = X.shape[:2]
-    W = np.empty((M, n))
-    for m in range(M):
-        stream(base_seed, TAG_NOISE, rep, m).standard_normal(out=W[m])
-    return X @ theta_star + sigma * W
+    return X @ theta_star + sigma * sample_noise(M, n, base_seed, rep)
 
 
 def compute_c_omega(sandwich_diags) -> float:

@@ -18,8 +18,9 @@ Omega_hat is stored as compressed sparse rows (``SparseRows``), never as a
 dense d x d array: the benchmark designs average 2.1 nonzeros per row and a
 paper-scale machine (d=5000, n=250) about 2.9, so one machine's estimate
 takes 0.15 MB instead of 200 MB. The debiasing step (all machines of a
-replication at once, stacked along a leading axis) is a sparse mat-vec, and
-the sandwich variance (Omega_hat Sigma_hat Omega_hat')_ii is computed row by
+replication at once, stacked along a leading axis) is one sparse mat-vec
+over the block diagonal of the machines' estimates (``block_diagonal``),
+and the sandwich variance (Omega_hat Sigma_hat Omega_hat')_ii is computed row by
 row as ||X omega_i||^2 / n from the design columns of row i's nonzeros,
 without a Gram matrix.
 
@@ -207,23 +208,55 @@ def sandwich_diag(omega: SparseRows, X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", Z, Z) / X.shape[0]
 
 
+def block_diagonal(omegas: list[SparseRows]) -> SparseRows:
+    """The (M d) x (M d) block-diagonal matrix of M machines' d x d
+    precision estimates, machine m's rows and columns at [m d, (m + 1) d).
+
+    Its mat-vec with a flattened (M, d) array is every machine's mat-vec
+    with its own row in one pass; each output entry sums the same products
+    in the same order as ``omegas[m].matvec``, so the bits agree.
+    """
+    d = omegas[0].indptr.size - 1
+    counts = np.array([omega.indices.size for omega in omegas])
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    indptr = np.concatenate(
+        [omega.indptr[:-1].astype(np.intp) + start for omega, start in zip(omegas, starts)]
+        + [starts[-1:]]
+    )
+    indices = np.concatenate(
+        [omega.indices.astype(np.intp) + m * d for m, omega in enumerate(omegas)]
+    )
+    return SparseRows(indptr=indptr, indices=indices, data=np.concatenate([o.data for o in omegas]))
+
+
 def debias(
-    X: np.ndarray, Y: np.ndarray, theta_tilde: np.ndarray, omegas: list[SparseRows]
+    X: np.ndarray,
+    Y: np.ndarray,
+    theta_tilde: np.ndarray,
+    omega: SparseRows,
+    xty: np.ndarray | None = None,
 ) -> np.ndarray:
     """One-step correction of M machines at once, stacked along axis 0:
     row m is theta_tilde_m + Omega_m X_m'(y_m - X_m theta_tilde_m)/n.
 
     ``X`` is (M, n, d), ``Y`` is (M, n), ``theta_tilde`` is (M, d) and
-    ``omegas`` holds the M precision estimates; returns (M, d). The residuals
-    and X'r are one batched product each, written so that every row equals
-    the single-machine product bit for bit; the sparse mat-vec runs per
-    machine.
+    ``omega`` is the ``block_diagonal`` of the M precision estimates (for
+    one machine, its own estimate); returns (M, d). ``xty`` is the
+    undivided X'y, (M, d), when the caller has formed it as
+    ``(Y[:, None, :] @ X)[:, 0, :]``; it is formed here otherwise. A row
+    whose lasso estimate is zero has residual y, so its X'r is that row of
+    X'y; only the other rows form their residual and X'r, one machine at a
+    time. Every row equals the single-machine product bit for bit, and the
+    mat-vec is one pass over the block diagonal.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[1]
-    resid = Y - (X @ theta_tilde[:, :, None])[:, :, 0]
-    xtr = (resid[:, None, :] @ X)[:, 0, :]
-    return theta_tilde + np.array([omega.matvec(v) for omega, v in zip(omegas, xtr)]) / n
+    if xty is None:
+        xty = (Y[:, None, :] @ X)[:, 0, :]
+    xtr = xty.copy()
+    for m in theta_tilde.any(axis=1).nonzero()[0]:
+        xtr[m] = (Y[m] - X[m] @ theta_tilde[m]) @ X[m]
+    return theta_tilde + omega.matvec(xtr.ravel()).reshape(xtr.shape) / n
 
 
 def standardize(theta_hat: np.ndarray, c_diag: np.ndarray, sigma: float, n: int) -> np.ndarray:

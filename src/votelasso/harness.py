@@ -18,20 +18,31 @@ calibrate on the largest machine count and use prefixes.
 A design stores its machines stacked as ``datagen`` draws them:
 ``DesignState.X`` is the C-contiguous (m_cal, n_cal, d) array of
 ``sample_shards`` and the sandwich diagonals one (m_cal, d) array, so a grid
-point's machines are the prefix ``X[:M, :n]``. A replication's arithmetic
-that is the same on every machine runs as one batched pass over that prefix:
-the responses (``sample_responses``), the lasso's X'y, the debiasing
-residuals and X'r, the standardization and the oracle's cross moments.
-Every row of these equals the single-machine result bit for bit, and sums
-over machines add them in machine order (``fusion.sum_rows``), so records do
-not depend on the batching. Three steps stay per machine. Each machine's
-noise comes from its own seeded stream. Each lasso fit (``fit_lasso_gram``,
-``fit_lasso``) and each Omega_hat mat-vec solves that machine's own problem,
-and the fits are the call sites the benchmark's probes count. Each round-1
-and round-2 message is built by ``protocol`` for one machine from its rows
-of the replication's arrays (``_rep_fits``: its xi or theta_hat row, or its
-X[m] and Y[m]), as that machine would send it, and the benchmark's probes
-count those calls too.
+point's machines are the prefix ``X[:M, :n]``.
+
+A grid point (``PointState``) holds everything of a replication that does
+not depend on its noise: the planted theta*, the noiseless responses
+X_m theta* of its M machines as one (M, n) array (``x_theta``), the
+machines' precision estimates both as a list (``omegas``) and as one
+block-diagonal matrix (``omega``, ``debias.block_diagonal``), their
+sandwich diagonals, the cached Gram matrices when the design keeps them,
+the oracle's pooled Gram, and the round-two Gram matrices and factors met
+so far. A replication (``_rep_fits``) then computes only what depends on
+its noise, as one batched pass over the prefix where the arithmetic is the
+same on every machine: the (M, n) noise (``sample_noise``) and responses
+x_theta + sigma W, X'y formed once (the Gram lasso's input and, for every
+machine whose lasso estimate is zero, its X'r), the residuals and X'r of
+the machines whose estimate is not zero, one block-diagonal mat-vec, the
+standardization and the oracle's cross moments. Every row of these equals
+the single-machine result bit for bit, and sums over machines add them in
+machine order (``fusion.sum_rows``), so records do not depend on the
+batching. Three steps stay per machine. Each machine's noise comes from its
+own seeded stream. Each lasso fit (``fit_lasso_gram``, ``fit_lasso``)
+solves that machine's own problem, and the fits are the call sites the
+benchmark's probes count. Each round-1 and round-2 message is built by
+``protocol`` for one machine from its rows of the replication's arrays
+(``_rep_fits``: its xi or theta_hat row, or its X[m] and Y[m]), as that
+machine would send it, and the benchmark's probes count those calls too.
 
 Round two under the ``average`` rule needs each machine's inverse Gram
 (X_S'X_S)^-1 on the selected support S, which depends only on the design
@@ -43,9 +54,12 @@ mat-vecs. A rank-deficient support's ValueError is kept the same way. The
 factorization runs in ``_second_round``, outside the
 ``protocol.round2_restricted`` calls, so the benchmark's span of that name
 times the messages only and its count stays one call per machine and
-support. Factors live on the point: every ``materialize`` starts without
-any, so each ``run_sweep`` call and, in redraw mode, each replication
-starts cold. ``gram_exact`` sends X_S'X_S and X_S'y and factors nothing.
+support. ``gram_exact`` sends X_S'X_S and X_S'y and factors nothing;
+``PointState.round2_grams`` keeps its X_S'X_S per point and support the
+same way (``_round2_gram``), passed into each machine's
+``protocol.round2_gram`` call, which adds X_S'y. Factors and Grams live on
+the point: every ``materialize`` starts without any, so each ``run_sweep``
+call and, in redraw mode, each replication starts cold.
 """
 
 from __future__ import annotations
@@ -62,7 +76,7 @@ from .datagen import (
     ProblemSpec,
     compute_c_omega,
     make_theta_star,
-    sample_responses,
+    sample_noise,
     sample_shards,
     stream,
     theta_min_from_snr,
@@ -70,6 +84,7 @@ from .datagen import (
 from .debias import (
     RESIDUAL_SCALES,
     SparseRows,
+    block_diagonal,
     debias,
     empirical_covariance,
     estimate_precision,
@@ -312,8 +327,10 @@ class PointState:
     lam: float
     theta_min: float
     theta_star: np.ndarray
+    x_theta: np.ndarray  # (M, n) noiseless responses X_m theta*
     c_diag: np.ndarray  # (M, d)
     omegas: list[SparseRows]
+    omega: SparseRows  # block_diagonal(omegas), for the stacked debiasing mat-vec
     grams: list[np.ndarray] | None
     oracle_gram: np.ndarray
     L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
@@ -322,6 +339,9 @@ class PointState:
     # Support bytes -> the (M, k, k) restricted inverse Gram of every machine,
     # or the ValueError its factorization raised (see ``_round2_factor``).
     round2_factors: dict = field(default_factory=dict)
+    # Support bytes -> the (M, k, k) restricted Gram X_S'X_S of every machine
+    # (``gram_exact``, see ``_round2_gram``).
+    round2_grams: dict = field(default_factory=dict)
 
 
 def build_design(
@@ -374,7 +394,9 @@ def materialize(
     r: float | None = None,
     L: int | None = None,
 ) -> PointState:
-    """Slice a design down to one grid point and scale the planted signal.
+    """Slice a design down to one grid point, scale the planted signal and
+    form what every replication of the point shares (see the module
+    docstring).
 
     The point's n, M and r are checked as a ``ProblemSpec`` (ValueError).
     """
@@ -418,8 +440,10 @@ def materialize(
         lam=config.lam(n, sigma),
         theta_min=theta_min,
         theta_star=theta_star,
+        x_theta=design.X[:M, :n] @ theta_star,
         c_diag=c_diag,
         omegas=omegas,
+        omega=block_diagonal(omegas),
         grams=grams,
         oracle_gram=oracle_gram,
         L=L if L is not None else config.resolved_L(),
@@ -438,13 +462,14 @@ def _rep_fits(point: PointState, rep: int):
     spec = design.spec
     n, M, sigma = point.n, point.M, point.sigma
     X = design.X[:M, :n]
-    Y = sample_responses(X, point.theta_star, sigma, spec.base_seed, rep)
+    Y = point.x_theta + sigma * sample_noise(M, n, spec.base_seed, rep)
+    xty = (Y[:, None, :] @ X)[:, 0, :]
     theta_t = np.empty((M, spec.d))
     converged = np.empty(M, dtype=bool)
     sweeps = np.empty(M, dtype=np.int64)
     kkt = np.empty(M)
     if point.grams is not None:
-        XtY = (Y[:, None, :] @ X)[:, 0, :] / n
+        XtY = xty / n
         for m in range(M):
             theta_t[m], _, sweeps[m], kkt[m], converged[m] = fit_lasso_gram(
                 point.grams[m], XtY[m], point.lam
@@ -454,7 +479,7 @@ def _rep_fits(point: PointState, rep: int):
             fit = fit_lasso(X[m], Y[m], point.lam)
             theta_t[m] = fit.coefficients
             converged[m], sweeps[m], kkt[m] = fit.converged, fit.iterations, fit.max_kkt_violation
-    theta_h = debias(X, Y, theta_t, point.omegas)
+    theta_h = debias(X, Y, theta_t, point.omega, xty)
     xi = standardize(theta_h, point.c_diag, sigma, n)
     return theta_t, theta_h, xi, converged, sweeps, kkt, Y
 
@@ -518,24 +543,36 @@ def _round2_factor(point: PointState, support: np.ndarray) -> np.ndarray:
     return factor
 
 
+def _round2_gram(point: PointState, support: np.ndarray) -> np.ndarray:
+    """The (M, k, k) restricted Gram X_S'X_S of ``support`` on the point's
+    machines, formed once per point and support in one stacked product
+    (row m equals machine m's own ``X_S.T @ X_S`` bit for bit) and kept
+    read-only, since every replication's messages carry its rows."""
+    key = support.tobytes()
+    gram = point.round2_grams.get(key)
+    if gram is None:
+        X_S = point.design.X[: point.M, : point.n][:, :, support]
+        gram = X_S.swapaxes(1, 2) @ X_S
+        gram.setflags(write=False)
+        point.round2_grams[key] = gram
+    return gram
+
+
 def _second_round(config, point, ys, support) -> tuple[np.ndarray, int]:
     """Run round two over the machines; returns (theta_hat, total bits)."""
     d = point.design.spec.d
     X = point.design.X[: point.M, : point.n]
-    exact = config.second_round == "gram_exact"
-    gram_inv = None if exact else _round2_factor(point, support)
-    bits = 0
-    msgs = []
-    for m in range(point.M):
-        if exact:
-            msg = protocol.round2_gram(m, X[m], ys[m], support)
-        else:
-            msg = protocol.round2_restricted(m, X[m], ys[m], support, gram_inv[m])
-        bits += protocol.bit_cost(msg, d)
-        msgs.append(msg)
-    if exact:
-        return fusion.centralized_ls(msgs, support, d), bits
-    return fusion.aggregate_round2(msgs, support, d), bits
+    if config.second_round == "gram_exact":
+        grams = _round2_gram(point, support)
+        msgs = [protocol.round2_gram(m, X[m], ys[m], support, grams[m]) for m in range(point.M)]
+        theta = fusion.centralized_ls(msgs, support, d)
+    else:
+        gram_inv = _round2_factor(point, support)
+        msgs = [
+            protocol.round2_restricted(m, X[m], ys[m], support, gram_inv[m]) for m in range(point.M)
+        ]
+        theta = fusion.aggregate_round2(msgs, support, d)
+    return theta, sum(protocol.bit_cost(msg, d) for msg in msgs)
 
 
 class _RepMemo:

@@ -5,9 +5,10 @@ one reads its standardized estimate xi (or, for the dense baseline, its
 debiased estimate theta_hat), round two its design X_m and responses y_m.
 Every maker takes the machine id first and builds that one machine's
 message. Under the ``average`` rule a machine sends its least-squares fit
-on the broadcast support S, (X_S'X_S)^-1 X_S'y; the inverse Gram depends
-only on the design and S, so a caller that already holds it passes it in
-and the message costs two small mat-vecs.
+on the broadcast support S, (X_S'X_S)^-1 X_S'y, and under ``gram_exact``
+its X_S'X_S and X_S'y. The Gram and its inverse depend only on the design
+and S, so a caller that already holds them passes them in, and a message
+costs a gather and one or two small mat-vecs.
 
 Each payload's format is one entry of a table keyed by payload type: its
 wire tag and its fields in wire order, each an array of index, sign or
@@ -155,13 +156,22 @@ def round2_restricted(
     return Message(machine_id, RestrictedEstimate(support, beta))
 
 
-def round2_gram(machine_id: int, X_m: np.ndarray, y_m: np.ndarray, support) -> Message:
-    """Exact restricted Gram matrix and cross moments for centralized LS."""
+def round2_gram(
+    machine_id: int, X_m: np.ndarray, y_m: np.ndarray, support, gram: np.ndarray | None = None
+) -> Message:
+    """Exact restricted Gram matrix and cross moments for centralized LS.
+
+    ``gram`` is the machine's X_S'X_S on the support, which depends only on
+    the design and S; a caller that already holds it passes it in, and the
+    machine forms it itself otherwise.
+    """
     support = _as_index_array(support)
     if support.size < 1:
         raise ValueError("support must be nonempty")
     Xs = X_m[:, support]
-    return Message(machine_id, GramSummary(support, Xs.T @ Xs, Xs.T @ y_m))
+    if gram is None:
+        gram = Xs.T @ Xs
+    return Message(machine_id, GramSummary(support, gram, Xs.T @ y_m))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,12 @@ class RegimeReport:
     epsilon: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields for JSON; an empty machine range (m_lower = inf) is None,
+        which strict JSON writes as null."""
+        out = asdict(self)
+        if self.m_lower == math.inf:
+            out["m_lower"] = None
+        return out
 
 
 def thm2_constant(r: float, d: int) -> float:

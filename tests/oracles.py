@@ -146,6 +146,26 @@ def naive_tally(payloads, d):
     return np.array(votes), np.array(signs)
 
 
+def loop_shards(spec, rep=0, n=None):
+    """The designs ``datagen.sample_shards`` draws, machine by machine: each
+    slab's standard normal draw from its own stream, then the AR(1) column
+    recursion run on that slab alone. The bitwise reference for the stacked
+    recursion; do not batch it."""
+    from votelasso.datagen import TAG_DESIGN, stream
+
+    n = spec.n if n is None else n
+    s = spec.corr_decay
+    q = math.sqrt(1.0 - s * s)
+    slabs = []
+    for m in range(spec.M):
+        Z = stream(spec.base_seed, TAG_DESIGN, rep, m).standard_normal((n, spec.d))
+        if s != 0.0:
+            for j in range(1, spec.d):
+                Z[:, j] = s * Z[:, j - 1] + q * Z[:, j]
+        slabs.append(Z)
+    return np.array(slabs)
+
+
 def loop_rep_fits(point, rep):
     """Round one machine by machine, as ``harness._rep_fits`` computed it
     before its stacked pass: noise, response, X'y, lasso, debiasing and

@@ -333,6 +333,22 @@ class TestTheory:
         assert abs(payload["m_lower"] - 136.3) <= 0.5
         assert abs(payload["m_upper"] - 2131) <= 5
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--theorem", "3", "--d", "100", "--r", "0.5", "--epsilon", "0.6"],
+            ["--theorem", "2", "--d", "5000", "--r", "0.5", "--epsilon", "0.5"],
+        ],
+        ids=["thm3_eps_over_half", "thm2_nonpositive_denominator"],
+    )
+    def test_empty_machine_range_is_strict_json_null(self, capsys, flags):
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        main(["theory", *flags])
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["m_lower"] is None and payload["feasible"] is False
+
     def test_reports_no_unused_constants(self, capsys):
         main(["theory", "--d", "100", "--r", "0.5"])
         payload = json.loads(capsys.readouterr().out)

@@ -14,6 +14,8 @@ from votelasso.datagen import (
     theta_min_from_snr,
 )
 
+from oracles import loop_shards
+
 
 def _spec(**kw):
     base = dict(d=20, K=3, M=4, n=50, r=0.5, base_seed=7)
@@ -75,6 +77,14 @@ class TestSampleShards:
         # Machine m's rows depend only on (base_seed, rep, m), not on M.
         spec = _spec()
         assert np.array_equal(sample_shards(spec.with_(M=2))[1], sample_shards(spec)[1])
+
+    @pytest.mark.parametrize("corr_decay", [0.5, 0.0])
+    @pytest.mark.parametrize("rep", [0, 3])
+    def test_stacked_recursion_equals_per_machine_loop(self, corr_decay, rep):
+        spec = _spec(M=3, corr_decay=corr_decay)
+        X = sample_shards(spec, rep=rep)
+        ref = loop_shards(spec, rep=rep)
+        assert X.tobytes() == ref.tobytes()
 
     def test_row_prefix_consistency_across_n(self):
         # Larger draws extend smaller ones row-for-row (needed by n-sweeps).
@@ -221,6 +231,20 @@ class TestComputeCOmega:
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="no machines"):
             compute_c_omega([])
+
+
+@pytest.mark.parametrize("base_seed", [0, 2**32 - 1, 2**32, 2**40])
+@pytest.mark.parametrize("keys", [(), (3,), (3, 17), (2**32 + 5, 0)])
+def test_stream_draws_equal_list_seed_sequence(base_seed, keys):
+    # The uint32 entropy array must give the words of the list form, which
+    # splits values of 2**32 and above into several 32-bit words.
+    ref = np.random.default_rng(np.random.SeedSequence([base_seed, TAG_NOISE, *keys]))
+    assert np.array_equal(stream(base_seed, TAG_NOISE, *keys).standard_normal(16), ref.standard_normal(16))
+
+
+def test_stream_rejects_negative_keys():
+    with pytest.raises(ValueError):
+        stream(-1, TAG_NOISE)
 
 
 def test_streams_are_tag_separated():

@@ -9,6 +9,7 @@ from votelasso import _kernels
 from votelasso.datagen import ProblemSpec, sample_shards
 from votelasso.debias import (
     SparseRows,
+    block_diagonal,
     empirical_covariance,
     debias,
     estimate_precision,
@@ -45,7 +46,7 @@ def _round_one(X, y, lam, est, sigma):
     """One machine's round one from its own precision estimate:
     (theta_tilde, theta_hat, xi_hat)."""
     theta_tilde = fit_lasso(X, y, lam).coefficients
-    theta_hat = debias(X[None], y[None], theta_tilde[None], [est.omega_hat])[0]
+    theta_hat = debias(X[None], y[None], theta_tilde[None], est.omega_hat)[0]
     c_diag = sandwich_diag(est.omega_hat, X)
     return theta_tilde, theta_hat, standardize(theta_hat, c_diag, sigma, X.shape[0])
 
@@ -263,7 +264,7 @@ class TestDebias:
         X = rng.standard_normal((20, 4))
         theta = rng.standard_normal(4)
         y = X @ theta
-        out = debias(X[None], y[None], theta[None], [sparse_rows(rng.standard_normal((4, 4)))])[0]
+        out = debias(X[None], y[None], theta[None], sparse_rows(rng.standard_normal((4, 4))))[0]
         assert np.allclose(out, theta)
 
     def test_exact_inverse_recovers_ols(self, rng):
@@ -274,15 +275,32 @@ class TestDebias:
         omega = sparse_rows(np.linalg.inv(empirical_covariance(X)))
         ols = np.linalg.lstsq(X, y, rcond=None)[0]
         for theta0 in (np.zeros(d), rng.standard_normal(d)):
-            assert np.abs(debias(X[None], y[None], theta0[None], [omega])[0] - ols).max() <= 1e-8
+            assert np.abs(debias(X[None], y[None], theta0[None], omega)[0] - ols).max() <= 1e-8
 
     def test_matches_naive_oracle(self, rng):
         X = rng.standard_normal((9, 4))
         y = rng.standard_normal(9)
         theta = rng.standard_normal(4)
         omega = rng.standard_normal((4, 4))
-        out = debias(X[None], y[None], theta[None], [sparse_rows(omega)])[0]
+        out = debias(X[None], y[None], theta[None], sparse_rows(omega))[0]
         assert np.abs(out - naive_debias(X, y, theta, omega)).max() <= 1e-12
+
+    def test_stacked_rows_equal_single_machine_calls(self, rng):
+        # Zero rows take their X'r from X'y, given or formed; the others form
+        # their residual. Every row must equal its machine's own call.
+        M, n, d = 5, 30, 12
+        X = rng.standard_normal((M, n, d))
+        Y = rng.standard_normal((M, n))
+        theta = rng.standard_normal((M, d))
+        theta[[1, 3]] = 0.0
+        omegas = [sparse_rows(rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.3)
+                              + np.eye(d)) for _ in range(M)]
+        block = block_diagonal(omegas)
+        xty = (Y[:, None, :] @ X)[:, 0, :]
+        for out in (debias(X, Y, theta, block), debias(X, Y, theta, block, xty)):
+            for m in range(M):
+                alone = debias(X[m][None], Y[m][None], theta[m][None], omegas[m])[0]
+                assert out[m].tobytes() == alone.tobytes()
 
     def test_matches_dense_matvec_on_nodewise_rows(self):
         spec = ProblemSpec(d=100, K=2, M=1, n=70, r=0.8, base_seed=9)
@@ -293,7 +311,34 @@ class TestDebias:
         omega = dense_rows(est.omega_hat)
         for theta in (np.zeros(100), rng.standard_normal(100)):
             dense = theta + omega @ (X.T @ (y - X @ theta)) / 70
-            assert np.abs(debias(X[None], y[None], theta[None], [est.omega_hat])[0] - dense).max() <= 1e-12
+            assert np.abs(debias(X[None], y[None], theta[None], est.omega_hat)[0] - dense).max() <= 1e-12
+
+
+class TestBlockDiagonal:
+    def test_matvec_equals_each_blocks_own(self, rng):
+        # Rows of 1 to 40 entries, so long rows take NumPy's pairwise sum.
+        d, omegas = 40, []
+        for _ in range(4):
+            dense = rng.standard_normal((d, d)) * (rng.random((d, d)) < rng.random((d, 1)))
+            omegas.append(sparse_rows(dense + np.diag(rng.uniform(1, 2, d))))
+        block = block_diagonal(omegas)
+        v = rng.standard_normal((4, d))
+        out = block.matvec(v.ravel()).reshape(4, d)
+        for m in range(4):
+            assert out[m].tobytes() == omegas[m].matvec(v[m]).tobytes()
+        expected = np.zeros((4 * d, 4 * d))
+        for m, omega in enumerate(omegas):
+            expected[m * d : (m + 1) * d, m * d : (m + 1) * d] = dense_rows(omega)
+        assert np.array_equal(dense_rows(block), expected)
+
+    def test_narrow_index_types_are_widened(self):
+        # estimate_precision stores uint8 indices at d <= 256; the block's
+        # column offsets reach M d.
+        spec = ProblemSpec(d=200, K=2, M=3, n=60, r=0.8, base_seed=4)
+        omegas = [estimate_precision(X, 0.3).omega_hat for X in sample_shards(spec)]
+        assert omegas[0].indices.dtype == np.uint8
+        block = block_diagonal(omegas)
+        assert block.indices.max() >= 2 * 200 and block.indptr[-1] == sum(o.data.size for o in omegas)
 
 
 class TestStandardize:

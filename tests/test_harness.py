@@ -444,6 +444,60 @@ class TestRoundTwoFactors:
         assert point.round2_factors == {}
 
 
+class TestRoundTwoGrams:
+    """gram_exact forms each (grid point, support) X_S'X_S once for all machines."""
+
+    CFG = dict(second_round="gram_exact")
+
+    def test_stacked_gram_rows_are_each_machines_own(self, small_design):
+        cfg, design = small_design
+        cfg = cfg.with_(**self.CFG)
+        point = materialize(design, cfg, M=7, n=40)
+        recs = run_point_rep(point, cfg, list(SCHEMES), 0)
+        assert set(point.round2_grams) == {np.array(S, dtype=np.int64).tobytes() for S in _round2_supports(recs)}
+        ys = _rep_fits(point, 0)[-1]
+        for key, gram in point.round2_grams.items():
+            S = np.frombuffer(key, dtype=np.int64)
+            assert gram.shape == (7, S.size, S.size) and not gram.flags.writeable
+            for m in range(7):
+                X_m = design.X[m][:40]
+                alone = protocol.round2_gram(m, X_m, ys[m], S).payload
+                given = protocol.round2_gram(m, X_m, ys[m], S, gram[m]).payload
+                assert _same_bits(alone.gram, given.gram) and _same_bits(alone.xty, given.xty)
+
+    def test_records_equal_with_cold_and_warm_cache(self, small_design):
+        cfg, design = small_design
+        cfg = cfg.with_(**self.CFG)
+        warm = materialize(design, cfg)
+        for rep in range(6):
+            run_point_rep(warm, cfg, list(SCHEMES), rep)
+        seen = len(warm.round2_grams)
+        assert seen > 1
+        for rep in range(6):
+            cold = materialize(design, cfg)
+            assert cold.round2_grams == {}
+            expected = [_untimed(r) for r in run_point_rep(cold, cfg, list(SCHEMES), rep)]
+            assert [_untimed(r) for r in run_point_rep(warm, cfg, list(SCHEMES), rep)] == expected
+        assert len(warm.round2_grams) == seen
+
+    def test_one_message_per_machine_and_support(self, small_design, monkeypatch):
+        cfg, design = small_design
+        cfg = cfg.with_(**self.CFG)
+        point = materialize(design, cfg)
+        calls = []
+        original = protocol.round2_gram
+
+        def counting(machine_id, *args, **kwargs):
+            calls.append(machine_id)
+            return original(machine_id, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "round2_gram", counting)
+        supports = 0
+        for rep in range(4):
+            supports += len(_round2_supports(run_point_rep(point, cfg, list(SCHEMES), rep)))
+        assert calls == list(range(point.M)) * supports
+
+
 class TestRunSweep:
     def test_single_point_equals_replication_aggregate(self, small_design):
         cfg, design = small_design
@@ -682,6 +736,38 @@ class TestStackedRoundOne:
         assert point.M < design.m_cal
         self._assert_matches_loop(point)
 
+    @pytest.mark.parametrize("n, lam", [(None, 1.3), (30, 1.8)])
+    def test_zero_and_nonzero_fits_in_one_replication(self, small_design, n, lam):
+        # Zero fits take X'r from the replication's X'y, the others form
+        # their residual; both kinds must match the loop.
+        cfg, design = small_design
+        point = materialize(design, cfg.with_(lambda_rule="explicit", lambda_value=lam), n=n)
+        assert (point.grams is None) == (n is not None)
+        for rep in (0, 3):
+            live = _rep_fits(point, rep)[0].any(axis=1)
+            assert live.any() and not live.all()
+        self._assert_matches_loop(point)
+
+    @staticmethod
+    def _assert_block_matches_machines(point, rng):
+        v = rng.standard_normal((point.M, point.design.spec.d))
+        out = point.omega.matvec(v.ravel()).reshape(v.shape)
+        for m in range(point.M):
+            assert _same_bits(out[m], point.omegas[m].matvec(v[m]))
+
+    def test_block_diagonal_omega_at_machine_prefix(self, small_design, rng):
+        cfg, design = small_design
+        point = materialize(design, cfg, M=5)
+        assert point.M < design.m_cal and point.omegas == design.omegas[:5]
+        self._assert_block_matches_machines(point, rng)
+
+    def test_block_diagonal_omega_below_n_cal_without_reuse(self, rng):
+        cfg = _config(d=50, M=4, n=40, precision_reuse=False)
+        design = build_design(cfg)
+        point = materialize(design, cfg, n=25)
+        assert all(a is not b for a, b in zip(point.omegas, design.omegas))
+        self._assert_block_matches_machines(point, rng)
+
     def test_oracle_sum_over_one_support_column(self):
         # With |S| = 1 a NumPy axis-0 sum over 12 machines adds pairwise;
         # the oracle must still add the machines in order.
@@ -726,7 +812,7 @@ class TestScaleInvariance:
 
         def standardized(y, lam, sigma):
             theta_tilde = fit_lasso(X, y, lam).coefficients
-            theta_hat = debias(X[None], y[None], theta_tilde[None], [omega])[0]
+            theta_hat = debias(X[None], y[None], theta_tilde[None], omega)[0]
             return standardize(theta_hat, c_diag, sigma, X.shape[0])
 
         lam, c = 0.4, 3.7
