@@ -163,23 +163,38 @@ def cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
     return w[nz] @ G[nz], sweeps, kkt, converged
 
 
-def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
+def gram_diagonal(X):
+    """The diagonal of X'X/n: each column's sum of squares over n. ``X`` is
+    (n, d), or a stack (..., n, d) giving (..., d)."""
+    return np.einsum("...ij,...ij->...j", X, X) / X.shape[-2]
+
+
+def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag=None, c=None):
     """Active-set CD without a cached Gram matrix. ``w`` in place.
 
     The gradient is X'(y - X w)/n and the block G[A, A] is formed lazily
     from the working-set columns; ``X`` and ``y`` are not modified.
-    Returns (sweeps, kkt, converged).
+    ``diag`` is ``gram_diagonal(X)``, computed here when not given; only
+    which of its entries are positive is read. ``c`` is X'y/n: when given,
+    it is the gradient wherever every coefficient is zero, in place of the
+    product with X. Neither is written, so a caller that holds them for a
+    stack of designs passes a row of each. Returns (sweeps, kkt, converged).
     """
     n = X.shape[0]
+
+    def gradient(nz):
+        if c is not None and not nz.size:
+            return c
+        return X.T @ (y - X[:, nz] @ w[nz]) / n
 
     def block(A):
         XA = X[:, A]
         return XA.T @ XA / n
 
     return _active_set_cd(
-        lambda nz: X.T @ (y - X[:, nz] @ w[nz]) / n,
+        gradient,
         block,
-        np.einsum("ij,ij->j", X, X) / n,
+        gram_diagonal(X) if diag is None else diag,
         lam, w, -1, max_sweeps, coef_tol, kkt_tol,
     )
 

@@ -2,8 +2,9 @@
 second-round aggregation that produces the final coefficient estimate.
 
 All folds sort messages by machine id first, so results are independent of
-arrival order, and reject a second message from the same machine. Ties in
-every selection rule break toward the lower index.
+arrival order, and reject a second message from the same machine; the
+second-round and dense folds also reject a NaN or inf in any real field.
+Ties in every selection rule break toward the lower index.
 """
 
 from __future__ import annotations
@@ -12,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import DenseEstimate, GramSummary, IndexSet, Message, RestrictedEstimate, SignedIndexSet
+from .protocol import (
+    REAL_FIELDS,
+    DenseEstimate,
+    GramSummary,
+    IndexSet,
+    Message,
+    RestrictedEstimate,
+    SignedIndexSet,
+    top_k_indices,
+)
 
 
 @dataclass
@@ -130,27 +140,19 @@ def tally(messages: list[Message], d: int) -> VoteTally:
     )
 
 
-def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    # Stable argsort on the negated scores: ties resolve to the lower index.
-    order = np.argsort(-scores, kind="stable")[:k]
-    return np.sort(order)
-
-
 def select_topk(t: VoteTally, K: int, use_signs: bool = False) -> SupportEstimate:
-    """The K indices with the most votes (or largest |sign sums|)."""
-    d = t.votes.shape[0]
-    if not 1 <= K <= d:
-        raise ValueError("K must lie in [1, d]")
-    scores = np.abs(t.sign_sums) if use_signs else t.votes
-    idx = _top_k_indices(scores.astype(np.float64), K)
+    """The K indices with the most votes (or largest |sign sums|), by
+    ``top_k_indices``. ValueError unless K is an integer in [1, d]."""
+    idx = top_k_indices(t.sign_sums if use_signs else t.votes, K)
     return SupportEstimate(indices=idx, rule="topK", rule_params={"K": K, "use_signs": use_signs})
 
 
 def select_vote_threshold(
     t: VoteTally, tau_votes: float, use_signs: bool = False
 ) -> SupportEstimate:
-    """Indices with strictly more than tau_votes votes (or |sign sums|)."""
-    if tau_votes < 0:
+    """Indices with strictly more than tau_votes votes (or |sign sums|).
+    ValueError for a negative or NaN ``tau_votes``."""
+    if not tau_votes >= 0:
         raise ValueError("tau_votes must be nonnegative")
     scores = np.abs(t.sign_sums) if use_signs else t.votes
     idx = np.flatnonzero(scores > tau_votes).astype(np.int64)
@@ -171,13 +173,17 @@ def select_majority(t: VoteTally, M: int) -> SupportEstimate:
 
 def _receipt(
     messages: list[Message], payload_type: type, fold: str, support: np.ndarray | None = None
-) -> list:
-    """The payloads of a second-round or dense fold, in machine-id order.
+) -> dict[str, np.ndarray]:
+    """The real fields (``protocol.REAL_FIELDS``) of a second-round or dense
+    fold's payloads, each stacked over the machines in machine-id order:
+    field name -> an (M, ...) array whose row m is the m-th machine's.
 
     Raises ValueError when there are no messages, TypeError for a payload
-    that is not a ``payload_type``, ValueError for a duplicate sender and
-    then, given a ``support``, for a payload on another support; the first
-    fault found in that order is raised.
+    that is not a ``payload_type``, ValueError for a duplicate sender, then,
+    given a ``support``, for a payload on another support, then for a field
+    whose shape differs between machines, and last for a NaN or inf in any
+    real field, naming the first machine that sent one; the first fault
+    found in that order is raised.
     """
     msgs = _sorted_by_machine(messages)
     if not msgs:
@@ -193,7 +199,18 @@ def _receipt(
         and (np.array([p.support for p in payloads]) == support).all()
     ):
         raise ValueError("inconsistent round-2 support")
-    return payloads
+    fields = {}
+    for name in REAL_FIELDS[payload_type]:
+        try:
+            fields[name] = np.array([getattr(p, name) for p in payloads])
+        except ValueError:  # NumPy refuses to stack arrays of unequal shapes
+            raise ValueError(f"{fold}: machines sent {name} of mismatched shapes") from None
+    if not all(np.isfinite(a).all() for a in fields.values()):
+        rows = [np.isfinite(a.reshape(len(ids), -1)).all(axis=1) for a in fields.values()]
+        i = int(np.logical_and.reduce(rows).argmin())
+        bad = next(name for name, ok in zip(fields, rows) if not ok[i])
+        raise ValueError(f"machine {ids[i]}: NaN or inf in {bad}")
+    return fields
 
 
 def avg_debiased(
@@ -204,16 +221,16 @@ def avg_debiased(
     Exactly one of ``K`` (top-K of |mean|) or ``threshold`` (strict magnitude
     cut) selects the support. Returns the full coordinate-wise mean; the
     scheme's final estimate is that mean restricted to the support.
+    ValueError for a NaN ``threshold``, for estimates of mismatched lengths
+    and for a NaN or inf in an estimate.
     """
     if (K is None) == (threshold is None):
         raise ValueError("pass exactly one of K or threshold")
-    values = [p.values for p in _receipt(messages, DenseEstimate, "avg_debiased")]
-    lengths = {v.shape[0] for v in values}
-    if len(lengths) != 1:
-        raise ValueError("dense estimates have mismatched lengths")
-    theta_avg = np.mean(values, axis=0)
+    if threshold is not None and np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
+    theta_avg = np.mean(_receipt(messages, DenseEstimate, "avg_debiased")["values"], axis=0)
     if K is not None:
-        idx = _top_k_indices(np.abs(theta_avg), K)
+        idx = top_k_indices(theta_avg, K)
         est = SupportEstimate(indices=idx, rule="avg_topK", rule_params={"K": K})
     else:
         idx = np.flatnonzero(np.abs(theta_avg) > threshold).astype(np.int64)
@@ -226,21 +243,17 @@ def avg_debiased(
 def aggregate_round2(messages: list[Message], support, d: int) -> np.ndarray:
     """Average the per-machine restricted LS solutions onto the support."""
     support = np.asarray(support, dtype=np.int64)
-    payloads = _receipt(messages, RestrictedEstimate, "aggregate_round2", support)
+    values = _receipt(messages, RestrictedEstimate, "aggregate_round2", support)["values"]
     theta = np.zeros(d)
-    theta[support] = sum_rows(np.array([p.values for p in payloads])) / len(payloads)
+    theta[support] = sum_rows(values) / len(values)
     return theta
 
 
 def centralized_ls(messages: list[Message], support, d: int) -> np.ndarray:
     """Exact pooled least squares from summed Gram summaries."""
     support = np.asarray(support, dtype=np.int64)
-    k = support.size
-    gram = np.zeros((k, k))
-    xty = np.zeros(k)
-    for p in _receipt(messages, GramSummary, "centralized_ls", support):
-        gram += p.gram
-        xty += p.xty
+    fields = _receipt(messages, GramSummary, "centralized_ls", support)
+    gram, xty = sum_rows(fields["gram"]), sum_rows(fields["xty"])
     try:
         np.linalg.cholesky(gram)
         beta = np.linalg.solve(gram, xty)

@@ -25,7 +25,8 @@ not depend on its noise: the planted theta*, the noiseless responses
 X_m theta* of its M machines as one (M, n) array (``x_theta``), the
 machines' precision estimates both as a list (``omegas``) and as one
 block-diagonal matrix (``omega``, ``debias.block_diagonal``), their
-sandwich diagonals, the cached Gram matrices when the design keeps them,
+sandwich diagonals, the diagonals of their X'X/n (``gram_diag``, one
+stacked product), the cached Gram matrices when the design keeps them,
 the oracle's pooled Gram, and the round-two Gram matrices and factors met
 so far. A replication (``_rep_fits``) then computes only what depends on
 its noise, as one batched pass over the prefix where the arithmetic is the
@@ -39,10 +40,14 @@ machine order (``fusion.sum_rows``), so records do not depend on the
 batching. Three steps stay per machine. Each machine's noise comes from its
 own seeded stream. Each lasso fit (``fit_lasso_gram``, ``fit_lasso``)
 solves that machine's own problem, and the fits are the call sites the
-benchmark's probes count. Each round-1 and round-2 message is built by
-``protocol`` for one machine from its rows of the replication's arrays
-(``_rep_fits``: its xi or theta_hat row, or its X[m] and Y[m]), as that
-machine would send it, and the benchmark's probes count those calls too.
+benchmark's probes count. Both read the machine's row of the replication's
+X'y/n; the covariance-free ``fit_lasso`` takes it as its gradient at the
+zero start and reads its row of ``gram_diag`` for its column norms and
+its check that X is finite, so it forms neither. Each round-1 and round-2
+message is built by ``protocol`` for one machine from its rows of the
+replication's arrays (``_rep_fits``: its xi or theta_hat row, or its X[m]
+and Y[m]), as that machine would send it, and the benchmark's probes
+count those calls too.
 
 Round two under the ``average`` rule needs each machine's inverse Gram
 (X_S'X_S)^-1 on the selected support S, which depends only on the design
@@ -91,6 +96,7 @@ from .debias import (
     sandwich_diag,
     standardize,
 )
+from ._kernels import gram_diagonal
 from .lasso import fit_lasso, fit_lasso_gram, restricted_gram_inverse
 from .serialize import dump_jsonl, write_csv_rows
 
@@ -129,7 +135,10 @@ CSV_COLUMNS = [
 
 
 def _check_L(L: int, spec: ProblemSpec, known_sparsity: bool) -> None:
-    """A top-L scheme's L lies in [1, d] and, under known sparsity, is at least K."""
+    """A top-L scheme's L is an integer (not a bool) in [1, d] and, under
+    known sparsity, at least K."""
+    if isinstance(L, bool) or not isinstance(L, (int, np.integer)):
+        raise ValueError(f"L must be an integer, not {L!r}")
     if not 1 <= L <= spec.d:
         raise ValueError("L must lie in [1, d]")
     if known_sparsity and L < spec.K:
@@ -328,6 +337,9 @@ class PointState:
     theta_min: float
     theta_star: np.ndarray
     x_theta: np.ndarray  # (M, n) noiseless responses X_m theta*
+    # (M, d) diagonals of the machines' X'X/n (``gram_diagonal``): the
+    # covariance-free lasso's column norms and its check that X is finite.
+    gram_diag: np.ndarray
     c_diag: np.ndarray  # (M, d)
     omegas: list[SparseRows]
     omega: SparseRows  # block_diagonal(omegas), for the stacked debiasing mat-vec
@@ -430,6 +442,7 @@ def materialize(
     for m in range(M):
         Xsub = design.X[m][:n, S]
         oracle_gram += Xsub.T @ Xsub
+    X = design.X[:M, :n]
     return PointState(
         design=design,
         n=n,
@@ -440,7 +453,8 @@ def materialize(
         lam=config.lam(n, sigma),
         theta_min=theta_min,
         theta_star=theta_star,
-        x_theta=design.X[:M, :n] @ theta_star,
+        x_theta=X @ theta_star,
+        gram_diag=gram_diagonal(X),
         c_diag=c_diag,
         omegas=omegas,
         omega=block_diagonal(omegas),
@@ -464,19 +478,19 @@ def _rep_fits(point: PointState, rep: int):
     X = design.X[:M, :n]
     Y = point.x_theta + sigma * sample_noise(M, n, spec.base_seed, rep)
     xty = (Y[:, None, :] @ X)[:, 0, :]
+    XtY = xty / n
     theta_t = np.empty((M, spec.d))
     converged = np.empty(M, dtype=bool)
     sweeps = np.empty(M, dtype=np.int64)
     kkt = np.empty(M)
     if point.grams is not None:
-        XtY = xty / n
         for m in range(M):
             theta_t[m], _, sweeps[m], kkt[m], converged[m] = fit_lasso_gram(
                 point.grams[m], XtY[m], point.lam
             )
     else:
         for m in range(M):
-            fit = fit_lasso(X[m], Y[m], point.lam)
+            fit = fit_lasso(X[m], Y[m], point.lam, gram_diag=point.gram_diag[m], c=XtY[m])
             theta_t[m] = fit.coefficients
             converged[m], sweeps[m], kkt[m] = fit.converged, fit.iterations, fit.max_kkt_violation
     theta_h = debias(X, Y, theta_t, point.omega, xty)
@@ -848,7 +862,7 @@ def check_grid(config: ExperimentConfig, sweep_axis: str, grid: list, schemes: l
         if sweep_axis != "r" and not float(value).is_integer():
             raise ValueError(f"{sweep_axis} grid values must be whole numbers")
         if sweep_axis == "L":
-            _check_L(value, spec, known)
+            _check_L(int(value), spec, known)
         else:
             spec.with_(**{sweep_axis: value})
 

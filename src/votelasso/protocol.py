@@ -121,13 +121,36 @@ def round1_thresh_signs(machine_id: int, xi: np.ndarray, tau: float) -> Message:
     return Message(machine_id, SignedIndexSet(idx, signs))
 
 
+def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the k largest |scores|, increasing, as int64.
+
+    Ties at the k-th largest magnitude break toward the lower index, and NaN
+    ranks below every number: the first k of a stable argsort of -|scores|.
+    ``np.partition`` finds the k-th magnitude and one comparison selects
+    every entry at least that large; only when that is not exactly k
+    entries (a tie at the k-th magnitude, or fewer than k entries that are
+    not NaN) does the selection fall back to the stable argsort. Both give
+    the same indices. Raises ValueError unless
+    ``scores`` is 1-D and k is an integer in [1, len(scores)].
+    """
+    neg = -np.abs(np.asarray(scores))
+    if neg.ndim != 1:
+        raise ValueError("scores must be 1-D")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, not {k!r}")
+    if not 1 <= k <= neg.size:
+        raise ValueError(f"k must lie in [1, {neg.size}]")
+    idx = (neg <= np.partition(neg, k - 1)[k - 1]).nonzero()[0]
+    if idx.size != k:
+        idx = np.sort(np.argsort(neg, kind="stable")[:k])
+    return idx.astype(np.int64, copy=False)
+
+
 def round1_top_L(machine_id: int, xi: np.ndarray, L: int, signed: bool = False) -> Message:
-    """Indices of the L largest |xi| entries; ties break to lower index."""
-    d = xi.shape[0]
-    if not 1 <= L <= d:
-        raise ValueError("L must lie in [1, d]")
-    order = np.argsort(-np.abs(xi), kind="stable")[:L]
-    idx = np.sort(order).astype(np.int64)
+    """Indices of the L largest |xi| entries (``top_k_indices``): ties break
+    to the lower index and NaN ranks last. ValueError unless L is an
+    integer in [1, d]."""
+    idx = top_k_indices(xi, L)
     if not signed:
         return Message(machine_id, IndexSet(idx))
     signs = np.sign(xi[idx]).astype(np.int64)
@@ -205,6 +228,10 @@ _FORMATS = {
     GramSummary: (5, [("support", _INDEX, 1), ("gram", _REAL, 2), ("xty", _REAL, 1)]),
 }
 _BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in _FORMATS.items()}
+# Each payload type's real fields, which a receiver checks for NaN and inf.
+REAL_FIELDS = {
+    cls: tuple(name for name, kind, _ in fields if kind is _REAL) for cls, (_, fields) in _FORMATS.items()
+}
 # bit_cost's per-type constants, read off the table once: the count field,
 # then the scaled and fixed bits of all count-long fields, then of all
 # count**2-long fields.

@@ -307,3 +307,27 @@ def scalar_cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
         np.einsum("ij,ij->j", X, X) / n,
         lam, w, -1, max_sweeps, coef_tol, kkt_tol,
     )
+
+
+def stable_top_k(scores, k):
+    """The top-k rule of ``protocol.round1_top_L`` and ``fusion.select_topk``
+    before ``protocol.top_k_indices``: the first k of a stable argsort of
+    -|scores|, increasing. Ties go to the lower index and NaN ranks last.
+    The reference for the partition-based selection; do not optimize it."""
+    return np.sort(np.argsort(-np.abs(np.asarray(scores)), kind="stable")[:k])
+
+
+def tied_scores(rng, count, d_max=12):
+    """``count`` seeded (scores, k) cases for top-k selection: 1-D float
+    arrays of 1 to ``d_max`` entries drawn from a few repeated values, -0.0,
+    +-inf, NaN and normals, so ties at the k-th magnitude are common. The
+    first quarter of the cases take k = 1, the second k = d, the rest k
+    uniform in [1, d]."""
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, np.inf, -np.inf, np.nan])
+    cases = []
+    for i in range(count):
+        d = int(rng.integers(1, d_max + 1))
+        s = np.where(rng.random(d) < 0.6, rng.choice(pool, d), rng.standard_normal(d))
+        k = 1 if i < count // 4 else d if i < count // 2 else int(rng.integers(1, d + 1))
+        cases.append((s, k))
+    return cases

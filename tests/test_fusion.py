@@ -23,7 +23,7 @@ from votelasso.protocol import (
     SignedIndexSet,
 )
 
-from oracles import naive_tally
+from oracles import naive_tally, stable_top_k, tied_scores
 
 
 def _idx_msg(machine, indices):
@@ -204,6 +204,28 @@ class TestSelection:
         b = select_topk(_tally_of(3 * votes + 1), K=4).indices
         assert np.array_equal(a, b)
 
+    def test_topk_equals_stable_argsort_rule(self):
+        # Vote counts and sign sums with many ties, k = 1 and k = d included.
+        rng = np.random.default_rng(16)
+        for i in range(10_000):
+            d = int(rng.integers(1, 13))
+            votes = rng.integers(0, 4, d)
+            signs = rng.integers(-3, 4, d)
+            K = 1 if i % 4 == 0 else d if i % 4 == 1 else int(rng.integers(1, d + 1))
+            t = _tally_of(votes, signs)
+            assert np.array_equal(select_topk(t, K).indices, stable_top_k(votes, K))
+            assert np.array_equal(select_topk(t, K, use_signs=True).indices, stable_top_k(signs, K))
+
+    @pytest.mark.parametrize("K", [0, 4, 1.5, 2.0, True])
+    def test_topk_bad_K_rejected(self, K):
+        with pytest.raises(ValueError):
+            select_topk(_tally_of([1, 2, 3]), K)
+
+    @pytest.mark.parametrize("tau", [np.nan, -1.0])
+    def test_vote_threshold_nan_or_negative_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau_votes must be nonnegative"):
+            select_vote_threshold(_tally_of([1, 2, 3]), tau)
+
     def test_vote_threshold_strict(self):
         est = select_vote_threshold(_tally_of([17, 18]), tau_votes=17.03)
         assert list(est.indices) == [1]
@@ -269,6 +291,21 @@ class TestAvgDebiased:
         ]
         with pytest.raises(ValueError, match="mismatched"):
             avg_debiased(msgs, K=1)
+
+    def test_topk_equals_stable_argsort_rule(self):
+        # Two machines whose mean has ties and signed zeros; the receipt
+        # rejects non-finite estimates, so the scores here are finite.
+        rng = np.random.default_rng(17)
+        for s, K in tied_scores(rng, 10_000):
+            s = np.where(np.isfinite(s), s, 3.0)
+            msgs = [Message(0, DenseEstimate(s)), Message(1, DenseEstimate(-s[::-1]))]
+            theta_avg, est = avg_debiased(msgs, K=K)
+            assert np.array_equal(est.indices, stable_top_k(theta_avg, K)), (s, K)
+
+    def test_nan_threshold_rejected(self):
+        msgs = [Message(0, DenseEstimate(np.array([0.5, 0.3, -0.4])))]
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            avg_debiased(msgs, threshold=np.nan)
 
     def test_exactly_one_rule(self):
         msgs = [Message(0, DenseEstimate(np.zeros(3)))]
@@ -400,9 +437,49 @@ class TestFoldReceipt:
         with pytest.raises(TypeError, match=f"^{fold} expects"):
             _fold(fold, msgs)
 
+    def test_fields_of_mismatched_shapes_rejected(self, fold):
+        msgs = [_fold_message(fold, 0), _fold_message(fold, 1)]
+        name = "gram" if fold == "centralized_ls" else "values"
+        setattr(msgs[1].payload, name, getattr(msgs[1].payload, name)[:1])
+        with pytest.raises(ValueError, match=f"^{fold}: machines sent {name} of mismatched shapes$"):
+            _fold(fold, msgs)
+
     def test_distinct_senders_in_any_order_accepted(self, fold):
         msgs = [_fold_message(fold, m) for m in (2, 0, 1)]
         assert np.array_equal(_fold(fold, msgs), _fold(fold, msgs[::-1]))
+
+
+_REAL_FIELDS = [
+    ("avg_debiased", "values"),
+    ("aggregate_round2", "values"),
+    ("centralized_ls", "gram"),
+    ("centralized_ls", "xty"),
+]
+
+
+@pytest.mark.parametrize("fold, name", _REAL_FIELDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_field_rejected_naming_the_machine(fold, name, bad):
+    # Before, avg_debiased ranked a NaN coordinate last and the round-two
+    # folds averaged it into the estimate.
+    msgs = [_fold_message(fold, m) for m in (4, 0, 2)]
+    for msg in (msgs[0], msgs[2]):
+        getattr(msg.payload, name).flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^machine 2: NaN or inf in {name}$"):
+        _fold(fold, msgs)
+
+
+@pytest.mark.parametrize("fold, name", _REAL_FIELDS)
+def test_non_finite_field_checked_after_duplicates_and_support(fold, name):
+    bad = _fold_message(fold, 0)
+    getattr(bad.payload, name).flat[0] = np.nan
+    with pytest.raises(ValueError, match="duplicate sender 1"):
+        _fold(fold, [bad, _fold_message(fold, 1), _fold_message(fold, 1)])
+    if fold != "avg_debiased":
+        other = _fold_message(fold, 1)
+        other.payload.support = np.array([1, 2])
+        with pytest.raises(ValueError, match="inconsistent round-2 support"):
+            _fold(fold, [bad, other])
 
 
 @pytest.mark.parametrize("fold", ["aggregate_round2", "centralized_ls"])

@@ -229,6 +229,11 @@ class TestSchemes:
             _config(scheme="nope")
         with pytest.raises(ValueError):
             _config(scheme="top_L_votes", L=2)  # L < K under known sparsity
+        for L in (2.5, 3.0, True, np.float64(4.0)):
+            # A non-integer L used to pass here and fail mid-run in round1_top_L.
+            with pytest.raises(ValueError, match="L must be an integer"):
+                _config(scheme="top_L_votes", L=L)
+        assert _config(scheme="top_L_votes", L=np.int64(4)).resolved_L() == 4
         with pytest.raises(ValueError):
             _config(tau_mode="explicit")  # missing tau_value
         with pytest.raises(ValueError):
@@ -632,6 +637,11 @@ class TestRunSweep:
         res = run_sweep(cfg, "L", [1], schemes=["top_L_votes"], design=design)
         assert res.rows[0]["value"] == 1
 
+    def test_whole_float_L_grid_values_run(self, small_design):
+        cfg, design = small_design
+        res = run_sweep(cfg.with_(reps=1), "L", [3.0, 4.0], schemes=["top_L_votes"], design=design)
+        assert [len(rec["S_hat"]) for rec in res.records] == [3, 3]
+
     @pytest.mark.parametrize("axis, grid", [("n", [20.7, 30]), ("M", [1.5, 2]), ("L", [3, 4.5])])
     def test_fractional_integer_axis_values_rejected(self, small_design, axis, grid):
         cfg, design = small_design
@@ -777,6 +787,17 @@ class TestStackedRoundOne:
         for rep in range(4):
             ys = _rep_fits(point, rep)[-1]
             assert _oracle_error(point, ys) == loop_oracle_error(point, ys)
+
+    @pytest.mark.parametrize("n", [None, 30])
+    def test_point_gram_diagonal_rows_are_the_machines(self, small_design, n):
+        # Every point holds its machines' column sums of squares over n, at
+        # n_cal (Gram branch) and below it (covariance-free branch) alike.
+        cfg, design = small_design
+        point = materialize(design, cfg, n=n, M=7)
+        assert point.gram_diag.shape == (7, cfg.spec.d)
+        for m in range(7):
+            Xm = design.X[m][: point.n]
+            assert _same_bits(point.gram_diag[m], np.einsum("ij,ij->j", Xm, Xm) / point.n)
 
     def test_design_is_one_stacked_array(self, small_design):
         cfg, design = small_design

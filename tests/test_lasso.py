@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from votelasso import _kernels
 from votelasso.lasso import (
     LassoFit,
     fit_lasso,
@@ -169,7 +170,94 @@ class TestFitLasso:
             fit_lasso_gram(G, C, 0.1, warm_start=np.zeros(d), skip=skip)
 
 
+def _same_fit(a, b):
+    return (
+        np.array_equal(a.coefficients, b.coefficients)
+        and a.iterations == b.iterations
+        and a.max_kkt_violation == b.max_kkt_violation
+        and a.converged == b.converged
+    )
+
+
+class TestPrecomputedInputs:
+    """``fit_lasso(gram_diag=, c=)``: the column sums of squares over n and
+    X'y/n, passed in by a caller that holds them."""
+
+    @pytest.mark.parametrize("lam", [5.0, 0.3, 0.05])
+    def test_equal_to_self_computed_fit_bit_for_bit(self, rng, lam):
+        n, d = 40, 30
+        X = rng.standard_normal((n, d))
+        X[:, 7] = 0.0  # a zero column is held at zero either way
+        y = X[:, :3] @ np.array([1.0, -0.8, 0.5]) + 0.3 * rng.standard_normal(n)
+        own = fit_lasso(X, y, lam)
+        given = fit_lasso(X, y, lam, gram_diag=_kernels.gram_diagonal(X), c=X.T @ y / n)
+        assert _same_fit(own, given)
+        assert (np.count_nonzero(own.coefficients) == 0) == (lam == 5.0)
+
+    @pytest.mark.parametrize("start", ["zeros", "random"])
+    def test_c_ignored_under_a_warm_start(self, rng, start):
+        n, d = 40, 12
+        X = rng.standard_normal((n, d))
+        y = X[:, 0] + 0.3 * rng.standard_normal(n)
+        w0 = np.zeros(d) if start == "zeros" else 0.1 * rng.standard_normal(d)
+        want = fit_lasso(X, y, 0.1, warm_start=w0)
+        got = fit_lasso(X, y, 0.1, warm_start=w0, c=np.full(d, 1e3))
+        assert _same_fit(want, got)
+        # Without a warm start the same c is read, and wrongly moves the fit.
+        assert not np.array_equal(fit_lasso(X, y, 0.1, c=np.full(d, 1e3)).coefficients, want.coefficients)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_anywhere_rejected(self, rng, bad):
+        n, d = 6, 4
+        X0 = rng.standard_normal((n, d))
+        y0 = rng.standard_normal(n)
+        for i in range(n):
+            for j in range(d):
+                X = X0.copy()
+                X[i, j] = bad
+                with pytest.raises(ValueError, match="NaN or inf"):
+                    fit_lasso(X, y0, 0.1)
+                # A diagonal formed from the same X carries the fault too.
+                with pytest.raises(ValueError, match="NaN or inf"):
+                    fit_lasso(X, y0, 0.1, gram_diag=_kernels.gram_diagonal(X), c=X0.T @ y0 / n)
+            y = y0.copy()
+            y[i] = bad
+            with pytest.raises(ValueError, match="NaN or inf"):
+                fit_lasso(X0, y, 0.1)
+
+    def test_entry_whose_square_overflows_rejected(self, rng):
+        # X is checked through its column sums of squares: an entry of
+        # magnitude about 1.3e154 or more overflows its square to inf.
+        X = rng.standard_normal((10, 3))
+        y = rng.standard_normal(10)
+        X[4, 1] = -1.4e154
+        with pytest.raises(ValueError, match="NaN or inf"):
+            fit_lasso(X, y, 0.1)
+        X[4, 1] = 1e100  # large but squarable: checked, then solved
+        assert isinstance(fit_lasso(X, y, 0.1, max_sweeps=10), LassoFit)
+
+    def test_wrong_lengths_rejected(self, rng):
+        X = rng.standard_normal((10, 3))
+        y = rng.standard_normal(10)
+        with pytest.raises(ValueError, match="gram_diag"):
+            fit_lasso(X, y, 0.1, gram_diag=np.ones(4))
+        with pytest.raises(ValueError, match="c has wrong length"):
+            fit_lasso(X, y, 0.1, c=np.ones(2))
+
+
 class TestKktViolation:
+    def test_equals_the_full_residual_certificate(self, rng):
+        # The residual from theta's nonzero columns only agrees with
+        # y - X theta over all columns to roundoff.
+        n, d = 50, 30
+        X = rng.standard_normal((n, d))
+        y = rng.standard_normal(n)
+        theta = np.zeros(d)
+        theta[[3, 11, 20]] = [0.4, -0.2, 0.1]
+        full = _kernels.kkt_residual(X.T @ (y - X @ theta) / n, theta, 0.05)
+        assert kkt_violation(X, y, 0.05, theta) == pytest.approx(full, rel=1e-12, abs=1e-15)
+
+
     def test_exact_orthonormal_solution(self, rng):
         n, d = 50, 10
         X = _orthonormal_design(rng, n, d)

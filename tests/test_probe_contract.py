@@ -69,6 +69,23 @@ def test_every_replication_fit_goes_through_a_patched_name(monkeypatch):
     assert calls == [3] * spec.M  # covariance-free branch: (sweeps, kkt, converged)
 
 
+def test_covariance_free_fits_pass_the_benchmark_probe(probes):
+    # The probe wraps cd_residual as counted(X, y, lam, w, *rest): the
+    # precomputed Gram diagonal and X'y/n must reach it positionally, or
+    # every covariance-free fit raises TypeError under the benchmark.
+    spec = ProblemSpec(d=20, K=2, M=3, n=30, r=0.8, base_seed=1)
+    config = harness.ExperimentConfig(spec=spec, lambda_rule="explicit", lambda_value=0.3)
+    point = harness.materialize(harness.build_design(config), config, n=20)
+    assert point.grams is None
+    checks = probes.Checks()
+    with probes.Patches() as patches:
+        checks.install_replication(patches)
+        theta, _, _, converged, sweeps, kkt, _ = harness._rep_fits(point, rep=0)
+    assert converged.all() and theta.any()
+    assert checks.counts["residual_sweeps"] == sweeps.sum() > spec.M
+    assert checks.max_kkt["replication"] == kkt.max()
+
+
 def test_every_nodewise_solve_goes_through_the_patched_name(monkeypatch, probes):
     # The gate's kkt_nodewise is the largest KKT residual that calls of
     # debias.fit_lasso_gram report. Each call must cover its rows' fits and

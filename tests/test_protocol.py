@@ -22,9 +22,12 @@ from votelasso.protocol import (
     round2_gram,
     round2_restricted,
     snr_tau,
+    top_k_indices,
 )
 from votelasso.fusion import centralized_ls
 from votelasso.lasso import restricted_ols
+
+from oracles import stable_top_k, tied_scores
 
 
 def _xi(values):
@@ -92,6 +95,48 @@ class TestTopL:
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
             round1_top_L(3, _xi([1.0, 2.0]), L=3)
+
+    @pytest.mark.parametrize("L", [2.5, 3.0, True, "2"])
+    def test_non_integer_L_rejected(self, L):
+        with pytest.raises(ValueError, match="must be an integer"):
+            round1_top_L(3, _xi([1.0, 2.0, 3.0, 4.0]), L=L)
+
+    def test_nan_ranks_last_and_inf_first(self):
+        xi = _xi([np.nan, 1.0, -np.inf, 0.0, np.nan])
+        assert list(round1_top_L(0, xi, L=2).payload.indices) == [1, 2]
+        assert list(round1_top_L(0, xi, L=4).payload.indices) == [0, 1, 2, 3]
+        signed = round1_top_L(0, xi, L=3, signed=True).payload
+        assert list(signed.signs) == [1, -1, 1]  # a zero sends +1
+
+    def test_equals_stable_argsort_rule(self):
+        # 10k seeded cases full of ties, signed zeros, infinities and NaNs,
+        # with k = 1 and k = d among them; the partition path and its
+        # argsort fallback both run.
+        for s, k in tied_scores(np.random.default_rng(15), 10_000):
+            want = stable_top_k(s, k)
+            got = top_k_indices(s, k)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (s, k)
+            assert np.array_equal(round1_top_L(1, s, k).payload.indices, want)
+            if not np.isnan(s[want]).any():
+                signed = round1_top_L(1, s, k, signed=True).payload
+                assert np.array_equal(signed.indices, want)
+                assert np.array_equal(signed.signs, np.where(s[want] < 0, -1, 1)), (s, k)
+
+    def test_integer_scores(self):
+        votes = np.array([3, 0, 3, 7, 1], dtype=np.int64)
+        assert list(top_k_indices(votes, 2)) == [0, 3]
+        assert list(top_k_indices(np.int64(-5) * votes, 3)) == [0, 2, 3]
+        assert list(top_k_indices(votes, np.int64(1))) == [3]
+
+    @pytest.mark.parametrize("k", [0, 6, 2.0, 1.5, True, np.bool_(True), None])
+    def test_bad_k_rejected(self, k):
+        with pytest.raises(ValueError):
+            top_k_indices(np.arange(5.0), k)
+
+    @pytest.mark.parametrize("scores", [np.float64(1.0), np.ones((2, 3))])
+    def test_scores_must_be_one_dimensional(self, scores):
+        with pytest.raises(ValueError, match="1-D"):
+            top_k_indices(scores, 1)
 
 
 class TestDense:
