@@ -155,7 +155,7 @@ def select_vote_threshold(
     if not tau_votes >= 0:
         raise ValueError("tau_votes must be nonnegative")
     scores = np.abs(t.sign_sums) if use_signs else t.votes
-    idx = np.flatnonzero(scores > tau_votes).astype(np.int64)
+    idx = (scores > tau_votes).nonzero()[0]
     return SupportEstimate(
         indices=idx,
         rule="vote_threshold",
@@ -167,7 +167,7 @@ def select_majority(t: VoteTally, M: int) -> SupportEstimate:
     """Indices with at least M/2 votes (boundary inclusive)."""
     if M < 1:
         raise ValueError("M must be positive")
-    idx = np.flatnonzero(t.votes >= M / 2).astype(np.int64)
+    idx = (t.votes >= M / 2).nonzero()[0]
     return SupportEstimate(indices=idx, rule="majority", rule_params={"M": M})
 
 
@@ -233,7 +233,7 @@ def avg_debiased(
         idx = top_k_indices(theta_avg, K)
         est = SupportEstimate(indices=idx, rule="avg_topK", rule_params={"K": K})
     else:
-        idx = np.flatnonzero(np.abs(theta_avg) > threshold).astype(np.int64)
+        idx = (np.abs(theta_avg) > threshold).nonzero()[0]
         est = SupportEstimate(
             indices=idx, rule="avg_threshold", rule_params={"threshold": threshold}
         )

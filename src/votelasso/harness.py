@@ -43,28 +43,34 @@ solves that machine's own problem, and the fits are the call sites the
 benchmark's probes count. Both read the machine's row of the replication's
 X'y/n; the covariance-free ``fit_lasso`` takes it as its gradient at the
 zero start and reads its row of ``gram_diag`` for its column norms and
-its check that X is finite, so it forms neither. Each round-1 and round-2
-message is built by ``protocol`` for one machine from its rows of the
-replication's arrays (``_rep_fits``: its xi or theta_hat row, or its X[m]
-and Y[m]), as that machine would send it, and the benchmark's probes
-count those calls too.
+its check that X is finite, so it forms neither.
+
+Messages are batched the same way. Each round-1 rule's selection runs once
+per replication for all M machines (``protocol.select_threshold``,
+``select_top_k`` and ``selected_signs`` on the (M, d) xi), and the rules
+that send one selection share it (``_RepMemo.selection``): ``thresh_votes``
+(so ``bnm21``) with ``thresh_signs``, ``top_L_votes`` with ``top_L_signs``.
+Round two gathers the M restricted designs X[:M, :n][:, :, S] once per
+distinct support and forms every machine's X_S'y, or under ``average`` its
+least-squares fit, in one stacked product; the gathered designs are
+dropped afterwards, not kept on the point. Each message is still built by
+its own ``protocol`` call, once per machine, which receives that machine's
+row of the stacked result (``selected=``, ``beta=``, ``xty=``) and gives
+the message the machine would build alone; the benchmark's probes count
+and time those calls, so their spans now time the messages only and the
+stacked work counts as harness time.
 
 Round two under the ``average`` rule needs each machine's inverse Gram
 (X_S'X_S)^-1 on the selected support S, which depends only on the design
 and S. ``PointState.round2_factors`` keeps it per grid point and support,
 factored for all M machines in one stacked SVD the first time a
-replication selects S (``_round2_factor``); each machine's
-``protocol.round2_restricted`` call then costs a gather and two small
-mat-vecs. A rank-deficient support's ValueError is kept the same way. The
-factorization runs in ``_second_round``, outside the
-``protocol.round2_restricted`` calls, so the benchmark's span of that name
-times the messages only and its count stays one call per machine and
-support. ``gram_exact`` sends X_S'X_S and X_S'y and factors nothing;
-``PointState.round2_grams`` keeps its X_S'X_S per point and support the
-same way (``_round2_gram``), passed into each machine's
-``protocol.round2_gram`` call, which adds X_S'y. Factors and Grams live on
-the point: every ``materialize`` starts without any, so each ``run_sweep``
-call and, in redraw mode, each replication starts cold.
+replication selects S (``_round2_factor``). A rank-deficient support's
+ValueError is kept the same way. ``gram_exact`` sends X_S'X_S and X_S'y
+and factors nothing; ``PointState.round2_grams`` keeps its X_S'X_S per
+point and support the same way (``_round2_gram``), passed into each
+machine's ``protocol.round2_gram`` call with its X_S'y. Factors and Grams
+live on the point: every ``materialize`` starts without any, so each
+``run_sweep`` call and, in redraw mode, each replication starts cold.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ from .debias import (
     standardize,
 )
 from ._kernels import gram_diagonal
-from .lasso import fit_lasso, fit_lasso_gram, restricted_gram_inverse
+from .lasso import fit_lasso, fit_lasso_gram, restricted_gram_inverse, restricted_ols, restricted_xty
 from .serialize import dump_jsonl, write_csv_rows
 
 SCHEMES = (
@@ -503,18 +509,21 @@ def _rep_fits(point: PointState, rep: int):
 _ROUND1_RULE = {"bnm21": "thresh_votes"}
 
 
-def _round1_messages(rule: str, point: PointState, theta_hat: np.ndarray, xi: np.ndarray):
-    """One ``protocol`` call per machine, from its row of xi (or theta_hat)."""
-    if rule == "thresh_votes":
-        return [protocol.round1_thresh_votes(m, row, point.tau) for m, row in enumerate(xi)]
-    if rule == "thresh_signs":
-        return [protocol.round1_thresh_signs(m, row, point.tau) for m, row in enumerate(xi)]
-    if rule == "top_L_votes":
-        return [protocol.round1_top_L(m, row, point.L, signed=False) for m, row in enumerate(xi)]
-    if rule == "top_L_signs":
-        return [protocol.round1_top_L(m, row, point.L, signed=True) for m, row in enumerate(xi)]
+def _round1_messages(rule: str, point: PointState, theta_hat: np.ndarray, xi: np.ndarray, selection):
+    """One ``protocol`` call per machine, from its row of xi (or theta_hat)
+    and of the rule's stacked ``selection``, (indices, signs) with one row
+    per machine (see ``_RepMemo.selection``)."""
     if rule == "avg_deblasso":
         return [protocol.round1_dense(m, row) for m, row in enumerate(theta_hat)]
+    indices, signs = selection
+    rows = list(enumerate(zip(indices, signs if signs is not None else [None] * point.M)))
+    if rule == "thresh_votes":
+        return [protocol.round1_thresh_votes(m, xi[m], point.tau, selected=row) for m, row in rows]
+    if rule == "thresh_signs":
+        return [protocol.round1_thresh_signs(m, xi[m], point.tau, selected=row) for m, row in rows]
+    if rule in ("top_L_votes", "top_L_signs"):
+        signed = rule == "top_L_signs"
+        return [protocol.round1_top_L(m, xi[m], point.L, signed=signed, selected=row) for m, row in rows]
     raise ValueError(f"unknown scheme {rule!r}")
 
 
@@ -536,9 +545,10 @@ def _select_support(scheme, config, point, msgs, t):
     return None, fusion.select_vote_threshold(t, 2.0 * math.log(spec.d), use_signs=use_signs)
 
 
-def _round2_factor(point: PointState, support: np.ndarray) -> np.ndarray:
+def _round2_factor(point: PointState, support: np.ndarray, X_S: np.ndarray) -> np.ndarray:
     """The (M, k, k) restricted inverse Gram of ``support`` on the point's
-    machines, factored once per point and support in one stacked SVD.
+    machines, whose (M, n, k) restricted designs are ``X_S``, factored once
+    per point and support in one stacked SVD.
 
     A rank-deficient support's ValueError is cached too and raised again on
     every later request, so it fails in every replication without being
@@ -548,7 +558,7 @@ def _round2_factor(point: PointState, support: np.ndarray) -> np.ndarray:
     factor = point.round2_factors.get(key)
     if factor is None:
         try:
-            factor = restricted_gram_inverse(point.design.X[: point.M, : point.n][:, :, support])
+            factor = restricted_gram_inverse(X_S)
         except ValueError as exc:
             factor = exc
         point.round2_factors[key] = factor
@@ -557,7 +567,7 @@ def _round2_factor(point: PointState, support: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _round2_gram(point: PointState, support: np.ndarray) -> np.ndarray:
+def _round2_gram(point: PointState, support: np.ndarray, X_S: np.ndarray) -> np.ndarray:
     """The (M, k, k) restricted Gram X_S'X_S of ``support`` on the point's
     machines, formed once per point and support in one stacked product
     (row m equals machine m's own ``X_S.T @ X_S`` bit for bit) and kept
@@ -565,7 +575,6 @@ def _round2_gram(point: PointState, support: np.ndarray) -> np.ndarray:
     key = support.tobytes()
     gram = point.round2_grams.get(key)
     if gram is None:
-        X_S = point.design.X[: point.M, : point.n][:, :, support]
         gram = X_S.swapaxes(1, 2) @ X_S
         gram.setflags(write=False)
         point.round2_grams[key] = gram
@@ -573,18 +582,25 @@ def _round2_gram(point: PointState, support: np.ndarray) -> np.ndarray:
 
 
 def _second_round(config, point, ys, support) -> tuple[np.ndarray, int]:
-    """Run round two over the machines; returns (theta_hat, total bits)."""
+    """Run round two over the machines; returns (theta_hat, total bits).
+
+    Every machine's payload row comes from one stacked product over the
+    gathered (M, n, k) restricted designs, which are dropped afterwards;
+    each machine's ``protocol`` call wraps its row in a message.
+    """
     d = point.design.spec.d
     X = point.design.X[: point.M, : point.n]
+    X_S = X[:, :, support]
     if config.second_round == "gram_exact":
-        grams = _round2_gram(point, support)
-        msgs = [protocol.round2_gram(m, X[m], ys[m], support, grams[m]) for m in range(point.M)]
+        grams = _round2_gram(point, support, X_S)
+        xty = restricted_xty(X_S, ys)
+        msgs = [
+            protocol.round2_gram(m, X[m], ys[m], support, grams[m], xty=xty[m]) for m in range(point.M)
+        ]
         theta = fusion.centralized_ls(msgs, support, d)
     else:
-        gram_inv = _round2_factor(point, support)
-        msgs = [
-            protocol.round2_restricted(m, X[m], ys[m], support, gram_inv[m]) for m in range(point.M)
-        ]
+        beta = restricted_ols(X_S, ys, _round2_factor(point, support, X_S))
+        msgs = [protocol.round2_restricted(m, X[m], ys[m], support, beta=beta[m]) for m in range(point.M)]
         theta = fusion.aggregate_round2(msgs, support, d)
     return theta, sum(protocol.bit_cost(msg, d) for msg in msgs)
 
@@ -595,9 +611,10 @@ class _RepMemo:
     Round-1 messages, their bits and their tally depend only on (theta_hat,
     xi, round-1 rule), and round two only on (ys, support), so each is built
     once per rule or per distinct support and reused by every later scheme.
-    Shared arrays are made read-only. ``flags`` holds the replication's
-    solver fields, which every record copies. ``seconds`` sums the time
-    spent on shared work.
+    The rules that send one selection share it too (``selection``). Shared
+    arrays are made read-only. ``flags`` holds the replication's solver
+    fields, which every record copies. ``seconds`` sums the time spent on
+    shared work.
     """
 
     def __init__(self, config, point, theta_hat, xi, ys, flags: RepFlags, seconds: float):
@@ -606,6 +623,7 @@ class _RepMemo:
         self.seconds = seconds
         self._round1: dict = {}
         self._round2: dict = {}
+        self._selections: dict = {}
 
     def _cached(self, table: dict, key, compute):
         if key not in table:
@@ -614,6 +632,30 @@ class _RepMemo:
             self.seconds += time.perf_counter() - t0
         return table[key]
 
+    def selection(self, rule: str):
+        """The (indices, signs) rows of the rule's selection from every
+        machine's xi, computed once for all machines and shared by the rules
+        that send it: ``thresh_votes`` (so ``bnm21``) and ``thresh_signs``
+        send the thresholded indices, ``top_L_votes`` and ``top_L_signs`` the
+        top-L ones, whose signs only ``top_L_signs`` needs (None for the
+        others). None for dense messages. Untimed: it runs inside the timed
+        ``round1``."""
+        table, xi = self._selections, self.xi
+        if rule == "avg_deblasso":
+            return None
+        if rule.startswith("thresh"):
+            if "thresh" not in table:
+                table["thresh"] = protocol.select_threshold(xi, self.point.tau)
+            return table["thresh"]
+        if "top_L" not in table:
+            table["top_L"] = protocol.select_top_k(xi, self.point.L)
+        indices = table["top_L"]
+        if rule == "top_L_votes":
+            return indices, None
+        if "top_L_signs" not in table:
+            table["top_L_signs"] = protocol.selected_signs(xi, indices)
+        return indices, table["top_L_signs"]
+
     def round1(self, scheme: str) -> tuple[list, list[int], fusion.VoteTally | None]:
         """(messages, bits per machine, tally) of the scheme's round-1 rule;
         the tally is None for dense messages."""
@@ -621,7 +663,7 @@ class _RepMemo:
 
         def compute():
             d = self.config.spec.d
-            msgs = _round1_messages(rule, self.point, self.theta_hat, self.xi)
+            msgs = _round1_messages(rule, self.point, self.theta_hat, self.xi, self.selection(rule))
             bits = [protocol.bit_cost(m, d) for m in msgs]
             if rule == "avg_deblasso":
                 return msgs, bits, None

@@ -11,10 +11,11 @@ both a small coefficient change and a small KKT residual over all
 coordinates, so a converged fit carries an optimality certificate.
 
 Restricted least squares, the round-two fit on a broadcast support, is
-``restricted_gram_inverse(X_S) @ (y @ X_S)``. The inverse Gram comes from
-one thin SVD and accepts a stack of designs, so a caller that solves many
-responses on the same columns (every replication of a fixed design)
-factors them once.
+``restricted_gram_inverse(X_S) @ restricted_xty(X_S, y)``. The inverse
+Gram comes from one thin SVD, so a caller that solves many responses on the
+same columns (every replication of a fixed design) factors them once. All
+three accept a stack of designs and responses, and each matrix of a stack
+gets the same bits as it would alone.
 """
 
 from __future__ import annotations
@@ -188,15 +189,25 @@ def restricted_gram_inverse(X_S: np.ndarray) -> np.ndarray:
     return (vt.swapaxes(-1, -2) / (s * s)[..., None, :]) @ vt
 
 
+def restricted_xty(X_S: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """X_S'y of a column subset, or of each matrix of a stack with its
+    response: ``X_S`` is (n, k) or (..., n, k), ``y`` (n,) or (..., n), the
+    result (k,) or (..., k). One product y @ X_S per matrix, whose bits are
+    those of ``X_S.T @ y``."""
+    return (np.asarray(y, dtype=np.float64)[..., None, :] @ X_S)[..., 0, :]
+
+
 def restricted_ols(X_S: np.ndarray, y: np.ndarray, gram_inv: np.ndarray | None = None) -> np.ndarray:
     """Least squares on a column subset: (X_S'X_S)^-1 X_S'y.
 
-    ``gram_inv`` is X_S's ``restricted_gram_inverse``, computed here when
-    not given; a caller that solves many responses on one design passes it
-    to pay for the factorization once. Requires n >= k and full column rank
-    (ValueError otherwise).
+    ``X_S``, ``y`` and ``gram_inv`` are one machine's (n, k), (n,) and
+    (k, k), or stacks (..., n, k), (..., n) and (..., k, k) with one fit per
+    matrix. ``gram_inv`` is X_S's ``restricted_gram_inverse``, computed here
+    when not given; a caller that solves many responses on one design passes
+    it to pay for the factorization once. Requires n >= k and full column
+    rank (ValueError otherwise).
     """
     X_S = np.asarray(X_S, dtype=np.float64)
     if gram_inv is None:
         gram_inv = restricted_gram_inverse(X_S)
-    return gram_inv @ (np.asarray(y, dtype=np.float64) @ X_S)
+    return (gram_inv @ restricted_xty(X_S, y)[..., None])[..., 0]

@@ -6,9 +6,18 @@ debiased estimate theta_hat), round two its design X_m and responses y_m.
 Every maker takes the machine id first and builds that one machine's
 message. Under the ``average`` rule a machine sends its least-squares fit
 on the broadcast support S, (X_S'X_S)^-1 X_S'y, and under ``gram_exact``
-its X_S'X_S and X_S'y. The Gram and its inverse depend only on the design
-and S, so a caller that already holds them passes them in, and a message
-costs a gather and one or two small mat-vecs.
+its X_S'X_S and X_S'y.
+
+Each round-one selection rule has one implementation, on a stack of
+machines, one row each: ``select_threshold`` and ``select_top_k``, with
+``selected_signs`` for a signed top-L. A caller that holds every machine's
+row (the harness, once per replication) runs the rule once for all of them
+and hands each maker its row through ``selected=``; a maker called without
+it runs the rule on its own xi as a one-row stack. Round two works the same
+way: each maker takes its row of a stacked ``lasso.restricted_ols``
+(``beta=``) or ``lasso.restricted_xty`` (``xty=``), and the Gram X_S'X_S and
+its inverse, which depend only on the design and S, through ``gram=`` and
+``gram_inv=``. A maker handed its row only wraps it in a message.
 
 Each payload's format is one entry of a table keyed by payload type: its
 wire tag and its fields in wire order, each an array of index, sign or
@@ -42,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lasso import restricted_ols
+from .lasso import restricted_ols, restricted_xty
 
 
 @dataclass
@@ -104,58 +113,161 @@ def _as_index_array(idx) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
-def round1_thresh_votes(machine_id: int, xi: np.ndarray, tau: float) -> Message:
-    """Indices whose standardized estimate strictly exceeds tau in magnitude."""
+def _check_tau(tau: float) -> None:
     if not 0 < tau < math.inf:
         raise ValueError("tau must be finite and positive")
-    idx = np.flatnonzero(np.abs(xi) > tau).astype(np.int64)
-    return Message(machine_id, IndexSet(idx))
 
 
-def round1_thresh_signs(machine_id: int, xi: np.ndarray, tau: float) -> Message:
-    """Thresholded indices with their signs attached."""
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be finite and positive")
-    idx = np.flatnonzero(np.abs(xi) > tau).astype(np.int64)
-    signs = np.sign(xi[idx]).astype(np.int64)
-    return Message(machine_id, SignedIndexSet(idx, signs))
+def _stack(scores) -> np.ndarray:
+    scores = np.asarray(scores)
+    if scores.ndim != 2:
+        raise ValueError("a stacked selection takes a 2-D array, one row per machine")
+    return scores
+
+
+def _one_row(values, name: str) -> np.ndarray:
+    """A 1-D array as a one-row stack."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be 1-D")
+    return values[None]
+
+
+def _signs(values: np.ndarray) -> np.ndarray:
+    """-1 for a negative value, +1 otherwise (a zero sends +1), as int64;
+    the values are not NaN."""
+    signs = np.sign(values).astype(np.int64)
+    signs[signs == 0] = 1
+    return signs
+
+
+def select_threshold(xi: np.ndarray, tau: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The threshold rule on a stack: row m of the (M, d) ``xi`` selects
+    the indices whose entry strictly exceeds tau in magnitude (a NaN never
+    does).
+
+    Returns (indices, signs), two lists of M read-only int64 arrays:
+    machine m's selected indices, increasing, and their signs (+-1). Each
+    list's rows are views of one flat array, found by one mask over the
+    stack. ValueError unless tau is finite and positive and ``xi`` is 2-D.
+    """
+    _check_tau(tau)
+    xi = _stack(xi)
+    M, d = xi.shape
+    flat = (np.abs(xi) > tau).ravel().nonzero()[0]
+    indices = flat % d
+    signs = _signs(xi.ravel()[flat])
+    indices.setflags(write=False)
+    signs.setflags(write=False)
+    ends = np.searchsorted(flat, np.arange(1, M + 1) * d).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    return [indices[a:b] for a, b in bounds], [signs[a:b] for a, b in bounds]
+
+
+def select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The top-k rule on a stack: row m of the read-only (M, k) int64
+    result holds the indices of the k largest |scores[m]|, increasing.
+
+    Ties at the k-th largest magnitude break toward the lower index, and NaN
+    ranks below every number: each row is the first k of a stable argsort of
+    -|scores[m]|. One ``np.partition`` finds every row's k-th magnitude and
+    one comparison selects the entries at least that large; only a row where
+    that is not exactly k entries (a tie at the k-th magnitude, or fewer
+    than k entries that are not NaN) falls back to the stable argsort. Both
+    give the same indices. Raises ValueError unless ``scores`` is 2-D and k
+    is an integer in [1, d].
+    """
+    neg = -np.abs(_stack(scores))
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, not {k!r}")
+    M, d = neg.shape
+    if not 1 <= k <= d:
+        raise ValueError(f"k must lie in [1, {d}]")
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    mask = neg <= kth
+    flat = mask.ravel().nonzero()[0]
+    # A row whose k-th magnitude is a number has at least k entries that
+    # large, so M * k of them in all means exactly k in every row.
+    if flat.size == M * k and not np.isnan(kth).any():
+        idx = flat.reshape(M, k) % d
+    else:
+        idx = np.empty((M, k), dtype=np.int64)
+        for m in range(M):
+            row = mask[m].nonzero()[0]
+            idx[m] = row if row.size == k else np.sort(np.argsort(neg[m], kind="stable")[:k])
+    idx = idx.astype(np.int64, copy=False)
+    idx.setflags(write=False)
+    return idx
+
+
+def selected_signs(scores: np.ndarray, indices: np.ndarray, machine_ids=None) -> np.ndarray:
+    """The signs of a stack's selected entries: row m of the read-only
+    int64 result is -1 where scores[m] is negative at indices[m] and +1
+    elsewhere (a zero sends +1).
+
+    A NaN has no sign: ValueError naming the first machine that selected
+    one, ``machine_ids[m]`` (by default m) for row m.
+    """
+    scores = _stack(scores)
+    values = scores[np.arange(len(scores))[:, None], indices]
+    nan = np.isnan(values)
+    if nan.any():
+        m = int(nan.any(axis=1).argmax())
+        machine = m if machine_ids is None else machine_ids[m]
+        raise ValueError(f"machine {machine}: a NaN among the selected entries has no sign")
+    signs = _signs(values)
+    signs.setflags(write=False)
+    return signs
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """The indices of the k largest |scores|, increasing, as int64.
-
-    Ties at the k-th largest magnitude break toward the lower index, and NaN
-    ranks below every number: the first k of a stable argsort of -|scores|.
-    ``np.partition`` finds the k-th magnitude and one comparison selects
-    every entry at least that large; only when that is not exactly k
-    entries (a tie at the k-th magnitude, or fewer than k entries that are
-    not NaN) does the selection fall back to the stable argsort. Both give
-    the same indices. Raises ValueError unless
-    ``scores`` is 1-D and k is an integer in [1, len(scores)].
-    """
-    neg = -np.abs(np.asarray(scores))
-    if neg.ndim != 1:
-        raise ValueError("scores must be 1-D")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, not {k!r}")
-    if not 1 <= k <= neg.size:
-        raise ValueError(f"k must lie in [1, {neg.size}]")
-    idx = (neg <= np.partition(neg, k - 1)[k - 1]).nonzero()[0]
-    if idx.size != k:
-        idx = np.sort(np.argsort(neg, kind="stable")[:k])
-    return idx.astype(np.int64, copy=False)
+    """The indices of the k largest |scores| of a 1-D array, increasing, as
+    read-only int64: ``select_top_k`` of it as a one-row stack. Raises
+    ValueError unless ``scores`` is 1-D and k is an integer in
+    [1, len(scores)]."""
+    return select_top_k(_one_row(scores, "scores"), k)[0]
 
 
-def round1_top_L(machine_id: int, xi: np.ndarray, L: int, signed: bool = False) -> Message:
-    """Indices of the L largest |xi| entries (``top_k_indices``): ties break
+# A round-one maker's ``selected`` is the machine's (indices, signs) row of
+# its rule's stacked selection; a signed payload sends both, an unsigned one
+# the indices only. The caller vouches that the row is the rule's selection
+# from ``xi``; without it the maker selects from ``xi`` as a one-row stack.
+
+
+def _threshold_row(xi: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    indices, signs = select_threshold(_one_row(xi, "xi"), tau)
+    return indices[0], signs[0]
+
+
+def round1_thresh_votes(machine_id: int, xi: np.ndarray, tau: float, selected=None) -> Message:
+    """Indices whose standardized estimate strictly exceeds tau in magnitude
+    (``select_threshold``)."""
+    if selected is None:
+        selected = _threshold_row(xi, tau)
+    return Message(machine_id, IndexSet(selected[0]))
+
+
+def round1_thresh_signs(machine_id: int, xi: np.ndarray, tau: float, selected=None) -> Message:
+    """Thresholded indices with their signs attached."""
+    if selected is None:
+        selected = _threshold_row(xi, tau)
+    return Message(machine_id, SignedIndexSet(*selected))
+
+
+def round1_top_L(
+    machine_id: int, xi: np.ndarray, L: int, signed: bool = False, selected=None
+) -> Message:
+    """Indices of the L largest |xi| entries (``select_top_k``): ties break
     to the lower index and NaN ranks last. ValueError unless L is an
-    integer in [1, d]."""
-    idx = top_k_indices(xi, L)
+    integer in [1, d], and, when ``signed``, for a NaN among the sent
+    entries (``selected_signs``)."""
+    if selected is None:
+        row = _one_row(xi, "xi")
+        idx = select_top_k(row, L)
+        selected = (idx[0], selected_signs(row, idx, [machine_id])[0] if signed else None)
     if not signed:
-        return Message(machine_id, IndexSet(idx))
-    signs = np.sign(xi[idx]).astype(np.int64)
-    signs[signs == 0] = 1
-    return Message(machine_id, SignedIndexSet(idx, signs))
+        return Message(machine_id, IndexSet(selected[0]))
+    return Message(machine_id, SignedIndexSet(*selected))
 
 
 def round1_dense(machine_id: int, theta_hat: np.ndarray) -> Message:
@@ -164,37 +276,52 @@ def round1_dense(machine_id: int, theta_hat: np.ndarray) -> Message:
 
 
 def round2_restricted(
-    machine_id: int, X_m: np.ndarray, y_m: np.ndarray, support, gram_inv: np.ndarray | None = None
+    machine_id: int,
+    X_m: np.ndarray,
+    y_m: np.ndarray,
+    support,
+    gram_inv: np.ndarray | None = None,
+    beta: np.ndarray | None = None,
 ) -> Message:
     """Per-machine least squares restricted to the broadcast support.
 
-    ``gram_inv`` is the machine's (X_S'X_S)^-1 on the support
+    ``beta`` is the machine's row of a stacked ``restricted_ols`` on the
+    support, which the caller vouches for; without it the machine solves
+    its own. ``gram_inv`` is then its (X_S'X_S)^-1 on the support
     (``lasso.restricted_gram_inverse``); without it the machine factors its
     restricted design itself. ValueError for a rank-deficient one.
     """
     support = _as_index_array(support)
     if support.size < 1:
         raise ValueError("support must be nonempty")
-    beta = restricted_ols(X_m[:, support], y_m, gram_inv)
+    if beta is None:
+        beta = restricted_ols(X_m[:, support], y_m, gram_inv)
     return Message(machine_id, RestrictedEstimate(support, beta))
 
 
 def round2_gram(
-    machine_id: int, X_m: np.ndarray, y_m: np.ndarray, support, gram: np.ndarray | None = None
+    machine_id: int,
+    X_m: np.ndarray,
+    y_m: np.ndarray,
+    support,
+    gram: np.ndarray | None = None,
+    xty: np.ndarray | None = None,
 ) -> Message:
     """Exact restricted Gram matrix and cross moments for centralized LS.
 
     ``gram`` is the machine's X_S'X_S on the support, which depends only on
-    the design and S; a caller that already holds it passes it in, and the
-    machine forms it itself otherwise.
+    the design and S, and ``xty`` its row of a stacked ``restricted_xty``;
+    a caller that already holds them passes them in, and the machine forms
+    them itself otherwise.
     """
     support = _as_index_array(support)
     if support.size < 1:
         raise ValueError("support must be nonempty")
-    Xs = X_m[:, support]
-    if gram is None:
-        gram = Xs.T @ Xs
-    return Message(machine_id, GramSummary(support, gram, Xs.T @ y_m))
+    if gram is None or xty is None:
+        Xs = X_m[:, support]
+        gram = Xs.T @ Xs if gram is None else gram
+        xty = restricted_xty(Xs, y_m) if xty is None else xty
+    return Message(machine_id, GramSummary(support, gram, xty))
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,52 @@ def loop_oracle_error(point, ys):
     return float(np.linalg.norm(theta - point.theta_star))
 
 
+def loop_round1_messages(rule, point, theta_hat, xi):
+    """Round-one messages machine by machine, as ``harness`` built them
+    before its stacked selection: each machine's threshold mask or stable
+    top-L (``stable_top_k``) of its own xi row, with the signs of the sent
+    entries (a zero sends +1), or a copy of its theta_hat row. The bitwise
+    reference for the stacked selections; do not batch it."""
+    from votelasso.protocol import DenseEstimate, IndexSet, Message, SignedIndexSet
+
+    msgs = []
+    for m in range(point.M):
+        row = xi[m]
+        if rule == "avg_deblasso":
+            payload = DenseEstimate(theta_hat[m].copy())
+        else:
+            if rule.startswith("thresh"):
+                idx = np.flatnonzero(np.abs(row) > point.tau)
+            else:
+                idx = stable_top_k(row, point.L)
+            signs = np.array([-1 if v < 0 else 1 for v in row[idx]], dtype=np.int64)
+            payload = SignedIndexSet(idx, signs) if rule.endswith("signs") else IndexSet(idx)
+        msgs.append(Message(m, payload))
+    return msgs
+
+
+def loop_second_round(config, point, ys, support):
+    """``harness._second_round`` machine by machine: each machine gathers
+    its own restricted design and sends (X_S'X_S)^-1 X_S'y, factored on its
+    own, or X_S'X_S and X_S'y. Returns (theta_hat, total bits). The bitwise
+    reference for the stacked round two; do not batch it."""
+    from votelasso import fusion
+    from votelasso.lasso import restricted_gram_inverse
+    from votelasso.protocol import GramSummary, Message, RestrictedEstimate, bit_cost
+
+    d = point.design.spec.d
+    msgs = []
+    for m in range(point.M):
+        X_S = point.design.X[m][: point.n][:, support]
+        if config.second_round == "gram_exact":
+            payload = GramSummary(support, X_S.T @ X_S, X_S.T @ ys[m])
+        else:
+            payload = RestrictedEstimate(support, restricted_gram_inverse(X_S) @ (ys[m] @ X_S))
+        msgs.append(Message(m, payload))
+    fold = fusion.centralized_ls if config.second_round == "gram_exact" else fusion.aggregate_round2
+    return fold(msgs, support, d), sum(bit_cost(msg, d) for msg in msgs)
+
+
 def loop_aggregate(values, support, d):
     """The round-2 average of ``fusion.aggregate_round2``, summing the
     machines' restricted estimates one at a time in the order given."""

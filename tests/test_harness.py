@@ -24,7 +24,14 @@ from votelasso.harness import (
 )
 from votelasso.lasso import restricted_gram_inverse, restricted_ols
 
-from oracles import dense_rows, loop_aggregate, loop_oracle_error, loop_rep_fits
+from oracles import (
+    dense_rows,
+    loop_aggregate,
+    loop_oracle_error,
+    loop_rep_fits,
+    loop_round1_messages,
+    loop_second_round,
+)
 
 TIMING_FIELDS = ("wall_time", "shared_time")
 
@@ -325,10 +332,10 @@ class TestSharedWork:
         failing = run_point_rep(point, cfg, ["thresh_votes"], 0)[0].S_hat
         original = protocol.round2_restricted
 
-        def round2(machine_id, X_m, y_m, support, gram_inv=None):
+        def round2(machine_id, X_m, y_m, support, **kwargs):
             if list(support) == failing:
                 raise ValueError("singular restricted design")
-            return original(machine_id, X_m, y_m, support, gram_inv)
+            return original(machine_id, X_m, y_m, support, **kwargs)
 
         monkeypatch.setattr(protocol, "round2_restricted", round2)
         recs = run_point_rep(point, cfg, list(SCHEMES), 0)
@@ -501,6 +508,96 @@ class TestRoundTwoGrams:
         for rep in range(4):
             supports += len(_round2_supports(run_point_rep(point, cfg, list(SCHEMES), rep)))
         assert calls == list(range(point.M)) * supports
+
+
+class TestStackedMessages:
+    """Each replication selects and solves once for all machines; every
+    record equals the per-machine loop's bit for bit."""
+
+    @staticmethod
+    def _loop_records(monkeypatch, cfg, axis, grid):
+        with monkeypatch.context() as mp:
+            mp.setattr(
+                harness,
+                "_round1_messages",
+                lambda rule, point, theta_hat, xi, selection: loop_round1_messages(rule, point, theta_hat, xi),
+            )
+            mp.setattr(harness, "_second_round", loop_second_round)
+            return run_sweep(cfg, axis, grid, schemes=list(SCHEMES)).records
+
+    @pytest.mark.parametrize("second_round", ["average", "gram_exact"])
+    @pytest.mark.parametrize(
+        "axis, grid, kw",
+        [
+            ("r", [0.3, 0.8], {}),
+            ("n", [20, 30], {}),
+            ("M", [2, 5], {"sparsity_mode": "unknown"}),
+            ("L", [3, 6], {"sparsity_mode": "unknown"}),
+            ("L", [3, 5], {"lambda_rule": "explicit", "lambda_value": 0.1}),
+            ("n", [20, 30], {"lambda_rule": "explicit", "lambda_value": 0.1, "precision_reuse": False}),
+            ("r", [0.8], {"fixed_design": False}),
+        ],
+    )
+    def test_sweep_records_equal_the_per_machine_loop(self, monkeypatch, second_round, axis, grid, kw):
+        cfg = _config(d=40, K=3, M=5, n=30, reps=2, second_round=second_round, **kw)
+        records = run_sweep(cfg, axis, grid, schemes=list(SCHEMES)).records
+        expected = self._loop_records(monkeypatch, cfg, axis, grid)
+        strip = lambda recs: [{k: v for k, v in r.items() if k not in TIMING_FIELDS} for r in recs]
+        assert strip(records) == strip(expected)
+        assert any(r["bits_round2_total"] for r in records)
+        if "lambda_value" in kw:
+            assert max(r["flags"]["max_sweeps"] for r in records) > 1  # nonzero fits
+
+    @pytest.mark.parametrize("second_round", ["average", "gram_exact"])
+    def test_round_two_rows_are_each_machines_own(self, small_design, monkeypatch, second_round):
+        cfg, design = small_design
+        cfg = cfg.with_(second_round=second_round)
+        point = materialize(design, cfg, M=7, n=40)
+        name = "round2_gram" if second_round == "gram_exact" else "round2_restricted"
+        sent = []
+        original = getattr(protocol, name)
+
+        def capture(machine_id, X_m, y_m, support, *args, **kwargs):
+            sent.append((machine_id, np.asarray(support), kwargs))
+            return original(machine_id, X_m, y_m, support, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, name, capture)
+        run_point_rep(point, cfg, list(SCHEMES), 0)
+        ys = _rep_fits(point, 0)[-1]
+        assert len(sent) >= 2 * point.M
+        for m, S, kwargs in sent:
+            X_S = design.X[m][:40][:, S]
+            if second_round == "gram_exact":
+                assert np.array_equal(kwargs["xty"], X_S.T @ ys[m])
+            else:
+                gram_inv = point.round2_factors[S.tobytes()][m]
+                assert np.array_equal(kwargs["beta"], restricted_ols(X_S, ys[m], gram_inv))
+
+    def test_selections_are_shared_and_read_only(self, small_design, monkeypatch):
+        cfg, design = small_design
+        point = materialize(design, cfg)
+        calls = []
+        for name in ("select_threshold", "select_top_k", "selected_signs"):
+            original = getattr(protocol, name)
+            monkeypatch.setattr(
+                protocol, name, lambda a, *r, _f=original, _n=name: calls.append((_n, len(a))) or _f(a, *r)
+            )
+        run_point_rep(point, cfg, list(SCHEMES), 0)
+        # One stacked call per selection for all machines; the fusion
+        # center's one-row top-K calls come on top.
+        stacked = sorted(name for name, rows in calls if rows == point.M)
+        assert stacked == ["select_threshold", "select_top_k", "selected_signs"]
+        assert all(rows == 1 for _, rows in calls if rows != point.M)
+        monkeypatch.undo()
+        fits = _rep_fits(point, 0)
+        memo = harness._RepMemo(cfg, point, fits[1], fits[2], fits[-1], harness.RepFlags(), 0.0)
+        indices, signs = memo.selection("thresh_signs")
+        assert memo.selection("thresh_votes") is memo.selection("thresh_signs")
+        top, top_signs = memo.selection("top_L_signs")
+        votes, no_signs = memo.selection("top_L_votes")
+        assert votes is top and no_signs is None
+        for a in (*indices, *signs, top, top_signs):
+            assert not a.flags.writeable
 
 
 class TestRunSweep:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from votelasso import _kernels, debias, harness
+from votelasso import _kernels, debias, harness, protocol
 from votelasso.datagen import ProblemSpec, sample_shards
 
 from oracles import dense_rows
@@ -84,6 +84,57 @@ def test_covariance_free_fits_pass_the_benchmark_probe(probes):
     assert converged.all() and theta.any()
     assert checks.counts["residual_sweeps"] == sweeps.sum() > spec.M
     assert checks.max_kkt["replication"] == kkt.max()
+
+
+# The keyword through which the harness hands each maker its precomputed row.
+PRECOMPUTED = {
+    "round1_thresh_votes": {"selected"},
+    "round1_thresh_signs": {"selected"},
+    "round1_top_L": {"selected"},
+    "round1_dense": set(),
+    "round2_restricted": {"beta"},
+    "round2_gram": {"xty"},
+}
+
+
+@pytest.mark.parametrize("second_round", ["average", "gram_exact"])
+def test_makers_run_once_per_machine_and_build_their_own_rows(monkeypatch, probes, second_round):
+    # The benchmark counts and round-trips messages at the makers: each one
+    # still runs once per machine, per round-one rule and per round-two
+    # support, and its message is the one the maker builds on its own.
+    spec = ProblemSpec(d=30, K=2, M=4, n=30, r=0.8, base_seed=1)
+    config = harness.ExperimentConfig(spec=spec, second_round=second_round, L=3)
+    point = harness.materialize(harness.build_design(config), config)
+    originals = {name: getattr(protocol, name) for name in probes.ROUND1_MAKERS + probes.ROUND2_MAKERS}
+    calls = []
+
+    def counting(name):
+        def wrapped(*args, **kwargs):
+            msg = originals[name](*args, **kwargs)
+            calls.append((name, args, kwargs, msg))
+            return msg
+
+        return wrapped
+
+    for name in originals:
+        monkeypatch.setattr(protocol, name, counting(name))
+    M = spec.M
+    for rep in range(3):
+        calls.clear()
+        recs = harness.run_point_rep(point, config, list(harness.SCHEMES), rep)
+        supports = {tuple(r.S_hat) for r in recs if r.scheme != "avg_deblasso" and r.S_hat}
+        round2 = "round2_gram" if second_round == "gram_exact" else "round2_restricted"
+        ids = lambda name: [args[0] for n, args, _, _ in calls if n == name]
+        # bnm21 shares the thresholded votes; top-L runs unsigned and signed.
+        assert ids("round1_thresh_votes") == ids("round1_thresh_signs") == ids("round1_dense") == list(range(M))
+        assert ids("round1_top_L") == list(range(M)) * 2
+        assert supports and ids(round2) == list(range(M)) * len(supports)
+        for name, args, kwargs, msg in calls:
+            assert set(kwargs) - {"signed"} == PRECOMPUTED[name]
+            own = {k: v for k, v in kwargs.items() if k == "signed"}
+            if name.startswith("round2"):
+                args = args[:4]  # the machine's id, X_m, y_m and the support only
+            assert probes.same_message(msg, originals[name](*args, **own)), (name, args[0])
 
 
 def test_every_nodewise_solve_goes_through_the_patched_name(monkeypatch, probes):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,11 +22,14 @@ from votelasso.protocol import (
     round1_top_L,
     round2_gram,
     round2_restricted,
+    select_threshold,
+    select_top_k,
+    selected_signs,
     snr_tau,
     top_k_indices,
 )
 from votelasso.fusion import centralized_ls
-from votelasso.lasso import restricted_ols
+from votelasso.lasso import restricted_gram_inverse, restricted_ols, restricted_xty
 
 from oracles import stable_top_k, tied_scores
 
@@ -139,6 +143,86 @@ class TestTopL:
             top_k_indices(scores, 1)
 
 
+class TestStackedSelection:
+    """Each round-one rule runs once over a stack of machines, one row each."""
+
+    def test_top_k_rows_equal_the_stable_argsort_rule(self):
+        # The tied cases grouped into stacks of equal length and k, so
+        # exact rows and fallback rows share a stack.
+        stacks = {}
+        for s, k in tied_scores(np.random.default_rng(16), 6000):
+            stacks.setdefault((s.size, k), []).append(s)
+        assert max(len(rows) for rows in stacks.values()) > 50
+        for (d, k), rows in stacks.items():
+            got = select_top_k(np.array(rows), k)
+            assert got.shape == (len(rows), k) and got.dtype == np.int64
+            assert not got.flags.writeable
+            for row, idx in zip(rows, got):
+                assert np.array_equal(idx, stable_top_k(row, k)), (row, k)
+
+    def test_a_tied_row_does_not_change_the_others(self):
+        scores = np.array([[3.0, 1.0, 2.0, 0.5], [1.0, 1.0, 1.0, 0.0], [0.1, -4.0, 0.2, 4.0]])
+        got = select_top_k(scores, 2)
+        assert got.tolist() == [[0, 2], [0, 1], [1, 3]]
+        assert [top_k_indices(row, 2).tolist() for row in scores] == got.tolist()
+
+    def test_threshold_rows_equal_the_per_row_mask(self, rng):
+        tau = 1.5
+        xi = rng.standard_normal((9, 30)) * 2.0
+        xi[0] = 0.3  # no crossing
+        xi[1, :6] = [tau, -tau, np.nextafter(tau, np.inf), -np.nextafter(tau, np.inf), np.nan, -np.inf]
+        xi[2] = np.where(np.arange(30) % 2, tau, -tau)  # every entry exactly at tau
+        for stack in (xi, xi[1:2], xi[:1]):
+            indices, signs = select_threshold(stack, tau)
+            assert len(indices) == len(signs) == len(stack)
+            for row, idx, sgn in zip(stack, indices, signs):
+                want = np.flatnonzero(np.abs(row) > tau)
+                assert idx.dtype == sgn.dtype == np.int64
+                assert np.array_equal(idx, want)
+                assert np.array_equal(sgn, np.sign(row[want]).astype(np.int64))
+                assert not idx.flags.writeable and not sgn.flags.writeable
+        indices, _ = select_threshold(xi, tau)
+        assert indices[0].size == 0 and indices[2].size == 0
+        assert indices[1][:3].tolist() == [2, 3, 5]
+
+    def test_makers_match_their_row_of_the_stack(self, rng):
+        xi = rng.standard_normal((6, 25)) * 2.0
+        indices, signs = select_threshold(xi, 1.0)
+        top = select_top_k(xi, 4)
+        top_signs = selected_signs(xi, top)
+        for m, row in enumerate(xi):
+            assert np.array_equal(round1_thresh_votes(m, row, 1.0).payload.indices, indices[m])
+            alone = round1_thresh_signs(m, row, 1.0).payload
+            assert np.array_equal(alone.indices, indices[m]) and np.array_equal(alone.signs, signs[m])
+            assert np.array_equal(round1_top_L(m, row, 4).payload.indices, top[m])
+            alone = round1_top_L(m, row, 4, signed=True).payload
+            assert np.array_equal(alone.indices, top[m]) and np.array_equal(alone.signs, top_signs[m])
+
+    def test_signed_top_L_refuses_a_nan(self):
+        xi = np.array([np.nan, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="machine 0: a NaN"):
+                round1_top_L(0, xi, 2, signed=True)
+            with pytest.raises(ValueError, match="machine 4: a NaN"):
+                round1_top_L(4, xi, 2, signed=True)
+            # Unsigned top-L still sends the NaN's index, last in rank.
+            assert round1_top_L(0, xi, 2).payload.indices.tolist() == [0, 1]
+            assert round1_top_L(0, xi, 1, signed=True).payload.signs.tolist() == [1]
+        stack = np.array([[1.0, -2.0], [np.nan, 1.0], [np.nan, 3.0]])
+        idx = select_top_k(stack, 2)
+        with pytest.raises(ValueError, match="machine 1: a NaN"):
+            selected_signs(stack, idx)
+        with pytest.raises(ValueError, match="machine 7: a NaN"):
+            selected_signs(stack, idx, machine_ids=[5, 7, 9])
+        assert selected_signs(stack[:1], idx[:1]).tolist() == [[1, -1]]
+
+    @pytest.mark.parametrize("select", [lambda s: select_top_k(s, 1), lambda s: select_threshold(s, 1.0)])
+    def test_stack_must_be_two_dimensional(self, select):
+        with pytest.raises(ValueError, match="2-D"):
+            select(np.ones(3))
+
+
 class TestDense:
     def test_sends_a_copy_of_the_machines_row(self):
         theta_hat = np.arange(6.0).reshape(2, 3)
@@ -175,6 +259,30 @@ class TestRound2:
         theta = centralized_ls([round2_gram(0, X, y, support)], support, 6)
         beta = restricted_ols(X[:, support], y)
         assert np.abs(theta[support] - beta).max() <= 1e-8
+
+    def test_given_rows_are_sent_as_they_are(self, rng):
+        X, y = rng.standard_normal((20, 6)), rng.standard_normal(20)
+        support = np.array([1, 4])
+        beta, xty = np.array([0.5, -1.0]), np.array([2.0, 3.0])
+        assert round2_restricted(0, X, y, support, beta=beta).payload.values is beta
+        assert round2_gram(0, X, y, support, xty=xty).payload.xty is xty
+        # Without them each machine solves through the stacked functions.
+        X_S = X[:, support]
+        want = restricted_gram_inverse(X_S) @ (y @ X_S)
+        assert np.array_equal(round2_restricted(0, X, y, support).payload.values, want)
+        assert np.array_equal(round2_gram(0, X, y, support).payload.xty, X_S.T @ y)
+
+    def test_stacked_rows_equal_each_machines_own(self, rng):
+        X, Y = rng.standard_normal((7, 40, 9)), rng.standard_normal((7, 40))
+        support = np.array([0, 2, 3, 8])
+        X_S = X[:, :, support]
+        inv = restricted_gram_inverse(X_S)
+        xty, beta = restricted_xty(X_S, Y), restricted_ols(X_S, Y, inv)
+        assert xty.shape == beta.shape == (7, 4)
+        for m in range(7):
+            assert np.array_equal(xty[m], X_S[m].T @ Y[m])
+            assert np.array_equal(beta[m], restricted_ols(X_S[m], Y[m], inv[m]))
+            assert np.array_equal(beta[m], inv[m] @ (Y[m] @ X_S[m]))
 
     def test_gram_additivity(self, rng):
         X = rng.standard_normal((15, 4))
