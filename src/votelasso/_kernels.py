@@ -24,12 +24,14 @@ coefficients and each gradient entry as Python floats and updates the
 working-set gradient with one NumPy row operation per moved coordinate,
 which keeps working sets of hundreds of coordinates fast. A fit that starts
 at zero, where zero already satisfies the KKT conditions (every replication
-fit under a large lambda), returns after the first gradient with the
-result the full loop would give. A pass that moves no coefficient ends the
-solve, because every later pass would see the same gradient: the result is
-converged if the KKT residual is within tolerance and out of budget
-otherwise. That covers every fit whose working set is empty (a lasso whose
-solution is 0) and KKT violators that cannot move (zero diagonal). The
+fit under a large lambda, ``zero_start_solves``), gets the result the full
+loop would give before the loop starts: ``cd_residual`` checks for it
+itself, and ``lasso.fit_lasso_gram`` before it calls ``cd_gram``. A pass
+that moves no coefficient ends the solve, because every later pass would
+see the same gradient: the result is converged if the KKT residual is
+within tolerance and out of budget otherwise. That covers every fit whose
+working set is empty (a lasso whose solution is 0) and KKT violators that
+cannot move (zero diagonal). The
 floating-point operations and their order are those of a plain scalar
 sweep, so results do not depend on these choices.
 
@@ -65,6 +67,18 @@ def kkt_residual(g: np.ndarray, w: np.ndarray, lam: float, skip: int = -1) -> fl
     return float(v.max(initial=0.0))
 
 
+def zero_start_solves(c: np.ndarray, lam: float, skip: int = -1) -> bool:
+    """Whether w = 0 satisfies the KKT conditions of the problem whose
+    gradient at 0 is ``c``: max |c_j| <= lam over the coordinates other than
+    ``skip`` (if >= 0). False when that maximum is NaN. From a zero start the
+    solver's first pass then finds an empty working set and returns
+    (1 sweep, KKT residual 0.0, converged) for any ``max_sweeps`` >= 1."""
+    v = np.abs(c)
+    if skip >= 0:
+        v[skip] = 0.0
+    return bool(v.max(initial=0.0) <= lam)
+
+
 def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
     """The shared solver. ``w`` is updated in place.
 
@@ -86,16 +100,7 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
     if skip >= 0:
         free[skip] = False
     w[~free] = 0.0
-    nz = w.nonzero()[0]
-    g = gradient(nz)
-    # From a zero start where zero already satisfies KKT, the loop below
-    # makes one pass with an empty working set and returns (1, 0.0, True).
-    if not nz.size and max_sweeps >= 1:
-        v = np.abs(g)
-        if skip >= 0:
-            v[skip] = 0.0
-        if v.max(initial=0.0) <= lam:
-            return 1, 0.0, True
+    g = gradient(w.nonzero()[0])
     sweeps, inner_converged, settled = 0, False, False
     while True:
         # Only the first pass starts with an unconverged inner loop and budget
@@ -178,7 +183,9 @@ def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag=None, c=None):
     which of its entries are positive is read. ``c`` is X'y/n: when given,
     it is the gradient wherever every coefficient is zero, in place of the
     product with X. Neither is written, so a caller that holds them for a
-    stack of designs passes a row of each. Returns (sweeps, kkt, converged).
+    stack of designs passes a row of each. A zero start where zero is
+    optimal (``zero_start_solves``) returns (1, 0.0, True) at once, as the
+    solver's first pass would. Returns (sweeps, kkt, converged).
     """
     n = X.shape[0]
 
@@ -186,6 +193,12 @@ def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag=None, c=None):
         if c is not None and not nz.size:
             return c
         return X.T @ (y - X[:, nz] @ w[nz]) / n
+
+    if max_sweeps >= 1 and not w.any():
+        if c is None:
+            c = gradient(w.nonzero()[0])  # X'y/n, the gradient at w = 0
+        if zero_start_solves(c, lam):
+            return 1, 0.0, True
 
     def block(A):
         XA = X[:, A]

@@ -16,11 +16,15 @@ single machine's view is its row: the slab ``X[m]`` and the response row
 Only the streams are per machine. ``sample_shards`` fills each slab from
 its machine's stream and then runs the AR(1) column recursion once over
 the whole stack; ``sample_noise`` draws each machine's noise row from its
-own stream. The responses are X theta* + sigma W, and the noise W is the
-only part that changes between replications of a fixed design, so the
-harness forms X theta* once per grid point and calls ``sample_noise``
-itself, while ``cli generate`` calls ``sample_responses``: both draw the
-same W.
+own stream. Both position the machines' streams from one vectorized pass
+of SeedSequence's hash over all M entropy keys (``_standard_normal_rows``)
+instead of seeding M generators: the pass reproduces NumPy's SeedSequence
+and PCG64 seeding word for word, and the tests check every row against
+``stream``, which seeds through NumPy itself. The responses are
+X theta* + sigma W, and the noise W is the only part that changes between
+replications of a fixed design, so the harness forms X theta* once per
+grid point and calls ``sample_noise`` itself, while ``cli generate`` calls
+``sample_responses``: both draw the same W.
 """
 
 from __future__ import annotations
@@ -97,20 +101,127 @@ class GroundTruth:
 
 
 def stream(base_seed: int, tag: int, *keys: int) -> np.random.Generator:
-    """Independent generator for (base_seed, tag, *keys).
+    """Independent generator for (base_seed, tag, *keys): NumPy's PCG64
+    seeded by ``SeedSequence([base_seed, tag, *keys])``, which splits a
+    value of 2**32 or more into 32-bit words. ``_standard_normal_rows``
+    positions the streams of all machines of a draw at once."""
+    return np.random.default_rng(np.random.SeedSequence([int(base_seed), int(tag), *map(int, keys)]))
 
-    The seed is ``SeedSequence([base_seed, tag, *keys])``. When every value
-    fits one uint32 word it is passed as a uint32 array, which gives the
-    same words and hence the same draws while skipping the list's per-int
-    conversion (about a third of the cost of a short noise stream); a
-    larger value takes the list form, which splits it into 32-bit words.
+
+def _words(value: int) -> list[int]:
+    """A nonnegative integer as SeedSequence splits it: 32-bit words, least
+    significant first, and one zero word for 0."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("stream keys must be nonnegative integers")
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """SeedSequence's running hash constant before each of ``calls`` hash
+    calls and after the last: h_0 = init, h_{i+1} = h_i * mult mod 2**32.
+    Call i XORs its value with h_i and multiplies it by h_{i+1}."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return np.array(h, dtype=np.uint32)
+
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx): its pool of 4
+# words, the constants of its entropy hash, pool mix and output hash, and
+# PCG64's 128-bit LCG multiplier.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# The entropy hash's first 16 calls fill the pool (calls 0-3) and mix it:
+# pool word s hashes into every other word t in turn, as call
+# 4 + 3s + t (t < s) or 4 + 3s + t - 1 (t > s). Row s of the mix tables
+# holds the XOR and multiplier constants of those calls by t; their column
+# s, which no call uses, repeats a valid constant.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL)
+_MIX_CALLS = (
+    _POOL
+    + (_POOL - 1) * np.arange(_POOL)[:, None]
+    + np.arange(_POOL)
+    - (np.arange(_POOL) >= np.arange(_POOL)[:, None])
+)
+_MIX_XOR, _MIX_MUL = _HASH_A[_MIX_CALLS], _HASH_A[_MIX_CALLS + 1]
+# generate_state(4, uint64) hashes the pool read twice: 8 calls.
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mul
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * _MIX_MULT_L
+    x -= y * _MIX_MULT_R
+    x ^= x >> 16
+    return x
+
+
+def _standard_normal_rows(out: np.ndarray, base_seed: int, tag: int, rep: int) -> np.ndarray:
+    """Fill each ``out[m]`` with the standard normals of
+    ``stream(base_seed, tag, rep, m)``, bit for bit, and return ``out``.
+
+    ``SeedSequence([base_seed, tag, rep, m])`` hashes the keys' 32-bit words
+    into a pool of four words with a running constant that does not depend
+    on the data; PCG64 then takes its 128-bit seed and increment from a
+    hash of the pool and steps its LCG once. So the pools of all M machines
+    are one (M, 4) uint32 array, hashed with the same constants in one
+    pass; each machine's PCG64 (state, inc) follows in integer arithmetic,
+    and one bit generator, set to each state in turn, draws every row. Keys
+    of 2**32 and above hash as several words, as SeedSequence splits them.
     """
-    words = (int(base_seed), int(tag), *map(int, keys))
-    if all(0 <= w < 2**32 for w in words):
-        entropy = np.array(words, dtype=np.uint32)
-    else:
-        entropy = list(words)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    M = out.shape[0]
+    prefix = _words(base_seed) + _words(tag) + _words(rep)
+    L = len(prefix) + 1  # machine ids below 2**32 are one word
+    entropy = np.empty((M, L), dtype=np.uint32)
+    entropy[:, :-1] = prefix
+    entropy[:, -1] = np.arange(M, dtype=np.uint32)
+    pool = _hashmix(entropy[:, :_POOL], _HASH_A[:_POOL], _HASH_A[1 : _POOL + 1])
+    for s in range(_POOL):
+        mixed = _mix(pool, _hashmix(pool[:, s : s + 1], _MIX_XOR[s], _MIX_MUL[s]))
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    # Entropy words past the pool's size hash into every pool word, with the
+    # constants that follow.
+    h = _hash_constants(int(_HASH_A[-1]), _MULT_A, _POOL * (L - _POOL))
+    for i in range(L - _POOL):
+        lo = _POOL * i
+        pool = _mix(pool, _hashmix(entropy[:, _POOL + i, None], h[lo : lo + _POOL], h[lo + 1 : lo + _POOL + 1]))
+    # The pool read twice and hashed, then paired into little-endian 64-bit
+    # words: seed high, seed low, increment high, increment low.
+    state = np.concatenate([pool, pool], axis=1)
+    state ^= _HASH_B[:-1]
+    state *= _HASH_B[1:]
+    state ^= state >> 16
+    seeds = state.astype("<u4", copy=False).view("<u8").tolist()
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for m, (seed_hi, seed_lo, inc_hi, inc_lo) in enumerate(seeds):
+        # pcg64_set_seed: inc = 2 * initseq + 1, state = (inc + seed) * mult + inc.
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        lcg = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": lcg, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.standard_normal(out=out[m])
+    return out
 
 
 def sample_shards(spec: ProblemSpec, rep: int = 0, n: int | None = None) -> np.ndarray:
@@ -127,9 +238,7 @@ def sample_shards(spec: ProblemSpec, rep: int = 0, n: int | None = None) -> np.n
     smaller one row for row.
     """
     n = spec.n if n is None else n
-    X = np.empty((spec.M, n, spec.d))
-    for m in range(spec.M):
-        stream(spec.base_seed, TAG_DESIGN, rep, m).standard_normal(out=X[m])
+    X = _standard_normal_rows(np.empty((spec.M, n, spec.d)), spec.base_seed, TAG_DESIGN, rep)
     s = spec.corr_decay
     if s != 0.0:
         q = math.sqrt(1.0 - s * s)
@@ -177,10 +286,7 @@ def sample_noise(M: int, n: int, base_seed: int, rep: int = 0) -> np.ndarray:
     33/250), so a grid point at n below the calibrated size sees the prefix
     of the full-size noise.
     """
-    W = np.empty((M, n))
-    for m in range(M):
-        stream(base_seed, TAG_NOISE, rep, m).standard_normal(out=W[m])
-    return W
+    return _standard_normal_rows(np.empty((M, n)), base_seed, TAG_NOISE, rep)
 
 
 def sample_responses(

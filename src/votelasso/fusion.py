@@ -271,13 +271,14 @@ def fusion_log_record(
     hist = {}
     if t is not None:
         counts = np.bincount(t.votes)
-        hist = {int(v): int(c) for v, c in enumerate(counts) if c > 0}
+        seen = counts.nonzero()[0]
+        hist = dict(zip(seen.tolist(), counts[seen].tolist()))
     return {
         "scheme": scheme,
         "rule": est.rule,
         "tau": tau,
         "K": est.rule_params.get("K"),
-        "S_hat": [int(i) for i in est.indices],
+        "S_hat": est.indices.tolist(),
         "votes_histogram": hist,
         "bits_in": int(bits_in),
     }

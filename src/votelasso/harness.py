@@ -602,7 +602,7 @@ def _second_round(config, point, ys, support) -> tuple[np.ndarray, int]:
         beta = restricted_ols(X_S, ys, _round2_factor(point, support, X_S))
         msgs = [protocol.round2_restricted(m, X[m], ys[m], support, beta=beta[m]) for m in range(point.M)]
         theta = fusion.aggregate_round2(msgs, support, d)
-    return theta, sum(protocol.bit_cost(msg, d) for msg in msgs)
+    return theta, sum(protocol.bit_costs(msgs, d))
 
 
 class _RepMemo:
@@ -664,7 +664,7 @@ class _RepMemo:
         def compute():
             d = self.config.spec.d
             msgs = _round1_messages(rule, self.point, self.theta_hat, self.xi, self.selection(rule))
-            bits = [protocol.bit_cost(m, d) for m in msgs]
+            bits = protocol.bit_costs(msgs, d)
             if rule == "avg_deblasso":
                 return msgs, bits, None
             t = fusion.tally(msgs, d)
@@ -702,7 +702,7 @@ def _eval_scheme(
     d = config.spec.d
     t0 = time.perf_counter()
     shared_before = memo.seconds
-    flags = replace(memo.flags)
+    flags = RepFlags(**vars(memo.flags))
     msgs, bits_r1, t = memo.round1(scheme)
     theta_avg, est = _select_support(scheme, config, point, msgs, t)
     S_hat = est.indices
@@ -724,18 +724,19 @@ def _eval_scheme(
             theta, bits_r2 = second
     f, prec, rec = f_measure(S_hat, point.design.support)
     l2 = None if no_estimate else float(np.linalg.norm(theta - point.theta_star))
-    log = fusion.fusion_log_record(scheme, est, t, point.tau, int(sum(bits_r1)))
+    bits_r1_total = sum(bits_r1)
+    log = fusion.fusion_log_record(scheme, est, t, point.tau, bits_r1_total)
     return ExperimentRecord(
         rep=rep,
         scheme=scheme,
-        S_hat=[int(i) for i in S_hat],
+        S_hat=S_hat.tolist(),
         f_measure=f,
         precision=prec,
         recall=rec,
         l2_error=l2,
         l2_error_oracle=l2_oracle,
         bits_round1_per_machine=list(bits_r1),
-        bits_round1_total=int(sum(bits_r1)),
+        bits_round1_total=bits_r1_total,
         bits_round2_total=int(bits_r2),
         wall_time=time.perf_counter() - t0 - (memo.seconds - shared_before),
         flags=flags,

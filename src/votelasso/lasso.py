@@ -139,7 +139,11 @@ def fit_lasso_gram(
 
     Used where many fits share one design (nodewise regressions, fixed-design
     replications). ``skip`` holds one coordinate at zero. Returns
-    (theta, u, sweeps, kkt, converged) with u = G @ theta.
+    (theta, u, sweeps, kkt, converged) with u = G @ theta. A single problem
+    that starts at zero where zero is optimal (``_kernels.zero_start_solves``:
+    max |c| <= lam off ``skip``, and ``max_sweeps`` >= 1) returns
+    (zeros, zeros, 1, 0.0, True) without entering the solver, which would
+    return the same after one pass.
 
     A stack ``c`` of shape (B, d), with ``skip`` of shape (B,) (-1 where a
     row skips nothing), solves the B problems in lockstep
@@ -154,6 +158,9 @@ def fit_lasso_gram(
     if w.shape != c.shape:
         raise ValueError("warm_start has wrong shape")
     if c.ndim == 1:
+        zero_start = warm_start is None or not w.any()
+        if zero_start and max_sweeps >= 1 and _kernels.zero_start_solves(c, lam, int(skip)):
+            return w, np.zeros(c.shape), 1, 0.0, True
         u, sweeps, kkt, converged = _kernels.cd_gram(
             G, c, float(lam), w, int(skip), int(max_sweeps), COEF_TOL, kkt_tol
         )

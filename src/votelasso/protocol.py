@@ -31,7 +31,8 @@ bits and its wire encoding:
                             the field padded to a byte
     real    64              IEEE-754 float64
 
-``bit_cost``, ``encode_message`` and ``decode_message`` all read that
+``bit_cost`` (one message), ``bit_costs`` (a list of messages of one
+payload type), ``encode_message`` and ``decode_message`` all read that
 table. A message's model bits sum its elements' bits; set-cardinality
 headers are excluded, so a dense estimate of d values costs 64 d. On the
 wire (little-endian) a message is a 1-byte tag, a 4-byte machine id and a
@@ -170,32 +171,29 @@ def select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
     Ties at the k-th largest magnitude break toward the lower index, and NaN
     ranks below every number: each row is the first k of a stable argsort of
-    -|scores[m]|. One ``np.partition`` finds every row's k-th magnitude and
-    one comparison selects the entries at least that large; only a row where
-    that is not exactly k entries (a tie at the k-th magnitude, or fewer
-    than k entries that are not NaN) falls back to the stable argsort. Both
-    give the same indices. Raises ValueError unless ``scores`` is 2-D and k
+    -|scores[m]|. Each entry's rank key is -|score|, and 1 for a NaN, above
+    every other key. One ``np.partition`` finds every row's k-th key and one
+    comparison selects the entries at or below it, at least k per row. Where
+    a row has more (a tie at its k-th key), it keeps the entries strictly
+    below and then the first tied entries in index order, which is what the
+    stable argsort keeps. Raises ValueError unless ``scores`` is 2-D and k
     is an integer in [1, d].
     """
-    neg = -np.abs(_stack(scores))
+    key = -np.fmax(np.abs(_stack(scores)), -1.0)
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"k must be an integer, not {k!r}")
-    M, d = neg.shape
+    M, d = key.shape
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}]")
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
-    mask = neg <= kth
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
+    mask = key <= kth
     flat = mask.ravel().nonzero()[0]
-    # A row whose k-th magnitude is a number has at least k entries that
-    # large, so M * k of them in all means exactly k in every row.
-    if flat.size == M * k and not np.isnan(kth).any():
-        idx = flat.reshape(M, k) % d
-    else:
-        idx = np.empty((M, k), dtype=np.int64)
-        for m in range(M):
-            row = mask[m].nonzero()[0]
-            idx[m] = row if row.size == k else np.sort(np.argsort(neg[m], kind="stable")[:k])
-    idx = idx.astype(np.int64, copy=False)
+    if flat.size != M * k:
+        tied = key == kth
+        room = k - (key < kth).sum(axis=1, keepdims=True)
+        mask &= ~tied | (tied.cumsum(axis=1) <= room)
+        flat = mask.ravel().nonzero()[0]
+    idx = (flat.reshape(M, k) % d).astype(np.int64, copy=False)
     idx.setflags(write=False)
     return idx
 
@@ -359,9 +357,9 @@ _BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in _FORMATS.items()}
 REAL_FIELDS = {
     cls: tuple(name for name, kind, _ in fields if kind is _REAL) for cls, (_, fields) in _FORMATS.items()
 }
-# bit_cost's per-type constants, read off the table once: the count field,
-# then the scaled and fixed bits of all count-long fields, then of all
-# count**2-long fields.
+# bit_cost's and bit_costs' per-type constants, read off the table once:
+# the count field, then the scaled and fixed bits of all count-long fields,
+# then of all count**2-long fields.
 _BIT_COEFS = {
     cls: (fields[0][0], *(sum(getattr(kind, c) for _, kind, p in fields if p == power)
                           for power in (1, 2) for c in ("scaled_bits", "fixed_bits")))
@@ -379,6 +377,26 @@ def bit_cost(msg: Message, d: int) -> int:
         raise TypeError(f"unknown payload type {type(msg.payload)!r}") from None
     k = getattr(msg.payload, count_field).size
     return k * (s1 * b + f1) + k * k * (s2 * b + f2)
+
+
+def bit_costs(msgs: list[Message], d: int) -> list[int]:
+    """``bit_cost`` of each message of a list whose payloads share one type
+    (one round-one rule's, or one round two's): the type's constants are
+    read once and applied to every payload size. TypeError for an unknown
+    payload type or for a list of mixed types."""
+    if not msgs:
+        return []
+    kind = type(msgs[0].payload)
+    try:
+        count_field, s1, f1, s2, f2 = _BIT_COEFS[kind]
+    except KeyError:
+        raise TypeError(f"unknown payload type {kind!r}") from None
+    sizes = [getattr(m.payload, count_field).size for m in msgs if type(m.payload) is kind]
+    if len(sizes) != len(msgs):
+        raise TypeError("bit_costs takes messages of one payload type")
+    b = index_bits(d)
+    per_entry, per_pair = s1 * b + f1, s2 * b + f2
+    return [k * per_entry + k * k * per_pair for k in sizes]
 
 
 def _pack(kind: _Kind, values: np.ndarray) -> bytes:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from votelasso.datagen import (
+    TAG_DESIGN,
     TAG_NOISE,
     ProblemSpec,
     compute_c_omega,
     make_theta_star,
+    sample_noise,
     sample_responses,
     sample_shards,
     stream,
@@ -15,6 +17,11 @@ from votelasso.datagen import (
 )
 
 from oracles import loop_shards
+
+# Base seeds and reps around the 32-bit word boundary: SeedSequence splits a
+# key of 2**32 or more into several words.
+SPLIT_SEEDS = [0, 2**32 - 1, 2**32, 2**40]
+SPLIT_REPS = [0, 2**32 + 5]
 
 
 def _spec(**kw):
@@ -77,6 +84,16 @@ class TestSampleShards:
         # Machine m's rows depend only on (base_seed, rep, m), not on M.
         spec = _spec()
         assert np.array_equal(sample_shards(spec.with_(M=2))[1], sample_shards(spec)[1])
+        # Without the AR(1) recursion each slab is its stream's raw draw, for
+        # seeds and reps of one word and of several.
+        for base_seed in SPLIT_SEEDS:
+            for rep in SPLIT_REPS:
+                for M in (1, 3):
+                    spec = _spec(M=M, n=6, corr_decay=0.0, base_seed=base_seed)
+                    X = sample_shards(spec, rep=rep)
+                    for m in range(M):
+                        want = stream(base_seed, TAG_DESIGN, rep, m).standard_normal((6, spec.d))
+                        assert np.array_equal(X[m], want), (base_seed, rep, M, m)
 
     @pytest.mark.parametrize("corr_decay", [0.5, 0.0])
     @pytest.mark.parametrize("rep", [0, 3])
@@ -191,6 +208,15 @@ class TestSampleResponses:
         for m in range(spec.M):
             w = stream(spec.base_seed, TAG_NOISE, 3, m).standard_normal(spec.n)
             assert np.array_equal(Y[m], X[m] @ theta + 0.7 * w)
+        # Every row of sample_noise is its stream's draw, for seeds and reps
+        # of one word and of several.
+        for base_seed in SPLIT_SEEDS:
+            for rep in SPLIT_REPS:
+                for M in (1, 3):
+                    W = sample_noise(M, 9, base_seed, rep)
+                    for m in range(M):
+                        want = stream(base_seed, TAG_NOISE, rep, m).standard_normal(9)
+                        assert np.array_equal(W[m], want), (base_seed, rep, M, m)
 
     @pytest.mark.parametrize("n, n_cal", [(60, 100), (80, 100), (1, 7), (33, 250)])
     def test_short_draw_is_prefix_of_calibrated_draw(self, n, n_cal):
@@ -233,11 +259,12 @@ class TestComputeCOmega:
             compute_c_omega([])
 
 
-@pytest.mark.parametrize("base_seed", [0, 2**32 - 1, 2**32, 2**40])
+@pytest.mark.parametrize("base_seed", SPLIT_SEEDS)
 @pytest.mark.parametrize("keys", [(), (3,), (3, 17), (2**32 + 5, 0)])
 def test_stream_draws_equal_list_seed_sequence(base_seed, keys):
-    # The uint32 entropy array must give the words of the list form, which
-    # splits values of 2**32 and above into several 32-bit words.
+    # stream is the reference the stacked draws are checked against: NumPy's
+    # list-form SeedSequence, which splits values of 2**32 and above into
+    # several 32-bit words.
     ref = np.random.default_rng(np.random.SeedSequence([base_seed, TAG_NOISE, *keys]))
     assert np.array_equal(stream(base_seed, TAG_NOISE, *keys).standard_normal(16), ref.standard_normal(16))
 
@@ -245,6 +272,8 @@ def test_stream_draws_equal_list_seed_sequence(base_seed, keys):
 def test_stream_rejects_negative_keys():
     with pytest.raises(ValueError):
         stream(-1, TAG_NOISE)
+    with pytest.raises(ValueError):
+        sample_noise(2, 3, 0, rep=-1)
 
 
 def test_streams_are_tag_separated():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from votelasso import _kernels
-from votelasso.lasso import MAX_SWEEPS
+from votelasso.lasso import MAX_SWEEPS, fit_lasso_gram
 
 from oracles import fista_lasso, scalar_cd_gram, scalar_cd_residual
 
@@ -286,7 +286,9 @@ def test_zero_solution_returns_after_one_gradient(gradient_calls, working_sets, 
     # Zero is optimal from a zero start: coordinate 2 is skipped although
     # |c_2| > lam, coordinate 5 has a zero diagonal and |c_5| < lam, and the
     # largest of the rest sits exactly at lam. Both forms must return what
-    # the full loop returns, bit for bit, without forming a working set.
+    # the full loop returns, bit for bit. cd_gram runs that loop: one
+    # gradient and one empty working set. cd_residual and fit_lasso_gram
+    # return before the solver starts.
     n, d, skip, dead = 30, 8, 2, 5
     X = rng.standard_normal((n, d))
     X[:, dead] = 0.0
@@ -300,6 +302,8 @@ def test_zero_solution_returns_after_one_gradient(gradient_calls, working_sets, 
     u_ref, *out_ref = scalar_cd_gram(G, c, lam, w_ref, skip, *tols)
     assert out == out_ref and _same(u, u_ref) and _same(w, w_ref)
     assert out == ([1, 0.0, True] if max_sweeps else [0, 0.0, False])
+    theta, u_fit, *out_fit = fit_lasso_gram(G, c, lam, skip=skip, max_sweeps=max_sweeps)
+    assert out_fit == out and _same(theta, w) and _same(u_fit, u)
     lam_r = float(np.abs(X.T @ y / n).max())
     for scale in (1.0, 1.5):
         w, w_ref = np.zeros(d), np.zeros(d)
@@ -307,8 +311,8 @@ def test_zero_solution_returns_after_one_gradient(gradient_calls, working_sets, 
         assert out == scalar_cd_residual(X, y, scale * lam_r, w_ref, *tols)
         assert _same(w, w_ref)
     if max_sweeps:
-        # One gradient per solve and no working set: the early return ran.
-        assert gradient_calls[0] == 3 and working_sets == []
+        # cd_gram's one pass; the other two solves never entered the solver.
+        assert gradient_calls[0] == 1 and working_sets == [set()]
 
 
 def _stack_case(seed):

@@ -3,6 +3,9 @@ import pytest
 
 from votelasso import _kernels
 from votelasso.lasso import (
+    COEF_TOL,
+    KKT_TOL,
+    MAX_SWEEPS,
     LassoFit,
     fit_lasso,
     fit_lasso_gram,
@@ -168,6 +171,80 @@ class TestFitLasso:
         assert not conv and kkt > 1e-7
         with pytest.raises(ValueError, match="warm_start"):
             fit_lasso_gram(G, C, 0.1, warm_start=np.zeros(d), skip=skip)
+
+
+class TestZeroFitExit:
+    """fit_lasso_gram answers a zero start where zero is optimal before the
+    solver runs; its 5-tuple must be the solver's, bit for bit."""
+
+    @staticmethod
+    def _problem(rng):
+        n, d = 40, 12
+        X = rng.standard_normal((n, d))
+        G = X.T @ X / n
+        c = X.T @ rng.standard_normal(n) / n
+        return G, c, float(np.abs(c).max())
+
+    @staticmethod
+    def _solver(G, c, lam, warm_start=None, skip=-1):
+        w = np.zeros(c.shape) if warm_start is None else warm_start.copy()
+        u, sweeps, kkt, conv = _kernels.cd_gram(G, c, lam, w, skip, MAX_SWEEPS, COEF_TOL, KKT_TOL)
+        return w, u, sweeps, kkt, conv
+
+    @staticmethod
+    def _assert_same(got, want):
+        theta, u, sweeps, kkt, conv = got
+        assert theta.tobytes() == want[0].tobytes() and u.tobytes() == want[1].tobytes()
+        assert (sweeps, conv) == (want[2], want[4])
+        assert np.array_equal(kkt, want[3], equal_nan=True)
+
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        calls = []
+        solve = _kernels.cd_gram
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(_kernels, "cd_gram", counting)
+        return calls
+
+    @pytest.mark.parametrize("case", ["below", "at", "skip", "warm_zero"])
+    def test_exit_equals_solver(self, rng, solver_calls, case):
+        G, c, top = self._problem(rng)
+        lam, kwargs = 1.5 * top, {}
+        if case == "at":
+            lam = top  # |c_j| == lam soft-thresholds to 0
+        elif case == "skip":
+            j = int(np.abs(c).argmax())
+            lam = float(np.abs(np.delete(c, j)).max())
+            c[j] = 3.0 * lam  # a violator, but the skipped coordinate
+            kwargs = {"skip": j}
+        elif case == "warm_zero":
+            kwargs = {"warm_start": np.zeros(c.size)}
+        got = fit_lasso_gram(G, c, lam, **kwargs)
+        assert not solver_calls
+        want = self._solver(G, c, lam, **kwargs)
+        self._assert_same(got, want)
+        assert got[2:] == (1, 0.0, True) and not got[0].any() and not got[1].any()
+
+    @pytest.mark.parametrize("case", ["nan", "warm_nonzero", "violator"])
+    def test_other_fits_reach_the_solver(self, rng, solver_calls, case):
+        G, c, top = self._problem(rng)
+        lam, kwargs = 1.5 * top, {}
+        if case == "nan":
+            c[3] = np.nan  # max |c| is NaN, which is not <= lam
+        elif case == "warm_nonzero":
+            kwargs = {"warm_start": np.where(np.arange(c.size) == 2, 0.4, 0.0)}
+        else:
+            lam = 0.5 * top
+        got = fit_lasso_gram(G, c, lam, **kwargs)
+        assert len(solver_calls) == 1
+        solver_calls.clear()
+        self._assert_same(got, self._solver(G, c, lam, **kwargs))
+        if case == "nan":
+            assert np.isnan(got[3]) and not got[4]
 
 
 def _same_fit(a, b):

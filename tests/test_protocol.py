@@ -12,6 +12,7 @@ from votelasso.protocol import (
     RestrictedEstimate,
     SignedIndexSet,
     bit_cost,
+    bit_costs,
     decode_message,
     default_tau,
     encode_message,
@@ -159,6 +160,21 @@ class TestStackedSelection:
             assert not got.flags.writeable
             for row, idx in zip(rows, got):
                 assert np.array_equal(idx, stable_top_k(row, k)), (row, k)
+
+    def test_nan_rows_and_a_tied_row_share_a_stack(self):
+        # Row 0 has fewer than k numbers, so NaNs fill in by index; row 1
+        # ties at its k-th magnitude; row 2 has no tie; row 3 is all NaN.
+        scores = np.array(
+            [
+                [np.nan, 2.0, np.nan, -1.0, np.nan],
+                [1.0, -3.0, 1.0, 1.0, -1.0],
+                [0.5, 4.0, -2.0, 0.1, 3.0],
+                [np.nan] * 5,
+            ]
+        )
+        got = select_top_k(scores, 3)
+        assert got.tolist() == [[0, 1, 3], [0, 1, 2], [1, 2, 4], [0, 1, 2]]
+        assert [stable_top_k(row, 3).tolist() for row in scores] == got.tolist()
 
     def test_a_tied_row_does_not_change_the_others(self):
         scores = np.array([[3.0, 1.0, 2.0, 0.5], [1.0, 1.0, 1.0, 0.0], [0.1, -4.0, 0.2, 4.0]])
@@ -325,6 +341,31 @@ class TestBitCost:
         unsigned = bit_cost(Message(0, IndexSet(idx)), 5000)
         signed = bit_cost(Message(0, SignedIndexSet(idx, np.ones(5, dtype=np.int64))), 5000)
         assert signed == unsigned + 5
+
+    def test_bit_costs_equal_the_per_message_sum(self):
+        # Every payload type, with empty index sets among the messages.
+        d, sizes = 5000, [0, 1, 4, 0, 7]
+        payloads = {
+            IndexSet: lambda k: IndexSet(np.arange(k)),
+            SignedIndexSet: lambda k: SignedIndexSet(np.arange(k), np.ones(k, dtype=np.int64)),
+            DenseEstimate: lambda k: DenseEstimate(np.zeros(k)),
+            RestrictedEstimate: lambda k: RestrictedEstimate(np.arange(k), np.zeros(k)),
+            GramSummary: lambda k: GramSummary(np.arange(k), np.zeros((k, k)), np.zeros(k)),
+        }
+        for make in payloads.values():
+            msgs = [Message(m, make(k)) for m, k in enumerate(sizes)]
+            bits = bit_costs(msgs, d)
+            assert bits == [bit_cost(msg, d) for msg in msgs]
+            assert all(type(b) is int for b in bits)
+            assert sum(bits) == sum(bit_cost(msg, d) for msg in msgs)
+        assert bit_costs([], d) == []
+
+    def test_bit_costs_take_one_known_payload_type(self):
+        mixed = [Message(0, IndexSet(np.arange(2))), Message(1, DenseEstimate(np.zeros(3)))]
+        with pytest.raises(TypeError, match="one payload type"):
+            bit_costs(mixed, 10)
+        with pytest.raises(TypeError, match="unknown payload type"):
+            bit_costs([Message(0, np.zeros(3))], 10)
 
     def test_restricted_and_gram_formulas(self):
         k, d = 4, 5000
