@@ -25,7 +25,7 @@ from .harness import (
     SECOND_ROUNDS,
     SPARSITY_MODES,
     SWEEP_AXES,
-    TAU_MODES,
+    TAU_RULES,
     ExperimentConfig,
     build_design,
     check_grid,
@@ -41,7 +41,7 @@ DESK_SCALE = {"d": 1000, "n": 200, "machines": 100, "k": 5, "reps": 100}
 # Keys a config file may set: ``generate`` reads the problem keys, run and sweep both.
 PROBLEM_KEYS = ("d", "n", "machines", "k", "r", "corr_decay", "sigma", "seed")
 RUN_KEYS = (
-    "scheme", "sparsity_mode", "l", "tau_mode", "tau_value", "second_round", "reps",
+    "scheme", "sparsity_mode", "l", "tau", "second_round", "reps",
     "nodewise_scale", "no_precision_reuse", "redraw_design",
 )
 # Flags a config file cannot set.
@@ -87,6 +87,14 @@ def _parse_sigma(raw: str) -> str | float:
     return raw if raw == "from_r" else float(raw)
 
 
+def _rule_or_number(raw: str) -> str | float:
+    """A number, or else the text as a rule name for the config to check."""
+    try:
+        return float(raw)
+    except ValueError:
+        return raw
+
+
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, help="dimension")
     p.add_argument("--n", type=int, help="samples per machine")
@@ -106,8 +114,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", default=None, help=f"comma-separated subset of {SCHEMES}")
     p.add_argument("--sparsity-mode", choices=SPARSITY_MODES, default=None)
     p.add_argument("--l", type=int, default=None, help="L for top-L schemes (default K)")
-    p.add_argument("--tau-mode", choices=TAU_MODES, default=None)
-    p.add_argument("--tau-value", type=float, default=None)
+    p.add_argument(
+        "--tau", type=_rule_or_number, default=None,
+        help=f"vote threshold: one of {', '.join(TAU_RULES)} (default {TAU_RULES[0]}), or a number",
+    )
     p.add_argument("--second-round", choices=SECOND_ROUNDS, default=None)
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--nodewise-scale", choices=RESIDUAL_SCALES, default=None)
@@ -164,8 +174,7 @@ def _build_config(
             scheme=schemes[0],
             sparsity_mode=_merged(args, file_values, "sparsity_mode", str, "known"),
             L=_merged(args, file_values, "l", int, None),
-            tau_mode=_merged(args, file_values, "tau_mode", str, "sqrt_2_log_d"),
-            tau_value=_merged(args, file_values, "tau_value", float, None),
+            tau=_merged(args, file_values, "tau", _rule_or_number, TAU_RULES[0]),
             second_round=_merged(args, file_values, "second_round", str, "average"),
             reps=_merged(args, file_values, "reps", int, scale["reps"]),
             nodewise_residual_scale=_merged(args, file_values, "nodewise_scale", str, "n"),

@@ -27,10 +27,10 @@ machines' precision estimates both as a list (``omegas``) and as one
 block-diagonal matrix (``omega``, ``debias.block_diagonal``), their
 sandwich diagonals, the diagonals of their X'X/n (``gram_diag``, one
 stacked product), the cached Gram matrices when the design keeps them,
-the oracle's pooled Gram, and the round-two Gram matrices and factors met
-so far. A replication (``_rep_fits``) then computes only what depends on
-its noise, as one batched pass over the prefix where the arithmetic is the
-same on every machine: the (M, n) noise (``sample_noise``) and responses
+the oracle's pooled Gram, and the round-two operands met so far. A
+replication (``_rep_fits``) then computes only what depends on its noise,
+as one batched pass over the prefix where the arithmetic is the same on
+every machine: the (M, n) noise (``sample_noise``) and responses
 x_theta + sigma W, X'y formed once (the Gram lasso's input and, for every
 machine whose lasso estimate is zero, its X'r), the residuals and X'r of
 the machines whose estimate is not zero, one block-diagonal mat-vec, the
@@ -54,23 +54,23 @@ Round two gathers the M restricted designs X[:M, :n][:, :, S] once per
 distinct support and forms every machine's X_S'y, or under ``average`` its
 least-squares fit, in one stacked product; the gathered designs are
 dropped afterwards, not kept on the point. Each message is still built by
-its own ``protocol`` call, once per machine, which receives that machine's
-row of the stacked result (``selected=``, ``beta=``, ``xty=``) and gives
-the message the machine would build alone; the benchmark's probes count
-and time those calls, so their spans now time the messages only and the
-stacked work counts as harness time.
+its own ``protocol`` call, once per machine, which takes only that
+machine's payload, its row of the stacked result, and wraps it; the
+benchmark's probes count and time those calls, so their spans time the
+messages only and the stacked work counts as harness time.
 
-Round two under the ``average`` rule needs each machine's inverse Gram
-(X_S'X_S)^-1 on the selected support S, which depends only on the design
-and S. ``PointState.round2_factors`` keeps it per grid point and support,
-factored for all M machines in one stacked SVD the first time a
-replication selects S (``_round2_factor``). A rank-deficient support's
-ValueError is kept the same way. ``gram_exact`` sends X_S'X_S and X_S'y
-and factors nothing; ``PointState.round2_grams`` keeps its X_S'X_S per
-point and support the same way (``_round2_gram``), passed into each
-machine's ``protocol.round2_gram`` call with its X_S'y. Factors and Grams
-live on the point: every ``materialize`` starts without any, so each
-``run_sweep`` call and, in redraw mode, each replication starts cold.
+Round two also needs, per machine, an operand that depends only on the
+design and the selected support S: the inverse Gram (X_S'X_S)^-1 under
+``average`` and the Gram X_S'X_S under ``gram_exact``.
+``PointState.round2`` keeps it per grid point and support, formed for all M
+machines in one stacked SVD or product the first time a replication
+selects S (``_round2_operand``). A rank-deficient support's ValueError is
+kept the same way. Every ``materialize`` starts with an empty cache, so
+each ``run_sweep`` call and, in redraw mode, each replication starts cold.
+
+The tuning quantities (vote threshold, lasso and nodewise penalties) are
+each one ``ExperimentConfig`` field, a rule name or a number, resolved at
+each grid point's r and n.
 """
 
 from __future__ import annotations
@@ -115,9 +115,9 @@ SCHEMES = (
     "thresh_signs",
 )
 SPARSITY_MODES = ("known", "unknown")
-TAU_MODES = ("sqrt_2_log_d", "sqrt_2r_log_d", "explicit")
-LAMBDA_RULES = ("fixed_8", "sigma_scaled_8", "explicit")
-LAMBDA_OMEGA_RULES = ("fixed_2", "explicit")
+TAU_RULES = ("sqrt_2_log_d", "sqrt_2r_log_d")
+LAMBDA_RULES = ("fixed_8",)
+LAMBDA_OMEGA_RULES = ("fixed_2",)
 SECOND_ROUNDS = ("average", "gram_exact", "none")
 SWEEP_AXES = ("r", "n", "M", "L")
 
@@ -151,20 +151,36 @@ def _check_L(L: int, spec: ProblemSpec, known_sparsity: bool) -> None:
         raise ValueError("top-L schemes need L >= K under known sparsity")
 
 
+def _check_tuning(name: str, value, rules: tuple[str, ...]) -> None:
+    """A tuning quantity is one of its rule names or a finite positive
+    number (not a bool)."""
+    if isinstance(value, str):
+        ok = value in rules
+    else:
+        number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+        ok = number and 0 < value < math.inf
+    if not ok:
+        raise ValueError(f"{name} must be one of {rules} or a finite positive number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One scheme's run configuration on top of a generative ProblemSpec."""
+    """One scheme's run configuration on top of a generative ProblemSpec.
+
+    Each tuning quantity is one field holding a rule name or a finite
+    positive number: the vote threshold ``tau`` (``TAU_RULES``), the lasso
+    penalty ``lam`` (``"fixed_8"``: 8 sqrt(ln d / n)) and the nodewise
+    penalty ``lam_omega`` (``"fixed_2"``: 2 sqrt(ln d / n)). ``tau_at``,
+    ``lam_at`` and ``lam_omega_at`` resolve them at a grid point.
+    """
 
     spec: ProblemSpec
     scheme: str = "thresh_votes"
     sparsity_mode: str = "known"
     L: int | None = None
-    tau_mode: str = "sqrt_2_log_d"
-    tau_value: float | None = None
-    lambda_rule: str = "fixed_8"  # 8 sqrt(ln d / n); sigma_scaled_8 multiplies by sigma
-    lambda_value: float | None = None
-    lambda_omega_rule: str = "fixed_2"  # 2 sqrt(ln d / n)
-    lambda_omega_value: float | None = None
+    tau: str | float = "sqrt_2_log_d"
+    lam: str | float = "fixed_8"
+    lam_omega: str | float = "fixed_2"
     nodewise_residual_scale: str = "n"
     second_round: str = "average"
     reps: int = 100
@@ -176,26 +192,13 @@ class ExperimentConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.sparsity_mode not in SPARSITY_MODES:
             raise ValueError(f"sparsity_mode must be one of {SPARSITY_MODES}")
-        if self.tau_mode not in TAU_MODES:
-            raise ValueError(f"tau_mode must be one of {TAU_MODES}")
+        _check_tuning("tau", self.tau, TAU_RULES)
+        _check_tuning("lam", self.lam, LAMBDA_RULES)
+        _check_tuning("lam_omega", self.lam_omega, LAMBDA_OMEGA_RULES)
         if self.second_round not in SECOND_ROUNDS:
             raise ValueError(f"second_round must be one of {SECOND_ROUNDS}")
         if self.reps < 1:
             raise ValueError("reps must be positive")
-        if self.tau_mode == "explicit" and self.tau_value is None:
-            raise ValueError("explicit tau_mode needs tau_value")
-        if self.lambda_rule not in LAMBDA_RULES:
-            raise ValueError(f"lambda_rule must be one of {LAMBDA_RULES}")
-        if self.lambda_rule == "explicit" and self.lambda_value is None:
-            raise ValueError("explicit lambda_rule needs lambda_value")
-        if self.lambda_omega_rule not in LAMBDA_OMEGA_RULES:
-            raise ValueError(f"lambda_omega_rule must be one of {LAMBDA_OMEGA_RULES}")
-        if self.lambda_omega_rule == "explicit" and self.lambda_omega_value is None:
-            raise ValueError("explicit lambda_omega_rule needs lambda_omega_value")
-        for name in ("tau_value", "lambda_value", "lambda_omega_value"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
         if self.nodewise_residual_scale not in RESIDUAL_SCALES:
             raise ValueError(f"nodewise_residual_scale must be one of {RESIDUAL_SCALES}")
         if self.scheme.startswith("top_L"):
@@ -204,23 +207,22 @@ class ExperimentConfig:
     def resolved_L(self) -> int:
         return self.L if self.L is not None else self.spec.K
 
-    def lam(self, n: int, sigma: float) -> float:
-        if self.lambda_rule == "explicit":
-            return self.lambda_value
-        base = 8.0 * math.sqrt(math.log(self.spec.d) / n)
-        return sigma * base if self.lambda_rule == "sigma_scaled_8" else base
-
-    def lam_omega(self, n: int) -> float:
-        if self.lambda_omega_rule == "explicit":
-            return self.lambda_omega_value
-        return 2.0 * math.sqrt(math.log(self.spec.d) / n)
-
-    def tau(self, r: float) -> float:
-        if self.tau_mode == "explicit":
-            return float(self.tau_value)
-        if self.tau_mode == "sqrt_2r_log_d":
+    def tau_at(self, r: float) -> float:
+        if self.tau == "sqrt_2_log_d":
+            return protocol.default_tau(self.spec.d)
+        if self.tau == "sqrt_2r_log_d":
             return protocol.snr_tau(self.spec.d, r)
-        return protocol.default_tau(self.spec.d)
+        return float(self.tau)
+
+    def lam_at(self, n: int) -> float:
+        if self.lam == "fixed_8":
+            return 8.0 * math.sqrt(math.log(self.spec.d) / n)
+        return float(self.lam)
+
+    def lam_omega_at(self, n: int) -> float:
+        if self.lam_omega == "fixed_2":
+            return 2.0 * math.sqrt(math.log(self.spec.d) / n)
+        return float(self.lam_omega)
 
     def with_(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
@@ -354,12 +356,9 @@ class PointState:
     L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
     value: float | int | None = None
     axis: str | None = None
-    # Support bytes -> the (M, k, k) restricted inverse Gram of every machine,
-    # or the ValueError its factorization raised (see ``_round2_factor``).
-    round2_factors: dict = field(default_factory=dict)
-    # Support bytes -> the (M, k, k) restricted Gram X_S'X_S of every machine
-    # (``gram_exact``, see ``_round2_gram``).
-    round2_grams: dict = field(default_factory=dict)
+    # Support bytes -> the (M, k, k) design-only round-two operand of every
+    # machine, or the ValueError forming it raised (see ``_round2_operand``).
+    round2: dict = field(default_factory=dict)
 
 
 def build_design(
@@ -372,7 +371,7 @@ def build_design(
     spec = config.spec
     n_cal = spec.n if n_cal is None else n_cal
     m_cal = spec.M if m_cal is None else m_cal
-    lam_omega = config.lam_omega(n_cal)
+    lam_omega = config.lam_omega_at(n_cal)
     X = sample_shards(spec.with_(M=m_cal), rep=rep, n=n_cal)
     keep_gram = m_cal * spec.d * spec.d * 8 <= GRAM_CACHE_BYTES
     c_diags = np.empty((m_cal, spec.d))
@@ -438,7 +437,7 @@ def materialize(
                 omega = design.omegas[m]
             else:
                 omega = estimate_precision(
-                    Xn, config.lam_omega(n), residual_scale=design.residual_scale
+                    Xn, config.lam_omega_at(n), residual_scale=design.residual_scale
                 ).omega_hat
             omegas.append(omega)
             c_diag[m] = sandwich_diag(omega, Xn)
@@ -455,8 +454,8 @@ def materialize(
         M=M,
         r=r,
         sigma=sigma,
-        tau=config.tau(r),
-        lam=config.lam(n, sigma),
+        tau=config.tau_at(r),
+        lam=config.lam_at(n),
         theta_min=theta_min,
         theta_star=theta_star,
         x_theta=X @ theta_star,
@@ -509,24 +508,6 @@ def _rep_fits(point: PointState, rep: int):
 _ROUND1_RULE = {"bnm21": "thresh_votes"}
 
 
-def _round1_messages(rule: str, point: PointState, theta_hat: np.ndarray, xi: np.ndarray, selection):
-    """One ``protocol`` call per machine, from its row of xi (or theta_hat)
-    and of the rule's stacked ``selection``, (indices, signs) with one row
-    per machine (see ``_RepMemo.selection``)."""
-    if rule == "avg_deblasso":
-        return [protocol.round1_dense(m, row) for m, row in enumerate(theta_hat)]
-    indices, signs = selection
-    rows = list(enumerate(zip(indices, signs if signs is not None else [None] * point.M)))
-    if rule == "thresh_votes":
-        return [protocol.round1_thresh_votes(m, xi[m], point.tau, selected=row) for m, row in rows]
-    if rule == "thresh_signs":
-        return [protocol.round1_thresh_signs(m, xi[m], point.tau, selected=row) for m, row in rows]
-    if rule in ("top_L_votes", "top_L_signs"):
-        signed = rule == "top_L_signs"
-        return [protocol.round1_top_L(m, xi[m], point.L, signed=signed, selected=row) for m, row in rows]
-    raise ValueError(f"unknown scheme {rule!r}")
-
-
 def _select_support(scheme, config, point, msgs, t):
     """Fusion-center support rule for each scheme/sparsity mode."""
     spec = config.spec
@@ -545,40 +526,33 @@ def _select_support(scheme, config, point, msgs, t):
     return None, fusion.select_vote_threshold(t, 2.0 * math.log(spec.d), use_signs=use_signs)
 
 
-def _round2_factor(point: PointState, support: np.ndarray, X_S: np.ndarray) -> np.ndarray:
-    """The (M, k, k) restricted inverse Gram of ``support`` on the point's
-    machines, whose (M, n, k) restricted designs are ``X_S``, factored once
-    per point and support in one stacked SVD.
+def _round2_operand(config, point: PointState, support: np.ndarray, X_S: np.ndarray) -> np.ndarray:
+    """The read-only (M, k, k) design-only operand of round two on
+    ``support``, for the point's machines, whose (M, n, k) restricted designs
+    are ``X_S``: the inverse Gram (X_S'X_S)^-1 under ``average``, from one
+    stacked SVD, and the Gram X_S'X_S under ``gram_exact``, from one stacked
+    product (row m equals machine m's own ``X_S.T @ X_S`` bit for bit).
 
-    A rank-deficient support's ValueError is cached too and raised again on
-    every later request, so it fails in every replication without being
-    refactored.
+    It is formed once per point and support; a point serves the one
+    ``second_round`` rule its replications run under. A rank-deficient
+    support's ValueError is kept too and raised again on every later
+    request, so it fails in every replication without being refactored.
     """
     key = support.tobytes()
-    factor = point.round2_factors.get(key)
-    if factor is None:
+    operand = point.round2.get(key)
+    if operand is None:
         try:
-            factor = restricted_gram_inverse(X_S)
+            if config.second_round == "gram_exact":
+                operand = X_S.swapaxes(1, 2) @ X_S
+            else:
+                operand = restricted_gram_inverse(X_S)
+            operand.setflags(write=False)
         except ValueError as exc:
-            factor = exc
-        point.round2_factors[key] = factor
-    if isinstance(factor, ValueError):
-        raise factor.with_traceback(None)
-    return factor
-
-
-def _round2_gram(point: PointState, support: np.ndarray, X_S: np.ndarray) -> np.ndarray:
-    """The (M, k, k) restricted Gram X_S'X_S of ``support`` on the point's
-    machines, formed once per point and support in one stacked product
-    (row m equals machine m's own ``X_S.T @ X_S`` bit for bit) and kept
-    read-only, since every replication's messages carry its rows."""
-    key = support.tobytes()
-    gram = point.round2_grams.get(key)
-    if gram is None:
-        gram = X_S.swapaxes(1, 2) @ X_S
-        gram.setflags(write=False)
-        point.round2_grams[key] = gram
-    return gram
+            operand = exc
+        point.round2[key] = operand
+    if isinstance(operand, ValueError):
+        raise operand.with_traceback(None)
+    return operand
 
 
 def _second_round(config, point, ys, support) -> tuple[np.ndarray, int]:
@@ -589,18 +563,15 @@ def _second_round(config, point, ys, support) -> tuple[np.ndarray, int]:
     each machine's ``protocol`` call wraps its row in a message.
     """
     d = point.design.spec.d
-    X = point.design.X[: point.M, : point.n]
-    X_S = X[:, :, support]
+    X_S = point.design.X[: point.M, : point.n][:, :, support]
+    operand = _round2_operand(config, point, support, X_S)
     if config.second_round == "gram_exact":
-        grams = _round2_gram(point, support, X_S)
         xty = restricted_xty(X_S, ys)
-        msgs = [
-            protocol.round2_gram(m, X[m], ys[m], support, grams[m], xty=xty[m]) for m in range(point.M)
-        ]
+        msgs = [protocol.round2_gram(m, support, operand[m], xty[m]) for m in range(point.M)]
         theta = fusion.centralized_ls(msgs, support, d)
     else:
-        beta = restricted_ols(X_S, ys, _round2_factor(point, support, X_S))
-        msgs = [protocol.round2_restricted(m, X[m], ys[m], support, beta=beta[m]) for m in range(point.M)]
+        beta = restricted_ols(X_S, ys, operand)
+        msgs = [protocol.round2_restricted(m, support, beta[m]) for m in range(point.M)]
         theta = fusion.aggregate_round2(msgs, support, d)
     return theta, sum(protocol.bit_costs(msgs, d))
 
@@ -638,11 +609,8 @@ class _RepMemo:
         that send it: ``thresh_votes`` (so ``bnm21``) and ``thresh_signs``
         send the thresholded indices, ``top_L_votes`` and ``top_L_signs`` the
         top-L ones, whose signs only ``top_L_signs`` needs (None for the
-        others). None for dense messages. Untimed: it runs inside the timed
-        ``round1``."""
+        others). Untimed: it runs inside the timed ``round1``."""
         table, xi = self._selections, self.xi
-        if rule == "avg_deblasso":
-            return None
         if rule.startswith("thresh"):
             if "thresh" not in table:
                 table["thresh"] = protocol.select_threshold(xi, self.point.tau)
@@ -656,6 +624,20 @@ class _RepMemo:
             table["top_L_signs"] = protocol.selected_signs(xi, indices)
         return indices, table["top_L_signs"]
 
+    def round1_messages(self, rule: str) -> list:
+        """One ``protocol`` call per machine, each handed that machine's row
+        of the rule's selection, or of theta_hat for dense messages."""
+        if rule == "avg_deblasso":
+            return [protocol.round1_dense(m, row) for m, row in enumerate(self.theta_hat)]
+        indices, signs = self.selection(rule)
+        if rule == "thresh_votes":
+            return [protocol.round1_thresh_votes(m, idx) for m, idx in enumerate(indices)]
+        if rule == "thresh_signs":
+            return [protocol.round1_thresh_signs(m, *row) for m, row in enumerate(zip(indices, signs))]
+        if signs is None:
+            return [protocol.round1_top_L(m, idx) for m, idx in enumerate(indices)]
+        return [protocol.round1_top_L(m, *row) for m, row in enumerate(zip(indices, signs))]
+
     def round1(self, scheme: str) -> tuple[list, list[int], fusion.VoteTally | None]:
         """(messages, bits per machine, tally) of the scheme's round-1 rule;
         the tally is None for dense messages."""
@@ -663,7 +645,7 @@ class _RepMemo:
 
         def compute():
             d = self.config.spec.d
-            msgs = _round1_messages(rule, self.point, self.theta_hat, self.xi, self.selection(rule))
+            msgs = self.round1_messages(rule)
             bits = protocol.bit_costs(msgs, d)
             if rule == "avg_deblasso":
                 return msgs, bits, None

@@ -1,23 +1,19 @@
 """Machine-side message construction and bit-exact communication accounting.
 
-A machine's state is its rows of the replication's stacked arrays: round
-one reads its standardized estimate xi (or, for the dense baseline, its
-debiased estimate theta_hat), round two its design X_m and responses y_m.
-Every maker takes the machine id first and builds that one machine's
-message. Under the ``average`` rule a machine sends its least-squares fit
-on the broadcast support S, (X_S'X_S)^-1 X_S'y, and under ``gram_exact``
-its X_S'X_S and X_S'y.
+The round-one selection rules live only in ``select_threshold`` and
+``select_top_k``, with ``selected_signs`` for a signed top-L, each on a
+stack of machines, one row each. The caller (the harness, once per
+replication) runs a rule once over every machine's standardized estimate xi.
 
-Each round-one selection rule has one implementation, on a stack of
-machines, one row each: ``select_threshold`` and ``select_top_k``, with
-``selected_signs`` for a signed top-L. A caller that holds every machine's
-row (the harness, once per replication) runs the rule once for all of them
-and hands each maker its row through ``selected=``; a maker called without
-it runs the rule on its own xi as a one-row stack. Round two works the same
-way: each maker takes its row of a stacked ``lasso.restricted_ols``
-(``beta=``) or ``lasso.restricted_xty`` (``xty=``), and the Gram X_S'X_S and
-its inverse, which depend only on the design and S, through ``gram=`` and
-``gram_inv=``. A maker handed its row only wraps it in a message.
+A maker takes the machine id and the payload that machine sends, and only
+wraps it in a message: its row of the rule's selection (indices, and signs
+for a signed payload), its debiased estimate theta_hat for the dense
+baseline, or, in round two, the broadcast support S with its row of the
+stacked payload. Under the ``average`` rule a machine sends its
+least-squares fit on S, (X_S'X_S)^-1 X_S'y (``lasso.restricted_ols``), and
+under ``gram_exact`` its X_S'X_S and X_S'y (``lasso.restricted_xty``). The
+makers run no rule and solve nothing; the caller vouches that each payload
+is the machine's own.
 
 Each payload's format is one entry of a table keyed by payload type: its
 wire tag and its fields in wire order, each an array of index, sign or
@@ -51,8 +47,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .lasso import restricted_ols, restricted_xty
 
 
 @dataclass
@@ -110,28 +104,11 @@ def snr_tau(d: int, r: float) -> float:
     return float(np.sqrt(2.0 * r * np.log(d)))
 
 
-def _as_index_array(idx) -> np.ndarray:
-    return np.asarray(idx, dtype=np.int64)
-
-
-def _check_tau(tau: float) -> None:
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be finite and positive")
-
-
 def _stack(scores) -> np.ndarray:
     scores = np.asarray(scores)
     if scores.ndim != 2:
         raise ValueError("a stacked selection takes a 2-D array, one row per machine")
     return scores
-
-
-def _one_row(values, name: str) -> np.ndarray:
-    """A 1-D array as a one-row stack."""
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValueError(f"{name} must be 1-D")
-    return values[None]
 
 
 def _signs(values: np.ndarray) -> np.ndarray:
@@ -152,7 +129,8 @@ def select_threshold(xi: np.ndarray, tau: float) -> tuple[list[np.ndarray], list
     list's rows are views of one flat array, found by one mask over the
     stack. ValueError unless tau is finite and positive and ``xi`` is 2-D.
     """
-    _check_tau(tau)
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be finite and positive")
     xi = _stack(xi)
     M, d = xi.shape
     flat = (np.abs(xi) > tau).ravel().nonzero()[0]
@@ -223,103 +201,56 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     read-only int64: ``select_top_k`` of it as a one-row stack. Raises
     ValueError unless ``scores`` is 1-D and k is an integer in
     [1, len(scores)]."""
-    return select_top_k(_one_row(scores, "scores"), k)[0]
+    scores = np.asarray(scores)
+    if scores.ndim != 1:
+        raise ValueError("scores must be 1-D")
+    return select_top_k(scores[None], k)[0]
 
 
-# A round-one maker's ``selected`` is the machine's (indices, signs) row of
-# its rule's stacked selection; a signed payload sends both, an unsigned one
-# the indices only. The caller vouches that the row is the rule's selection
-# from ``xi``; without it the maker selects from ``xi`` as a one-row stack.
+def round1_thresh_votes(machine_id: int, indices: np.ndarray) -> Message:
+    """The indices whose standardized estimate strictly exceeds tau in
+    magnitude: the machine's row of ``select_threshold``."""
+    return Message(machine_id, IndexSet(indices))
 
 
-def _threshold_row(xi: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    indices, signs = select_threshold(_one_row(xi, "xi"), tau)
-    return indices[0], signs[0]
+def round1_thresh_signs(machine_id: int, indices: np.ndarray, signs: np.ndarray) -> Message:
+    """Thresholded indices with their signs attached (``select_threshold``)."""
+    return Message(machine_id, SignedIndexSet(indices, signs))
 
 
-def round1_thresh_votes(machine_id: int, xi: np.ndarray, tau: float, selected=None) -> Message:
-    """Indices whose standardized estimate strictly exceeds tau in magnitude
-    (``select_threshold``)."""
-    if selected is None:
-        selected = _threshold_row(xi, tau)
-    return Message(machine_id, IndexSet(selected[0]))
-
-
-def round1_thresh_signs(machine_id: int, xi: np.ndarray, tau: float, selected=None) -> Message:
-    """Thresholded indices with their signs attached."""
-    if selected is None:
-        selected = _threshold_row(xi, tau)
-    return Message(machine_id, SignedIndexSet(*selected))
-
-
-def round1_top_L(
-    machine_id: int, xi: np.ndarray, L: int, signed: bool = False, selected=None
-) -> Message:
-    """Indices of the L largest |xi| entries (``select_top_k``): ties break
-    to the lower index and NaN ranks last. ValueError unless L is an
-    integer in [1, d], and, when ``signed``, for a NaN among the sent
-    entries (``selected_signs``)."""
-    if selected is None:
-        row = _one_row(xi, "xi")
-        idx = select_top_k(row, L)
-        selected = (idx[0], selected_signs(row, idx, [machine_id])[0] if signed else None)
-    if not signed:
-        return Message(machine_id, IndexSet(selected[0]))
-    return Message(machine_id, SignedIndexSet(*selected))
+def round1_top_L(machine_id: int, indices: np.ndarray, signs: np.ndarray | None = None) -> Message:
+    """The indices of the L largest |xi| entries, the machine's row of
+    ``select_top_k``, signed when ``signs`` (its row of ``selected_signs``)
+    is given."""
+    if signs is None:
+        return Message(machine_id, IndexSet(indices))
+    return Message(machine_id, SignedIndexSet(indices, signs))
 
 
 def round1_dense(machine_id: int, theta_hat: np.ndarray) -> Message:
-    """The full debiased estimate (the O(d)-bits baseline payload)."""
+    """A copy of the full debiased estimate (the O(d)-bits baseline payload)."""
     return Message(machine_id, DenseEstimate(theta_hat.copy()))
 
 
-def round2_restricted(
-    machine_id: int,
-    X_m: np.ndarray,
-    y_m: np.ndarray,
-    support,
-    gram_inv: np.ndarray | None = None,
-    beta: np.ndarray | None = None,
-) -> Message:
-    """Per-machine least squares restricted to the broadcast support.
-
-    ``beta`` is the machine's row of a stacked ``restricted_ols`` on the
-    support, which the caller vouches for; without it the machine solves
-    its own. ``gram_inv`` is then its (X_S'X_S)^-1 on the support
-    (``lasso.restricted_gram_inverse``); without it the machine factors its
-    restricted design itself. ValueError for a rank-deficient one.
-    """
-    support = _as_index_array(support)
+def _support(support) -> np.ndarray:
+    support = np.asarray(support, dtype=np.int64)
     if support.size < 1:
         raise ValueError("support must be nonempty")
-    if beta is None:
-        beta = restricted_ols(X_m[:, support], y_m, gram_inv)
-    return Message(machine_id, RestrictedEstimate(support, beta))
+    return support
 
 
-def round2_gram(
-    machine_id: int,
-    X_m: np.ndarray,
-    y_m: np.ndarray,
-    support,
-    gram: np.ndarray | None = None,
-    xty: np.ndarray | None = None,
-) -> Message:
-    """Exact restricted Gram matrix and cross moments for centralized LS.
+def round2_restricted(machine_id: int, support, beta: np.ndarray) -> Message:
+    """The machine's least-squares fit ``beta`` on the broadcast support
+    (its row of a stacked ``lasso.restricted_ols``). ValueError for an
+    empty support."""
+    return Message(machine_id, RestrictedEstimate(_support(support), beta))
 
-    ``gram`` is the machine's X_S'X_S on the support, which depends only on
-    the design and S, and ``xty`` its row of a stacked ``restricted_xty``;
-    a caller that already holds them passes them in, and the machine forms
-    them itself otherwise.
-    """
-    support = _as_index_array(support)
-    if support.size < 1:
-        raise ValueError("support must be nonempty")
-    if gram is None or xty is None:
-        Xs = X_m[:, support]
-        gram = Xs.T @ Xs if gram is None else gram
-        xty = restricted_xty(Xs, y_m) if xty is None else xty
-    return Message(machine_id, GramSummary(support, gram, xty))
+
+def round2_gram(machine_id: int, support, gram: np.ndarray, xty: np.ndarray) -> Message:
+    """The machine's exact restricted Gram X_S'X_S and cross moments X_S'y
+    on the broadcast support, for centralized least squares. ValueError for
+    an empty support."""
+    return Message(machine_id, GramSummary(_support(support), gram, xty))
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +301,7 @@ _HEADER = struct.Struct("<BII")
 
 def bit_cost(msg: Message, d: int) -> int:
     """Model bits of one message (cardinality headers excluded)."""
-    b = index_bits(d)
-    try:
-        count_field, s1, f1, s2, f2 = _BIT_COEFS[type(msg.payload)]
-    except KeyError:
-        raise TypeError(f"unknown payload type {type(msg.payload)!r}") from None
-    k = getattr(msg.payload, count_field).size
-    return k * (s1 * b + f1) + k * k * (s2 * b + f2)
+    return bit_costs([msg], d)[0]
 
 
 def bit_costs(msgs: list[Message], d: int) -> list[int]:

@@ -110,8 +110,10 @@ class TestRun:
         [
             ("machine = 5", "unknown config key 'machine'"),
             ("out = elsewhere", "config key 'out' cannot be set from a config file; pass --out"),
+            ("tau_mode = sqrt_2r_log_d", "unknown config key 'tau_mode'"),
+            ("tau_value = 1.0", "unknown config key 'tau_value'"),
         ],
-        ids=["unknown", "flag_only"],
+        ids=["unknown", "flag_only", "former_tau_mode", "former_tau_value"],
     )
     def test_config_key_not_read_rejected(self, tmp_path, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -140,6 +142,36 @@ class TestRun:
         cfg.write_text("redraw_design = maybe\n")
         with pytest.raises(SystemExit, match="redraw_design"):
             main(["run", *COMMON, "--config", str(cfg), "--out", str(tmp_path / "bad")])
+
+    def test_tau_flag_and_key_set_the_threshold(self, tmp_path):
+        # A number is the threshold itself and a rule name resolves at r; the
+        # flag overrides the file, and either changes the records.
+        def run(out, *flags, file_text=None):
+            argv = ["run", *COMMON, "--reps", "1", *flags, "--out", str(tmp_path / out)]
+            if file_text is not None:
+                cfg = tmp_path / f"{out}.cfg"
+                cfg.write_text(file_text)
+                argv += ["--config", str(cfg)]
+            assert main(argv) == 0
+            return [json.loads(line) for line in (tmp_path / out / "records.jsonl").read_text().splitlines()]
+
+        default = run("default")
+        low = run("low", "--tau", "0.01")
+        assert [r["fusion_log"]["tau"] for r in low] == [0.01]
+        assert low[0]["bits_round1_total"] > default[0]["bits_round1_total"]
+        strip = lambda recs: [{k: v for k, v in r.items() if k not in ("wall_time", "shared_time")} for r in recs]
+        assert strip(run("file", file_text="tau = 0.01\n")) == strip(low)
+        assert strip(run("over", "--tau", "0.01", file_text="tau = 5\n")) == strip(low)
+        snr = run("snr", "--tau", "sqrt_2r_log_d")
+        assert snr[0]["fusion_log"]["tau"] == pytest.approx(np.sqrt(2 * 0.8 * np.log(40)))
+        assert strip(run("named", "--tau", "sqrt_2_log_d")) == strip(default)
+
+    @pytest.mark.parametrize("flags", [["--tau-value", "1"], ["--tau-mode", "explicit"]])
+    def test_former_tau_flags_are_refused(self, tmp_path, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *COMMON, *flags, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
     @pytest.mark.parametrize(
@@ -180,12 +212,10 @@ class TestRun:
     @pytest.mark.parametrize(
         "flags, file_text, message",
         [
-            (["--tau-mode", "explicit"], None, "explicit tau_mode needs tau_value"),
-            ([], "tau_mode = explicit\n", "explicit tau_mode needs tau_value"),
-            (["--tau-mode", "explicit", "--tau-value", "-1"], None,
-             "bad run configuration: tau_value must be finite and positive"),
-            ([], "tau_mode = explicit\ntau_value = nan\n",
-             "bad run configuration: tau_value must be finite and positive"),
+            (["--tau", "explicit"], None, "bad run configuration: tau must be one of .* not 'explicit'"),
+            ([], "tau = sqrt_2_logd\n", "bad run configuration: tau must be one of .* not 'sqrt_2_logd'"),
+            (["--tau", "-1"], None, "bad run configuration: tau must be one of .* not -1.0"),
+            ([], "tau = nan\n", "bad run configuration: tau must be one of .* not nan"),
             (["--d", "1"], None, "d must be at least 2"),
             (["--sigma", "-1"], None, "sigma must be positive"),
             (["--sigma", "nan"], None, "bad problem configuration: sigma must be positive"),

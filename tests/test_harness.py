@@ -194,7 +194,7 @@ class TestRunReplication:
     def test_unknown_sparsity_and_empty_support_flag(self, small_design):
         cfg, design = small_design
         # Absurdly high explicit threshold: nobody votes, support is empty.
-        cfg2 = cfg.with_(sparsity_mode="unknown", tau_mode="explicit", tau_value=50.0)
+        cfg2 = cfg.with_(sparsity_mode="unknown", tau=50.0)
         point = materialize(design, cfg2)
         rec = run_point_rep(point, cfg2, ["thresh_votes"], 0)[0]
         assert rec.flags.empty_support
@@ -242,32 +242,58 @@ class TestSchemes:
                 _config(scheme="top_L_votes", L=L)
         assert _config(scheme="top_L_votes", L=np.int64(4)).resolved_L() == 4
         with pytest.raises(ValueError):
-            _config(tau_mode="explicit")  # missing tau_value
-        with pytest.raises(ValueError):
             _config(second_round="third")
         for bad in (
-            dict(lambda_rule="fixed8"),
-            dict(lambda_rule="explicit"),  # missing lambda_value
-            dict(lambda_omega_rule="fixed2"),
-            dict(lambda_omega_rule="explicit"),  # missing lambda_omega_value
+            dict(tau="explicit"),  # the former pseudo-rule is no rule
+            dict(lam="fixed8"),
+            dict(lam="sigma_scaled_8"),
+            dict(lam_omega="fixed2"),
             dict(nodewise_residual_scale="3n"),
         ):
             with pytest.raises(ValueError):
                 _config(**bad)
-        cfg = _config(lambda_rule="sigma_scaled_8", nodewise_residual_scale="2n")
-        assert cfg.lam(50, 2.0) == 2.0 * _config().lam(50, 2.0)
-        assert _config(lambda_omega_rule="explicit", lambda_omega_value=0.3).lam_omega(50) == 0.3
+        cfg = _config(nodewise_residual_scale="2n")
+        assert cfg.lam_at(50) == 8.0 * math.sqrt(math.log(60) / 50)
+        assert cfg.lam_omega_at(50) == 2.0 * math.sqrt(math.log(60) / 50)
+        assert cfg.tau_at(0.5) == protocol.default_tau(60)
+        assert _config(tau="sqrt_2r_log_d").tau_at(0.5) == protocol.snr_tau(60, 0.5)
+        assert _config(lam_omega=0.3).lam_omega_at(50) == 0.3
+        assert _config(lam=1, tau=np.float64(2.5)).lam_at(50) == 1.0
+        assert _config(tau=np.float64(2.5)).tau_at(0.5) == 2.5
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["tau", "lam", "lam_omega"], ids=["tau", "lambda", "lambda_omega"])
+    def test_explicit_value_must_be_finite_and_positive(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be one of .* or a finite positive number"):
+            _config(**{key: value})
+
+    @pytest.mark.parametrize("key", ["tau", "lam", "lam_omega"])
+    @pytest.mark.parametrize("value", [True, False, None, "", "explicit", [1.0], complex(1.0)])
+    def test_tuning_field_refuses_a_non_number_or_unknown_rule(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be one of"):
+            _config(**{key: value})
+
     @pytest.mark.parametrize(
-        "rule", [("tau_mode", "tau_value"), ("lambda_rule", "lambda_value"),
-                 ("lambda_omega_rule", "lambda_omega_value")],
-        ids=["tau", "lambda", "lambda_omega"],
+        "old",
+        [dict(tau_mode="explicit", tau_value=1.0), dict(lambda_rule="fixed_8"), dict(lambda_value=0.5),
+         dict(lambda_omega_rule="fixed_2"), dict(lambda_omega_value=0.5)],
     )
-    def test_explicit_value_must_be_finite_and_positive(self, rule, value):
-        mode, key = rule
-        with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
-            _config(**{mode: "explicit", key: value})
+    def test_former_rule_value_fields_are_refused(self, old):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            _config(**old)
+
+    def test_explicit_tau_changes_the_records(self, small_design):
+        cfg, design = small_design
+        runs = {}
+        for tau in ("sqrt_2_log_d", 0.01):
+            c = cfg.with_(tau=tau)
+            runs[tau] = run_point_rep(materialize(design, c), c, ["thresh_votes"], 0)[0]
+        low, default = runs[0.01], runs["sqrt_2_log_d"]
+        assert low.fusion_log["tau"] == 0.01 and default.fusion_log["tau"] == protocol.default_tau(60)
+        # Nearly every coordinate crosses tau = 0.01 on every machine.
+        many = 55 * protocol.index_bits(60)
+        assert min(low.bits_round1_per_machine) >= many > max(default.bits_round1_per_machine)
+        assert low.S_hat != default.S_hat
 
 
 def _untimed(rec) -> dict:
@@ -332,10 +358,10 @@ class TestSharedWork:
         failing = run_point_rep(point, cfg, ["thresh_votes"], 0)[0].S_hat
         original = protocol.round2_restricted
 
-        def round2(machine_id, X_m, y_m, support, **kwargs):
+        def round2(machine_id, support, beta):
             if list(support) == failing:
                 raise ValueError("singular restricted design")
-            return original(machine_id, X_m, y_m, support, **kwargs)
+            return original(machine_id, support, beta)
 
         monkeypatch.setattr(protocol, "round2_restricted", round2)
         recs = run_point_rep(point, cfg, list(SCHEMES), 0)
@@ -384,7 +410,7 @@ class TestRoundTwoFactors:
         assert 1 < len(seen) < requests
         assert len(factor_calls) == len(seen)
         assert sorted(factor_calls) == sorted((point.M, point.n, len(S)) for S in seen)
-        assert set(point.round2_factors) == {np.array(S, dtype=np.int64).tobytes() for S in seen}
+        assert set(point.round2) == {np.array(S, dtype=np.int64).tobytes() for S in seen}
         # The benchmark's probe still sees one message per machine and support.
         assert round2_calls[0] == expected_round2
 
@@ -392,17 +418,16 @@ class TestRoundTwoFactors:
         cfg, design = small_design
         point = materialize(design, cfg, M=7, n=40)
         run_point_rep(point, cfg, list(SCHEMES), 0)
-        assert point.round2_factors
+        assert point.round2
         ys = _rep_fits(point, 0)[-1]
-        for key, factor in point.round2_factors.items():
+        for key, factor in point.round2.items():
             S = np.frombuffer(key, dtype=np.int64)
-            assert factor.shape == (7, S.size, S.size)
+            assert factor.shape == (7, S.size, S.size) and not factor.flags.writeable
             for m in range(7):
                 X_S = design.X[m][:40][:, S]
                 assert factor[m].tobytes() == restricted_gram_inverse(X_S).tobytes()
-                X_m = design.X[m][:40]
-                alone = protocol.round2_restricted(m, X_m, ys[m], S).payload.values
-                given = protocol.round2_restricted(m, X_m, ys[m], S, factor[m]).payload.values
+                alone = restricted_ols(X_S, ys[m])
+                given = restricted_ols(X_S, ys[m], factor[m])
                 assert alone.tobytes() == given.tobytes()
 
     def test_singular_support_fails_in_every_replication(self, small_design, factor_calls):
@@ -421,17 +446,17 @@ class TestRoundTwoFactors:
                 if singular:
                     selected_in.add(rep)
         assert len(selected_in) >= 5
-        failed = [v for v in point.round2_factors.values() if isinstance(v, ValueError)]
-        assert failed and len(failed) < len(point.round2_factors)
+        failed = [v for v in point.round2.values() if isinstance(v, ValueError)]
+        assert failed and len(failed) < len(point.round2)
         # Each support was factored once, the failing ones included.
-        assert len(factor_calls) == len(point.round2_factors)
+        assert len(factor_calls) == len(point.round2)
 
     def test_every_point_starts_cold(self, small_design, factor_calls):
         cfg, design = small_design
         point = materialize(design, cfg)
         run_point_rep(point, cfg, ["thresh_votes"], 0)
-        assert point.round2_factors
-        assert materialize(design, cfg).round2_factors == {}
+        assert point.round2
+        assert materialize(design, cfg).round2 == {}
         factor_calls.clear()
         run_sweep(cfg, "r", [cfg.spec.r], schemes=list(SCHEMES), design=design)
         once = len(factor_calls)
@@ -453,7 +478,8 @@ class TestRoundTwoFactors:
         point = materialize(design, cfg)
         recs = run_point_rep(point, cfg, list(SCHEMES), 0)
         assert _round2_supports(recs) and not factor_calls
-        assert point.round2_factors == {}
+        # The one cache holds X_S'X_S instead (TestRoundTwoGrams).
+        assert set(point.round2) == {np.array(S, dtype=np.int64).tobytes() for S in _round2_supports(recs)}
 
 
 class TestRoundTwoGrams:
@@ -466,16 +492,13 @@ class TestRoundTwoGrams:
         cfg = cfg.with_(**self.CFG)
         point = materialize(design, cfg, M=7, n=40)
         recs = run_point_rep(point, cfg, list(SCHEMES), 0)
-        assert set(point.round2_grams) == {np.array(S, dtype=np.int64).tobytes() for S in _round2_supports(recs)}
-        ys = _rep_fits(point, 0)[-1]
-        for key, gram in point.round2_grams.items():
+        assert set(point.round2) == {np.array(S, dtype=np.int64).tobytes() for S in _round2_supports(recs)}
+        for key, gram in point.round2.items():
             S = np.frombuffer(key, dtype=np.int64)
             assert gram.shape == (7, S.size, S.size) and not gram.flags.writeable
             for m in range(7):
-                X_m = design.X[m][:40]
-                alone = protocol.round2_gram(m, X_m, ys[m], S).payload
-                given = protocol.round2_gram(m, X_m, ys[m], S, gram[m]).payload
-                assert _same_bits(alone.gram, given.gram) and _same_bits(alone.xty, given.xty)
+                X_S = design.X[m][:40][:, S]
+                assert _same_bits(gram[m], X_S.T @ X_S)
 
     def test_records_equal_with_cold_and_warm_cache(self, small_design):
         cfg, design = small_design
@@ -483,14 +506,14 @@ class TestRoundTwoGrams:
         warm = materialize(design, cfg)
         for rep in range(6):
             run_point_rep(warm, cfg, list(SCHEMES), rep)
-        seen = len(warm.round2_grams)
+        seen = len(warm.round2)
         assert seen > 1
         for rep in range(6):
             cold = materialize(design, cfg)
-            assert cold.round2_grams == {}
+            assert cold.round2 == {}
             expected = [_untimed(r) for r in run_point_rep(cold, cfg, list(SCHEMES), rep)]
             assert [_untimed(r) for r in run_point_rep(warm, cfg, list(SCHEMES), rep)] == expected
-        assert len(warm.round2_grams) == seen
+        assert len(warm.round2) == seen
 
     def test_one_message_per_machine_and_support(self, small_design, monkeypatch):
         cfg, design = small_design
@@ -518,9 +541,9 @@ class TestStackedMessages:
     def _loop_records(monkeypatch, cfg, axis, grid):
         with monkeypatch.context() as mp:
             mp.setattr(
-                harness,
-                "_round1_messages",
-                lambda rule, point, theta_hat, xi, selection: loop_round1_messages(rule, point, theta_hat, xi),
+                harness._RepMemo,
+                "round1_messages",
+                lambda memo, rule: loop_round1_messages(rule, memo.point, memo.theta_hat, memo.xi),
             )
             mp.setattr(harness, "_second_round", loop_second_round)
             return run_sweep(cfg, axis, grid, schemes=list(SCHEMES)).records
@@ -533,8 +556,8 @@ class TestStackedMessages:
             ("n", [20, 30], {}),
             ("M", [2, 5], {"sparsity_mode": "unknown"}),
             ("L", [3, 6], {"sparsity_mode": "unknown"}),
-            ("L", [3, 5], {"lambda_rule": "explicit", "lambda_value": 0.1}),
-            ("n", [20, 30], {"lambda_rule": "explicit", "lambda_value": 0.1, "precision_reuse": False}),
+            ("L", [3, 5], {"lam": 0.1}),
+            ("n", [20, 30], {"lam": 0.1, "precision_reuse": False}),
             ("r", [0.8], {"fixed_design": False}),
         ],
     )
@@ -545,7 +568,7 @@ class TestStackedMessages:
         strip = lambda recs: [{k: v for k, v in r.items() if k not in TIMING_FIELDS} for r in recs]
         assert strip(records) == strip(expected)
         assert any(r["bits_round2_total"] for r in records)
-        if "lambda_value" in kw:
+        if "lam" in kw:
             assert max(r["flags"]["max_sweeps"] for r in records) > 1  # nonzero fits
 
     @pytest.mark.parametrize("second_round", ["average", "gram_exact"])
@@ -557,21 +580,24 @@ class TestStackedMessages:
         sent = []
         original = getattr(protocol, name)
 
-        def capture(machine_id, X_m, y_m, support, *args, **kwargs):
-            sent.append((machine_id, np.asarray(support), kwargs))
-            return original(machine_id, X_m, y_m, support, *args, **kwargs)
+        def capture(machine_id, support, *payload):
+            sent.append((machine_id, support, payload))
+            return original(machine_id, support, *payload)
 
         monkeypatch.setattr(protocol, name, capture)
         run_point_rep(point, cfg, list(SCHEMES), 0)
         ys = _rep_fits(point, 0)[-1]
         assert len(sent) >= 2 * point.M
-        for m, S, kwargs in sent:
+        for m, S, payload in sent:
             X_S = design.X[m][:40][:, S]
+            operand = point.round2[S.tobytes()][m]
             if second_round == "gram_exact":
-                assert np.array_equal(kwargs["xty"], X_S.T @ ys[m])
+                gram, xty = payload
+                assert _same_bits(gram, operand)
+                assert np.array_equal(xty, X_S.T @ ys[m])
             else:
-                gram_inv = point.round2_factors[S.tobytes()][m]
-                assert np.array_equal(kwargs["beta"], restricted_ols(X_S, ys[m], gram_inv))
+                (beta,) = payload
+                assert np.array_equal(beta, restricted_ols(X_S, ys[m], operand))
 
     def test_selections_are_shared_and_read_only(self, small_design, monkeypatch):
         cfg, design = small_design
@@ -663,7 +689,7 @@ class TestRunSweep:
     def test_records_carry_solver_certificates(self, axis, grid):
         # A small explicit lambda keeps the replication fits nonzero; the n
         # sweep below n_cal runs the covariance-free branch.
-        cfg = _config(M=4, reps=2, lambda_rule="explicit", lambda_value=0.1)
+        cfg = _config(M=4, reps=2, lam=0.1)
         res = run_sweep(cfg, axis, grid)
         for rec in res.records:
             flags = rec["flags"]
@@ -804,7 +830,7 @@ class TestStackedRoundOne:
 
     # A small explicit lambda keeps the lasso fits, hence the debiasing
     # residuals, nonzero.
-    LAM = dict(lambda_rule="explicit", lambda_value=0.1)
+    LAM = dict(lam=0.1)
 
     @staticmethod
     def _assert_matches_loop(point, reps=(0, 3)):
@@ -848,7 +874,7 @@ class TestStackedRoundOne:
         # Zero fits take X'r from the replication's X'y, the others form
         # their residual; both kinds must match the loop.
         cfg, design = small_design
-        point = materialize(design, cfg.with_(lambda_rule="explicit", lambda_value=lam), n=n)
+        point = materialize(design, cfg.with_(lam=lam), n=n)
         assert (point.grams is None) == (n is not None)
         for rep in (0, 3):
             live = _rep_fits(point, rep)[0].any(axis=1)
@@ -919,7 +945,7 @@ class TestScaleInvariance:
         # Scaling y and sigma by the same constant (with lambda following
         # sigma) leaves every standardized vote unchanged.
         from votelasso.lasso import fit_lasso
-        from votelasso.protocol import round1_thresh_votes
+        from votelasso.protocol import round1_thresh_votes, select_threshold
 
         spec = ProblemSpec(d=40, K=2, M=1, n=60, r=0.5, base_seed=8)
         X = sample_shards(spec)[0]
@@ -936,7 +962,7 @@ class TestScaleInvariance:
         lam, c = 0.4, 3.7
         xi1 = standardized(y, lam, sigma=1.0)
         xi2 = standardized(c * y, c * lam, sigma=c)
-        m1 = round1_thresh_votes(0, xi1, 2.0)
-        m2 = round1_thresh_votes(0, xi2, 2.0)
+        m1 = round1_thresh_votes(0, select_threshold(xi1[None], 2.0)[0][0])
+        m2 = round1_thresh_votes(0, select_threshold(xi2[None], 2.0)[0][0])
         assert np.array_equal(m1.payload.indices, m2.payload.indices)
         assert np.allclose(xi1, xi2)

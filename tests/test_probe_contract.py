@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from votelasso import _kernels, debias, harness, protocol
+from votelasso import _kernels, debias, fusion, harness, protocol
 from votelasso.datagen import ProblemSpec, sample_shards
 
-from oracles import dense_rows
+from oracles import dense_rows, loop_round1_messages, loop_second_round
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -74,7 +74,7 @@ def test_covariance_free_fits_pass_the_benchmark_probe(probes):
     # precomputed Gram diagonal and X'y/n must reach it positionally, or
     # every covariance-free fit raises TypeError under the benchmark.
     spec = ProblemSpec(d=20, K=2, M=3, n=30, r=0.8, base_seed=1)
-    config = harness.ExperimentConfig(spec=spec, lambda_rule="explicit", lambda_value=0.3)
+    config = harness.ExperimentConfig(spec=spec, lam=0.3)
     point = harness.materialize(harness.build_design(config), config, n=20)
     assert point.grams is None
     checks = probes.Checks()
@@ -86,42 +86,53 @@ def test_covariance_free_fits_pass_the_benchmark_probe(probes):
     assert checks.max_kkt["replication"] == kkt.max()
 
 
-# The keyword through which the harness hands each maker its precomputed row.
-PRECOMPUTED = {
-    "round1_thresh_votes": {"selected"},
-    "round1_thresh_signs": {"selected"},
-    "round1_top_L": {"selected"},
-    "round1_dense": set(),
-    "round2_restricted": {"beta"},
-    "round2_gram": {"xty"},
+# The round-one rule whose message a maker call sends: top-L runs unsigned
+# (two arguments) and signed (three).
+ROUND1_RULE = {
+    "round1_thresh_votes": lambda args: "thresh_votes",
+    "round1_thresh_signs": lambda args: "thresh_signs",
+    "round1_dense": lambda args: "avg_deblasso",
+    "round1_top_L": lambda args: "top_L_signs" if len(args) == 3 else "top_L_votes",
 }
 
 
+def _loop_round2_messages(mp, config, point, ys, support):
+    """The messages ``oracles.loop_second_round`` builds machine by machine,
+    caught at its fusion-center fold (patched through ``mp``)."""
+    caught = []
+    for name in ("centralized_ls", "aggregate_round2"):
+        fold = getattr(fusion, name)
+        mp.setattr(fusion, name, lambda msgs, *rest, _f=fold: caught.extend(msgs) or _f(msgs, *rest))
+    loop_second_round(config, point, ys, support)
+    return caught
+
+
 @pytest.mark.parametrize("second_round", ["average", "gram_exact"])
-def test_makers_run_once_per_machine_and_build_their_own_rows(monkeypatch, probes, second_round):
+def test_makers_run_once_per_machine_and_send_the_loops_messages(monkeypatch, probes, second_round):
     # The benchmark counts and round-trips messages at the makers: each one
     # still runs once per machine, per round-one rule and per round-two
-    # support, and its message is the one the maker builds on its own.
+    # support, takes only its payload, and sends the message the frozen
+    # per-machine loop builds for that machine.
     spec = ProblemSpec(d=30, K=2, M=4, n=30, r=0.8, base_seed=1)
     config = harness.ExperimentConfig(spec=spec, second_round=second_round, L=3)
     point = harness.materialize(harness.build_design(config), config)
     originals = {name: getattr(protocol, name) for name in probes.ROUND1_MAKERS + probes.ROUND2_MAKERS}
-    calls = []
-
-    def counting(name):
-        def wrapped(*args, **kwargs):
-            msg = originals[name](*args, **kwargs)
-            calls.append((name, args, kwargs, msg))
-            return msg
-
-        return wrapped
-
-    for name in originals:
-        monkeypatch.setattr(protocol, name, counting(name))
     M = spec.M
     for rep in range(3):
-        calls.clear()
-        recs = harness.run_point_rep(point, config, list(harness.SCHEMES), rep)
+        calls = []
+
+        def counting(name):
+            def wrapped(*args, **kwargs):
+                msg = originals[name](*args, **kwargs)
+                calls.append((name, args, kwargs, msg))
+                return msg
+
+            return wrapped
+
+        with monkeypatch.context() as mp:
+            for name in originals:
+                mp.setattr(protocol, name, counting(name))
+            recs = harness.run_point_rep(point, config, list(harness.SCHEMES), rep)
         supports = {tuple(r.S_hat) for r in recs if r.scheme != "avg_deblasso" and r.S_hat}
         round2 = "round2_gram" if second_round == "gram_exact" else "round2_restricted"
         ids = lambda name: [args[0] for n, args, _, _ in calls if n == name]
@@ -129,12 +140,16 @@ def test_makers_run_once_per_machine_and_build_their_own_rows(monkeypatch, probe
         assert ids("round1_thresh_votes") == ids("round1_thresh_signs") == ids("round1_dense") == list(range(M))
         assert ids("round1_top_L") == list(range(M)) * 2
         assert supports and ids(round2) == list(range(M)) * len(supports)
+        _, theta_hat, xi, *_, ys = harness._rep_fits(point, rep)
         for name, args, kwargs, msg in calls:
-            assert set(kwargs) - {"signed"} == PRECOMPUTED[name]
-            own = {k: v for k, v in kwargs.items() if k == "signed"}
-            if name.startswith("round2"):
-                args = args[:4]  # the machine's id, X_m, y_m and the support only
-            assert probes.same_message(msg, originals[name](*args, **own)), (name, args[0])
+            assert not kwargs, name
+            m = args[0]
+            if name in ROUND1_RULE:
+                want = loop_round1_messages(ROUND1_RULE[name](args), point, theta_hat, xi)[m]
+            else:
+                with monkeypatch.context() as mp:
+                    want = _loop_round2_messages(mp, config, point, ys, args[1])[m]
+            assert probes.same_message(msg, want), (name, m)
 
 
 def test_every_nodewise_solve_goes_through_the_patched_name(monkeypatch, probes):

@@ -39,6 +39,33 @@ def _xi(values):
     return np.asarray(values, dtype=np.float64)
 
 
+def _thresh_message(maker, m, xi, tau):
+    """The threshold message machine m sends: its row of ``select_threshold``
+    over a one-row stack, wrapped by ``maker``."""
+    (indices,), (signs,) = select_threshold(np.asarray(xi)[None], tau)
+    return maker(m, indices) if maker is round1_thresh_votes else maker(m, indices, signs)
+
+
+def _top_L_message(m, xi, L, signed=False):
+    """The top-L message machine m sends: its row of ``select_top_k`` over a
+    one-row stack, with its ``selected_signs`` row when signed."""
+    row = np.asarray(xi)[None]
+    indices = select_top_k(row, L)
+    signs = selected_signs(row, indices, [m])[0] if signed else None
+    return round1_top_L(m, indices[0], signs)
+
+
+def _restricted_message(m, X, y, support):
+    """The average rule's round-two message: the machine's own least squares."""
+    return round2_restricted(m, support, restricted_ols(X[:, support], y))
+
+
+def _gram_message(m, X, y, support):
+    """The gram_exact rule's round-two message: the machine's own X_S'X_S and X_S'y."""
+    X_S = X[:, support]
+    return round2_gram(m, support, X_S.T @ X_S, restricted_xty(X_S, y))
+
+
 class TestThresholds:
     def test_default_tau_frozen(self):
         assert default_tau(5000) == pytest.approx(4.12728, abs=1e-4)
@@ -47,19 +74,19 @@ class TestThresholds:
         assert snr_tau(5000, 0.5) == pytest.approx(default_tau(5000) / math.sqrt(2))
 
     def test_thresh_votes_filter(self):
-        msg = round1_thresh_votes(3, _xi([3.0, -4.0, 1.0]), tau=2.0)
+        msg = _thresh_message(round1_thresh_votes, 3, [3.0, -4.0, 1.0], 2.0)
         assert list(msg.payload.indices) == [0, 1]
 
     def test_strict_inequality(self):
-        msg = round1_thresh_votes(3, _xi([2.0, -2.0, 2.0000001]), tau=2.0)
+        msg = _thresh_message(round1_thresh_votes, 3, [2.0, -2.0, 2.0000001], 2.0)
         assert list(msg.payload.indices) == [2]
 
     def test_empty_payload_is_legal(self):
-        msg = round1_thresh_votes(3, _xi([0.5, -0.5]), tau=2.0)
+        msg = _thresh_message(round1_thresh_votes, 3, [0.5, -0.5], 2.0)
         assert msg.payload.indices.size == 0
 
     def test_thresh_signs(self):
-        msg = round1_thresh_signs(3, _xi([3.0, -4.0, 1.0]), tau=2.0)
+        msg = _thresh_message(round1_thresh_signs, 3, [3.0, -4.0, 1.0], 2.0)
         assert list(msg.payload.indices) == [0, 1]
         assert list(msg.payload.signs) == [1, -1]
 
@@ -67,50 +94,50 @@ class TestThresholds:
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
     def test_tau_must_be_finite_and_positive(self, maker, tau):
         with pytest.raises(ValueError, match="tau must be finite and positive"):
-            maker(0, _xi([5.0, -3.0]), tau)
+            _thresh_message(maker, 0, [5.0, -3.0], tau)
 
     def test_raising_tau_never_adds_indices(self, rng):
         xi = rng.standard_normal(40) * 3
-        prev = set(round1_thresh_votes(3, xi, 0.5).payload.indices)
+        prev = set(_thresh_message(round1_thresh_votes, 3, xi, 0.5).payload.indices)
         for tau in (1.0, 2.0, 3.0, 4.0):
-            cur = set(round1_thresh_votes(3, xi, tau).payload.indices)
+            cur = set(_thresh_message(round1_thresh_votes, 3, xi, tau).payload.indices)
             assert cur <= prev
             prev = cur
 
 
 class TestTopL:
     def test_tie_breaks_to_lower_index(self):
-        msg = round1_top_L(3, _xi([0.1, -5.0, 2.0, 2.0]), L=2)
+        msg = _top_L_message(3, _xi([0.1, -5.0, 2.0, 2.0]), L=2)
         assert list(msg.payload.indices) == [1, 2]
 
     def test_l_equals_d_sends_everything(self):
-        msg = round1_top_L(3, _xi([0.3, -0.1, 2.0]), L=3)
+        msg = _top_L_message(3, _xi([0.3, -0.1, 2.0]), L=3)
         assert list(msg.payload.indices) == [0, 1, 2]
 
     def test_signed_variant(self):
-        msg = round1_top_L(3, _xi([-5.0, 3.0]), L=2, signed=True)
+        msg = _top_L_message(3, _xi([-5.0, 3.0]), L=2, signed=True)
         assert list(msg.payload.indices) == [0, 1]
         assert list(msg.payload.signs) == [-1, 1]
 
     def test_always_exactly_L(self, rng):
         xi = rng.standard_normal(25)
         for L in (1, 5, 25):
-            assert round1_top_L(3, xi, L).payload.indices.size == L
+            assert _top_L_message(3, xi, L).payload.indices.size == L
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
-            round1_top_L(3, _xi([1.0, 2.0]), L=3)
+            _top_L_message(3, _xi([1.0, 2.0]), L=3)
 
     @pytest.mark.parametrize("L", [2.5, 3.0, True, "2"])
     def test_non_integer_L_rejected(self, L):
         with pytest.raises(ValueError, match="must be an integer"):
-            round1_top_L(3, _xi([1.0, 2.0, 3.0, 4.0]), L=L)
+            _top_L_message(3, _xi([1.0, 2.0, 3.0, 4.0]), L=L)
 
     def test_nan_ranks_last_and_inf_first(self):
         xi = _xi([np.nan, 1.0, -np.inf, 0.0, np.nan])
-        assert list(round1_top_L(0, xi, L=2).payload.indices) == [1, 2]
-        assert list(round1_top_L(0, xi, L=4).payload.indices) == [0, 1, 2, 3]
-        signed = round1_top_L(0, xi, L=3, signed=True).payload
+        assert list(_top_L_message(0, xi, L=2).payload.indices) == [1, 2]
+        assert list(_top_L_message(0, xi, L=4).payload.indices) == [0, 1, 2, 3]
+        signed = _top_L_message(0, xi, L=3, signed=True).payload
         assert list(signed.signs) == [1, -1, 1]  # a zero sends +1
 
     def test_equals_stable_argsort_rule(self):
@@ -121,9 +148,9 @@ class TestTopL:
             want = stable_top_k(s, k)
             got = top_k_indices(s, k)
             assert got.dtype == np.int64 and np.array_equal(got, want), (s, k)
-            assert np.array_equal(round1_top_L(1, s, k).payload.indices, want)
+            assert np.array_equal(_top_L_message(1, s, k).payload.indices, want)
             if not np.isnan(s[want]).any():
-                signed = round1_top_L(1, s, k, signed=True).payload
+                signed = _top_L_message(1, s, k, signed=True).payload
                 assert np.array_equal(signed.indices, want)
                 assert np.array_equal(signed.signs, np.where(s[want] < 0, -1, 1)), (s, k)
 
@@ -202,16 +229,24 @@ class TestStackedSelection:
         assert indices[1][:3].tolist() == [2, 3, 5]
 
     def test_makers_match_their_row_of_the_stack(self, rng):
+        # Each maker sends its machine's rows as they are, and a one-row
+        # stack selects what that row selects within the whole stack.
         xi = rng.standard_normal((6, 25)) * 2.0
         indices, signs = select_threshold(xi, 1.0)
         top = select_top_k(xi, 4)
         top_signs = selected_signs(xi, top)
         for m, row in enumerate(xi):
-            assert np.array_equal(round1_thresh_votes(m, row, 1.0).payload.indices, indices[m])
-            alone = round1_thresh_signs(m, row, 1.0).payload
+            assert round1_thresh_votes(m, indices[m]).payload.indices is indices[m]
+            sent = round1_thresh_signs(m, indices[m], signs[m])
+            assert sent.machine_id == m
+            assert sent.payload.indices is indices[m] and sent.payload.signs is signs[m]
+            row_top, row_signs = top[m], top_signs[m]
+            assert round1_top_L(m, row_top).payload.indices is row_top
+            sent = round1_top_L(m, row_top, row_signs).payload
+            assert sent.indices is row_top and sent.signs is row_signs
+            alone = _thresh_message(round1_thresh_signs, m, row, 1.0).payload
             assert np.array_equal(alone.indices, indices[m]) and np.array_equal(alone.signs, signs[m])
-            assert np.array_equal(round1_top_L(m, row, 4).payload.indices, top[m])
-            alone = round1_top_L(m, row, 4, signed=True).payload
+            alone = _top_L_message(m, row, 4, signed=True).payload
             assert np.array_equal(alone.indices, top[m]) and np.array_equal(alone.signs, top_signs[m])
 
     def test_signed_top_L_refuses_a_nan(self):
@@ -219,12 +254,12 @@ class TestStackedSelection:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="machine 0: a NaN"):
-                round1_top_L(0, xi, 2, signed=True)
+                _top_L_message(0, xi, 2, signed=True)
             with pytest.raises(ValueError, match="machine 4: a NaN"):
-                round1_top_L(4, xi, 2, signed=True)
+                _top_L_message(4, xi, 2, signed=True)
             # Unsigned top-L still sends the NaN's index, last in rank.
-            assert round1_top_L(0, xi, 2).payload.indices.tolist() == [0, 1]
-            assert round1_top_L(0, xi, 1, signed=True).payload.signs.tolist() == [1]
+            assert _top_L_message(0, xi, 2).payload.indices.tolist() == [0, 1]
+            assert _top_L_message(0, xi, 1, signed=True).payload.signs.tolist() == [1]
         stack = np.array([[1.0, -2.0], [np.nan, 1.0], [np.nan, 3.0]])
         idx = select_top_k(stack, 2)
         with pytest.raises(ValueError, match="machine 1: a NaN"):
@@ -253,40 +288,40 @@ class TestRound2:
         X = rng.standard_normal((30, 8))
         theta = np.zeros(8)
         theta[[1, 4]] = [1.0, -2.0]
-        msg = round2_restricted(0, X, X @ theta, [1, 4])
+        msg = _restricted_message(0, X, X @ theta, [1, 4])
         assert np.abs(msg.payload.values - [1.0, -2.0]).max() <= 1e-9
 
     def test_single_index_closed_form(self, rng):
         X = rng.standard_normal((20, 3))
         y = rng.standard_normal(20)
-        msg = round2_restricted(0, X, y, [2])
+        msg = _restricted_message(0, X, y, [2])
         x = X[:, 2]
         assert msg.payload.values[0] == pytest.approx((x @ y) / (x @ x))
 
     def test_support_larger_than_n_rejected(self, rng):
         X = rng.standard_normal((3, 8))
         with pytest.raises(ValueError):
-            round2_restricted(0, X, rng.standard_normal(3), [0, 1, 2, 3])
+            _restricted_message(0, X, rng.standard_normal(3), [0, 1, 2, 3])
 
     def test_gram_single_machine_matches_normal_equations(self, rng):
         X = rng.standard_normal((25, 6))
         y = rng.standard_normal(25)
         support = np.array([0, 3, 5])
-        theta = centralized_ls([round2_gram(0, X, y, support)], support, 6)
+        theta = centralized_ls([_gram_message(0, X, y, support)], support, 6)
         beta = restricted_ols(X[:, support], y)
         assert np.abs(theta[support] - beta).max() <= 1e-8
 
-    def test_given_rows_are_sent_as_they_are(self, rng):
-        X, y = rng.standard_normal((20, 6)), rng.standard_normal(20)
+    def test_given_rows_are_sent_as_they_are(self):
         support = np.array([1, 4])
-        beta, xty = np.array([0.5, -1.0]), np.array([2.0, 3.0])
-        assert round2_restricted(0, X, y, support, beta=beta).payload.values is beta
-        assert round2_gram(0, X, y, support, xty=xty).payload.xty is xty
-        # Without them each machine solves through the stacked functions.
-        X_S = X[:, support]
-        want = restricted_gram_inverse(X_S) @ (y @ X_S)
-        assert np.array_equal(round2_restricted(0, X, y, support).payload.values, want)
-        assert np.array_equal(round2_gram(0, X, y, support).payload.xty, X_S.T @ y)
+        beta, gram, xty = np.array([0.5, -1.0]), np.eye(2), np.array([2.0, 3.0])
+        msg = round2_restricted(5, support, beta)
+        assert msg.machine_id == 5 and msg.payload.support is support and msg.payload.values is beta
+        msg = round2_gram(6, support, gram, xty)
+        assert msg.machine_id == 6 and msg.payload.gram is gram and msg.payload.xty is xty
+        assert round2_gram(0, [1, 4], gram, xty).payload.support.dtype == np.int64
+        for send in (lambda S: round2_restricted(0, S, beta), lambda S: round2_gram(0, S, gram, xty)):
+            with pytest.raises(ValueError, match="support must be nonempty"):
+                send([])
 
     def test_stacked_rows_equal_each_machines_own(self, rng):
         X, Y = rng.standard_normal((7, 40, 9)), rng.standard_normal((7, 40))
@@ -303,14 +338,14 @@ class TestRound2:
     def test_gram_additivity(self, rng):
         X = rng.standard_normal((15, 4))
         y = rng.standard_normal(15)
-        a = round2_gram(0, X, y, [0, 2])
-        b = round2_gram(1, X, y, [0, 2])
+        a = _gram_message(0, X, y, [0, 2])
+        b = _gram_message(1, X, y, [0, 2])
         assert np.allclose(a.payload.gram + b.payload.gram, 2 * a.payload.gram)
 
     def test_fused_grams_match_pooled_ols(self, rng):
         support = np.array([1, 3])
         X, Y = rng.standard_normal((3, 20, 5)), rng.standard_normal((3, 20))
-        msgs = [round2_gram(m, X[m], Y[m], support) for m in range(3)]
+        msgs = [_gram_message(m, X[m], Y[m], support) for m in range(3)]
         theta = centralized_ls(msgs, support, 5)
         X_all = X.reshape(-1, 5)
         y_all = Y.reshape(-1)
