@@ -62,9 +62,9 @@ messages only and the stacked work counts as harness time.
 Round two also needs, per machine, an operand that depends only on the
 design and the selected support S: the inverse Gram (X_S'X_S)^-1 under
 ``average`` and the Gram X_S'X_S under ``gram_exact``.
-``PointState.round2`` keeps it per grid point and support, formed for all M
-machines in one stacked SVD or product the first time a replication
-selects S (``_round2_operand``). A rank-deficient support's ValueError is
+``PointState.round2`` keeps it per grid point, rule and support, formed
+for all M machines in one stacked SVD or product the first time a
+replication selects S under that rule (``_round2_operand``). A rank-deficient support's ValueError is
 kept the same way. Every ``materialize`` starts with an empty cache, so
 each ``run_sweep`` call and, in redraw mode, each replication starts cold.
 
@@ -356,8 +356,9 @@ class PointState:
     L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
     value: float | int | None = None
     axis: str | None = None
-    # Support bytes -> the (M, k, k) design-only round-two operand of every
-    # machine, or the ValueError forming it raised (see ``_round2_operand``).
+    # (second_round rule, support bytes) -> the (M, k, k) design-only
+    # round-two operand of every machine, or the ValueError forming it raised
+    # (see ``_round2_operand``).
     round2: dict = field(default_factory=dict)
 
 
@@ -533,12 +534,13 @@ def _round2_operand(config, point: PointState, support: np.ndarray, X_S: np.ndar
     stacked SVD, and the Gram X_S'X_S under ``gram_exact``, from one stacked
     product (row m equals machine m's own ``X_S.T @ X_S`` bit for bit).
 
-    It is formed once per point and support; a point serves the one
-    ``second_round`` rule its replications run under. A rank-deficient
-    support's ValueError is kept too and raised again on every later
-    request, so it fails in every replication without being refactored.
+    It is formed once per point, rule and support; the rule is part of the
+    key because the config is passed apart from the point, so one point may
+    run under both rules. A rank-deficient support's ValueError is kept too
+    and raised again on every later request under the same rule, so it fails
+    in every replication without being refactored.
     """
-    key = support.tobytes()
+    key = (config.second_round, support.tobytes())
     operand = point.round2.get(key)
     if operand is None:
         try:

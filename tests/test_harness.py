@@ -166,6 +166,18 @@ class TestRunReplication:
         # pooled LS differs from averaged LS but both are near the truth
         assert rec_gram.l2_error != rec_avg.l2_error
         assert rec_gram.bits_round2_total > rec_avg.bits_round2_total
+        # One point run under both rules, in either order, gives each rule's
+        # own estimate: the frozen loop's, and a fresh point's record.
+        ys = _rep_fits(point, 0)[-1]
+        S = np.array(rec_avg.S_hat, dtype=np.int64)
+        for c, rec in ((cfg, rec_avg), (cfg2, rec_gram)):
+            theta, bits = loop_second_round(c, point, ys, S)
+            assert rec.l2_error == float(np.linalg.norm(theta - point.theta_star))
+            assert rec.bits_round2_total == bits
+        shared = materialize(design, cfg2)
+        for c in (cfg2, cfg):
+            alone = run_point_rep(materialize(design, c), c, ["thresh_votes"], 0)[0]
+            assert _untimed(run_point_rep(shared, c, ["thresh_votes"], 0)[0]) == _untimed(alone)
 
     def test_exact_recovery_consistency(self, small_design):
         # With S_hat == S and averaging, the error must equal the error of
@@ -410,7 +422,7 @@ class TestRoundTwoFactors:
         assert 1 < len(seen) < requests
         assert len(factor_calls) == len(seen)
         assert sorted(factor_calls) == sorted((point.M, point.n, len(S)) for S in seen)
-        assert set(point.round2) == {np.array(S, dtype=np.int64).tobytes() for S in seen}
+        assert set(point.round2) == {("average", np.array(S, dtype=np.int64).tobytes()) for S in seen}
         # The benchmark's probe still sees one message per machine and support.
         assert round2_calls[0] == expected_round2
 
@@ -420,7 +432,8 @@ class TestRoundTwoFactors:
         run_point_rep(point, cfg, list(SCHEMES), 0)
         assert point.round2
         ys = _rep_fits(point, 0)[-1]
-        for key, factor in point.round2.items():
+        for (rule, key), factor in point.round2.items():
+            assert rule == "average"
             S = np.frombuffer(key, dtype=np.int64)
             assert factor.shape == (7, S.size, S.size) and not factor.flags.writeable
             for m in range(7):
@@ -450,6 +463,11 @@ class TestRoundTwoFactors:
         assert failed and len(failed) < len(point.round2)
         # Each support was factored once, the failing ones included.
         assert len(factor_calls) == len(point.round2)
+        # The pooled Gram of gram_exact is not singular there: the failure
+        # kept under average is not raised under it on the same point.
+        cfg2 = cfg.with_(second_round="gram_exact")
+        for rep in selected_in:
+            assert not any(r.flags.round2_failed for r in run_point_rep(point, cfg2, list(SCHEMES), rep))
 
     def test_every_point_starts_cold(self, small_design, factor_calls):
         cfg, design = small_design
@@ -479,7 +497,8 @@ class TestRoundTwoFactors:
         recs = run_point_rep(point, cfg, list(SCHEMES), 0)
         assert _round2_supports(recs) and not factor_calls
         # The one cache holds X_S'X_S instead (TestRoundTwoGrams).
-        assert set(point.round2) == {np.array(S, dtype=np.int64).tobytes() for S in _round2_supports(recs)}
+        supports = _round2_supports(recs)
+        assert set(point.round2) == {("gram_exact", np.array(S, dtype=np.int64).tobytes()) for S in supports}
 
 
 class TestRoundTwoGrams:
@@ -492,8 +511,9 @@ class TestRoundTwoGrams:
         cfg = cfg.with_(**self.CFG)
         point = materialize(design, cfg, M=7, n=40)
         recs = run_point_rep(point, cfg, list(SCHEMES), 0)
-        assert set(point.round2) == {np.array(S, dtype=np.int64).tobytes() for S in _round2_supports(recs)}
-        for key, gram in point.round2.items():
+        supports = _round2_supports(recs)
+        assert set(point.round2) == {("gram_exact", np.array(S, dtype=np.int64).tobytes()) for S in supports}
+        for (_, key), gram in point.round2.items():
             S = np.frombuffer(key, dtype=np.int64)
             assert gram.shape == (7, S.size, S.size) and not gram.flags.writeable
             for m in range(7):
@@ -590,7 +610,7 @@ class TestStackedMessages:
         assert len(sent) >= 2 * point.M
         for m, S, payload in sent:
             X_S = design.X[m][:40][:, S]
-            operand = point.round2[S.tobytes()][m]
+            operand = point.round2[(second_round, S.tobytes())][m]
             if second_round == "gram_exact":
                 gram, xty = payload
                 assert _same_bits(gram, operand)
