@@ -197,8 +197,8 @@ class ExperimentConfig:
         _check_tuning("lam_omega", self.lam_omega, LAMBDA_OMEGA_RULES)
         if self.second_round not in SECOND_ROUNDS:
             raise ValueError(f"second_round must be one of {SECOND_ROUNDS}")
-        if self.reps < 1:
-            raise ValueError("reps must be positive")
+        if isinstance(self.reps, bool) or not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
+            raise ValueError(f"reps must be an integer >= 1, not {self.reps!r}")
         if self.nodewise_residual_scale not in RESIDUAL_SCALES:
             raise ValueError(f"nodewise_residual_scale must be one of {RESIDUAL_SCALES}")
         if self.scheme.startswith("top_L"):

@@ -9,6 +9,10 @@ a cached Gram matrix, and solves a stack of problems that share one Gram
 matrix (a machine's nodewise regressions) in lockstep. Convergence requires
 both a small coefficient change and a small KKT residual over all
 coordinates, so a converged fit carries an optimality certificate.
+``fit_lasso`` recomputes it from X, y and the solution with one X'r
+product, except for a zero solution given X'y/n: there the gradient is the
+given X'y/n, and its residual is the certificate, as ``fit_lasso_gram``
+certifies from the G and X'y/n it is given.
 
 Restricted least squares, the round-two fit on a broadcast support, is
 ``restricted_gram_inverse(X_S) @ restricted_xty(X_S, y)``. The inverse
@@ -61,23 +65,27 @@ def fit_lasso(
     """Solve the lasso by active-set coordinate descent.
 
     Returns a LassoFit whose ``max_kkt_violation`` is recomputed from
-    scratch at the solution (``kkt_violation``); ``converged`` is True only
-    when that residual is within ``kkt_tol``. Non-convergence within
-    ``max_sweeps`` is reported, not raised.
+    scratch at the solution (``kkt_violation``), except for a zero solution
+    given ``c``: its gradient is c itself, so the residual is
+    ``_kernels.kkt_residual(c, 0, lam)`` as the solver read it, and no
+    product with X is formed. ``converged`` is True only when that residual
+    is within ``kkt_tol``. Non-convergence within ``max_sweeps`` is
+    reported, not raised.
 
     Two inputs that depend only on the design or that the caller has
     already formed may be passed in, as ``debias(xty=)`` takes X'y:
     ``gram_diag`` is the diagonal of X'X/n, each column's sum of squares
     over n (``_kernels.gram_diagonal``), and ``c`` is X'y/n. Without them
     the fit forms them itself, with the same result. ``c`` stands in for the
-    gradient where the coefficients are all zero and is ignored under a
-    ``warm_start``. The caller vouches that both are those of X and y.
+    gradient where the coefficients are all zero, certifies a zero solution,
+    and is ignored under a ``warm_start``. The caller vouches that both are
+    those of X and y, as ``fit_lasso_gram``'s caller does for G and c.
 
-    Raises ValueError for a NaN or inf in X or y. X is checked in O(d)
-    through its column sums of squares: a column's sum is NaN or inf when
-    the column holds a NaN or inf, and also when its squares sum past the
-    largest double, so a column with an entry of magnitude about 1.3e154 or
-    more is rejected too.
+    Raises ValueError for a NaN or inf in X, y or a ``c`` it reads. X is
+    checked in O(d) through its column sums of squares: a column's sum is
+    NaN or inf when the column holds a NaN or inf, and also when its squares
+    sum past the largest double, so a column with an entry of magnitude
+    about 1.3e154 or more is rejected too.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -94,13 +102,17 @@ def fit_lasso(
     if w.shape != (d,):
         raise ValueError("warm_start has wrong length")
     c = None if c is None or warm_start is not None else np.asarray(c, dtype=np.float64)
-    if c is not None and c.shape != (d,):
-        raise ValueError("c has wrong length")
+    if c is not None:
+        if c.shape != (d,):
+            raise ValueError("c has wrong length")
+        if not np.isfinite(c).all():
+            raise ValueError("NaN or inf in lasso inputs")
     # Positional: the benchmark's probe of cd_residual takes no keywords.
-    sweeps, _, converged = _kernels.cd_residual(
+    sweeps, kkt, converged = _kernels.cd_residual(
         X, y, float(lam), w, int(max_sweeps), COEF_TOL, kkt_tol, diag, c
     )
-    viol = kkt_violation(X, y, lam, w)
+    # A zero solution's gradient is c, and the kernel's residual was read off it.
+    viol = kkt if c is not None and not w.any() else kkt_violation(X, y, lam, w)
     return LassoFit(
         coefficients=w,
         lam=float(lam),

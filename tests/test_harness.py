@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from votelasso import fusion, harness, protocol
+from votelasso import fusion, harness, lasso, protocol
 from votelasso.datagen import ProblemSpec, make_theta_star, sample_responses, sample_shards
 from votelasso.debias import debias, estimate_precision, sandwich_diag, standardize
 from votelasso.harness import (
@@ -22,7 +22,7 @@ from votelasso.harness import (
     run_replication,
     run_sweep,
 )
-from votelasso.lasso import restricted_gram_inverse, restricted_ols
+from votelasso.lasso import kkt_violation, restricted_gram_inverse, restricted_ols
 
 from oracles import (
     dense_rows,
@@ -272,6 +272,17 @@ class TestSchemes:
         assert _config(lam_omega=0.3).lam_omega_at(50) == 0.3
         assert _config(lam=1, tau=np.float64(2.5)).lam_at(50) == 1.0
         assert _config(tau=np.float64(2.5)).tau_at(0.5) == 2.5
+
+    @pytest.mark.parametrize("reps", [2.5, 3.0, math.nan, math.inf, True, False, 0, -1, "3", None, np.float64(2.0)])
+    def test_reps_must_be_a_positive_integer(self, reps):
+        # A float or NaN used to pass here and fail inside run_sweep with a
+        # TypeError, and True ran one replication.
+        with pytest.raises(ValueError, match="^reps must be an integer >= 1"):
+            _config(reps=reps)
+
+    @pytest.mark.parametrize("reps", [1, 7, np.int64(2)])
+    def test_integer_reps_accepted(self, reps):
+        assert _config(reps=reps).reps == reps
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("key", ["tau", "lam", "lam_omega"], ids=["tau", "lambda", "lambda_omega"])
@@ -900,6 +911,31 @@ class TestStackedRoundOne:
             live = _rep_fits(point, rep)[0].any(axis=1)
             assert live.any() and not live.all()
         self._assert_matches_loop(point)
+
+    def test_zero_fits_certified_from_the_replications_xty(self, monkeypatch):
+        # Below n_cal every fit is covariance-free. A zero fit's certificate
+        # is read off its row of the stacked X'y/n; only the nonzero fits
+        # form X'r again, and every certificate equals the from-scratch one.
+        cfg = _config(M=6, lam=1.8)
+        design = build_design(cfg)
+        point = materialize(design, cfg, n=40)
+        assert point.grams is None and point.n < design.n_cal
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kkt_violation(*args)
+
+        monkeypatch.setattr(lasso, "kkt_violation", counting)
+        for rep in range(4):
+            calls.clear()
+            theta_t, _, _, converged, _, kkt, Y = _rep_fits(point, rep)
+            live = theta_t.any(axis=1)
+            assert live.any() and not live.all() and converged.all()
+            assert len(calls) == int(live.sum())
+            for m in range(point.M):
+                want = kkt_violation(design.X[m][: point.n], Y[m], point.lam, theta_t[m])
+                assert kkt[m] == pytest.approx(want, rel=0.0, abs=1e-12), (rep, m)
 
     @staticmethod
     def _assert_block_matches_machines(point, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from votelasso import _kernels
+from votelasso import _kernels, lasso
 from votelasso.lasso import (
     COEF_TOL,
     KKT_TOL,
@@ -320,6 +320,74 @@ class TestPrecomputedInputs:
             fit_lasso(X, y, 0.1, gram_diag=np.ones(4))
         with pytest.raises(ValueError, match="c has wrong length"):
             fit_lasso(X, y, 0.1, c=np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_c_rejected(self, rng, bad):
+        # A NaN in c used to end unconverged after MAX_SWEEPS with residual
+        # 0.0, and an inf to give NaN coefficients.
+        n, d = 20, 5
+        X = rng.standard_normal((n, d))
+        y = rng.standard_normal(n)
+        want = fit_lasso(X, y, 0.1, warm_start=np.zeros(d))
+        for j in range(d):
+            c = X.T @ y / n
+            c[j] = bad
+            with pytest.raises(ValueError, match="NaN or inf in lasso inputs"):
+                fit_lasso(X, y, 0.1, c=c)
+            # Under a warm start c is not read, so it is not checked either.
+            assert _same_fit(fit_lasso(X, y, 0.1, warm_start=np.zeros(d), c=c), want)
+
+
+class TestZeroFitCertificate:
+    """A zero solution given c = X'y/n is certified from c; every other fit
+    recomputes its residual from X, y and the solution."""
+
+    @pytest.fixture
+    def kkt_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kkt_violation(*args)
+
+        monkeypatch.setattr(lasso, "kkt_violation", counting)
+        return calls
+
+    @staticmethod
+    def _problem(rng):
+        n, d = 40, 25
+        X = rng.standard_normal((n, d))
+        y = X[:, :2] @ np.array([1.0, -0.7]) + 0.3 * rng.standard_normal(n)
+        c = X.T @ y / n
+        return X, y, c, float(np.abs(c).max())
+
+    @pytest.mark.parametrize("case", ["above", "at", "no_sweeps"])
+    def test_zero_solution_given_c_is_certified_from_c(self, rng, kkt_calls, case):
+        X, y, c, top = self._problem(rng)
+        lam = {"above": 1.5 * top, "at": top, "no_sweeps": 0.5 * top}[case]
+        # With no sweep the fit stays at zero with violators left.
+        kwargs = {"max_sweeps": 0} if case == "no_sweeps" else {}
+        fit = fit_lasso(X, y, lam, c=c, **kwargs)
+        assert not kkt_calls and not fit.coefficients.any()
+        assert fit.max_kkt_violation == _kernels.kkt_residual(c, np.zeros(c.size), lam)
+        assert fit.converged == (case != "no_sweeps")
+        # The from-scratch certificate of the same zero solution agrees.
+        assert fit.max_kkt_violation == pytest.approx(kkt_violation(X, y, lam, fit.coefficients), abs=1e-15)
+        if case == "no_sweeps":
+            assert fit.max_kkt_violation == pytest.approx(0.5 * top)
+
+    @pytest.mark.parametrize("case", ["nonzero", "without_c", "warm_start"])
+    def test_other_fits_recompute_the_certificate_once(self, rng, kkt_calls, case):
+        X, y, c, top = self._problem(rng)
+        lam = 0.3 * top if case == "nonzero" else 1.5 * top
+        kwargs = {"nonzero": {"c": c}, "without_c": {}, "warm_start": {"c": c, "warm_start": np.zeros(c.size)}}[case]
+        fit = fit_lasso(X, y, lam, **kwargs)
+        assert len(kkt_calls) == 1
+        assert fit.coefficients.any() == (case == "nonzero")
+        assert fit.max_kkt_violation == kkt_violation(X, y, lam, fit.coefficients)
+        assert fit.converged
+        # The same value as a fit given c where c is read.
+        assert _same_fit(fit, fit_lasso(X, y, lam, c=c))
 
 
 class TestKktViolation:
