@@ -11,7 +11,7 @@ stacked: each design is one (M, n, d) array, one slab per machine.
 from .datagen import GroundTruth, ProblemSpec
 from .debias import PrecisionEstimate
 from .fusion import SupportEstimate, VoteTally
-from .harness import ExperimentConfig, ExperimentRecord, run_replication, run_sweep
+from .harness import ExperimentConfig, ExperimentRecord, run_sweep
 from .protocol import Message
 from .theory import RegimeReport
 
@@ -27,7 +27,6 @@ __all__ = [
     "RegimeReport",
     "ExperimentConfig",
     "ExperimentRecord",
-    "run_replication",
     "run_sweep",
     "__version__",
 ]

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from .datagen import GroundTruth, ProblemSpec, sample_responses
-from .debias import RESIDUAL_SCALES
 from .harness import (
     SCHEMES,
     SECOND_ROUNDS,
@@ -42,7 +41,7 @@ DESK_SCALE = {"d": 1000, "n": 200, "machines": 100, "k": 5, "reps": 100}
 PROBLEM_KEYS = ("d", "n", "machines", "k", "r", "corr_decay", "sigma", "seed")
 RUN_KEYS = (
     "scheme", "sparsity_mode", "l", "tau", "second_round", "reps",
-    "nodewise_scale", "no_precision_reuse", "redraw_design",
+    "no_precision_reuse", "redraw_design",
 )
 # Flags a config file cannot set.
 FLAG_ONLY_KEYS = ("out", "csv", "axis", "grid", "paper_scale", "config")
@@ -120,7 +119,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--second-round", choices=SECOND_ROUNDS, default=None)
     p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--nodewise-scale", choices=RESIDUAL_SCALES, default=None)
     p.add_argument("--no-precision-reuse", action="store_true")
     p.add_argument("--redraw-design", action="store_true", help="redraw design each replication")
     p.add_argument("--out", default="out", help="output directory")
@@ -171,21 +169,16 @@ def _build_config(
     try:
         config = ExperimentConfig(
             spec=spec,
-            scheme=schemes[0],
             sparsity_mode=_merged(args, file_values, "sparsity_mode", str, "known"),
             L=_merged(args, file_values, "l", int, None),
             tau=_merged(args, file_values, "tau", _rule_or_number, TAU_RULES[0]),
             second_round=_merged(args, file_values, "second_round", str, "average"),
             reps=_merged(args, file_values, "reps", int, scale["reps"]),
-            nodewise_residual_scale=_merged(args, file_values, "nodewise_scale", str, "n"),
             fixed_design=not _merged(args, file_values, "redraw_design", _parse_bool, False),
             precision_reuse=not _merged(args, file_values, "no_precision_reuse", _parse_bool, False),
         )
     except ValueError as exc:
         raise SystemExit(f"bad run configuration: {exc}") from None
-    # A given --l is checked even when no top-L scheme reads it.
-    if config.L is not None and not 1 <= config.L <= spec.d:
-        raise SystemExit("bad run configuration: L must lie in [1, d]")
     return config, schemes
 
 

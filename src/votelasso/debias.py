@@ -24,15 +24,12 @@ and the sandwich variance (Omega_hat Sigma_hat Omega_hat')_ii is computed row by
 row as ||X omega_i||^2 / n from the design columns of row i's nonzeros,
 without a Gram matrix.
 
-For the residual scale two conventions are supported:
-
-* ``"n"`` (default): tau_i^2 = ||x_i - X_{-i} g_i||^2 / n + lam * ||g_i||_1.
-  At the l1 optimum this equals x_i'(x_i - X_{-i} g_i)/n, which makes
-  (Omega_hat Sigma_hat)_ii = 1 exactly and is what the debiasing step
-  requires to cancel the lasso bias.
-* ``"2n"``: the same with a (2n)^-1 factor on the residual term. Kept as a
-  configuration switch; it rescales Omega_hat rows (towards 2x in the
-  orthonormal limit) and is not suitable for confidence intervals.
+The residual scale is tau_i^2 = ||x_i - X_{-i} g_i||^2 / n + lam * ||g_i||_1,
+the tau-hat^2 of van de Geer, Buhlmann, Ritov and Dezeure (2014, Ann.
+Statist.). At the l1 optimum it equals x_i'(x_i - X_{-i} g_i)/n, which makes
+(Omega_hat Sigma_hat)_ii = 1 exactly, so the one-step correction cancels the
+lasso's shrinkage of coordinate i to first order; the z-score xi that each
+machine compares with the vote threshold tau relies on that.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ import numpy as np
 from . import _kernels
 from .lasso import KKT_TOL, fit_lasso_gram
 
-RESIDUAL_SCALES = ("n", "2n")
 # Entries of one chunk of nodewise rows solved per lockstep call: 2 MiB per
 # chunk-sized array, so the solve's transients are a few such arrays and never
 # a second d x d (all 200 rows at d=200, 52 rows at the paper's d=5000, where
@@ -101,7 +97,6 @@ class PrecisionEstimate:
     omega_hat: SparseRows
     tau_sq: np.ndarray
     lambda_omega: float
-    residual_scale: str = "n"
     nodewise_kkt: float = 0.0
     nodewise_sweeps: int = 0
 
@@ -116,7 +111,6 @@ def empirical_covariance(X: np.ndarray) -> np.ndarray:
 def estimate_precision(
     X: np.ndarray,
     lambda_omega: float,
-    residual_scale: str = "n",
     gram: np.ndarray | None = None,
 ) -> PrecisionEstimate:
     """Fit the d nodewise lassos and assemble Omega_hat as sparse rows.
@@ -129,8 +123,6 @@ def estimate_precision(
     X = np.asarray(X, dtype=np.float64)
     if not 0 < lambda_omega < math.inf:
         raise ValueError("lambda_omega must be finite and positive")
-    if residual_scale not in RESIDUAL_SCALES:
-        raise ValueError(f"residual_scale must be one of {RESIDUAL_SCALES}")
     d = X.shape[1]
     if d < 2:
         raise ValueError("need at least two columns")
@@ -158,7 +150,7 @@ def estimate_precision(
         r = np.arange(rows.size)[:, None]
         rss_n = diag[rows] - 2.0 * (C[r, idx] * w).sum(axis=1) + (U[r, idx] * w).sum(axis=1)
         l1 = np.abs(w).sum(axis=1)
-        tau2 = (0.5 * rss_n if residual_scale == "2n" else rss_n) + lambda_omega * l1
+        tau2 = rss_n + lambda_omega * l1
         bad = (~(tau2 > np.finfo(np.float64).eps)).nonzero()[0]
         if bad.size:
             raise ValueError(f"degenerate nodewise residual at column {rows[bad[0]]}")
@@ -186,7 +178,6 @@ def estimate_precision(
         omega_hat=omega,
         tau_sq=tau_sq,
         lambda_omega=float(lambda_omega),
-        residual_scale=residual_scale,
         nodewise_kkt=max_kkt,
         nodewise_sweeps=sweeps,
     )

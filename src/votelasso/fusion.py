@@ -54,52 +54,27 @@ def sum_rows(rows: np.ndarray) -> np.ndarray:
 
 _NO_INDICES = np.empty(0, dtype=np.int64)
 
-# The checks ``tally`` makes of each message, in the order it makes them.
-_DUPLICATE, _NOT_VOTES, _BAD_INDICES, _SIGN_COUNT, _BAD_SIGNS = range(5)
-
 
 def _vote_fault(msgs: list[Message], d: int) -> Exception:
     """The exception for the first message, in machine-id order, that fails
-    a check of ``tally``, at the first check it fails.
-
-    Every check runs on all messages at once: ``faults[check, i]`` is set
-    when message i fails that check.
-    """
-    payloads = [msg.payload for msg in msgs]
-    ids = [msg.machine_id for msg in msgs]
-    voting = [isinstance(p, (IndexSet, SignedIndexSet)) for p in payloads]
-    idx = [np.asarray(p.indices) if ok else _NO_INDICES for p, ok in zip(payloads, voting)]
-    signs = [
-        np.asarray(p.signs) if isinstance(p, SignedIndexSet) else np.ones(a.size)
-        for p, a in zip(payloads, idx)
-    ]
-    faults = np.zeros((5, len(msgs)), dtype=bool)
-    faults[_DUPLICATE, 1:] = [a == b for a, b in zip(ids, ids[1:])]
-    faults[_NOT_VOTES] = [not ok for ok in voting]
-    faults[_SIGN_COUNT] = [s.shape != a.shape for a, s in zip(idx, signs)]
-    # One entry per sent index: its message's position, its value and its
-    # sign (+1 where a message carries no signs, or not one per index).
-    owner = np.repeat(np.arange(len(msgs)), [a.size for a in idx])
-    flat = np.concatenate([_NO_INDICES, *idx], dtype=np.int64, casting="same_kind")
-    sign = np.concatenate(
-        [_NO_INDICES] + [s if s.shape == a.shape else np.ones(a.size) for a, s in zip(idx, signs)]
-    )
-    bad = (flat < 0) | (flat >= d)
-    bad[1:] |= (flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])
-    faults[_BAD_INDICES, owner[bad]] = True
-    faults[_BAD_SIGNS, owner[np.abs(sign) != 1]] = True
-    i = int(faults.any(axis=0).argmax())
-    check = int(faults[:, i].argmax())
-    machine = msgs[i].machine_id
-    if check == _DUPLICATE:
-        return ValueError(f"duplicate sender {machine}")
-    if check == _NOT_VOTES:
-        return TypeError("tally expects IndexSet or SignedIndexSet payloads")
-    if check == _BAD_INDICES:
-        return ValueError(f"machine {machine}: indices must be strictly increasing in [0, {d})")
-    if check == _SIGN_COUNT:
-        return ValueError(f"machine {machine}: {signs[i].size} signs for {idx[i].size} indices")
-    return ValueError(f"machine {machine}: signs must be -1 or +1")
+    a check of ``tally``, at the first check it fails. The checks, in order:
+    a repeated sender, a payload that is not a vote, indices not strictly
+    increasing in [0, d), other than one sign per index, a sign not +-1."""
+    for prev, msg in zip([None, *msgs], msgs):
+        machine, payload = msg.machine_id, msg.payload
+        if prev is not None and prev.machine_id == machine:
+            return ValueError(f"duplicate sender {machine}")
+        if not isinstance(payload, (IndexSet, SignedIndexSet)):
+            return TypeError("tally expects IndexSet or SignedIndexSet payloads")
+        idx = np.asarray(payload.indices)
+        if idx.size and (idx.min() < 0 or idx.max() >= d or (idx[1:] <= idx[:-1]).any()):
+            return ValueError(f"machine {machine}: indices must be strictly increasing in [0, {d})")
+        if isinstance(payload, SignedIndexSet):
+            signs = np.asarray(payload.signs)
+            if signs.shape != idx.shape:
+                return ValueError(f"machine {machine}: {signs.size} signs for {idx.size} indices")
+            if (np.abs(signs) != 1).any():
+                return ValueError(f"machine {machine}: signs must be -1 or +1")
 
 
 def tally(messages: list[Message], d: int) -> VoteTally:
@@ -110,7 +85,9 @@ def tally(messages: list[Message], d: int) -> VoteTally:
     +-1 one per index; TypeError for a payload that is not a vote. Messages
     are checked in machine-id order, each through those checks in turn, and
     the first fault found is raised. The checks and the counts each run as
-    one vectorized pass over all messages' concatenated indices.
+    one vectorized pass over all messages' concatenated indices; only when
+    the checks fail does a machine-by-machine pass (``_vote_fault``) find
+    the fault to raise.
     """
     msgs = _sorted_by_machine(messages)
     payloads = [msg.payload for msg in msgs]

@@ -93,7 +93,6 @@ from .datagen import (
     theta_min_from_snr,
 )
 from .debias import (
-    RESIDUAL_SCALES,
     SparseRows,
     block_diagonal,
     debias,
@@ -141,8 +140,8 @@ CSV_COLUMNS = [
 
 
 def _check_L(L: int, spec: ProblemSpec, known_sparsity: bool) -> None:
-    """A top-L scheme's L is an integer (not a bool) in [1, d] and, under
-    known sparsity, at least K."""
+    """L is an integer (not a bool) in [1, d] and, when ``known_sparsity``
+    binds it (a top-L scheme under known sparsity), at least K."""
     if isinstance(L, bool) or not isinstance(L, (int, np.integer)):
         raise ValueError(f"L must be an integer, not {L!r}")
     if not 1 <= L <= spec.d:
@@ -165,31 +164,30 @@ def _check_tuning(name: str, value, rules: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One scheme's run configuration on top of a generative ProblemSpec.
+    """A run configuration on top of a generative ProblemSpec. The schemes
+    to run are ``run_sweep``'s argument, not a field.
 
     Each tuning quantity is one field holding a rule name or a finite
     positive number: the vote threshold ``tau`` (``TAU_RULES``), the lasso
     penalty ``lam`` (``"fixed_8"``: 8 sqrt(ln d / n)) and the nodewise
     penalty ``lam_omega`` (``"fixed_2"``: 2 sqrt(ln d / n)). ``tau_at``,
-    ``lam_at`` and ``lam_omega_at`` resolve them at a grid point.
+    ``lam_at`` and ``lam_omega_at`` resolve them at a grid point. A given
+    ``L`` is an integer in [1, d] whatever schemes run; ``check_grid``
+    also holds the top-L schemes' L to at least K under known sparsity.
     """
 
     spec: ProblemSpec
-    scheme: str = "thresh_votes"
     sparsity_mode: str = "known"
     L: int | None = None
     tau: str | float = "sqrt_2_log_d"
     lam: str | float = "fixed_8"
     lam_omega: str | float = "fixed_2"
-    nodewise_residual_scale: str = "n"
     second_round: str = "average"
     reps: int = 100
     fixed_design: bool = True
     precision_reuse: bool = True
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.sparsity_mode not in SPARSITY_MODES:
             raise ValueError(f"sparsity_mode must be one of {SPARSITY_MODES}")
         _check_tuning("tau", self.tau, TAU_RULES)
@@ -199,10 +197,8 @@ class ExperimentConfig:
             raise ValueError(f"second_round must be one of {SECOND_ROUNDS}")
         if isinstance(self.reps, bool) or not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
             raise ValueError(f"reps must be an integer >= 1, not {self.reps!r}")
-        if self.nodewise_residual_scale not in RESIDUAL_SCALES:
-            raise ValueError(f"nodewise_residual_scale must be one of {RESIDUAL_SCALES}")
-        if self.scheme.startswith("top_L"):
-            _check_L(self.resolved_L(), self.spec, self.sparsity_mode == "known")
+        if self.L is not None:
+            _check_L(self.L, self.spec, known_sparsity=False)
 
     def resolved_L(self) -> int:
         return self.L if self.L is not None else self.spec.K
@@ -230,22 +226,14 @@ class ExperimentConfig:
 
 @dataclass
 class RepFlags:
-    """Per-replication status; the solver fields are maxima over machines."""
+    """Per-replication status; the solver fields are maxima over machines.
+    The fields are declared in the order records write them."""
 
     empty_support: bool = False
     nonconverged_fits: int = 0
-    round2_failed: bool = False
     max_sweeps: int = 0
     max_kkt: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "empty_support": self.empty_support,
-            "nonconverged_fits": self.nonconverged_fits,
-            "max_sweeps": self.max_sweeps,
-            "max_kkt": self.max_kkt,
-            "round2_failed": self.round2_failed,
-        }
+    round2_failed: bool = False
 
 
 @dataclass
@@ -275,23 +263,8 @@ class ExperimentRecord:
     fusion_log: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "rep": self.rep,
-            "scheme": self.scheme,
-            "S_hat": self.S_hat,
-            "f_measure": self.f_measure,
-            "precision": self.precision,
-            "recall": self.recall,
-            "l2_error": self.l2_error,
-            "l2_error_oracle": self.l2_error_oracle,
-            "bits_round1_per_machine": self.bits_round1_per_machine,
-            "bits_round1_total": self.bits_round1_total,
-            "bits_round2_total": self.bits_round2_total,
-            "wall_time": self.wall_time,
-            "shared_time": self.shared_time,
-            "flags": self.flags.to_dict(),
-            "fusion_log": self.fusion_log,
-        }
+        """The record as JSON-ready fields, in declaration order."""
+        return {**vars(self), "flags": dict(vars(self.flags))}
 
 
 def f_measure(S_hat, S) -> tuple[float, float, float]:
@@ -321,7 +294,6 @@ class DesignState:
     n_cal: int
     m_cal: int
     lam_omega: float
-    residual_scale: str
     X: np.ndarray  # (m_cal, n_cal, d), C-contiguous; X[m] is machine m's design
     omegas: list[SparseRows]
     c_diag_cal: np.ndarray  # (m_cal, d) sandwich diagonals at n_cal
@@ -354,8 +326,6 @@ class PointState:
     grams: list[np.ndarray] | None
     oracle_gram: np.ndarray
     L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
-    value: float | int | None = None
-    axis: str | None = None
     # (second_round rule, support bytes) -> the (M, k, k) design-only
     # round-two operand of every machine, or the ValueError forming it raised
     # (see ``_round2_operand``).
@@ -379,9 +349,7 @@ def build_design(
     omegas, grams = [], [] if keep_gram else None
     for m in range(m_cal):
         G = empirical_covariance(X[m])
-        est = estimate_precision(
-            X[m], lam_omega, residual_scale=config.nodewise_residual_scale, gram=G
-        )
+        est = estimate_precision(X[m], lam_omega, gram=G)
         c_diags[m] = sandwich_diag(est.omega_hat, X[m])
         omegas.append(est.omega_hat)
         if keep_gram:
@@ -393,7 +361,6 @@ def build_design(
         n_cal=n_cal,
         m_cal=m_cal,
         lam_omega=lam_omega,
-        residual_scale=config.nodewise_residual_scale,
         X=X,
         omegas=omegas,
         c_diag_cal=c_diags,
@@ -437,9 +404,7 @@ def materialize(
             if config.precision_reuse:
                 omega = design.omegas[m]
             else:
-                omega = estimate_precision(
-                    Xn, config.lam_omega_at(n), residual_scale=design.residual_scale
-                ).omega_hat
+                omega = estimate_precision(Xn, config.lam_omega_at(n)).omega_hat
             omegas.append(omega)
             c_diag[m] = sandwich_diag(omega, Xn)
         grams = None
@@ -761,22 +726,6 @@ def run_point_rep(
     return records
 
 
-def run_replication(
-    config: ExperimentConfig, rep_seed: int, point: PointState | None = None
-) -> ExperimentRecord:
-    """Run one full replication of the configured scheme.
-
-    Deterministic in (config, rep_seed). When no prepared ``point`` is
-    supplied the design is built from scratch (or per replication when
-    ``fixed_design`` is off).
-    """
-    if point is None:
-        design_rep = 0 if config.fixed_design else rep_seed
-        design = build_design(config, rep=design_rep)
-        point = materialize(design, config)
-    return run_point_rep(point, config, [config.scheme], rep_seed)[0]
-
-
 @dataclass
 class SweepResult:
     rows: list[dict]
@@ -827,11 +776,11 @@ def run_sweep(
     config: ExperimentConfig,
     sweep_axis: str,
     grid,
-    schemes: list[str] | None = None,
+    schemes: list[str],
     out_dir=None,
     design: DesignState | None = None,
 ) -> SweepResult:
-    """Replicate every grid point (optionally under several schemes).
+    """Replicate every grid point under each of ``schemes`` (required).
 
     In fixed-design mode the design is calibrated once at the largest grid
     value of the swept axis (or ``design`` is used as given); smaller values
@@ -840,7 +789,7 @@ def run_sweep(
     per-replication JSON records.
     """
     grid = list(grid)
-    schemes = [config.scheme] if schemes is None else list(schemes)
+    schemes = list(schemes)
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}")
@@ -874,8 +823,7 @@ def check_grid(config: ExperimentConfig, sweep_axis: str, grid: list, schemes: l
     valid run of every scheme in ``schemes``: n, M and r through
     ``ProblemSpec``, n, M and L whole numbers, and the L of the top-L schemes
     (each grid value on an L sweep, else ``config.resolved_L()``) in [1, d]
-    and, under known sparsity, at least K, as ``ExperimentConfig`` requires
-    of the L of its own scheme."""
+    and, under known sparsity, at least K."""
     spec = config.spec
     if sweep_axis not in SWEEP_AXES:
         raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
@@ -906,11 +854,4 @@ def _design_at(config: ExperimentConfig, sweep_axis: str, value, rep: int = 0) -
 
 def _grid_point(design: DesignState, config: ExperimentConfig, sweep_axis: str, value) -> PointState:
     """Materialize ``design`` at one grid value of the swept axis."""
-    if sweep_axis == "L":
-        point = materialize(design, config, L=int(value))
-    elif sweep_axis == "r":
-        point = materialize(design, config, r=float(value))
-    else:
-        point = materialize(design, config, **{sweep_axis: int(value)})
-    point.axis, point.value = sweep_axis, value
-    return point
+    return materialize(design, config, **{sweep_axis: float(value) if sweep_axis == "r" else int(value)})

@@ -56,7 +56,6 @@ def fit_lasso(
     X: np.ndarray,
     y: np.ndarray,
     lam: float,
-    warm_start: np.ndarray | None = None,
     max_sweeps: int = MAX_SWEEPS,
     kkt_tol: float = KKT_TOL,
     gram_diag: np.ndarray | None = None,
@@ -76,16 +75,15 @@ def fit_lasso(
     already formed may be passed in, as ``debias(xty=)`` takes X'y:
     ``gram_diag`` is the diagonal of X'X/n, each column's sum of squares
     over n (``_kernels.gram_diagonal``), and ``c`` is X'y/n. Without them
-    the fit forms them itself, with the same result. ``c`` stands in for the
-    gradient where the coefficients are all zero, certifies a zero solution,
-    and is ignored under a ``warm_start``. The caller vouches that both are
-    those of X and y, as ``fit_lasso_gram``'s caller does for G and c.
+    the fit forms them itself, with the same result. ``c`` is the gradient
+    at the zero start and certifies a zero solution. The caller vouches that
+    both are those of X and y, as ``fit_lasso_gram``'s caller does for G and c.
 
-    Raises ValueError for a NaN or inf in X, y or a ``c`` it reads. X is
-    checked in O(d) through its column sums of squares: a column's sum is
-    NaN or inf when the column holds a NaN or inf, and also when its squares
-    sum past the largest double, so a column with an entry of magnitude
-    about 1.3e154 or more is rejected too.
+    Every fit starts from zero. Raises ValueError for a NaN or inf in X, y
+    or ``c``. X is checked in O(d) through its column sums of squares: a
+    column's sum is NaN or inf when the column holds a NaN or inf, and also
+    when its squares sum past the largest double, so a column with an entry
+    of magnitude about 1.3e154 or more is rejected too.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -98,11 +96,9 @@ def fit_lasso(
         raise ValueError("gram_diag has wrong length")
     if not (np.isfinite(diag).all() and np.isfinite(y).all()):
         raise ValueError("NaN or inf in lasso inputs")
-    w = np.zeros(d) if warm_start is None else np.array(warm_start, dtype=np.float64)
-    if w.shape != (d,):
-        raise ValueError("warm_start has wrong length")
-    c = None if c is None or warm_start is not None else np.asarray(c, dtype=np.float64)
+    w = np.zeros(d)
     if c is not None:
+        c = np.asarray(c, dtype=np.float64)
         if c.shape != (d,):
             raise ValueError("c has wrong length")
         if not np.isfinite(c).all():
@@ -142,7 +138,6 @@ def fit_lasso_gram(
     G: np.ndarray,
     c: np.ndarray,
     lam: float,
-    warm_start: np.ndarray | None = None,
     skip: int | np.ndarray = -1,
     max_sweeps: int = MAX_SWEEPS,
     kkt_tol: float = KKT_TOL,
@@ -151,11 +146,11 @@ def fit_lasso_gram(
 
     Used where many fits share one design (nodewise regressions, fixed-design
     replications). ``skip`` holds one coordinate at zero. Returns
-    (theta, u, sweeps, kkt, converged) with u = G @ theta. A single problem
-    that starts at zero where zero is optimal (``_kernels.zero_start_solves``:
-    max |c| <= lam off ``skip``, and ``max_sweeps`` >= 1) returns
-    (zeros, zeros, 1, 0.0, True) without entering the solver, which would
-    return the same after one pass.
+    (theta, u, sweeps, kkt, converged) with u = G @ theta. Every fit starts
+    from zero, and a single problem where zero is optimal
+    (``_kernels.zero_start_solves``: max |c| <= lam off ``skip``, and
+    ``max_sweeps`` >= 1) returns (zeros, zeros, 1, 0.0, True) without
+    entering the solver, which would return the same after one pass.
 
     A stack ``c`` of shape (B, d), with ``skip`` of shape (B,) (-1 where a
     row skips nothing), solves the B problems in lockstep
@@ -166,12 +161,9 @@ def fit_lasso_gram(
     """
     _check_lam(lam)
     c = np.asarray(c, dtype=np.float64)
-    w = np.zeros(c.shape) if warm_start is None else np.array(warm_start, dtype=np.float64)
-    if w.shape != c.shape:
-        raise ValueError("warm_start has wrong shape")
+    w = np.zeros(c.shape)
     if c.ndim == 1:
-        zero_start = warm_start is None or not w.any()
-        if zero_start and max_sweeps >= 1 and _kernels.zero_start_solves(c, lam, int(skip)):
+        if max_sweeps >= 1 and _kernels.zero_start_solves(c, lam, int(skip)):
             return w, np.zeros(c.shape), 1, 0.0, True
         u, sweeps, kkt, converged = _kernels.cd_gram(
             G, c, float(lam), w, int(skip), int(max_sweeps), COEF_TOL, kkt_tol

@@ -176,21 +176,20 @@ def select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return idx
 
 
-def selected_signs(scores: np.ndarray, indices: np.ndarray, machine_ids=None) -> np.ndarray:
+def selected_signs(scores: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """The signs of a stack's selected entries: row m of the read-only
     int64 result is -1 where scores[m] is negative at indices[m] and +1
     elsewhere (a zero sends +1).
 
     A NaN has no sign: ValueError naming the first machine that selected
-    one, ``machine_ids[m]`` (by default m) for row m.
+    one, machine m being row m.
     """
     scores = _stack(scores)
     values = scores[np.arange(len(scores))[:, None], indices]
     nan = np.isnan(values)
     if nan.any():
         m = int(nan.any(axis=1).argmax())
-        machine = m if machine_ids is None else machine_ids[m]
-        raise ValueError(f"machine {machine}: a NaN among the selected entries has no sign")
+        raise ValueError(f"machine {m}: a NaN among the selected entries has no sign")
     signs = _signs(values)
     signs.setflags(write=False)
     return signs

@@ -102,7 +102,7 @@ def sparse_rows(A):
     return SparseRows(indptr=np.array(indptr), indices=np.array(indices), data=np.array(data))
 
 
-def dense_precision(X, lam, residual_scale="n", coef_tol=None):
+def dense_precision(X, lam, coef_tol=None):
     """Omega_hat as a dense d x d array from the per-column path that
     ``estimate_precision`` took before its lockstep solve: one scalar
     ``cd_gram`` solve per column, warm-started from the previous column's
@@ -123,8 +123,7 @@ def dense_precision(X, lam, residual_scale="n", coef_tol=None):
         c = np.ascontiguousarray(G[i])
         u, _, _, _ = _kernels.cd_gram(G, c, lam, w, i, MAX_SWEEPS, coef_tol, KKT_TOL)
         rss_n = G[i, i] - 2.0 * (c @ w) + w @ u
-        scale = 0.5 if residual_scale == "2n" else 1.0
-        tau2 = scale * rss_n + lam * np.abs(w).sum()
+        tau2 = rss_n + lam * np.abs(w).sum()
         tau_sq[i] = tau2
         omega[i] = -w / tau2
         omega[i, i] = 1.0 / tau2

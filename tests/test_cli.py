@@ -112,8 +112,9 @@ class TestRun:
             ("out = elsewhere", "config key 'out' cannot be set from a config file; pass --out"),
             ("tau_mode = sqrt_2r_log_d", "unknown config key 'tau_mode'"),
             ("tau_value = 1.0", "unknown config key 'tau_value'"),
+            ("nodewise_scale = n", "unknown config key 'nodewise_scale'"),
         ],
-        ids=["unknown", "flag_only", "former_tau_mode", "former_tau_value"],
+        ids=["unknown", "flag_only", "former_tau_mode", "former_tau_value", "former_nodewise_scale"],
     )
     def test_config_key_not_read_rejected(self, tmp_path, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -170,6 +171,12 @@ class TestRun:
     def test_former_tau_flags_are_refused(self, tmp_path, flags, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", *COMMON, *flags, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_former_nodewise_scale_flag_is_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *COMMON, "--nodewise-scale", "2n", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 

@@ -77,20 +77,18 @@ class TestEstimatePrecision:
         n, d = 64, 6
         X = _orthonormal_design(rng, n, d)  # X'X/n = I to roundoff
         lam = 0.5  # above every cross moment, so all nodewise fits are zero
-        est_2n = estimate_precision(X, lam, residual_scale="2n")
-        assert np.count_nonzero(_nodewise_coefficients(est_2n)) == 0
-        # tau_i^2 = ||x_i||^2 / (2n) with the printed 1/(2n) factor
-        assert np.allclose(est_2n.tau_sq, 0.5, atol=1e-10)
-        assert np.allclose(dense_rows(est_2n.omega_hat), 2.0 * np.eye(d), atol=1e-9)
-        est_n = estimate_precision(X, lam, residual_scale="n")
-        assert np.allclose(dense_rows(est_n.omega_hat), np.eye(d), atol=1e-9)
+        est = estimate_precision(X, lam)
+        assert np.count_nonzero(_nodewise_coefficients(est)) == 0
+        # tau_i^2 = ||x_i||^2 / n
+        assert np.allclose(est.tau_sq, 1.0, atol=1e-10)
+        assert np.allclose(dense_rows(est.omega_hat), np.eye(d), atol=1e-9)
 
     def test_row_normalization_identity_under_n_scale(self, rng):
         # With the 1/n residual scale, (Omega_hat Sigma_hat)_ii = 1 exactly
         # by the nodewise KKT conditions.
         X = rng.standard_normal((50, 8))
         G = empirical_covariance(X)
-        est = estimate_precision(X, 0.2, residual_scale="n")
+        est = estimate_precision(X, 0.2)
         assert np.abs(np.diag(dense_rows(est.omega_hat) @ G) - 1.0).max() <= 1e-8
 
     def test_nodewise_fits_satisfy_kkt(self, rng):
@@ -121,9 +119,9 @@ class TestEstimatePrecision:
             expected = fista_lasso(np.delete(X, i, axis=1), X[:, i], lam, iters=3000, tol=0.0)
             assert np.abs(gamma[i] - expected).max() <= 1e-7
 
-    @pytest.mark.parametrize("residual_scale", ["n", "2n"])
-    @pytest.mark.parametrize("seed", range(24))
-    def test_rows_match_per_column_reference(self, seed, residual_scale):
+    # Each id ends in the residual scale of tau_i^2, the 1/n one.
+    @pytest.mark.parametrize("seed", range(24), ids=lambda seed: f"{seed}-n")
+    def test_rows_match_per_column_reference(self, seed):
         # The lockstep solve and the per-column path stop at the same
         # tolerances from different starts, so they agree to about COEF_TOL,
         # not bit for bit. The reference runs to coef_tol 1e-13, so the
@@ -131,15 +129,15 @@ class TestEstimatePrecision:
         spec = ProblemSpec(d=120, K=2, M=1, n=80, r=0.8, base_seed=seed)
         X = sample_shards(spec)[0]
         lam = math.sqrt(math.log(120) / 80)
-        est = estimate_precision(X, lam, residual_scale=residual_scale)
+        est = estimate_precision(X, lam)
         got = dense_rows(est.omega_hat)
-        omega, tau_sq = dense_precision(X, lam, residual_scale, coef_tol=1e-13)
+        omega, tau_sq = dense_precision(X, lam, coef_tol=1e-13)
         assert np.count_nonzero(omega) > 2 * 120  # rows beyond the diagonal
         assert np.array_equal(got != 0, omega != 0)
         assert np.abs(got - omega).max() <= 1e-9 * np.abs(omega).max()
         assert np.abs(est.tau_sq / tau_sq - 1.0).max() <= 1e-9
         # The same supports as the per-column path at the solver's tolerance.
-        assert np.array_equal(got != 0, dense_precision(X, lam, residual_scale)[0] != 0)
+        assert np.array_equal(got != 0, dense_precision(X, lam)[0] != 0)
 
     def test_chunks_need_not_divide_d(self, monkeypatch):
         spec = ProblemSpec(d=30, K=2, M=1, n=40, r=0.8, base_seed=5)
@@ -253,8 +251,6 @@ class TestEstimatePrecision:
         for lam in (math.nan, math.inf):
             with pytest.raises(ValueError, match="lambda_omega must be finite and positive"):
                 estimate_precision(X, lam)
-        with pytest.raises(ValueError):
-            estimate_precision(X, 0.1, residual_scale="3n")
         with pytest.raises(ValueError):
             estimate_precision(rng.standard_normal((10, 1)), 0.1)
 

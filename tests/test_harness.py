@@ -19,7 +19,6 @@ from votelasso.harness import (
     f_measure,
     materialize,
     run_point_rep,
-    run_replication,
     run_sweep,
 )
 from votelasso.lasso import kkt_violation, restricted_gram_inverse, restricted_ols
@@ -41,7 +40,7 @@ def _config(**kw):
     for key in list(kw):
         if key in spec_kw:
             spec_kw[key] = kw.pop(key)
-    base = dict(spec=ProblemSpec(**spec_kw), scheme="thresh_votes", reps=3)
+    base = dict(spec=ProblemSpec(**spec_kw), reps=3)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -114,8 +113,8 @@ class TestRunReplication:
     def test_bit_identical_repeats(self, small_design):
         cfg, design = small_design
         point = materialize(design, cfg)
-        a = run_point_rep(point, cfg, [cfg.scheme], 0)[0]
-        b = run_point_rep(point, cfg, [cfg.scheme], 0)[0]
+        a = run_point_rep(point, cfg, ["thresh_votes"], 0)[0]
+        b = run_point_rep(point, cfg, ["thresh_votes"], 0)[0]
         assert a.to_dict() == b.to_dict() or (
             # the timings differ; compare everything else
             {k: v for k, v in a.to_dict().items() if k not in TIMING_FIELDS}
@@ -123,23 +122,23 @@ class TestRunReplication:
         )
 
     def test_standalone_matches_prepared_point(self, small_design):
+        # A design built anew gives the shared fixture's record.
         cfg, design = small_design
         point = materialize(design, cfg)
-        via_point = run_point_rep(point, cfg, [cfg.scheme], 1)[0]
-        standalone = run_replication(cfg, 1)
-        assert standalone.S_hat == via_point.S_hat
-        assert standalone.l2_error == via_point.l2_error
+        via_point = run_point_rep(point, cfg, ["thresh_votes"], 1)[0]
+        standalone = run_point_rep(materialize(build_design(cfg), cfg), cfg, ["thresh_votes"], 1)[0]
+        assert _untimed(standalone) == _untimed(via_point)
 
     def test_reps_differ(self, small_design):
         cfg, design = small_design
         point = materialize(design, cfg)
-        a = run_point_rep(point, cfg, [cfg.scheme], 0)[0]
-        b = run_point_rep(point, cfg, [cfg.scheme], 1)[0]
+        a = run_point_rep(point, cfg, ["thresh_votes"], 0)[0]
+        b = run_point_rep(point, cfg, ["thresh_votes"], 1)[0]
         assert a.l2_error != b.l2_error
 
     def test_avg_deblasso_dense_bits(self, small_design):
         cfg, design = small_design
-        cfg2 = cfg.with_(scheme="avg_deblasso", second_round="none")
+        cfg2 = cfg.with_(second_round="none")
         point = materialize(design, cfg2)
         rec = run_point_rep(point, cfg2, ["avg_deblasso"], 0)[0]
         assert all(b == 64 * cfg.spec.d for b in rec.bits_round1_per_machine)
@@ -234,9 +233,8 @@ class TestSchemes:
 
     def test_top_l_defaults_to_k(self, small_design):
         cfg, design = small_design
-        cfg2 = cfg.with_(scheme="top_L_votes")
-        point = materialize(design, cfg2)
-        rec = run_point_rep(point, cfg2, ["top_L_votes"], 0)[0]
+        point = materialize(design, cfg)
+        rec = run_point_rep(point, cfg, ["top_L_votes"], 0)[0]
         from votelasso.protocol import index_bits
 
         assert all(
@@ -244,15 +242,20 @@ class TestSchemes:
         )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            _config(scheme="nope")
-        with pytest.raises(ValueError):
-            _config(scheme="top_L_votes", L=2)  # L < K under known sparsity
+        with pytest.raises(ValueError, match="unknown scheme 'nope'"):
+            run_sweep(_config(), "r", [0.8], ["nope"])
+        cfg = _config(L=2)  # L < K is a valid config: only top-L schemes refuse it
+        with pytest.raises(ValueError, match="top-L schemes need L >= K"):
+            check_grid(cfg, "r", [0.8], ["top_L_votes"])
+        # A given L is checked though the config names no scheme.
         for L in (2.5, 3.0, True, np.float64(4.0)):
             # A non-integer L used to pass here and fail mid-run in round1_top_L.
             with pytest.raises(ValueError, match="L must be an integer"):
-                _config(scheme="top_L_votes", L=L)
-        assert _config(scheme="top_L_votes", L=np.int64(4)).resolved_L() == 4
+                _config(L=L)
+        for L in (0, 61):
+            with pytest.raises(ValueError, match=r"L must lie in \[1, d\]"):
+                _config(L=L)
+        assert _config(L=np.int64(4)).resolved_L() == 4
         with pytest.raises(ValueError):
             _config(second_round="third")
         for bad in (
@@ -260,11 +263,10 @@ class TestSchemes:
             dict(lam="fixed8"),
             dict(lam="sigma_scaled_8"),
             dict(lam_omega="fixed2"),
-            dict(nodewise_residual_scale="3n"),
         ):
             with pytest.raises(ValueError):
                 _config(**bad)
-        cfg = _config(nodewise_residual_scale="2n")
+        cfg = _config()
         assert cfg.lam_at(50) == 8.0 * math.sqrt(math.log(60) / 50)
         assert cfg.lam_omega_at(50) == 2.0 * math.sqrt(math.log(60) / 50)
         assert cfg.tau_at(0.5) == protocol.default_tau(60)
@@ -302,6 +304,12 @@ class TestSchemes:
          dict(lambda_omega_rule="fixed_2"), dict(lambda_omega_value=0.5)],
     )
     def test_former_rule_value_fields_are_refused(self, old):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            _config(**old)
+
+    @pytest.mark.parametrize("old", [dict(scheme="thresh_votes"), dict(nodewise_residual_scale="n")])
+    def test_removed_fields_are_refused(self, old):
+        # The schemes are run_sweep's argument, and tau_i^2 has one residual scale.
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             _config(**old)
 
@@ -658,13 +666,26 @@ class TestStackedMessages:
 
 
 class TestRunSweep:
+    def test_record_keys_in_order(self, small_design, tmp_path):
+        # records.jsonl writes each record's fields in their declaration
+        # order, the flags last but the fusion log, then the grid value.
+        cfg, design = small_design
+        run_sweep(cfg.with_(reps=1), "r", [0.8], ["thresh_votes"], out_dir=tmp_path, design=design)
+        rec = json.loads((tmp_path / "records.jsonl").read_text().splitlines()[0])
+        assert list(rec) == [
+            "rep", "scheme", "S_hat", "f_measure", "precision", "recall", "l2_error",
+            "l2_error_oracle", "bits_round1_per_machine", "bits_round1_total", "bits_round2_total",
+            "wall_time", "shared_time", "flags", "fusion_log", "axis", "value",
+        ]
+        assert list(rec["flags"]) == ["empty_support", "nonconverged_fits", "max_sweeps", "max_kkt", "round2_failed"]
+
     def test_single_point_equals_replication_aggregate(self, small_design):
         cfg, design = small_design
-        res = run_sweep(cfg, "r", [cfg.spec.r], design=design)
+        res = run_sweep(cfg, "r", [cfg.spec.r], ["thresh_votes"], design=design)
         assert len(res.rows) == 1
         row = res.rows[0]
         point = materialize(design, cfg)
-        recs = [run_point_rep(point, cfg, [cfg.scheme], rep)[0] for rep in range(cfg.reps)]
+        recs = [run_point_rep(point, cfg, ["thresh_votes"], rep)[0] for rep in range(cfg.reps)]
         assert row["f_mean"] == pytest.approx(np.mean([r.f_measure for r in recs]))
         assert row["l2_mean"] == pytest.approx(np.mean([r.l2_error for r in recs]))
         assert row["reps"] == cfg.reps
@@ -681,14 +702,13 @@ class TestRunSweep:
 
     def test_deterministic_rows(self, small_design):
         cfg, design = small_design
-        a = run_sweep(cfg, "r", [0.6], design=design).rows
-        b = run_sweep(cfg, "r", [0.6], design=design).rows
+        a = run_sweep(cfg, "r", [0.6], ["thresh_votes"], design=design).rows
+        b = run_sweep(cfg, "r", [0.6], ["thresh_votes"], design=design).rows
         assert a == b
 
     def test_L_axis(self, small_design):
         cfg, design = small_design
-        cfg2 = cfg.with_(scheme="top_L_signs")
-        res = run_sweep(cfg2, "L", [3, 6], design=design)
+        res = run_sweep(cfg, "L", [3, 6], ["top_L_signs"], design=design)
         assert [row["value"] for row in res.rows] == [3, 6]
         # larger L, more bits
         bits = [row["bits_r1_mean"] for row in res.rows]
@@ -696,24 +716,24 @@ class TestRunSweep:
 
     def test_oracle_dominance(self, small_design):
         cfg, design = small_design
-        res = run_sweep(cfg, "r", [0.5, 0.9], design=design)
+        res = run_sweep(cfg, "r", [0.5, 0.9], ["thresh_votes"], design=design)
         for row in res.rows:
             se = row["l2_se"] if not math.isnan(row["l2_se"]) else 0.0
             assert row["l2_mean"] >= row["oracle_l2_mean"] - 2 * se
 
     def test_m_axis_uses_prefix_machines(self, small_design):
         cfg, _ = small_design
-        res = run_sweep(cfg.with_(reps=2), "M", [4, 12])
+        res = run_sweep(cfg.with_(reps=2), "M", [4, 12], ["thresh_votes"])
         assert [row["value"] for row in res.rows] == [4, 12]
 
     def test_n_axis_with_precision_reuse(self):
         cfg = _config(n=40, reps=2)
-        res = run_sweep(cfg, "n", [20, 40])
+        res = run_sweep(cfg, "n", [20, 40], ["thresh_votes"])
         assert len(res.rows) == 2
 
     def test_n_axis_without_precision_reuse(self):
         cfg = _config(n=40, reps=2, precision_reuse=False)
-        res = run_sweep(cfg, "n", [20, 40])
+        res = run_sweep(cfg, "n", [20, 40], ["thresh_votes"])
         assert len(res.rows) == 2
 
     @pytest.mark.parametrize("axis, grid", [("r", [0.8]), ("n", [30, 50])])
@@ -721,7 +741,7 @@ class TestRunSweep:
         # A small explicit lambda keeps the replication fits nonzero; the n
         # sweep below n_cal runs the covariance-free branch.
         cfg = _config(M=4, reps=2, lam=0.1)
-        res = run_sweep(cfg, axis, grid)
+        res = run_sweep(cfg, axis, grid, ["thresh_votes"])
         for rec in res.records:
             flags = rec["flags"]
             assert 0.0 <= flags["max_kkt"] <= 1e-7
@@ -731,9 +751,9 @@ class TestRunSweep:
     def test_bad_axis_rejected(self, small_design):
         cfg, _ = small_design
         with pytest.raises(ValueError):
-            run_sweep(cfg, "sigma", [1.0])
+            run_sweep(cfg, "sigma", [1.0], ["thresh_votes"])
         with pytest.raises(ValueError):
-            run_sweep(cfg, "r", [])
+            run_sweep(cfg, "r", [], ["thresh_votes"])
 
     @pytest.mark.parametrize(
         "axis, grid, message",
@@ -744,14 +764,14 @@ class TestRunSweep:
         # Every grid value is checked as the problem flags are, before any work.
         cfg, design = small_design
         with pytest.raises(ValueError, match=message):
-            run_sweep(cfg, axis, grid, design=design)
+            run_sweep(cfg, axis, grid, ["thresh_votes"], design=design)
         if axis != "L":
             with pytest.raises(ValueError, match=message):
                 materialize(design, cfg, **{axis: grid[-1]})
 
     @pytest.mark.parametrize("schemes", [["top_L_votes"], ["thresh_votes", "top_L_signs"]])
     def test_L_below_K_rejected_for_top_L_under_known_sparsity(self, small_design, schemes):
-        # The same rule as ExperimentConfig's L: no L grid value below K.
+        # The same rule as the configured L's: no L grid value below K.
         cfg, design = small_design
         with pytest.raises(ValueError, match="top-L schemes need L >= K under known sparsity"):
             run_sweep(cfg, "L", [cfg.spec.K, cfg.spec.K - 1], schemes=schemes, design=design)
@@ -766,9 +786,14 @@ class TestRunSweep:
     )
     @pytest.mark.parametrize("axis, grid", [("r", [0.8]), ("n", [30, 50]), ("M", [6])])
     def test_L_of_a_later_top_L_scheme_checked(self, small_design, L, message, axis, grid):
-        # config.scheme is not top-L, so ExperimentConfig does not check L;
-        # the top-L scheme listed second must not run with it either.
+        # The config refuses an L outside [1, d] whatever the schemes; an L
+        # below K passes it, and the top-L scheme listed second must not run
+        # with it.
         cfg, design = small_design
+        if L in (0, 500):
+            with pytest.raises(ValueError, match=message):
+                cfg.with_(L=L)
+            return
         cfg = cfg.with_(L=L)
         schemes = ["thresh_votes", "top_L_votes"]
         with pytest.raises(ValueError, match=message):
@@ -783,7 +808,7 @@ class TestRunSweep:
         cfg, design = small_design
         assert materialize(design, cfg).L == cfg.spec.K
         assert materialize(design, cfg.with_(L=7)).L == 7
-        assert materialize(design, cfg.with_(scheme="top_L_votes", L=7), L=9).L == 9
+        assert materialize(design, cfg.with_(L=7), L=9).L == 9
 
     def test_L_below_K_allowed_under_unknown_sparsity(self, small_design):
         cfg, design = small_design
@@ -800,19 +825,20 @@ class TestRunSweep:
     def test_fractional_integer_axis_values_rejected(self, small_design, axis, grid):
         cfg, design = small_design
         with pytest.raises(ValueError, match=f"{axis} grid values must be whole numbers"):
-            run_sweep(cfg.with_(scheme="top_L_votes"), axis, grid, design=design)
+            run_sweep(cfg, axis, grid, ["top_L_votes"], design=design)
 
     def test_redraw_design_mode(self):
         cfg = _config(d=30, M=4, n=25, reps=2, fixed_design=False)
-        res = run_sweep(cfg, "r", [0.8])
+        res = run_sweep(cfg, "r", [0.8], ["thresh_votes"])
         assert res.rows[0]["reps"] == 2
 
     def test_redraw_records_equal_standalone_replications(self):
         cfg = _config(d=30, M=4, n=25, reps=3, fixed_design=False)
-        res = run_sweep(cfg, "r", [cfg.spec.r])
+        res = run_sweep(cfg, "r", [cfg.spec.r], ["thresh_votes"])
         assert [rec["rep"] for rec in res.records] == [0, 1, 2]
         for rec in res.records:
-            alone = run_replication(cfg, rec["rep"]).to_dict()
+            r = rec["rep"]
+            alone = run_point_rep(materialize(build_design(cfg, rep=r), cfg), cfg, ["thresh_votes"], r)[0].to_dict()
             for key, value in alone.items():
                 if key not in TIMING_FIELDS:
                     assert rec[key] == value, key

@@ -68,13 +68,16 @@ class TestFitLasso:
         y = X @ theta + 0.4 * rng.standard_normal(n)
         lam = 0.08
         expected = fista_lasso(X, y, lam, tol=0.0)
+        # Both kernels, each started from the same wrong support.
         wrong = np.zeros(d)
         wrong[[0, 5, 25]] = 1.0
-        fit = fit_lasso(X, y, lam, warm_start=wrong)
-        w, _, _, kkt, conv = fit_lasso_gram(X.T @ X / n, X.T @ y / n, lam, warm_start=wrong)
-        assert fit.converged and conv and kkt <= 1e-7
-        assert np.abs(fit.coefficients - expected).max() <= 1e-7
-        assert np.abs(w - expected).max() <= 1e-7
+        w_res, w_gram = wrong.copy(), wrong.copy()
+        _, _, conv_res = _kernels.cd_residual(X, y, lam, w_res, MAX_SWEEPS, COEF_TOL, KKT_TOL)
+        _, _, kkt, conv = _kernels.cd_gram(X.T @ X / n, X.T @ y / n, lam, w_gram, -1, MAX_SWEEPS, COEF_TOL, KKT_TOL)
+        assert conv_res and conv and kkt <= 1e-7
+        assert kkt_violation(X, y, lam, w_res) <= 1e-7
+        assert np.abs(w_res - expected).max() <= 1e-7
+        assert np.abs(w_gram - expected).max() <= 1e-7
 
     def test_nan_rejected(self, rng):
         X = rng.standard_normal((10, 3))
@@ -109,17 +112,6 @@ class TestFitLasso:
         fit = fit_lasso(X, y, 0.01, max_sweeps=1)
         assert isinstance(fit, LassoFit)
         assert not fit.converged
-
-    def test_warm_start_agrees_with_cold(self, rng):
-        n, d = 50, 20
-        X = rng.standard_normal((n, d))
-        y = rng.standard_normal(n)
-        cold = fit_lasso(X, y, 0.1)
-        warm = fit_lasso(X, y, 0.1, warm_start=rng.standard_normal(d) * 0.1)
-        assert abs(
-            lasso_objective(X, y, 0.1, cold.coefficients)
-            - lasso_objective(X, y, 0.1, warm.coefficients)
-        ) <= 1e-7
 
     def test_column_permutation_equivariance(self, rng):
         n, d = 40, 8
@@ -169,13 +161,11 @@ class TestFitLasso:
             assert np.abs(W[r] - w).max() <= 1e-12 and np.abs(U[r] - u).max() <= 1e-12
         _, _, _, kkt, conv = fit_lasso_gram(G, C, 0.1, skip=skip, max_sweeps=1)
         assert not conv and kkt > 1e-7
-        with pytest.raises(ValueError, match="warm_start"):
-            fit_lasso_gram(G, C, 0.1, warm_start=np.zeros(d), skip=skip)
 
 
 class TestZeroFitExit:
-    """fit_lasso_gram answers a zero start where zero is optimal before the
-    solver runs; its 5-tuple must be the solver's, bit for bit."""
+    """fit_lasso_gram answers a problem where its zero start is optimal
+    before the solver runs; its 5-tuple must be the solver's, bit for bit."""
 
     @staticmethod
     def _problem(rng):
@@ -186,8 +176,8 @@ class TestZeroFitExit:
         return G, c, float(np.abs(c).max())
 
     @staticmethod
-    def _solver(G, c, lam, warm_start=None, skip=-1):
-        w = np.zeros(c.shape) if warm_start is None else warm_start.copy()
+    def _solver(G, c, lam, skip=-1):
+        w = np.zeros(c.shape)
         u, sweeps, kkt, conv = _kernels.cd_gram(G, c, lam, w, skip, MAX_SWEEPS, COEF_TOL, KKT_TOL)
         return w, u, sweeps, kkt, conv
 
@@ -210,7 +200,7 @@ class TestZeroFitExit:
         monkeypatch.setattr(_kernels, "cd_gram", counting)
         return calls
 
-    @pytest.mark.parametrize("case", ["below", "at", "skip", "warm_zero"])
+    @pytest.mark.parametrize("case", ["below", "at", "skip"])
     def test_exit_equals_solver(self, rng, solver_calls, case):
         G, c, top = self._problem(rng)
         lam, kwargs = 1.5 * top, {}
@@ -221,30 +211,35 @@ class TestZeroFitExit:
             lam = float(np.abs(np.delete(c, j)).max())
             c[j] = 3.0 * lam  # a violator, but the skipped coordinate
             kwargs = {"skip": j}
-        elif case == "warm_zero":
-            kwargs = {"warm_start": np.zeros(c.size)}
         got = fit_lasso_gram(G, c, lam, **kwargs)
         assert not solver_calls
         want = self._solver(G, c, lam, **kwargs)
         self._assert_same(got, want)
         assert got[2:] == (1, 0.0, True) and not got[0].any() and not got[1].any()
 
-    @pytest.mark.parametrize("case", ["nan", "warm_nonzero", "violator"])
+    @pytest.mark.parametrize("case", ["nan", "violator"])
     def test_other_fits_reach_the_solver(self, rng, solver_calls, case):
         G, c, top = self._problem(rng)
-        lam, kwargs = 1.5 * top, {}
+        lam = 1.5 * top
         if case == "nan":
             c[3] = np.nan  # max |c| is NaN, which is not <= lam
-        elif case == "warm_nonzero":
-            kwargs = {"warm_start": np.where(np.arange(c.size) == 2, 0.4, 0.0)}
         else:
             lam = 0.5 * top
-        got = fit_lasso_gram(G, c, lam, **kwargs)
+        got = fit_lasso_gram(G, c, lam)
         assert len(solver_calls) == 1
         solver_calls.clear()
-        self._assert_same(got, self._solver(G, c, lam, **kwargs))
+        self._assert_same(got, self._solver(G, c, lam))
         if case == "nan":
             assert np.isnan(got[3]) and not got[4]
+
+    def test_solver_from_a_nonzero_start_runs_to_zero(self, rng):
+        # The exit is taken from a zero start only: the kernel started off
+        # zero where zero is optimal runs its passes and ends at zero.
+        G, c, top = self._problem(rng)
+        w = np.where(np.arange(c.size) == 2, 0.4, 0.0)
+        u, sweeps, kkt, conv = _kernels.cd_gram(G, c, 1.5 * top, w, -1, MAX_SWEEPS, COEF_TOL, KKT_TOL)
+        assert conv and kkt == 0.0 and sweeps > 1
+        assert not w.any() and not u.any()
 
 
 def _same_fit(a, b):
@@ -270,18 +265,6 @@ class TestPrecomputedInputs:
         given = fit_lasso(X, y, lam, gram_diag=_kernels.gram_diagonal(X), c=X.T @ y / n)
         assert _same_fit(own, given)
         assert (np.count_nonzero(own.coefficients) == 0) == (lam == 5.0)
-
-    @pytest.mark.parametrize("start", ["zeros", "random"])
-    def test_c_ignored_under_a_warm_start(self, rng, start):
-        n, d = 40, 12
-        X = rng.standard_normal((n, d))
-        y = X[:, 0] + 0.3 * rng.standard_normal(n)
-        w0 = np.zeros(d) if start == "zeros" else 0.1 * rng.standard_normal(d)
-        want = fit_lasso(X, y, 0.1, warm_start=w0)
-        got = fit_lasso(X, y, 0.1, warm_start=w0, c=np.full(d, 1e3))
-        assert _same_fit(want, got)
-        # Without a warm start the same c is read, and wrongly moves the fit.
-        assert not np.array_equal(fit_lasso(X, y, 0.1, c=np.full(d, 1e3)).coefficients, want.coefficients)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_anywhere_rejected(self, rng, bad):
@@ -328,14 +311,11 @@ class TestPrecomputedInputs:
         n, d = 20, 5
         X = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
-        want = fit_lasso(X, y, 0.1, warm_start=np.zeros(d))
         for j in range(d):
             c = X.T @ y / n
             c[j] = bad
             with pytest.raises(ValueError, match="NaN or inf in lasso inputs"):
                 fit_lasso(X, y, 0.1, c=c)
-            # Under a warm start c is not read, so it is not checked either.
-            assert _same_fit(fit_lasso(X, y, 0.1, warm_start=np.zeros(d), c=c), want)
 
 
 class TestZeroFitCertificate:
@@ -376,11 +356,11 @@ class TestZeroFitCertificate:
         if case == "no_sweeps":
             assert fit.max_kkt_violation == pytest.approx(0.5 * top)
 
-    @pytest.mark.parametrize("case", ["nonzero", "without_c", "warm_start"])
+    @pytest.mark.parametrize("case", ["nonzero", "without_c"])
     def test_other_fits_recompute_the_certificate_once(self, rng, kkt_calls, case):
         X, y, c, top = self._problem(rng)
         lam = 0.3 * top if case == "nonzero" else 1.5 * top
-        kwargs = {"nonzero": {"c": c}, "without_c": {}, "warm_start": {"c": c, "warm_start": np.zeros(c.size)}}[case]
+        kwargs = {"nonzero": {"c": c}, "without_c": {}}[case]
         fit = fit_lasso(X, y, lam, **kwargs)
         assert len(kkt_calls) == 1
         assert fit.coefficients.any() == (case == "nonzero")

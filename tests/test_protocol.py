@@ -47,12 +47,14 @@ def _thresh_message(maker, m, xi, tau):
 
 
 def _top_L_message(m, xi, L, signed=False):
-    """The top-L message machine m sends: its row of ``select_top_k`` over a
-    one-row stack, with its ``selected_signs`` row when signed."""
-    row = np.asarray(xi)[None]
-    indices = select_top_k(row, L)
-    signs = selected_signs(row, indices, [m])[0] if signed else None
-    return round1_top_L(m, indices[0], signs)
+    """The top-L message machine m sends: its row m of ``select_top_k`` over
+    a stack whose rows before m are zeros, with its ``selected_signs`` row
+    when signed."""
+    stack = np.zeros((m + 1, np.size(xi)))
+    stack[m] = xi
+    indices = select_top_k(stack, L)
+    signs = selected_signs(stack, indices)[m] if signed else None
+    return round1_top_L(m, indices[m], signs)
 
 
 def _restricted_message(m, X, y, support):
@@ -264,8 +266,6 @@ class TestStackedSelection:
         idx = select_top_k(stack, 2)
         with pytest.raises(ValueError, match="machine 1: a NaN"):
             selected_signs(stack, idx)
-        with pytest.raises(ValueError, match="machine 7: a NaN"):
-            selected_signs(stack, idx, machine_ids=[5, 7, 9])
         assert selected_signs(stack[:1], idx[:1]).tolist() == [[1, -1]]
 
     @pytest.mark.parametrize("select", [lambda s: select_top_k(s, 1), lambda s: select_threshold(s, 1.0)])
