@@ -11,7 +11,10 @@ least-squares lasso objective (1/2n)||y - Xw||^2 + lam*||w||_1.
 solver (Friedman, Hastie & Tibshirani 2010, *J. Stat. Softw.*): each outer
 pass checks the KKT conditions of every coordinate with one gradient
 product, then runs cyclic coordinate descent over the nonzero coordinates
-plus the violators only. ``cd_gram_stack`` solves many problems that share
+plus the violators only. The gradient the solve ends on is the full product
+at the returned solution: its KKT residual is the fit's certificate, and
+``cd_residual`` hands it back as X'(y - X w)/n, the fit's X'r over n, which
+the debiasing step reuses. ``cd_gram_stack`` solves many problems that share
 one G (a machine's nodewise regressions) with the same passes, in lockstep:
 one gradient product for all unfinished problems, their working sets padded
 to a common width, and each coordinate update applied to every problem at
@@ -94,7 +97,9 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
     and repeat it until ``max_sweeps``. So does a one-sweep pass that moved
     nothing by ``coef_tol`` or more when the KKT residual comes only from
     coordinates that are not free. Both report ``max_sweeps``, as a budget
-    run out would. Returns (sweeps, kkt, converged).
+    run out would. Returns (sweeps, kkt, converged, g): on every exit ``g``
+    is the full gradient ``gradient(w.nonzero()[0])`` at the returned ``w``,
+    and ``kkt`` is its KKT residual.
     """
     free = diag > 0.0
     if skip >= 0:
@@ -110,11 +115,11 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
             kkt = kkt_residual(g, w, lam, skip)
             converged = inner_converged and kkt <= kkt_tol
             if converged or sweeps >= max_sweeps:
-                return sweeps, kkt, converged
+                return sweeps, kkt, converged, g
             # Only coordinates held at zero violate KKT, and the working set has
             # settled: every later pass would make roundoff-sized moves.
             if settled and kkt_residual(g[free], w[free], lam) <= kkt_tol:
-                return max_sweeps, kkt, False
+                return max_sweeps, kkt, False, g
         A = (free & ((w != 0.0) | (np.abs(g) > lam))).nonzero()[0]
         B = block(A)
         gA, wA, bA = g[A], w[A].tolist(), B.diagonal().tolist()
@@ -144,8 +149,8 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
             if kkt is None:
                 kkt = kkt_residual(g, w, lam, skip)
             if inner_converged and kkt <= kkt_tol:
-                return sweeps, kkt, True
-            return max_sweeps, kkt, False
+                return sweeps, kkt, True, g
+            return max_sweeps, kkt, False, g
         w[A] = wA
         g = gradient(w.nonzero()[0])
 
@@ -158,7 +163,7 @@ def cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
     coordinates. Returns (u, sweeps, kkt, converged) with u = G @ w.
     """
     # G is symmetric, so its rows stand in for its columns.
-    sweeps, kkt, converged = _active_set_cd(
+    sweeps, kkt, converged, _ = _active_set_cd(
         lambda nz: c - w[nz] @ G[nz],
         lambda A: G[A[:, None], A],
         G.diagonal(),
@@ -174,42 +179,40 @@ def gram_diagonal(X):
     return np.einsum("...ij,...ij->...j", X, X) / X.shape[-2]
 
 
-def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag=None, c=None):
+def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag, c, g):
     """Active-set CD without a cached Gram matrix. ``w`` in place.
 
     The gradient is X'(y - X w)/n and the block G[A, A] is formed lazily
     from the working-set columns; ``X`` and ``y`` are not modified.
-    ``diag`` is ``gram_diagonal(X)``, computed here when not given; only
-    which of its entries are positive is read. ``c`` is X'y/n: when given,
-    it is the gradient wherever every coefficient is zero, in place of the
-    product with X. Neither is written, so a caller that holds them for a
-    stack of designs passes a row of each. A zero start where zero is
-    optimal (``zero_start_solves``) returns (1, 0.0, True) at once, as the
-    solver's first pass would. Returns (sweeps, kkt, converged).
+    ``diag`` is ``gram_diagonal(X)``, of which only which entries are
+    positive is read, and ``c`` is X'y/n, the gradient wherever every
+    coefficient is zero, used there in place of the product with X. Neither
+    is written, so a caller that holds them for a stack of designs passes a
+    row of each. The solver's last gradient, X'(y - X w)/n at the returned
+    ``w``, is written into ``g`` (length d); the returned KKT residual is
+    read off it. A zero start where zero is optimal (``zero_start_solves``)
+    writes ``c`` and returns (1, 0.0, True) at once, as the solver's first
+    pass would. Returns (sweeps, kkt, converged).
     """
     n = X.shape[0]
 
     def gradient(nz):
-        if c is not None and not nz.size:
+        if not nz.size:
             return c
         return X.T @ (y - X[:, nz] @ w[nz]) / n
 
-    if max_sweeps >= 1 and not w.any():
-        if c is None:
-            c = gradient(w.nonzero()[0])  # X'y/n, the gradient at w = 0
-        if zero_start_solves(c, lam):
-            return 1, 0.0, True
+    if max_sweeps >= 1 and not w.any() and zero_start_solves(c, lam):
+        g[:] = c
+        return 1, 0.0, True
 
     def block(A):
         XA = X[:, A]
         return XA.T @ XA / n
 
-    return _active_set_cd(
-        gradient,
-        block,
-        gram_diagonal(X) if diag is None else diag,
-        lam, w, -1, max_sweeps, coef_tol, kkt_tol,
+    sweeps, kkt, converged, g[:] = _active_set_cd(
+        gradient, block, diag, lam, w, -1, max_sweeps, coef_tol, kkt_tol
     )
+    return sweeps, kkt, converged
 
 
 def _padded(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

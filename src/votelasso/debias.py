@@ -20,9 +20,10 @@ paper-scale machine (d=5000, n=250) about 2.9, so one machine's estimate
 takes 0.15 MB instead of 200 MB. The debiasing step (all machines of a
 replication at once, stacked along a leading axis) is one sparse mat-vec
 over the block diagonal of the machines' estimates (``block_diagonal``),
-and the sandwich variance (Omega_hat Sigma_hat Omega_hat')_ii is computed row by
-row as ||X omega_i||^2 / n from the design columns of row i's nonzeros,
-without a Gram matrix.
+applied to the X'(y - X theta_tilde)/n that each machine's lasso solver
+ended on. The sandwich variance (Omega_hat Sigma_hat Omega_hat')_ii is
+computed row by row as ||X omega_i||^2 / n from the design columns of row
+i's nonzeros, without a Gram matrix.
 
 The residual scale is tau_i^2 = ||x_i - X_{-i} g_i||^2 / n + lam * ||g_i||_1,
 the tau-hat^2 of van de Geer, Buhlmann, Ritov and Dezeure (2014, Ann.
@@ -220,34 +221,19 @@ def block_diagonal(omegas: list[SparseRows]) -> SparseRows:
     return SparseRows(indptr=indptr, indices=indices, data=np.concatenate([o.data for o in omegas]))
 
 
-def debias(
-    X: np.ndarray,
-    Y: np.ndarray,
-    theta_tilde: np.ndarray,
-    omega: SparseRows,
-    xty: np.ndarray | None = None,
-) -> np.ndarray:
+def debias(theta_tilde: np.ndarray, grad: np.ndarray, omega: SparseRows) -> np.ndarray:
     """One-step correction of M machines at once, stacked along axis 0:
-    row m is theta_tilde_m + Omega_m X_m'(y_m - X_m theta_tilde_m)/n.
+    row m is theta_tilde_m + Omega_m grad_m, where grad_m is machine m's
+    X_m'(y_m - X_m theta_tilde_m)/n.
 
-    ``X`` is (M, n, d), ``Y`` is (M, n), ``theta_tilde`` is (M, d) and
-    ``omega`` is the ``block_diagonal`` of the M precision estimates (for
-    one machine, its own estimate); returns (M, d). ``xty`` is the
-    undivided X'y, (M, d), when the caller has formed it as
-    ``(Y[:, None, :] @ X)[:, 0, :]``; it is formed here otherwise. A row
-    whose lasso estimate is zero has residual y, so its X'r is that row of
-    X'y; only the other rows form their residual and X'r, one machine at a
-    time. Every row equals the single-machine product bit for bit, and the
-    mat-vec is one pass over the block diagonal.
+    ``theta_tilde`` and ``grad`` are (M, d) and ``omega`` is the
+    ``block_diagonal`` of the M precision estimates (for one machine, its
+    own estimate); returns (M, d). The lasso solver ends on that gradient
+    (``LassoFit.gradient``, or c - u of a Gram fit), so debiasing forms no
+    residual. Every row equals the single-machine product bit for bit, and
+    the mat-vec is one pass over the block diagonal.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[1]
-    if xty is None:
-        xty = (Y[:, None, :] @ X)[:, 0, :]
-    xtr = xty.copy()
-    for m in theta_tilde.any(axis=1).nonzero()[0]:
-        xtr[m] = (Y[m] - X[m] @ theta_tilde[m]) @ X[m]
-    return theta_tilde + omega.matvec(xtr.ravel()).reshape(xtr.shape) / n
+    return theta_tilde + omega.matvec(grad.ravel()).reshape(grad.shape)
 
 
 def standardize(theta_hat: np.ndarray, c_diag: np.ndarray, sigma: float, n: int) -> np.ndarray:

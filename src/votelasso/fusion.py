@@ -58,7 +58,8 @@ _NO_INDICES = np.empty(0, dtype=np.int64)
 def _vote_fault(msgs: list[Message], d: int) -> Exception:
     """The exception for the first message, in machine-id order, that fails
     a check of ``tally``, at the first check it fails. The checks, in order:
-    a repeated sender, a payload that is not a vote, indices not strictly
+    a repeated sender, a payload that is not a vote, indices that are not a
+    1-D integer array, signs that are not integers, indices not strictly
     increasing in [0, d), other than one sign per index, a sign not +-1."""
     for prev, msg in zip([None, *msgs], msgs):
         machine, payload = msg.machine_id, msg.payload
@@ -67,6 +68,11 @@ def _vote_fault(msgs: list[Message], d: int) -> Exception:
         if not isinstance(payload, (IndexSet, SignedIndexSet)):
             return TypeError("tally expects IndexSet or SignedIndexSet payloads")
         idx = np.asarray(payload.indices)
+        # Integer kinds are signed and unsigned; bools are not counted.
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            return ValueError(f"machine {machine}: indices must be a 1-D integer array")
+        if isinstance(payload, SignedIndexSet) and np.asarray(payload.signs).dtype.kind not in "iu":
+            return ValueError(f"machine {machine}: signs must be integers")
         if idx.size and (idx.min() < 0 or idx.max() >= d or (idx[1:] <= idx[:-1]).any()):
             return ValueError(f"machine {machine}: indices must be strictly increasing in [0, {d})")
         if isinstance(payload, SignedIndexSet):
@@ -81,13 +87,14 @@ def tally(messages: list[Message], d: int) -> VoteTally:
     """Count, per index, how many machines sent it; sum attached signs.
 
     Raises ValueError for a duplicate sender, or for a payload whose
-    indices are not strictly increasing in [0, d) or whose signs are not
-    +-1 one per index; TypeError for a payload that is not a vote. Messages
-    are checked in machine-id order, each through those checks in turn, and
-    the first fault found is raised. The checks and the counts each run as
-    one vectorized pass over all messages' concatenated indices; only when
-    the checks fail does a machine-by-machine pass (``_vote_fault``) find
-    the fault to raise.
+    indices are not a 1-D integer array strictly increasing in [0, d) or
+    whose signs are not integers +-1 one per index; TypeError for a payload
+    that is not a vote. Messages are checked in machine-id order, each
+    through those checks in turn, and the first fault found is raised. The
+    type checks read each payload's dtypes once; the value checks and the
+    counts each run as one vectorized pass over all messages' concatenated
+    indices. Only when a check fails does a machine-by-machine pass
+    (``_vote_fault``) find the fault to raise.
     """
     msgs = _sorted_by_machine(messages)
     payloads = [msg.payload for msg in msgs]
@@ -97,7 +104,10 @@ def tally(messages: list[Message], d: int) -> VoteTally:
         raise _vote_fault(msgs, d)
     idx = [np.asarray(p.indices) for p in payloads]
     signed = [(a, np.asarray(p.signs)) for a, p in zip(idx, payloads) if isinstance(p, SignedIndexSet)]
-    if any(s.shape != a.shape for a, s in signed):
+    if not (
+        all(a.ndim == 1 and a.dtype.kind in "iu" for a in idx)
+        and all(s.dtype.kind in "iu" and s.shape == a.shape for a, s in signed)
+    ):
         raise _vote_fault(msgs, d)
     flat = np.concatenate([_NO_INDICES, *idx], dtype=np.int64, casting="same_kind")
     s_idx = np.concatenate([_NO_INDICES, *(a for a, _ in signed)], dtype=np.int64, casting="same_kind")

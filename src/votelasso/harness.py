@@ -31,19 +31,21 @@ the oracle's pooled Gram, and the round-two operands met so far. A
 replication (``_rep_fits``) then computes only what depends on its noise,
 as one batched pass over the prefix where the arithmetic is the same on
 every machine: the (M, n) noise (``sample_noise``) and responses
-x_theta + sigma W, X'y formed once (the Gram lasso's input and, for every
-machine whose lasso estimate is zero, its X'r), the residuals and X'r of
-the machines whose estimate is not zero, one block-diagonal mat-vec, the
-standardization and the oracle's cross moments. Every row of these equals
-the single-machine result bit for bit, and sums over machines add them in
-machine order (``fusion.sum_rows``), so records do not depend on the
-batching. Three steps stay per machine. Each machine's noise comes from its
-own seeded stream. Each lasso fit (``fit_lasso_gram``, ``fit_lasso``)
-solves that machine's own problem, and the fits are the call sites the
-benchmark's probes count. Both read the machine's row of the replication's
-X'y/n; the covariance-free ``fit_lasso`` takes it as its gradient at the
-zero start and reads its row of ``gram_diag`` for its column norms and
-its check that X is finite, so it forms neither.
+x_theta + sigma W, X'y/n formed once (every lasso's input), one
+block-diagonal mat-vec, the standardization and the oracle's cross
+moments. Every row of these equals the single-machine result bit for bit,
+and sums over machines add them in machine order (``fusion.sum_rows``), so
+records do not depend on the batching. Three steps stay per machine. Each
+machine's noise comes from its own seeded stream. Each lasso fit
+(``fit_lasso_gram``, ``fit_lasso``) solves that machine's own problem, and
+the fits are the call sites the benchmark's probes count. Both read the
+machine's row of the replication's X'y/n; the covariance-free ``fit_lasso``
+takes it as its gradient at the zero start and reads its row of
+``gram_diag`` for its column norms and its check that X is finite, so it
+forms neither. No machine forms a residual: the debiasing mat-vec takes
+each machine's X'(y - X theta_tilde)/n from its fit, the solver's last
+gradient of a covariance-free fit (``LassoFit.gradient``) and X'y/n - u of
+a Gram fit, u = G theta_tilde. A zero fit's is its row of X'y/n.
 
 Messages are batched the same way. Each round-1 rule's selection runs once
 per replication for all M machines (``protocol.select_threshold``,
@@ -448,23 +450,25 @@ def _rep_fits(point: PointState, rep: int):
     n, M, sigma = point.n, point.M, point.sigma
     X = design.X[:M, :n]
     Y = point.x_theta + sigma * sample_noise(M, n, spec.base_seed, rep)
-    xty = (Y[:, None, :] @ X)[:, 0, :]
-    XtY = xty / n
+    XtY = (Y[:, None, :] @ X)[:, 0, :] / n
     theta_t = np.empty((M, spec.d))
     converged = np.empty(M, dtype=bool)
     sweeps = np.empty(M, dtype=np.int64)
     kkt = np.empty(M)
     if point.grams is not None:
+        u = np.empty((M, spec.d))  # each machine's G theta_tilde
         for m in range(M):
-            theta_t[m], _, sweeps[m], kkt[m], converged[m] = fit_lasso_gram(
+            theta_t[m], u[m], sweeps[m], kkt[m], converged[m] = fit_lasso_gram(
                 point.grams[m], XtY[m], point.lam
             )
+        grad = XtY - u
     else:
+        grad = np.empty((M, spec.d))  # each machine's X'(y - X theta_tilde)/n
         for m in range(M):
             fit = fit_lasso(X[m], Y[m], point.lam, gram_diag=point.gram_diag[m], c=XtY[m])
-            theta_t[m] = fit.coefficients
+            theta_t[m], grad[m] = fit.coefficients, fit.gradient
             converged[m], sweeps[m], kkt[m] = fit.converged, fit.iterations, fit.max_kkt_violation
-    theta_h = debias(X, Y, theta_t, point.omega, xty)
+    theta_h = debias(theta_t, grad, point.omega)
     xi = standardize(theta_h, point.c_diag, sigma, n)
     return theta_t, theta_h, xi, converged, sweeps, kkt, Y
 
@@ -829,10 +833,10 @@ def check_grid(config: ExperimentConfig, sweep_axis: str, grid: list, schemes: l
         raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
     if not grid:
         raise ValueError("grid must be nonempty")
-    top_l = any(s.startswith("top_L") for s in schemes)
-    known = config.sparsity_mode == "known" and top_l
-    if top_l and sweep_axis != "L":
-        _check_L(config.resolved_L(), spec, known)
+    known = config.sparsity_mode == "known" and any(s.startswith("top_L") for s in schemes)
+    # ExperimentConfig already holds a given L to an integer in [1, d].
+    if known and sweep_axis != "L" and config.resolved_L() < spec.K:
+        raise ValueError("top-L schemes need L >= K under known sparsity")
     for value in grid:
         if sweep_axis != "r" and not float(value).is_integer():
             raise ValueError(f"{sweep_axis} grid values must be whole numbers")

@@ -9,10 +9,11 @@ a cached Gram matrix, and solves a stack of problems that share one Gram
 matrix (a machine's nodewise regressions) in lockstep. Convergence requires
 both a small coefficient change and a small KKT residual over all
 coordinates, so a converged fit carries an optimality certificate.
-``fit_lasso`` recomputes it from X, y and the solution with one X'r
-product, except for a zero solution given X'y/n: there the gradient is the
-given X'y/n, and its residual is the certificate, as ``fit_lasso_gram``
-certifies from the G and X'y/n it is given.
+``fit_lasso`` reads it off the solver's last gradient, X'(y - X theta)/n at
+the returned solution, and returns that gradient too: it is the fit's X'r
+over n, which the debiasing step needs, so no fit forms it twice.
+``kkt_violation`` recomputes the same residual from X, y and a solution
+alone, as an independent check.
 
 Restricted least squares, the round-two fit on a broadcast support, is
 ``restricted_gram_inverse(X_S) @ restricted_xty(X_S, y)``. The inverse
@@ -43,13 +44,18 @@ def _check_lam(lam: float) -> None:
 
 @dataclass
 class LassoFit:
-    """Solution of (1/2n)||y - X theta||^2 + lam * ||theta||_1."""
+    """Solution of (1/2n)||y - X theta||^2 + lam * ||theta||_1.
+
+    ``gradient`` is X'(y - X theta)/n at ``coefficients``, the solver's last
+    gradient, and ``max_kkt_violation`` is its KKT residual.
+    """
 
     coefficients: np.ndarray
     lam: float
     iterations: int
     max_kkt_violation: float
     converged: bool
+    gradient: np.ndarray
 
 
 def fit_lasso(
@@ -63,21 +69,20 @@ def fit_lasso(
 ) -> LassoFit:
     """Solve the lasso by active-set coordinate descent.
 
-    Returns a LassoFit whose ``max_kkt_violation`` is recomputed from
-    scratch at the solution (``kkt_violation``), except for a zero solution
-    given ``c``: its gradient is c itself, so the residual is
-    ``_kernels.kkt_residual(c, 0, lam)`` as the solver read it, and no
-    product with X is formed. ``converged`` is True only when that residual
-    is within ``kkt_tol``. Non-convergence within ``max_sweeps`` is
-    reported, not raised.
+    Returns a LassoFit whose ``gradient`` is the solver's last gradient
+    X'(y - X theta)/n at the solution (``c`` itself for a zero solution) and
+    whose ``max_kkt_violation`` is that gradient's KKT residual, equal to
+    ``kkt_violation`` at the solution without forming X'r again.
+    ``converged`` is True only when the last sweep moved no coefficient by
+    ``COEF_TOL`` or more and that residual is within ``kkt_tol``.
+    Non-convergence within ``max_sweeps`` is reported, not raised.
 
     Two inputs that depend only on the design or that the caller has
-    already formed may be passed in, as ``debias(xty=)`` takes X'y:
-    ``gram_diag`` is the diagonal of X'X/n, each column's sum of squares
-    over n (``_kernels.gram_diagonal``), and ``c`` is X'y/n. Without them
-    the fit forms them itself, with the same result. ``c`` is the gradient
-    at the zero start and certifies a zero solution. The caller vouches that
-    both are those of X and y, as ``fit_lasso_gram``'s caller does for G and c.
+    already formed may be passed in: ``gram_diag`` is the diagonal of
+    X'X/n, each column's sum of squares over n (``_kernels.gram_diagonal``),
+    and ``c`` is X'y/n, the gradient at the zero start. Without them the fit
+    forms them itself, with the same result. The caller vouches that both
+    are those of X and y, as ``fit_lasso_gram``'s caller does for G and c.
 
     Every fit starts from zero. Raises ValueError for a NaN or inf in X, y
     or ``c``. X is checked in O(d) through its column sums of squares: a
@@ -96,25 +101,26 @@ def fit_lasso(
         raise ValueError("gram_diag has wrong length")
     if not (np.isfinite(diag).all() and np.isfinite(y).all()):
         raise ValueError("NaN or inf in lasso inputs")
-    w = np.zeros(d)
-    if c is not None:
+    if c is None:
+        c = X.T @ y / n
+    else:
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (d,):
             raise ValueError("c has wrong length")
         if not np.isfinite(c).all():
             raise ValueError("NaN or inf in lasso inputs")
+    w, g = np.zeros(d), np.empty(d)
     # Positional: the benchmark's probe of cd_residual takes no keywords.
     sweeps, kkt, converged = _kernels.cd_residual(
-        X, y, float(lam), w, int(max_sweeps), COEF_TOL, kkt_tol, diag, c
+        X, y, float(lam), w, int(max_sweeps), COEF_TOL, kkt_tol, diag, c, g
     )
-    # A zero solution's gradient is c, and the kernel's residual was read off it.
-    viol = kkt if c is not None and not w.any() else kkt_violation(X, y, lam, w)
     return LassoFit(
         coefficients=w,
         lam=float(lam),
         iterations=int(sweeps),
-        max_kkt_violation=float(viol),
-        converged=bool(converged and viol <= kkt_tol),
+        max_kkt_violation=float(kkt),
+        converged=bool(converged),
+        gradient=g,
     )
 
 

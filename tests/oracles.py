@@ -167,11 +167,13 @@ def loop_shards(spec, rep=0, n=None):
 
 def loop_rep_fits(point, rep):
     """Round one machine by machine, as ``harness._rep_fits`` computed it
-    before its stacked pass: noise, response, X'y, lasso, debiasing and
-    standardization, each a separate call per machine. The bitwise
-    reference for the stacked pass; do not batch it. Returns what
-    ``_rep_fits`` returns, (theta_tilde, theta_hat, xi, converged, sweeps,
-    kkt, Y), each stacked from the per-machine results."""
+    before its stacked pass: noise, response, X'y/n, lasso, debiasing and
+    standardization, each a separate call per machine. Each machine
+    debiases with the X'(y - X theta_tilde)/n of its own fit: the solver's
+    last gradient, or c - u of a Gram fit. The bitwise reference for the
+    stacked pass; do not batch it. Returns what ``_rep_fits`` returns,
+    (theta_tilde, theta_hat, xi, converged, sweeps, kkt, Y), each stacked
+    from the per-machine results."""
     from votelasso.datagen import TAG_NOISE, stream
     from votelasso.debias import standardize
     from votelasso.lasso import fit_lasso, fit_lasso_gram
@@ -185,14 +187,15 @@ def loop_rep_fits(point, rep):
         w = stream(spec.base_seed, TAG_NOISE, rep, m).standard_normal(design.n_cal)[:n]
         y = X @ point.theta_star + sigma * w
         if point.grams is not None:
-            theta_t, _, sweeps, kkt, conv = fit_lasso_gram(point.grams[m], X.T @ y / n, point.lam)
+            c = X.T @ y / n
+            theta_t, u, sweeps, kkt, conv = fit_lasso_gram(point.grams[m], c, point.lam)
+            grad = c - u
         else:
             fit = fit_lasso(X, y, point.lam)
-            theta_t, sweeps, kkt, conv = (
-                fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged
+            theta_t, sweeps, kkt, conv, grad = (
+                fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged, fit.gradient
             )
-        resid = y - X @ theta_t
-        theta_h = theta_t + point.omegas[m].matvec(X.T @ resid) / n
+        theta_h = theta_t + point.omegas[m].matvec(grad)
         xi = standardize(theta_h, point.c_diag[m], sigma, n)
         rows.append((theta_t, theta_h, xi, bool(conv), int(sweeps), float(kkt), y))
     return tuple(np.array(column) for column in zip(*rows))
@@ -273,7 +276,8 @@ def loop_aggregate(values, support, d):
 # free coordinates is within tolerance ends the solve out of budget. It is
 # the bitwise reference for ``_kernels.cd_gram`` and
 # ``_kernels.cd_residual``, which must return the same coefficients, sweeps,
-# residual and flag; do not optimize it.
+# residual and flag, and ``cd_residual`` the same last gradient; do not
+# optimize it.
 
 
 def _scalar_soft_threshold(z, gamma):
@@ -303,9 +307,9 @@ def _scalar_active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_
         kkt = _where_kkt_residual(g, w, lam, skip)
         converged = inner_converged and kkt <= kkt_tol
         if converged or sweeps >= max_sweeps:
-            return sweeps, kkt, converged
+            return sweeps, kkt, converged, g
         if pass_delta < coef_tol and _where_kkt_residual(g[free], w[free], lam) <= kkt_tol:
-            return max_sweeps, kkt, False
+            return max_sweeps, kkt, False, g
         A = np.flatnonzero(free & ((w != 0.0) | (np.abs(g) > lam)))
         B = block(A)
         gA, wA = g[A], w[A]
@@ -328,7 +332,7 @@ def _scalar_active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_
 
 def scalar_cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
     """Reference for ``_kernels.cd_gram``: same arguments, same return."""
-    sweeps, kkt, converged = _scalar_active_set_cd(
+    sweeps, kkt, converged, _ = _scalar_active_set_cd(
         lambda nz: c - w[nz] @ G[nz],
         lambda A: G[np.ix_(A, A)],
         np.diag(G),
@@ -339,7 +343,9 @@ def scalar_cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
 
 
 def scalar_cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
-    """Reference for ``_kernels.cd_residual``: same arguments, same return."""
+    """Reference for ``_kernels.cd_residual`` without its precomputed inputs
+    and output array: returns its (sweeps, kkt, converged) and then the
+    gradient X'(y - X w)/n at the returned w that it writes."""
     n = X.shape[0]
 
     def block(A):

@@ -44,11 +44,17 @@ def _nodewise_coefficients(est):
 
 def _round_one(X, y, lam, est, sigma):
     """One machine's round one from its own precision estimate:
-    (theta_tilde, theta_hat, xi_hat)."""
-    theta_tilde = fit_lasso(X, y, lam).coefficients
-    theta_hat = debias(X[None], y[None], theta_tilde[None], est.omega_hat)[0]
+    (theta_tilde, theta_hat, xi_hat), debiased with the fit's own gradient."""
+    fit = fit_lasso(X, y, lam)
+    theta_tilde = fit.coefficients
+    theta_hat = debias(theta_tilde[None], fit.gradient[None], est.omega_hat)[0]
     c_diag = sandwich_diag(est.omega_hat, X)
     return theta_tilde, theta_hat, standardize(theta_hat, c_diag, sigma, X.shape[0])
+
+
+def _debias_one(X, y, theta, omega):
+    """``debias`` of one machine at any ``theta``, given its X'(y - X theta)/n."""
+    return debias(theta[None], (X.T @ (y - X @ theta) / X.shape[0])[None], omega)[0]
 
 
 class TestEmpiricalCovariance:
@@ -260,7 +266,7 @@ class TestDebias:
         X = rng.standard_normal((20, 4))
         theta = rng.standard_normal(4)
         y = X @ theta
-        out = debias(X[None], y[None], theta[None], sparse_rows(rng.standard_normal((4, 4))))[0]
+        out = _debias_one(X, y, theta, sparse_rows(rng.standard_normal((4, 4))))
         assert np.allclose(out, theta)
 
     def test_exact_inverse_recovers_ols(self, rng):
@@ -271,32 +277,27 @@ class TestDebias:
         omega = sparse_rows(np.linalg.inv(empirical_covariance(X)))
         ols = np.linalg.lstsq(X, y, rcond=None)[0]
         for theta0 in (np.zeros(d), rng.standard_normal(d)):
-            assert np.abs(debias(X[None], y[None], theta0[None], omega)[0] - ols).max() <= 1e-8
+            assert np.abs(_debias_one(X, y, theta0, omega) - ols).max() <= 1e-8
 
     def test_matches_naive_oracle(self, rng):
         X = rng.standard_normal((9, 4))
         y = rng.standard_normal(9)
         theta = rng.standard_normal(4)
         omega = rng.standard_normal((4, 4))
-        out = debias(X[None], y[None], theta[None], sparse_rows(omega))[0]
+        out = _debias_one(X, y, theta, sparse_rows(omega))
         assert np.abs(out - naive_debias(X, y, theta, omega)).max() <= 1e-12
 
     def test_stacked_rows_equal_single_machine_calls(self, rng):
-        # Zero rows take their X'r from X'y, given or formed; the others form
-        # their residual. Every row must equal its machine's own call.
-        M, n, d = 5, 30, 12
-        X = rng.standard_normal((M, n, d))
-        Y = rng.standard_normal((M, n))
+        # Every row must equal its machine's own call bit for bit.
+        M, d = 5, 12
         theta = rng.standard_normal((M, d))
-        theta[[1, 3]] = 0.0
+        grad = rng.standard_normal((M, d))
         omegas = [sparse_rows(rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.3)
                               + np.eye(d)) for _ in range(M)]
-        block = block_diagonal(omegas)
-        xty = (Y[:, None, :] @ X)[:, 0, :]
-        for out in (debias(X, Y, theta, block), debias(X, Y, theta, block, xty)):
-            for m in range(M):
-                alone = debias(X[m][None], Y[m][None], theta[m][None], omegas[m])[0]
-                assert out[m].tobytes() == alone.tobytes()
+        out = debias(theta, grad, block_diagonal(omegas))
+        for m in range(M):
+            alone = debias(theta[m][None], grad[m][None], omegas[m])[0]
+            assert out[m].tobytes() == alone.tobytes()
 
     def test_matches_dense_matvec_on_nodewise_rows(self):
         spec = ProblemSpec(d=100, K=2, M=1, n=70, r=0.8, base_seed=9)
@@ -307,7 +308,7 @@ class TestDebias:
         omega = dense_rows(est.omega_hat)
         for theta in (np.zeros(100), rng.standard_normal(100)):
             dense = theta + omega @ (X.T @ (y - X @ theta)) / 70
-            assert np.abs(debias(X[None], y[None], theta[None], est.omega_hat)[0] - dense).max() <= 1e-12
+            assert np.abs(_debias_one(X, y, theta, est.omega_hat) - dense).max() <= 1e-12
 
 
 class TestBlockDiagonal:

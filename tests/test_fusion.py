@@ -111,6 +111,10 @@ def _faulty(kind, machine, d):
         return _idx_msg(machine, [2, 1])
     if kind == "sign count":
         return Message(machine, SignedIndexSet(np.array([0, 2]), np.array([1])))
+    if kind in OUTSIDE_INDICES:
+        return Message(machine, IndexSet(np.array(OUTSIDE_INDICES[kind])))
+    if kind == "float signs":
+        return Message(machine, SignedIndexSet(np.array([0, 2]), np.array([1.0, -1.0])))
     return _signed_msg(machine, [(0, 1), (2, 0)])
 
 
@@ -119,10 +123,19 @@ def _fault_text(kind, machine, d):
         return f"machine {machine}: 1 signs for 2 indices"
     if kind == "bad sign":
         return f"machine {machine}: signs must be -1 or +1"
+    if kind in OUTSIDE_INDICES:
+        return f"machine {machine}: indices must be a 1-D integer array"
+    if kind == "float signs":
+        return f"machine {machine}: signs must be integers"
     return f"machine {machine}: indices must be strictly increasing in [0, {d})"
 
 
-FAULTS = ["index below 0", "index d or more", "not increasing", "sign count", "bad sign"]
+# Index arrays no harness sends, from a decoder or a caller outside it.
+OUTSIDE_INDICES = {"float indices": [0.5, 1.0], "2-D indices": [[0, 1]], "bool indices": [False, True]}
+FAULTS = [
+    "index below 0", "index d or more", "not increasing", "sign count", "bad sign",
+    *OUTSIDE_INDICES, "float signs",
+]
 
 
 class TestTallyFaultOrder:
@@ -173,6 +186,18 @@ class TestTallyFaultOrder:
         with pytest.raises(ValueError) as exc:
             tally([count_and_value], 6)
         assert str(exc.value) == "machine 3: 1 signs for 2 indices"
+
+    def test_types_are_checked_before_values(self):
+        # The index type comes before the sign type, and both before the
+        # index range and the sign count.
+        both = Message(3, SignedIndexSet(np.array([0.0, 9.0]), np.array([1.5])))
+        with pytest.raises(ValueError) as exc:
+            tally([both], 6)
+        assert str(exc.value) == "machine 3: indices must be a 1-D integer array"
+        signs_and_range = Message(3, SignedIndexSet(np.array([0, 9]), np.array([1.5])))
+        with pytest.raises(ValueError) as exc:
+            tally([signs_and_range], 6)
+        assert str(exc.value) == "machine 3: signs must be integers"
 
 
 def _tally_of(votes, signs=None):

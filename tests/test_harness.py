@@ -30,6 +30,7 @@ from oracles import (
     loop_rep_fits,
     loop_round1_messages,
     loop_second_round,
+    naive_debias,
 )
 
 TIMING_FIELDS = ("wall_time", "shared_time")
@@ -940,8 +941,9 @@ class TestStackedRoundOne:
 
     def test_zero_fits_certified_from_the_replications_xty(self, monkeypatch):
         # Below n_cal every fit is covariance-free. A zero fit's certificate
-        # is read off its row of the stacked X'y/n; only the nonzero fits
-        # form X'r again, and every certificate equals the from-scratch one.
+        # is read off its row of the stacked X'y/n, a nonzero fit's off the
+        # solver's last gradient; no fit forms X'r again, and every
+        # certificate equals the from-scratch one.
         cfg = _config(M=6, lam=1.8)
         design = build_design(cfg)
         point = materialize(design, cfg, n=40)
@@ -958,10 +960,42 @@ class TestStackedRoundOne:
             theta_t, _, _, converged, _, kkt, Y = _rep_fits(point, rep)
             live = theta_t.any(axis=1)
             assert live.any() and not live.all() and converged.all()
-            assert len(calls) == int(live.sum())
+            assert not calls
             for m in range(point.M):
                 want = kkt_violation(design.X[m][: point.n], Y[m], point.lam, theta_t[m])
                 assert kkt[m] == pytest.approx(want, rel=0.0, abs=1e-12), (rep, m)
+
+    @pytest.mark.parametrize("n, lam", [(None, 1.3), (30, 1.8)], ids=["gram", "covariance_free"])
+    def test_debiasing_and_certificates_equal_their_from_scratch_values(
+        self, small_design, monkeypatch, n, lam
+    ):
+        # Each machine's theta_hat and KKT certificate come from its solver's
+        # last gradient, with no residual formed and no kkt_violation call.
+        # They must equal the naive debiasing of the residual y - X theta and
+        # the from-scratch certificate; bit for bit where the solver's
+        # gradient is X'r itself (covariance-free), to roundoff where it is
+        # X'y/n - G theta (Gram).
+        cfg, design = small_design
+        point = materialize(design, cfg.with_(lam=lam), n=n)
+        gram = point.grams is not None
+        assert gram == (n is None)
+        calls = []
+        monkeypatch.setattr(lasso, "kkt_violation", lambda *args: calls.append(args))
+        for rep in (0, 3):
+            theta_t, theta_h, _, converged, _, kkt, Y = _rep_fits(point, rep)
+            live = theta_t.any(axis=1)
+            assert live.any() and not live.all() and converged.all()
+            assert not calls
+            for m in range(point.M):
+                X = design.X[m][: point.n]
+                omega = dense_rows(point.omegas[m])
+                want = naive_debias(X, Y[m], theta_t[m], omega)
+                assert np.abs(theta_h[m] - want).max() <= 1e-12, (rep, m)
+                cert = kkt_violation(X, Y[m], point.lam, theta_t[m])
+                if gram:
+                    assert kkt[m] == pytest.approx(cert, rel=0.0, abs=1e-12), (rep, m)
+                else:
+                    assert kkt[m] == cert, (rep, m)
 
     @staticmethod
     def _assert_block_matches_machines(point, rng):
@@ -1037,8 +1071,8 @@ class TestScaleInvariance:
         c_diag = sandwich_diag(omega, X)
 
         def standardized(y, lam, sigma):
-            theta_tilde = fit_lasso(X, y, lam).coefficients
-            theta_hat = debias(X[None], y[None], theta_tilde[None], omega)[0]
+            fit = fit_lasso(X, y, lam)
+            theta_hat = debias(fit.coefficients[None], fit.gradient[None], omega)[0]
             return standardize(theta_hat, c_diag, sigma, X.shape[0])
 
         lam, c = 0.4, 3.7

@@ -12,6 +12,17 @@ from votelasso.lasso import MAX_SWEEPS, fit_lasso_gram
 from oracles import fista_lasso, scalar_cd_gram, scalar_cd_residual
 
 
+def _cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
+    """``_kernels.cd_residual`` given the Gram diagonal and X'y/n it reads:
+    its (sweeps, kkt, converged) and then the gradient it wrote."""
+    n, d = X.shape
+    g = np.full(d, np.nan)
+    out = _kernels.cd_residual(
+        X, y, lam, w, max_sweeps, coef_tol, kkt_tol, _kernels.gram_diagonal(X), X.T @ y / n, g
+    )
+    return (*out, g)
+
+
 @pytest.fixture
 def problem(rng):
     n, d = 40, 15
@@ -37,7 +48,7 @@ def test_zero_column_forced_to_zero(rng):
     X[:, 2] = 0.0
     y = rng.standard_normal(20)
     w = np.ones(4)
-    _kernels.cd_residual(np.asfortranarray(X), y.copy(), 0.1, w, 1000, 1e-9, 1e-7)
+    _cd_residual(np.asfortranarray(X), y.copy(), 0.1, w, 1000, 1e-9, 1e-7)
     assert w[2] == 0.0
 
 
@@ -83,7 +94,7 @@ def _both_forms(X, y, lam, w0, max_sweeps=10_000):
         X.T @ X / n, X.T @ y / n, lam, wg, -1, max_sweeps, 1e-9, 1e-7
     )
     yield wg, sweeps, kkt, conv
-    yield (wr, *_kernels.cd_residual(X, y, lam, wr, max_sweeps, 1e-9, 1e-7))
+    yield (wr, *_cd_residual(X, y, lam, wr, max_sweeps, 1e-9, 1e-7)[:3])
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "wrong_support"])
@@ -126,7 +137,7 @@ def test_skip_and_zero_diagonal_never_enter(working_sets, rng):
     assert working_sets and all(skip not in A and dead not in A for A in working_sets)
     working_sets.clear()
     w = np.full(d, 0.3)
-    _, _, conv = _kernels.cd_residual(X, y, 0.05, w, 1000, 1e-9, 1e-7)
+    _, _, conv, _ = _cd_residual(X, y, 0.05, w, 1000, 1e-9, 1e-7)
     assert conv and w[dead] == 0.0
     assert working_sets and all(dead not in A for A in working_sets)
 
@@ -257,9 +268,11 @@ def test_bit_identical_to_scalar_reference(seed):
     assert _same(w, w_ref) and _same(u, u_ref)
     if skip < 0:
         w, w_ref = w0.copy(), w0.copy()
-        out = _kernels.cd_residual(X, y, lam, w, *tols)
-        assert out == scalar_cd_residual(X, y, lam, w_ref, *tols)
-        assert _same(w, w_ref)
+        *out, g = _cd_residual(X, y, lam, w, *tols)
+        *out_ref, g_ref = scalar_cd_residual(X, y, lam, w_ref, *tols)
+        assert out == out_ref
+        # The gradient written on every exit is the full one at the solution.
+        assert _same(w, w_ref) and _same(g, g_ref)
 
 
 def test_settled_working_set_beside_unmovable_violator_stops():
@@ -307,9 +320,10 @@ def test_zero_solution_returns_after_one_gradient(gradient_calls, working_sets, 
     lam_r = float(np.abs(X.T @ y / n).max())
     for scale in (1.0, 1.5):
         w, w_ref = np.zeros(d), np.zeros(d)
-        out = _kernels.cd_residual(X, y, scale * lam_r, w, *tols)
-        assert out == scalar_cd_residual(X, y, scale * lam_r, w_ref, *tols)
-        assert _same(w, w_ref)
+        *out, g = _cd_residual(X, y, scale * lam_r, w, *tols)
+        *out_ref, g_ref = scalar_cd_residual(X, y, scale * lam_r, w_ref, *tols)
+        assert out == out_ref
+        assert _same(w, w_ref) and _same(g, g_ref)
     if max_sweeps:
         # cd_gram's one pass; the other two solves never entered the solver.
         assert gradient_calls[0] == 1 and working_sets == [set()]

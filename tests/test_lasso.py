@@ -72,10 +72,14 @@ class TestFitLasso:
         wrong = np.zeros(d)
         wrong[[0, 5, 25]] = 1.0
         w_res, w_gram = wrong.copy(), wrong.copy()
-        _, _, conv_res = _kernels.cd_residual(X, y, lam, w_res, MAX_SWEEPS, COEF_TOL, KKT_TOL)
+        g = np.empty(d)
+        _, _, conv_res = _kernels.cd_residual(
+            X, y, lam, w_res, MAX_SWEEPS, COEF_TOL, KKT_TOL, _kernels.gram_diagonal(X), X.T @ y / n, g
+        )
         _, _, kkt, conv = _kernels.cd_gram(X.T @ X / n, X.T @ y / n, lam, w_gram, -1, MAX_SWEEPS, COEF_TOL, KKT_TOL)
         assert conv_res and conv and kkt <= 1e-7
         assert kkt_violation(X, y, lam, w_res) <= 1e-7
+        assert np.array_equal(g, X.T @ (y - X[:, w_res != 0] @ w_res[w_res != 0]) / n)
         assert np.abs(w_res - expected).max() <= 1e-7
         assert np.abs(w_gram - expected).max() <= 1e-7
 
@@ -248,6 +252,7 @@ def _same_fit(a, b):
         and a.iterations == b.iterations
         and a.max_kkt_violation == b.max_kkt_violation
         and a.converged == b.converged
+        and np.array_equal(a.gradient, b.gradient)
     )
 
 
@@ -319,8 +324,9 @@ class TestPrecomputedInputs:
 
 
 class TestZeroFitCertificate:
-    """A zero solution given c = X'y/n is certified from c; every other fit
-    recomputes its residual from X, y and the solution."""
+    """Every fit is certified from the solver's last gradient, which it
+    returns: c itself for a zero solution given c = X'y/n. No fit calls
+    ``kkt_violation``, and every certificate equals the from-scratch one."""
 
     @pytest.fixture
     def kkt_calls(self, monkeypatch):
@@ -349,6 +355,7 @@ class TestZeroFitCertificate:
         kwargs = {"max_sweeps": 0} if case == "no_sweeps" else {}
         fit = fit_lasso(X, y, lam, c=c, **kwargs)
         assert not kkt_calls and not fit.coefficients.any()
+        assert np.array_equal(fit.gradient, c)
         assert fit.max_kkt_violation == _kernels.kkt_residual(c, np.zeros(c.size), lam)
         assert fit.converged == (case != "no_sweeps")
         # The from-scratch certificate of the same zero solution agrees.
@@ -357,14 +364,19 @@ class TestZeroFitCertificate:
             assert fit.max_kkt_violation == pytest.approx(0.5 * top)
 
     @pytest.mark.parametrize("case", ["nonzero", "without_c"])
-    def test_other_fits_recompute_the_certificate_once(self, rng, kkt_calls, case):
+    def test_other_fits_certify_from_the_solvers_gradient(self, rng, kkt_calls, case):
         X, y, c, top = self._problem(rng)
         lam = 0.3 * top if case == "nonzero" else 1.5 * top
         kwargs = {"nonzero": {"c": c}, "without_c": {}}[case]
         fit = fit_lasso(X, y, lam, **kwargs)
-        assert len(kkt_calls) == 1
+        assert not kkt_calls
         assert fit.coefficients.any() == (case == "nonzero")
-        assert fit.max_kkt_violation == kkt_violation(X, y, lam, fit.coefficients)
+        # The gradient is X'r/n at the solution, and the certificate is its
+        # residual: both equal their from-scratch values bit for bit.
+        theta = fit.coefficients
+        nz = theta.nonzero()[0]
+        assert np.array_equal(fit.gradient, X.T @ (y - X[:, nz] @ theta[nz]) / X.shape[0])
+        assert fit.max_kkt_violation == kkt_violation(X, y, lam, theta)
         assert fit.converged
         # The same value as a fit given c where c is read.
         assert _same_fit(fit, fit_lasso(X, y, lam, c=c))
