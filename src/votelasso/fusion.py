@@ -5,11 +5,18 @@ All folds sort messages by machine id first, so results are independent of
 arrival order, and reject a second message from the same machine; the
 second-round and dense folds also reject a NaN or inf in any real field.
 Ties in every selection rule break toward the lower index.
+
+Each fold checks all of its messages at once: payload types as one set of
+exact types, the tally's index and sign values as one pass over their
+concatenation. Only a failed check walks the machines one by one, so a
+fault is always reported for the first faulty machine by id, at the first
+check it fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,7 +47,7 @@ class SupportEstimate:
 
 
 def _sorted_by_machine(messages: list[Message]) -> list[Message]:
-    return sorted(messages, key=lambda m: m.machine_id)
+    return sorted(messages, key=attrgetter("machine_id"))
 
 
 def sum_rows(rows: np.ndarray) -> np.ndarray:
@@ -53,6 +60,10 @@ def sum_rows(rows: np.ndarray) -> np.ndarray:
 
 
 _NO_INDICES = np.empty(0, dtype=np.int64)
+_VOTES = (IndexSet, SignedIndexSet)
+_VOTE_TYPES = set(_VOTES)
+_INTEGER_KINDS = {"i", "u"}
+_INDEX_TYPES = {(1, kind) for kind in _INTEGER_KINDS}
 
 
 def _vote_fault(msgs: list[Message], d: int) -> Exception:
@@ -65,7 +76,7 @@ def _vote_fault(msgs: list[Message], d: int) -> Exception:
         machine, payload = msg.machine_id, msg.payload
         if prev is not None and prev.machine_id == machine:
             return ValueError(f"duplicate sender {machine}")
-        if not isinstance(payload, (IndexSet, SignedIndexSet)):
+        if not isinstance(payload, _VOTES):
             return TypeError("tally expects IndexSet or SignedIndexSet payloads")
         idx = np.asarray(payload.indices)
         # Integer kinds are signed and unsigned; bools are not counted.
@@ -90,41 +101,58 @@ def tally(messages: list[Message], d: int) -> VoteTally:
     indices are not a 1-D integer array strictly increasing in [0, d) or
     whose signs are not integers +-1 one per index; TypeError for a payload
     that is not a vote. Messages are checked in machine-id order, each
-    through those checks in turn, and the first fault found is raised. The
-    type checks read each payload's dtypes once; the value checks and the
-    counts each run as one vectorized pass over all messages' concatenated
-    indices. Only when a check fails does a machine-by-machine pass
-    (``_vote_fault``) find the fault to raise.
+    through those checks in turn, and the first fault found is raised.
+
+    The checks run over all messages at once: the payloads' types as one
+    set, the index arrays' (ndim, dtype kind) pairs as one set, then one
+    range comparison, one order comparison and one sign comparison over
+    the concatenated indices and signs, which also feed the counts. When
+    every payload is signed the indices are concatenated once for both;
+    when none is, the sign sums are zeros and no sign pass runs.
+    Only when a check fails does a machine-by-machine pass (``_vote_fault``)
+    find the fault to raise.
     """
     msgs = _sorted_by_machine(messages)
     payloads = [msg.payload for msg in msgs]
-    if len({msg.machine_id for msg in msgs}) < len(msgs) or not all(
-        isinstance(p, (IndexSet, SignedIndexSet)) for p in payloads
+    kinds = set(map(type, payloads))
+    if len({msg.machine_id for msg in msgs}) < len(msgs) or not (
+        kinds <= _VOTE_TYPES or all(isinstance(p, _VOTES) for p in payloads)
     ):
         raise _vote_fault(msgs, d)
     idx = [np.asarray(p.indices) for p in payloads]
-    signed = [(a, np.asarray(p.signs)) for a, p in zip(idx, payloads) if isinstance(p, SignedIndexSet)]
+    if kinds <= {IndexSet}:
+        signed_idx, signs = [], []
+    elif kinds <= {SignedIndexSet}:
+        signed_idx, signs = idx, [np.asarray(p.signs) for p in payloads]
+    else:
+        pairs = [(a, p.signs) for a, p in zip(idx, payloads) if isinstance(p, SignedIndexSet)]
+        signed_idx, signs = [a for a, _ in pairs], [np.asarray(s) for _, s in pairs]
+    # Integer kinds are signed and unsigned; bools are not counted.
     if not (
-        all(a.ndim == 1 and a.dtype.kind in "iu" for a in idx)
-        and all(s.dtype.kind in "iu" and s.shape == a.shape for a, s in signed)
+        {(a.ndim, a.dtype.kind) for a in idx} <= _INDEX_TYPES
+        and {s.dtype.kind for s in signs} <= _INTEGER_KINDS
+        and [s.shape for s in signs] == [a.shape for a in signed_idx]
     ):
         raise _vote_fault(msgs, d)
     flat = np.concatenate([_NO_INDICES, *idx], dtype=np.int64, casting="same_kind")
-    s_idx = np.concatenate([_NO_INDICES, *(a for a, _ in signed)], dtype=np.int64, casting="same_kind")
-    s_val = np.concatenate([_NO_INDICES, *(s for _, s in signed)])
     # Shifting message i's indices by i * d makes the whole list strictly
     # increasing exactly when each message's indices are, given that they
-    # all lie in [0, d).
+    # all lie in [0, d); as uint64 a negative index is d or more.
     key = flat + np.repeat(np.arange(0, len(idx) * d, d), [a.size for a in idx])
-    in_order = flat.size == 0 or (flat.min() >= 0 and flat.max() < d and (key[1:] > key[:-1]).all())
-    if not (in_order and (np.abs(s_val) == 1).all()):
+    if not ((flat.view(np.uint64) < d).all() and (key[1:] > key[:-1]).all()):
         raise _vote_fault(msgs, d)
-    return VoteTally(
-        votes=np.bincount(flat, minlength=d).astype(np.int64, copy=False),
-        # Exact: the weights are +-1, so every sum is a small integer.
-        sign_sums=np.bincount(s_idx, weights=s_val, minlength=d).astype(np.int64),
-        contributing_machines=len(messages),
-    )
+    votes = np.bincount(flat, minlength=d).astype(np.int64, copy=False)
+    if not signs:
+        return VoteTally(votes, np.zeros_like(votes), contributing_machines=len(messages))
+    s_idx = flat
+    if signed_idx is not idx:
+        s_idx = np.concatenate([_NO_INDICES, *signed_idx], dtype=np.int64, casting="same_kind")
+    s_val = np.concatenate([_NO_INDICES, *signs])
+    if not (np.abs(s_val) == 1).all():
+        raise _vote_fault(msgs, d)
+    # Exact: the weights are +-1, so every sum is a small integer.
+    sign_sums = np.bincount(s_idx, weights=s_val, minlength=d).astype(np.int64)
+    return VoteTally(votes, sign_sums, contributing_machines=len(messages))
 
 
 def select_topk(t: VoteTally, K: int, use_signs: bool = False) -> SupportEstimate:
@@ -151,7 +179,10 @@ def select_vote_threshold(
 
 
 def select_majority(t: VoteTally, M: int) -> SupportEstimate:
-    """Indices with at least M/2 votes (boundary inclusive)."""
+    """Indices with at least M/2 votes (boundary inclusive). ValueError
+    unless M is a positive integer (a bool is not one)."""
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
+        raise ValueError(f"M must be an integer, not {M!r}")
     if M < 1:
         raise ValueError("M must be positive")
     idx = (t.votes >= M / 2).nonzero()[0]
@@ -171,19 +202,30 @@ def _receipt(
     whose shape differs between machines, and last for a NaN or inf in any
     real field, naming the first machine that sent one; the first fault
     found in that order is raised.
+
+    The payload types are read as one set, with an ``isinstance`` pass only
+    when a subclass is among them. The support check first asks whether
+    every payload holds the ``support`` array itself, as the harness's
+    messages do, and stacks and compares the supports only when one holds
+    another array.
     """
     msgs = _sorted_by_machine(messages)
     if not msgs:
         raise ValueError("no machines")
     payloads = [msg.payload for msg in msgs]
-    if not all(isinstance(p, payload_type) for p in payloads):
+    if not (
+        set(map(type, payloads)) == {payload_type} or all(isinstance(p, payload_type) for p in payloads)
+    ):
         raise TypeError(f"{fold} expects {payload_type.__name__} payloads")
     ids = [msg.machine_id for msg in msgs]
     if len(set(ids)) < len(ids):
         raise ValueError(f"duplicate sender {next(a for a, b in zip(ids, ids[1:]) if a == b)}")
     if support is not None and not (
-        all(p.support.shape == support.shape for p in payloads)
-        and (np.array([p.support for p in payloads]) == support).all()
+        all(p.support is support for p in payloads)
+        or (
+            all(p.support.shape == support.shape for p in payloads)
+            and (np.array([p.support for p in payloads]) == support).all()
+        )
     ):
         raise ValueError("inconsistent round-2 support")
     fields = {}
@@ -208,13 +250,16 @@ def avg_debiased(
     Exactly one of ``K`` (top-K of |mean|) or ``threshold`` (strict magnitude
     cut) selects the support. Returns the full coordinate-wise mean; the
     scheme's final estimate is that mean restricted to the support.
-    ValueError for a NaN ``threshold``, for estimates of mismatched lengths
-    and for a NaN or inf in an estimate.
+    ValueError for a NaN or negative ``threshold``, for estimates of
+    mismatched lengths and for a NaN or inf in an estimate.
     """
     if (K is None) == (threshold is None):
         raise ValueError("pass exactly one of K or threshold")
-    if threshold is not None and np.isnan(threshold):
-        raise ValueError("threshold must not be NaN")
+    if threshold is not None:
+        if np.isnan(threshold):
+            raise ValueError("threshold must not be NaN")
+        if threshold < 0:
+            raise ValueError("threshold must be nonnegative")
     theta_avg = np.mean(_receipt(messages, DenseEstimate, "avg_debiased")["values"], axis=0)
     if K is not None:
         idx = top_k_indices(theta_avg, K)

@@ -271,10 +271,10 @@ class ExperimentRecord:
 
 def f_measure(S_hat, S) -> tuple[float, float, float]:
     """(F, precision, recall). Empty S_hat scores 0 with precision 0."""
-    S = set(int(i) for i in S)
+    S = set(np.asarray(S).tolist())
     if not S:
         raise ValueError("true support must be nonempty")
-    S_hat = set(int(i) for i in S_hat)
+    S_hat = set(np.asarray(S_hat).tolist())
     if not S_hat:
         return 0.0, 0.0, 0.0
     inter = len(S & S_hat)
@@ -644,6 +644,12 @@ class _RepMemo:
         return self._cached(self._round2, support.tobytes(), compute)
 
 
+def _l2(diff: np.ndarray) -> float:
+    """The l2 norm of a 1-D float64 vector, by the dot product and square
+    root ``np.linalg.norm`` takes for one, so bit for bit the same."""
+    return math.sqrt(diff @ diff)
+
+
 def _eval_scheme(
     scheme: str,
     config: ExperimentConfig,
@@ -676,7 +682,7 @@ def _eval_scheme(
         else:
             theta, bits_r2 = second
     f, prec, rec = f_measure(S_hat, point.design.support)
-    l2 = None if no_estimate else float(np.linalg.norm(theta - point.theta_star))
+    l2 = None if no_estimate else _l2(theta - point.theta_star)
     bits_r1_total = sum(bits_r1)
     log = fusion.fusion_log_record(scheme, est, t, point.tau, bits_r1_total)
     return ExperimentRecord(
@@ -704,7 +710,7 @@ def _oracle_error(point: PointState, ys: np.ndarray) -> float:
     beta = np.linalg.solve(point.oracle_gram, v)
     theta = np.zeros(point.design.spec.d)
     theta[S] = beta
-    return float(np.linalg.norm(theta - point.theta_star))
+    return _l2(theta - point.theta_star)
 
 
 def run_point_rep(

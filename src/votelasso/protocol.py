@@ -143,6 +143,18 @@ def select_threshold(xi: np.ndarray, tau: float) -> tuple[list[np.ndarray], list
     return [indices[a:b] for a, b in bounds], [signs[a:b] for a, b in bounds]
 
 
+def _rank_key(scores: np.ndarray) -> np.ndarray:
+    """The top-k rank key of each entry: -|score|, and 1 for a NaN."""
+    return -np.fmax(np.abs(scores), -1.0)
+
+
+def _check_k(k, d: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, not {k!r}")
+    if not 1 <= k <= d:
+        raise ValueError(f"k must lie in [1, {d}]")
+
+
 def select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """The top-k rule on a stack: row m of the read-only (M, k) int64
     result holds the indices of the k largest |scores[m]|, increasing.
@@ -157,12 +169,9 @@ def select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     stable argsort keeps. Raises ValueError unless ``scores`` is 2-D and k
     is an integer in [1, d].
     """
-    key = -np.fmax(np.abs(_stack(scores)), -1.0)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, not {k!r}")
+    key = _rank_key(_stack(scores))
     M, d = key.shape
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}]")
+    _check_k(k, d)
     kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
     mask = key <= kth
     flat = mask.ravel().nonzero()[0]
@@ -197,13 +206,27 @@ def selected_signs(scores: np.ndarray, indices: np.ndarray) -> np.ndarray:
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """The indices of the k largest |scores| of a 1-D array, increasing, as
-    read-only int64: ``select_top_k`` of it as a one-row stack. Raises
+    read-only int64, by ``select_top_k``'s rule and rank key on one row.
+
+    One ``np.partition`` finds the k-th key and one comparison selects the
+    entries at or below it. On a tie at the k-th key it keeps the entries
+    strictly below and then the first tied indices, and sorts them. Raises
     ValueError unless ``scores`` is 1-D and k is an integer in
     [1, len(scores)]."""
     scores = np.asarray(scores)
     if scores.ndim != 1:
         raise ValueError("scores must be 1-D")
-    return select_top_k(scores[None], k)[0]
+    key = _rank_key(scores)
+    _check_k(k, key.size)
+    kth = np.partition(key, k - 1)[k - 1]
+    idx = (key <= kth).nonzero()[0]
+    if idx.size != k:
+        tied = (key == kth).nonzero()[0]
+        idx = np.concatenate(((key < kth).nonzero()[0], tied[: k - (idx.size - tied.size)]))
+        idx.sort()
+    idx = idx.astype(np.int64, copy=False)
+    idx.setflags(write=False)
+    return idx
 
 
 def round1_thresh_votes(machine_id: int, indices: np.ndarray) -> Message:

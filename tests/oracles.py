@@ -145,6 +145,42 @@ def naive_tally(payloads, d):
     return np.array(votes), np.array(signs)
 
 
+def loop_tally_fault(messages, d):
+    """The exception ``fusion.tally`` documents for ``messages``, or None
+    when it accepts them: a plain loop over the machines in id order, each
+    taken through the checks in their documented order (a repeated sender,
+    a payload that is not a vote, indices not a 1-D integer array, signs not
+    integers, indices not strictly increasing in [0, d), other than one sign
+    per index, a sign not +-1), element by element in Python."""
+    from votelasso.protocol import IndexSet, SignedIndexSet
+
+    seen = set()
+    for msg in sorted(messages, key=lambda m: m.machine_id):
+        machine, payload = msg.machine_id, msg.payload
+        if machine in seen:
+            return ValueError(f"duplicate sender {machine}")
+        seen.add(machine)
+        if not isinstance(payload, (IndexSet, SignedIndexSet)):
+            return TypeError("tally expects IndexSet or SignedIndexSet payloads")
+        indices = np.asarray(payload.indices)
+        if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
+            return ValueError(f"machine {machine}: indices must be a 1-D integer array")
+        signed = isinstance(payload, SignedIndexSet)
+        if signed and not np.issubdtype(np.asarray(payload.signs).dtype, np.integer):
+            return ValueError(f"machine {machine}: signs must be integers")
+        values = [int(i) for i in indices]
+        for prev, i in zip([-1, *values], values):
+            if not prev < i < d:
+                return ValueError(f"machine {machine}: indices must be strictly increasing in [0, {d})")
+        if signed:
+            signs = np.asarray(payload.signs)
+            if signs.shape != indices.shape:
+                return ValueError(f"machine {machine}: {signs.size} signs for {indices.size} indices")
+            if any(int(s) not in (-1, 1) for s in signs):
+                return ValueError(f"machine {machine}: signs must be -1 or +1")
+    return None
+
+
 def loop_shards(spec, rep=0, n=None):
     """The designs ``datagen.sample_shards`` draws, machine by machine: each
     slab's standard normal draw from its own stream, then the AR(1) column

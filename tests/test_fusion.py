@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from votelasso.protocol import (
     SignedIndexSet,
 )
 
-from oracles import naive_tally, stable_top_k, tied_scores
+from oracles import loop_tally_fault, naive_tally, stable_top_k, tied_scores
 
 
 def _idx_msg(machine, indices):
@@ -200,6 +202,79 @@ class TestTallyFaultOrder:
         assert str(exc.value) == "machine 3: signs must be integers"
 
 
+class _Votes(IndexSet):
+    """A vote payload's subclass, which ``tally`` counts as its base."""
+
+
+class _SignedVotes(SignedIndexSet):
+    """A signed vote payload's subclass, counted as its base too."""
+
+
+def _random_vote(rng, machine, d, signed, subclass):
+    """A well-formed vote from ``machine``: 0 to d indices of a random
+    integer dtype, with int8 or int64 signs when ``signed``."""
+    size = 0 if rng.random() < 0.2 else int(rng.integers(1, d + 1))
+    idx = np.sort(rng.choice(d, size=size, replace=False))
+    idx = idx.astype(rng.choice([np.int64, np.int32, np.uint16, np.uint64]))
+    if not signed:
+        return Message(machine, (_Votes if subclass else IndexSet)(idx))
+    signs = rng.choice([-1, 1], size=size).astype(rng.choice([np.int64, np.int8]))
+    return Message(machine, (_SignedVotes if subclass else SignedIndexSet)(idx, signs))
+
+
+def _with_fault(rng, msgs, kind, machine, d):
+    """``msgs`` with one fault of ``kind`` at ``machine``: its message
+    replaced by a faulty or non-vote one, or a second message from it."""
+    if kind == "duplicate sender":
+        return [*msgs, _random_vote(rng, machine, d, signed=rng.random() < 0.5, subclass=False)]
+    bad = Message(machine, DenseEstimate(np.zeros(d))) if kind == "not a vote" else _faulty(kind, machine, d)
+    return [bad if msg.machine_id == machine else msg for msg in msgs]
+
+
+def test_tally_raises_what_a_machine_by_machine_pass_raises():
+    # Seeded message sets, all unsigned, all signed or mixed, some with
+    # empty payloads or payload subclasses, with zero to two faults at
+    # random machines and shuffled: tally raises the loop reference's
+    # exception, or counts what the brute-force oracle counts.
+    rng = np.random.default_rng(24)
+    kinds = [*FAULTS, "duplicate sender", "not a vote"]
+    outcomes = {}
+    for _ in range(3000):
+        d, M = int(rng.integers(3, 13)), int(rng.integers(1, 9))
+        mode = rng.choice(["unsigned", "signed", "mixed"])
+        subclass = rng.random() < 0.25
+        msgs = [
+            _random_vote(
+                rng, m, d,
+                signed=mode == "signed" or (mode == "mixed" and rng.random() < 0.5),
+                subclass=subclass and rng.random() < 0.5,
+            )
+            for m in range(M)
+        ]
+        for _ in range(int(rng.integers(0, 3))):
+            msgs = _with_fault(rng, msgs, rng.choice(kinds), int(rng.integers(M)), d)
+        msgs = [msgs[i] for i in rng.permutation(len(msgs))]
+        want = loop_tally_fault(msgs, d)
+        if want is None:
+            t = tally(msgs, d)
+            payloads = [
+                list(zip(msg.payload.indices.tolist(), msg.payload.signs.tolist()))
+                if isinstance(msg.payload, SignedIndexSet) else msg.payload.indices.tolist()
+                for msg in msgs
+            ]
+            votes, signs = naive_tally(payloads, d)
+            assert np.array_equal(t.votes, votes) and np.array_equal(t.sign_sums, signs)
+            assert t.votes.dtype == t.sign_sums.dtype == np.int64
+        else:
+            with pytest.raises(Exception) as exc:
+                tally(msgs, d)
+            assert type(exc.value) is type(want) and str(exc.value) == str(want)
+        outcome = "accepted" if want is None else re.sub(r"\d+", "N", str(want))
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    # Every check's fault and the fault-free case each came up many times.
+    assert len(outcomes) == 8 and min(outcomes.values()) >= 50, outcomes
+
+
 def _tally_of(votes, signs=None):
     votes = np.array(votes, dtype=np.int64)
     signs = np.zeros_like(votes) if signs is None else np.array(signs, dtype=np.int64)
@@ -275,6 +350,15 @@ class TestSelection:
     def test_majority_empty(self):
         assert select_majority(_tally_of([10, 20]), M=100).indices.size == 0
 
+    @pytest.mark.parametrize("M", [True, np.True_, 2.5, 2.0, np.float64(4.0)])
+    def test_majority_M_must_be_an_integer(self, M):
+        # Before, True counted as one machine and 2.5 as a half machine.
+        with pytest.raises(ValueError, match="M must be an integer"):
+            select_majority(_tally_of([1, 2, 3]), M)
+
+    def test_majority_numpy_integer_M_accepted(self):
+        assert list(select_majority(_tally_of([60, 40]), M=np.int64(100)).indices) == [0]
+
     def test_majority_never_more_permissive_than_threshold(self, rng):
         for _ in range(50):
             M = int(rng.integers(2, 30))
@@ -331,6 +415,18 @@ class TestAvgDebiased:
         msgs = [Message(0, DenseEstimate(np.array([0.5, 0.3, -0.4])))]
         with pytest.raises(ValueError, match="threshold must not be NaN"):
             avg_debiased(msgs, threshold=np.nan)
+
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-300, -np.inf])
+    def test_negative_threshold_rejected(self, threshold):
+        # Before, -1.0 selected all d coordinates.
+        msgs = [Message(0, DenseEstimate(np.array([0.5, 0.3, -0.4])))]
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            avg_debiased(msgs, threshold=threshold)
+
+    def test_zero_threshold_accepted(self):
+        msgs = [Message(0, DenseEstimate(np.array([0.5, 0.0, -0.4])))]
+        for zero in (0.0, -0.0):
+            assert list(avg_debiased(msgs, threshold=zero)[1].indices) == [0, 2]
 
     def test_exactly_one_rule(self):
         msgs = [Message(0, DenseEstimate(np.zeros(3)))]
@@ -515,6 +611,39 @@ def test_other_support_rejected_after_duplicates(fold):
         _fold(fold, [_fold_message(fold, 0), other])
     with pytest.raises(ValueError, match="duplicate sender 0"):
         _fold(fold, [_fold_message(fold, 0), _fold_message(fold, 0), other])
+
+
+@pytest.mark.parametrize("fold", FOLDS)
+def test_payload_subclass_accepted(fold):
+    msgs = [_fold_message(fold, m) for m in range(3)]
+    base = type(msgs[1].payload)
+    msgs[1].payload = type("Sub", (base,), {})(**vars(msgs[1].payload))
+    assert np.array_equal(_fold(fold, msgs), _fold(fold, [_fold_message(fold, m) for m in range(3)]))
+
+
+@pytest.mark.parametrize("fold", ["aggregate_round2", "centralized_ls"])
+class TestReceiptSupport:
+    """The fold's support against each payload's: the harness's messages
+    share the fold's array, other callers may send equal copies."""
+
+    def test_shared_support_accepted(self, fold):
+        msgs = [_fold_message(fold, m) for m in range(3)]
+        assert all(msg.payload.support is _RECEIPT_SUPPORT for msg in msgs)
+        assert np.array_equal(_fold(fold, msgs), [0.0, 1.0, 0.0, 1.0])
+
+    def test_equal_valued_copies_accepted(self, fold):
+        shared = [_fold_message(fold, m) for m in range(3)]
+        copies = [_fold_message(fold, m) for m in range(3)]
+        for msg in copies[1:]:
+            msg.payload.support = _RECEIPT_SUPPORT.copy()
+        assert np.array_equal(_fold(fold, copies), _fold(fold, shared))
+
+    @pytest.mark.parametrize("other", [[1, 2], [3, 1], [1, 3, 4], [1]])
+    def test_one_other_support_among_shared_ones_rejected(self, fold, other):
+        msgs = [_fold_message(fold, m) for m in range(4)]
+        msgs[2].payload.support = np.array(other)
+        with pytest.raises(ValueError, match="^inconsistent round-2 support$"):
+            _fold(fold, msgs)
 
 
 def test_fusion_log_record_shape():

@@ -650,10 +650,8 @@ class TestStackedMessages:
             )
         run_point_rep(point, cfg, list(SCHEMES), 0)
         # One stacked call per selection for all machines; the fusion
-        # center's one-row top-K calls come on top.
-        stacked = sorted(name for name, rows in calls if rows == point.M)
-        assert stacked == ["select_threshold", "select_top_k", "selected_signs"]
-        assert all(rows == 1 for _, rows in calls if rows != point.M)
+        # center's top-K selections take their own 1-D path.
+        assert sorted(calls) == [(name, point.M) for name in ("select_threshold", "select_top_k", "selected_signs")]
         monkeypatch.undo()
         fits = _rep_fits(point, 0)
         memo = harness._RepMemo(cfg, point, fits[1], fits[2], fits[-1], harness.RepFlags(), 0.0)

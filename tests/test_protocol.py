@@ -156,6 +156,28 @@ class TestTopL:
                 assert np.array_equal(signed.indices, want)
                 assert np.array_equal(signed.signs, np.where(s[want] < 0, -1, 1)), (s, k)
 
+    def test_one_row_path_equals_the_stack_and_the_stable_argsort_rule(self):
+        # Tied integer votes, integer sign sums and floats with NaN and
+        # +-0, from d = 1 to 5000: every k below d = 40, else k = 1, d and
+        # samples between; most cases tie at the k-th key.
+        rng = np.random.default_rng(24)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.nan])
+        cases = 0
+        for d in [*range(1, 41), 199, 200, 1000, 5000]:
+            ks = range(1, d + 1) if d <= 40 else {1, d, *rng.integers(1, d + 1, 12).tolist()}
+            for k in ks:
+                for scores in (
+                    rng.integers(0, 4, d),
+                    rng.integers(-3, 4, d),
+                    np.where(rng.random(d) < 0.7, rng.choice(pool, d), rng.standard_normal(d)),
+                ):
+                    got = top_k_indices(scores, k)
+                    assert got.dtype == np.int64 and not got.flags.writeable
+                    assert np.array_equal(got, stable_top_k(scores, k)), (scores, k)
+                    assert np.array_equal(got, select_top_k(scores[None], k)[0]), (scores, k)
+                    cases += 1
+        assert cases > 2500
+
     def test_integer_scores(self):
         votes = np.array([3, 0, 3, 7, 1], dtype=np.int64)
         assert list(top_k_indices(votes, 2)) == [0, 3]
