@@ -11,13 +11,18 @@ least-squares lasso objective (1/2n)||y - Xw||^2 + lam*||w||_1.
 solver (Friedman, Hastie & Tibshirani 2010, *J. Stat. Softw.*): each outer
 pass checks the KKT conditions of every coordinate with one gradient
 product, then runs cyclic coordinate descent over the nonzero coordinates
-plus the violators only. The gradient the solve ends on is the full product
-at the returned solution: its KKT residual is the fit's certificate, and
-``cd_residual`` hands it back as X'(y - X w)/n, the fit's X'r over n, which
-the debiasing step reuses. ``cd_gram_stack`` solves many problems that share
-one G (a machine's nodewise regressions) with the same passes, in lockstep:
-one gradient product for all unfinished problems, their working sets padded
-to a common width, and each coordinate update applied to every problem at
+plus the violators only. ``cd_gram`` reads G from a full Gram matrix.
+``cd_residual`` reads it from a ``GramColumns`` store that holds only the
+columns of coordinates that have entered a working set, formed on first
+use (the "covariance updates" of Friedman et al., section 2.2): a caller
+that keeps the store across fits of one design forms each column once.
+The gradient the solve ends on is the full product at the returned
+solution: its KKT residual is the fit's certificate, and ``cd_residual``
+hands it back as the fit's X'(y - X w)/n, which the debiasing step
+reuses. ``cd_gram_stack`` solves many problems that share one G (a
+machine's nodewise regressions) with the same passes, in lockstep: one
+gradient product for all unfinished problems, their working sets padded to
+a common width, and each coordinate update applied to every problem at
 once. Each problem keeps its own stopping rules and KKT certificate.
 
 Most fits are tiny (a nodewise regression has two or three nonzeros and
@@ -50,15 +55,16 @@ from __future__ import annotations
 
 import numpy as np
 
-# The kernels are plain NumPy. The flag stays because benchmark manifests
-# (perfbench/run.py) record it for every run.
+# The kernels are plain NumPy. The flag stays only because the benchmark's
+# manifest (perfbench/run.py) reads it; it goes when the benchmark stops
+# reading it.
 USING_NUMBA = False
 
 
 def kkt_residual(g: np.ndarray, w: np.ndarray, lam: float, skip: int = -1) -> float:
     """Max KKT residual at ``w``, given the negative smooth gradient ``g``.
 
-    ``g`` is c - G w in the Gram form and X'(y - X w)/n in the residual form.
+    ``g`` is c - G w, which is X'(y - X w)/n when G = X'X/n and c = X'y/n.
     Active coordinates score |g_j - lam sign(w_j)|, inactive ones
     max(|g_j| - lam, 0). Coordinate ``skip`` (if >= 0) is left out.
     """
@@ -179,38 +185,102 @@ def gram_diagonal(X):
     return np.einsum("...ij,...ij->...j", X, X) / X.shape[-2]
 
 
-def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag, c, g):
-    """Active-set CD without a cached Gram matrix. ``w`` in place.
+class ColumnBudget:
+    """The bytes that the ``GramColumns`` stores sharing it may still keep."""
 
-    The gradient is X'(y - X w)/n and the block G[A, A] is formed lazily
-    from the working-set columns; ``X`` and ``y`` are not modified.
-    ``diag`` is ``gram_diagonal(X)``, of which only which entries are
-    positive is read, and ``c`` is X'y/n, the gradient wherever every
-    coefficient is zero, used there in place of the product with X. Neither
-    is written, so a caller that holds them for a stack of designs passes a
-    row of each. The solver's last gradient, X'(y - X w)/n at the returned
-    ``w``, is written into ``g`` (length d); the returned KKT residual is
+    __slots__ = ("left",)
+
+    def __init__(self, nbytes: int):
+        self.left = nbytes
+
+
+class GramColumns:
+    """Grow-only store of one design's Gram columns G[:, j] = X'x_j/n.
+
+    Once column j is stored it is row ``slot[j]`` of the (count, d) array
+    ``rows`` (G is symmetric, so it is also row j of G); ``slot[j]`` is -1
+    before. ``form`` computes the columns a solver pass needs and the store
+    lacks in one product, ``X.T @ X[:, missing] / n``, and appends them; a
+    stored column has the bits of the product that formed it. ``settle``
+    ends a fit: of the columns the fit appended it keeps, in the order they
+    were formed, as many as ``budget`` still allows and drops the rest,
+    which served that fit only. Without a budget every column is kept. A
+    store belongs to one design (one machine at one n), and its columns
+    are that design's.
+    """
+
+    __slots__ = ("slot", "rows", "kept", "budget")
+
+    def __init__(self, d: int, budget: ColumnBudget | None = None):
+        self.slot = np.full(d, -1, dtype=np.intp)
+        self.rows = np.empty((0, d))
+        self.kept = 0
+        self.budget = budget
+
+    def form(self, X: np.ndarray, J: np.ndarray) -> None:
+        """Append the columns of the indices ``J`` that the store lacks."""
+        missing = J[self.slot[J] < 0]
+        if missing.size:
+            start = self.rows.shape[0]
+            new = X.T @ X[:, missing] / X.shape[0]
+            self.rows = np.concatenate((self.rows, new.T))
+            self.slot[missing] = np.arange(start, start + missing.size)
+
+    def settle(self) -> None:
+        """Keep the columns appended since the last call that the budget
+        allows; drop the others."""
+        count, d = self.rows.shape
+        new = count - self.kept
+        if not new:
+            return
+        keep = new
+        if self.budget is not None:
+            keep = min(new, max(self.budget.left, 0) // (8 * d))
+            self.budget.left -= 8 * d * keep
+        self.kept += keep
+        if keep < new:
+            self.slot[self.slot >= self.kept] = -1
+            self.rows = self.rows[: self.kept].copy()
+
+
+def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag, c, g, columns):
+    """Active-set CD on one design whose Gram columns come from ``columns``.
+    ``w`` is updated in place.
+
+    ``columns`` is the design's ``GramColumns`` store. The gradient at
+    coefficients with nonzeros ``nz`` is c - G[:, nz] w_nz and the block
+    G[A, A] of a working set A is read off the stored columns of A; a pass
+    first forms the columns of A the store lacks, in one product, and the
+    fit ends with ``columns.settle()``. ``diag`` is ``gram_diagonal(X)``,
+    of which only which entries are positive is read, and ``c`` is X'y/n,
+    the gradient wherever every coefficient is zero. Neither is written, so
+    a caller that holds them for a stack of designs passes a row of each.
+    ``y`` is not read, ``c`` standing for it; it is part of the signature
+    so that a wrapper can certify the fit from X, y and ``w`` alone. The
+    solver's last gradient, X'(y - X w)/n at the returned ``w`` up to
+    roundoff, is written into ``g`` (length d); the returned KKT residual is
     read off it. A zero start where zero is optimal (``zero_start_solves``)
     writes ``c`` and returns (1, 0.0, True) at once, as the solver's first
-    pass would. Returns (sweeps, kkt, converged).
+    pass would, without touching the store. Returns (sweeps, kkt, converged).
     """
     if max_sweeps >= 1 and not np.count_nonzero(w) and zero_start_solves(c, lam):
         g[:] = c
         return 1, 0.0, True
-    n = X.shape[0]
 
     def gradient(nz):
         if not nz.size:
             return c
-        return X.T @ (y - X[:, nz] @ w[nz]) / n
+        columns.form(X, nz)
+        return c - w[nz] @ columns.rows[columns.slot[nz]]
 
     def block(A):
-        XA = X[:, A]
-        return XA.T @ XA / n
+        columns.form(X, A)
+        return columns.rows[columns.slot[A][:, None], A]
 
     sweeps, kkt, converged, g[:] = _active_set_cd(
         gradient, block, diag, lam, w, -1, max_sweeps, coef_tol, kkt_tol
     )
+    columns.settle()
     return sweeps, kkt, converged
 
 

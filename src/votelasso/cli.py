@@ -20,6 +20,8 @@ from pathlib import Path
 
 from .datagen import GroundTruth, ProblemSpec, sample_responses
 from .harness import (
+    LAMBDA_OMEGA_RULES,
+    LAMBDA_RULES,
     SCHEMES,
     SECOND_ROUNDS,
     SPARSITY_MODES,
@@ -40,7 +42,7 @@ DESK_SCALE = {"d": 1000, "n": 200, "machines": 100, "k": 5, "reps": 100}
 # Keys a config file may set: ``generate`` reads the problem keys, run and sweep both.
 PROBLEM_KEYS = ("d", "n", "machines", "k", "r", "corr_decay", "sigma", "seed")
 RUN_KEYS = (
-    "scheme", "sparsity_mode", "l", "tau", "second_round", "reps",
+    "scheme", "sparsity_mode", "l", "tau", "lam", "lam_omega", "second_round", "reps",
     "no_precision_reuse", "redraw_design",
 )
 # Flags a config file cannot set.
@@ -117,6 +119,14 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         "--tau", type=_rule_or_number, default=None,
         help=f"vote threshold: one of {', '.join(TAU_RULES)} (default {TAU_RULES[0]}), or a number",
     )
+    p.add_argument(
+        "--lambda", dest="lam", type=_rule_or_number, default=None,
+        help=f"lasso penalty: {LAMBDA_RULES[0]} (8 sqrt(ln d / n), the default) or a number",
+    )
+    p.add_argument(
+        "--lambda-omega", dest="lam_omega", type=_rule_or_number, default=None,
+        help=f"nodewise penalty: {LAMBDA_OMEGA_RULES[0]} (2 sqrt(ln d / n), the default) or a number",
+    )
     p.add_argument("--second-round", choices=SECOND_ROUNDS, default=None)
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--no-precision-reuse", action="store_true")
@@ -172,6 +182,8 @@ def _build_config(
             sparsity_mode=_merged(args, file_values, "sparsity_mode", str, "known"),
             L=_merged(args, file_values, "l", int, None),
             tau=_merged(args, file_values, "tau", _rule_or_number, TAU_RULES[0]),
+            lam=_merged(args, file_values, "lam", _rule_or_number, LAMBDA_RULES[0]),
+            lam_omega=_merged(args, file_values, "lam_omega", _rule_or_number, LAMBDA_OMEGA_RULES[0]),
             second_round=_merged(args, file_values, "second_round", str, "average"),
             reps=_merged(args, file_values, "reps", int, scale["reps"]),
             fixed_design=not _merged(args, file_values, "redraw_design", _parse_bool, False),

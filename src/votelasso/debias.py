@@ -109,11 +109,7 @@ def empirical_covariance(X: np.ndarray) -> np.ndarray:
     return X.T @ X / n
 
 
-def estimate_precision(
-    X: np.ndarray,
-    lambda_omega: float,
-    gram: np.ndarray | None = None,
-) -> PrecisionEstimate:
+def estimate_precision(X: np.ndarray, lambda_omega: float) -> PrecisionEstimate:
     """Fit the d nodewise lassos and assemble Omega_hat as sparse rows.
 
     Raises ValueError naming the first column whose nodewise fit did not
@@ -127,7 +123,7 @@ def estimate_precision(
     d = X.shape[1]
     if d < 2:
         raise ValueError("need at least two columns")
-    G = empirical_covariance(X) if gram is None else gram
+    G = empirical_covariance(X)
     diag = G.diagonal()
     tau_sq = np.empty(d)
     cols, counts, vals = [], [], []

@@ -26,8 +26,9 @@ X_m theta* of its M machines as one (M, n) array (``x_theta``), the
 machines' precision estimates both as a list (``omegas``) and as one
 block-diagonal matrix (``omega``, ``debias.block_diagonal``), their
 sandwich diagonals, the diagonals of their X'X/n (``gram_diag``, one
-stacked product), the cached Gram matrices when the design keeps them,
-the oracle's pooled Gram, and the round-two operands met so far. In
+stacked product), one store per machine of the Gram columns X'x_j/n its
+fits have needed so far (``columns``, ``_kernels.GramColumns``), the
+oracle's pooled Gram, and the round-two operands met so far. In
 fixed-design mode it also holds the PCG64 seed words of every machine's
 noise stream for replications 0 to ``reps`` - 1 (``noise_states``),
 formed in one seeding pass (``datagen._stream_states``); in redraw mode a
@@ -43,17 +44,21 @@ machine order (``fusion.sum_rows``), so records do not depend on the
 batching. Three steps stay per machine. Each machine's noise comes from
 its own seeded stream, set from its seed words. Each lasso fit solves that
 machine's own problem, and the fits are the call sites the benchmark's
-probes count: one ``fit_lasso_gram`` call per machine on the Gram branch,
-and on the covariance-free branch one ``fit_lasso`` call for the whole
-stack, which checks every machine's inputs at once and makes one
-``_kernels.cd_residual`` call per machine. Both read the machine's row of
-the replication's X'y/n; the covariance-free fit takes it as its gradient
-at the zero start and reads its row of ``gram_diag`` for its column norms
-and its check that X is finite, so it forms neither. No machine forms a
-residual: the debiasing mat-vec takes
+probes count: one ``fit_lasso`` call for the whole stack, which checks
+every machine's inputs at once and makes one ``_kernels.cd_residual`` call
+per machine. A fit takes its row of the replication's X'y/n as its
+gradient at the zero start and its row of ``gram_diag`` for its check that
+X is finite, so it forms neither. A nonzero fit reads the Gram columns of
+its working sets from its machine's store and forms those the store lacks
+in one product per solver pass; a zero fit (every fit at the default
+lambda) touches no store. The stores of a point keep their columns across
+its replications, up to ``GRAM_CACHE_BYTES`` for the point in all; a
+column's bits are those of the product that formed it, so a nonzero fit
+may differ in the last bits depending on which replications of the point
+ran before it. No machine forms a residual: the debiasing mat-vec takes
 each machine's X'(y - X theta_tilde)/n from its fit, the solver's last
-gradient of a covariance-free fit (``LassoFit.gradient``) and X'y/n - u of
-a Gram fit, u = G theta_tilde. A zero fit's is its row of X'y/n.
+gradient X'y/n - G theta_tilde (``LassoFit.gradient``); a zero fit's is
+its row of X'y/n.
 
 Messages are batched the same way. Each round-1 rule's selection runs once
 per replication for all M machines (``protocol.select_threshold``,
@@ -75,8 +80,9 @@ design and the selected support S: the inverse Gram (X_S'X_S)^-1 under
 ``PointState.round2`` keeps it per grid point, rule and support, formed
 for all M machines in one stacked SVD or product the first time a
 replication selects S under that rule (``_round2_operand``). A rank-deficient support's ValueError is
-kept the same way. Every ``materialize`` starts with an empty cache, so
-each ``run_sweep`` call and, in redraw mode, each replication starts cold.
+kept the same way. Every ``materialize`` starts with an empty cache and
+empty column stores, so each ``run_sweep`` call, each grid point and, in
+redraw mode, each replication starts cold.
 
 The tuning quantities (vote threshold, lasso and nodewise penalties) are
 each one ``ExperimentConfig`` field, a rule name or a number, resolved at
@@ -108,12 +114,13 @@ from .debias import (
     SparseRows,
     block_diagonal,
     debias,
-    empirical_covariance,
     estimate_precision,
     sandwich_diag,
     standardize,
 )
-from ._kernels import gram_diagonal
+from ._kernels import ColumnBudget, GramColumns, gram_diagonal
+# No run path calls ``fit_lasso_gram`` here. The name stays only because the
+# benchmark's probes (perfbench/probes.py) wrap it, and goes when they stop.
 from .lasso import fit_lasso, fit_lasso_gram, restricted_gram_inverse, restricted_ols, restricted_xty
 from .serialize import dump_jsonl, write_csv_rows
 
@@ -132,8 +139,9 @@ LAMBDA_OMEGA_RULES = ("fixed_2",)
 SECOND_ROUNDS = ("average", "gram_exact", "none")
 SWEEP_AXES = ("r", "n", "M", "L")
 
-# Per-machine Gram matrices are cached across replications only while the
-# cache stays under this budget; beyond it the covariance-free solver is used.
+# The Gram columns a grid point's machines keep across its replications
+# (``PointState.columns``) take at most this many bytes in all; columns
+# formed past it serve the fit that formed them and are then dropped.
 GRAM_CACHE_BYTES = 1_000_000_000
 
 CSV_COLUMNS = [
@@ -256,6 +264,7 @@ class ExperimentRecord:
     share (local fits, oracle, round-1 messages, tallies and round two) and
     is the same on each of its records; ``wall_time`` is this scheme's own
     remaining work (selection, metrics, the record). Seconds, wall clock.
+    ``lam`` is the lasso penalty resolved at the replication's grid point.
     """
 
     rep: int
@@ -269,6 +278,7 @@ class ExperimentRecord:
     bits_round1_per_machine: list[int]
     bits_round1_total: int
     bits_round2_total: int
+    lam: float
     wall_time: float
     shared_time: float = 0.0
     flags: RepFlags = field(default_factory=RepFlags)
@@ -312,7 +322,10 @@ class DesignState:
     c_omega: float
     support: np.ndarray
     theta_unit: np.ndarray  # planted vector at theta_min = 1
-    grams: list[np.ndarray] | None
+    # Always None: no design keeps Gram matrices. The field stays only
+    # because the benchmark's design summary (perfbench/run.py) reads it,
+    # and goes when it stops reading it.
+    grams: None = None
 
 
 @dataclass
@@ -330,12 +343,14 @@ class PointState:
     theta_star: np.ndarray
     x_theta: np.ndarray  # (M, n) noiseless responses X_m theta*
     # (M, d) diagonals of the machines' X'X/n (``gram_diagonal``): the
-    # covariance-free lasso's column norms and its check that X is finite.
+    # lasso's column norms and its check that X is finite.
     gram_diag: np.ndarray
     c_diag: np.ndarray  # (M, d)
     omegas: list[SparseRows]
     omega: SparseRows  # block_diagonal(omegas), for the stacked debiasing mat-vec
-    grams: list[np.ndarray] | None
+    # One grow-only store of Gram columns X'x_j/n per machine, kept across
+    # the point's replications and bounded together by GRAM_CACHE_BYTES.
+    columns: list[GramColumns]
     oracle_gram: np.ndarray
     L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
     # (reps, M, 4) uint64 PCG64 seed words of every machine's noise stream
@@ -364,16 +379,12 @@ def build_design(
     m_cal = spec.M if m_cal is None else m_cal
     lam_omega = config.lam_omega_at(n_cal)
     X = sample_shards(spec.with_(M=m_cal), rep=rep, n=n_cal)
-    keep_gram = m_cal * spec.d * spec.d * 8 <= GRAM_CACHE_BYTES
     c_diags = np.empty((m_cal, spec.d))
-    omegas, grams = [], [] if keep_gram else None
+    omegas = []
     for m in range(m_cal):
-        G = empirical_covariance(X[m])
-        est = estimate_precision(X[m], lam_omega, gram=G)
+        est = estimate_precision(X[m], lam_omega)
         c_diags[m] = sandwich_diag(est.omega_hat, X[m])
         omegas.append(est.omega_hat)
-        if keep_gram:
-            grams.append(G)
     c_omega = compute_c_omega(c_diags)
     truth = make_theta_star(spec, theta_min=1.0, rng=stream(spec.base_seed, TAG_THETA, rep))
     return DesignState(
@@ -387,7 +398,6 @@ def build_design(
         c_omega=c_omega,
         support=truth.support,
         theta_unit=truth.theta_star,
-        grams=grams,
     )
 
 
@@ -418,7 +428,6 @@ def materialize(
     if n == design.n_cal:
         omegas = design.omegas[:M]
         c_diag = design.c_diag_cal[:M]
-        grams = design.grams[:M] if design.grams is not None else None
     else:
         omegas, c_diag = [], np.empty((M, spec.d))
         for m in range(M):
@@ -429,13 +438,13 @@ def materialize(
                 omega = estimate_precision(Xn, config.lam_omega_at(n)).omega_hat
             omegas.append(omega)
             c_diag[m] = sandwich_diag(omega, Xn)
-        grams = None
     S = design.support
     oracle_gram = np.zeros((S.size, S.size))
     for m in range(M):
         Xsub = design.X[m][:n, S]
         oracle_gram += Xsub.T @ Xsub
     X = design.X[:M, :n]
+    budget = ColumnBudget(GRAM_CACHE_BYTES)
     return PointState(
         design=design,
         n=n,
@@ -451,7 +460,7 @@ def materialize(
         c_diag=c_diag,
         omegas=omegas,
         omega=block_diagonal(omegas),
-        grams=grams,
+        columns=[GramColumns(spec.d, budget) for _ in range(M)],
         oracle_gram=oracle_gram,
         L=L if L is not None else config.resolved_L(),
         noise_states=(
@@ -482,21 +491,9 @@ def _rep_fits(point: PointState, rep: int):
         states = _stream_states(spec.base_seed, TAG_NOISE, [rep], M)[0]
     Y = point.x_theta + sigma * _draw_rows(np.empty((M, n)), states, point.noise_generator)
     XtY = (Y[:, None, :] @ X)[:, 0, :] / n
-    if point.grams is not None:
-        theta_t = np.empty((M, spec.d))
-        converged = np.empty(M, dtype=bool)
-        sweeps = np.empty(M, dtype=np.int64)
-        kkt = np.empty(M)
-        u = np.empty((M, spec.d))  # each machine's G theta_tilde
-        for m in range(M):
-            theta_t[m], u[m], sweeps[m], kkt[m], converged[m] = fit_lasso_gram(
-                point.grams[m], XtY[m], point.lam
-            )
-        grad = XtY - u
-    else:
-        fit = fit_lasso(X, Y, point.lam, gram_diag=point.gram_diag, c=XtY)
-        theta_t, grad = fit.coefficients, fit.gradient  # grad: X'(y - X theta_tilde)/n
-        converged, sweeps, kkt = fit.converged, fit.iterations, fit.max_kkt_violation
+    fit = fit_lasso(X, Y, point.lam, gram_diag=point.gram_diag, c=XtY, columns=point.columns)
+    theta_t, grad = fit.coefficients, fit.gradient  # grad: X'(y - X theta_tilde)/n
+    converged, sweeps, kkt = fit.converged, fit.iterations, fit.max_kkt_violation
     theta_h = debias(theta_t, grad, point.omega)
     xi = standardize(theta_h, point.c_diag, sigma, n)
     return theta_t, theta_h, xi, converged, sweeps, kkt, Y
@@ -726,6 +723,7 @@ def _eval_scheme(
         bits_round1_per_machine=list(bits_r1),
         bits_round1_total=bits_r1_total,
         bits_round2_total=int(bits_r2),
+        lam=point.lam,
         wall_time=time.perf_counter() - t0 - (memo.seconds - shared_before),
         flags=flags,
         fusion_log=log,

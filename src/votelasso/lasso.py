@@ -3,15 +3,19 @@
 The solver is active-set coordinate descent (``_kernels``): each outer
 pass checks the KKT conditions of every coordinate with one vectorized
 gradient, then runs cyclic coordinate descent over the nonzero coordinates
-plus the violators only. ``fit_lasso`` forms the working-set block of
-X'X/n from the design columns it needs; ``fit_lasso_gram`` reads it from
-a cached Gram matrix, and solves a stack of problems that share one Gram
-matrix (a machine's nodewise regressions) in lockstep. Convergence requires
-both a small coefficient change and a small KKT residual over all
-coordinates, so a converged fit carries an optimality certificate.
-``fit_lasso`` reads it off the solver's last gradient, X'(y - X theta)/n at
-the returned solution, and returns that gradient too: it is the fit's X'r
-over n, which the debiasing step needs, so no fit forms it twice.
+plus the violators only. ``fit_lasso`` reads the columns of X'X/n it needs
+from a per-design store of Gram columns (``_kernels.GramColumns``), formed
+when a coordinate first enters a working set; a caller that fits one design
+many times (every replication of a grid point) passes the same store each
+time, so each column is formed once. ``fit_lasso_gram`` reads a full Gram
+matrix, and solves a stack of problems that share one Gram matrix (a
+machine's nodewise regressions) in lockstep. Convergence requires both a
+small coefficient change and a small KKT residual over all coordinates, so
+a converged fit carries an optimality certificate. ``fit_lasso`` reads it
+off the solver's last gradient, X'y/n - (X'X/n) theta, which is
+X'(y - X theta)/n at the returned solution up to roundoff, and returns
+that gradient too: it is the fit's X'r over n, which the debiasing step
+needs, so no fit forms it twice.
 ``kkt_violation`` recomputes the same residual from X, y and a solution
 alone, as an independent check. ``fit_lasso`` also takes a stack of
 designs, one per machine, as the replications pass them: it checks the
@@ -49,8 +53,9 @@ def _check_lam(lam: float) -> None:
 class LassoFit:
     """Solution of (1/2n)||y - X theta||^2 + lam * ||theta||_1.
 
-    ``gradient`` is X'(y - X theta)/n at ``coefficients``, the solver's last
-    gradient, and ``max_kkt_violation`` is its KKT residual. A fit of one
+    ``gradient`` is X'(y - X theta)/n at ``coefficients`` up to roundoff,
+    the solver's last gradient, and ``max_kkt_violation`` is its KKT
+    residual. A fit of one
     design holds (d,) arrays and Python scalars; a fit of a stack of M
     designs holds (M, d) arrays and (M,) arrays, row m machine m's.
     """
@@ -71,6 +76,7 @@ def fit_lasso(
     kkt_tol: float = KKT_TOL,
     gram_diag: np.ndarray | None = None,
     c: np.ndarray | None = None,
+    columns=None,
 ) -> LassoFit:
     """Solve the lasso by active-set coordinate descent, for one design or
     a stack of them.
@@ -83,10 +89,15 @@ def fit_lasso(
     problem is its own ``_kernels.cd_residual`` call, with positional
     arguments; only the checks, the allocations and the result are shared.
 
-    Returns the solver's last gradient X'(y - X theta)/n at the solution
-    (``c`` itself for a zero solution) as ``gradient`` and that gradient's
-    KKT residual as ``max_kkt_violation``, equal to ``kkt_violation`` at the
-    solution without forming X'r again. ``converged`` is True only when the
+    ``columns`` holds each design's ``_kernels.GramColumns`` store, one
+    store for a design and a sequence of M for a stack; the caller vouches
+    that each holds columns of its design only. Without it every problem
+    gets a new store without a budget, dropped after the fit.
+
+    Returns the solver's last gradient X'y/n - (X'X/n) theta at the
+    solution (``c`` itself for a zero solution) as ``gradient`` and that
+    gradient's KKT residual as ``max_kkt_violation``, equal up to roundoff
+    to ``kkt_violation`` at the solution without forming X'r again. ``converged`` is True only when the
     last sweep moved no coefficient by ``COEF_TOL`` or more and that
     residual is within ``kkt_tol``. Non-convergence within ``max_sweeps`` is
     reported, not raised.
@@ -103,7 +114,8 @@ def fit_lasso(
 
     Every fit starts from zero. The inputs are checked once over the whole
     stack, and a fault in any machine's raises ValueError: a NaN or inf in
-    X, y or ``c``, or a wrong shape. X is checked in O(d) per machine
+    X, y or ``c``, a wrong shape, or a ``columns`` of another length than
+    the stack. X is checked in O(d) per machine
     through its column sums of squares: a column's sum is NaN or inf when
     the column holds a NaN or inf, and also when its squares sum past the
     largest double, so a column with an entry of magnitude about 1.3e154 or
@@ -117,6 +129,7 @@ def fit_lasso(
         X, y = X[None], y[None]
         gram_diag = None if gram_diag is None else np.asarray(gram_diag)[None]
         c = None if c is None else np.asarray(c)[None]
+        columns = None if columns is None else [columns]
     if X.ndim != 3:
         raise ValueError("X must be (n, d) or a stack (M, n, d)")
     M, n, d = X.shape
@@ -135,15 +148,18 @@ def fit_lasso(
             raise ValueError("c has wrong length")
         if not np.isfinite(c).all():
             raise ValueError("NaN or inf in lasso inputs")
+    if columns is not None and len(columns) != M:
+        raise ValueError("columns must hold one store per design")
     lam, max_sweeps = float(lam), int(max_sweeps)
     W, G = np.zeros((M, d)), np.empty((M, d))
     sweeps = np.empty(M, dtype=np.int64)
     kkt = np.empty(M)
     converged = np.empty(M, dtype=bool)
     for m in range(M):
+        store = _kernels.GramColumns(d) if columns is None else columns[m]
         # Positional: the benchmark's probe of cd_residual takes no keywords.
         sweeps[m], kkt[m], converged[m] = _kernels.cd_residual(
-            X[m], y[m], lam, W[m], max_sweeps, COEF_TOL, kkt_tol, diag[m], c[m], G[m]
+            X[m], y[m], lam, W[m], max_sweeps, COEF_TOL, kkt_tol, diag[m], c[m], G[m], store
         )
     if single:
         return LassoFit(W[0], lam, int(sweeps[0]), float(kkt[0]), bool(converged[0]), G[0])

@@ -205,14 +205,16 @@ def loop_rep_fits(point, rep):
     """Round one machine by machine, as ``harness._rep_fits`` computed it
     before its stacked pass: noise, response, X'y/n, lasso, debiasing and
     standardization, each a separate call per machine. Each machine
-    debiases with the X'(y - X theta_tilde)/n of its own fit: the solver's
-    last gradient, or c - u of a Gram fit. The bitwise reference for the
-    stacked pass; do not batch it. Returns what ``_rep_fits`` returns,
-    (theta_tilde, theta_hat, xi, converged, sweeps, kkt, Y), each stacked
-    from the per-machine results."""
+    debiases with the X'(y - X theta_tilde)/n of its own fit, the solver's
+    last gradient. The bitwise reference for the
+    stacked pass; do not batch it. Each fit reads its machine's column
+    store on the point, so after a stacked pass it reads the Gram columns
+    that pass formed, as a later replication of the point would. Returns
+    what ``_rep_fits`` returns, (theta_tilde, theta_hat, xi, converged,
+    sweeps, kkt, Y), each stacked from the per-machine results."""
     from votelasso.datagen import TAG_NOISE, stream
     from votelasso.debias import standardize
-    from votelasso.lasso import fit_lasso, fit_lasso_gram
+    from votelasso.lasso import fit_lasso
 
     design = point.design
     spec = design.spec
@@ -222,15 +224,10 @@ def loop_rep_fits(point, rep):
         X = design.X[m][:n]
         w = stream(spec.base_seed, TAG_NOISE, rep, m).standard_normal(design.n_cal)[:n]
         y = X @ point.theta_star + sigma * w
-        if point.grams is not None:
-            c = X.T @ y / n
-            theta_t, u, sweeps, kkt, conv = fit_lasso_gram(point.grams[m], c, point.lam)
-            grad = c - u
-        else:
-            fit = fit_lasso(X, y, point.lam)
-            theta_t, sweeps, kkt, conv, grad = (
-                fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged, fit.gradient
-            )
+        fit = fit_lasso(X, y, point.lam, columns=point.columns[m])
+        theta_t, sweeps, kkt, conv, grad = (
+            fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged, fit.gradient
+        )
         theta_h = theta_t + point.omegas[m].matvec(grad)
         xi = standardize(theta_h, point.c_diag[m], sigma, n)
         rows.append((theta_t, theta_h, xi, bool(conv), int(sweeps), float(kkt), y))
@@ -310,10 +307,12 @@ def loop_aggregate(values, support, d):
 # KKT residual on every pass, and one early stop only: a one-sweep pass
 # that moved nothing by ``coef_tol`` or more while the KKT residual of the
 # free coordinates is within tolerance ends the solve out of budget. It is
-# the bitwise reference for ``_kernels.cd_gram`` and
-# ``_kernels.cd_residual``, which must return the same coefficients, sweeps,
-# residual and flag, and ``cd_residual`` the same last gradient; do not
-# optimize it.
+# the bitwise reference for ``_kernels.cd_gram`` and, through the column
+# form, ``_kernels.cd_residual``, which must return the same coefficients,
+# sweeps, residual and flag, and ``cd_residual`` the same last gradient;
+# do not optimize it. The residual form, X'(y - X w)/n formed from X on
+# every pass, solves the same problem with other roundoff: the kernels are
+# cross-checked against it to a tolerance.
 
 
 def _scalar_soft_threshold(z, gamma):
@@ -378,10 +377,44 @@ def scalar_cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
     return w[nz] @ G[nz], sweeps, kkt, converged
 
 
+def scalar_cd_columns(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
+    """Reference for ``_kernels.cd_residual`` from an empty column store,
+    without its precomputed inputs and output array: returns its (sweeps,
+    kkt, converged) and then the gradient it writes. Each pass forms the
+    Gram columns its coordinates need and it lacks, in increasing order, as
+    one product X'X[:, missing]/n, and keeps them in a dict; the gradient
+    is c - G[:, nz] w_nz and the block entry (k, l) is column A[k]'s entry
+    A[l]."""
+    n = X.shape[0]
+    c = X.T @ y / n
+    cols = {}
+
+    def have(J):
+        missing = [j for j in J.tolist() if j not in cols]
+        if missing:
+            new = X.T @ X[:, missing] / n
+            for i, j in enumerate(missing):
+                cols[j] = new[:, i]
+
+    def gradient(nz):
+        if not nz.size:
+            return c
+        have(nz)
+        return c - w[nz] @ np.array([cols[j] for j in nz.tolist()])
+
+    def block(A):
+        have(A)
+        return np.array([[cols[j][i] for i in A.tolist()] for j in A.tolist()]).reshape(A.size, A.size)
+
+    return _scalar_active_set_cd(
+        gradient, block, np.einsum("ij,ij->j", X, X) / n, lam, w, -1, max_sweeps, coef_tol, kkt_tol
+    )
+
+
 def scalar_cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
-    """Reference for ``_kernels.cd_residual`` without its precomputed inputs
-    and output array: returns its (sweeps, kkt, converged) and then the
-    gradient X'(y - X w)/n at the returned w that it writes."""
+    """The residual form of ``scalar_cd_columns``: the same solver with the
+    gradient X'(y - X w)/n formed from X on every pass. Returns (sweeps,
+    kkt, converged) and then the gradient at the returned w."""
     n = X.shape[0]
 
     def block(A):

@@ -167,6 +167,50 @@ class TestRun:
         assert snr[0]["fusion_log"]["tau"] == pytest.approx(np.sqrt(2 * 0.8 * np.log(40)))
         assert strip(run("named", "--tau", "sqrt_2_log_d")) == strip(default)
 
+    def test_lambda_flags_and_keys_set_the_penalties(self, tmp_path):
+        # Each record carries the lasso penalty resolved at its grid point.
+        # A number is the penalty itself, the flag overrides the file, and
+        # a penalty small enough for nonzero fits changes the records.
+        def run(out, *flags, file_text=None):
+            argv = ["run", *COMMON, "--reps", "2", "--scheme", "thresh_votes,avg_deblasso", *flags,
+                    "--out", str(tmp_path / out)]
+            if file_text is not None:
+                cfg = tmp_path / f"{out}.cfg"
+                cfg.write_text(file_text)
+                argv += ["--config", str(cfg)]
+            assert main(argv) == 0
+            return [json.loads(line) for line in (tmp_path / out / "records.jsonl").read_text().splitlines()]
+
+        strip = lambda recs: [{k: v for k, v in r.items() if k not in ("wall_time", "shared_time")} for r in recs]
+        default = run("default")
+        assert [r["lam"] for r in default] == [8.0 * np.sqrt(np.log(40) / 30)] * 4
+        assert max(r["flags"]["max_sweeps"] for r in default) == 1  # every fit zero
+        low = run("low", "--lambda", "0.5")
+        assert [r["lam"] for r in low] == [0.5] * 4
+        assert max(r["flags"]["max_sweeps"] for r in low) > 1
+        assert all(r["flags"]["nonconverged_fits"] == 0 and r["flags"]["max_kkt"] <= 1e-7 for r in low)
+        assert strip(run("file", file_text="lam = 0.5\n")) == strip(low)
+        assert strip(run("over", "--lambda", "0.5", file_text="lam = 3\n")) == strip(low)
+        assert strip(run("named", "--lambda", "fixed_8")) == strip(default)
+        omega = run("omega", "--lambda-omega", "0.9")
+        assert [r["lam"] for r in omega] == [r["lam"] for r in default]
+        assert strip(omega) != strip(default)
+        assert strip(run("omega_file", file_text="lam_omega = 0.9\n")) == strip(omega)
+        assert strip(run("omega_named", "--lambda-omega", "fixed_2")) == strip(default)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5", "fixed_9"])
+    @pytest.mark.parametrize("name", ["lambda", "lambda-omega"])
+    def test_bad_lambda_exits_with_one_line(self, tmp_path, name, value):
+        key = name.replace("lambda", "lam").replace("-", "_")
+        argv = ["run", *COMMON, f"--{name}", value, "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit, match=f"^bad run configuration: {key} must be one of") as exc:
+            main(argv)
+        assert "\n" not in exc.value.code and not (tmp_path / "o").exists()
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        with pytest.raises(SystemExit, match=f"^bad run configuration: {key} must be one of"):
+            main(["run", *COMMON, "--config", str(cfg), "--out", str(tmp_path / "o")])
+
     @pytest.mark.parametrize("flags", [["--tau-value", "1"], ["--tau-mode", "explicit"]])
     def test_former_tau_flags_are_refused(self, tmp_path, flags, capsys):
         with pytest.raises(SystemExit) as exc:

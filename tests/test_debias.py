@@ -181,19 +181,20 @@ class TestEstimatePrecision:
         assert est.nodewise_sweeps == 9 and est.nodewise_kkt == 0.0
 
     def test_forms_no_second_dense_matrix(self):
-        # The lockstep solve works in chunks of rows: besides the given Gram
-        # matrix it never holds a d x d array (200 MB at paper scale).
+        # The lockstep solve works in chunks of rows: besides its Gram matrix
+        # it never holds a d x d array (200 MB at paper scale), so everything
+        # else it allocates at once takes less than one Gram matrix.
         d, n = 1500, 100
         X = sample_shards(ProblemSpec(d=d, K=2, M=1, n=n, r=0.8, base_seed=1))[0]
         G = empirical_covariance(X)
         tracemalloc.start()
         try:
-            est = estimate_precision(X, 2.0 * math.sqrt(math.log(d) / n), gram=G)
+            est = estimate_precision(X, 2.0 * math.sqrt(math.log(d) / n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (est.omega_hat != 0).sum() > 1.5 * d  # rows beyond the diagonal
-        assert peak < G.nbytes
+        assert peak - G.nbytes < G.nbytes
 
     def test_records_the_nodewise_certificate(self):
         spec = ProblemSpec(d=60, K=2, M=1, n=50, r=0.8, base_seed=8)
@@ -415,18 +416,6 @@ class TestLocalFit:
         _, _, xi = _round_one(X, y, 0.05, est, sigma=1e-6)
         support = np.flatnonzero(theta)
         assert np.array_equal(np.sign(xi[support]), np.sign(theta[support]))
-
-    def test_precomputed_precision_is_transparent(self, rng):
-        # A precision estimated from a precomputed Gram matrix gives the
-        # same round one as one estimated inline.
-        X, y, _ = self._shard(rng, sigma=0.5)
-        inline = estimate_precision(X, 0.2)
-        cached = estimate_precision(X, 0.2, gram=empirical_covariance(X))
-        for a, b in zip(
-            _round_one(X, y, 0.1, inline, 0.5),
-            _round_one(X, y, 0.1, cached, 0.5),
-        ):
-            assert np.array_equal(a, b)
 
     def test_null_coordinates_standard_gaussian_rate(self):
         # theta* = 0: the fraction of |xi| above 1.96 should sit near 5%.

@@ -674,7 +674,7 @@ class TestRunSweep:
         assert list(rec) == [
             "rep", "scheme", "S_hat", "f_measure", "precision", "recall", "l2_error",
             "l2_error_oracle", "bits_round1_per_machine", "bits_round1_total", "bits_round2_total",
-            "wall_time", "shared_time", "flags", "fusion_log", "axis", "value",
+            "lam", "wall_time", "shared_time", "flags", "fusion_log", "axis", "value",
         ]
         assert list(rec["flags"]) == ["empty_support", "nonconverged_fits", "max_sweeps", "max_kkt", "round2_failed"]
 
@@ -738,7 +738,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("axis, grid", [("r", [0.8]), ("n", [30, 50])])
     def test_records_carry_solver_certificates(self, axis, grid):
         # A small explicit lambda keeps the replication fits nonzero; the n
-        # sweep below n_cal runs the covariance-free branch.
+        # sweep also runs them below n_cal.
         cfg = _config(M=4, reps=2, lam=0.1)
         res = run_sweep(cfg, axis, grid, ["thresh_votes"])
         for rec in res.records:
@@ -844,22 +844,26 @@ class TestRunSweep:
 
 
 class TestRoundOnePaths:
-    def test_gram_residual_and_local_fit_agree(self, small_design):
-        # The Gram and covariance-free branches give the same local fit,
-        # on the design's stored precision rows.
+    def test_warm_and_cold_column_stores_and_local_fit_agree(self, small_design):
+        # A replication whose machines read Gram columns an earlier
+        # replication formed gives the local fit of a point whose stores
+        # start empty, on the design's stored precision rows.
         cfg, design = small_design
+        cfg = cfg.with_(lam=0.1)
         point = materialize(design, cfg)
-        assert point.grams is not None
-        _, _, xi_gram, conv_gram, _, _, ys = _rep_fits(point, rep=1)
-        _, _, xi_res, conv_res, _, _, ys_res = _rep_fits(dataclasses.replace(point, grams=None), rep=1)
+        _rep_fits(point, rep=0)
+        assert all(store.kept for store in point.columns)
+        theta_warm, _, xi_warm, conv_warm, _, _, ys = _rep_fits(point, rep=1)
+        theta_cold, _, xi_cold, conv_cold, _, _, ys_cold = _rep_fits(materialize(design, cfg), rep=1)
         rows = estimate_precision(design.X[0], design.lam_omega).omega_hat
         stored = point.omegas[0]
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(rows, name), getattr(stored, name))
         assert np.array_equal(point.c_diag[0], sandwich_diag(stored, design.X[0]))
-        assert np.array_equal(ys[0], ys_res[0])
-        assert np.abs(xi_gram[0] - xi_res[0]).max() <= 1e-8
-        assert conv_gram[0] and conv_res[0]
+        assert np.array_equal(ys, ys_cold) and theta_warm.any()
+        assert np.array_equal(theta_warm != 0, theta_cold != 0)
+        assert np.abs(xi_warm - xi_cold).max() <= 1e-8
+        assert conv_warm.all() and conv_cold.all()
 
     def test_below_n_cal_sandwich_matches_dense_product(self):
         # Below the calibration size the sandwich comes from the first n
@@ -904,10 +908,10 @@ class TestStackedRoundOne:
             assert np.count_nonzero(fits[0])
             assert _oracle_error(point, ys) == loop_oracle_error(point, ref_ys)
 
-    def test_gram_branch(self, small_design):
+    def test_at_n_cal(self, small_design):
         cfg, design = small_design
         point = materialize(design, cfg.with_(**self.LAM))
-        assert point.grams is not None
+        assert point.n == design.n_cal
         self._assert_matches_loop(point)
 
     @pytest.mark.parametrize("reuse", [True, False])
@@ -915,7 +919,7 @@ class TestStackedRoundOne:
         cfg = _config(d=50, M=4, n=40, precision_reuse=reuse, **self.LAM)
         design = build_design(cfg)
         point = materialize(design, cfg, n=25)
-        assert point.grams is None and point.n < design.n_cal
+        assert point.n < design.n_cal
         self._assert_matches_loop(point)
 
     @pytest.mark.parametrize("M", [3, 1])
@@ -927,25 +931,28 @@ class TestStackedRoundOne:
 
     @pytest.mark.parametrize("n, lam", [(None, 1.3), (30, 1.8)])
     def test_zero_and_nonzero_fits_in_one_replication(self, small_design, n, lam):
-        # Zero fits take X'r from the replication's X'y, the others form
-        # their residual; both kinds must match the loop.
+        # Zero fits take X'r from the replication's X'y and store no Gram
+        # column; the others read their machine's column store. Both kinds
+        # must match the loop, at n_cal and below it.
         cfg, design = small_design
         point = materialize(design, cfg.with_(lam=lam), n=n)
-        assert (point.grams is None) == (n is not None)
+        assert (point.n == design.n_cal) == (n is None)
         for rep in (0, 3):
             live = _rep_fits(point, rep)[0].any(axis=1)
             assert live.any() and not live.all()
+            kept = np.array([store.kept for store in point.columns])
+            assert (kept[live] > 0).all()
         self._assert_matches_loop(point)
 
     def test_zero_fits_certified_from_the_replications_xty(self, monkeypatch):
-        # Below n_cal every fit is covariance-free. A zero fit's certificate
-        # is read off its row of the stacked X'y/n, a nonzero fit's off the
+        # Below n_cal as at it, a zero fit's certificate is read off its
+        # row of the stacked X'y/n, a nonzero fit's off the
         # solver's last gradient; no fit forms X'r again, and every
         # certificate equals the from-scratch one.
         cfg = _config(M=6, lam=1.8)
         design = build_design(cfg)
         point = materialize(design, cfg, n=40)
-        assert point.grams is None and point.n < design.n_cal
+        assert point.n < design.n_cal
         calls = []
 
         def counting(*args):
@@ -963,20 +970,18 @@ class TestStackedRoundOne:
                 want = kkt_violation(design.X[m][: point.n], Y[m], point.lam, theta_t[m])
                 assert kkt[m] == pytest.approx(want, rel=0.0, abs=1e-12), (rep, m)
 
-    @pytest.mark.parametrize("n, lam", [(None, 1.3), (30, 1.8)], ids=["gram", "covariance_free"])
+    @pytest.mark.parametrize("n, lam", [(None, 1.3), (30, 1.8)], ids=["n_cal", "below_n_cal"])
     def test_debiasing_and_certificates_equal_their_from_scratch_values(
         self, small_design, monkeypatch, n, lam
     ):
         # Each machine's theta_hat and KKT certificate come from its solver's
         # last gradient, with no residual formed and no kkt_violation call.
         # They must equal the naive debiasing of the residual y - X theta and
-        # the from-scratch certificate; bit for bit where the solver's
-        # gradient is X'r itself (covariance-free), to roundoff where it is
-        # X'y/n - G theta (Gram).
+        # the from-scratch certificate: bit for bit at a zero fit, whose
+        # gradient is its row of X'y/n, and to roundoff at a nonzero fit,
+        # whose gradient is X'y/n - G theta from the stored Gram columns.
         cfg, design = small_design
         point = materialize(design, cfg.with_(lam=lam), n=n)
-        gram = point.grams is not None
-        assert gram == (n is None)
         calls = []
         monkeypatch.setattr(lasso, "kkt_violation", lambda *args: calls.append(args))
         for rep in (0, 3):
@@ -990,7 +995,7 @@ class TestStackedRoundOne:
                 want = naive_debias(X, Y[m], theta_t[m], omega)
                 assert np.abs(theta_h[m] - want).max() <= 1e-12, (rep, m)
                 cert = kkt_violation(X, Y[m], point.lam, theta_t[m])
-                if gram:
+                if live[m]:
                     assert kkt[m] == pytest.approx(cert, rel=0.0, abs=1e-12), (rep, m)
                 else:
                     assert kkt[m] == cert, (rep, m)
@@ -1028,7 +1033,7 @@ class TestStackedRoundOne:
     @pytest.mark.parametrize("n", [None, 30])
     def test_point_gram_diagonal_rows_are_the_machines(self, small_design, n):
         # Every point holds its machines' column sums of squares over n, at
-        # n_cal (Gram branch) and below it (covariance-free branch) alike.
+        # n_cal and below it alike.
         cfg, design = small_design
         point = materialize(design, cfg, n=n, M=7)
         assert point.gram_diag.shape == (7, cfg.spec.d)
@@ -1052,6 +1057,75 @@ class TestStackedRoundOne:
             msgs = [protocol.Message(m, protocol.RestrictedEstimate(support, v)) for m, v in enumerate(values)]
             shuffled = [msgs[i] for i in rng.permutation(M)]
             assert _same_bits(fusion.aggregate_round2(shuffled, support, d), loop_aggregate(values, support, d))
+
+
+class TestColumnStores:
+    """Each grid point keeps one store of Gram columns per machine across its
+    replications, bounded in all by ``GRAM_CACHE_BYTES``."""
+
+    @staticmethod
+    def _assert_certified(point, rep):
+        # Every fit converged and its certificate, read off the gradient the
+        # solver formed from stored columns, is the from-scratch one.
+        theta_t, _, _, converged, _, kkt, Y = _rep_fits(point, rep)
+        assert converged.all() and theta_t.any()
+        for m in range(point.M):
+            X = point.design.X[m][: point.n]
+            cert = kkt_violation(X, Y[m], point.lam, theta_t[m])
+            assert cert <= 1e-7 and abs(kkt[m] - cert) <= 1e-12, (rep, m)
+        return theta_t
+
+    @pytest.mark.parametrize("n", [None, 30])
+    def test_nonzero_fits_certified_and_columns_kept_across_replications(self, small_design, n):
+        cfg, design = small_design
+        point = materialize(design, cfg.with_(lam=0.1), n=n, M=4)
+        held = []
+        for rep in range(4):
+            theta_t = self._assert_certified(point, rep)
+            for store, row in zip(point.columns, theta_t):
+                assert (store.slot[row != 0] >= 0).all()
+            held.append([store.kept for store in point.columns])
+        # Grow-only: a later replication keeps every column an earlier one formed.
+        assert all(a <= b for a, b in zip(held, held[1:]))
+        assert all(store.rows.shape == (store.kept, cfg.spec.d) for store in point.columns)
+
+    def test_budget_bounds_a_points_columns(self, small_design, monkeypatch):
+        # Room for five columns in all: the machines fit as with unbounded
+        # stores in the first replication and stay certified after it.
+        cfg, design = small_design
+        cfg = cfg.with_(lam=0.1)
+        free = materialize(design, cfg, M=4)
+        monkeypatch.setattr(harness, "GRAM_CACHE_BYTES", 5 * 8 * cfg.spec.d)
+        point = materialize(design, cfg, M=4)
+        first, first_free = _rep_fits(point, 0), _rep_fits(free, 0)
+        for name, a, b in zip(("theta_tilde", "theta_hat", "xi"), first, first_free):
+            assert _same_bits(a, b), name
+        for rep in range(1, 4):
+            self._assert_certified(point, rep)
+            assert sum(store.rows.nbytes for store in point.columns) == 5 * 8 * cfg.spec.d
+        assert sum(store.kept for store in free.columns) > 5
+
+    def test_zero_fits_store_nothing(self, small_design):
+        cfg, design = small_design
+        point = materialize(design, cfg, M=4)
+        for rep in range(3):
+            assert not _rep_fits(point, rep)[0].any()
+        assert all(store.rows.size == 0 and (store.slot == -1).all() for store in point.columns)
+
+    def test_redraw_mode_starts_every_replication_cold(self, monkeypatch):
+        cfg = _config(d=30, M=3, n=25, reps=3, fixed_design=False, lam=0.1)
+        points = []
+        build = harness.materialize
+
+        def keeping(*args, **kwargs):
+            points.append(build(*args, **kwargs))
+            assert not any(store.kept for store in points[-1].columns)
+            return points[-1]
+
+        monkeypatch.setattr(harness, "materialize", keeping)
+        records = run_sweep(cfg, "r", [cfg.spec.r], ["thresh_votes"]).records
+        assert len(points) == 3 and len({id(p.columns[0]) for p in points}) == 3
+        assert all(rec["flags"]["max_sweeps"] > 1 for rec in records)
 
 
 class TestNoiseStates:
@@ -1095,7 +1169,6 @@ class TestNoiseStates:
     def test_one_fit_call_per_replication(self, monkeypatch):
         cfg = _config(d=30, M=4, n=40, lam=0.1)
         point = materialize(build_design(cfg), cfg, n=25)
-        assert point.grams is None
         calls = []
 
         def counting(X, *args, **kwargs):

@@ -9,16 +9,19 @@ import pytest
 from votelasso import _kernels
 from votelasso.lasso import MAX_SWEEPS, fit_lasso_gram
 
-from oracles import fista_lasso, scalar_cd_gram, scalar_cd_residual
+from oracles import fista_lasso, scalar_cd_columns, scalar_cd_gram, scalar_cd_residual
 
 
-def _cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
-    """``_kernels.cd_residual`` given the Gram diagonal and X'y/n it reads:
-    its (sweeps, kkt, converged) and then the gradient it wrote."""
+def _cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, columns=None):
+    """``_kernels.cd_residual`` given the Gram diagonal and X'y/n it reads,
+    and an empty column store unless ``columns`` is given: its (sweeps,
+    kkt, converged) and then the gradient it wrote."""
     n, d = X.shape
     g = np.full(d, np.nan)
+    if columns is None:
+        columns = _kernels.GramColumns(d)
     out = _kernels.cd_residual(
-        X, y, lam, w, max_sweeps, coef_tol, kkt_tol, _kernels.gram_diagonal(X), X.T @ y / n, g
+        X, y, lam, w, max_sweeps, coef_tol, kkt_tol, _kernels.gram_diagonal(X), X.T @ y / n, g, columns
     )
     return (*out, g)
 
@@ -83,7 +86,7 @@ def _ar1_problem(seed, n=60, d=30, rho=0.6):
 
 
 def _both_forms(X, y, lam, w0, max_sweeps=10_000):
-    """(w, sweeps, kkt, converged) from the Gram form, then the residual form.
+    """(w, sweeps, kkt, converged) from ``cd_gram``, then ``cd_residual``.
 
     Each form is solved only when the generator reaches it, so a caller can
     inspect the working sets of one form before the next runs.
@@ -269,10 +272,15 @@ def test_bit_identical_to_scalar_reference(seed):
     if skip < 0:
         w, w_ref = w0.copy(), w0.copy()
         *out, g = _cd_residual(X, y, lam, w, *tols)
-        *out_ref, g_ref = scalar_cd_residual(X, y, lam, w_ref, *tols)
+        *out_ref, g_ref = scalar_cd_columns(X, y, lam, w_ref, *tols)
         assert out == out_ref
         # The gradient written on every exit is the full one at the solution.
         assert _same(w, w_ref) and _same(g, g_ref)
+        # The residual form solves the same problem with other roundoff.
+        w_res = w0.copy()
+        *out_res, g_res = scalar_cd_residual(X, y, lam, w_res, *tols)
+        assert out[2] == out_res[2]
+        assert np.abs(w - w_res).max() <= 1e-6 and np.abs(g - g_res).max() <= 1e-6
 
 
 def test_settled_working_set_beside_unmovable_violator_stops():
@@ -321,12 +329,92 @@ def test_zero_solution_returns_after_one_gradient(gradient_calls, working_sets, 
     for scale in (1.0, 1.5):
         w, w_ref = np.zeros(d), np.zeros(d)
         *out, g = _cd_residual(X, y, scale * lam_r, w, *tols)
-        *out_ref, g_ref = scalar_cd_residual(X, y, scale * lam_r, w_ref, *tols)
+        *out_ref, g_ref = scalar_cd_columns(X, y, scale * lam_r, w_ref, *tols)
         assert out == out_ref
         assert _same(w, w_ref) and _same(g, g_ref)
     if max_sweeps:
         # cd_gram's one pass; the other two solves never entered the solver.
         assert gradient_calls[0] == 1 and working_sets == [set()]
+
+
+@pytest.fixture
+def formed(monkeypatch):
+    """Every product a column store forms, in order, as (store, indices,
+    the product X.T @ X[:, indices] / n recomputed)."""
+    seen = []
+    form = _kernels.GramColumns.form
+
+    def spy(store, X, J):
+        missing = J[store.slot[J] < 0]
+        form(store, X, J)
+        if missing.size:
+            seen.append((store, missing.tolist(), X.T @ X[:, missing] / X.shape[0]))
+
+    monkeypatch.setattr(_kernels.GramColumns, "form", spy)
+    return seen
+
+
+def _held(store):
+    """The indices a store holds, by slot."""
+    held = np.flatnonzero(store.slot >= 0)
+    return held[np.argsort(store.slot[held])].tolist()
+
+
+def test_stored_columns_are_their_products_and_never_repeat(formed):
+    # One store serves fits of one design for several responses, as a grid
+    # point's store serves its replications: each column is formed once,
+    # and its bits are those of the product that formed it.
+    X, _ = _ar1_problem(2)
+    n, d = X.shape
+    store = _kernels.GramColumns(d)
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        y = X[:, rng.choice(d, 4, replace=False)] @ rng.standard_normal(4) + rng.standard_normal(n)
+        w = np.zeros(d)
+        _, kkt, conv, g = _cd_residual(X, y, 0.1, w, MAX_SWEEPS, 1e-9, 1e-7, store)
+        assert conv and kkt <= 1e-7 and w.any()
+        assert set(np.flatnonzero(w).tolist()) <= set(_held(store))
+    order = [j for _, missing, _ in formed for j in missing]
+    assert len(order) == len(set(order)) == store.rows.shape[0] == store.kept
+    assert _held(store) == order and len(formed) > 1
+    for _, missing, product in formed:
+        for i, j in enumerate(missing):
+            assert _same(store.rows[store.slot[j]], product[:, i]), j
+
+
+def test_zero_fit_stores_nothing(formed, problem):
+    X, y = problem
+    n, d = X.shape
+    store = _kernels.GramColumns(d)
+    lam = float(np.abs(X.T @ y / n).max())
+    w = np.zeros(d)
+    assert _cd_residual(X, y, lam, w, MAX_SWEEPS, 1e-9, 1e-7, store)[:3] == (1, 0.0, True)
+    assert not formed and store.rows.shape == (0, d) and (store.slot == -1).all()
+
+
+def test_budget_bounds_the_stores_that_share_it(problem):
+    # Two stores share room for three columns. A fit uses every column it
+    # forms, kept or not, so its result is that of an unbounded store; the
+    # stores keep the columns they formed first, up to the budget.
+    X, y = problem
+    n, d = X.shape
+    budget = _kernels.ColumnBudget(3 * 8 * d)
+    stores = [_kernels.GramColumns(d, budget) for _ in range(2)]
+    for store, lam in zip(stores, (0.05, 0.02)):
+        w, w_free = np.zeros(d), np.zeros(d)
+        out = _cd_residual(X, y, lam, w, MAX_SWEEPS, 1e-9, 1e-7, store)
+        free = _kernels.GramColumns(d)
+        out_free = _cd_residual(X, y, lam, w_free, MAX_SWEEPS, 1e-9, 1e-7, free)
+        assert out[:3] == out_free[:3] and _same(w, w_free) and _same(out[3], out_free[3])
+        assert out[2] and np.count_nonzero(w) > 3
+        assert _held(store) == _held(free)[: store.kept]
+    assert [s.kept for s in stores] == [3, 0]
+    assert sum(s.rows.nbytes for s in stores) == 3 * 8 * d and budget.left == 0
+    assert (stores[1].slot == -1).all()
+    # A full store still fits, forming what it lacks for that fit only.
+    w = np.zeros(d)
+    _, kkt, conv, _ = _cd_residual(X, y, 0.05, w, MAX_SWEEPS, 1e-9, 1e-7, stores[0])
+    assert conv and kkt <= 1e-7 and stores[0].kept == 3 and stores[0].rows.shape == (3, d)
 
 
 def _stack_case(seed):

@@ -4,7 +4,6 @@ The benchmark patches module attributes to count solver work and check KKT
 certificates; a renamed call site would silently drop out of its counts.
 """
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -47,36 +46,39 @@ def test_every_span_site_exists(probes):
 
 
 def test_every_replication_fit_goes_through_a_patched_name(monkeypatch):
+    # One cd_residual call per machine, at n_cal and below it, for zero
+    # fits (the default lambda) and nonzero ones; the Gram-matrix fit the
+    # benchmark still wraps is never called.
     spec = ProblemSpec(d=20, K=2, M=3, n=30, r=0.8, base_seed=1)
-    config = harness.ExperimentConfig(spec=spec)
-    point = harness.materialize(harness.build_design(config), config)
+    design = harness.build_design(harness.ExperimentConfig(spec=spec))
     calls = []
 
-    def counting(fn):
+    def counting(name, fn):
         def wrapped(*args, **kwargs):
             out = fn(*args, **kwargs)
-            calls.append(len(out))
+            calls.append((name, len(out)))
             return out
 
         return wrapped
 
-    monkeypatch.setattr(harness, "fit_lasso_gram", counting(harness.fit_lasso_gram))
-    monkeypatch.setattr(_kernels, "cd_residual", counting(_kernels.cd_residual))
-    harness._rep_fits(point, rep=0)
-    assert calls == [5] * spec.M  # Gram branch: (theta, u, sweeps, kkt, converged)
-    calls.clear()
-    harness._rep_fits(dataclasses.replace(point, grams=None), rep=0)
-    assert calls == [3] * spec.M  # covariance-free branch: (sweeps, kkt, converged)
+    monkeypatch.setattr(harness, "fit_lasso_gram", counting("gram", harness.fit_lasso_gram))
+    monkeypatch.setattr(_kernels, "cd_residual", counting("columns", _kernels.cd_residual))
+    for lam in ("fixed_8", 0.3):
+        config = harness.ExperimentConfig(spec=spec, lam=lam)
+        for n in (None, 20):
+            calls.clear()
+            theta = harness._rep_fits(harness.materialize(design, config, n=n), rep=0)[0]
+            assert theta.any() == (lam != "fixed_8")
+            assert calls == [("columns", 3)] * spec.M  # (sweeps, kkt, converged)
 
 
 def test_covariance_free_fits_pass_the_benchmark_probe(probes):
     # The probe wraps cd_residual as counted(X, y, lam, w, *rest): the
-    # precomputed Gram diagonal and X'y/n must reach it positionally, or
-    # every covariance-free fit raises TypeError under the benchmark.
+    # precomputed Gram diagonal, X'y/n and the machine's column store must
+    # reach it positionally, or every fit raises TypeError under the benchmark.
     spec = ProblemSpec(d=20, K=2, M=3, n=30, r=0.8, base_seed=1)
     config = harness.ExperimentConfig(spec=spec, lam=0.3)
     point = harness.materialize(harness.build_design(config), config, n=20)
-    assert point.grams is None
     checks = probes.Checks()
     with probes.Patches() as patches:
         checks.install_replication(patches)
@@ -202,4 +204,5 @@ def test_design_state_reads_the_precision_layout(bench_run):
     assert state["omega_nnz_per_row"] == nnz / (30 * 3)
     layout = sum(o.indptr.nbytes + o.indices.nbytes + o.data.nbytes for o in design.omegas)
     assert state["omega_bytes"] == layout
-    assert state["gram_cache_bytes"] == 3 * 30 * 30 * 8
+    # No design keeps Gram matrices; a grid point keeps Gram columns.
+    assert design.grams is None and state["gram_cache_bytes"] == 0
