@@ -7,39 +7,39 @@ Every entry point solves
 up to an additive constant. With G = X'X/n and c = X'y/n this is the
 least-squares lasso objective (1/2n)||y - Xw||^2 + lam*||w||_1.
 
-``cd_gram`` and ``cd_residual`` solve one problem and share one active-set
-solver (Friedman, Hastie & Tibshirani 2010, *J. Stat. Softw.*): each outer
-pass checks the KKT conditions of every coordinate with one gradient
-product, then runs cyclic coordinate descent over the nonzero coordinates
-plus the violators only. ``cd_gram`` reads G from a full Gram matrix.
-``cd_residual`` reads it from a ``GramColumns`` store that holds only the
-columns of coordinates that have entered a working set, formed on first
-use (the "covariance updates" of Friedman et al., section 2.2): a caller
-that keeps the store across fits of one design forms each column once.
-The gradient the solve ends on is the full product at the returned
-solution: its KKT residual is the fit's certificate, and ``cd_residual``
-hands it back as the fit's X'(y - X w)/n, which the debiasing step
-reuses. ``cd_gram_stack`` solves many problems that share one G (a
-machine's nodewise regressions) with the same passes, in lockstep: one
-gradient product for all unfinished problems, their working sets padded to
-a common width, and each coordinate update applied to every problem at
-once. Each problem keeps its own stopping rules and KKT certificate.
+There is one driver per problem shape, both active-set solvers (Friedman,
+Hastie & Tibshirani 2010, *J. Stat. Softw.*): each outer pass checks the
+KKT conditions of every coordinate with one gradient product, then runs
+cyclic coordinate descent over the nonzero coordinates plus the violators
+only. ``cd_residual`` fits one design (a machine's replication lasso). It
+reads G from a ``GramColumns`` store that holds only the columns of
+coordinates that have entered a working set, formed on first use (the
+"covariance updates" of Friedman et al., section 2.2): a caller that keeps
+the store across fits of one design forms each column once. The gradient
+the solve ends on is the full product at the returned solution: its KKT
+residual is the fit's certificate, and ``cd_residual`` hands it back as the
+fit's X'(y - X w)/n, which the debiasing step reuses. ``cd_gram_stack``
+solves many problems that share one full G (a machine's nodewise
+regressions) with the same passes, in lockstep: one gradient product for
+all unfinished problems, their working sets padded to a common width, and
+each coordinate update applied to every problem at once. Each problem keeps
+its own stopping rules, its own held-out coordinate (``skip``) and its own
+KKT certificate.
 
 Most fits are tiny (a nodewise regression has two or three nonzeros and
 takes about two passes), so per-call cost matters more than arithmetic.
-The single-problem inner sweep reads the working-set diagonal, the
-coefficients and each gradient entry as Python floats and updates the
-working-set gradient with one NumPy row operation per moved coordinate,
-which keeps working sets of hundreds of coordinates fast. A fit that starts
-at zero, where zero already satisfies the KKT conditions (every replication
-fit under a large lambda, ``zero_start_solves``), gets the result the full
-loop would give before the loop starts: ``cd_residual`` checks for it
-itself, and ``lasso.fit_lasso_gram`` before it calls ``cd_gram``. A pass
-that moves no coefficient ends the solve, because every later pass would
-see the same gradient: the result is converged if the KKT residual is
-within tolerance and out of budget otherwise. That covers every fit whose
-working set is empty (a lasso whose solution is 0) and KKT violators that
-cannot move (zero diagonal). The
+The single-problem inner sweep (``_active_set_cd``) reads the working-set
+diagonal, the coefficients and each gradient entry as Python floats and
+updates the working-set gradient with one NumPy row operation per moved
+coordinate, which keeps working sets of hundreds of coordinates fast. A fit
+that starts at zero, where zero already satisfies the KKT conditions (every
+replication fit under a large lambda, ``zero_start_solves``), gets the
+result the full loop would give before the loop starts: ``cd_residual``
+checks for it itself. A pass that moves no coefficient ends the solve,
+because every later pass would see the same gradient: the result is
+converged if the KKT residual is within tolerance and out of budget
+otherwise. That covers every fit whose working set is empty (a lasso whose
+solution is 0) and KKT violators that cannot move (zero diagonal). The
 floating-point operations and their order are those of a plain scalar
 sweep, so results do not depend on these choices.
 
@@ -61,44 +61,39 @@ import numpy as np
 USING_NUMBA = False
 
 
-def kkt_residual(g: np.ndarray, w: np.ndarray, lam: float, skip: int = -1) -> float:
+def kkt_residual(g: np.ndarray, w: np.ndarray, lam: float) -> float:
     """Max KKT residual at ``w``, given the negative smooth gradient ``g``.
 
     ``g`` is c - G w, which is X'(y - X w)/n when G = X'X/n and c = X'y/n.
     Active coordinates score |g_j - lam sign(w_j)|, inactive ones
-    max(|g_j| - lam, 0). Coordinate ``skip`` (if >= 0) is left out.
+    max(|g_j| - lam, 0).
     """
     v = np.abs(g) - lam
     nz = w.nonzero()[0]
     v[nz] = np.abs(g[nz] - lam * np.sign(w[nz]))
-    if skip >= 0:
-        v[skip] = 0.0
     return float(v.max(initial=0.0))
 
 
-def zero_start_solves(c: np.ndarray, lam: float, skip: int = -1) -> bool:
+def zero_start_solves(c: np.ndarray, lam: float) -> bool:
     """Whether w = 0 satisfies the KKT conditions of the problem whose
-    gradient at 0 is ``c``: max |c_j| <= lam over the coordinates other than
-    ``skip`` (if >= 0). False when that maximum is NaN. From a zero start the
-    solver's first pass then finds an empty working set and returns
-    (1 sweep, KKT residual 0.0, converged) for any ``max_sweeps`` >= 1."""
-    v = np.abs(c)
-    if skip >= 0:
-        v[skip] = 0.0
-    return bool(np.maximum.reduce(v, initial=0.0) <= lam)
+    gradient at 0 is ``c``: max |c_j| <= lam. False when that maximum is
+    NaN. From a zero start the solver's first pass then finds an empty
+    working set and returns (1 sweep, KKT residual 0.0, converged) for any
+    ``max_sweeps`` >= 1."""
+    return bool(np.maximum.reduce(np.abs(c), initial=0.0) <= lam)
 
 
-def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
-    """The shared solver. ``w`` is updated in place.
+def _active_set_cd(gradient, block, diag, lam, w, max_sweeps, coef_tol, kkt_tol):
+    """The single-problem solver. ``w`` is updated in place.
 
     ``gradient(nz)`` returns c - G w given the indices ``nz`` of the nonzero
     coefficients; ``block(A)`` returns the dense G[A, A]; ``diag`` is the
-    diagonal of G. Coordinate ``skip`` and coordinates with a nonpositive
-    diagonal are held at 0 and never enter the working set. Converged means
-    the last inner sweep moved no coefficient by ``coef_tol`` or more and the
-    KKT residual over all coordinates is at most ``kkt_tol``. ``max_sweeps``
-    caps the inner sweeps summed over all outer passes, and every pass
-    spends at least one, so the loop always ends. A pass that moves no
+    diagonal of G. Coordinates with a nonpositive diagonal are held at 0
+    and never enter the working set. Converged means the last inner sweep
+    moved no coefficient by ``coef_tol`` or more and the KKT residual over
+    all coordinates is at most ``kkt_tol``. ``max_sweeps`` caps the inner
+    sweeps summed over all outer passes, and every pass spends at least
+    one, so the loop always ends. A pass that moves no
     coefficient ends the loop: every later pass would see the same gradient
     and repeat it until ``max_sweeps``. So does a one-sweep pass that moved
     nothing by ``coef_tol`` or more when the KKT residual comes only from
@@ -108,8 +103,6 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
     and ``kkt`` is its KKT residual.
     """
     free = diag > 0.0
-    if skip >= 0:
-        free[skip] = False
     w[~free] = 0.0
     g = gradient(w.nonzero()[0])
     sweeps, inner_converged, settled = 0, False, False
@@ -118,7 +111,7 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
         # left; it needs the KKT residual only if it moves nothing.
         kkt = None
         if inner_converged or sweeps >= max_sweeps:
-            kkt = kkt_residual(g, w, lam, skip)
+            kkt = kkt_residual(g, w, lam)
             converged = inner_converged and kkt <= kkt_tol
             if converged or sweeps >= max_sweeps:
                 return sweeps, kkt, converged, g
@@ -153,30 +146,12 @@ def _active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_tol, kk
         settled = inner_converged and sweeps == start + 1
         if not moved:
             if kkt is None:
-                kkt = kkt_residual(g, w, lam, skip)
+                kkt = kkt_residual(g, w, lam)
             if inner_converged and kkt <= kkt_tol:
                 return sweeps, kkt, True, g
             return max_sweeps, kkt, False, g
         w[A] = wA
         g = gradient(w.nonzero()[0])
-
-
-def cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
-    """Active-set CD on the Gram form. ``w`` is updated in place.
-
-    ``skip`` excludes one coordinate (held at 0), used for nodewise
-    regressions that share a single Gram matrix; pass -1 to use all
-    coordinates. Returns (u, sweeps, kkt, converged) with u = G @ w.
-    """
-    # G is symmetric, so its rows stand in for its columns.
-    sweeps, kkt, converged, _ = _active_set_cd(
-        lambda nz: c - w[nz] @ G[nz],
-        lambda A: G[A[:, None], A],
-        G.diagonal(),
-        lam, w, skip, max_sweeps, coef_tol, kkt_tol,
-    )
-    nz = w.nonzero()[0]
-    return w[nz] @ G[nz], sweeps, kkt, converged
 
 
 def gram_diagonal(X):
@@ -278,7 +253,7 @@ def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag, c, g, columns
         return columns.rows[columns.slot[A][:, None], A]
 
     sweeps, kkt, converged, g[:] = _active_set_cd(
-        gradient, block, diag, lam, w, -1, max_sweeps, coef_tol, kkt_tol
+        gradient, block, diag, lam, w, max_sweeps, coef_tol, kkt_tol
     )
     columns.settle()
     return sweeps, kkt, converged
@@ -405,18 +380,20 @@ def cd_gram_stack(G, C, lam, W, skip, max_sweeps, coef_tol, kkt_tol):
 
     Row r of ``C`` (B, d) is problem r's c; ``W`` (B, d) holds the starts
     and is updated in place; ``skip`` (B,) holds each row's excluded
-    coordinate, or -1. Each row follows ``_active_set_cd``'s rules: its
-    coordinate ``skip[r]`` and coordinates with a nonpositive diagonal are
-    held at 0, an outer pass forms its working set from a full gradient, the
-    sweeps of its passes are capped by ``max_sweeps``, and it stops on the
-    same converged, no-move and settled-unmovable-violator conditions.
+    coordinate, or -1. Each row follows ``_active_set_cd``'s rules, with
+    its coordinate ``skip[r]`` held at 0 and left out of its KKT residual:
+    coordinates with a nonpositive diagonal are held at 0 too, an outer pass
+    forms its working set from a full gradient, the sweeps of its passes are
+    capped by ``max_sweeps``, and it stops on the same converged, no-move
+    and settled-unmovable-violator conditions.
 
     Each pass forms the gradient of every unfinished row at once, one
     gathered row of G per nonzero, pads the working sets to (rows, k)
     indices with (rows, k, k) blocks of G and sweeps all rows together
-    (``_lockstep_sweeps``). The inner sweeps repeat the scalar kernel's
+    (``_lockstep_sweeps``). The inner sweeps repeat ``_active_set_cd``'s
     floating-point operations; the gradient sums its terms in another order,
-    so results agree with ``cd_gram`` to roundoff, not bit for bit.
+    so a row agrees with that solver on the dense G to roundoff, not bit for
+    bit.
     Returns (U, sweeps, kkt, converged): U = W @ G at the solution and, per
     row, the sweeps, the KKT residual and the flag.
     """

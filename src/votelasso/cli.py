@@ -50,8 +50,12 @@ FLAG_ONLY_KEYS = ("out", "csv", "axis", "grid", "paper_scale", "config")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"cannot read config file {path}: {getattr(exc, 'strerror', None) or exc}") from None
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -296,7 +300,10 @@ def cmd_report(args) -> int:
     rows = []
     for src in args.inputs:
         path = Path(src)
-        records = load_jsonl(path if path.is_file() else path / "records.jsonl")
+        try:
+            records = load_jsonl(path / "records.jsonl" if path.is_dir() else path)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"bad report input: {exc}") from None
         for rec in records:
             rows.append(
                 {

@@ -37,20 +37,20 @@ replication the point does not hold. A replication (``_rep_fits``) then
 computes only what depends on its noise, as one batched pass over the
 prefix where the arithmetic is the same on every machine: the (M, n)
 noise, bit for bit ``sample_noise``'s, and responses x_theta + sigma W,
-X'y/n formed once (every lasso's input), one block-diagonal mat-vec, the
-standardization and the oracle's cross moments. Every row of these equals
-the single-machine result bit for bit, and sums over machines add them in
-machine order (``fusion.sum_rows``), so records do not depend on the
-batching. Three steps stay per machine. Each machine's noise comes from
-its own seeded stream, set from its seed words. Each lasso fit solves that
-machine's own problem, and the fits are the call sites the benchmark's
-probes count: one ``fit_lasso`` call for the whole stack, which checks
-every machine's inputs at once and makes one ``_kernels.cd_residual`` call
-per machine. A fit takes its row of the replication's X'y/n as its
-gradient at the zero start and its row of ``gram_diag`` for its check that
-X is finite, so it forms neither. A nonzero fit reads the Gram columns of
-its working sets from its machine's store and forms those the store lacks
-in one product per solver pass; a zero fit (every fit at the default
+X'y/n (every lasso's gradient at zero, formed by ``fit_lasso`` in one
+product), one block-diagonal mat-vec, the standardization and the oracle's
+cross moments. Every row of these equals the single-machine result bit for
+bit, and sums over machines add them in machine order (``fusion.sum_rows``),
+so records do not depend on the batching. Three steps stay per machine.
+Each machine's noise comes from its own seeded stream, set from its seed
+words. Each lasso fit solves that machine's own problem, and the fits are
+the call sites the benchmark's probes count: one ``fit_lasso`` call for the
+whole stack, which checks every machine's inputs at once, forms the
+stack's X'y/n and makes one ``_kernels.cd_residual`` call per machine. A
+fit takes its row of the point's ``gram_diag`` for its check that X is
+finite, so it does not form it again. A nonzero fit reads the Gram columns
+of its working sets from its machine's store and forms those the store
+lacks in one product per solver pass; a zero fit (every fit at the default
 lambda) touches no store. The stores of a point keep their columns across
 its replications, up to ``GRAM_CACHE_BYTES`` for the point in all; a
 column's bits are those of the product that formed it, so a nonzero fit
@@ -490,8 +490,7 @@ def _rep_fits(point: PointState, rep: int):
     else:
         states = _stream_states(spec.base_seed, TAG_NOISE, [rep], M)[0]
     Y = point.x_theta + sigma * _draw_rows(np.empty((M, n)), states, point.noise_generator)
-    XtY = (Y[:, None, :] @ X)[:, 0, :] / n
-    fit = fit_lasso(X, Y, point.lam, gram_diag=point.gram_diag, c=XtY, columns=point.columns)
+    fit = fit_lasso(X, Y, point.lam, gram_diag=point.gram_diag, columns=point.columns)
     theta_t, grad = fit.coefficients, fit.gradient  # grad: X'(y - X theta_tilde)/n
     converged, sweeps, kkt = fit.converged, fit.iterations, fit.max_kkt_violation
     theta_h = debias(theta_t, grad, point.omega)

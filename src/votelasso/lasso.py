@@ -3,13 +3,15 @@
 The solver is active-set coordinate descent (``_kernels``): each outer
 pass checks the KKT conditions of every coordinate with one vectorized
 gradient, then runs cyclic coordinate descent over the nonzero coordinates
-plus the violators only. ``fit_lasso`` reads the columns of X'X/n it needs
-from a per-design store of Gram columns (``_kernels.GramColumns``), formed
-when a coordinate first enters a working set; a caller that fits one design
-many times (every replication of a grid point) passes the same store each
-time, so each column is formed once. ``fit_lasso_gram`` reads a full Gram
-matrix, and solves a stack of problems that share one Gram matrix (a
-machine's nodewise regressions) in lockstep. Convergence requires both a
+plus the violators only. There is one entry per problem shape.
+``fit_lasso`` fits designs, one lasso each (a machine's replication fit):
+it reads the columns of X'X/n it needs from a per-design store of Gram
+columns (``_kernels.GramColumns``), formed when a coordinate first enters a
+working set; a caller that fits one design many times (every replication
+of a grid point) passes the same store each time, so each column is formed
+once. ``fit_lasso_gram`` solves a stack of problems that share one full
+Gram matrix (a machine's nodewise regressions) in lockstep, each row with
+one coordinate held out. Convergence requires both a
 small coefficient change and a small KKT residual over all coordinates, so
 a converged fit carries an optimality certificate. ``fit_lasso`` reads it
 off the solver's last gradient, X'y/n - (X'X/n) theta, which is
@@ -73,9 +75,7 @@ def fit_lasso(
     y: np.ndarray,
     lam: float,
     max_sweeps: int = MAX_SWEEPS,
-    kkt_tol: float = KKT_TOL,
     gram_diag: np.ndarray | None = None,
-    c: np.ndarray | None = None,
     columns=None,
 ) -> LassoFit:
     """Solve the lasso by active-set coordinate descent, for one design or
@@ -94,32 +94,31 @@ def fit_lasso(
     that each holds columns of its design only. Without it every problem
     gets a new store without a budget, dropped after the fit.
 
-    Returns the solver's last gradient X'y/n - (X'X/n) theta at the
-    solution (``c`` itself for a zero solution) as ``gradient`` and that
-    gradient's KKT residual as ``max_kkt_violation``, equal up to roundoff
-    to ``kkt_violation`` at the solution without forming X'r again. ``converged`` is True only when the
+    The fit forms X'y/n, the gradient at the zero start, in one product
+    over the stack whose bits are those of ``X.T @ y / n``
+    (``restricted_xty``). It returns the solver's last gradient
+    X'y/n - (X'X/n) theta at the solution (X'y/n itself for a zero
+    solution) as ``gradient`` and that gradient's KKT residual as
+    ``max_kkt_violation``, equal up to roundoff to ``kkt_violation`` at the
+    solution without forming X'r again. ``converged`` is True only when the
     last sweep moved no coefficient by ``COEF_TOL`` or more and that
-    residual is within ``kkt_tol``. Non-convergence within ``max_sweeps`` is
+    residual is within ``KKT_TOL``. Non-convergence within ``max_sweeps`` is
     reported, not raised.
 
-    Two inputs that depend only on the design or that the caller has
-    already formed may be passed in, (d,) for a design and (M, d) for a
-    stack: ``gram_diag`` is the diagonal of X'X/n, each column's sum of
-    squares over n (``_kernels.gram_diagonal``), and ``c`` is X'y/n, the
-    gradient at the zero start. Without them the fit forms them itself, with
-    the same result: ``c`` in one product over the stack whose bits are
-    those of ``X.T @ y / n`` (``restricted_xty``). The caller vouches that
-    both are those of X and y, as ``fit_lasso_gram``'s caller does for G and
-    c.
+    ``gram_diag``, the diagonal of X'X/n ((d,) for a design, (M, d) for a
+    stack: each column's sum of squares over n, ``_kernels.gram_diagonal``),
+    depends only on the design, so a caller that fits one design many times
+    may pass it in; the fit forms it itself otherwise, with the same result.
+    The caller vouches that it is that of X.
 
     Every fit starts from zero. The inputs are checked once over the whole
     stack, and a fault in any machine's raises ValueError: a NaN or inf in
-    X, y or ``c``, a wrong shape, or a ``columns`` of another length than
-    the stack. X is checked in O(d) per machine
-    through its column sums of squares: a column's sum is NaN or inf when
-    the column holds a NaN or inf, and also when its squares sum past the
-    largest double, so a column with an entry of magnitude about 1.3e154 or
-    more is rejected too.
+    X, y or the X'y/n formed from them (a product past the largest double),
+    a wrong shape, or a ``columns`` of another length than the stack. X is
+    checked in O(d) per machine through its column sums of squares: a
+    column's sum is NaN or inf when the column holds a NaN or inf, and also
+    when its squares sum past the largest double, so a column with an entry
+    of magnitude about 1.3e154 or more is rejected too.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -128,7 +127,6 @@ def fit_lasso(
     if single:
         X, y = X[None], y[None]
         gram_diag = None if gram_diag is None else np.asarray(gram_diag)[None]
-        c = None if c is None else np.asarray(c)[None]
         columns = None if columns is None else [columns]
     if X.ndim != 3:
         raise ValueError("X must be (n, d) or a stack (M, n, d)")
@@ -140,14 +138,9 @@ def fit_lasso(
         raise ValueError("gram_diag has wrong length")
     if not (np.isfinite(diag).all() and np.isfinite(y).all()):
         raise ValueError("NaN or inf in lasso inputs")
-    if c is None:
-        c = restricted_xty(X, y) / n
-    else:
-        c = np.asarray(c, dtype=np.float64)
-        if c.shape != (M, d):
-            raise ValueError("c has wrong length")
-        if not np.isfinite(c).all():
-            raise ValueError("NaN or inf in lasso inputs")
+    c = restricted_xty(X, y) / n
+    if not np.isfinite(c).all():  # finite X and y whose products overflow
+        raise ValueError("NaN or inf in lasso inputs")
     if columns is not None and len(columns) != M:
         raise ValueError("columns must hold one store per design")
     lam, max_sweeps = float(lam), int(max_sweeps)
@@ -159,7 +152,7 @@ def fit_lasso(
         store = _kernels.GramColumns(d) if columns is None else columns[m]
         # Positional: the benchmark's probe of cd_residual takes no keywords.
         sweeps[m], kkt[m], converged[m] = _kernels.cd_residual(
-            X[m], y[m], lam, W[m], max_sweeps, COEF_TOL, kkt_tol, diag[m], c[m], G[m], store
+            X[m], y[m], lam, W[m], max_sweeps, COEF_TOL, KKT_TOL, diag[m], c[m], G[m], store
         )
     if single:
         return LassoFit(W[0], lam, int(sweeps[0]), float(kkt[0]), bool(converged[0]), G[0])
@@ -184,46 +177,32 @@ def kkt_violation(X: np.ndarray, y: np.ndarray, lam: float, theta: np.ndarray) -
 
 def fit_lasso_gram(
     G: np.ndarray,
-    c: np.ndarray,
+    C: np.ndarray,
     lam: float,
-    skip: int | np.ndarray = -1,
+    skip: np.ndarray,
     max_sweeps: int = MAX_SWEEPS,
-    kkt_tol: float = KKT_TOL,
 ) -> tuple[np.ndarray, np.ndarray, int, float, bool]:
-    """Gram-form variant sharing the CD solver: G = X'X/n, c = X'y/n.
+    """Solve B Gram-form problems that share G = X'X/n in lockstep
+    (``_kernels.cd_gram_stack``): row r of ``C`` (B, d) is problem r's
+    c = X'y/n, and coordinate ``skip[r]`` of ``skip`` (B,) is held at zero
+    (-1 holds none), as in a machine's nodewise regressions. Every row
+    starts from zero.
 
-    Used where many fits share one design (nodewise regressions, fixed-design
-    replications). ``skip`` holds one coordinate at zero. Returns
-    (theta, u, sweeps, kkt, converged) with u = G @ theta. Every fit starts
-    from zero, and a single problem where zero is optimal
-    (``_kernels.zero_start_solves``: max |c| <= lam off ``skip``, and
-    ``max_sweeps`` >= 1) returns (zeros, zeros, 1, 0.0, True) without
-    entering the solver, which would return the same after one pass.
-
-    A stack ``c`` of shape (B, d), with ``skip`` of shape (B,) (-1 where a
-    row skips nothing), solves the B problems in lockstep
-    (``_kernels.cd_gram_stack``) and returns theta and u as (B, d) arrays,
-    the sweeps summed over the rows, the largest KKT residual of any row,
-    each recomputed from a fresh gradient c - u, and whether every row
-    converged with its residual within ``kkt_tol``.
+    Returns (theta, u, sweeps, kkt, converged): theta and u = theta @ G as
+    (B, d) arrays, the sweeps summed over the rows, the largest KKT residual
+    of any row, each recomputed from a fresh gradient C - u, and whether
+    every row converged with its residual within ``KKT_TOL``.
     """
     _check_lam(lam)
-    c = np.asarray(c, dtype=np.float64)
-    w = np.zeros(c.shape)
-    if c.ndim == 1:
-        if max_sweeps >= 1 and _kernels.zero_start_solves(c, lam, int(skip)):
-            return w, np.zeros(c.shape), 1, 0.0, True
-        u, sweeps, kkt, converged = _kernels.cd_gram(
-            G, c, float(lam), w, int(skip), int(max_sweeps), COEF_TOL, kkt_tol
-        )
-        return w, u, int(sweeps), float(kkt), bool(converged)
-    skip = np.broadcast_to(np.asarray(skip, dtype=np.intp), c.shape[:1])
+    C = np.asarray(C, dtype=np.float64)
+    W = np.zeros(C.shape)
+    skip = np.asarray(skip, dtype=np.intp)
     u, sweeps, _, converged = _kernels.cd_gram_stack(
-        G, c, float(lam), w, skip, int(max_sweeps), COEF_TOL, kkt_tol
+        G, C, float(lam), W, skip, int(max_sweeps), COEF_TOL, KKT_TOL
     )
-    rows = _kernels.kkt_residual_rows(c, *_kernels.nonzero_slots(w), lam, skip, u=u)
+    rows = _kernels.kkt_residual_rows(C, *_kernels.nonzero_slots(W), lam, skip, u=u)
     kkt = float(rows.max(initial=0.0))
-    return w, u, int(sweeps.sum()), kkt, bool(converged.all() and kkt <= kkt_tol)
+    return W, u, int(sweeps.sum()), kkt, bool(converged.all() and kkt <= KKT_TOL)
 
 
 def restricted_gram_inverse(X_S: np.ndarray) -> np.ndarray:

@@ -67,12 +67,24 @@ def dump_jsonl(path, records: list[dict]) -> None:
 
 
 def load_jsonl(path) -> list[dict]:
+    """The records of a JSONL file, one JSON object per nonblank line.
+
+    Raises ValueError naming ``path:line`` for a line that is not JSON or
+    not a JSON object, and OSError when the file cannot be read.
+    """
     out = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                out.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{number}: not JSON ({exc.msg})") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{number}: not a JSON object")
+            out.append(rec)
     return out
 
 

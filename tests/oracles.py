@@ -105,12 +105,12 @@ def sparse_rows(A):
 def dense_precision(X, lam, coef_tol=None):
     """Omega_hat as a dense d x d array from the per-column path that
     ``estimate_precision`` took before its lockstep solve: one scalar
-    ``cd_gram`` solve per column, warm-started from the previous column's
-    solution; row i is -w / tau_i^2 with 1 / tau_i^2 on the diagonal.
+    solve per column (``scalar_cd_gram``, with column i skipped),
+    warm-started from the previous column's solution; row i is
+    -w / tau_i^2 with 1 / tau_i^2 on the diagonal.
     ``coef_tol`` defaults to the library's ``COEF_TOL``; a far smaller one
     makes the reference exact well below the solver tolerance.
     Returns (omega, tau_sq)."""
-    from votelasso import _kernels
     from votelasso.lasso import COEF_TOL, KKT_TOL, MAX_SWEEPS
 
     coef_tol = COEF_TOL if coef_tol is None else coef_tol
@@ -121,7 +121,7 @@ def dense_precision(X, lam, coef_tol=None):
     w = np.zeros(d)
     for i in range(d):
         c = np.ascontiguousarray(G[i])
-        u, _, _, _ = _kernels.cd_gram(G, c, lam, w, i, MAX_SWEEPS, coef_tol, KKT_TOL)
+        u, _, _, _ = scalar_cd_gram(G, c, lam, w, i, MAX_SWEEPS, coef_tol, KKT_TOL)
         rss_n = G[i, i] - 2.0 * (c @ w) + w @ u
         tau2 = rss_n + lam * np.abs(w).sum()
         tau_sq[i] = tau2
@@ -307,10 +307,12 @@ def loop_aggregate(values, support, d):
 # KKT residual on every pass, and one early stop only: a one-sweep pass
 # that moved nothing by ``coef_tol`` or more while the KKT residual of the
 # free coordinates is within tolerance ends the solve out of budget. It is
-# the bitwise reference for ``_kernels.cd_gram`` and, through the column
-# form, ``_kernels.cd_residual``, which must return the same coefficients,
-# sweeps, residual and flag, and ``cd_residual`` the same last gradient;
-# do not optimize it. The residual form, X'(y - X w)/n formed from X on
+# the bitwise reference for ``_kernels._active_set_cd`` on a dense Gram
+# matrix and, through the column form, for ``_kernels.cd_residual``, which
+# must return the same coefficients, sweeps, residual and flag, and
+# ``cd_residual`` the same last gradient; do not optimize it. The Gram form
+# keeps a skipped coordinate, so it is also the single-problem reference for
+# the rows of ``_kernels.cd_gram_stack``. The residual form, X'(y - X w)/n formed from X on
 # every pass, solves the same problem with other roundoff: the kernels are
 # cross-checked against it to a tolerance.
 
@@ -366,7 +368,9 @@ def _scalar_active_set_cd(gradient, block, diag, lam, w, skip, max_sweeps, coef_
 
 
 def scalar_cd_gram(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
-    """Reference for ``_kernels.cd_gram``: same arguments, same return."""
+    """The solver on a dense Gram matrix with coordinate ``skip`` (if >= 0)
+    held at zero and left out of the KKT residual. ``w`` is updated in
+    place. Returns (u, sweeps, kkt, converged) with u = G @ w."""
     sweeps, kkt, converged, _ = _scalar_active_set_cd(
         lambda nz: c - w[nz] @ G[nz],
         lambda A: G[np.ix_(A, A)],

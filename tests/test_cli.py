@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,18 @@ class TestRun:
         cfg.write_text("this is not a key value pair\n")
         with pytest.raises(SystemExit):
             main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_text"])
+    def test_unreadable_config_file_exits_with_one_line(self, tmp_path, kind):
+        cfg = tmp_path / "exp.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "not_text":
+            cfg.write_bytes(b"\xff\xfe d = 30\n")
+        with pytest.raises(SystemExit, match=f"^cannot read config file {re.escape(str(cfg))}: ") as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert not (tmp_path / "o").exists()
 
 
     @pytest.mark.parametrize(
@@ -467,3 +480,22 @@ class TestReport:
         lines = merged.read_text().splitlines()
         assert lines[0] == "axis,value,scheme,rep,metric,metric_value"
         assert len(lines) == 1 + 2 * 2  # two metrics per record
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, r"No such file or directory: '.*missing\.jsonl'"),
+            ('{"scheme": "bnm21"}\nnot json\n', r"records\.jsonl:2: not JSON \("),
+            ('{"scheme": "bnm21"}\n["bnm21"]\n', r"records\.jsonl:2: not a JSON object$"),
+        ],
+        ids=["missing", "not_json", "not_object"],
+    )
+    def test_bad_input_exits_with_one_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / ("missing.jsonl" if text is None else "records.jsonl")
+        if text is not None:
+            path.write_text(text)
+        merged = tmp_path / "merged.csv"
+        with pytest.raises(SystemExit, match=f"^bad report input: .*{message}") as exc:
+            main(["report", str(path), "--out", str(merged)])
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert capsys.readouterr().out == "" and not merged.exists()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import votelasso.debias as debias_module
-from votelasso import _kernels
 from votelasso.datagen import ProblemSpec, sample_shards
 from votelasso.debias import (
     SparseRows,
@@ -19,6 +18,7 @@ from votelasso.debias import (
 from votelasso.lasso import KKT_TOL, fit_lasso, fit_lasso_gram, kkt_violation
 
 from oracles import (
+    _where_kkt_residual,
     dense_precision,
     dense_rows,
     fista_lasso,
@@ -208,7 +208,7 @@ class TestEstimatePrecision:
         lam = 0.1
         G = empirical_covariance(X)
         W, U, _, _, _ = fit_lasso_gram(G, G.copy(), lam, skip=np.arange(40), max_sweeps=1)
-        res = [_kernels.kkt_residual(G[i] - U[i], W[i], lam, i) for i in range(40)]
+        res = [_where_kkt_residual(G[i] - U[i], W[i], lam, i) for i in range(40)]
         first = next(i for i in range(40) if res[i] > KKT_TOL)
 
         def one_sweep(G, C, lam, **kwargs):

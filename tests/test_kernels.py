@@ -12,6 +12,29 @@ from votelasso.lasso import MAX_SWEEPS, fit_lasso_gram
 from oracles import fista_lasso, scalar_cd_columns, scalar_cd_gram, scalar_cd_residual
 
 
+def _dense_cd(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
+    """``_kernels._active_set_cd`` on a dense Gram matrix, with the
+    arguments and return of ``oracles.scalar_cd_gram``: (u, sweeps, kkt,
+    converged) with u = G @ w, ``w`` updated in place. Coordinate ``skip``
+    (if >= 0) is held at zero through a zero diagonal entry, and its
+    gradient entry is zeroed so that it adds nothing to the KKT residual."""
+    diag = G.diagonal().copy()
+    if skip >= 0:
+        diag[skip] = 0.0
+
+    def gradient(nz):
+        g = c - w[nz] @ G[nz]  # G is symmetric: its rows are its columns
+        if skip >= 0:
+            g[skip] = 0.0
+        return g
+
+    sweeps, kkt, converged, _ = _kernels._active_set_cd(
+        gradient, lambda A: G[A[:, None], A], diag, lam, w, max_sweeps, coef_tol, kkt_tol
+    )
+    nz = w.nonzero()[0]
+    return w[nz] @ G[nz], sweeps, kkt, converged
+
+
 def _cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, columns=None):
     """``_kernels.cd_residual`` given the Gram diagonal and X'y/n it reads,
     and an empty column store unless ``columns`` is given: its (sweeps,
@@ -40,10 +63,10 @@ def test_skip_coordinate_stays_zero(problem):
     X, y = problem
     n = X.shape[0]
     G = X.T @ X / n
-    for skip in (0, 7, 14):
-        w = np.full(G.shape[0], 0.3)
-        _kernels.cd_gram(G, G[skip].copy(), 0.05, w, skip, 1000, 1e-9, 1e-7)
-        assert w[skip] == 0.0
+    skip = np.array([0, 7, 14])
+    W = np.full((3, G.shape[0]), 0.3)
+    _kernels.cd_gram_stack(G, G[skip], 0.05, W, skip, 1000, 1e-9, 1e-7)
+    assert not W[np.arange(3), skip].any() and W.any(axis=1).all()
 
 
 def test_zero_column_forced_to_zero(rng):
@@ -86,16 +109,15 @@ def _ar1_problem(seed, n=60, d=30, rho=0.6):
 
 
 def _both_forms(X, y, lam, w0, max_sweeps=10_000):
-    """(w, sweeps, kkt, converged) from ``cd_gram``, then ``cd_residual``.
+    """(w, sweeps, kkt, converged) from the solver on the dense Gram matrix
+    (``_dense_cd``), then from ``cd_residual``.
 
     Each form is solved only when the generator reaches it, so a caller can
     inspect the working sets of one form before the next runs.
     """
     n = X.shape[0]
     wg, wr = w0.copy(), w0.copy()
-    _, sweeps, kkt, conv = _kernels.cd_gram(
-        X.T @ X / n, X.T @ y / n, lam, wg, -1, max_sweeps, 1e-9, 1e-7
-    )
+    _, sweeps, kkt, conv = _dense_cd(X.T @ X / n, X.T @ y / n, lam, wg, -1, max_sweeps, 1e-9, 1e-7)
     yield wg, sweeps, kkt, conv
     yield (wr, *_cd_residual(X, y, lam, wr, max_sweeps, 1e-9, 1e-7)[:3])
 
@@ -126,23 +148,37 @@ def test_max_sweeps_caps_all_outer_passes():
             assert sweeps == budget and not conv
 
 
-def test_skip_and_zero_diagonal_never_enter(working_sets, rng):
+def test_skip_and_zero_diagonal_never_enter(working_sets, monkeypatch, rng):
     n, d, skip, dead = 40, 8, 2, 5
     X = rng.standard_normal((n, d))
     X[:, dead] = 0.0
     # Coordinate ``skip`` carries signal, so it would violate KKT if it could enter.
     y = X[:, :4] @ np.array([1.0, -1.0, 2.0, 0.5]) + 0.1 * rng.standard_normal(n)
-    G = X.T @ X / n
-    w = np.full(d, 0.3)
-    _, _, kkt, conv = _kernels.cd_gram(G, X.T @ y / n, 0.05, w, skip, 1000, 1e-9, 1e-7)
-    assert conv and kkt <= 1e-7
-    assert w[skip] == 0.0 and w[dead] == 0.0
-    assert working_sets and all(skip not in A and dead not in A for A in working_sets)
-    working_sets.clear()
     w = np.full(d, 0.3)
     _, _, conv, _ = _cd_residual(X, y, 0.05, w, 1000, 1e-9, 1e-7)
     assert conv and w[dead] == 0.0
     assert working_sets and all(dead not in A for A in working_sets)
+    # The stack pads every row's nonzeros and working set over the d
+    # coordinates through _padded (its other masks are over slots): none may
+    # hold a row's skipped or a dead coordinate.
+    masks = []
+    padded = _kernels._padded
+
+    def recording(mask):
+        if mask.shape[1] == d:
+            masks.append(mask.copy())
+        return padded(mask)
+
+    monkeypatch.setattr(_kernels, "_padded", recording)
+    G, c = X.T @ X / n, X.T @ y / n
+    skips = np.array([skip, -1])
+    W = np.full((2, d), 0.3)
+    _, _, kkt, conv = _kernels.cd_gram_stack(G, np.vstack([c, c]), 0.05, W, skips, 1000, 1e-9, 1e-7)
+    assert conv.all() and (kkt <= 1e-7).all()
+    assert W[0, skip] == 0.0 and W[1, skip] != 0.0 and not W[:, dead].any()
+    assert len(masks) > 2 and all(not m[:, dead].any() for m in masks)
+    # While both rows run, row 0 of a mask is the row that skips.
+    assert all(not m[0, skip] for m in masks if m.shape[0] == 2)
 
 
 @pytest.fixture
@@ -173,9 +209,7 @@ def gradient_calls(monkeypatch):
 def test_zero_diagonal_violator_stops_within_budget(gradient_calls, diag, c, expected):
     # Coordinate 1 violates KKT (|c_1| > lam) but cannot move: G_11 = 0.
     w = np.zeros(len(diag))
-    _, sweeps, kkt, conv = _kernels.cd_gram(
-        np.diag(diag), np.array(c), 0.1, w, -1, MAX_SWEEPS, 1e-9, 1e-7
-    )
+    _, sweeps, kkt, conv = _dense_cd(np.diag(diag), np.array(c), 0.1, w, -1, MAX_SWEEPS, 1e-9, 1e-7)
     assert not conv and sweeps == MAX_SWEEPS
     assert kkt == pytest.approx(0.9)
     assert w.tolist() == pytest.approx(expected)
@@ -209,12 +243,15 @@ def _kkt_loop(g, w, lam, skip=-1):
 
 
 def test_kkt_residual_matches_coordinate_loop(rng):
+    # The single-problem residual, and the stack's with a skipped coordinate.
     for _ in range(50):
         g = rng.standard_normal(9)
         w = rng.standard_normal(9) * (rng.random(9) < 0.5)
         lam = float(rng.uniform(0.1, 2.0))
         skip = int(rng.integers(-1, 9))
-        assert _kernels.kkt_residual(g, w, lam, skip) == _kkt_loop(g, w, lam, skip)
+        assert _kernels.kkt_residual(g, w, lam) == _kkt_loop(g, w, lam)
+        rows = _kernels.kkt_residual_rows(g[None], *_kernels.nonzero_slots(w[None]), lam, np.array([skip]))
+        assert rows.tolist() == [_kkt_loop(g, w, lam, skip)]
 
 
 # Working sets from 1 to about 200 coordinates: (d, n, lambda / lambda_max).
@@ -226,7 +263,8 @@ def _identity_case(seed):
 
     The seed picks the shape, a cold or warm start, a skipped coordinate
     (nodewise form, c = G[skip]), zero columns, a KKT violator that cannot
-    move (its diagonal is 0 but c is not; Gram form only) and the budget.
+    move (its diagonal is 0 but c is not: no (X, y) has one, so Gram form
+    only) and the budget.
     """
     rng = np.random.default_rng(seed)
     d, n, frac = _IDENTITY_SHAPES[seed % 5]
@@ -265,7 +303,7 @@ def test_bit_identical_to_scalar_reference(seed):
     G, c, X, y, lam, w0, skip, max_sweeps = _identity_case(seed)
     tols = (max_sweeps, 1e-9, 1e-7)
     w, w_ref = w0.copy(), w0.copy()
-    u, *out = _kernels.cd_gram(G, c, lam, w, skip, *tols)
+    u, *out = _dense_cd(G, c, lam, w, skip, *tols)
     u_ref, *out_ref = scalar_cd_gram(G, c, lam, w_ref, skip, *tols)
     assert out == out_ref  # sweeps, kkt and converged
     assert _same(w, w_ref) and _same(u, u_ref)
@@ -290,7 +328,7 @@ def test_settled_working_set_beside_unmovable_violator_stops():
     G, c, _, _, lam, w0, skip, _ = _identity_case(29)
     w, w_ref = w0.copy(), w0.copy()
     t0 = time.process_time()
-    u, *out = _kernels.cd_gram(G, c, lam, w, skip, MAX_SWEEPS, 1e-9, 1e-7)
+    u, *out = _dense_cd(G, c, lam, w, skip, MAX_SWEEPS, 1e-9, 1e-7)
     assert time.process_time() - t0 < 1.0
     sweeps, kkt, conv = out
     assert not conv and sweeps == MAX_SWEEPS and kkt > 0.9
@@ -306,10 +344,11 @@ def test_settled_working_set_beside_unmovable_violator_stops():
 def test_zero_solution_returns_after_one_gradient(gradient_calls, working_sets, rng, max_sweeps):
     # Zero is optimal from a zero start: coordinate 2 is skipped although
     # |c_2| > lam, coordinate 5 has a zero diagonal and |c_5| < lam, and the
-    # largest of the rest sits exactly at lam. Both forms must return what
-    # the full loop returns, bit for bit. cd_gram runs that loop: one
-    # gradient and one empty working set. cd_residual and fit_lasso_gram
-    # return before the solver starts.
+    # largest of the rest sits exactly at lam. Every form must return what
+    # the full loop returns, bit for bit. The solver on the dense G runs
+    # that loop: one gradient and one empty working set. cd_residual
+    # returns before the solver starts, and the stack (fit_lasso_gram) runs
+    # its own one pass.
     n, d, skip, dead = 30, 8, 2, 5
     X = rng.standard_normal((n, d))
     X[:, dead] = 0.0
@@ -319,12 +358,12 @@ def test_zero_solution_returns_after_one_gradient(gradient_calls, working_sets, 
     c[skip], c[dead] = 10.0 * lam, -0.5 * lam
     tols = (max_sweeps, 1e-9, 1e-7)
     w, w_ref = np.zeros(d), np.zeros(d)
-    u, *out = _kernels.cd_gram(G, c, lam, w, skip, *tols)
+    u, *out = _dense_cd(G, c, lam, w, skip, *tols)
     u_ref, *out_ref = scalar_cd_gram(G, c, lam, w_ref, skip, *tols)
     assert out == out_ref and _same(u, u_ref) and _same(w, w_ref)
     assert out == ([1, 0.0, True] if max_sweeps else [0, 0.0, False])
-    theta, u_fit, *out_fit = fit_lasso_gram(G, c, lam, skip=skip, max_sweeps=max_sweeps)
-    assert out_fit == out and _same(theta, w) and _same(u_fit, u)
+    theta, u_fit, *out_fit = fit_lasso_gram(G, c[None], lam, skip=np.array([skip]), max_sweeps=max_sweeps)
+    assert out_fit == out and _same(theta[0], w) and _same(u_fit[0], np.zeros(d))
     lam_r = float(np.abs(X.T @ y / n).max())
     for scale in (1.0, 1.5):
         w, w_ref = np.zeros(d), np.zeros(d)
@@ -333,7 +372,7 @@ def test_zero_solution_returns_after_one_gradient(gradient_calls, working_sets, 
         assert out == out_ref
         assert _same(w, w_ref) and _same(g, g_ref)
     if max_sweeps:
-        # cd_gram's one pass; the other two solves never entered the solver.
+        # The dense solve's one pass; cd_residual never entered the solver.
         assert gradient_calls[0] == 1 and working_sets == [set()]
 
 
@@ -439,14 +478,15 @@ def _close(a, b, rel=1e-12):
 def test_stack_rows_follow_the_single_problem_solver(seed):
     # Per-row skip, zero-diagonal columns, an unmovable violator, warm
     # starts and budgets from 1 sweep up: each row must stop where the
-    # single-problem solver stops. Only the gradient's summation order
-    # differs, so coefficients agree to roundoff.
+    # single-problem solver stops (its reference, which keeps a skipped
+    # coordinate). Only the gradient's summation order differs, so
+    # coefficients agree to roundoff.
     G, C, W0, skips, lam, max_sweeps = _stack_case(seed)
     W = W0.copy()
     U, sweeps, kkt, conv = _kernels.cd_gram_stack(G, C, lam, W, skips, max_sweeps, 1e-9, 1e-7)
     for r in range(C.shape[0]):
         w = W0[r].copy()
-        u, s, k, cv = _kernels.cd_gram(G, C[r].copy(), lam, w, int(skips[r]), max_sweeps, 1e-9, 1e-7)
+        u, s, k, cv = scalar_cd_gram(G, C[r].copy(), lam, w, int(skips[r]), max_sweeps, 1e-9, 1e-7)
         assert (sweeps[r], conv[r]) == (s, cv)
         assert np.array_equal(W[r] != 0, w != 0)
         assert _close(W[r], w) and _close(U[r], u)
@@ -520,7 +560,7 @@ def test_stack_settled_working_set_beside_unmovable_violator_stops(monkeypatch):
     assert sweeps[0] == MAX_SWEEPS and not conv[0] and kkt[0] > 0.9
     assert conv[1] and kkt[1] <= 1e-7
     w = W0[0].copy()
-    assert _kernels.cd_gram(G, C[0].copy(), lam, w, int(skips[0]), MAX_SWEEPS, 1e-9, 1e-7)[1:] == (
+    assert scalar_cd_gram(G, C[0].copy(), lam, w, int(skips[0]), MAX_SWEEPS, 1e-9, 1e-7)[1:] == (
         MAX_SWEEPS, pytest.approx(kkt[0], abs=1e-12), False
     )
     assert _close(W[0], w)

@@ -71,14 +71,17 @@ class TestFitLasso:
         # Both kernels, each started from the same wrong support.
         wrong = np.zeros(d)
         wrong[[0, 5, 25]] = 1.0
-        w_res, w_gram = wrong.copy(), wrong.copy()
+        w_res, W_gram = wrong.copy(), wrong[None].copy()
         g = np.empty(d)
         _, _, conv_res = _kernels.cd_residual(
             X, y, lam, w_res, MAX_SWEEPS, COEF_TOL, KKT_TOL, _kernels.gram_diagonal(X), X.T @ y / n, g,
             _kernels.GramColumns(d),
         )
-        _, _, kkt, conv = _kernels.cd_gram(X.T @ X / n, X.T @ y / n, lam, w_gram, -1, MAX_SWEEPS, COEF_TOL, KKT_TOL)
-        assert conv_res and conv and kkt <= 1e-7
+        _, _, kkt, conv = _kernels.cd_gram_stack(
+            X.T @ X / n, (X.T @ y / n)[None], lam, W_gram, np.array([-1]), MAX_SWEEPS, COEF_TOL, KKT_TOL
+        )
+        w_gram = W_gram[0]
+        assert conv_res and conv[0] and kkt[0] <= 1e-7
         assert kkt_violation(X, y, lam, w_res) <= 1e-7
         assert np.abs(g - X.T @ (y - X[:, w_res != 0] @ w_res[w_res != 0]) / n).max() <= 1e-12
         assert np.abs(w_res - expected).max() <= 1e-7
@@ -98,15 +101,14 @@ class TestFitLasso:
 
     @pytest.mark.parametrize("lam", [0.0, -0.1, np.nan, np.inf])
     def test_lambda_not_finite_and_positive_rejected(self, rng, lam):
-        # Both solvers, single and stacked: a negative lambda used to
-        # "converge" and a NaN one to run every sweep.
+        # Both solvers: a negative lambda used to "converge" and a NaN one
+        # to run every sweep.
         X = rng.standard_normal((20, 4))
         y = rng.standard_normal(20)
         G, c = X.T @ X / 20, X.T @ y / 20
         for solve in (
             lambda: fit_lasso(X, y, lam, max_sweeps=50),
-            lambda: fit_lasso_gram(G, c, lam, max_sweeps=50),
-            lambda: fit_lasso_gram(G, np.stack([c, c]), lam, max_sweeps=50),
+            lambda: fit_lasso_gram(G, np.stack([c, c]), lam, np.array([-1, 2]), max_sweeps=50),
         ):
             with pytest.raises(ValueError, match="lam must be finite and positive"):
                 solve()
@@ -142,14 +144,14 @@ class TestFitLasso:
         X = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
         fit = fit_lasso(X, y, 0.15)
-        w, _, _, kkt, conv = fit_lasso_gram(X.T @ X / n, X.T @ y / n, 0.15)
+        W, _, _, kkt, conv = fit_lasso_gram(X.T @ X / n, (X.T @ y / n)[None], 0.15, np.array([-1]))
         assert conv and kkt <= 1e-7
-        assert np.abs(w - fit.coefficients).max() <= 1e-7
+        assert np.abs(W[0] - fit.coefficients).max() <= 1e-7
 
     def test_stacked_gram_fit_matches_single_fits(self, rng):
         # A (B, d) stack of c rows with per-row skip returns each row's
         # solution, the sweeps summed, the largest KKT residual and whether
-        # every row converged.
+        # every row converged: each row as a stack of one would.
         n, d = 60, 25
         X = rng.standard_normal((n, d))
         X[:, 1:] += 0.5 * X[:, :-1]
@@ -158,93 +160,108 @@ class TestFitLasso:
         skip = np.array([-1, 3, 17])
         W, U, sweeps, kkt, conv = fit_lasso_gram(G, C, 0.1, skip=skip)
         assert W.shape == U.shape == (3, d)
-        singles = [fit_lasso_gram(G, C[r], 0.1, skip=int(skip[r])) for r in range(3)]
+        singles = [fit_lasso_gram(G, C[r : r + 1], 0.1, skip=skip[r : r + 1]) for r in range(3)]
         assert sweeps == sum(fit[2] for fit in singles)
         assert conv and kkt == pytest.approx(max(fit[3] for fit in singles), abs=1e-12)
         for r, (w, u, _, _, _) in enumerate(singles):
             assert np.count_nonzero(w) >= 2
-            assert np.abs(W[r] - w).max() <= 1e-12 and np.abs(U[r] - u).max() <= 1e-12
+            assert np.abs(W[r] - w[0]).max() <= 1e-12 and np.abs(U[r] - u[0]).max() <= 1e-12
         _, _, _, kkt, conv = fit_lasso_gram(G, C, 0.1, skip=skip, max_sweeps=1)
         assert not conv and kkt > 1e-7
 
 
 class TestZeroFitExit:
-    """fit_lasso_gram answers a problem where its zero start is optimal
-    before the solver runs; its 5-tuple must be the solver's, bit for bit."""
+    """``cd_residual`` answers a problem where its zero start is optimal
+    before the solver runs; its result must be the solver's, bit for bit."""
 
     @staticmethod
     def _problem(rng):
         n, d = 40, 12
         X = rng.standard_normal((n, d))
-        G = X.T @ X / n
-        c = X.T @ rng.standard_normal(n) / n
-        return G, c, float(np.abs(c).max())
+        y = rng.standard_normal(n)
+        c = X.T @ y / n
+        return X, y, c, float(np.abs(c).max())
 
     @staticmethod
-    def _solver(G, c, lam, skip=-1):
-        w = np.zeros(c.shape)
-        u, sweeps, kkt, conv = _kernels.cd_gram(G, c, lam, w, skip, MAX_SWEEPS, COEF_TOL, KKT_TOL)
-        return w, u, sweeps, kkt, conv
+    def _fit(X, y, lam, c, w=None):
+        """(theta, gradient, sweeps, kkt, converged) of ``cd_residual``."""
+        d = X.shape[1]
+        w = np.zeros(d) if w is None else w
+        g = np.full(d, np.nan)
+        out = _kernels.cd_residual(
+            X, y, lam, w, MAX_SWEEPS, COEF_TOL, KKT_TOL, _kernels.gram_diagonal(X), c, g, _kernels.GramColumns(d)
+        )
+        return (w, g, *out)
+
+    def _solver(self, monkeypatch, X, y, lam, c):
+        """The same fit with the exit disabled: the full solver loop."""
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernels, "zero_start_solves", lambda c, lam: False)
+            return self._fit(X, y, lam, c)
 
     @staticmethod
     def _assert_same(got, want):
-        theta, u, sweeps, kkt, conv = got
-        assert theta.tobytes() == want[0].tobytes() and u.tobytes() == want[1].tobytes()
+        theta, g, sweeps, kkt, conv = got
+        assert theta.tobytes() == want[0].tobytes() and g.tobytes() == want[1].tobytes()
         assert (sweeps, conv) == (want[2], want[4])
         assert np.array_equal(kkt, want[3], equal_nan=True)
 
     @pytest.fixture
     def solver_calls(self, monkeypatch):
         calls = []
-        solve = _kernels.cd_gram
+        solve = _kernels._active_set_cd
 
         def counting(*args):
             calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(_kernels, "cd_gram", counting)
+        monkeypatch.setattr(_kernels, "_active_set_cd", counting)
         return calls
 
-    @pytest.mark.parametrize("case", ["below", "at", "skip"])
-    def test_exit_equals_solver(self, rng, solver_calls, case):
-        G, c, top = self._problem(rng)
-        lam, kwargs = 1.5 * top, {}
-        if case == "at":
-            lam = top  # |c_j| == lam soft-thresholds to 0
-        elif case == "skip":
-            j = int(np.abs(c).argmax())
-            lam = float(np.abs(np.delete(c, j)).max())
-            c[j] = 3.0 * lam  # a violator, but the skipped coordinate
-            kwargs = {"skip": j}
-        got = fit_lasso_gram(G, c, lam, **kwargs)
+    @pytest.mark.parametrize("case", ["below", "at"])
+    def test_exit_equals_solver(self, rng, monkeypatch, solver_calls, case):
+        X, y, c, top = self._problem(rng)
+        lam = top if case == "at" else 1.5 * top  # |c_j| == lam soft-thresholds to 0
+        got = self._fit(X, y, lam, c)
         assert not solver_calls
-        want = self._solver(G, c, lam, **kwargs)
+        want = self._solver(monkeypatch, X, y, lam, c)
+        assert len(solver_calls) == 1
         self._assert_same(got, want)
-        assert got[2:] == (1, 0.0, True) and not got[0].any() and not got[1].any()
+        assert got[2:] == (1, 0.0, True) and not got[0].any() and got[1].tobytes() == c.tobytes()
 
-    @pytest.mark.parametrize("case", ["nan", "violator"])
-    def test_other_fits_reach_the_solver(self, rng, solver_calls, case):
-        G, c, top = self._problem(rng)
+    @pytest.mark.parametrize("case", ["nan", "violator", "barely"])
+    def test_other_fits_reach_the_solver(self, rng, monkeypatch, solver_calls, case):
+        X, y, c, top = self._problem(rng)
         lam = 1.5 * top
         if case == "nan":
             c[3] = np.nan  # max |c| is NaN, which is not <= lam
-        else:
+        elif case == "violator":
             lam = 0.5 * top
-        got = fit_lasso_gram(G, c, lam)
+        else:
+            lam = float(np.nextafter(top, 0.0))  # one coordinate just past lam
+        got = self._fit(X, y, lam, c)
         assert len(solver_calls) == 1
         solver_calls.clear()
-        self._assert_same(got, self._solver(G, c, lam))
+        self._assert_same(got, self._solver(monkeypatch, X, y, lam, c))
         if case == "nan":
             assert np.isnan(got[3]) and not got[4]
 
     def test_solver_from_a_nonzero_start_runs_to_zero(self, rng):
         # The exit is taken from a zero start only: the kernel started off
         # zero where zero is optimal runs its passes and ends at zero.
-        G, c, top = self._problem(rng)
+        X, y, c, top = self._problem(rng)
         w = np.where(np.arange(c.size) == 2, 0.4, 0.0)
-        u, sweeps, kkt, conv = _kernels.cd_gram(G, c, 1.5 * top, w, -1, MAX_SWEEPS, COEF_TOL, KKT_TOL)
+        _, g, sweeps, kkt, conv = self._fit(X, y, 1.5 * top, c, w)
         assert conv and kkt == 0.0 and sweeps > 1
-        assert not w.any() and not u.any()
+        assert not w.any() and np.abs(g - c).max() <= 1e-15
+
+
+def _overflowing_column(n, bad):
+    """A finite column whose products with a response of 1e308 overflow and
+    sum to ``bad``: all +2 for inf, all -2 for -inf, alternating for NaN."""
+    if np.isnan(bad):
+        return np.where(np.arange(n) % 2, -2.0, 2.0)
+    return np.full(n, np.copysign(2.0, bad))
 
 
 def _same_fit(a, b):
@@ -258,8 +275,9 @@ def _same_fit(a, b):
 
 
 class TestPrecomputedInputs:
-    """``fit_lasso(gram_diag=, c=)``: the column sums of squares over n and
-    X'y/n, passed in by a caller that holds them."""
+    """``fit_lasso(gram_diag=)``: the column sums of squares over n, passed
+    in by a caller that holds them, and the checks of the inputs and of the
+    X'y/n the fit forms from them."""
 
     @pytest.mark.parametrize("lam", [5.0, 0.3, 0.05])
     def test_equal_to_self_computed_fit_bit_for_bit(self, rng, lam):
@@ -268,7 +286,7 @@ class TestPrecomputedInputs:
         X[:, 7] = 0.0  # a zero column is held at zero either way
         y = X[:, :3] @ np.array([1.0, -0.8, 0.5]) + 0.3 * rng.standard_normal(n)
         own = fit_lasso(X, y, lam)
-        given = fit_lasso(X, y, lam, gram_diag=_kernels.gram_diagonal(X), c=X.T @ y / n)
+        given = fit_lasso(X, y, lam, gram_diag=_kernels.gram_diagonal(X))
         assert _same_fit(own, given)
         assert (np.count_nonzero(own.coefficients) == 0) == (lam == 5.0)
 
@@ -285,7 +303,7 @@ class TestPrecomputedInputs:
                     fit_lasso(X, y0, 0.1)
                 # A diagonal formed from the same X carries the fault too.
                 with pytest.raises(ValueError, match="NaN or inf"):
-                    fit_lasso(X, y0, 0.1, gram_diag=_kernels.gram_diagonal(X), c=X0.T @ y0 / n)
+                    fit_lasso(X, y0, 0.1, gram_diag=_kernels.gram_diagonal(X))
             y = y0.copy()
             y[i] = bad
             with pytest.raises(ValueError, match="NaN or inf"):
@@ -307,26 +325,26 @@ class TestPrecomputedInputs:
         y = rng.standard_normal(10)
         with pytest.raises(ValueError, match="gram_diag"):
             fit_lasso(X, y, 0.1, gram_diag=np.ones(4))
-        with pytest.raises(ValueError, match="c has wrong length"):
-            fit_lasso(X, y, 0.1, c=np.ones(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_c_rejected(self, rng, bad):
-        # A NaN in c used to end unconverged after MAX_SWEEPS with residual
-        # 0.0, and an inf to give NaN coefficients.
+        # Finite X and y whose X'y/n overflows in column j: a fit on it used
+        # to run all MAX_SWEEPS sweeps and return an inf coefficient.
         n, d = 20, 5
         X = rng.standard_normal((n, d))
-        y = rng.standard_normal(n)
+        y = np.full(n, 1e308)
         for j in range(d):
-            c = X.T @ y / n
-            c[j] = bad
-            with pytest.raises(ValueError, match="NaN or inf in lasso inputs"):
-                fit_lasso(X, y, 0.1, c=c)
+            X_j = X.copy()
+            X_j[:, j] = _overflowing_column(n, bad)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(X_j.T @ y / n).all()
+                with pytest.raises(ValueError, match="NaN or inf in lasso inputs"):
+                    fit_lasso(X_j, y, 0.1)
 
 
 class TestZeroFitCertificate:
     """Every fit is certified from the solver's last gradient, which it
-    returns: c itself for a zero solution given c = X'y/n. No fit calls
+    returns: c = X'y/n itself for a zero solution. No fit calls
     ``kkt_violation``, and every certificate equals the from-scratch one."""
 
     @pytest.fixture
@@ -354,7 +372,7 @@ class TestZeroFitCertificate:
         lam = {"above": 1.5 * top, "at": top, "no_sweeps": 0.5 * top}[case]
         # With no sweep the fit stays at zero with violators left.
         kwargs = {"max_sweeps": 0} if case == "no_sweeps" else {}
-        fit = fit_lasso(X, y, lam, c=c, **kwargs)
+        fit = fit_lasso(X, y, lam, **kwargs)
         assert not kkt_calls and not fit.coefficients.any()
         assert np.array_equal(fit.gradient, c)
         assert fit.max_kkt_violation == _kernels.kkt_residual(c, np.zeros(c.size), lam)
@@ -368,8 +386,7 @@ class TestZeroFitCertificate:
     def test_other_fits_certify_from_the_solvers_gradient(self, rng, kkt_calls, case):
         X, y, c, top = self._problem(rng)
         lam = 0.3 * top if case == "nonzero" else 1.5 * top
-        kwargs = {"nonzero": {"c": c}, "without_c": {}}[case]
-        fit = fit_lasso(X, y, lam, **kwargs)
+        fit = fit_lasso(X, y, lam)
         assert not kkt_calls
         assert fit.coefficients.any() == (case == "nonzero")
         # The gradient is X'r/n at the solution, and the certificate is its
@@ -385,8 +402,6 @@ class TestZeroFitCertificate:
             assert np.array_equal(fit.gradient, want)
             assert fit.max_kkt_violation == kkt_violation(X, y, lam, theta)
         assert fit.converged
-        # The same value as a fit given c where c is read.
-        assert _same_fit(fit, fit_lasso(X, y, lam, c=c))
 
 
 class TestStackedFit:
@@ -404,10 +419,6 @@ class TestStackedFit:
         y = scale * (X[:, :, :3] @ beta + 0.3 * rng.standard_normal((M, n)))
         return X, y
 
-    @staticmethod
-    def _xty(X, y):
-        return (y[:, None, :] @ X)[:, 0, :] / X.shape[1]
-
     @pytest.mark.parametrize(
         "M, lam, live",
         [(4, 10.0, "none"), (4, 2e-4, "all"), (4, 0.1, "mixed"), (1, 0.1, "all"), (1, 10.0, "none")],
@@ -415,7 +426,7 @@ class TestStackedFit:
     @pytest.mark.parametrize("given", [False, True], ids=["formed", "given"])
     def test_rows_equal_single_fits_bit_for_bit(self, rng, M, lam, live, given):
         X, y = self._stack(rng, M)
-        kwargs = dict(gram_diag=_kernels.gram_diagonal(X), c=self._xty(X, y)) if given else {}
+        kwargs = dict(gram_diag=_kernels.gram_diagonal(X)) if given else {}
         fit = fit_lasso(X, y, lam, **kwargs)
         assert fit.coefficients.shape == fit.gradient.shape == (M, X.shape[2])
         for name, dtype in (("iterations", np.int64), ("max_kkt_violation", np.float64), ("converged", bool)):
@@ -435,7 +446,7 @@ class TestStackedFit:
             )
 
     def test_formed_xty_has_the_bits_of_the_transposed_product(self, rng):
-        # Without c, a zero fit's gradient is the X'y/n the fit formed.
+        # A zero fit's gradient is the X'y/n the fit formed.
         X, y = self._stack(rng, 3)
         fit = fit_lasso(X, y, 10.0)
         assert not fit.coefficients.any()
@@ -445,11 +456,17 @@ class TestStackedFit:
     @pytest.mark.parametrize("where", ["X", "y", "c"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_in_one_machine_rejected(self, rng, where, bad):
+        # "c": machine 2's X and y are finite, but its X'y/n overflows.
         X, y = self._stack(rng, 3)
-        c = self._xty(X, y)
-        {"X": X[2, 5], "y": y[2], "c": c[2]}[where][4] = bad
-        given = {"X": dict(gram_diag=_kernels.gram_diagonal(X)), "y": {}, "c": dict(c=c)}[where]
-        with pytest.raises(ValueError, match="^NaN or inf in lasso inputs$"):
+        if where == "c":
+            X[2, :, 4] = _overflowing_column(X.shape[1], bad)
+            y[2] = 1e308
+        else:
+            {"X": X[2, 5], "y": y[2]}[where][4] = bad
+        given = dict(gram_diag=_kernels.gram_diagonal(X)) if where == "X" else {}
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^NaN or inf in lasso inputs$"
+        ):
             fit_lasso(X, y, 0.1, **given)
         if where == "X":
             with pytest.raises(ValueError, match="^NaN or inf in lasso inputs$"):
@@ -464,8 +481,6 @@ class TestStackedFit:
             (dict(y=y[:, :-1]), "^X and y have inconsistent shapes$"),
             (dict(gram_diag=np.ones(d)), "^gram_diag has wrong length$"),
             (dict(gram_diag=np.ones((M, d + 1))), "^gram_diag has wrong length$"),
-            (dict(c=np.ones(d)), "^c has wrong length$"),
-            (dict(c=np.ones((M - 1, d))), "^c has wrong length$"),
             (dict(columns=[_kernels.GramColumns(d)] * (M - 1)), "^columns must hold one store per design$"),
             (dict(X=X[None]), "^X must be"),
             (dict(X=X[0, 0]), "^X must be"),

@@ -12,7 +12,7 @@ import pytest
 from votelasso import _kernels, debias, fusion, harness, protocol
 from votelasso.datagen import ProblemSpec, sample_shards
 
-from oracles import dense_rows, loop_round1_messages, loop_second_round
+from oracles import _where_kkt_residual, dense_rows, loop_round1_messages, loop_second_round
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,7 +42,7 @@ def test_every_span_site_exists(probes):
     assert callable(harness.run_point_rep)
     assert isinstance(_kernels.USING_NUMBA, bool)
     # Nodewise fits are counted through this name: (theta, u, sweeps, kkt, converged).
-    assert len(debias.fit_lasso_gram(np.eye(3), np.array([1.0, 0.0, -0.5]), 0.1)) == 5
+    assert len(debias.fit_lasso_gram(np.eye(3), np.array([[1.0, 0.0, -0.5]]), 0.1, np.array([-1]))) == 5
 
 
 def test_every_replication_fit_goes_through_a_patched_name(monkeypatch):
@@ -177,7 +177,7 @@ def test_every_nodewise_solve_goes_through_the_patched_name(monkeypatch, probes)
         assert sweeps > 0 and converged
         assert np.abs(u - theta @ G).max() <= 1e-12
         per_row = [
-            _kernels.kkt_residual(C[r] - G @ theta[r], theta[r], lam, int(skip[r]))
+            _where_kkt_residual(C[r] - G @ theta[r], theta[r], lam, int(skip[r]))
             for r in range(skip.size)
         ]
         assert kkt == pytest.approx(max(per_row), rel=1e-6, abs=1e-15)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -66,3 +67,15 @@ def test_jsonl_roundtrip(tmp_path):
     path = tmp_path / "records.jsonl"
     dump_jsonl(path, rows)
     assert load_jsonl(path) == rows
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"a": 1}\n\nnot json\n', r":3: not JSON \("), ('{"a": 1}\n[1, 2]\n', ":2: not a JSON object$")],
+    ids=["not_json", "not_object"],
+)
+def test_jsonl_bad_line_names_path_and_line(tmp_path, text, message):
+    path = tmp_path / "records.jsonl"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}"):
+        load_jsonl(path)
