@@ -297,35 +297,18 @@ def cmd_theory(args) -> int:
 
 
 def cmd_report(args) -> int:
+    labels, metrics = ("axis", "value", "scheme", "rep"), ("f_measure", "l2_error")
     rows = []
     for src in args.inputs:
         path = Path(src)
         try:
-            records = load_jsonl(path / "records.jsonl" if path.is_dir() else path)
+            records = load_jsonl(path / "records.jsonl" if path.is_dir() else path, labels + metrics)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"bad report input: {exc}") from None
         for rec in records:
-            rows.append(
-                {
-                    "axis": rec.get("axis"),
-                    "value": rec.get("value"),
-                    "scheme": rec.get("scheme"),
-                    "rep": rec.get("rep"),
-                    "metric": "f_measure",
-                    "metric_value": rec.get("f_measure"),
-                }
-            )
-            rows.append(
-                {
-                    "axis": rec.get("axis"),
-                    "value": rec.get("value"),
-                    "scheme": rec.get("scheme"),
-                    "rep": rec.get("rep"),
-                    "metric": "l2_error",
-                    "metric_value": rec.get("l2_error"),
-                }
-            )
-    write_csv_rows(args.out, rows, ["axis", "value", "scheme", "rep", "metric", "metric_value"])
+            row = {key: rec[key] for key in labels}
+            rows += [{**row, "metric": metric, "metric_value": rec[metric]} for metric in metrics]
+    write_csv_rows(args.out, rows, [*labels, "metric", "metric_value"])
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 

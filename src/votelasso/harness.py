@@ -1,11 +1,13 @@
 """Experiment orchestration: the two-round schemes end to end, baselines,
 metrics, and seeded replication sweeps with bit-exact communication accounting.
 
-The schemes of one replication share its work: the local fits and the
-oracle, one round-1 message set and tally per round-1 rule (``bnm21`` and
-``thresh_votes`` send the same thresholded votes), and one round two per
-distinct selected support. Each record reports that shared time once as
-``shared_time`` and its scheme's own remaining work as ``wall_time``.
+A replication (``run_point_rep``) is one pass in the order the protocol
+runs, and its schemes share the work they have in common: the local fits
+and the oracle, then one round-1 message set and tally per round-1 rule
+(``bnm21`` and ``thresh_votes`` send the same thresholded votes), then each
+scheme's own selection, then one round two per distinct selected support,
+then each scheme's record. Each record reports the shared time once as
+``shared_time`` and its scheme's own selection and record as ``wall_time``.
 
 Simulation protocol (fixed-design mode, the default): design matrices are
 drawn once per experiment, each machine's precision matrix is estimated once
@@ -63,8 +65,9 @@ its row of X'y/n.
 Messages are batched the same way. Each round-1 rule's selection runs once
 per replication for all M machines (``protocol.select_threshold``,
 ``select_top_k`` and ``selected_signs`` on the (M, d) xi), and the rules
-that send one selection share it (``_RepMemo.selection``): ``thresh_votes``
-(so ``bnm21``) with ``thresh_signs``, ``top_L_votes`` with ``top_L_signs``.
+that send one selection take it from the pass's ``selections``
+(``_round1_messages``): ``thresh_votes`` (so ``bnm21``) with
+``thresh_signs``, ``top_L_votes`` with ``top_L_signs``.
 Round two gathers the M restricted designs X[:M, :n][:, :, S] once per
 distinct support and forms every machine's X_S'y, or under ``average`` its
 least-squares fit, in one stacked product; the gathered designs are
@@ -280,7 +283,7 @@ class ExperimentRecord:
     bits_round2_total: int
     lam: float
     wall_time: float
-    shared_time: float = 0.0
+    shared_time: float
     flags: RepFlags = field(default_factory=RepFlags)
     fusion_log: dict | None = None
 
@@ -503,6 +506,34 @@ def _rep_fits(point: PointState, rep: int):
 _ROUND1_RULE = {"bnm21": "thresh_votes"}
 
 
+def _round1_messages(rule: str, point: PointState, theta_hat, xi, selections: dict) -> list:
+    """The round-1 messages of ``rule``: one ``protocol`` call per machine,
+    each handed that machine's row of the rule's selection, or of theta_hat
+    for dense messages.
+
+    A selection runs once for all M machines on the (M, d) xi and is kept in
+    ``selections`` for the other rule that sends it: ``thresh_votes`` and
+    ``thresh_signs`` send the thresholded indices, ``top_L_votes`` and
+    ``top_L_signs`` the top-L ones, whose signs only ``top_L_signs`` sends.
+    """
+    if rule == "avg_deblasso":
+        return [protocol.round1_dense(m, row) for m, row in enumerate(theta_hat)]
+    if rule.startswith("thresh"):
+        if "thresh" not in selections:
+            selections["thresh"] = protocol.select_threshold(xi, point.tau)
+        indices, signs = selections["thresh"]
+        if rule == "thresh_votes":
+            return [protocol.round1_thresh_votes(m, idx) for m, idx in enumerate(indices)]
+        return [protocol.round1_thresh_signs(m, *row) for m, row in enumerate(zip(indices, signs))]
+    if "top_L" not in selections:
+        selections["top_L"] = protocol.select_top_k(xi, point.L)
+    indices = selections["top_L"]
+    if rule == "top_L_votes":
+        return [protocol.round1_top_L(m, idx) for m, idx in enumerate(indices)]
+    signs = protocol.selected_signs(xi, indices)
+    return [protocol.round1_top_L(m, *row) for m, row in enumerate(zip(indices, signs))]
+
+
 def _select_support(scheme, config, point, msgs, t):
     """Fusion-center support rule for each scheme/sparsity mode."""
     spec = config.spec
@@ -572,161 +603,10 @@ def _second_round(config, point, ys, support) -> tuple[np.ndarray, int]:
     return theta, sum(protocol.bit_costs(msgs, d))
 
 
-class _RepMemo:
-    """The work one replication's schemes share, computed on first use.
-
-    Round-1 messages, their bits and their tally depend only on (theta_hat,
-    xi, round-1 rule), and round two only on (ys, support), so each is built
-    once per rule or per distinct support and reused by every later scheme.
-    The rules that send one selection share it too (``selection``). Shared
-    arrays are made read-only. ``flags`` holds the replication's solver
-    fields, which every record copies. ``seconds`` sums the time spent on
-    shared work.
-    """
-
-    def __init__(self, config, point, theta_hat, xi, ys, flags: RepFlags, seconds: float):
-        self.config, self.point = config, point
-        self.theta_hat, self.xi, self.ys, self.flags = theta_hat, xi, ys, flags
-        self.seconds = seconds
-        self._round1: dict = {}
-        self._round2: dict = {}
-        self._selections: dict = {}
-
-    def _cached(self, table: dict, key, compute):
-        if key not in table:
-            t0 = time.perf_counter()
-            table[key] = compute()
-            self.seconds += time.perf_counter() - t0
-        return table[key]
-
-    def selection(self, rule: str):
-        """The (indices, signs) rows of the rule's selection from every
-        machine's xi, computed once for all machines and shared by the rules
-        that send it: ``thresh_votes`` (so ``bnm21``) and ``thresh_signs``
-        send the thresholded indices, ``top_L_votes`` and ``top_L_signs`` the
-        top-L ones, whose signs only ``top_L_signs`` needs (None for the
-        others). Untimed: it runs inside the timed ``round1``."""
-        table, xi = self._selections, self.xi
-        if rule.startswith("thresh"):
-            if "thresh" not in table:
-                table["thresh"] = protocol.select_threshold(xi, self.point.tau)
-            return table["thresh"]
-        if "top_L" not in table:
-            table["top_L"] = protocol.select_top_k(xi, self.point.L)
-        indices = table["top_L"]
-        if rule == "top_L_votes":
-            return indices, None
-        if "top_L_signs" not in table:
-            table["top_L_signs"] = protocol.selected_signs(xi, indices)
-        return indices, table["top_L_signs"]
-
-    def round1_messages(self, rule: str) -> list:
-        """One ``protocol`` call per machine, each handed that machine's row
-        of the rule's selection, or of theta_hat for dense messages."""
-        if rule == "avg_deblasso":
-            return [protocol.round1_dense(m, row) for m, row in enumerate(self.theta_hat)]
-        indices, signs = self.selection(rule)
-        if rule == "thresh_votes":
-            return [protocol.round1_thresh_votes(m, idx) for m, idx in enumerate(indices)]
-        if rule == "thresh_signs":
-            return [protocol.round1_thresh_signs(m, *row) for m, row in enumerate(zip(indices, signs))]
-        if signs is None:
-            return [protocol.round1_top_L(m, idx) for m, idx in enumerate(indices)]
-        return [protocol.round1_top_L(m, *row) for m, row in enumerate(zip(indices, signs))]
-
-    def round1(self, scheme: str) -> tuple[list, list[int], fusion.VoteTally | None]:
-        """(messages, bits per machine, tally) of the scheme's round-1 rule;
-        the tally is None for dense messages."""
-        rule = _ROUND1_RULE.get(scheme, scheme)
-
-        def compute():
-            d = self.config.spec.d
-            msgs = self.round1_messages(rule)
-            bits = protocol.bit_costs(msgs, d)
-            if rule == "avg_deblasso":
-                return msgs, bits, None
-            t = fusion.tally(msgs, d)
-            t.votes.setflags(write=False)
-            t.sign_sums.setflags(write=False)
-            return msgs, bits, t
-
-        return self._cached(self._round1, rule, compute)
-
-    def round2(self, support: np.ndarray) -> tuple[np.ndarray, int] | None:
-        """(theta_hat, total bits) of round two on ``support``; None if it
-        raised ValueError (a singular system), for every scheme alike."""
-
-        support = np.asarray(support, dtype=np.int64)
-
-        def compute():
-            try:
-                theta, bits = _second_round(self.config, self.point, self.ys, support)
-            except ValueError:
-                return None
-            theta.setflags(write=False)
-            return theta, bits
-
-        return self._cached(self._round2, support.tobytes(), compute)
-
-
 def _l2(diff: np.ndarray) -> float:
     """The l2 norm of a 1-D float64 vector, by the dot product and square
     root ``np.linalg.norm`` takes for one, so bit for bit the same."""
     return math.sqrt(diff @ diff)
-
-
-def _eval_scheme(
-    scheme: str,
-    config: ExperimentConfig,
-    point: PointState,
-    memo: _RepMemo,
-    rep: int,
-    l2_oracle: float,
-) -> ExperimentRecord:
-    d = config.spec.d
-    t0 = time.perf_counter()
-    shared_before = memo.seconds
-    flags = RepFlags(**vars(memo.flags))
-    msgs, bits_r1, t = memo.round1(scheme)
-    theta_avg, est = _select_support(scheme, config, point, msgs, t)
-    S_hat = est.indices
-    theta = np.zeros(d)
-    bits_r2 = 0
-    no_estimate = False
-    if S_hat.size == 0:
-        flags.empty_support = True
-    elif scheme == "avg_deblasso":
-        # Single-round scheme: the estimate is the truncated average.
-        theta[S_hat] = theta_avg[S_hat]
-    elif config.second_round == "none":
-        no_estimate = True
-    else:
-        second = memo.round2(S_hat)
-        if second is None:
-            flags.round2_failed = True
-        else:
-            theta, bits_r2 = second
-    f, prec, rec = f_measure(S_hat, point.design.support)
-    l2 = None if no_estimate else _l2(theta - point.theta_star)
-    bits_r1_total = sum(bits_r1)
-    log = fusion.fusion_log_record(scheme, est, t, point.tau, bits_r1_total)
-    return ExperimentRecord(
-        rep=rep,
-        scheme=scheme,
-        S_hat=S_hat.tolist(),
-        f_measure=f,
-        precision=prec,
-        recall=rec,
-        l2_error=l2,
-        l2_error_oracle=l2_oracle,
-        bits_round1_per_machine=list(bits_r1),
-        bits_round1_total=bits_r1_total,
-        bits_round2_total=int(bits_r2),
-        lam=point.lam,
-        wall_time=time.perf_counter() - t0 - (memo.seconds - shared_before),
-        flags=flags,
-        fusion_log=log,
-    )
 
 
 def _oracle_error(point: PointState, ys: np.ndarray) -> float:
@@ -742,25 +622,104 @@ def _oracle_error(point: PointState, ys: np.ndarray) -> float:
 def run_point_rep(
     point: PointState, config: ExperimentConfig, schemes: list[str], rep: int
 ) -> list[ExperimentRecord]:
-    """One replication, evaluated under several schemes sharing their work.
+    """One replication under each of ``schemes``, as one pass in the order
+    the protocol runs, which does each piece of work once:
 
-    Every record carries the replication's shared time (fits, oracle and
-    the ``_RepMemo`` work) as ``shared_time``.
+    1. the machines' fits (``_rep_fits``) and the oracle;
+    2. round one, per distinct round-1 rule of ``schemes``: the messages,
+       their bits and, for vote rules, one read-only tally;
+    3. each scheme's support selection (``_select_support``);
+    4. round two, once per distinct nonempty support that a two-round scheme
+       selected, unless ``second_round`` is "none". Its estimate is
+       read-only; a ValueError (a singular system) fails round two for every
+       scheme that selected that support;
+    5. each scheme's record.
+
+    Every record carries the time of steps 1, 2 and 4 as ``shared_time``
+    and that of its own scheme's steps 3 and 5 as ``wall_time``.
     """
-    t0 = time.perf_counter()
+    d = config.spec.d
+    start = time.perf_counter()
     _, theta_hat, xi, converged, sweeps, kkt, ys = _rep_fits(point, rep)
-    flags = RepFlags(
+    solver = RepFlags(
         nonconverged_fits=int((~converged).sum()),
         max_sweeps=int(sweeps.max()),
         max_kkt=float(kkt.max()),
     )
     l2_oracle = _oracle_error(point, ys)
-    memo = _RepMemo(config, point, theta_hat, xi, ys, flags, seconds=time.perf_counter() - t0)
-    records = [_eval_scheme(s, config, point, memo, rep, l2_oracle) for s in schemes]
-    for record in records:
-        record.shared_time = memo.seconds
-    return records
+    round1, selections = {}, {}
+    for rule in dict.fromkeys(_ROUND1_RULE.get(s, s) for s in schemes):
+        msgs = _round1_messages(rule, point, theta_hat, xi, selections)
+        t = None
+        if rule != "avg_deblasso":
+            t = fusion.tally(msgs, d)
+            t.votes.setflags(write=False)
+            t.sign_sums.setflags(write=False)
+        round1[rule] = msgs, protocol.bit_costs(msgs, d), t
+    shared = time.perf_counter() - start
 
+    selected, own = [], []
+    for s in schemes:
+        start = time.perf_counter()
+        msgs, _, t = round1[_ROUND1_RULE.get(s, s)]
+        selected.append(_select_support(s, config, point, msgs, t))
+        own.append(time.perf_counter() - start)
+
+    start = time.perf_counter()
+    round2 = {}  # support bytes -> (theta_hat, total bits), or None if it failed
+    for s, (_, est) in zip(schemes, selected):
+        key = est.indices.tobytes()
+        if config.second_round == "none" or s == "avg_deblasso" or not est.indices.size or key in round2:
+            continue
+        try:
+            theta, bits = _second_round(config, point, ys, est.indices)
+            theta.setflags(write=False)
+            round2[key] = theta, bits
+        except ValueError:
+            round2[key] = None
+    shared += time.perf_counter() - start
+
+    records = []
+    for s, (theta_avg, est), seconds in zip(schemes, selected, own):
+        start = time.perf_counter()
+        _, bits_r1, t = round1[_ROUND1_RULE.get(s, s)]
+        flags = replace(solver)
+        S_hat = est.indices
+        theta, bits_r2 = np.zeros(d), 0
+        if S_hat.size == 0:
+            flags.empty_support = True
+        elif s == "avg_deblasso":
+            # Single-round scheme: the estimate is the truncated average.
+            theta[S_hat] = theta_avg[S_hat]
+        elif config.second_round == "none":
+            theta = None
+        elif round2[S_hat.tobytes()] is None:
+            flags.round2_failed = True
+        else:
+            theta, bits_r2 = round2[S_hat.tobytes()]
+        f, prec, rec = f_measure(S_hat, point.design.support)
+        bits_r1_total = sum(bits_r1)
+        records.append(
+            ExperimentRecord(
+                rep=rep,
+                scheme=s,
+                S_hat=S_hat.tolist(),
+                f_measure=f,
+                precision=prec,
+                recall=rec,
+                l2_error=None if theta is None else _l2(theta - point.theta_star),
+                l2_error_oracle=l2_oracle,
+                bits_round1_per_machine=list(bits_r1),
+                bits_round1_total=bits_r1_total,
+                bits_round2_total=int(bits_r2),
+                lam=point.lam,
+                wall_time=seconds + time.perf_counter() - start,
+                shared_time=shared,
+                flags=flags,
+                fusion_log=fusion.fusion_log_record(s, est, t, point.tau, bits_r1_total),
+            )
+        )
+    return records
 
 @dataclass
 class SweepResult:

@@ -66,16 +66,21 @@ def dump_jsonl(path, records: list[dict]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def load_jsonl(path) -> list[dict]:
-    """The records of a JSONL file, one JSON object per nonblank line.
+def load_jsonl(path, keys=()) -> list[dict]:
+    """The records of a JSONL file, one JSON object per nonblank line, each
+    holding every one of ``keys``.
 
-    Raises ValueError naming ``path:line`` for a line that is not JSON or
-    not a JSON object, and OSError when the file cannot be read.
+    Raises ValueError naming ``path:line`` for a line that is not UTF-8
+    text, not JSON or not a JSON object, and then for the first record that
+    lacks one of ``keys``; OSError when the file cannot be read.
     """
-    out = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
+    numbered = []
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{number}: not UTF-8 text") from None
             if not line:
                 continue
             try:
@@ -84,8 +89,12 @@ def load_jsonl(path) -> list[dict]:
                 raise ValueError(f"{path}:{number}: not JSON ({exc.msg})") from None
             if not isinstance(rec, dict):
                 raise ValueError(f"{path}:{number}: not a JSON object")
-            out.append(rec)
-    return out
+            numbered.append((number, rec))
+    for number, rec in numbered:
+        missing = [key for key in keys if key not in rec]
+        if missing:
+            raise ValueError(f"{path}:{number}: missing keys {', '.join(missing)}")
+    return [rec for _, rec in numbered]
 
 
 def write_csv_rows(path, rows: list[dict], columns: list[str]) -> None:

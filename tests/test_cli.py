@@ -499,3 +499,25 @@ class TestReport:
             main(["report", str(path), "--out", str(merged)])
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert capsys.readouterr().out == "" and not merged.exists()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"a": 1}\n', r"records\.jsonl:1: missing keys axis, value, scheme, rep, f_measure, l2_error$"),
+            (
+                b'{"axis": "r", "value": 0.8, "scheme": "bnm21", "rep": 0, "f_measure": 1.0, "l2_error": 0.1}\n'
+                b'\n{"axis": "r", "value": 0.8, "scheme": "bnm21", "rep": 1}\n',
+                r"records\.jsonl:3: missing keys f_measure, l2_error$",
+            ),
+            (b"\xff\xfe{}\n", r"records\.jsonl:1: not UTF-8 text$"),
+        ],
+        ids=["not_a_record", "missing_metrics", "not_utf8"],
+    )
+    def test_input_that_is_not_records_exits_with_one_line(self, tmp_path, capsys, data, message):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(data)
+        merged = tmp_path / "merged.csv"
+        with pytest.raises(SystemExit, match=f"^bad report input: .*{message}") as exc:
+            main(["report", str(path), "--out", str(merged)])
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert capsys.readouterr().out == "" and not merged.exists()

@@ -364,6 +364,33 @@ class TestSharedWork:
         # Disjoint spans of one call: shared work plus each scheme's own.
         assert recs[0].shared_time + sum(r.wall_time for r in recs) <= elapsed
 
+    def test_time_is_charged_to_the_step_that_spent_it(self, small_design, monkeypatch):
+        cfg, design = small_design
+        point = materialize(design, cfg)
+        schemes = ["thresh_votes", "thresh_signs"]
+        pause, slept = 0.02, []
+
+        def sleeping(original, only=None):
+            def wrapped(*args):
+                if only in (None, args[0]):
+                    slept.append(args[0])
+                    time.sleep(pause)
+                return original(*args)
+
+            return wrapped
+
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_second_round", sleeping(harness._second_round))
+            recs = run_point_rep(point, cfg, schemes, 0)
+        # One round two, for the one support both schemes selected.
+        assert recs[0].S_hat == recs[1].S_hat and len(slept) == 1
+        assert all(r.shared_time >= pause and r.wall_time < pause for r in recs)
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_select_support", sleeping(harness._select_support, only="thresh_signs"))
+            votes, signs = run_point_rep(point, cfg, schemes, 0)
+        assert signs.wall_time >= pause
+        assert votes.wall_time < pause and votes.shared_time < pause
+
     def test_one_round2_per_support_and_one_tally_per_rule(self, small_design, monkeypatch):
         cfg, design = small_design
         point = materialize(design, cfg)
@@ -581,9 +608,9 @@ class TestStackedMessages:
     def _loop_records(monkeypatch, cfg, axis, grid):
         with monkeypatch.context() as mp:
             mp.setattr(
-                harness._RepMemo,
-                "round1_messages",
-                lambda memo, rule: loop_round1_messages(rule, memo.point, memo.theta_hat, memo.xi),
+                harness,
+                "_round1_messages",
+                lambda rule, point, theta_hat, xi, selections: loop_round1_messages(rule, point, theta_hat, xi),
             )
             mp.setattr(harness, "_second_round", loop_second_round)
             return run_sweep(cfg, axis, grid, schemes=list(SCHEMES)).records
@@ -653,15 +680,20 @@ class TestStackedMessages:
         # center's top-K selections take their own 1-D path.
         assert sorted(calls) == [(name, point.M) for name in ("select_threshold", "select_top_k", "selected_signs")]
         monkeypatch.undo()
-        fits = _rep_fits(point, 0)
-        memo = harness._RepMemo(cfg, point, fits[1], fits[2], fits[-1], harness.RepFlags(), 0.0)
-        indices, signs = memo.selection("thresh_signs")
-        assert memo.selection("thresh_votes") is memo.selection("thresh_signs")
-        top, top_signs = memo.selection("top_L_signs")
-        votes, no_signs = memo.selection("top_L_votes")
-        assert votes is top and no_signs is None
-        for a in (*indices, *signs, top, top_signs):
-            assert not a.flags.writeable
+        _, theta_hat, xi, *_ = _rep_fits(point, 0)
+        selections = {}
+        payloads = {
+            rule: [msg.payload for msg in harness._round1_messages(rule, point, theta_hat, xi, selections)]
+            for rule in ("thresh_votes", "thresh_signs", "top_L_votes", "top_L_signs")
+        }
+        # The paired rules send views of one stacked selection.
+        for a, b in (("thresh_votes", "thresh_signs"), ("top_L_votes", "top_L_signs")):
+            for p, q in zip(payloads[a], payloads[b]):
+                assert np.array_equal(p.indices, q.indices)
+                assert p.indices.size == 0 or np.shares_memory(p.indices, q.indices)
+        sent = [p.indices for ps in payloads.values() for p in ps]
+        sent += [p.signs for rule in ("thresh_signs", "top_L_signs") for p in payloads[rule]]
+        assert all(not a.flags.writeable for a in sent)
 
 
 class TestRunSweep:

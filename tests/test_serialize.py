@@ -79,3 +79,21 @@ def test_jsonl_bad_line_names_path_and_line(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{message}"):
         load_jsonl(path)
+
+
+def test_jsonl_not_utf8_names_path_and_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"a": 1}\n\xff\xfe{}\n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: not UTF-8 text$"):
+        load_jsonl(path)
+
+
+def test_jsonl_required_keys_are_checked_after_every_line_parses(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n{"a": 2, "b": 3}\n')
+    assert load_jsonl(path, ("a",)) == [{"a": 1}, {"a": 2, "b": 3}]
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: missing keys b$"):
+        load_jsonl(path, ("a", "b"))
+    path.write_text('{"a": 1}\nnot json\n')
+    with pytest.raises(ValueError, match=":2: not JSON"):
+        load_jsonl(path, ("b",))
