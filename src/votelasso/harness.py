@@ -39,11 +39,12 @@ replication the point does not hold. A replication (``_rep_fits``) then
 computes only what depends on its noise, as one batched pass over the
 prefix where the arithmetic is the same on every machine: the (M, n)
 noise, bit for bit ``sample_noise``'s, and responses x_theta + sigma W,
-X'y/n (every lasso's gradient at zero, formed by ``fit_lasso`` in one
-product), one block-diagonal mat-vec, the standardization and the oracle's
-cross moments. Every row of these equals the single-machine result bit for
-bit, and sums over machines add them in machine order (``fusion.sum_rows``),
-so records do not depend on the batching. Three steps stay per machine.
+X'y (formed by ``fit_lasso`` in one product and returned as
+``LassoFit.xty``: over n, every lasso's gradient at zero), one
+block-diagonal mat-vec and the standardization. Every row of these equals
+the single-machine result bit for bit, and sums over machines add them in
+machine order (``fusion.sum_rows``), so records do not depend on the
+batching. Three steps stay per machine.
 Each machine's noise comes from its own seeded stream, set from its seed
 words. Each lasso fit solves that machine's own problem, and the fits are
 the call sites the benchmark's probes count: one ``fit_lasso`` call for the
@@ -68,24 +69,28 @@ per replication for all M machines (``protocol.select_threshold``,
 that send one selection take it from the pass's ``selections``
 (``_round1_messages``): ``thresh_votes`` (so ``bnm21``) with
 ``thresh_signs``, ``top_L_votes`` with ``top_L_signs``.
-Round two gathers the M restricted designs X[:M, :n][:, :, S] once per
-distinct support and forms every machine's X_S'y, or under ``average`` its
-least-squares fit, in one stacked product; the gathered designs are
-dropped afterwards, not kept on the point. Each message is still built by
-its own ``protocol`` call, once per machine, which takes only that
-machine's payload, its row of the stacked result, and wraps it; the
-benchmark's probes count and time those calls, so their spans time the
-messages only and the stacked work counts as harness time.
+Round two on a support S reads every machine's X_S'y as column S of the
+replication's X'y, as a real machine would from the product its round-one
+fit already formed, so no replication forms a product over X for round
+two or for the oracle, whose pooled X_S'y is the machine-order sum of the
+same columns. Under ``gram_exact`` a machine sends its row of those
+columns; under ``average`` it sends its least-squares fit, all M from one
+stacked product with the inverse Grams. Each message is still built by its
+own ``protocol`` call, once per machine, which takes only that machine's
+payload, its row of the stacked result, and wraps it; the benchmark's
+probes count and time those calls, so their spans time the messages only
+and the stacked work counts as harness time.
 
 Round two also needs, per machine, an operand that depends only on the
-design and the selected support S: the inverse Gram (X_S'X_S)^-1 under
-``average`` and the Gram X_S'X_S under ``gram_exact``.
-``PointState.round2`` keeps it per grid point, rule and support, formed
-for all M machines in one stacked SVD or product the first time a
-replication selects S under that rule (``_round2_operand``). A rank-deficient support's ValueError is
-kept the same way. Every ``materialize`` starts with an empty cache and
-empty column stores, so each ``run_sweep`` call, each grid point and, in
-redraw mode, each replication starts cold.
+design and S: the inverse Gram (X_S'X_S)^-1 under ``average`` and the Gram
+X_S'X_S under ``gram_exact``. ``PointState.round2`` keeps it per grid
+point, rule and support, formed for all M machines from one gather of the
+restricted designs X[:M, :n][:, :, S] and one stacked SVD or product the
+first time a replication selects S under that rule (``_round2_operand``);
+the gathered designs are dropped afterwards. A rank-deficient support's
+ValueError is kept the same way. Every ``materialize`` starts with an empty
+cache and empty column stores, so each ``run_sweep`` call, each grid point
+and, in redraw mode, each replication starts cold.
 
 The tuning quantities (vote threshold, lasso and nodewise penalties) are
 each one ``ExperimentConfig`` field, a rule name or a number, resolved at
@@ -124,7 +129,7 @@ from .debias import (
 from ._kernels import ColumnBudget, GramColumns, gram_diagonal
 # No run path calls ``fit_lasso_gram`` here. The name stays only because the
 # benchmark's probes (perfbench/probes.py) wrap it, and goes when they stop.
-from .lasso import fit_lasso, fit_lasso_gram, restricted_gram_inverse, restricted_ols, restricted_xty
+from .lasso import fit_lasso, fit_lasso_gram, restricted_gram_inverse
 from .serialize import dump_jsonl, write_csv_rows
 
 SCHEMES = (
@@ -476,10 +481,11 @@ def materialize(
 def _rep_fits(point: PointState, rep: int):
     """All machines' round-one computations for one noise replication.
 
-    Returns (theta_tilde, theta_hat, xi, converged, sweeps, kkt, Y): the
-    lasso, debiased and standardized estimates as (M, d) arrays, each
-    machine's solver status as (M,) arrays, and the (M, n) responses. Row m
-    of each is machine m's.
+    Returns (theta_tilde, theta_hat, xi, converged, sweeps, kkt, xty, Y):
+    the lasso, debiased and standardized estimates as (M, d) arrays, each
+    machine's solver status as (M,) arrays, the (M, d) X'y its fit formed
+    (``LassoFit.xty``) and the (M, n) responses. Row m of each is machine
+    m's.
     """
     design = point.design
     spec = design.spec
@@ -498,7 +504,7 @@ def _rep_fits(point: PointState, rep: int):
     converged, sweeps, kkt = fit.converged, fit.iterations, fit.max_kkt_violation
     theta_h = debias(theta_t, grad, point.omega)
     xi = standardize(theta_h, point.c_diag, sigma, n)
-    return theta_t, theta_h, xi, converged, sweeps, kkt, Y
+    return theta_t, theta_h, xi, converged, sweeps, kkt, fit.xty, Y
 
 
 # bnm21 sends the thresholded votes of thresh_votes and differs only in its
@@ -552,22 +558,25 @@ def _select_support(scheme, config, point, msgs, t):
     return None, fusion.select_vote_threshold(t, 2.0 * math.log(spec.d), use_signs=use_signs)
 
 
-def _round2_operand(config, point: PointState, support: np.ndarray, X_S: np.ndarray) -> np.ndarray:
+def _round2_operand(config, point: PointState, support: np.ndarray) -> np.ndarray:
     """The read-only (M, k, k) design-only operand of round two on
-    ``support``, for the point's machines, whose (M, n, k) restricted designs
-    are ``X_S``: the inverse Gram (X_S'X_S)^-1 under ``average``, from one
-    stacked SVD, and the Gram X_S'X_S under ``gram_exact``, from one stacked
-    product (row m equals machine m's own ``X_S.T @ X_S`` bit for bit).
+    ``support`` for the point's machines: the inverse Gram (X_S'X_S)^-1
+    under ``average``, from one stacked SVD, and the Gram X_S'X_S under
+    ``gram_exact``, from one stacked product (row m equals machine m's own
+    ``X_S.T @ X_S`` bit for bit).
 
-    It is formed once per point, rule and support; the rule is part of the
-    key because the config is passed apart from the point, so one point may
-    run under both rules. A rank-deficient support's ValueError is kept too
-    and raised again on every later request under the same rule, so it fails
-    in every replication without being refactored.
+    It is formed once per point, rule and support, from the (M, n, k)
+    restricted designs gathered then and dropped after, so no later request
+    gathers them. The rule is part of the key because the config is passed
+    apart from the point, so one point may run under both rules. A
+    rank-deficient support's ValueError is kept too and raised again on
+    every later request under the same rule, so it fails in every
+    replication without being refactored.
     """
     key = (config.second_round, support.tobytes())
     operand = point.round2.get(key)
     if operand is None:
+        X_S = point.design.X[: point.M, : point.n][:, :, support]
         try:
             if config.second_round == "gram_exact":
                 operand = X_S.swapaxes(1, 2) @ X_S
@@ -582,22 +591,22 @@ def _round2_operand(config, point: PointState, support: np.ndarray, X_S: np.ndar
     return operand
 
 
-def _second_round(config, point, ys, support) -> tuple[np.ndarray, int]:
+def _second_round(config, point, xty, support) -> tuple[np.ndarray, int]:
     """Run round two over the machines; returns (theta_hat, total bits).
 
-    Every machine's payload row comes from one stacked product over the
-    gathered (M, n, k) restricted designs, which are dropped afterwards;
-    each machine's ``protocol`` call wraps its row in a message.
+    ``xty`` is the replication's (M, d) X'y (``LassoFit.xty``), whose
+    columns ``support`` are every machine's X_S'y: ``gram_exact`` sends
+    those rows, ``average`` the rows of one stacked product with the inverse
+    Grams. Each machine's ``protocol`` call wraps its row in a message.
     """
     d = point.design.spec.d
-    X_S = point.design.X[: point.M, : point.n][:, :, support]
-    operand = _round2_operand(config, point, support, X_S)
+    operand = _round2_operand(config, point, support)
+    xty_S = xty[:, support]
     if config.second_round == "gram_exact":
-        xty = restricted_xty(X_S, ys)
-        msgs = [protocol.round2_gram(m, support, operand[m], xty[m]) for m in range(point.M)]
+        msgs = [protocol.round2_gram(m, support, operand[m], xty_S[m]) for m in range(point.M)]
         theta = fusion.centralized_ls(msgs, support, d)
     else:
-        beta = restricted_ols(X_S, ys, operand)
+        beta = (operand @ xty_S[..., None])[..., 0]
         msgs = [protocol.round2_restricted(m, support, beta[m]) for m in range(point.M)]
         theta = fusion.aggregate_round2(msgs, support, d)
     return theta, sum(protocol.bit_costs(msgs, d))
@@ -609,10 +618,12 @@ def _l2(diff: np.ndarray) -> float:
     return math.sqrt(diff @ diff)
 
 
-def _oracle_error(point: PointState, ys: np.ndarray) -> float:
+def _oracle_error(point: PointState, xty: np.ndarray) -> float:
+    """The l2 error of pooled least squares on the true support S: the
+    point's pooled Gram solved against the machine-order sum of the columns
+    S of the replication's (M, d) X'y."""
     S = point.design.support
-    XS = point.design.X[: point.M, : point.n, S]
-    v = fusion.sum_rows((ys[:, None, :] @ XS)[:, 0, :])
+    v = fusion.sum_rows(xty[:, S])
     beta = np.linalg.solve(point.oracle_gram, v)
     theta = np.zeros(point.design.spec.d)
     theta[S] = beta
@@ -640,13 +651,13 @@ def run_point_rep(
     """
     d = config.spec.d
     start = time.perf_counter()
-    _, theta_hat, xi, converged, sweeps, kkt, ys = _rep_fits(point, rep)
+    _, theta_hat, xi, converged, sweeps, kkt, xty, _ = _rep_fits(point, rep)
     solver = RepFlags(
         nonconverged_fits=int((~converged).sum()),
         max_sweeps=int(sweeps.max()),
         max_kkt=float(kkt.max()),
     )
-    l2_oracle = _oracle_error(point, ys)
+    l2_oracle = _oracle_error(point, xty)
     round1, selections = {}, {}
     for rule in dict.fromkeys(_ROUND1_RULE.get(s, s) for s in schemes):
         msgs = _round1_messages(rule, point, theta_hat, xi, selections)
@@ -672,7 +683,7 @@ def run_point_rep(
         if config.second_round == "none" or s == "avg_deblasso" or not est.indices.size or key in round2:
             continue
         try:
-            theta, bits = _second_round(config, point, ys, est.indices)
+            theta, bits = _second_round(config, point, xty, est.indices)
             theta.setflags(write=False)
             round2[key] = theta, bits
         except ValueError:

@@ -24,12 +24,14 @@ designs, one per machine, as the replications pass them: it checks the
 whole stack's inputs at once and then solves each machine's problem with
 its own kernel call, so every row equals the machine's own fit bit for bit.
 
-Restricted least squares, the round-two fit on a broadcast support, is
-``restricted_gram_inverse(X_S) @ restricted_xty(X_S, y)``. The inverse
-Gram comes from one thin SVD, so a caller that solves many responses on the
-same columns (every replication of a fixed design) factors them once. All
-three accept a stack of designs and responses, and each matrix of a stack
-gets the same bits as it would alone.
+The fit also returns the undivided X'y it formed (``LassoFit.xty``), so a
+machine's round-two X_S'y on a broadcast support S is its column S, with no
+new pass over X. Restricted least squares, the round-two fit on S, is
+``restricted_gram_inverse(X_S) @ xty[S]``. The inverse Gram comes from one
+thin SVD, so a caller that solves many responses on the same columns (every
+replication of a fixed design) factors them once. Both helpers accept a
+stack of designs, and each matrix of a stack gets the same bits as it would
+alone.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ class LassoFit:
 
     ``gradient`` is X'(y - X theta)/n at ``coefficients`` up to roundoff,
     the solver's last gradient, and ``max_kkt_violation`` is its KKT
-    residual. A fit of one
+    residual. ``xty`` is the undivided X'y the fit formed, with the bits of
+    ``X.T @ y``; its column S is X_S'y for any column subset S. A fit of one
     design holds (d,) arrays and Python scalars; a fit of a stack of M
     designs holds (M, d) arrays and (M,) arrays, row m machine m's.
     """
@@ -68,6 +71,7 @@ class LassoFit:
     max_kkt_violation: float | np.ndarray
     converged: bool | np.ndarray
     gradient: np.ndarray
+    xty: np.ndarray
 
 
 def fit_lasso(
@@ -94,9 +98,9 @@ def fit_lasso(
     that each holds columns of its design only. Without it every problem
     gets a new store without a budget, dropped after the fit.
 
-    The fit forms X'y/n, the gradient at the zero start, in one product
-    over the stack whose bits are those of ``X.T @ y / n``
-    (``restricted_xty``). It returns the solver's last gradient
+    The fit forms X'y in one product over the stack whose bits are those of
+    ``X.T @ y`` (``restricted_xty``), returns it as ``xty`` and starts from
+    X'y/n, the gradient at zero. It returns the solver's last gradient
     X'y/n - (X'X/n) theta at the solution (X'y/n itself for a zero
     solution) as ``gradient`` and that gradient's KKT residual as
     ``max_kkt_violation``, equal up to roundoff to ``kkt_violation`` at the
@@ -138,7 +142,8 @@ def fit_lasso(
         raise ValueError("gram_diag has wrong length")
     if not (np.isfinite(diag).all() and np.isfinite(y).all()):
         raise ValueError("NaN or inf in lasso inputs")
-    c = restricted_xty(X, y) / n
+    xty = restricted_xty(X, y)
+    c = xty / n
     if not np.isfinite(c).all():  # finite X and y whose products overflow
         raise ValueError("NaN or inf in lasso inputs")
     if columns is not None and len(columns) != M:
@@ -155,8 +160,8 @@ def fit_lasso(
             X[m], y[m], lam, W[m], max_sweeps, COEF_TOL, KKT_TOL, diag[m], c[m], G[m], store
         )
     if single:
-        return LassoFit(W[0], lam, int(sweeps[0]), float(kkt[0]), bool(converged[0]), G[0])
-    return LassoFit(W, lam, sweeps, kkt, converged, G)
+        return LassoFit(W[0], lam, int(sweeps[0]), float(kkt[0]), bool(converged[0]), G[0], xty[0])
+    return LassoFit(W, lam, sweeps, kkt, converged, G, xty)
 
 
 def kkt_violation(X: np.ndarray, y: np.ndarray, lam: float, theta: np.ndarray) -> float:
@@ -233,19 +238,3 @@ def restricted_xty(X_S: np.ndarray, y: np.ndarray) -> np.ndarray:
     result (k,) or (..., k). One product y @ X_S per matrix, whose bits are
     those of ``X_S.T @ y``."""
     return (np.asarray(y, dtype=np.float64)[..., None, :] @ X_S)[..., 0, :]
-
-
-def restricted_ols(X_S: np.ndarray, y: np.ndarray, gram_inv: np.ndarray | None = None) -> np.ndarray:
-    """Least squares on a column subset: (X_S'X_S)^-1 X_S'y.
-
-    ``X_S``, ``y`` and ``gram_inv`` are one machine's (n, k), (n,) and
-    (k, k), or stacks (..., n, k), (..., n) and (..., k, k) with one fit per
-    matrix. ``gram_inv`` is X_S's ``restricted_gram_inverse``, computed here
-    when not given; a caller that solves many responses on one design passes
-    it to pay for the factorization once. Requires n >= k and full column
-    rank (ValueError otherwise).
-    """
-    X_S = np.asarray(X_S, dtype=np.float64)
-    if gram_inv is None:
-        gram_inv = restricted_gram_inverse(X_S)
-    return (gram_inv @ restricted_xty(X_S, y)[..., None])[..., 0]

@@ -10,10 +10,11 @@ wraps it in a message: its row of the rule's selection (indices, and signs
 for a signed payload), its debiased estimate theta_hat for the dense
 baseline, or, in round two, the broadcast support S with its row of the
 stacked payload. Under the ``average`` rule a machine sends its
-least-squares fit on S, (X_S'X_S)^-1 X_S'y (``lasso.restricted_ols``), and
-under ``gram_exact`` its X_S'X_S and X_S'y (``lasso.restricted_xty``). The
-makers run no rule and solve nothing; the caller vouches that each payload
-is the machine's own.
+least-squares fit on S, (X_S'X_S)^-1 X_S'y
+(``lasso.restricted_gram_inverse`` times X_S'y), and under ``gram_exact``
+its X_S'X_S and X_S'y. X_S'y is column S of the X'y its round-one lasso fit
+formed (``lasso.LassoFit.xty``). The makers run no rule and solve nothing;
+the caller vouches that each payload is the machine's own.
 
 Each payload's format is one entry of a table keyed by payload type: its
 wire tag and its fields in wire order, each an array of index, sign or
@@ -263,7 +264,7 @@ def _support(support) -> np.ndarray:
 
 def round2_restricted(machine_id: int, support, beta: np.ndarray) -> Message:
     """The machine's least-squares fit ``beta`` on the broadcast support
-    (its row of a stacked ``lasso.restricted_ols``). ValueError for an
+    (its row of the stacked least-squares fits). ValueError for an
     empty support."""
     return Message(machine_id, RestrictedEstimate(_support(support), beta))
 

@@ -51,6 +51,8 @@ def soft_threshold(z, gamma):
 
 
 def normal_equations_ols(X_S, y):
+    """Least squares on a column subset, (X_S'X_S)^-1 X_S'y, by solving the
+    normal equations."""
     A = X_S.T @ X_S
     return np.linalg.solve(A, X_S.T @ y)
 
@@ -206,12 +208,13 @@ def loop_rep_fits(point, rep):
     before its stacked pass: noise, response, X'y/n, lasso, debiasing and
     standardization, each a separate call per machine. Each machine
     debiases with the X'(y - X theta_tilde)/n of its own fit, the solver's
-    last gradient. The bitwise reference for the
-    stacked pass; do not batch it. Each fit reads its machine's column
-    store on the point, so after a stacked pass it reads the Gram columns
-    that pass formed, as a later replication of the point would. Returns
+    last gradient, and keeps its own X'y, the product ``y @ X``. The bitwise
+    reference for the stacked pass; do not batch it. Each fit reads its
+    machine's column store on the point, so after a stacked pass it reads
+    the Gram columns that pass formed, as a later replication of the point
+    would. Returns
     what ``_rep_fits`` returns, (theta_tilde, theta_hat, xi, converged,
-    sweeps, kkt, Y), each stacked from the per-machine results."""
+    sweeps, kkt, xty, Y), each stacked from the per-machine results."""
     from votelasso.datagen import TAG_NOISE, stream
     from votelasso.debias import standardize
     from votelasso.lasso import fit_lasso
@@ -230,16 +233,17 @@ def loop_rep_fits(point, rep):
         )
         theta_h = theta_t + point.omegas[m].matvec(grad)
         xi = standardize(theta_h, point.c_diag[m], sigma, n)
-        rows.append((theta_t, theta_h, xi, bool(conv), int(sweeps), float(kkt), y))
+        rows.append((theta_t, theta_h, xi, bool(conv), int(sweeps), float(kkt), y @ X, y))
     return tuple(np.array(column) for column in zip(*rows))
 
 
 def loop_oracle_error(point, ys):
-    """``harness._oracle_error`` accumulating X_{m,S}'y_m one machine at a time."""
+    """``harness._oracle_error`` accumulating X_{m,S}'y_m one machine at a
+    time, each read off the machine's own X'y, ``ys[m] @ X_m``."""
     S = point.design.support
     v = np.zeros(S.size)
     for m in range(point.M):
-        v += point.design.X[m][: point.n, S].T @ ys[m]
+        v += (ys[m] @ point.design.X[m][: point.n])[S]
     beta = np.linalg.solve(point.oracle_gram, v)
     theta = np.zeros(point.design.spec.d)
     theta[S] = beta
@@ -271,10 +275,11 @@ def loop_round1_messages(rule, point, theta_hat, xi):
 
 
 def loop_second_round(config, point, ys, support):
-    """``harness._second_round`` machine by machine: each machine gathers
-    its own restricted design and sends (X_S'X_S)^-1 X_S'y, factored on its
-    own, or X_S'X_S and X_S'y. Returns (theta_hat, total bits). The bitwise
-    reference for the stacked round two; do not batch it."""
+    """``harness._second_round`` machine by machine: each machine reads its
+    X_S'y off its own X'y, ``ys[m] @ X_m``, gathers its own restricted
+    design and sends (X_S'X_S)^-1 X_S'y, factored on its own, or X_S'X_S and
+    X_S'y. Returns (theta_hat, total bits). The bitwise reference for the
+    stacked round two; do not batch it."""
     from votelasso import fusion
     from votelasso.lasso import restricted_gram_inverse
     from votelasso.protocol import GramSummary, Message, RestrictedEstimate, bit_cost
@@ -282,11 +287,12 @@ def loop_second_round(config, point, ys, support):
     d = point.design.spec.d
     msgs = []
     for m in range(point.M):
-        X_S = point.design.X[m][: point.n][:, support]
+        X = point.design.X[m][: point.n]
+        X_S, xty = X[:, support], (ys[m] @ X)[support]
         if config.second_round == "gram_exact":
-            payload = GramSummary(support, X_S.T @ X_S, X_S.T @ ys[m])
+            payload = GramSummary(support, X_S.T @ X_S, xty)
         else:
-            payload = RestrictedEstimate(support, restricted_gram_inverse(X_S) @ (ys[m] @ X_S))
+            payload = RestrictedEstimate(support, restricted_gram_inverse(X_S) @ xty)
         msgs.append(Message(m, payload))
     fold = fusion.centralized_ls if config.second_round == "gram_exact" else fusion.aggregate_round2
     return fold(msgs, support, d), sum(bit_cost(msg, d) for msg in msgs)

@@ -15,7 +15,6 @@ from votelasso.fusion import (
     select_vote_threshold,
     tally,
 )
-from votelasso.lasso import restricted_ols
 from votelasso.protocol import (
     DenseEstimate,
     GramSummary,
@@ -25,7 +24,7 @@ from votelasso.protocol import (
     SignedIndexSet,
 )
 
-from oracles import loop_tally_fault, naive_tally, stable_top_k, tied_scores
+from oracles import loop_tally_fault, naive_tally, normal_equations_ols, stable_top_k, tied_scores
 
 
 def _idx_msg(machine, indices):
@@ -470,7 +469,7 @@ class TestAggregateRound2:
         for m in range(3):
             X = rng.standard_normal((20, d))
             y = X @ theta_star
-            beta = restricted_ols(X[:, support], y)
+            beta = normal_equations_ols(X[:, support], y)
             msgs.append(Message(m, RestrictedEstimate(support, beta)))
         theta = aggregate_round2(msgs, support, d)
         assert np.abs(theta - theta_star).max() <= 1e-9
@@ -499,7 +498,7 @@ class TestCentralizedLs:
                 y = X @ theta_star + rng.standard_normal(30)
                 Xs = X[:, support]
                 shard_msgs.append(Message(m, GramSummary(support, Xs.T @ Xs, Xs.T @ y)))
-                beta = restricted_ols(Xs, y)
+                beta = normal_equations_ols(Xs, y)
                 single_errs.append(np.linalg.norm(beta - theta_star[support]))
             pooled = centralized_ls(shard_msgs, support, d)
             err = np.linalg.norm(pooled[support] - theta_star[support])

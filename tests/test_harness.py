@@ -21,7 +21,7 @@ from votelasso.harness import (
     run_point_rep,
     run_sweep,
 )
-from votelasso.lasso import kkt_violation, restricted_gram_inverse, restricted_ols
+from votelasso.lasso import kkt_violation, restricted_gram_inverse, restricted_xty
 
 from oracles import (
     dense_rows,
@@ -31,6 +31,7 @@ from oracles import (
     loop_round1_messages,
     loop_second_round,
     naive_debias,
+    normal_equations_ols,
 )
 
 TIMING_FIELDS = ("wall_time", "shared_time")
@@ -92,22 +93,22 @@ class TestOracleLs:
         point = self._point(M=3)
         X = point.design.X[: point.M, : point.n]
         ys = sample_responses(X, point.theta_star, 1e-12, point.design.spec.base_seed)
-        assert _oracle_error(point, ys) <= 1e-9
+        assert _oracle_error(point, restricted_xty(X, ys)) <= 1e-9
 
     def test_matches_stacked_ols(self):
         point = self._point(M=4)
-        ys = _rep_fits(point, 0)[-1]
+        *_, xty, ys = _rep_fits(point, 0)
         S = point.design.support
         X_all = point.design.X[: point.M, : point.n].reshape(-1, point.design.spec.d)
-        beta = restricted_ols(X_all[:, S], ys.reshape(-1))
-        assert _oracle_error(point, ys) == pytest.approx(self._error(point, beta), abs=1e-10)
+        beta = normal_equations_ols(X_all[:, S], ys.reshape(-1))
+        assert _oracle_error(point, xty) == pytest.approx(self._error(point, beta), abs=1e-10)
 
     def test_single_machine_equals_restricted(self):
         point = self._point(M=1)
-        ys = _rep_fits(point, 0)[-1]
+        *_, xty, ys = _rep_fits(point, 0)
         X = point.design.X[0][: point.n]
-        beta = restricted_ols(X[:, point.design.support], ys[0])
-        assert _oracle_error(point, ys) == pytest.approx(self._error(point, beta), abs=1e-10)
+        beta = normal_equations_ols(X[:, point.design.support], ys[0])
+        assert _oracle_error(point, xty) == pytest.approx(self._error(point, beta), abs=1e-10)
 
 
 class TestRunReplication:
@@ -196,7 +197,7 @@ class TestRunReplication:
                 X = design.X[m]
                 w = stream(spec.base_seed, TAG_NOISE, rep, m).standard_normal(design.n_cal)
                 y = X @ point.theta_star + point.sigma * w
-                betas.append(restricted_ols(X[:, design.support], y))
+                betas.append(normal_equations_ols(X[:, design.support], y))
             theta = np.zeros(spec.d)
             theta[design.support] = np.mean(betas, axis=0)
             assert rec.l2_error == pytest.approx(
@@ -478,7 +479,6 @@ class TestRoundTwoFactors:
         point = materialize(design, cfg, M=7, n=40)
         run_point_rep(point, cfg, list(SCHEMES), 0)
         assert point.round2
-        ys = _rep_fits(point, 0)[-1]
         for (rule, key), factor in point.round2.items():
             assert rule == "average"
             S = np.frombuffer(key, dtype=np.int64)
@@ -486,9 +486,6 @@ class TestRoundTwoFactors:
             for m in range(7):
                 X_S = design.X[m][:40][:, S]
                 assert factor[m].tobytes() == restricted_gram_inverse(X_S).tobytes()
-                alone = restricted_ols(X_S, ys[m])
-                given = restricted_ols(X_S, ys[m], factor[m])
-                assert alone.tobytes() == given.tobytes()
 
     def test_singular_support_fails_in_every_replication(self, small_design, factor_calls):
         cfg, design = small_design
@@ -606,13 +603,29 @@ class TestStackedMessages:
 
     @staticmethod
     def _loop_records(monkeypatch, cfg, axis, grid):
+        # The loops read each machine's X'y off its responses themselves, so
+        # they are handed the replication's Y in place of its stacked X'y.
+        ys = {}
+        rep_fits = harness._rep_fits
+
+        def keeping_ys(point, rep):
+            fits = rep_fits(point, rep)
+            ys["rep"] = fits[-1]
+            return fits
+
         with monkeypatch.context() as mp:
+            mp.setattr(harness, "_rep_fits", keeping_ys)
             mp.setattr(
                 harness,
                 "_round1_messages",
                 lambda rule, point, theta_hat, xi, selections: loop_round1_messages(rule, point, theta_hat, xi),
             )
-            mp.setattr(harness, "_second_round", loop_second_round)
+            mp.setattr(
+                harness,
+                "_second_round",
+                lambda config, point, xty, support: loop_second_round(config, point, ys["rep"], support),
+            )
+            mp.setattr(harness, "_oracle_error", lambda point, xty: loop_oracle_error(point, ys["rep"]))
             return run_sweep(cfg, axis, grid, schemes=list(SCHEMES)).records
 
     @pytest.mark.parametrize("second_round", ["average", "gram_exact"])
@@ -652,19 +665,24 @@ class TestStackedMessages:
             return original(machine_id, support, *payload)
 
         monkeypatch.setattr(protocol, name, capture)
+        fits = []
+        fit = harness.fit_lasso
+        monkeypatch.setattr(harness, "fit_lasso", lambda *a, **kw: fits.append(fit(*a, **kw)) or fits[-1])
         run_point_rep(point, cfg, list(SCHEMES), 0)
         ys = _rep_fits(point, 0)[-1]
         assert len(sent) >= 2 * point.M
         for m, S, payload in sent:
-            X_S = design.X[m][:40][:, S]
+            xty_S = (ys[m] @ design.X[m][:40])[S]
+            # The machine's X_S'y is column S of the X'y its fit formed.
+            assert _same_bits(fits[0].xty[m, S], xty_S)
             operand = point.round2[(second_round, S.tobytes())][m]
             if second_round == "gram_exact":
                 gram, xty = payload
                 assert _same_bits(gram, operand)
-                assert np.array_equal(xty, X_S.T @ ys[m])
+                assert _same_bits(xty, xty_S)
             else:
                 (beta,) = payload
-                assert np.array_equal(beta, restricted_ols(X_S, ys[m], operand))
+                assert _same_bits(beta, operand @ xty_S)
 
     def test_selections_are_shared_and_read_only(self, small_design, monkeypatch):
         cfg, design = small_design
@@ -694,6 +712,87 @@ class TestStackedMessages:
         sent = [p.indices for ps in payloads.values() for p in ps]
         sent += [p.signs for rule in ("thresh_signs", "top_L_signs") for p in payloads[rule]]
         assert all(not a.flags.writeable for a in sent)
+
+
+class _TouchedArray(np.ndarray):
+    """A view of a design that records every index into it and every NumPy
+    operation taking it, products included."""
+
+    def __array_finalize__(self, obj):
+        self.touched = getattr(obj, "touched", None)
+
+    def __getitem__(self, key):
+        self.touched.append("index")
+        return super().__getitem__(key)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.touched.append(ufunc.__name__)
+        inputs = [x.view(np.ndarray) if isinstance(x, _TouchedArray) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        self.touched.append(func.__name__)
+        return super().__array_function__(func, types, args, kwargs)
+
+
+class TestRoundTwoReadsTheFitsXty:
+    """Round two and the oracle read every X_S'y off the replication's X'y,
+    the product its lasso fits formed (``LassoFit.xty``)."""
+
+    @pytest.mark.parametrize("lam", ["fixed_8", 0.3])
+    @pytest.mark.parametrize("n", [None, 30], ids=["n_cal", "below_n_cal"])
+    def test_exact_support_gram_records_equal_the_oracle(self, lam, n):
+        # Pooled least squares on S from the machines' Gram summaries is the
+        # oracle's estimate: the same sums in the same order, bit for bit.
+        # A strong signal makes exact supports common at the default lambda.
+        cfg = _config(d=30, K=2, n=60, r=1.0, second_round="gram_exact", lam=lam)
+        design = build_design(cfg)
+        point = materialize(design, cfg, n=n)
+        exact = 0
+        for rep in range(6):
+            for rec in run_point_rep(point, cfg, list(SCHEMES), rep):
+                if rec.scheme != "avg_deblasso" and rec.S_hat == design.support.tolist():
+                    exact += 1
+                    assert rec.l2_error == rec.l2_error_oracle, (rep, rec.scheme)
+        assert exact >= 6
+
+    @pytest.mark.parametrize("second_round", ["average", "gram_exact"])
+    def test_known_supports_and_the_oracle_touch_no_design(self, small_design, monkeypatch, second_round):
+        cfg, design = small_design
+        cfg = cfg.with_(second_round=second_round)
+        point = materialize(design, cfg, n=40)
+        log = []
+
+        def spying(fn, new_operand):
+            def spied(*args):
+                kept = point.design
+                touched = []
+                X = kept.X.view(_TouchedArray)
+                X.touched = touched
+                point.design = dataclasses.replace(kept, X=X)
+                try:
+                    new = new_operand(*args)
+                    out = fn(*args)
+                finally:
+                    point.design = kept
+                log.append((fn.__name__, new, bool(touched)))
+                return out
+
+            return spied
+
+        monkeypatch.setattr(
+            harness,
+            "_second_round",
+            spying(harness._second_round, lambda c, p, xty, S: (c.second_round, S.tobytes()) not in p.round2),
+        )
+        monkeypatch.setattr(harness, "_oracle_error", spying(harness._oracle_error, lambda p, xty: False))
+        for rep in range(8):
+            run_point_rep(point, cfg, list(SCHEMES), rep)
+        rounds = [(new, touched) for name, new, touched in log if name == "_second_round"]
+        assert sum(new for new, _ in rounds) == len(point.round2) < len(rounds)
+        # A support's first replication gathers its designs; no later one does.
+        assert all(new == touched for new, touched in rounds)
+        assert [entry for entry in log if entry[0] == "_oracle_error"] == [("_oracle_error", False, False)] * 8
 
 
 class TestRunSweep:
@@ -885,8 +984,8 @@ class TestRoundOnePaths:
         point = materialize(design, cfg)
         _rep_fits(point, rep=0)
         assert all(store.kept for store in point.columns)
-        theta_warm, _, xi_warm, conv_warm, _, _, ys = _rep_fits(point, rep=1)
-        theta_cold, _, xi_cold, conv_cold, _, _, ys_cold = _rep_fits(materialize(design, cfg), rep=1)
+        theta_warm, _, xi_warm, conv_warm, *_, ys = _rep_fits(point, rep=1)
+        theta_cold, _, xi_cold, conv_cold, *_, ys_cold = _rep_fits(materialize(design, cfg), rep=1)
         rows = estimate_precision(design.X[0], design.lam_omega).omega_hat
         stored = point.omegas[0]
         for name in ("indptr", "indices", "data"):
@@ -929,7 +1028,7 @@ class TestStackedRoundOne:
         for rep in reps:
             fits = _rep_fits(point, rep)
             ref_fits = loop_rep_fits(point, rep)
-            names = ("theta_tilde", "theta_hat", "xi", "converged", "sweeps", "kkt", "Y")
+            names = ("theta_tilde", "theta_hat", "xi", "converged", "sweeps", "kkt", "xty", "Y")
             assert len(fits) == len(ref_fits) == len(names)
             ys, ref_ys = fits[-1], ref_fits[-1]
             assert ys.shape == (point.M, point.n)
@@ -938,7 +1037,7 @@ class TestStackedRoundOne:
                 for m in range(point.M):
                     assert _same_bits(rows[m], ref_rows[m]), (m, name)
             assert np.count_nonzero(fits[0])
-            assert _oracle_error(point, ys) == loop_oracle_error(point, ref_ys)
+            assert _oracle_error(point, fits[-2]) == loop_oracle_error(point, ref_ys)
 
     def test_at_n_cal(self, small_design):
         cfg, design = small_design
@@ -994,7 +1093,7 @@ class TestStackedRoundOne:
         monkeypatch.setattr(lasso, "kkt_violation", counting)
         for rep in range(4):
             calls.clear()
-            theta_t, _, _, converged, _, kkt, Y = _rep_fits(point, rep)
+            theta_t, _, _, converged, _, kkt, _, Y = _rep_fits(point, rep)
             live = theta_t.any(axis=1)
             assert live.any() and not live.all() and converged.all()
             assert not calls
@@ -1017,7 +1116,7 @@ class TestStackedRoundOne:
         calls = []
         monkeypatch.setattr(lasso, "kkt_violation", lambda *args: calls.append(args))
         for rep in (0, 3):
-            theta_t, theta_h, _, converged, _, kkt, Y = _rep_fits(point, rep)
+            theta_t, theta_h, _, converged, _, kkt, _, Y = _rep_fits(point, rep)
             live = theta_t.any(axis=1)
             assert live.any() and not live.all() and converged.all()
             assert not calls
@@ -1059,8 +1158,8 @@ class TestStackedRoundOne:
         point = materialize(build_design(cfg), cfg)
         assert point.design.support.size == 1 and point.M >= 9
         for rep in range(4):
-            ys = _rep_fits(point, rep)[-1]
-            assert _oracle_error(point, ys) == loop_oracle_error(point, ys)
+            *_, xty, ys = _rep_fits(point, rep)
+            assert _oracle_error(point, xty) == loop_oracle_error(point, ys)
 
     @pytest.mark.parametrize("n", [None, 30])
     def test_point_gram_diagonal_rows_are_the_machines(self, small_design, n):
@@ -1099,7 +1198,7 @@ class TestColumnStores:
     def _assert_certified(point, rep):
         # Every fit converged and its certificate, read off the gradient the
         # solver formed from stored columns, is the from-scratch one.
-        theta_t, _, _, converged, _, kkt, Y = _rep_fits(point, rep)
+        theta_t, _, _, converged, _, kkt, _, Y = _rep_fits(point, rep)
         assert converged.all() and theta_t.any()
         for m in range(point.M):
             X = point.design.X[m][: point.n]

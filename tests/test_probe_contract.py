@@ -82,7 +82,7 @@ def test_covariance_free_fits_pass_the_benchmark_probe(probes):
     checks = probes.Checks()
     with probes.Patches() as patches:
         checks.install_replication(patches)
-        theta, _, _, converged, sweeps, kkt, _ = harness._rep_fits(point, rep=0)
+        theta, _, _, converged, sweeps, kkt, *_ = harness._rep_fits(point, rep=0)
     assert converged.all() and theta.any()
     assert checks.counts["residual_sweeps"] == sweeps.sum() > spec.M
     assert checks.max_kkt["replication"] == kkt.max()

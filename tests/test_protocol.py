@@ -30,9 +30,9 @@ from votelasso.protocol import (
     top_k_indices,
 )
 from votelasso.fusion import centralized_ls
-from votelasso.lasso import restricted_gram_inverse, restricted_ols, restricted_xty
+from votelasso.lasso import restricted_gram_inverse, restricted_xty
 
-from oracles import stable_top_k, tied_scores
+from oracles import normal_equations_ols, stable_top_k, tied_scores
 
 
 def _xi(values):
@@ -59,7 +59,8 @@ def _top_L_message(m, xi, L, signed=False):
 
 def _restricted_message(m, X, y, support):
     """The average rule's round-two message: the machine's own least squares."""
-    return round2_restricted(m, support, restricted_ols(X[:, support], y))
+    X_S = X[:, support]
+    return round2_restricted(m, support, restricted_gram_inverse(X_S) @ restricted_xty(X_S, y))
 
 
 def _gram_message(m, X, y, support):
@@ -330,7 +331,7 @@ class TestRound2:
         y = rng.standard_normal(25)
         support = np.array([0, 3, 5])
         theta = centralized_ls([_gram_message(0, X, y, support)], support, 6)
-        beta = restricted_ols(X[:, support], y)
+        beta = normal_equations_ols(X[:, support], y)
         assert np.abs(theta[support] - beta).max() <= 1e-8
 
     def test_given_rows_are_sent_as_they_are(self):
@@ -350,11 +351,11 @@ class TestRound2:
         support = np.array([0, 2, 3, 8])
         X_S = X[:, :, support]
         inv = restricted_gram_inverse(X_S)
-        xty, beta = restricted_xty(X_S, Y), restricted_ols(X_S, Y, inv)
+        xty = restricted_xty(X_S, Y)
+        beta = (inv @ xty[..., None])[..., 0]
         assert xty.shape == beta.shape == (7, 4)
         for m in range(7):
             assert np.array_equal(xty[m], X_S[m].T @ Y[m])
-            assert np.array_equal(beta[m], restricted_ols(X_S[m], Y[m], inv[m]))
             assert np.array_equal(beta[m], inv[m] @ (Y[m] @ X_S[m]))
 
     def test_gram_additivity(self, rng):
@@ -371,7 +372,7 @@ class TestRound2:
         theta = centralized_ls(msgs, support, 5)
         X_all = X.reshape(-1, 5)
         y_all = Y.reshape(-1)
-        beta = restricted_ols(X_all[:, support], y_all)
+        beta = normal_equations_ols(X_all[:, support], y_all)
         assert np.abs(theta[support] - beta).max() <= 1e-8
 
 
