@@ -85,9 +85,12 @@ Round two also needs, per machine, an operand that depends only on the
 design and S: the inverse Gram (X_S'X_S)^-1 under ``average`` and the Gram
 X_S'X_S under ``gram_exact``. ``PointState.round2`` keeps it per grid
 point, rule and support, formed for all M machines from one gather of the
-restricted designs X[:M, :n][:, :, S] and one stacked SVD or product the
-first time a replication selects S under that rule (``_round2_operand``);
-the gathered designs are dropped afterwards. A rank-deficient support's
+restricted designs X[:M, :n][:, :, S] the first time a replication selects
+S under that rule (``_round2_operand``); the gathered designs are dropped
+afterwards. The Grams are one stacked product; the inverse Grams come from
+the Cholesky factors of those products, each certified well conditioned,
+and a machine's thin SVD runs only when its certificate fails
+(``lasso.restricted_gram_inverse``). A rank-deficient support's
 ValueError is kept the same way. Every ``materialize`` starts with an empty
 cache and empty column stores, so each ``run_sweep`` call, each grid point
 and, in redraw mode, each replication starts cold.
@@ -561,7 +564,9 @@ def _select_support(scheme, config, point, msgs, t):
 def _round2_operand(config, point: PointState, support: np.ndarray) -> np.ndarray:
     """The read-only (M, k, k) design-only operand of round two on
     ``support`` for the point's machines: the inverse Gram (X_S'X_S)^-1
-    under ``average``, from one stacked SVD, and the Gram X_S'X_S under
+    under ``average``, from stacked certified Cholesky factors of X_S'X_S
+    with a thin SVD for each machine whose certificate fails
+    (``restricted_gram_inverse``), and the Gram X_S'X_S under
     ``gram_exact``, from one stacked product (row m equals machine m's own
     ``X_S.T @ X_S`` bit for bit).
 

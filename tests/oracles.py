@@ -57,6 +57,25 @@ def normal_equations_ols(X_S, y):
     return np.linalg.solve(A, X_S.T @ y)
 
 
+def svd_gram_inverse(X_S):
+    """(X_S'X_S)^-1 of a column subset, or of each matrix of a stack, from
+    the thin SVD X_S = U diag(s) V' alone, as V diag(1/s^2) V', under
+    ``np.linalg.lstsq``'s rank rule: full rank when the smallest singular
+    value exceeds eps * max(n, k) times the largest. Raises ValueError
+    unless every matrix is. The reference for ``restricted_gram_inverse``,
+    whose SVD fallback must equal it bit for bit."""
+    X_S = np.asarray(X_S, dtype=np.float64)
+    n, k = X_S.shape[-2:]
+    if n < k:
+        raise ValueError("restricted design not full rank: fewer rows than columns")
+    if k == 0:
+        return np.zeros(X_S.shape[:-2] + (0, 0))
+    _, s, vt = np.linalg.svd(X_S, full_matrices=False)
+    if not (s[..., -1] > np.finfo(np.float64).eps * max(n, k) * s[..., 0]).all():
+        raise ValueError("restricted design not full rank")
+    return (vt.swapaxes(-1, -2) / (s * s)[..., None, :]) @ vt
+
+
 def naive_covariance(X):
     n, d = X.shape
     out = np.zeros((d, d))

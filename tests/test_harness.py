@@ -32,6 +32,7 @@ from oracles import (
     loop_second_round,
     naive_debias,
     normal_equations_ols,
+    svd_gram_inverse,
 )
 
 TIMING_FIELDS = ("wall_time", "shared_time")
@@ -543,6 +544,26 @@ class TestRoundTwoFactors:
         # The one cache holds X_S'X_S instead (TestRoundTwoGrams).
         supports = _round2_supports(recs)
         assert set(point.round2) == {("gram_exact", np.array(S, dtype=np.int64).tobytes()) for S in supports}
+
+
+class TestCertifiedRoundTwoFactors:
+    """Round two's certified Cholesky factors change no record but in the
+    last bits of l2_error."""
+
+    @pytest.mark.parametrize("fixed_design", [True, False])
+    @pytest.mark.parametrize("lam", ["fixed_8", 0.3])
+    def test_records_equal_those_of_the_svd_factor(self, monkeypatch, factor_calls, fixed_design, lam):
+        cfg = _config(d=40, K=3, M=6, n=30, reps=4, lam=lam, fixed_design=fixed_design)
+        records = run_sweep(cfg, "r", [cfg.spec.r], schemes=list(SCHEMES)).records
+        assert factor_calls
+        monkeypatch.setattr(harness, "restricted_gram_inverse", svd_gram_inverse)
+        expected = run_sweep(cfg, "r", [cfg.spec.r], schemes=list(SCHEMES)).records
+        assert len(records) == len(expected) == 4 * len(SCHEMES)
+        untimed = lambda r: {k: v for k, v in r.items() if k not in TIMING_FIELDS + ("l2_error",)}
+        for got, want in zip(records, expected):
+            assert untimed(got) == untimed(want)
+            assert abs(got["l2_error"] - want["l2_error"]) <= 1e-12 * want["l2_error"]
+        assert any(r["bits_round2_total"] and not r["flags"]["round2_failed"] for r in records)
 
 
 class TestRoundTwoGrams:

@@ -19,6 +19,7 @@ from oracles import (
     lasso_objective,
     normal_equations_ols,
     soft_threshold,
+    svd_gram_inverse,
 )
 
 
@@ -692,3 +693,131 @@ class TestRestrictedGramInverse:
         with pytest.raises(ValueError, match="not full rank"):
             restricted_gram_inverse(Xs)
         restricted_gram_inverse(np.delete(Xs, 2, axis=0))
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shape of every stack ``np.linalg.svd`` factors, in call order."""
+    calls = []
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def _lstsq_edge_design(rng, n, k, scale):
+    """An (n, k) design with orthonormal columns, the last scaled by
+    ``scale`` times the lstsq cutoff eps * max(n, k)."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return Q * np.r_[np.ones(k - 1), scale * np.finfo(np.float64).eps * max(n, k)]
+
+
+def _cholesky_breaking_design(n, k):
+    """Columns e_1, e_1 + 1e-9 e_2, e_3, ...: the Gram's second Cholesky
+    pivot (1 + 1e-18) - 1 rounds to 0, so the factorization fails, while
+    cond(X) is about 2e9, full rank by lstsq's rule."""
+    X = np.eye(n)[:, :k]
+    X[1, 1], X[0, 1] = 1e-9, 1.0
+    return X
+
+
+def _raised(f, X):
+    with pytest.raises(Exception) as info:
+        f(X)
+    return type(info.value), str(info.value)
+
+
+class TestCertifiedGramInverse:
+    """The Cholesky factor of X_S'X_S serves the matrices it certifies well
+    conditioned; every other matrix gets the thin SVD of ``svd_gram_inverse``
+    bit for bit."""
+
+    # Forming X_S'X_S costs the certified factor about cond(X_S)^2 eps of
+    # relative accuracy, where the SVD loses cond(X_S) eps: 2.2e-12 at
+    # cond 100, so the two may differ by more than 1e-12 there.
+    @pytest.mark.parametrize("cond, tol", [(1.0, 1e-12), (10.0, 1e-12), (1e2, 1e-11)])
+    def test_certified_factor_agrees_with_the_svd(self, rng, svd_calls, cond, tol):
+        for n, k in ((8, 1), (30, 5), (100, 12)):
+            for _ in range(20):
+                X = _conditioned_design(rng, n, k, cond)
+                ref = svd_gram_inverse(X)
+                svd_calls.clear()
+                inv = restricted_gram_inverse(X)
+                assert not svd_calls
+                assert np.linalg.norm(inv - ref) <= tol * np.linalg.norm(ref)
+
+    def test_well_conditioned_stack_runs_no_svd(self, rng, svd_calls):
+        Xs = rng.standard_normal((20, 100, 5))
+        inv = restricted_gram_inverse(Xs)
+        assert not svd_calls
+        ref = svd_gram_inverse(Xs)
+        assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("cond", [1e4, 1e8])
+    def test_ill_conditioned_matrices_get_the_svd_bitwise(self, rng, svd_calls, cond):
+        for n, k in ((30, 5), (100, 12)):
+            X = _conditioned_design(rng, n, k, cond)
+            assert restricted_gram_inverse(X).tobytes() == svd_gram_inverse(X).tobytes()
+        assert svd_calls
+
+    def test_matrix_past_the_lstsq_cutoff_gets_the_svd_bitwise(self, rng, svd_calls):
+        X = _lstsq_edge_design(rng, 20, 4, 1.5)
+        assert np.linalg.lstsq(X, np.ones(20), rcond=None)[2] == 4
+        assert restricted_gram_inverse(X).tobytes() == svd_gram_inverse(X).tobytes()
+        assert svd_calls
+
+    def test_matrix_whose_cholesky_fails_gets_the_svd_bitwise(self, svd_calls):
+        X = _cholesky_breaking_design(20, 4)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(X.T @ X)
+        assert np.linalg.lstsq(X, np.ones(20), rcond=None)[2] == 4
+        assert restricted_gram_inverse(X).tobytes() == svd_gram_inverse(X).tobytes()
+        assert svd_calls
+
+    def test_mixed_stack_rows_equal_single_factors_bitwise(self, rng):
+        n, k = 20, 4
+        Xs = np.stack(
+            [
+                _conditioned_design(rng, n, k, 1.0),
+                _conditioned_design(rng, n, k, 1e4),
+                _cholesky_breaking_design(n, k),
+                _conditioned_design(rng, n, k, 10.0),
+                _lstsq_edge_design(rng, n, k, 1.5),
+                _conditioned_design(rng, n, k, 1e8),
+            ]
+        )
+        stacked = restricted_gram_inverse(Xs)
+        for m in range(len(Xs)):
+            assert stacked[m].tobytes() == restricted_gram_inverse(Xs[m]).tobytes()
+        for m in (1, 2, 4, 5):
+            assert stacked[m].tobytes() == svd_gram_inverse(Xs[m]).tobytes()
+        for m in (0, 3):
+            ref = svd_gram_inverse(Xs[m])
+            assert np.linalg.norm(stacked[m] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-158, 1e-161])
+    def test_collinear_design_with_an_underflowing_gram_is_refused(self, rng, scale):
+        # Its Gram's entries are rounded on the subnormal grid, or nearly.
+        a = scale * rng.standard_normal(10)
+        X = np.column_stack([a, rng.standard_normal(10) * scale, 3.0 * a])
+        assert _raised(restricted_gram_inverse, X) == _raised(svd_gram_inverse, X)
+        assert _raised(restricted_gram_inverse, X)[1] == "restricted design not full rank"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_the_svd_error(self, rng, value):
+        Xs = rng.standard_normal((3, 10, 3))
+        Xs[1, 4, 2] = value
+        assert _raised(restricted_gram_inverse, Xs) == _raised(svd_gram_inverse, Xs)
+
+    def test_rank_deficient_matrices_raise_the_svd_messages(self, rng):
+        x = rng.standard_normal(10)
+        duplicated = np.column_stack([x, rng.standard_normal(10), x])
+        zero = np.column_stack([x, np.zeros(10), rng.standard_normal(10)])
+        for X in (duplicated, zero, rng.standard_normal((3, 5))):
+            assert _raised(restricted_gram_inverse, X) == _raised(svd_gram_inverse, X)
+        with pytest.raises(ValueError, match="^restricted design not full rank$"):
+            restricted_gram_inverse(np.stack([rng.standard_normal((10, 3)), zero]))
