@@ -34,14 +34,17 @@ updates the working-set gradient with one NumPy row operation per moved
 coordinate, which keeps working sets of hundreds of coordinates fast. A fit
 that starts at zero, where zero already satisfies the KKT conditions (every
 replication fit under a large lambda, ``zero_start_solves``), gets the
-result the full loop would give before the loop starts: ``cd_residual``
-checks for it itself. A pass that moves no coefficient ends the solve,
-because every later pass would see the same gradient: the result is
-converged if the KKT residual is within tolerance and out of budget
-otherwise. That covers every fit whose working set is empty (a lasso whose
-solution is 0) and KKT violators that cannot move (zero diagonal). The
-floating-point operations and their order are those of a plain scalar
-sweep, so results do not depend on these choices.
+result the full loop would give before the loop starts. ``lasso.fit_lasso``
+runs that test once for a whole stack of designs, row-wise over its
+(M, d) X'y/n, and hands each machine's ``cd_residual`` call its row's
+answer; a caller that passes none gets the test run inside the call. A
+pass that moves no coefficient ends the solve, because every later pass
+would see the same gradient: the result is converged if the KKT residual
+is within tolerance and out of budget otherwise. That covers every fit
+whose working set is empty (a lasso whose solution is 0) and KKT violators
+that cannot move (zero diagonal). The floating-point operations and their
+order are those of a plain scalar sweep, so results do not depend on these
+choices.
 
 One stop does change a result: when a pass moves no coefficient by
 ``coef_tol`` or more and every coordinate that can move satisfies the KKT
@@ -74,13 +77,14 @@ def kkt_residual(g: np.ndarray, w: np.ndarray, lam: float) -> float:
     return float(v.max(initial=0.0))
 
 
-def zero_start_solves(c: np.ndarray, lam: float) -> bool:
+def zero_start_solves(c: np.ndarray, lam: float):
     """Whether w = 0 satisfies the KKT conditions of the problem whose
     gradient at 0 is ``c``: max |c_j| <= lam. False when that maximum is
     NaN. From a zero start the solver's first pass then finds an empty
     working set and returns (1 sweep, KKT residual 0.0, converged) for any
-    ``max_sweeps`` >= 1."""
-    return bool(np.maximum.reduce(np.abs(c), initial=0.0) <= lam)
+    ``max_sweeps`` >= 1. A (d,) ``c`` gives a NumPy bool; a stack (M, d)
+    gives the (M,) answers of its rows, one reduction over the stack."""
+    return np.maximum.reduce(np.abs(c), axis=-1, initial=0.0) <= lam
 
 
 def _active_set_cd(gradient, block, diag, lam, w, max_sweeps, coef_tol, kkt_tol):
@@ -218,7 +222,7 @@ class GramColumns:
             self.rows = self.rows[: self.kept].copy()
 
 
-def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag, c, g, columns):
+def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag, c, g, columns, zero=None):
     """Active-set CD on one design whose Gram columns come from ``columns``.
     ``w`` is updated in place.
 
@@ -234,12 +238,22 @@ def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag, c, g, columns
     so that a wrapper can certify the fit from X, y and ``w`` alone. The
     solver's last gradient, X'(y - X w)/n at the returned ``w`` up to
     roundoff, is written into ``g`` (length d); the returned KKT residual is
-    read off it. A zero start where zero is optimal (``zero_start_solves``)
-    writes ``c`` and returns (1, 0.0, True) at once, as the solver's first
-    pass would, without touching the store. Returns (sweeps, kkt, converged).
+    read off it.
+
+    A zero start where zero is optimal returns (1, 0.0, True) at once, as
+    the solver's first pass would, without touching the store. ``zero`` is
+    the caller's answer to whether this fit is one: True when ``w`` is all
+    zero, ``max_sweeps`` >= 1 and ``zero_start_solves(c, lam)``. A caller
+    that answers True vouches that ``g`` already holds ``c``, and the call
+    writes nothing; one that answers False gets the solver. With
+    ``zero=None`` the call runs the test itself and writes ``c`` into ``g``
+    when it holds. Returns (sweeps, kkt, converged).
     """
-    if max_sweeps >= 1 and not np.count_nonzero(w) and zero_start_solves(c, lam):
-        g[:] = c
+    if zero is None:
+        zero = max_sweeps >= 1 and not np.count_nonzero(w) and zero_start_solves(c, lam)
+        if zero:
+            g[:] = c
+    if zero:
         return 1, 0.0, True
 
     def gradient(nz):

@@ -232,11 +232,10 @@ def debias(theta_tilde: np.ndarray, grad: np.ndarray, omega: SparseRows) -> np.n
     return theta_tilde + omega.matvec(grad.ravel()).reshape(grad.shape)
 
 
-def standardize(theta_hat: np.ndarray, c_diag: np.ndarray, sigma: float, n: int) -> np.ndarray:
-    """Scale each debiased coordinate to unit noise variance:
-    xi_k = sqrt(n) theta_hat_k / (sigma * sqrt(c_kk)), where ``c_diag`` is
-    the sandwich diagonal (``sandwich_diag``; fixed whenever the design is).
-    Elementwise, so (M, d) arrays standardize M machines at once.
+def noise_scale(c_diag: np.ndarray, sigma: float) -> np.ndarray:
+    """sigma * sqrt(c_kk), the noise standard deviation of each coordinate
+    of sqrt(n) theta_hat: the denominator of ``standardize``. Elementwise,
+    so an (M, d) ``c_diag`` gives M machines' scales at once.
 
     Raises ValueError unless 0 < sigma < inf and 0 < c_kk < inf for every
     k: a NaN would make every xi NaN, and an infinite sigma or c_kk would
@@ -249,4 +248,24 @@ def standardize(theta_hat: np.ndarray, c_diag: np.ndarray, sigma: float, n: int)
     # positivity test alone; a NaN propagates through both and fails.
     if not (0 < c_diag.min(initial=math.inf) and c_diag.max(initial=0.0) < math.inf):
         raise ValueError("invalid sandwich variance: diagonal not positive and finite")
-    return math.sqrt(n) * theta_hat / (sigma * np.sqrt(c_diag))
+    return sigma * np.sqrt(c_diag)
+
+
+def standardize(
+    theta_hat: np.ndarray, c_diag: np.ndarray, sigma: float, n: int, scale: np.ndarray | None = None
+) -> np.ndarray:
+    """Scale each debiased coordinate to unit noise variance:
+    xi_k = sqrt(n) theta_hat_k / (sigma * sqrt(c_kk)), where ``c_diag`` is
+    the sandwich diagonal (``sandwich_diag``; fixed whenever the design is).
+    Elementwise, so (M, d) arrays standardize M machines at once.
+
+    The denominator is ``noise_scale(c_diag, sigma)``, which checks sigma
+    and the diagonal (ValueError). It depends on the design and sigma only,
+    so a caller that standardizes many estimates with one c_diag and sigma
+    (every replication of a grid point, ``harness.materialize``) forms it
+    once and passes it as ``scale``; c_diag and sigma are then not read,
+    and xi has the same bits.
+    """
+    if scale is None:
+        scale = noise_scale(c_diag, sigma)
+    return math.sqrt(n) * theta_hat / scale

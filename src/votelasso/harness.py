@@ -3,11 +3,13 @@ metrics, and seeded replication sweeps with bit-exact communication accounting.
 
 A replication (``run_point_rep``) is one pass in the order the protocol
 runs, and its schemes share the work they have in common: the local fits
-and the oracle, then one round-1 message set and tally per round-1 rule
-(``bnm21`` and ``thresh_votes`` send the same thresholded votes), then each
-scheme's own selection, then one round two per distinct selected support,
-then each scheme's record. Each record reports the shared time once as
-``shared_time`` and its scheme's own selection and record as ``wall_time``.
+and the oracle, then one round-1 message set per round-1 rule (``bnm21``
+and ``thresh_votes`` send the same thresholded votes) and one tally per
+round-1 selection (``_tallies``: an unsigned rule whose signed twin runs
+reads the twin's tally), then each scheme's own selection, then one round
+two per distinct selected support, then each scheme's record. Each record
+reports the shared time once as ``shared_time`` and its scheme's own
+selection and record as ``wall_time``.
 
 Simulation protocol (fixed-design mode, the default): design matrices are
 drawn once per experiment, each machine's precision matrix is estimated once
@@ -27,7 +29,10 @@ not depend on its noise: the planted theta*, the noiseless responses
 X_m theta* of its M machines as one (M, n) array (``x_theta``), the
 machines' precision estimates both as a list (``omegas``) and as one
 block-diagonal matrix (``omega``, ``debias.block_diagonal``), their
-sandwich diagonals, the diagonals of their X'X/n (``gram_diag``, one
+sandwich diagonals, checked once, with sigma sqrt(c_kk), the denominator
+of every replication's standardization (``xi_scale``,
+``debias.noise_scale``), the true support's set that ``f_measure`` reads,
+the diagonals of their X'X/n (``gram_diag``, one
 stacked product), one store per machine of the Gram columns X'x_j/n its
 fits have needed so far (``columns``, ``_kernels.GramColumns``), the
 oracle's pooled Gram, and the round-two operands met so far. In
@@ -49,7 +54,9 @@ Each machine's noise comes from its own seeded stream, set from its seed
 words. Each lasso fit solves that machine's own problem, and the fits are
 the call sites the benchmark's probes count: one ``fit_lasso`` call for the
 whole stack, which checks every machine's inputs at once, forms the
-stack's X'y/n and makes one ``_kernels.cd_residual`` call per machine. A
+stack's X'y/n, tests once over the stack which machines' zero start is
+already optimal and makes one ``_kernels.cd_residual`` call per machine,
+handing each its row's answer. A
 fit takes its row of the point's ``gram_diag`` for its check that X is
 finite, so it does not form it again. A nonzero fit reads the Gram columns
 of its working sets from its machine's store and forms those the store
@@ -68,7 +75,8 @@ per replication for all M machines (``protocol.select_threshold``,
 ``select_top_k`` and ``selected_signs`` on the (M, d) xi), and the rules
 that send one selection take it from the pass's ``selections``
 (``_round1_messages``): ``thresh_votes`` (so ``bnm21``) with
-``thresh_signs``, ``top_L_votes`` with ``top_L_signs``.
+``thresh_signs``, ``top_L_votes`` with ``top_L_signs``. Each selection is
+tallied once, from the signed rule's messages when it runs.
 Round two on a support S reads every machine's X_S'y as column S of the
 replication's X'y, as a real machine would from the product its round-one
 fit already formed, so no replication forms a product over X for round
@@ -126,6 +134,7 @@ from .debias import (
     block_diagonal,
     debias,
     estimate_precision,
+    noise_scale,
     sandwich_diag,
     standardize,
 )
@@ -301,8 +310,12 @@ class ExperimentRecord:
 
 
 def f_measure(S_hat, S) -> tuple[float, float, float]:
-    """(F, precision, recall). Empty S_hat scores 0 with precision 0."""
-    S = set(np.asarray(S).tolist())
+    """(F, precision, recall). Empty S_hat scores 0 with precision 0. The
+    true support ``S`` is indices or a set of them: a caller that scores
+    many estimates against one support (a grid point's records) forms its
+    set once."""
+    if not isinstance(S, (set, frozenset)):
+        S = set(np.asarray(S).tolist())
     if not S:
         raise ValueError("true support must be nonempty")
     S_hat = set(np.asarray(S_hat).tolist())
@@ -357,12 +370,16 @@ class PointState:
     # lasso's column norms and its check that X is finite.
     gram_diag: np.ndarray
     c_diag: np.ndarray  # (M, d)
+    # (M, d) sigma * sqrt(c_diag), checked once: the standardization's
+    # denominator (``debias.noise_scale``).
+    xi_scale: np.ndarray
     omegas: list[SparseRows]
     omega: SparseRows  # block_diagonal(omegas), for the stacked debiasing mat-vec
     # One grow-only store of Gram columns X'x_j/n per machine, kept across
     # the point's replications and bounded together by GRAM_CACHE_BYTES.
     columns: list[GramColumns]
     oracle_gram: np.ndarray
+    support_set: frozenset  # the true support, as ``f_measure`` reads it
     L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
     # (reps, M, 4) uint64 PCG64 seed words of every machine's noise stream
     # for replications 0..reps-1 (``datagen._stream_states``), formed once
@@ -424,9 +441,11 @@ def materialize(
     form what every replication of the point shares (see the module
     docstring).
 
-    The point's n, M and r are checked as a ``ProblemSpec`` (ValueError).
-    In fixed-design mode the point also holds the noise streams' seed words
-    of replications 0 to ``config.reps`` - 1, formed in one seeding pass.
+    The point's n, M and r are checked as a ``ProblemSpec`` (ValueError),
+    and its sandwich diagonals and sigma once for all its replications,
+    as ``debias.standardize`` checks them (``noise_scale``). In
+    fixed-design mode the point also holds the noise streams' seed words of
+    replications 0 to ``config.reps`` - 1, formed in one seeding pass.
     """
     given = {"n": n, "M": M, "r": r}
     spec = design.spec.with_(**{k: v for k, v in given.items() if v is not None})
@@ -469,10 +488,12 @@ def materialize(
         x_theta=X @ theta_star,
         gram_diag=gram_diagonal(X),
         c_diag=c_diag,
+        xi_scale=noise_scale(c_diag, sigma),
         omegas=omegas,
         omega=block_diagonal(omegas),
         columns=[GramColumns(spec.d, budget) for _ in range(M)],
         oracle_gram=oracle_gram,
+        support_set=frozenset(S.tolist()),
         L=L if L is not None else config.resolved_L(),
         noise_states=(
             _stream_states(spec.base_seed, TAG_NOISE, range(config.reps), M) if config.fixed_design else None
@@ -506,13 +527,17 @@ def _rep_fits(point: PointState, rep: int):
     theta_t, grad = fit.coefficients, fit.gradient  # grad: X'(y - X theta_tilde)/n
     converged, sweeps, kkt = fit.converged, fit.iterations, fit.max_kkt_violation
     theta_h = debias(theta_t, grad, point.omega)
-    xi = standardize(theta_h, point.c_diag, sigma, n)
+    xi = standardize(theta_h, point.c_diag, sigma, n, scale=point.xi_scale)
     return theta_t, theta_h, xi, converged, sweeps, kkt, fit.xty, Y
 
 
 # bnm21 sends the thresholded votes of thresh_votes and differs only in its
 # selection rule, so the two schemes share one round-1 message set and tally.
 _ROUND1_RULE = {"bnm21": "thresh_votes"}
+
+# Each unsigned vote rule and the signed rule that sends the same selection's
+# indices with their signs: when both run, one tally serves both.
+_SIGNED_TWIN = {"thresh_votes": "thresh_signs", "top_L_votes": "top_L_signs"}
 
 
 def _round1_messages(rule: str, point: PointState, theta_hat, xi, selections: dict) -> list:
@@ -541,6 +566,31 @@ def _round1_messages(rule: str, point: PointState, theta_hat, xi, selections: di
         return [protocol.round1_top_L(m, idx) for m, idx in enumerate(indices)]
     signs = protocol.selected_signs(xi, indices)
     return [protocol.round1_top_L(m, *row) for m, row in enumerate(zip(indices, signs))]
+
+
+def _tallies(round1: dict, d: int) -> dict:
+    """One read-only ``fusion.tally`` per round-one selection: rule -> tally
+    of each vote rule among the keys of ``round1`` (rule -> its messages).
+
+    An unsigned rule whose signed twin (``_SIGNED_TWIN``) also runs sends
+    the same index arrays without their signs, so its tally, which
+    ``fusion.tally`` of its messages would give, is the twin's votes with
+    zero sign sums; only a rule whose twin does not run tallies its own
+    messages.
+    """
+    tallies = {}
+    for rule, msgs in round1.items():
+        if rule != "avg_deblasso" and _SIGNED_TWIN.get(rule) not in round1:
+            t = tallies[rule] = fusion.tally(msgs, d)
+            t.votes.setflags(write=False)
+            t.sign_sums.setflags(write=False)
+    for rule, twin in _SIGNED_TWIN.items():
+        if rule in round1 and twin in round1:
+            signed = tallies[twin]
+            zeros = np.zeros_like(signed.votes)
+            zeros.setflags(write=False)
+            tallies[rule] = fusion.VoteTally(signed.votes, zeros, signed.contributing_machines)
+    return tallies
 
 
 def _select_support(scheme, config, point, msgs, t):
@@ -642,8 +692,9 @@ def run_point_rep(
     the protocol runs, which does each piece of work once:
 
     1. the machines' fits (``_rep_fits``) and the oracle;
-    2. round one, per distinct round-1 rule of ``schemes``: the messages,
-       their bits and, for vote rules, one read-only tally;
+    2. round one, per distinct round-1 rule of ``schemes``: the messages
+       and their bits; then one read-only tally per round-one selection
+       (``_tallies``): a vote rule whose signed twin runs reads its tally;
     3. each scheme's support selection (``_select_support``);
     4. round two, once per distinct nonempty support that a two-round scheme
        selected, unless ``second_round`` is "none". Its estimate is
@@ -657,21 +708,17 @@ def run_point_rep(
     d = config.spec.d
     start = time.perf_counter()
     _, theta_hat, xi, converged, sweeps, kkt, xty, _ = _rep_fits(point, rep)
-    solver = RepFlags(
-        nonconverged_fits=int((~converged).sum()),
-        max_sweeps=int(sweeps.max()),
-        max_kkt=float(kkt.max()),
-    )
+    solver = {
+        "nonconverged_fits": int((~converged).sum()),
+        "max_sweeps": int(sweeps.max()),
+        "max_kkt": float(kkt.max()),
+    }
     l2_oracle = _oracle_error(point, xty)
-    round1, selections = {}, {}
+    messages, selections = {}, {}
     for rule in dict.fromkeys(_ROUND1_RULE.get(s, s) for s in schemes):
-        msgs = _round1_messages(rule, point, theta_hat, xi, selections)
-        t = None
-        if rule != "avg_deblasso":
-            t = fusion.tally(msgs, d)
-            t.votes.setflags(write=False)
-            t.sign_sums.setflags(write=False)
-        round1[rule] = msgs, protocol.bit_costs(msgs, d), t
+        messages[rule] = _round1_messages(rule, point, theta_hat, xi, selections)
+    tallies = _tallies(messages, d)
+    round1 = {rule: (msgs, protocol.bit_costs(msgs, d), tallies.get(rule)) for rule, msgs in messages.items()}
     shared = time.perf_counter() - start
 
     selected, own = [], []
@@ -699,7 +746,7 @@ def run_point_rep(
     for s, (theta_avg, est), seconds in zip(schemes, selected, own):
         start = time.perf_counter()
         _, bits_r1, t = round1[_ROUND1_RULE.get(s, s)]
-        flags = replace(solver)
+        flags = RepFlags(**solver)
         S_hat = est.indices
         theta, bits_r2 = np.zeros(d), 0
         if S_hat.size == 0:
@@ -713,7 +760,7 @@ def run_point_rep(
             flags.round2_failed = True
         else:
             theta, bits_r2 = round2[S_hat.tobytes()]
-        f, prec, rec = f_measure(S_hat, point.design.support)
+        f, prec, rec = f_measure(S_hat, point.support_set)
         bits_r1_total = sum(bits_r1)
         records.append(
             ExperimentRecord(

@@ -21,8 +21,10 @@ needs, so no fit forms it twice.
 ``kkt_violation`` recomputes the same residual from X, y and a solution
 alone, as an independent check. ``fit_lasso`` also takes a stack of
 designs, one per machine, as the replications pass them: it checks the
-whole stack's inputs at once and then solves each machine's problem with
-its own kernel call, so every row equals the machine's own fit bit for bit.
+whole stack's inputs and runs the zero-start test
+(``_kernels.zero_start_solves``) once over the stack, and then solves each
+machine's problem with its own kernel call, so every row equals the
+machine's own fit bit for bit.
 
 The fit also returns the undivided X'y it formed (``LassoFit.xty``), so a
 machine's round-two X_S'y on a broadcast support S is its column S, with no
@@ -92,7 +94,13 @@ def fit_lasso(
     Python scalars; a stack's LassoFit holds (M, d) coefficients and
     gradients and (M,) iterations, residuals and convergence flags. Each
     problem is its own ``_kernels.cd_residual`` call, with positional
-    arguments; only the checks, the allocations and the result are shared.
+    arguments; only the checks, the allocations, the zero-start test and
+    the result are shared. The zero-start test
+    (``_kernels.zero_start_solves``) runs once, row-wise over the stack's
+    (M, d) X'y/n, and each call gets its row's answer, so a fit whose zero
+    start is optimal (every fit at a large lambda) returns from its call at
+    once; its gradient is its row of X'y/n, which one copy for the whole
+    stack has already put there.
 
     ``columns`` holds each design's ``_kernels.GramColumns`` store, one
     store for a design and a sequence of M for a stack; the caller vouches
@@ -150,15 +158,21 @@ def fit_lasso(
     if columns is not None and len(columns) != M:
         raise ValueError("columns must hold one store per design")
     lam, max_sweeps = float(lam), int(max_sweeps)
-    W, G = np.zeros((M, d)), np.empty((M, d))
+    # Every fit starts at zero, where its gradient is its row of c: one
+    # zero-start test for the stack, read through the module so that a
+    # patched test reaches every row, and one copy of c for the gradients.
+    zero = np.zeros(M, dtype=bool)
+    if max_sweeps >= 1:
+        zero |= _kernels.zero_start_solves(c, lam)
+    W, G = np.zeros((M, d)), c.copy()
     sweeps = np.empty(M, dtype=np.int64)
     kkt = np.empty(M)
     converged = np.empty(M, dtype=bool)
-    for m in range(M):
+    for m, zero_m in enumerate(zero.tolist()):
         store = _kernels.GramColumns(d) if columns is None else columns[m]
         # Positional: the benchmark's probe of cd_residual takes no keywords.
         sweeps[m], kkt[m], converged[m] = _kernels.cd_residual(
-            X[m], y[m], lam, W[m], max_sweeps, COEF_TOL, KKT_TOL, diag[m], c[m], G[m], store
+            X[m], y[m], lam, W[m], max_sweeps, COEF_TOL, KKT_TOL, diag[m], c[m], G[m], store, zero_m
         )
     if single:
         return LassoFit(W[0], lam, int(sweeps[0]), float(kkt[0]), bool(converged[0]), G[0], xty[0])

@@ -293,6 +293,29 @@ def loop_round1_messages(rule, point, theta_hat, xi):
     return msgs
 
 
+def loop_tallies(messages, d):
+    """Each vote rule's tally of its own messages, counted machine by
+    machine (``naive_tally``), as ``harness`` tallied them before one tally
+    served both rules of a selection: rule -> ``fusion.VoteTally`` for
+    every rule of ``messages`` (rule -> its messages) but the dense one.
+    The reference for the shared tallies; do not share them."""
+    from votelasso import fusion
+    from votelasso.protocol import SignedIndexSet
+
+    tallies = {}
+    for rule, msgs in messages.items():
+        if rule == "avg_deblasso":
+            continue
+        payloads = []
+        for msg in msgs:
+            p = msg.payload
+            indices = [int(i) for i in p.indices]
+            payloads.append(list(zip(indices, map(int, p.signs))) if isinstance(p, SignedIndexSet) else indices)
+        votes, signs = naive_tally(payloads, d)
+        tallies[rule] = fusion.VoteTally(votes.astype(np.int64), signs.astype(np.int64), len(msgs))
+    return tallies
+
+
 def loop_second_round(config, point, ys, support):
     """``harness._second_round`` machine by machine: each machine reads its
     X_S'y off its own X'y, ``ys[m] @ X_m``, gathers its own restricted

@@ -3,10 +3,11 @@
 The Theorem 3 design (d=500, n=100, K=5, r=0.9) with the low-machine-count
 threshold tau = sqrt(2 r ln d) and lambda = 2 sqrt(2 ln d / n), where the
 replication lasso is nonzero. One design is calibrated at M = 150 and swept
-down to M = 1, 10 replications per grid point, under thresholded votes and
-the averaged debiased lasso (64 d bits per machine). The seed and the
-bounds were fixed before the first run; a failure is a finding about the
-method, not a bound to loosen.
+down to M = 1, 10 replications per grid point, under thresholded votes,
+signed or not, top-L votes (L = K), signed or not, and the averaged
+debiased lasso (64 d bits per machine). The seed and the bounds were fixed
+before the first run; a failure is a finding about the method, not a bound
+to loosen.
 """
 
 import math
@@ -18,7 +19,7 @@ from votelasso.harness import ExperimentConfig, build_design, run_sweep
 
 D, N, K, R, SEED, REPS = 500, 100, 5, 0.9, 3, 10
 MACHINES = (1, 150)
-SCHEMES = ["thresh_votes", "avg_deblasso"]
+SCHEMES = ["thresh_votes", "avg_deblasso", "top_L_votes", "top_L_signs", "thresh_signs"]
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +54,25 @@ def test_two_rounds_approach_the_oracle_and_beat_the_dense_average(sweep):
     votes, dense = rows[(150, "thresh_votes")], rows[(150, "avg_deblasso")]
     assert votes["l2_mean"] <= 1.5 * votes["oracle_l2_mean"]
     assert votes["l2_mean"] < dense["l2_mean"]
+
+
+def test_round_one_sends_its_stated_bits(sweep):
+    # (c), the exact part: an index costs ceil(log2 d) bits and a sign one
+    # bit, so every machine sends L ceil(log2 d) bits under top-L votes,
+    # L (ceil(log2 d) + 1) signed, and 64 d under the dense average; the
+    # signed threshold rule sends the unsigned one's indices plus a bit each.
+    _, records = sweep
+    index_bits = math.ceil(math.log2(D))
+    want = {"top_L_votes": K * index_bits, "top_L_signs": K * (index_bits + 1), "avg_deblasso": 64 * D}
+    by_key = {(r["value"], r["rep"], r["scheme"]): r for r in records}
+    for (value, rep, scheme), r in by_key.items():
+        bits = r["bits_round1_per_machine"]
+        assert len(bits) == value
+        if scheme in want:
+            assert bits == [want[scheme]] * value, (value, rep, scheme)
+        elif scheme == "thresh_signs":
+            votes = by_key[(value, rep, "thresh_votes")]["bits_round1_per_machine"]
+            assert all(v % index_bits == 0 for v in votes)
+            assert bits == [v + v // index_bits for v in votes], (value, rep)
+    assert {scheme for _, _, scheme in by_key} == set(SCHEMES)
+    assert any(any(r["bits_round1_per_machine"]) for k, r in by_key.items() if k[2] == "thresh_votes")

@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from oracles import (
     loop_rep_fits,
     loop_round1_messages,
     loop_second_round,
+    loop_tallies,
     naive_debias,
     normal_equations_ols,
     svd_gram_inverse,
@@ -132,6 +135,19 @@ class TestRunReplication:
         standalone = run_point_rep(materialize(build_design(cfg), cfg), cfg, ["thresh_votes"], 1)[0]
         assert _untimed(standalone) == _untimed(via_point)
 
+    def test_records_score_against_the_true_support(self, small_design):
+        # The point keeps the true support's set; every record's F,
+        # precision and recall are f_measure's against the support array.
+        cfg, design = small_design
+        recs = []
+        for lam in ("fixed_8", 0.3):  # partial recovery, then exact
+            point = materialize(design, cfg.with_(lam=lam))
+            assert point.support_set == set(design.support.tolist())
+            recs += [r for rep in range(2) for r in run_point_rep(point, cfg.with_(lam=lam), list(SCHEMES), rep)]
+        assert {r.f_measure == 1.0 for r in recs} == {True, False}
+        for r in recs:
+            assert (r.f_measure, r.precision, r.recall) == f_measure(r.S_hat, design.support)
+
     def test_reps_differ(self, small_design):
         cfg, design = small_design
         point = materialize(design, cfg)
@@ -183,13 +199,18 @@ class TestRunReplication:
 
     def test_exact_recovery_consistency(self, small_design):
         # With S_hat == S and averaging, the error must equal the error of
-        # the averaged restricted OLS on the true support (definitional).
+        # the averaged restricted OLS on the true support (definitional). At
+        # lambda = 0.3 every replication recovers the support exactly; at
+        # the default lambda none does.
         cfg, design = small_design
+        cfg = cfg.with_(lam=0.3)
         point = materialize(design, cfg)
+        exact = 0
         for rep in range(5):
             rec = run_point_rep(point, cfg, ["thresh_votes"], rep)[0]
             if rec.f_measure != 1.0:
                 continue
+            exact += 1
             from votelasso.datagen import stream, TAG_NOISE
 
             spec = cfg.spec
@@ -204,6 +225,7 @@ class TestRunReplication:
             assert rec.l2_error == pytest.approx(
                 float(np.linalg.norm(theta - point.theta_star)), rel=1e-12
             )
+        assert exact >= 3
 
     def test_unknown_sparsity_and_empty_support_flag(self, small_design):
         cfg, design = small_design
@@ -338,6 +360,49 @@ def _round2_supports(recs) -> set:
     return {tuple(r.S_hat) for r in recs if r.scheme != "avg_deblasso" and r.S_hat}
 
 
+@contextlib.contextmanager
+def _per_machine_loops(monkeypatch):
+    """Replace round one, the tallies, round two and the oracle of every
+    replication run inside by the per-machine loops of ``oracles``. The
+    loops read each machine's X'y off its responses themselves, so they are
+    handed the replication's Y in place of its stacked X'y."""
+    ys = {}
+    rep_fits = harness._rep_fits
+
+    def keeping_ys(point, rep):
+        fits = rep_fits(point, rep)
+        ys["rep"] = fits[-1]
+        return fits
+
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "_rep_fits", keeping_ys)
+        mp.setattr(
+            harness,
+            "_round1_messages",
+            lambda rule, point, theta_hat, xi, selections: loop_round1_messages(rule, point, theta_hat, xi),
+        )
+        mp.setattr(harness, "_tallies", loop_tallies)
+        mp.setattr(
+            harness,
+            "_second_round",
+            lambda config, point, xty, support: loop_second_round(config, point, ys["rep"], support),
+        )
+        mp.setattr(harness, "_oracle_error", lambda point, xty: loop_oracle_error(point, ys["rep"]))
+        yield
+
+
+# Scheme subsets that tally one selection: an unsigned rule alone tallies
+# its own messages, and beside its signed twin it reads the twin's tally.
+TALLY_SUBSETS = (
+    ["thresh_votes"],
+    ["bnm21"],
+    ["thresh_votes", "thresh_signs"],
+    ["thresh_signs", "bnm21"],
+    ["top_L_votes"],
+    ["top_L_votes", "top_L_signs"],
+)
+
+
 class TestSharedWork:
     """The schemes of one replication share round 1, tallies and round 2."""
 
@@ -393,7 +458,7 @@ class TestSharedWork:
         assert signs.wall_time >= pause
         assert votes.wall_time < pause and votes.shared_time < pause
 
-    def test_one_round2_per_support_and_one_tally_per_rule(self, small_design, monkeypatch):
+    def test_one_round2_per_support_and_one_tally_per_selection(self, small_design, monkeypatch):
         cfg, design = small_design
         point = materialize(design, cfg)
         calls = {"round2": 0, "tally": 0}
@@ -411,7 +476,13 @@ class TestSharedWork:
         supports = _round2_supports(recs)
         assert 1 < len(supports) < 5
         assert calls["round2"] == point.M * len(supports)
-        assert calls["tally"] == 4  # bnm21 and thresh_votes share one
+        # One per selection: the thresholded indices (bnm21, thresh_votes
+        # and thresh_signs) and the top-L ones (top_L_votes, top_L_signs).
+        assert calls["tally"] == 2
+        for subset in TALLY_SUBSETS:
+            calls["tally"] = 0
+            run_point_rep(point, cfg, subset, 0)
+            assert calls["tally"] == 1, subset
 
     def test_round2_failure_flags_every_scheme_with_that_support(self, small_design, monkeypatch):
         cfg, design = small_design
@@ -432,6 +503,59 @@ class TestSharedWork:
         assert 2 <= len(expected) < 5
         zero_error = float(np.linalg.norm(point.theta_star))
         assert all(r.l2_error == pytest.approx(zero_error) for r in recs if r.scheme in failed)
+
+
+class TestOneTallyPerSelection:
+    """An unsigned vote rule whose signed twin runs reads the twin's tally:
+    the tally ``fusion.tally`` gives for its own messages."""
+
+    VOTE_RULES = ("thresh_votes", "thresh_signs", "top_L_votes", "top_L_signs")
+
+    @pytest.mark.parametrize("M, case", [(7, "mixed"), (7, "all_empty"), (1, "mixed"), (1, "all_empty")])
+    def test_unsigned_tally_equals_the_tally_of_its_messages(self, rng, M, case):
+        d, tau = 25, 2.0
+        empty_rows = set()
+        for _ in range(20):
+            xi = rng.standard_normal((M, d)) * rng.uniform(0.5, 3.0, (M, 1))
+            if case == "all_empty":
+                xi[:] = np.where(rng.random((M, d)) < 0.5, 0.0, xi.clip(-tau, tau))
+            else:
+                xi[rng.random(M) < 0.3] *= 0.1  # rows with nothing above tau
+            point = SimpleNamespace(tau=tau, L=int(rng.integers(1, d + 1)))
+            selections = {}
+            messages = {rule: harness._round1_messages(rule, point, None, xi, selections) for rule in self.VOTE_RULES}
+            empty_rows.update(msg.payload.indices.size == 0 for msg in messages["thresh_votes"])
+            tallies = harness._tallies(messages, d)
+            assert set(tallies) == set(self.VOTE_RULES)
+            for unsigned, signed in (("thresh_votes", "thresh_signs"), ("top_L_votes", "top_L_signs")):
+                got, want = tallies[unsigned], fusion.tally(messages[unsigned], d)
+                assert got.votes is tallies[signed].votes
+                for t in (got, want):
+                    assert t.votes.dtype == t.sign_sums.dtype == np.int64
+                assert np.array_equal(got.votes, want.votes) and np.array_equal(got.sign_sums, want.sign_sums)
+                assert got.contributing_machines == want.contributing_machines == M
+                assert got.votes_histogram == want.votes_histogram
+                assert not (got.votes.flags.writeable or got.sign_sums.flags.writeable)
+        # Both empty and nonempty threshold messages occurred, or only empty ones.
+        assert empty_rows == ({True} if case == "all_empty" else {True, False})
+
+    @pytest.mark.parametrize("second_round", ["average", "gram_exact"])
+    @pytest.mark.parametrize("sparsity_mode", ["known", "unknown"])
+    def test_scheme_subsets_equal_the_loop(self, small_design, monkeypatch, second_round, sparsity_mode):
+        # A scheme's record is the same whether its rule tallies its own
+        # messages or reads its twin's tally, and equals the frozen loops'.
+        cfg, design = small_design
+        cfg = cfg.with_(second_round=second_round, sparsity_mode=sparsity_mode)
+        point = materialize(design, cfg)
+        for rep in (0, 1):
+            with _per_machine_loops(monkeypatch):
+                loop = {r.scheme: _untimed(r) for r in run_point_rep(point, cfg, list(SCHEMES), rep)}
+            assert any(v["bits_round1_total"] for k, v in loop.items() if k.startswith("thresh"))
+            for subset in (*TALLY_SUBSETS, list(SCHEMES)):
+                recs = run_point_rep(point, cfg, subset, rep)
+                assert [r.scheme for r in recs] == subset
+                for r in recs:
+                    assert _untimed(r) == loop[r.scheme], (subset, r.scheme)
 
 
 @pytest.fixture
@@ -624,29 +748,7 @@ class TestStackedMessages:
 
     @staticmethod
     def _loop_records(monkeypatch, cfg, axis, grid):
-        # The loops read each machine's X'y off its responses themselves, so
-        # they are handed the replication's Y in place of its stacked X'y.
-        ys = {}
-        rep_fits = harness._rep_fits
-
-        def keeping_ys(point, rep):
-            fits = rep_fits(point, rep)
-            ys["rep"] = fits[-1]
-            return fits
-
-        with monkeypatch.context() as mp:
-            mp.setattr(harness, "_rep_fits", keeping_ys)
-            mp.setattr(
-                harness,
-                "_round1_messages",
-                lambda rule, point, theta_hat, xi, selections: loop_round1_messages(rule, point, theta_hat, xi),
-            )
-            mp.setattr(
-                harness,
-                "_second_round",
-                lambda config, point, xty, support: loop_second_round(config, point, ys["rep"], support),
-            )
-            mp.setattr(harness, "_oracle_error", lambda point, xty: loop_oracle_error(point, ys["rep"]))
+        with _per_machine_loops(monkeypatch):
             return run_sweep(cfg, axis, grid, schemes=list(SCHEMES)).records
 
     @pytest.mark.parametrize("second_round", ["average", "gram_exact"])

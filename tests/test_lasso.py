@@ -256,6 +256,103 @@ class TestZeroFitExit:
         assert conv and kkt == 0.0 and sweeps > 1
         assert not w.any() and np.abs(g - c).max() <= 1e-15
 
+    def test_callers_answer_is_taken(self, rng, monkeypatch, solver_calls):
+        # A caller that has run the test hands in its answer: True returns
+        # at once and writes neither the gradient it vouches holds c nor the
+        # store; False runs the solver, which reaches the exit's result.
+        X, y, c, top = self._problem(rng)
+        lam, d = 1.5 * top, c.size
+        w, g, store = np.zeros(d), np.full(d, 7.0), _kernels.GramColumns(d)
+        rest = (MAX_SWEEPS, COEF_TOL, KKT_TOL, _kernels.gram_diagonal(X), c)
+        monkeypatch.setattr(_kernels, "zero_start_solves", lambda c, lam: pytest.fail("test run twice"))
+        out = _kernels.cd_residual(X, y, lam, w, *rest, g, store, True)
+        assert out == (1, 0.0, True) and not solver_calls
+        assert (g == 7.0).all() and not w.any() and store.rows.shape[0] == 0
+        g = np.full(d, np.nan)
+        out = _kernels.cd_residual(X, y, lam, w, *rest, g, store, False)
+        assert len(solver_calls) == 1
+        monkeypatch.undo()
+        self._assert_same((w, g, *out), self._fit(X, y, lam, c))
+
+
+class TestStackedZeroStart:
+    """``fit_lasso`` runs the zero-start test once for a stack, row-wise over
+    its X'y/n, and hands each machine's kernel call its row's answer."""
+
+    @staticmethod
+    def _stack(rng, M=5, n=40, d=12):
+        # Rows 1 and 3 carry a strong signal: at lam = 0.5 their zero start
+        # is not optimal, while every other row's is.
+        X = rng.standard_normal((M, n, d))
+        y = 0.05 * rng.standard_normal((M, n))
+        y[[1, 3]] += 2.0 * X[[1, 3], :, 0]
+        return X, y, 0.5
+
+    @pytest.fixture
+    def zero_tests(self, monkeypatch):
+        calls = []
+        test = _kernels.zero_start_solves
+
+        def spying(c, lam):
+            calls.append(np.shape(c))
+            return test(c, lam)
+
+        monkeypatch.setattr(_kernels, "zero_start_solves", spying)
+        return calls
+
+    @pytest.mark.parametrize("given", [False, True], ids=["formed", "given"])
+    def test_mixed_rows_equal_their_own_fits_and_the_solver(self, rng, monkeypatch, zero_tests, given):
+        X, y, lam = self._stack(rng)
+        M, n, d = X.shape
+        kwargs = dict(gram_diag=_kernels.gram_diagonal(X)) if given else {}
+        fit = fit_lasso(X, y, lam, **kwargs)
+        assert zero_tests == [(M, d)]
+        assert fit.coefficients.any(axis=1).tolist() == [False, True, False, True, False]
+        c = fit.xty / n
+        for m in range(M):
+            one = fit_lasso(X[m], y[m], lam, **{k: v[m] for k, v in kwargs.items()})
+            assert one.coefficients.tobytes() == fit.coefficients[m].tobytes(), m
+            assert one.gradient.tobytes() == fit.gradient[m].tobytes(), m
+            assert (one.iterations, one.max_kkt_violation, one.converged) == (
+                fit.iterations[m],
+                fit.max_kkt_violation[m],
+                fit.converged[m],
+            )
+            # The full solver loop, the exit disabled, gives the same bits.
+            got = [getattr(fit, name)[m] for name in ("coefficients", "gradient", "iterations")]
+            got += [fit.max_kkt_violation[m], fit.converged[m]]
+            TestZeroFitExit._assert_same(got, TestZeroFitExit()._solver(monkeypatch, X[m], y[m], lam, c[m]))
+        zero = ~fit.coefficients.any(axis=1)
+        assert (fit.iterations[zero] == 1).all() and (fit.max_kkt_violation[zero] == 0.0).all()
+        assert fit.gradient[zero].tobytes() == c[zero].tobytes()
+
+    def test_a_patched_test_disables_every_rows_exit(self, rng, monkeypatch):
+        X, y, lam = self._stack(rng)
+        want = fit_lasso(X, y, lam)
+        calls = []
+        solve = _kernels._active_set_cd
+        monkeypatch.setattr(_kernels, "_active_set_cd", lambda *a: calls.append(a) or solve(*a))
+        fit_lasso(X, y, lam)
+        assert len(calls) == 2  # the two rows whose zero start is not optimal
+        calls.clear()
+        monkeypatch.setattr(_kernels, "zero_start_solves", lambda c, lam: False)
+        got = fit_lasso(X, y, lam)
+        assert len(calls) == X.shape[0]
+        for name in ("coefficients", "gradient", "iterations", "max_kkt_violation", "converged"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_no_sweeps_take_no_exit(self, rng, zero_tests):
+        # With max_sweeps = 0 the solver spends no sweep and converges
+        # nowhere, even where the zero start is optimal; the test is not run.
+        X, y, lam = self._stack(rng)
+        fit = fit_lasso(X, y, lam, max_sweeps=0)
+        assert zero_tests == []
+        assert (fit.iterations == 0).all() and not fit.converged.any()
+        for m in range(X.shape[0]):
+            one = fit_lasso(X[m], y[m], lam, max_sweeps=0)
+            assert (one.iterations, one.max_kkt_violation, one.converged) == (0, fit.max_kkt_violation[m], False)
+            assert one.gradient.tobytes() == fit.gradient[m].tobytes()
+
 
 def _overflowing_column(n, bad):
     """A finite column whose products with a response of 1e308 overflow and
@@ -535,10 +632,13 @@ class TestStackedFit:
         monkeypatch.setattr(_kernels, "cd_residual", positional)
         fit = fit_lasso(X, y, 0.1)
         assert len(calls) == 4 and 0 < fit.coefficients.any(axis=1).sum() < 4
+        live = fit.coefficients.any(axis=1)
         for m, args in enumerate(calls):
-            assert len(args) == 11 and isinstance(args[10], _kernels.GramColumns)
+            assert len(args) == 12 and isinstance(args[10], _kernels.GramColumns)
             assert np.array_equal(args[0], X[m]) and np.array_equal(args[1], y[m])
             assert np.shares_memory(args[3], fit.coefficients[m]) and np.shares_memory(args[9], fit.gradient[m])
+            # The row's answer to the stack's one zero-start test.
+            assert args[11] is (not live[m])
 
 
 class TestKktViolation:
