@@ -37,14 +37,13 @@ replication fit under a large lambda, ``zero_start_solves``), gets the
 result the full loop would give before the loop starts. ``lasso.fit_lasso``
 runs that test once for a whole stack of designs, row-wise over its
 (M, d) X'y/n, and hands each machine's ``cd_residual`` call its row's
-answer; a caller that passes none gets the test run inside the call. A
-pass that moves no coefficient ends the solve, because every later pass
-would see the same gradient: the result is converged if the KKT residual
-is within tolerance and out of budget otherwise. That covers every fit
-whose working set is empty (a lasso whose solution is 0) and KKT violators
-that cannot move (zero diagonal). The floating-point operations and their
-order are those of a plain scalar sweep, so results do not depend on these
-choices.
+answer, which the call takes as given. A pass that moves no coefficient
+ends the solve, because every later pass would see the same gradient: the
+result is converged if the KKT residual is within tolerance and out of
+budget otherwise. That covers every fit whose working set is empty (a lasso
+whose solution is 0) and KKT violators that cannot move (zero diagonal).
+The floating-point operations and their order are those of a plain scalar
+sweep, so results do not depend on these choices.
 
 One stop does change a result: when a pass moves no coefficient by
 ``coef_tol`` or more and every coordinate that can move satisfies the KKT
@@ -222,7 +221,7 @@ class GramColumns:
             self.rows = self.rows[: self.kept].copy()
 
 
-def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag, c, g, columns, zero=None):
+def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag, c, g, columns, zero):
     """Active-set CD on one design whose Gram columns come from ``columns``.
     ``w`` is updated in place.
 
@@ -240,19 +239,13 @@ def cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag, c, g, columns
     roundoff, is written into ``g`` (length d); the returned KKT residual is
     read off it.
 
-    A zero start where zero is optimal returns (1, 0.0, True) at once, as
-    the solver's first pass would, without touching the store. ``zero`` is
-    the caller's answer to whether this fit is one: True when ``w`` is all
-    zero, ``max_sweeps`` >= 1 and ``zero_start_solves(c, lam)``. A caller
-    that answers True vouches that ``g`` already holds ``c``, and the call
-    writes nothing; one that answers False gets the solver. With
-    ``zero=None`` the call runs the test itself and writes ``c`` into ``g``
-    when it holds. Returns (sweeps, kkt, converged).
+    ``zero`` is the caller's answer to whether this fit starts at zero
+    where zero is optimal: ``w`` all zero, ``max_sweeps`` >= 1 and
+    ``zero_start_solves(c, lam)``. True returns (1, 0.0, True) at once, as
+    the solver's first pass would, and writes nothing: the caller vouches
+    that ``g`` already holds ``c``. False runs the solver. Returns
+    (sweeps, kkt, converged).
     """
-    if zero is None:
-        zero = max_sweeps >= 1 and not np.count_nonzero(w) and zero_start_solves(c, lam)
-        if zero:
-            g[:] = c
     if zero:
         return 1, 0.0, True
 

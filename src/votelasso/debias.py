@@ -234,7 +234,7 @@ def debias(theta_tilde: np.ndarray, grad: np.ndarray, omega: SparseRows) -> np.n
 
 def noise_scale(c_diag: np.ndarray, sigma: float) -> np.ndarray:
     """sigma * sqrt(c_kk), the noise standard deviation of each coordinate
-    of sqrt(n) theta_hat: the denominator of ``standardize``. Elementwise,
+    of sqrt(n) theta_hat: the scale ``standardize`` divides by. Elementwise,
     so an (M, d) ``c_diag`` gives M machines' scales at once.
 
     Raises ValueError unless 0 < sigma < inf and 0 < c_kk < inf for every
@@ -251,21 +251,16 @@ def noise_scale(c_diag: np.ndarray, sigma: float) -> np.ndarray:
     return sigma * np.sqrt(c_diag)
 
 
-def standardize(
-    theta_hat: np.ndarray, c_diag: np.ndarray, sigma: float, n: int, scale: np.ndarray | None = None
-) -> np.ndarray:
+def standardize(theta_hat: np.ndarray, scale: np.ndarray, n: int) -> np.ndarray:
     """Scale each debiased coordinate to unit noise variance:
-    xi_k = sqrt(n) theta_hat_k / (sigma * sqrt(c_kk)), where ``c_diag`` is
-    the sandwich diagonal (``sandwich_diag``; fixed whenever the design is).
-    Elementwise, so (M, d) arrays standardize M machines at once.
+    xi_k = sqrt(n) theta_hat_k / (sigma * sqrt(c_kk)), where ``scale`` is
+    ``noise_scale(c_diag, sigma)`` of the sandwich diagonal c_diag
+    (``sandwich_diag``). Elementwise, so (M, d) arrays standardize M
+    machines at once.
 
-    The denominator is ``noise_scale(c_diag, sigma)``, which checks sigma
-    and the diagonal (ValueError). It depends on the design and sigma only,
-    so a caller that standardizes many estimates with one c_diag and sigma
-    (every replication of a grid point, ``harness.materialize``) forms it
-    once and passes it as ``scale``; c_diag and sigma are then not read,
-    and xi has the same bits.
+    The scale depends on the design and sigma only, so a caller that
+    standardizes many estimates with one c_diag and sigma (every
+    replication of a grid point, ``harness.materialize``) forms and checks
+    it once.
     """
-    if scale is None:
-        scale = noise_scale(c_diag, sigma)
     return math.sqrt(n) * theta_hat / scale

@@ -5,11 +5,12 @@ A replication (``run_point_rep``) is one pass in the order the protocol
 runs, and its schemes share the work they have in common: the local fits
 and the oracle, then one round-1 message set per round-1 rule (``bnm21``
 and ``thresh_votes`` send the same thresholded votes) and one tally per
-round-1 selection (``_tallies``: an unsigned rule whose signed twin runs
-reads the twin's tally), then each scheme's own selection, then one round
-two per distinct selected support, then each scheme's record. Each record
-reports the shared time once as ``shared_time`` and its scheme's own
-selection and record as ``wall_time``.
+round-1 selection (``_tallies``: an unsigned rule beside the signed rule
+of its selection reads that rule's tally), then each scheme's own
+selection, then one round two per distinct selected support, then each
+scheme's record. Each record reports the shared time once as
+``shared_time`` and its scheme's own selection and record as
+``wall_time``.
 
 Simulation protocol (fixed-design mode, the default): design matrices are
 drawn once per experiment, each machine's precision matrix is estimated once
@@ -31,8 +32,7 @@ machines' precision estimates both as a list (``omegas``) and as one
 block-diagonal matrix (``omega``, ``debias.block_diagonal``), their
 sandwich diagonals, checked once, with sigma sqrt(c_kk), the denominator
 of every replication's standardization (``xi_scale``,
-``debias.noise_scale``), the true support's set that ``f_measure`` reads,
-the diagonals of their X'X/n (``gram_diag``, one
+``debias.noise_scale``), the diagonals of their X'X/n (``gram_diag``, one
 stacked product), one store per machine of the Gram columns X'x_j/n its
 fits have needed so far (``columns``, ``_kernels.GramColumns``), the
 oracle's pooled Gram, and the round-two operands met so far. In
@@ -56,16 +56,15 @@ the call sites the benchmark's probes count: one ``fit_lasso`` call for the
 whole stack, which checks every machine's inputs at once, forms the
 stack's X'y/n, tests once over the stack which machines' zero start is
 already optimal and makes one ``_kernels.cd_residual`` call per machine,
-handing each its row's answer. A
-fit takes its row of the point's ``gram_diag`` for its check that X is
-finite, so it does not form it again. A nonzero fit reads the Gram columns
-of its working sets from its machine's store and forms those the store
-lacks in one product per solver pass; a zero fit (every fit at the default
-lambda) touches no store. The stores of a point keep their columns across
-its replications, up to ``GRAM_CACHE_BYTES`` for the point in all; a
-column's bits are those of the product that formed it, so a nonzero fit
-may differ in the last bits depending on which replications of the point
-ran before it. No machine forms a residual: the debiasing mat-vec takes
+handing each its row's answer. A fit takes its row of the point's
+``gram_diag`` for its check that X is finite, so it does not form it
+again. A nonzero fit reads the Gram columns of its working sets from its
+machine's store and forms those the store lacks in one product per solver
+pass; a zero fit (every fit at the default lambda) touches no store. The
+stores of a point keep their columns across its replications, up to
+``GRAM_CACHE_BYTES`` for the point in all; a column's bits are those of
+the product that formed it, so a nonzero fit may differ in the last bits
+depending on which replications of the point ran before it. No machine forms a residual: the debiasing mat-vec takes
 each machine's X'(y - X theta_tilde)/n from its fit, the solver's last
 gradient X'y/n - G theta_tilde (``LassoFit.gradient``); a zero fit's is
 its row of X'y/n.
@@ -73,10 +72,10 @@ its row of X'y/n.
 Messages are batched the same way. Each round-1 rule's selection runs once
 per replication for all M machines (``protocol.select_threshold``,
 ``select_top_k`` and ``selected_signs`` on the (M, d) xi), and the rules
-that send one selection take it from the pass's ``selections``
-(``_round1_messages``): ``thresh_votes`` (so ``bnm21``) with
-``thresh_signs``, ``top_L_votes`` with ``top_L_signs``. Each selection is
-tallied once, from the signed rule's messages when it runs.
+that send one selection (``_SELECTION``) take it from the pass's
+``selections`` (``_round1_messages``): ``thresh_votes`` (so ``bnm21``)
+with ``thresh_signs``, ``top_L_votes`` with ``top_L_signs``. Each
+selection is tallied once, from the signed rule's messages when it runs.
 Round two on a support S reads every machine's X_S'y as column S of the
 replication's X'y, as a real machine would from the product its round-one
 fit already formed, so no replication forms a product over X for round
@@ -310,12 +309,8 @@ class ExperimentRecord:
 
 
 def f_measure(S_hat, S) -> tuple[float, float, float]:
-    """(F, precision, recall). Empty S_hat scores 0 with precision 0. The
-    true support ``S`` is indices or a set of them: a caller that scores
-    many estimates against one support (a grid point's records) forms its
-    set once."""
-    if not isinstance(S, (set, frozenset)):
-        S = set(np.asarray(S).tolist())
+    """(F, precision, recall). Empty S_hat scores 0 with precision 0."""
+    S = set(np.asarray(S).tolist())
     if not S:
         raise ValueError("true support must be nonempty")
     S_hat = set(np.asarray(S_hat).tolist())
@@ -379,7 +374,6 @@ class PointState:
     # the point's replications and bounded together by GRAM_CACHE_BYTES.
     columns: list[GramColumns]
     oracle_gram: np.ndarray
-    support_set: frozenset  # the true support, as ``f_measure`` reads it
     L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
     # (reps, M, 4) uint64 PCG64 seed words of every machine's noise stream
     # for replications 0..reps-1 (``datagen._stream_states``), formed once
@@ -443,7 +437,7 @@ def materialize(
 
     The point's n, M and r are checked as a ``ProblemSpec`` (ValueError),
     and its sandwich diagonals and sigma once for all its replications,
-    as ``debias.standardize`` checks them (``noise_scale``). In
+    by ``debias.noise_scale``, whose scale ``debias.standardize`` takes. In
     fixed-design mode the point also holds the noise streams' seed words of
     replications 0 to ``config.reps`` - 1, formed in one seeding pass.
     """
@@ -493,7 +487,6 @@ def materialize(
         omega=block_diagonal(omegas),
         columns=[GramColumns(spec.d, budget) for _ in range(M)],
         oracle_gram=oracle_gram,
-        support_set=frozenset(S.tolist()),
         L=L if L is not None else config.resolved_L(),
         noise_states=(
             _stream_states(spec.base_seed, TAG_NOISE, range(config.reps), M) if config.fixed_design else None
@@ -527,7 +520,7 @@ def _rep_fits(point: PointState, rep: int):
     theta_t, grad = fit.coefficients, fit.gradient  # grad: X'(y - X theta_tilde)/n
     converged, sweeps, kkt = fit.converged, fit.iterations, fit.max_kkt_violation
     theta_h = debias(theta_t, grad, point.omega)
-    xi = standardize(theta_h, point.c_diag, sigma, n, scale=point.xi_scale)
+    xi = standardize(theta_h, point.xi_scale, n)
     return theta_t, theta_h, xi, converged, sweeps, kkt, fit.xty, Y
 
 
@@ -535,9 +528,10 @@ def _rep_fits(point: PointState, rep: int):
 # selection rule, so the two schemes share one round-1 message set and tally.
 _ROUND1_RULE = {"bnm21": "thresh_votes"}
 
-# Each unsigned vote rule and the signed rule that sends the same selection's
-# indices with their signs: when both run, one tally serves both.
-_SIGNED_TWIN = {"thresh_votes": "thresh_signs", "top_L_votes": "top_L_signs"}
+# The selection each index rule sends, made once per replication for all
+# machines: the thresholded indices or the top-L ones. The *_signs rules
+# send the same index arrays as their *_votes rules, with their signs.
+_SELECTION = {"thresh_votes": "thresh", "thresh_signs": "thresh", "top_L_votes": "top_L", "top_L_signs": "top_L"}
 
 
 def _round1_messages(rule: str, point: PointState, theta_hat, xi, selections: dict) -> list:
@@ -545,23 +539,23 @@ def _round1_messages(rule: str, point: PointState, theta_hat, xi, selections: di
     each handed that machine's row of the rule's selection, or of theta_hat
     for dense messages.
 
-    A selection runs once for all M machines on the (M, d) xi and is kept in
-    ``selections`` for the other rule that sends it: ``thresh_votes`` and
-    ``thresh_signs`` send the thresholded indices, ``top_L_votes`` and
-    ``top_L_signs`` the top-L ones, whose signs only ``top_L_signs`` sends.
+    A selection (``_SELECTION``) runs once for all M machines on the (M, d)
+    xi and is kept in ``selections`` for the other rule that sends it. Only
+    ``top_L_signs`` forms the top-L indices' signs.
     """
     if rule == "avg_deblasso":
         return [protocol.round1_dense(m, row) for m, row in enumerate(theta_hat)]
-    if rule.startswith("thresh"):
-        if "thresh" not in selections:
-            selections["thresh"] = protocol.select_threshold(xi, point.tau)
-        indices, signs = selections["thresh"]
-        if rule == "thresh_votes":
-            return [protocol.round1_thresh_votes(m, idx) for m, idx in enumerate(indices)]
+    key = _SELECTION[rule]
+    if key not in selections:
+        if key == "thresh":
+            selections[key] = protocol.select_threshold(xi, point.tau)
+        else:
+            selections[key] = protocol.select_top_k(xi, point.L), None
+    indices, signs = selections[key]
+    if rule == "thresh_votes":
+        return [protocol.round1_thresh_votes(m, idx) for m, idx in enumerate(indices)]
+    if rule == "thresh_signs":
         return [protocol.round1_thresh_signs(m, *row) for m, row in enumerate(zip(indices, signs))]
-    if "top_L" not in selections:
-        selections["top_L"] = protocol.select_top_k(xi, point.L)
-    indices = selections["top_L"]
     if rule == "top_L_votes":
         return [protocol.round1_top_L(m, idx) for m, idx in enumerate(indices)]
     signs = protocol.selected_signs(xi, indices)
@@ -572,24 +566,25 @@ def _tallies(round1: dict, d: int) -> dict:
     """One read-only ``fusion.tally`` per round-one selection: rule -> tally
     of each vote rule among the keys of ``round1`` (rule -> its messages).
 
-    An unsigned rule whose signed twin (``_SIGNED_TWIN``) also runs sends
-    the same index arrays without their signs, so its tally, which
-    ``fusion.tally`` of its messages would give, is the twin's votes with
-    zero sign sums; only a rule whose twin does not run tallies its own
-    messages.
+    A selection is tallied from the messages of its signed rule when that
+    runs, else from its unsigned rule's. The unsigned rule beside a signed
+    one sends the same index arrays without their signs, so its tally,
+    which ``fusion.tally`` of its own messages would give, is the signed
+    tally's votes with zero sign sums.
     """
-    tallies = {}
-    for rule, msgs in round1.items():
-        if rule != "avg_deblasso" and _SIGNED_TWIN.get(rule) not in round1:
-            t = tallies[rule] = fusion.tally(msgs, d)
+    tallies, by_selection = {}, {}
+    # Signed rules first, so that each selection's one tally counts signs.
+    for rule in sorted((r for r in round1 if r in _SELECTION), key=lambda r: not r.endswith("_signs")):
+        t = by_selection.get(_SELECTION[rule])
+        if t is None:
+            t = by_selection[_SELECTION[rule]] = fusion.tally(round1[rule], d)
             t.votes.setflags(write=False)
             t.sign_sums.setflags(write=False)
-    for rule, twin in _SIGNED_TWIN.items():
-        if rule in round1 and twin in round1:
-            signed = tallies[twin]
-            zeros = np.zeros_like(signed.votes)
+        else:
+            zeros = np.zeros_like(t.votes)
             zeros.setflags(write=False)
-            tallies[rule] = fusion.VoteTally(signed.votes, zeros, signed.contributing_machines)
+            t = fusion.VoteTally(t.votes, zeros, t.contributing_machines)
+        tallies[rule] = t
     return tallies
 
 
@@ -694,7 +689,8 @@ def run_point_rep(
     1. the machines' fits (``_rep_fits``) and the oracle;
     2. round one, per distinct round-1 rule of ``schemes``: the messages
        and their bits; then one read-only tally per round-one selection
-       (``_tallies``): a vote rule whose signed twin runs reads its tally;
+       (``_tallies``): an unsigned rule beside the signed rule of its
+       selection reads that rule's tally;
     3. each scheme's support selection (``_select_support``);
     4. round two, once per distinct nonempty support that a two-round scheme
        selected, unless ``second_round`` is "none". Its estimate is
@@ -708,11 +704,11 @@ def run_point_rep(
     d = config.spec.d
     start = time.perf_counter()
     _, theta_hat, xi, converged, sweeps, kkt, xty, _ = _rep_fits(point, rep)
-    solver = {
-        "nonconverged_fits": int((~converged).sum()),
-        "max_sweeps": int(sweeps.max()),
-        "max_kkt": float(kkt.max()),
-    }
+    solver = RepFlags(
+        nonconverged_fits=int((~converged).sum()),
+        max_sweeps=int(sweeps.max()),
+        max_kkt=float(kkt.max()),
+    )
     l2_oracle = _oracle_error(point, xty)
     messages, selections = {}, {}
     for rule in dict.fromkeys(_ROUND1_RULE.get(s, s) for s in schemes):
@@ -746,7 +742,7 @@ def run_point_rep(
     for s, (theta_avg, est), seconds in zip(schemes, selected, own):
         start = time.perf_counter()
         _, bits_r1, t = round1[_ROUND1_RULE.get(s, s)]
-        flags = RepFlags(**solver)
+        flags = replace(solver)
         S_hat = est.indices
         theta, bits_r2 = np.zeros(d), 0
         if S_hat.size == 0:
@@ -760,7 +756,7 @@ def run_point_rep(
             flags.round2_failed = True
         else:
             theta, bits_r2 = round2[S_hat.tobytes()]
-        f, prec, rec = f_measure(S_hat, point.support_set)
+        f, prec, rec = f_measure(S_hat, point.design.support)
         bits_r1_total = sum(bits_r1)
         records.append(
             ExperimentRecord(

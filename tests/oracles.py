@@ -235,7 +235,7 @@ def loop_rep_fits(point, rep):
     what ``_rep_fits`` returns, (theta_tilde, theta_hat, xi, converged,
     sweeps, kkt, xty, Y), each stacked from the per-machine results."""
     from votelasso.datagen import TAG_NOISE, stream
-    from votelasso.debias import standardize
+    from votelasso.debias import noise_scale, standardize
     from votelasso.lasso import fit_lasso
 
     design = point.design
@@ -251,7 +251,7 @@ def loop_rep_fits(point, rep):
             fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged, fit.gradient
         )
         theta_h = theta_t + point.omegas[m].matvec(grad)
-        xi = standardize(theta_h, point.c_diag[m], sigma, n)
+        xi = standardize(theta_h, noise_scale(point.c_diag[m], sigma), n)
         rows.append((theta_t, theta_h, xi, bool(conv), int(sweeps), float(kkt), y @ X, y))
     return tuple(np.array(column) for column in zip(*rows))
 

@@ -12,6 +12,7 @@ from votelasso.debias import (
     empirical_covariance,
     debias,
     estimate_precision,
+    noise_scale,
     sandwich_diag,
     standardize,
 )
@@ -49,7 +50,7 @@ def _round_one(X, y, lam, est, sigma):
     theta_tilde = fit.coefficients
     theta_hat = debias(theta_tilde[None], fit.gradient[None], est.omega_hat)[0]
     c_diag = sandwich_diag(est.omega_hat, X)
-    return theta_tilde, theta_hat, standardize(theta_hat, c_diag, sigma, X.shape[0])
+    return theta_tilde, theta_hat, standardize(theta_hat, noise_scale(c_diag, sigma), X.shape[0])
 
 
 def _debias_one(X, y, theta, omega):
@@ -344,35 +345,35 @@ class TestStandardize:
         X = _orthonormal_design(rng, 100, 4)  # X'X/n = I to roundoff
         c = sandwich_diag(sparse_rows(np.eye(4)), X)
         assert np.allclose(c, 1.0)
-        xi = standardize(np.full(4, 0.3), c, sigma=1.0, n=100)
+        xi = standardize(np.full(4, 0.3), noise_scale(c, sigma=1.0), n=100)
         assert np.allclose(xi, 3.0)
 
     def test_plugged_values(self):
         # sqrt(100) * 1 / (2 * sqrt(4)) = 2.5
-        xi = standardize(np.array([1.0]), np.array([4.0]), sigma=2.0, n=100)
+        xi = standardize(np.array([1.0]), noise_scale(np.array([4.0]), sigma=2.0), n=100)
         assert xi[0] == pytest.approx(2.5)
 
     def test_zero_estimate(self, rng):
         X = rng.standard_normal((30, 3))
         c = sandwich_diag(sparse_rows(np.eye(3)), X)
-        assert np.array_equal(standardize(np.zeros(3), c, 1.0, 30), np.zeros(3))
+        assert np.array_equal(standardize(np.zeros(3), noise_scale(c, 1.0), 30), np.zeros(3))
 
     def test_scaling_identity(self, rng):
         # xi_k * sigma * sqrt(c_kk) == sqrt(n) * theta_k
         theta = rng.standard_normal(5)
         c_diag = rng.uniform(0.5, 2.0, 5)
-        xi = standardize(theta, c_diag, sigma=1.3, n=77)
+        xi = standardize(theta, noise_scale(c_diag, sigma=1.3), n=77)
         assert np.allclose(xi * 1.3 * np.sqrt(c_diag), math.sqrt(77) * theta, rtol=1e-10)
 
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(ValueError, match="invalid sandwich variance"):
-            standardize(np.ones(2), np.array([1.0, 0.0]), 1.0, 10)
+            noise_scale(np.array([1.0, 0.0]), 1.0)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, -1.0])
     def test_noise_level_outside_zero_to_inf_rejected(self, sigma):
         # A NaN sigma made every xi NaN and an infinite one every xi 0.
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
-            standardize(np.ones(2), np.array([1.0, 2.0]), sigma, 10)
+            noise_scale(np.array([1.0, 2.0]), sigma)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0])
     def test_non_finite_diagonal_rejected(self, bad):
@@ -380,7 +381,7 @@ class TestStandardize:
         c_diag = np.ones((3, 4))
         c_diag[2, 1] = bad
         with pytest.raises(ValueError, match="invalid sandwich variance"):
-            standardize(np.ones((3, 4)), c_diag, 1.0, 10)
+            noise_scale(c_diag, 1.0)
 
     def test_sandwich_positive_for_valid_inputs(self, rng):
         X = rng.standard_normal((40, 6))

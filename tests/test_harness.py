@@ -10,7 +10,7 @@ import pytest
 
 from votelasso import fusion, harness, lasso, protocol
 from votelasso.datagen import ProblemSpec, make_theta_star, sample_noise, sample_responses, sample_shards
-from votelasso.debias import debias, estimate_precision, sandwich_diag, standardize
+from votelasso.debias import debias, estimate_precision, noise_scale, sandwich_diag, standardize
 from votelasso.harness import (
     SCHEMES,
     ExperimentConfig,
@@ -134,19 +134,6 @@ class TestRunReplication:
         via_point = run_point_rep(point, cfg, ["thresh_votes"], 1)[0]
         standalone = run_point_rep(materialize(build_design(cfg), cfg), cfg, ["thresh_votes"], 1)[0]
         assert _untimed(standalone) == _untimed(via_point)
-
-    def test_records_score_against_the_true_support(self, small_design):
-        # The point keeps the true support's set; every record's F,
-        # precision and recall are f_measure's against the support array.
-        cfg, design = small_design
-        recs = []
-        for lam in ("fixed_8", 0.3):  # partial recovery, then exact
-            point = materialize(design, cfg.with_(lam=lam))
-            assert point.support_set == set(design.support.tolist())
-            recs += [r for rep in range(2) for r in run_point_rep(point, cfg.with_(lam=lam), list(SCHEMES), rep)]
-        assert {r.f_measure == 1.0 for r in recs} == {True, False}
-        for r in recs:
-            assert (r.f_measure, r.precision, r.recall) == f_measure(r.S_hat, design.support)
 
     def test_reps_differ(self, small_design):
         cfg, design = small_design
@@ -392,7 +379,8 @@ def _per_machine_loops(monkeypatch):
 
 
 # Scheme subsets that tally one selection: an unsigned rule alone tallies
-# its own messages, and beside its signed twin it reads the twin's tally.
+# its own messages, and beside the signed rule of its selection it reads
+# that rule's tally.
 TALLY_SUBSETS = (
     ["thresh_votes"],
     ["bnm21"],
@@ -506,8 +494,9 @@ class TestSharedWork:
 
 
 class TestOneTallyPerSelection:
-    """An unsigned vote rule whose signed twin runs reads the twin's tally:
-    the tally ``fusion.tally`` gives for its own messages."""
+    """An unsigned vote rule beside the signed rule of its selection reads
+    that rule's tally: the tally ``fusion.tally`` gives for its own
+    messages."""
 
     VOTE_RULES = ("thresh_votes", "thresh_signs", "top_L_votes", "top_L_signs")
 
@@ -543,7 +532,8 @@ class TestOneTallyPerSelection:
     @pytest.mark.parametrize("sparsity_mode", ["known", "unknown"])
     def test_scheme_subsets_equal_the_loop(self, small_design, monkeypatch, second_round, sparsity_mode):
         # A scheme's record is the same whether its rule tallies its own
-        # messages or reads its twin's tally, and equals the frozen loops'.
+        # messages or reads its signed rule's tally, and equals the frozen
+        # loops'.
         cfg, design = small_design
         cfg = cfg.with_(second_round=second_round, sparsity_mode=sparsity_mode)
         point = materialize(design, cfg)
@@ -1451,7 +1441,7 @@ class TestScaleInvariance:
         def standardized(y, lam, sigma):
             fit = fit_lasso(X, y, lam)
             theta_hat = debias(fit.coefficients[None], fit.gradient[None], omega)[0]
-            return standardize(theta_hat, c_diag, sigma, X.shape[0])
+            return standardize(theta_hat, noise_scale(c_diag, sigma), X.shape[0])
 
         lam, c = 0.4, 3.7
         xi1 = standardized(y, lam, sigma=1.0)

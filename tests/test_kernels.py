@@ -37,15 +37,18 @@ def _dense_cd(G, c, lam, w, skip, max_sweeps, coef_tol, kkt_tol):
 
 def _cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, columns=None):
     """``_kernels.cd_residual`` given the Gram diagonal and X'y/n it reads,
-    and an empty column store unless ``columns`` is given: its (sweeps,
-    kkt, converged) and then the gradient it wrote."""
+    an empty column store unless ``columns`` is given, and the answer to
+    whether its zero start is optimal, with g holding X'y/n when it is, as
+    ``lasso.fit_lasso`` hands them in: its (sweeps, kkt, converged) and then
+    the gradient it ends on."""
     n, d = X.shape
-    g = np.full(d, np.nan)
+    c = X.T @ y / n
+    zero = max_sweeps >= 1 and not w.any() and bool(_kernels.zero_start_solves(c, lam))
+    g = c.copy() if zero else np.full(d, np.nan)
     if columns is None:
         columns = _kernels.GramColumns(d)
-    out = _kernels.cd_residual(
-        X, y, lam, w, max_sweeps, coef_tol, kkt_tol, _kernels.gram_diagonal(X), X.T @ y / n, g, columns
-    )
+    diag = _kernels.gram_diagonal(X)
+    out = _kernels.cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol, diag, c, g, columns, zero)
     return (*out, g)
 
 

@@ -76,7 +76,7 @@ class TestFitLasso:
         g = np.empty(d)
         _, _, conv_res = _kernels.cd_residual(
             X, y, lam, w_res, MAX_SWEEPS, COEF_TOL, KKT_TOL, _kernels.gram_diagonal(X), X.T @ y / n, g,
-            _kernels.GramColumns(d),
+            _kernels.GramColumns(d), False,  # a nonzero start
         )
         _, _, kkt, conv = _kernels.cd_gram_stack(
             X.T @ X / n, (X.T @ y / n)[None], lam, W_gram, np.array([-1]), MAX_SWEEPS, COEF_TOL, KKT_TOL
@@ -185,12 +185,15 @@ class TestZeroFitExit:
 
     @staticmethod
     def _fit(X, y, lam, c, w=None):
-        """(theta, gradient, sweeps, kkt, converged) of ``cd_residual``."""
+        """(theta, gradient, sweeps, kkt, converged) of ``cd_residual``,
+        told whether its zero start is optimal as ``fit_lasso`` tells it, the
+        test read through the module, with g holding c when it is."""
         d = X.shape[1]
         w = np.zeros(d) if w is None else w
-        g = np.full(d, np.nan)
+        zero = not w.any() and bool(_kernels.zero_start_solves(c, lam))
+        g = c.copy() if zero else np.full(d, np.nan)
         out = _kernels.cd_residual(
-            X, y, lam, w, MAX_SWEEPS, COEF_TOL, KKT_TOL, _kernels.gram_diagonal(X), c, g, _kernels.GramColumns(d)
+            X, y, lam, w, MAX_SWEEPS, COEF_TOL, KKT_TOL, _kernels.gram_diagonal(X), c, g, _kernels.GramColumns(d), zero
         )
         return (w, g, *out)
 
@@ -257,14 +260,15 @@ class TestZeroFitExit:
         assert not w.any() and np.abs(g - c).max() <= 1e-15
 
     def test_callers_answer_is_taken(self, rng, monkeypatch, solver_calls):
-        # A caller that has run the test hands in its answer: True returns
-        # at once and writes neither the gradient it vouches holds c nor the
-        # store; False runs the solver, which reaches the exit's result.
+        # The kernel runs no test of its own and takes the caller's answer:
+        # True returns at once and writes neither the gradient the caller
+        # vouches holds c nor the store; False runs the solver, which
+        # reaches the exit's result.
         X, y, c, top = self._problem(rng)
         lam, d = 1.5 * top, c.size
         w, g, store = np.zeros(d), np.full(d, 7.0), _kernels.GramColumns(d)
         rest = (MAX_SWEEPS, COEF_TOL, KKT_TOL, _kernels.gram_diagonal(X), c)
-        monkeypatch.setattr(_kernels, "zero_start_solves", lambda c, lam: pytest.fail("test run twice"))
+        monkeypatch.setattr(_kernels, "zero_start_solves", lambda c, lam: pytest.fail("the kernel ran the test"))
         out = _kernels.cd_residual(X, y, lam, w, *rest, g, store, True)
         assert out == (1, 0.0, True) and not solver_calls
         assert (g == 7.0).all() and not w.any() and store.rows.shape[0] == 0
