@@ -50,7 +50,9 @@ class ProblemSpec:
 
     ``sigma`` is either an explicit noise level or the string ``"from_r"``,
     meaning sigma = 1/sqrt(r) so that the planted signal strength is held
-    fixed while the SNR parameter r varies.
+    fixed while the SNR parameter r varies. The sizes d, K, M, n and
+    ``base_seed`` are integers (Python or NumPy, not bools); any other
+    value raises a ValueError that names the field.
     """
 
     d: int
@@ -63,6 +65,10 @@ class ProblemSpec:
     base_seed: int = 0
 
     def __post_init__(self):
+        for name in ("d", "K", "M", "n", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.d < 2:
             raise ValueError("d must be at least 2")
         if not 1 <= self.K < self.d:

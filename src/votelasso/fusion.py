@@ -48,6 +48,16 @@ class VoteTally:
         seen = counts.nonzero()[0]
         return dict(zip(seen.tolist(), counts[seen].tolist()))
 
+    def unsigned(self) -> "VoteTally":
+        """The tally of the same index sets sent without their signs: this
+        tally's votes with read-only zero sign sums. It shares this tally's
+        votes and votes histogram, so the histogram is formed once for both."""
+        zeros = np.zeros_like(self.votes)
+        zeros.setflags(write=False)
+        twin = VoteTally(self.votes, zeros, self.contributing_machines)
+        twin.__dict__["votes_histogram"] = self.votes_histogram
+        return twin
+
 
 @dataclass
 class SupportEstimate:

@@ -28,18 +28,21 @@ point's machines are the prefix ``X[:M, :n]``.
 A grid point (``PointState``) holds everything of a replication that does
 not depend on its noise: the planted theta*, the noiseless responses
 X_m theta* of its M machines as one (M, n) array (``x_theta``), the
-machines' precision estimates both as a list (``omegas``) and as one
-block-diagonal matrix (``omega``, ``debias.block_diagonal``), their
-sandwich diagonals, checked once, with sigma sqrt(c_kk), the denominator
-of every replication's standardization (``xi_scale``,
-``debias.noise_scale``), the diagonals of their X'X/n (``gram_diag``, one
-stacked product), one store per machine of the Gram columns X'x_j/n its
-fits have needed so far (``columns``, ``_kernels.GramColumns``), the
-oracle's pooled Gram, and the round-two operands met so far. In
-fixed-design mode it also holds the PCG64 seed words of every machine's
-noise stream for replications 0 to ``reps`` - 1 (``noise_states``),
-formed in one seeding pass (``datagen._stream_states``); in redraw mode a
-point serves one replication, which forms its own, as does any
+machines' precision estimates as one block-diagonal matrix (``omega``,
+``debias.block_diagonal``), sigma sqrt(c_kk) of their sandwich diagonals,
+checked once, the denominator of every replication's standardization
+(``xi_scale``, ``debias.noise_scale``), the diagonals of their X'X/n
+(``gram_diag``, one stacked product), one store per machine of the Gram
+columns X'x_j/n its fits have needed so far (``columns``,
+``_kernels.GramColumns``), the oracle's pooled Gram (``oracle_gram``: the
+machine-order ``fusion.sum_rows`` of the machines' X_S'X_S on the true
+support, the stacked product ``_restricted_grams`` that ``gram_exact``
+round two sends), and the round-two operands met so far. The precision
+estimates and sandwich diagonals themselves stay ``materialize``'s
+locals. In fixed-design mode it also holds the PCG64 seed words of every
+machine's noise stream for replications 0 to ``reps`` - 1
+(``noise_states``), formed in one seeding pass
+(``datagen._stream_states``); in redraw mode a point serves one replication, which forms its own, as does any
 replication the point does not hold. A replication (``_rep_fits``) then
 computes only what depends on its noise, as one batched pass over the
 prefix where the arithmetic is the same on every machine: the (M, n)
@@ -354,7 +357,6 @@ class PointState:
     design: DesignState
     n: int
     M: int
-    r: float
     sigma: float
     tau: float
     lam: float
@@ -364,15 +366,17 @@ class PointState:
     # (M, d) diagonals of the machines' X'X/n (``gram_diagonal``): the
     # lasso's column norms and its check that X is finite.
     gram_diag: np.ndarray
-    c_diag: np.ndarray  # (M, d)
-    # (M, d) sigma * sqrt(c_diag), checked once: the standardization's
-    # denominator (``debias.noise_scale``).
+    # (M, d) sigma * sqrt(c_kk) of the machines' sandwich diagonals, checked
+    # once: the standardization's denominator (``debias.noise_scale``).
     xi_scale: np.ndarray
-    omegas: list[SparseRows]
-    omega: SparseRows  # block_diagonal(omegas), for the stacked debiasing mat-vec
+    # The machines' precision estimates as one block-diagonal matrix
+    # (``debias.block_diagonal``), for the stacked debiasing mat-vec.
+    omega: SparseRows
     # One grow-only store of Gram columns X'x_j/n per machine, kept across
     # the point's replications and bounded together by GRAM_CACHE_BYTES.
     columns: list[GramColumns]
+    # (K, K) pooled X_S'X_S on the true support S: the machine-order sum of
+    # the machines' ``_restricted_grams``.
     oracle_gram: np.ndarray
     L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
     # (reps, M, 4) uint64 PCG64 seed words of every machine's noise stream
@@ -449,31 +453,19 @@ def materialize(
     sigma = spec.sigma_value(r)
     theta_min = theta_min_from_snr(spec.d, sigma, r, n, design.c_omega)
     theta_star = design.theta_unit * theta_min
+    X = design.X[:M, :n]
+    omegas = design.omegas[:M]
     if n == design.n_cal:
-        omegas = design.omegas[:M]
         c_diag = design.c_diag_cal[:M]
     else:
-        omegas, c_diag = [], np.empty((M, spec.d))
-        for m in range(M):
-            Xn = design.X[m][:n]
-            if config.precision_reuse:
-                omega = design.omegas[m]
-            else:
-                omega = estimate_precision(Xn, config.lam_omega_at(n)).omega_hat
-            omegas.append(omega)
-            c_diag[m] = sandwich_diag(omega, Xn)
-    S = design.support
-    oracle_gram = np.zeros((S.size, S.size))
-    for m in range(M):
-        Xsub = design.X[m][:n, S]
-        oracle_gram += Xsub.T @ Xsub
-    X = design.X[:M, :n]
+        if not config.precision_reuse:
+            omegas = [estimate_precision(Xm, config.lam_omega_at(n)).omega_hat for Xm in X]
+        c_diag = np.array([sandwich_diag(omega, Xm) for omega, Xm in zip(omegas, X)])
     budget = ColumnBudget(GRAM_CACHE_BYTES)
     return PointState(
         design=design,
         n=n,
         M=M,
-        r=r,
         sigma=sigma,
         tau=config.tau_at(r),
         lam=config.lam_at(n),
@@ -481,12 +473,10 @@ def materialize(
         theta_star=theta_star,
         x_theta=X @ theta_star,
         gram_diag=gram_diagonal(X),
-        c_diag=c_diag,
         xi_scale=noise_scale(c_diag, sigma),
-        omegas=omegas,
         omega=block_diagonal(omegas),
         columns=[GramColumns(spec.d, budget) for _ in range(M)],
-        oracle_gram=oracle_gram,
+        oracle_gram=fusion.sum_rows(_restricted_grams(X, design.support)),
         L=L if L is not None else config.resolved_L(),
         noise_states=(
             _stream_states(spec.base_seed, TAG_NOISE, range(config.reps), M) if config.fixed_design else None
@@ -570,7 +560,8 @@ def _tallies(round1: dict, d: int) -> dict:
     runs, else from its unsigned rule's. The unsigned rule beside a signed
     one sends the same index arrays without their signs, so its tally,
     which ``fusion.tally`` of its own messages would give, is the signed
-    tally's votes with zero sign sums.
+    tally's votes with zero sign sums (``VoteTally.unsigned``), sharing its
+    votes histogram.
     """
     tallies, by_selection = {}, {}
     # Signed rules first, so that each selection's one tally counts signs.
@@ -581,9 +572,7 @@ def _tallies(round1: dict, d: int) -> dict:
             t.votes.setflags(write=False)
             t.sign_sums.setflags(write=False)
         else:
-            zeros = np.zeros_like(t.votes)
-            zeros.setflags(write=False)
-            t = fusion.VoteTally(t.votes, zeros, t.contributing_machines)
+            t = t.unsigned()
         tallies[rule] = t
     return tallies
 
@@ -606,14 +595,22 @@ def _select_support(scheme, config, point, msgs, t):
     return None, fusion.select_vote_threshold(t, 2.0 * math.log(spec.d), use_signs=use_signs)
 
 
+def _restricted_grams(X: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The (M, k, k) Grams X_S'X_S of the machines of the (M, n, d) stack
+    ``X`` on ``support``, as one stacked product of the gathered (M, n, k)
+    restricted designs: row m equals machine m's own ``X_S.T @ X_S`` bit
+    for bit."""
+    X_S = X[:, :, support]
+    return X_S.swapaxes(1, 2) @ X_S
+
+
 def _round2_operand(config, point: PointState, support: np.ndarray) -> np.ndarray:
     """The read-only (M, k, k) design-only operand of round two on
     ``support`` for the point's machines: the inverse Gram (X_S'X_S)^-1
     under ``average``, from stacked certified Cholesky factors of X_S'X_S
     with a thin SVD for each machine whose certificate fails
     (``restricted_gram_inverse``), and the Gram X_S'X_S under
-    ``gram_exact``, from one stacked product (row m equals machine m's own
-    ``X_S.T @ X_S`` bit for bit).
+    ``gram_exact``, from one stacked product (``_restricted_grams``).
 
     It is formed once per point, rule and support, from the (M, n, k)
     restricted designs gathered then and dropped after, so no later request
@@ -626,12 +623,12 @@ def _round2_operand(config, point: PointState, support: np.ndarray) -> np.ndarra
     key = (config.second_round, support.tobytes())
     operand = point.round2.get(key)
     if operand is None:
-        X_S = point.design.X[: point.M, : point.n][:, :, support]
+        X = point.design.X[: point.M, : point.n]
         try:
             if config.second_round == "gram_exact":
-                operand = X_S.swapaxes(1, 2) @ X_S
+                operand = _restricted_grams(X, support)
             else:
-                operand = restricted_gram_inverse(X_S)
+                operand = restricted_gram_inverse(X[:, :, support])
             operand.setflags(write=False)
         except ValueError as exc:
             operand = exc
@@ -893,7 +890,7 @@ def check_grid(config: ExperimentConfig, sweep_axis: str, grid: list, schemes: l
         if sweep_axis == "L":
             _check_L(int(value), spec, known)
         else:
-            spec.with_(**{sweep_axis: value})
+            spec.with_(**{sweep_axis: value if sweep_axis == "r" else int(value)})
 
 
 def _design_at(config: ExperimentConfig, sweep_axis: str, value, rep: int = 0) -> DesignState:

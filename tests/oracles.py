@@ -222,25 +222,29 @@ def loop_shards(spec, rep=0, n=None):
     return np.array(slabs)
 
 
-def loop_rep_fits(point, rep):
+def loop_rep_fits(config, point, rep):
     """Round one machine by machine, as ``harness._rep_fits`` computed it
     before its stacked pass: noise, response, X'y/n, lasso, debiasing and
     standardization, each a separate call per machine. Each machine
     debiases with the X'(y - X theta_tilde)/n of its own fit, the solver's
-    last gradient, and keeps its own X'y, the product ``y @ X``. The bitwise
-    reference for the stacked pass; do not batch it. Each fit reads its
-    machine's column store on the point, so after a stacked pass it reads
-    the Gram columns that pass formed, as a later replication of the point
-    would. Returns
-    what ``_rep_fits`` returns, (theta_tilde, theta_hat, xi, converged,
-    sweeps, kkt, xty, Y), each stacked from the per-machine results."""
+    last gradient, and keeps its own X'y, the product ``y @ X``. Its
+    precision estimate is the design's when the point reuses it (at n_cal,
+    or under ``config.precision_reuse``), else the nodewise estimate of its
+    first n rows, and its sandwich diagonal is formed from those rows. The
+    bitwise reference for the stacked pass; do not batch it. Each fit reads
+    its machine's column store on the point, so after a stacked pass it
+    reads the Gram columns that pass formed, as a later replication of the
+    point would. Returns what ``_rep_fits`` returns, (theta_tilde,
+    theta_hat, xi, converged, sweeps, kkt, xty, Y), each stacked from the
+    per-machine results."""
     from votelasso.datagen import TAG_NOISE, stream
-    from votelasso.debias import noise_scale, standardize
+    from votelasso.debias import estimate_precision, noise_scale, sandwich_diag, standardize
     from votelasso.lasso import fit_lasso
 
     design = point.design
     spec = design.spec
     n, sigma = point.n, point.sigma
+    reuse = n == design.n_cal or config.precision_reuse
     rows = []
     for m in range(point.M):
         X = design.X[m][:n]
@@ -250,10 +254,24 @@ def loop_rep_fits(point, rep):
         theta_t, sweeps, kkt, conv, grad = (
             fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged, fit.gradient
         )
-        theta_h = theta_t + point.omegas[m].matvec(grad)
-        xi = standardize(theta_h, noise_scale(point.c_diag[m], sigma), n)
+        omega = design.omegas[m] if reuse else estimate_precision(X, config.lam_omega_at(n)).omega_hat
+        theta_h = theta_t + omega.matvec(grad)
+        xi = standardize(theta_h, noise_scale(sandwich_diag(omega, X), sigma), n)
         rows.append((theta_t, theta_h, xi, bool(conv), int(sweeps), float(kkt), y @ X, y))
     return tuple(np.array(column) for column in zip(*rows))
+
+
+def loop_oracle_gram(point):
+    """The oracle's pooled Gram on the true support S accumulated from
+    zeros one machine at a time, each machine's X_S'X_S its own product
+    ``Xsub.T @ Xsub``, as ``harness.materialize`` formed it before it summed
+    the stacked Grams. The bitwise reference for that sum; do not batch it."""
+    S = point.design.support
+    gram = np.zeros((S.size, S.size))
+    for m in range(point.M):
+        Xsub = point.design.X[m][: point.n, S]
+        gram += Xsub.T @ Xsub
+    return gram
 
 
 def loop_oracle_error(point, ys):

@@ -62,6 +62,25 @@ class TestProblemSpec:
             _spec(M=1, n=4).with_(M=1, n=2)
         assert _spec(K=5, M=1, n=5).n == 5 and _spec(K=5, M=2, n=3).M == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("base_seed", 1.5), ("base_seed", 7.0), ("base_seed", True), ("n", 30.5), ("n", 50.0),
+         ("d", 40.0), ("K", 2.0), ("M", True), ("M", False), ("K", np.float64(3.0)), ("d", "20")],
+    )
+    def test_sizes_and_seed_must_be_integers(self, field, value):
+        # A float, even a whole one, or a bool is refused at construction
+        # and by with_, naming the field, before it can be truncated into a
+        # seed or fail later inside the design draw.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            _spec(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            _spec().with_(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = _spec(d=np.int64(20), K=np.int32(3), M=np.uint8(4), n=np.int64(50), base_seed=np.uint64(7))
+        assert spec == _spec()
+        assert np.array_equal(sample_shards(spec), sample_shards(_spec()))
+
     def test_sigma_from_r(self):
         assert _spec(r=0.25).sigma_value() == pytest.approx(2.0)
         assert _spec(sigma=3.0).sigma_value() == 3.0

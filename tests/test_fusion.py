@@ -101,6 +101,21 @@ class TestTally:
         with pytest.raises(ValueError, match="1 signs for 2 indices"):
             tally([msg], d=4)
 
+    def test_unsigned_twin_is_the_tally_of_the_unsigned_messages(self, rng):
+        # The tally of the same index sets without their signs, sharing the
+        # signed tally's votes and histogram.
+        for _ in range(50):
+            d, M = int(rng.integers(2, 21)), int(rng.integers(1, 8))
+            sets = [np.sort(rng.choice(d, size=int(rng.integers(0, d + 1)), replace=False)) for _ in range(M)]
+            signed = tally([_signed_msg(m, [(i, int(rng.choice([-1, 1]))) for i in idx]) for m, idx in enumerate(sets)], d)
+            want = tally([_idx_msg(m, idx) for m, idx in enumerate(sets)], d)
+            twin = signed.unsigned()
+            assert twin.votes is signed.votes and twin.contributing_machines == want.contributing_machines == M
+            assert twin.sign_sums.dtype == np.int64 and not twin.sign_sums.flags.writeable
+            assert np.array_equal(twin.sign_sums, want.sign_sums)
+            assert twin.votes_histogram is signed.votes_histogram
+            assert twin.votes_histogram == want.votes_histogram
+
 
 def _faulty(kind, machine, d):
     """A message from ``machine`` that fails the named check of ``tally``."""

@@ -10,7 +10,7 @@ import pytest
 
 from votelasso import fusion, harness, lasso, protocol
 from votelasso.datagen import ProblemSpec, make_theta_star, sample_noise, sample_responses, sample_shards
-from votelasso.debias import debias, estimate_precision, noise_scale, sandwich_diag, standardize
+from votelasso.debias import SparseRows, debias, estimate_precision, noise_scale, sandwich_diag, standardize
 from votelasso.harness import (
     SCHEMES,
     ExperimentConfig,
@@ -29,6 +29,7 @@ from oracles import (
     dense_rows,
     loop_aggregate,
     loop_oracle_error,
+    loop_oracle_gram,
     loop_rep_fits,
     loop_round1_messages,
     loop_second_round,
@@ -547,6 +548,32 @@ class TestOneTallyPerSelection:
                 for r in recs:
                     assert _untimed(r) == loop[r.scheme], (subset, r.scheme)
 
+    def test_unsigned_twins_share_the_signed_histograms(self, small_design, monkeypatch):
+        # A six-scheme replication forms one votes histogram per selection:
+        # each unsigned rule's tally holds its signed rule's histogram
+        # object. Its records' histograms are those of the tallies of their
+        # own messages.
+        cfg, design = small_design
+        point = materialize(design, cfg)
+        kept = []
+        tallies = harness._tallies
+
+        def keeping(round1, d):
+            kept.append((round1, tallies(round1, d)))
+            return kept[-1][1]
+
+        monkeypatch.setattr(harness, "_tallies", keeping)
+        for rep in range(3):
+            records = run_point_rep(point, cfg, list(SCHEMES), rep)
+            messages, t = kept[-1]
+            for unsigned, signed in (("thresh_votes", "thresh_signs"), ("top_L_votes", "top_L_signs")):
+                assert t[unsigned].votes_histogram is t[signed].votes_histogram
+            assert len({id(tally.votes_histogram) for tally in t.values()}) == 2
+            for rec in records:
+                rule = {"bnm21": "thresh_votes"}.get(rec.scheme, rec.scheme)
+                want = {} if rule == "avg_deblasso" else fusion.tally(messages[rule], cfg.spec.d).votes_histogram
+                assert rec.fusion_log["votes_histogram"] == want
+
 
 @pytest.fixture
 def factor_calls(monkeypatch):
@@ -658,6 +685,22 @@ class TestRoundTwoFactors:
         # The one cache holds X_S'X_S instead (TestRoundTwoGrams).
         supports = _round2_supports(recs)
         assert set(point.round2) == {("gram_exact", np.array(S, dtype=np.int64).tobytes()) for S in supports}
+
+
+class TestOracleGram:
+    """The oracle's pooled Gram is the machine-order sum of the stacked
+    Grams X_S'X_S that ``gram_exact`` round two sends on the true support."""
+
+    @pytest.mark.parametrize("n, M", [(None, None), (30, None), (None, 5), (30, 1)])
+    def test_equals_the_per_machine_loop_and_the_gram_exact_operand(self, small_design, n, M):
+        cfg, design = small_design
+        cfg = cfg.with_(second_round="gram_exact")
+        point = materialize(design, cfg, n=n, M=M)
+        assert (point.n < design.n_cal) == (n is not None) and (point.M < design.m_cal) == (M is not None)
+        assert _same_bits(point.oracle_gram, loop_oracle_gram(point))
+        operand = harness._round2_operand(cfg, point, design.support)
+        assert operand.shape == (point.M, cfg.spec.K, cfg.spec.K)
+        assert _same_bits(point.oracle_gram, fusion.sum_rows(operand))
 
 
 class TestCertifiedRoundTwoFactors:
@@ -1064,6 +1107,17 @@ class TestRunSweep:
         res = run_sweep(cfg.with_(reps=1), "L", [3.0, 4.0], schemes=["top_L_votes"], design=design)
         assert [len(rec["S_hat"]) for rec in res.records] == [3, 3]
 
+    def test_whole_float_n_grid_values_run(self, small_design):
+        # ProblemSpec takes only integer sizes, so a whole float n reaches
+        # it as an int: the records are those of the int grid.
+        cfg, design = small_design
+        cfg = cfg.with_(reps=2)
+        floats = run_sweep(cfg, "n", [30.0, 50.0], schemes=list(SCHEMES), design=design).records
+        ints = run_sweep(cfg, "n", [30, 50], schemes=list(SCHEMES), design=design).records
+        assert [rec["value"] for rec in floats] == [30.0] * 12 + [50.0] * 12
+        untimed = lambda r: {k: v for k, v in r.items() if k not in TIMING_FIELDS + ("value",)}
+        assert [untimed(r) for r in floats] == [untimed(r) for r in ints]
+
     @pytest.mark.parametrize("axis, grid", [("n", [20.7, 30]), ("M", [1.5, 2]), ("L", [3, 4.5])])
     def test_fractional_integer_axis_values_rejected(self, small_design, axis, grid):
         cfg, design = small_design
@@ -1100,10 +1154,8 @@ class TestRoundOnePaths:
         theta_warm, _, xi_warm, conv_warm, *_, ys = _rep_fits(point, rep=1)
         theta_cold, _, xi_cold, conv_cold, *_, ys_cold = _rep_fits(materialize(design, cfg), rep=1)
         rows = estimate_precision(design.X[0], design.lam_omega).omega_hat
-        stored = point.omegas[0]
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(rows, name), getattr(stored, name))
-        assert np.array_equal(point.c_diag[0], sandwich_diag(stored, design.X[0]))
+        assert _same_rows(_machine_rows(point, 0), rows)
+        assert _same_bits(point.xi_scale[0], noise_scale(sandwich_diag(rows, design.X[0]), point.sigma))
         assert np.array_equal(ys, ys_cold) and theta_warm.any()
         assert np.array_equal(theta_warm != 0, theta_cold != 0)
         assert np.abs(xi_warm - xi_cold).max() <= 1e-8
@@ -1111,22 +1163,47 @@ class TestRoundOnePaths:
 
     def test_below_n_cal_sandwich_matches_dense_product(self):
         # Below the calibration size the sandwich comes from the first n
-        # rows, for reused and for refitted precision rows alike.
+        # rows, for reused and for refitted precision rows alike; the rows
+        # are the design's under reuse and the first n rows' own estimate
+        # otherwise.
         for reuse in (True, False):
             cfg = _config(d=50, M=3, n=40, precision_reuse=reuse)
             design = build_design(cfg)
             point = materialize(design, cfg, n=25)
             for m in range(3):
                 X = design.X[m][:25]
-                omega = dense_rows(point.omegas[m])
+                rows = _machine_rows(point, m)
+                refit = estimate_precision(X, cfg.lam_omega_at(25)).omega_hat
+                assert _same_rows(rows, design.omegas[m] if reuse else refit)
+                assert _same_rows(rows, design.omegas[m]) == reuse
+                omega = dense_rows(rows)
                 dense = np.einsum("ij,ij->i", omega @ (X.T @ X / 25), omega)
-                assert np.abs(point.c_diag[m] / dense - 1.0).max() <= 1e-12
-                assert (point.omegas[m] is design.omegas[m]) == reuse
+                c_diag = (point.xi_scale[m] / point.sigma) ** 2
+                assert np.abs(c_diag / dense - 1.0).max() <= 1e-12
 
 
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _machine_rows(point, m):
+    """Machine m's d x d precision rows, cut out of the point's
+    block-diagonal ``omega``."""
+    d = point.design.spec.d
+    indptr = point.omega.indptr[m * d : (m + 1) * d + 1]
+    lo, hi = indptr[0], indptr[-1]
+    return SparseRows(indptr - lo, point.omega.indices[lo:hi] - m * d, point.omega.data[lo:hi])
+
+
+def _same_rows(a, b) -> bool:
+    """The same sparsity pattern and the same stored bits; the index
+    arrays' dtypes may differ."""
+    return (
+        np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and _same_bits(a.data, b.data)
+    )
 
 
 class TestStackedRoundOne:
@@ -1137,10 +1214,10 @@ class TestStackedRoundOne:
     LAM = dict(lam=0.1)
 
     @staticmethod
-    def _assert_matches_loop(point, reps=(0, 3)):
+    def _assert_matches_loop(config, point, reps=(0, 3)):
         for rep in reps:
             fits = _rep_fits(point, rep)
-            ref_fits = loop_rep_fits(point, rep)
+            ref_fits = loop_rep_fits(config, point, rep)
             names = ("theta_tilde", "theta_hat", "xi", "converged", "sweeps", "kkt", "xty", "Y")
             assert len(fits) == len(ref_fits) == len(names)
             ys, ref_ys = fits[-1], ref_fits[-1]
@@ -1154,9 +1231,10 @@ class TestStackedRoundOne:
 
     def test_at_n_cal(self, small_design):
         cfg, design = small_design
-        point = materialize(design, cfg.with_(**self.LAM))
+        cfg = cfg.with_(**self.LAM)
+        point = materialize(design, cfg)
         assert point.n == design.n_cal
-        self._assert_matches_loop(point)
+        self._assert_matches_loop(cfg, point)
 
     @pytest.mark.parametrize("reuse", [True, False])
     def test_covariance_free_branch_below_n_cal(self, reuse):
@@ -1164,14 +1242,15 @@ class TestStackedRoundOne:
         design = build_design(cfg)
         point = materialize(design, cfg, n=25)
         assert point.n < design.n_cal
-        self._assert_matches_loop(point)
+        self._assert_matches_loop(cfg, point)
 
     @pytest.mark.parametrize("M", [3, 1])
     def test_machine_prefix(self, small_design, M):
         cfg, design = small_design
-        point = materialize(design, cfg.with_(**self.LAM), M=M)
+        cfg = cfg.with_(**self.LAM)
+        point = materialize(design, cfg, M=M)
         assert point.M < design.m_cal
-        self._assert_matches_loop(point)
+        self._assert_matches_loop(cfg, point)
 
     @pytest.mark.parametrize("n, lam", [(None, 1.3), (30, 1.8)])
     def test_zero_and_nonzero_fits_in_one_replication(self, small_design, n, lam):
@@ -1179,14 +1258,15 @@ class TestStackedRoundOne:
         # column; the others read their machine's column store. Both kinds
         # must match the loop, at n_cal and below it.
         cfg, design = small_design
-        point = materialize(design, cfg.with_(lam=lam), n=n)
+        cfg = cfg.with_(lam=lam)
+        point = materialize(design, cfg, n=n)
         assert (point.n == design.n_cal) == (n is None)
         for rep in (0, 3):
             live = _rep_fits(point, rep)[0].any(axis=1)
             assert live.any() and not live.all()
             kept = np.array([store.kept for store in point.columns])
             assert (kept[live] > 0).all()
-        self._assert_matches_loop(point)
+        self._assert_matches_loop(cfg, point)
 
     def test_zero_fits_certified_from_the_replications_xty(self, monkeypatch):
         # Below n_cal as at it, a zero fit's certificate is read off its
@@ -1235,7 +1315,7 @@ class TestStackedRoundOne:
             assert not calls
             for m in range(point.M):
                 X = design.X[m][: point.n]
-                omega = dense_rows(point.omegas[m])
+                omega = dense_rows(_machine_rows(point, m))
                 want = naive_debias(X, Y[m], theta_t[m], omega)
                 assert np.abs(theta_h[m] - want).max() <= 1e-12, (rep, m)
                 cert = kkt_violation(X, Y[m], point.lam, theta_t[m])
@@ -1245,24 +1325,28 @@ class TestStackedRoundOne:
                     assert kkt[m] == cert, (rep, m)
 
     @staticmethod
-    def _assert_block_matches_machines(point, rng):
+    def _assert_block_matches_machines(point, omegas, rng):
+        # The block-diagonal mat-vec gives each machine's own bits.
         v = rng.standard_normal((point.M, point.design.spec.d))
         out = point.omega.matvec(v.ravel()).reshape(v.shape)
+        assert len(omegas) == point.M
         for m in range(point.M):
-            assert _same_bits(out[m], point.omegas[m].matvec(v[m]))
+            assert _same_rows(_machine_rows(point, m), omegas[m])
+            assert _same_bits(out[m], omegas[m].matvec(v[m]))
 
     def test_block_diagonal_omega_at_machine_prefix(self, small_design, rng):
         cfg, design = small_design
         point = materialize(design, cfg, M=5)
-        assert point.M < design.m_cal and point.omegas == design.omegas[:5]
-        self._assert_block_matches_machines(point, rng)
+        assert point.M < design.m_cal
+        self._assert_block_matches_machines(point, design.omegas[:5], rng)
 
     def test_block_diagonal_omega_below_n_cal_without_reuse(self, rng):
         cfg = _config(d=50, M=4, n=40, precision_reuse=False)
         design = build_design(cfg)
         point = materialize(design, cfg, n=25)
-        assert all(a is not b for a, b in zip(point.omegas, design.omegas))
-        self._assert_block_matches_machines(point, rng)
+        refits = [estimate_precision(X[:25], cfg.lam_omega_at(25)).omega_hat for X in design.X]
+        assert not any(_same_rows(a, b) for a, b in zip(refits, design.omegas))
+        self._assert_block_matches_machines(point, refits, rng)
 
     def test_oracle_sum_over_one_support_column(self):
         # With |S| = 1 a NumPy axis-0 sum over 12 machines adds pairwise;
