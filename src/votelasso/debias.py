@@ -21,9 +21,13 @@ takes 0.15 MB instead of 200 MB. The debiasing step (all machines of a
 replication at once, stacked along a leading axis) is one sparse mat-vec
 over the block diagonal of the machines' estimates (``block_diagonal``),
 applied to the X'(y - X theta_tilde)/n that each machine's lasso solver
-ended on. The sandwich variance (Omega_hat Sigma_hat Omega_hat')_ii is
-computed row by row as ||X omega_i||^2 / n from the design columns of row
-i's nonzeros, without a Gram matrix.
+ended on. The mat-vec is one weighted ``np.bincount`` of the entrywise
+products by row, which adds each row's few products in stored order; the
+row of every stored entry is formed on a matrix's first mat-vec and kept
+with it, so a grid point's block diagonal forms it once. The sandwich
+variance (Omega_hat Sigma_hat Omega_hat')_ii is computed row by row as
+||X omega_i||^2 / n from the design columns of row i's nonzeros, without a
+Gram matrix.
 
 The residual scale is tau_i^2 = ||x_i - X_{-i} g_i||^2 / n + lam * ||g_i||_1,
 the tau-hat^2 of van de Geer, Buhlmann, Ritov and Dezeure (2014, Ann.
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +84,16 @@ class SparseRows:
         ``(rows != 0).sum()`` is the number of nonzeros."""
         return self.data != other
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The row of each stored entry, formed by the first ``matvec``."""
+        return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """The product with a vector."""
-        return np.add.reduceat(self.data * v[self.indices], self.indptr[:-1])
+        """The product with a vector, as one weighted ``np.bincount`` over
+        the stored entries: each row adds its products one after another in
+        stored order, from 0.0, the order a loop over the row would take."""
+        return np.bincount(self._rows, weights=self.data * v[self.indices], minlength=self.indptr.size - 1)
 
 
 @dataclass
@@ -202,7 +214,9 @@ def block_diagonal(omegas: list[SparseRows]) -> SparseRows:
 
     Its mat-vec with a flattened (M, d) array is every machine's mat-vec
     with its own row in one pass; each output entry sums the same products
-    in the same order as ``omegas[m].matvec``, so the bits agree.
+    in the same stored order, from 0.0, as ``omegas[m].matvec``, so the
+    bits agree. Its row of each stored entry is formed on its first
+    mat-vec, once for all the replications that share it.
     """
     d = omegas[0].indptr.size - 1
     counts = np.array([omega.indices.size for omega in omegas])

@@ -98,12 +98,13 @@ point, rule and support, formed for all M machines from one gather of the
 restricted designs X[:M, :n][:, :, S] the first time a replication selects
 S under that rule (``_round2_operand``); the gathered designs are dropped
 afterwards. The Grams are one stacked product; the inverse Grams come from
-the Cholesky factors of those products, each certified well conditioned,
-and a machine's thin SVD runs only when its certificate fails
-(``lasso.restricted_gram_inverse``). A rank-deficient support's
-ValueError is kept the same way. Every ``materialize`` starts with an empty
-cache and empty column stores, so each ``run_sweep`` call, each grid point
-and, in redraw mode, each replication starts cold.
+one LAPACK inverse of the stack of those products, each certified well
+conditioned by ||G||_F ||G^-1||_F, and a machine's thin SVD runs only when
+its certificate fails (``lasso.restricted_gram_inverse``). A
+rank-deficient support's ValueError is kept the same way. Every
+``materialize`` starts with an empty cache and empty column stores, so each
+``run_sweep`` call, each grid point and, in redraw mode, each replication
+starts cold.
 
 The tuning quantities (vote threshold, lasso and nodewise penalties) are
 each one ``ExperimentConfig`` field, a rule name or a number, resolved at
@@ -607,9 +608,9 @@ def _restricted_grams(X: np.ndarray, support: np.ndarray) -> np.ndarray:
 def _round2_operand(config, point: PointState, support: np.ndarray) -> np.ndarray:
     """The read-only (M, k, k) design-only operand of round two on
     ``support`` for the point's machines: the inverse Gram (X_S'X_S)^-1
-    under ``average``, from stacked certified Cholesky factors of X_S'X_S
-    with a thin SVD for each machine whose certificate fails
-    (``restricted_gram_inverse``), and the Gram X_S'X_S under
+    under ``average``, from one inverse of the stacked X_S'X_S, certified
+    matrix by matrix, with a thin SVD for each machine whose certificate
+    fails (``restricted_gram_inverse``), and the Gram X_S'X_S under
     ``gram_exact``, from one stacked product (``_restricted_grams``).
 
     It is formed once per point, rule and support, from the (M, n, k)
@@ -690,10 +691,11 @@ def run_point_rep(
        selection reads that rule's tally;
     3. each scheme's support selection (``_select_support``);
     4. round two, once per distinct nonempty support that a two-round scheme
-       selected, unless ``second_round`` is "none". Its estimate is
-       read-only; a ValueError (a singular system) fails round two for every
+       selected, unless ``second_round`` is "none", with the l2 error of its
+       estimate; a ValueError (a singular system) fails round two for every
        scheme that selected that support;
-    5. each scheme's record.
+    5. each scheme's record, which reads the F-measure of its S_hat from
+       one ``f_measure`` call per distinct S_hat.
 
     Every record carries the time of steps 1, 2 and 4 as ``shared_time``
     and that of its own scheme's steps 3 and 5 as ``wall_time``.
@@ -701,11 +703,8 @@ def run_point_rep(
     d = config.spec.d
     start = time.perf_counter()
     _, theta_hat, xi, converged, sweeps, kkt, xty, _ = _rep_fits(point, rep)
-    solver = RepFlags(
-        nonconverged_fits=int((~converged).sum()),
-        max_sweeps=int(sweeps.max()),
-        max_kkt=float(kkt.max()),
-    )
+    # The solver's RepFlags fields, nonconverged_fits, max_sweeps and max_kkt.
+    solver = int((~converged).sum()), int(sweeps.max()), float(kkt.max())
     l2_oracle = _oracle_error(point, xty)
     messages, selections = {}, {}
     for rule in dict.fromkeys(_ROUND1_RULE.get(s, s) for s in schemes):
@@ -722,38 +721,42 @@ def run_point_rep(
         own.append(time.perf_counter() - start)
 
     start = time.perf_counter()
-    round2 = {}  # support bytes -> (theta_hat, total bits), or None if it failed
+    round2 = {}  # support bytes -> (l2 error, total bits), or None if it failed
     for s, (_, est) in zip(schemes, selected):
         key = est.indices.tobytes()
         if config.second_round == "none" or s == "avg_deblasso" or not est.indices.size or key in round2:
             continue
         try:
             theta, bits = _second_round(config, point, xty, est.indices)
-            theta.setflags(write=False)
-            round2[key] = theta, bits
+            round2[key] = _l2(theta - point.theta_star), bits
         except ValueError:
             round2[key] = None
     shared += time.perf_counter() - start
 
-    records = []
+    records, scores = [], {}  # scores: S_hat bytes -> (F, precision, recall)
+    zero_l2 = _l2(point.theta_star)  # the zero estimate's l2 error, bit for bit
     for s, (theta_avg, est), seconds in zip(schemes, selected, own):
         start = time.perf_counter()
         _, bits_r1, t = round1[_ROUND1_RULE.get(s, s)]
-        flags = replace(solver)
         S_hat = est.indices
-        theta, bits_r2 = np.zeros(d), 0
+        key = S_hat.tobytes()
+        l2, bits_r2, failed = zero_l2, 0, False
         if S_hat.size == 0:
-            flags.empty_support = True
+            pass  # the zero estimate
         elif s == "avg_deblasso":
             # Single-round scheme: the estimate is the truncated average.
+            theta = np.zeros(d)
             theta[S_hat] = theta_avg[S_hat]
+            l2 = _l2(theta - point.theta_star)
         elif config.second_round == "none":
-            theta = None
-        elif round2[S_hat.tobytes()] is None:
-            flags.round2_failed = True
+            l2 = None
+        elif round2[key] is None:
+            failed = True
         else:
-            theta, bits_r2 = round2[S_hat.tobytes()]
-        f, prec, rec = f_measure(S_hat, point.design.support)
+            l2, bits_r2 = round2[key]
+        if key not in scores:
+            scores[key] = f_measure(S_hat, point.design.support)
+        f, prec, rec = scores[key]
         bits_r1_total = sum(bits_r1)
         records.append(
             ExperimentRecord(
@@ -763,7 +766,7 @@ def run_point_rep(
                 f_measure=f,
                 precision=prec,
                 recall=rec,
-                l2_error=None if theta is None else _l2(theta - point.theta_star),
+                l2_error=l2,
                 l2_error_oracle=l2_oracle,
                 bits_round1_per_machine=list(bits_r1),
                 bits_round1_total=bits_r1_total,
@@ -771,7 +774,7 @@ def run_point_rep(
                 lam=point.lam,
                 wall_time=seconds + time.perf_counter() - start,
                 shared_time=shared,
-                flags=flags,
+                flags=RepFlags(S_hat.size == 0, *solver, failed),
                 fusion_log=fusion.fusion_log_record(s, est, t, point.tau, bits_r1_total),
             )
         )

@@ -29,12 +29,13 @@ machine's own fit bit for bit.
 The fit also returns the undivided X'y it formed (``LassoFit.xty``), so a
 machine's round-two X_S'y on a broadcast support S is its column S, with no
 new pass over X. Restricted least squares, the round-two fit on S, is
-``restricted_gram_inverse(X_S) @ xty[S]``. The inverse Gram comes from the
-Cholesky factor L of X_S'X_S when L certifies X_S well conditioned, and
-from a thin SVD of X_S, which makes the rank decision, when it does not; a
-caller that solves many responses on the same columns (every replication of
-a fixed design) factors them once. Both helpers accept a stack of designs,
-and each matrix of a stack gets the same bits as it would alone.
+``restricted_gram_inverse(X_S) @ xty[S]``. The inverse Gram of every matrix
+of a stack comes from one LAPACK inverse of the stacked X_S'X_S, kept where
+||G||_F ||G^-1||_F certifies X_S well conditioned, and from a thin SVD of
+X_S, which makes the rank decision, where it does not; a caller that solves
+many responses on the same columns (every replication of a fixed design)
+inverts them once. Both helpers accept a stack of designs, and each matrix
+of a stack gets the same bits as it would alone.
 """
 
 from __future__ import annotations
@@ -225,10 +226,12 @@ def fit_lasso_gram(
     return W, u, int(sweeps.sum()), kkt, bool(converged.all() and kkt <= KKT_TOL)
 
 
-# The largest ||L||_F ||L^-1||_F that certifies a Cholesky factor L of
-# X_S'X_S. It bounds cond2(X_S), far below the lstsq rank cutoff
-# 1/(eps max(n, k)) (2e13 at n = 200), and the certified inverse's relative
-# error, which grows as cond2(X_S)^2 eps, stays below about 2e-10.
+# A computed inverse of G = X_S'X_S is certified when ||G||_F ||G^-1||_F is
+# at most CERTIFIED_COND^2. The product bounds cond2(G) = cond2(X_S)^2 from
+# above and never exceeds trace(G) trace(G^-1), so a certified X_S has
+# cond2(X_S) <= 1e3: far below the lstsq rank cutoff 1/(eps max(n, k))
+# (2e13 at n = 200), and the certified inverse's relative error, which grows
+# as cond2(X_S)^2 eps, stays below about 2e-10.
 CERTIFIED_COND = 1e3
 
 
@@ -237,15 +240,17 @@ def restricted_gram_inverse(X_S: np.ndarray) -> np.ndarray:
 
     ``X_S`` is (n, k) or stacked (..., n, k); the result is (k, k) or
     (..., k, k). Each matrix's Gram G = X_S'X_S comes from one stacked
-    product, and its Cholesky factor G = LL' gives L^-T L^-1 when
-    ||L||_F ||L^-1||_F, an upper bound on cond2(X_S), is at most
-    ``CERTIFIED_COND``: such a matrix is full rank with a wide margin. Every
-    other matrix (its Cholesky fails, the bound is larger, or it holds a NaN
-    or inf) gets the thin SVD X_S = U diag(s) V' and V diag(1/s^2) V',
-    which applies the rank rule: the default cutoff of NumPy's least-squares
-    solver, full rank when the smallest singular value exceeds
-    eps * max(n, k) times the largest. Raises ValueError unless every
-    matrix is full rank.
+    product and its inverse from one ``np.linalg.inv`` of the stack (matrix
+    by matrix only when the stack raises, NaN for a matrix that does), kept
+    when ||G||_F ||G^-1||_F, an upper bound on cond2(X_S)^2, is at most
+    ``CERTIFIED_COND``^2: such a matrix is full rank with a wide margin.
+    The Frobenius norms count every computed eigenvalue by magnitude, so a
+    singular G whose computed eigenvalues straddle zero is not certified.
+    Every other matrix (the bound is larger, or it holds a NaN or inf) gets
+    the thin SVD X_S = U diag(s) V' and V diag(1/s^2) V', which applies the
+    rank rule: the default cutoff of NumPy's least-squares solver, full rank
+    when the smallest singular value exceeds eps * max(n, k) times the
+    largest. Raises ValueError unless every matrix is full rank.
     """
     X_S = np.ascontiguousarray(X_S, dtype=np.float64)
     n, k = X_S.shape[-2:]
@@ -256,29 +261,22 @@ def restricted_gram_inverse(X_S: np.ndarray) -> np.ndarray:
     stack = X_S.reshape(-1, n, k)
     with np.errstate(all="ignore"):  # a NaN, inf or overflow fails the certificate
         G = stack.swapaxes(1, 2) @ stack
-        inv = _cholesky_inverse(G)
-        # (||L||_F ||L^-1||_F)^2 = trace(G) trace(L^-T L^-1).
-        bound_sq = np.trace(G, axis1=1, axis2=2) * np.trace(inv, axis1=1, axis2=2)
-        certified = bound_sq <= CERTIFIED_COND**2
+        try:
+            inv = np.linalg.inv(G)
+        except np.linalg.LinAlgError:
+            # One singular matrix raises for the whole stack: redo it matrix by matrix.
+            inv = np.full_like(G, np.nan)
+            for m in range(len(G)):
+                try:
+                    inv[m] = np.linalg.inv(G[m])
+                except np.linalg.LinAlgError:
+                    pass
+        # (||G||_F ||G^-1||_F)^2 against CERTIFIED_COND^4.
+        bound_sq = (G * G).sum(axis=(1, 2)) * (inv * inv).sum(axis=(1, 2))
+        certified = bound_sq <= CERTIFIED_COND**4
     if not certified.all():
         inv[~certified] = _svd_gram_inverse(stack[~certified])
     return inv.reshape(X_S.shape[:-2] + (k, k))
-
-
-def _cholesky_inverse(G: np.ndarray) -> np.ndarray:
-    """L^-T L^-1 of each matrix of an (M, k, k) stack G = LL', NaN for a
-    matrix whose Cholesky factor or its inverse fails."""
-    try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(G))
-    except np.linalg.LinAlgError:
-        # One matrix's failure raises for the whole stack: redo it matrix by matrix.
-        L_inv = np.full_like(G, np.nan)
-        for m in range(len(G)):
-            try:
-                L_inv[m] = np.linalg.inv(np.linalg.cholesky(G[m]))
-            except np.linalg.LinAlgError:
-                pass
-    return L_inv.swapaxes(1, 2) @ L_inv
 
 
 def _svd_gram_inverse(X_S: np.ndarray) -> np.ndarray:

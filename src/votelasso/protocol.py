@@ -112,12 +112,15 @@ def _stack(scores) -> np.ndarray:
     return scores
 
 
+# int64 on every platform (NumPy 1.x on Windows defaults to int32), as
+# 0-d arrays: np.where takes them faster than NumPy scalars.
+_MINUS_ONE, _PLUS_ONE = np.array(-1, dtype=np.int64), np.array(1, dtype=np.int64)
+
+
 def _signs(values: np.ndarray) -> np.ndarray:
-    """-1 for a negative value, +1 otherwise (a zero sends +1), as int64;
-    the values are not NaN."""
-    signs = np.sign(values).astype(np.int64)
-    signs[signs == 0] = 1
-    return signs
+    """-1 for a negative value, +1 otherwise (a zero, -0.0 too, sends +1),
+    as int64; the values are not NaN."""
+    return np.where(values < 0, _MINUS_ONE, _PLUS_ONE)
 
 
 def select_threshold(xi: np.ndarray, tau: float) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -313,9 +313,51 @@ class TestDebias:
             assert np.abs(_debias_one(X, y, theta, est.omega_hat) - dense).max() <= 1e-12
 
 
+def _random_rows(rng, n_rows, n_cols, max_entries):
+    """Random CSR rows of 1 to ``max_entries`` entries each, at increasing
+    columns, with values spread over 16 decades so that the order of a row's
+    sum shows in its bits; narrow index types, as ``estimate_precision``
+    stores them."""
+    counts = rng.integers(1, max_entries + 1, n_rows)
+    indices = np.concatenate([np.sort(rng.choice(n_cols, c, replace=False)) for c in counts])
+    data = rng.standard_normal(indices.size) * 10.0 ** rng.integers(-8, 9, indices.size)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return SparseRows(
+        indptr=indptr.astype(np.min_scalar_type(indices.size)),
+        indices=indices.astype(np.min_scalar_type(n_cols - 1)),
+        data=data,
+    )
+
+
+class TestMatvec:
+    def test_equals_a_left_to_right_row_sum_bitwise(self, rng):
+        # Rows of 1 to 20 entries: past 8, NumPy's pairwise sum groups a
+        # row's products otherwise, and so differs from the loop somewhere.
+        pairwise_differs = False
+        for _ in range(30):
+            rows = _random_rows(rng, int(rng.integers(1, 40)), 25, 20)
+            v = rng.standard_normal(25) * 10.0 ** rng.integers(-4, 5, 25)
+            expected = []
+            for i in range(rows.indptr.size - 1):
+                total = 0.0
+                for j in range(int(rows.indptr[i]), int(rows.indptr[i + 1])):
+                    total += float(rows.data[j]) * float(v[rows.indices[j]])
+                expected.append(total)
+            assert rows.matvec(v).tobytes() == np.array(expected).tobytes()
+            pairwise = np.add.reduceat(rows.data * v[rows.indices], rows.indptr[:-1].astype(np.intp))
+            pairwise_differs |= pairwise.tobytes() != np.array(expected).tobytes()
+        assert pairwise_differs
+
+    def test_nbytes_counts_the_three_arrays_after_a_matvec(self, rng):
+        rows = _random_rows(rng, 30, 25, 5)
+        layout = rows.indptr.nbytes + rows.indices.nbytes + rows.data.nbytes
+        rows.matvec(rng.standard_normal(25))
+        assert rows.nbytes == layout
+
+
 class TestBlockDiagonal:
     def test_matvec_equals_each_blocks_own(self, rng):
-        # Rows of 1 to 40 entries, so long rows take NumPy's pairwise sum.
+        # Rows of 1 to 40 entries, long and short.
         d, omegas = 40, []
         for _ in range(4):
             dense = rng.standard_normal((d, d)) * (rng.random((d, d)) < rng.random((d, 1)))

@@ -473,6 +473,28 @@ class TestSharedWork:
             run_point_rep(point, cfg, subset, 0)
             assert calls["tally"] == 1, subset
 
+    @pytest.mark.parametrize("second_round", ["average", "gram_exact", "none"])
+    def test_one_f_measure_per_distinct_support(self, small_design, monkeypatch, second_round):
+        cfg, design = small_design
+        cfg = cfg.with_(second_round=second_round)
+        point = materialize(design, cfg)
+        for rep in (0, 1):
+            with _per_machine_loops(monkeypatch):
+                loop = [_untimed(r) for r in run_point_rep(point, cfg, list(SCHEMES), rep)]
+            scored = []
+
+            def counting(S_hat, S):
+                scored.append(S_hat.tolist())
+                return f_measure(S_hat, S)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(harness, "f_measure", counting)
+                recs = run_point_rep(point, cfg, list(SCHEMES), rep)
+            supports = [r.S_hat for r in recs]
+            assert sorted(scored) == sorted(map(list, {tuple(S) for S in supports}))
+            assert len(scored) < len(supports)
+            assert [_untimed(r) for r in recs] == loop
+
     def test_round2_failure_flags_every_scheme_with_that_support(self, small_design, monkeypatch):
         cfg, design = small_design
         point = materialize(design, cfg)

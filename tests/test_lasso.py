@@ -925,3 +925,39 @@ class TestCertifiedGramInverse:
             assert _raised(restricted_gram_inverse, X) == _raised(svd_gram_inverse, X)
         with pytest.raises(ValueError, match="^restricted design not full rank$"):
             restricted_gram_inverse(np.stack([rng.standard_normal((10, 3)), zero]))
+
+
+class TestFrobeniusCertificate:
+    """The inverse of X_S'X_S is certified by ||G||_F ||G^-1||_F, which
+    counts every computed eigenvalue by its magnitude."""
+
+    def test_gram_with_eigenvalues_straddling_zero_goes_to_the_svd(self, rng, svd_calls):
+        # Columns a, 3a, b, 3b, e: G is singular twice over, and rounding
+        # leaves its two smallest computed eigenvalues of either sign, so
+        # the huge entries of its computed inverse may cancel in the trace.
+        straddled = 0
+        for _ in range(20):
+            a, b, e = rng.standard_normal((3, 20))
+            X = np.column_stack([a, 3.0 * a, b, 3.0 * b, e])
+            G = X.T @ X
+            eig = np.linalg.eigvalsh(G)
+            try:
+                trace_bound = np.trace(G) * np.trace(np.linalg.inv(G))
+            except np.linalg.LinAlgError:
+                trace_bound = np.inf
+            # A trace certificate would pass this one.
+            straddled += bool(eig[0] < 0 < eig[1] and trace_bound <= lasso.CERTIFIED_COND**2)
+            svd_calls.clear()
+            assert _raised(restricted_gram_inverse, X) == (ValueError, "restricted design not full rank")
+            assert svd_calls == [(1, 20, 5)]
+        assert straddled
+
+    def test_bound_never_exceeds_the_trace_bound(self, rng):
+        for n, k in ((8, 1), (30, 5), (100, 12)):
+            Xs = rng.standard_normal((50, n, k)) * rng.uniform(0.1, 10.0, (50, 1, k))
+            G = Xs.swapaxes(1, 2) @ Xs
+            inv = restricted_gram_inverse(Xs)
+            frobenius = np.linalg.norm(G, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+            trace = np.trace(G, axis1=1, axis2=2) * np.trace(inv, axis1=1, axis2=2)
+            assert (frobenius <= trace * (1 + 1e-12)).all()
+            assert (trace <= lasso.CERTIFIED_COND**2).all()

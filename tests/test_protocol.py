@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from votelasso import protocol
 from votelasso.protocol import (
     DenseEstimate,
     GramSummary,
@@ -290,6 +291,14 @@ class TestStackedSelection:
         with pytest.raises(ValueError, match="machine 1: a NaN"):
             selected_signs(stack, idx)
         assert selected_signs(stack[:1], idx[:1]).tolist() == [[1, -1]]
+
+    def test_zeros_of_either_sign_send_plus_one_as_int64(self):
+        # int64 on every platform: NumPy 1.x on Windows defaults to int32.
+        values = np.array([0.0, -0.0, -1.5, 2.0])
+        assert np.signbit(values[1])
+        for signs in (protocol._signs(values), selected_signs(values[None], np.array([[0, 1, 2, 3]]))[0]):
+            assert signs.dtype == np.int64
+            assert signs.tolist() == [1, 1, -1, 1]
 
     @pytest.mark.parametrize("select", [lambda s: select_top_k(s, 1), lambda s: select_threshold(s, 1.0)])
     def test_stack_must_be_two_dimensional(self, select):
