@@ -111,7 +111,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
         "--sigma", type=_parse_sigma, default=None, help="noise level, or 'from_r' (default)"
     )
     p.add_argument("--seed", type=int, help="base seed")
-    p.add_argument("--paper-scale", action="store_true", help="use d=5000, n=250, reps=500 defaults")
+    p.add_argument("--paper-scale", action="store_true", help="use d=5000, n=250, M=100, K=5, reps=500 defaults")
     p.add_argument("--config", help="key = value file; flags override")
 
 

@@ -16,19 +16,19 @@ single machine's view is its row: the slab ``X[m]`` and the response row
 Only the streams are per machine. ``sample_shards`` fills each slab from
 its machine's stream and then runs the AR(1) column recursion once over
 the whole stack; ``sample_noise`` draws each machine's noise row from its
-own stream. Both position the machines' streams from one vectorized pass
-of SeedSequence's hash over all M entropy keys (``_standard_normal_rows``)
-instead of seeding M generators: the pass reproduces NumPy's SeedSequence
-and PCG64 seeding word for word, and the tests check every row against
-``stream``, which seeds through NumPy itself. The pass and the draw are
-two functions: ``_stream_states`` forms the PCG64 seed words of many
-replications' streams in one pass, and ``_draw_rows`` draws from any of
-them. The responses are X theta* + sigma W, and the noise W is the only
-part that changes between replications of a fixed design, so the harness
-forms X theta* and the noise streams' seed words of all replications once
-per grid point and draws each replication's W from its words, while
-``cli generate`` calls ``sample_responses``: both draw the same W as
-``sample_noise``.
+own stream. Both draw through ``Streams``, the one object that positions
+streams: instead of seeding M generators, it forms the PCG64 seed words of
+all M machines' streams, for every replication it holds, in one vectorized
+pass of SeedSequence's hash over their entropy keys (``_stream_states``),
+and fills each machine's row from one generator set to its words in turn
+(``_draw_rows``). The pass reproduces NumPy's SeedSequence and PCG64
+seeding word for word, and the tests check every row against ``stream``,
+which seeds through NumPy itself. The responses are X theta* + sigma W, and
+the noise W is the only part that changes between replications of a fixed
+design, so the harness forms X theta* and one ``Streams`` of the noise tag
+per grid point, holding the seed words of all its replications, and draws
+each replication's W from it, while ``cli generate`` calls
+``sample_responses``: both draw the same W as ``sample_noise``.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class GroundTruth:
 def stream(base_seed: int, tag: int, *keys: int) -> np.random.Generator:
     """Independent generator for (base_seed, tag, *keys): NumPy's PCG64
     seeded by ``SeedSequence([base_seed, tag, *keys])``, which splits a
-    value of 2**32 or more into 32-bit words. ``_standard_normal_rows``
-    positions the streams of all machines of a draw at once."""
+    value of 2**32 or more into 32-bit words. ``Streams`` positions the
+    streams of all machines of a draw at once."""
     return np.random.default_rng(np.random.SeedSequence([int(base_seed), int(tag), *map(int, keys)]))
 
 
@@ -257,15 +257,31 @@ def _draw_rows(out: np.ndarray, states: np.ndarray, generator: np.random.Generat
     return out
 
 
-def _standard_normal_rows(out: np.ndarray, base_seed: int, tag: int, rep: int) -> np.ndarray:
-    """Fill each ``out[m]`` with the standard normals of
-    ``stream(base_seed, tag, rep, m)``, bit for bit, and return ``out``:
-    the M streams' seed words from one ``_stream_states`` pass, then
-    ``_draw_rows``. A caller that draws many reps of one (base_seed, tag)
-    forms all their seed words in one pass and draws each rep from its
-    row."""
-    generator = np.random.Generator(np.random.PCG64(0))
-    return _draw_rows(out, _stream_states(base_seed, tag, [rep], out.shape[0])[0], generator)
+class Streams:
+    """The standard normal streams ``stream(base_seed, tag, rep, m)`` of M
+    machines, drawn rep by rep.
+
+    It forms the seed words of reps 0 to ``count`` - 1 in one
+    ``_stream_states`` pass and keeps one PCG64 generator, set to each
+    machine's stream in turn, so a caller that draws many reps of one
+    (base_seed, tag) seeds them all at once and creates one generator. A rep
+    it does not hold forms its words when drawn; a negative rep raises
+    ValueError.
+    """
+
+    def __init__(self, base_seed: int, tag: int, M: int, count: int = 0):
+        self.base_seed, self.tag, self.M = base_seed, tag, M
+        self.states = _stream_states(base_seed, tag, range(count), M)  # (count, M, 4)
+        self.generator = np.random.Generator(np.random.PCG64(0))
+
+    def fill(self, out: np.ndarray, rep: int) -> np.ndarray:
+        """Fill each ``out[m]`` with the standard normals of
+        ``stream(base_seed, tag, rep, m)``, bit for bit, and return ``out``."""
+        if 0 <= rep < len(self.states):
+            states = self.states[rep]
+        else:
+            states = _stream_states(self.base_seed, self.tag, [rep], self.M)[0]
+        return _draw_rows(out, states, self.generator)
 
 
 def sample_shards(spec: ProblemSpec, rep: int = 0, n: int | None = None) -> np.ndarray:
@@ -282,7 +298,7 @@ def sample_shards(spec: ProblemSpec, rep: int = 0, n: int | None = None) -> np.n
     smaller one row for row.
     """
     n = spec.n if n is None else n
-    X = _standard_normal_rows(np.empty((spec.M, n, spec.d)), spec.base_seed, TAG_DESIGN, rep)
+    X = Streams(spec.base_seed, TAG_DESIGN, spec.M).fill(np.empty((spec.M, n, spec.d)), rep)
     s = spec.corr_decay
     if s != 0.0:
         q = math.sqrt(1.0 - s * s)
@@ -330,7 +346,7 @@ def sample_noise(M: int, n: int, base_seed: int, rep: int = 0) -> np.ndarray:
     33/250), so a grid point at n below the calibrated size sees the prefix
     of the full-size noise.
     """
-    return _standard_normal_rows(np.empty((M, n)), base_seed, TAG_NOISE, rep)
+    return Streams(base_seed, TAG_NOISE, M).fill(np.empty((M, n)), rep)
 
 
 def sample_responses(

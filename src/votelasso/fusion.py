@@ -35,6 +35,14 @@ from .protocol import (
 
 @dataclass
 class VoteTally:
+    """Per-index vote counts and sign sums of one set of round-one messages.
+
+    The selections read ``votes``, except those with ``use_signs=True``,
+    which read ``sign_sums``. A signed and an unsigned rule that send the
+    same index arrays have the same votes, so one tally, counted from the
+    signed messages, serves both (the harness shares it that way).
+    """
+
     votes: np.ndarray  # length d, integer counts
     sign_sums: np.ndarray  # length d, integer sums of received signs
     contributing_machines: int
@@ -47,16 +55,6 @@ class VoteTally:
         counts = np.bincount(self.votes)
         seen = counts.nonzero()[0]
         return dict(zip(seen.tolist(), counts[seen].tolist()))
-
-    def unsigned(self) -> "VoteTally":
-        """The tally of the same index sets sent without their signs: this
-        tally's votes with read-only zero sign sums. It shares this tally's
-        votes and votes histogram, so the histogram is formed once for both."""
-        zeros = np.zeros_like(self.votes)
-        zeros.setflags(write=False)
-        twin = VoteTally(self.votes, zeros, self.contributing_machines)
-        twin.__dict__["votes_histogram"] = self.votes_histogram
-        return twin
 
 
 @dataclass

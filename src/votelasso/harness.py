@@ -4,9 +4,9 @@ metrics, and seeded replication sweeps with bit-exact communication accounting.
 A replication (``run_point_rep``) is one pass in the order the protocol
 runs, and its schemes share the work they have in common: the local fits
 and the oracle, then one round-1 message set per round-1 rule (``bnm21``
-and ``thresh_votes`` send the same thresholded votes) and one tally per
-round-1 selection (``_tallies``: an unsigned rule beside the signed rule
-of its selection reads that rule's tally), then each scheme's own
+and ``thresh_votes`` send the same thresholded votes) and one read-only
+tally per round-1 selection (``_tallies``: every vote rule of a selection,
+and ``bnm21``, reads that selection's one tally), then each scheme's own
 selection, then one round two per distinct selected support, then each
 scheme's record. Each record reports the shared time once as
 ``shared_time`` and its scheme's own selection and record as
@@ -36,15 +36,15 @@ checked once, the denominator of every replication's standardization
 columns X'x_j/n its fits have needed so far (``columns``,
 ``_kernels.GramColumns``), the oracle's pooled Gram (``oracle_gram``: the
 machine-order ``fusion.sum_rows`` of the machines' X_S'X_S on the true
-support, the stacked product ``_restricted_grams`` that ``gram_exact``
-round two sends), and the round-two operands met so far. The precision
-estimates and sandwich diagonals themselves stay ``materialize``'s
-locals. In fixed-design mode it also holds the PCG64 seed words of every
-machine's noise stream for replications 0 to ``reps`` - 1
-(``noise_states``), formed in one seeding pass
-(``datagen._stream_states``); in redraw mode a point serves one replication, which forms its own, as does any
-replication the point does not hold. A replication (``_rep_fits``) then
-computes only what depends on its noise, as one batched pass over the
+support, the stacked product ``lasso.restricted_gram`` that ``gram_exact``
+round two sends), the round-two operands met so far, and the machines'
+noise streams (``noise``, a ``datagen.Streams``). The precision estimates
+and sandwich diagonals themselves stay ``materialize``'s locals. In
+fixed-design mode the streams hold the seed words of replications 0 to
+``reps`` - 1, formed in one seeding pass; in redraw mode a point serves
+one replication, whose words, like those of any replication the point
+does not hold, are formed when it is drawn. A replication (``_rep_fits``)
+then computes only what depends on its noise, as one batched pass over the
 prefix where the arithmetic is the same on every machine: the (M, n)
 noise, bit for bit ``sample_noise``'s, and responses x_theta + sigma W,
 X'y (formed by ``fit_lasso`` in one product and returned as
@@ -53,13 +53,13 @@ block-diagonal mat-vec and the standardization. Every row of these equals
 the single-machine result bit for bit, and sums over machines add them in
 machine order (``fusion.sum_rows``), so records do not depend on the
 batching. Three steps stay per machine.
-Each machine's noise comes from its own seeded stream, set from its seed
-words. Each lasso fit solves that machine's own problem, and the fits are
-the call sites the benchmark's probes count: one ``fit_lasso`` call for the
-whole stack, which checks every machine's inputs at once, forms the
-stack's X'y/n, tests once over the stack which machines' zero start is
-already optimal and makes one ``_kernels.cd_residual`` call per machine,
-handing each its row's answer. A fit takes its row of the point's
+Each machine's noise row comes from its own seeded stream
+(``Streams.fill``). Each lasso fit solves that machine's own problem, and
+the fits are the call sites the benchmark's probes count: one
+``fit_lasso`` call for the whole stack, which checks every machine's
+inputs at once, forms the stack's X'y/n, tests once over the stack which
+machines' zero start is already optimal and makes one
+``_kernels.cd_residual`` call per machine, handing each its row's answer. A fit takes its row of the point's
 ``gram_diag`` for its check that X is finite, so it does not form it
 again. A nonzero fit reads the Gram columns of its working sets from its
 machine's store and forms those the store lacks in one product per solver
@@ -78,7 +78,8 @@ per replication for all M machines (``protocol.select_threshold``,
 that send one selection (``_SELECTION``) take it from the pass's
 ``selections`` (``_round1_messages``): ``thresh_votes`` (so ``bnm21``)
 with ``thresh_signs``, ``top_L_votes`` with ``top_L_signs``. Each
-selection is tallied once, from the signed rule's messages when it runs.
+selection is tallied once, from the signed rule's messages when it runs,
+and all its rules read that tally.
 Round two on a support S reads every machine's X_S'y as column S of the
 replication's X'y, as a real machine would from the product its round-one
 fit already formed, so no replication forms a product over X for round
@@ -124,8 +125,7 @@ from .datagen import (
     TAG_NOISE,
     TAG_THETA,
     ProblemSpec,
-    _draw_rows,
-    _stream_states,
+    Streams,
     compute_c_omega,
     make_theta_star,
     sample_shards,
@@ -144,7 +144,7 @@ from .debias import (
 from ._kernels import ColumnBudget, GramColumns, gram_diagonal
 # No run path calls ``fit_lasso_gram`` here. The name stays only because the
 # benchmark's probes (perfbench/probes.py) wrap it, and goes when they stop.
-from .lasso import fit_lasso, fit_lasso_gram, restricted_gram_inverse
+from .lasso import fit_lasso, fit_lasso_gram, restricted_gram, restricted_gram_inverse
 from .serialize import dump_jsonl, write_csv_rows
 
 SCHEMES = (
@@ -377,17 +377,13 @@ class PointState:
     # the point's replications and bounded together by GRAM_CACHE_BYTES.
     columns: list[GramColumns]
     # (K, K) pooled X_S'X_S on the true support S: the machine-order sum of
-    # the machines' ``_restricted_grams``.
+    # the machines' ``restricted_gram``.
     oracle_gram: np.ndarray
     L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
-    # (reps, M, 4) uint64 PCG64 seed words of every machine's noise stream
-    # for replications 0..reps-1 (``datagen._stream_states``), formed once
-    # per point in fixed-design mode; None in redraw mode, where a point
-    # serves one replication, which forms its own.
-    noise_states: np.ndarray | None
-    # The PCG64 generator every replication's noise is drawn with, set to
-    # each machine's stream in turn (``datagen._draw_rows``).
-    noise_generator: np.random.Generator
+    # The machines' noise streams (``datagen.Streams``). In fixed-design mode
+    # they hold the seed words of replications 0..reps-1; in redraw mode a
+    # point serves one replication, which forms its own when drawn.
+    noise: Streams
     # (second_round rule, support bytes) -> the (M, k, k) design-only
     # round-two operand of every machine, or the ValueError forming it raised
     # (see ``_round2_operand``).
@@ -443,7 +439,7 @@ def materialize(
     The point's n, M and r are checked as a ``ProblemSpec`` (ValueError),
     and its sandwich diagonals and sigma once for all its replications,
     by ``debias.noise_scale``, whose scale ``debias.standardize`` takes. In
-    fixed-design mode the point also holds the noise streams' seed words of
+    fixed-design mode the point's noise streams hold the seed words of
     replications 0 to ``config.reps`` - 1, formed in one seeding pass.
     """
     given = {"n": n, "M": M, "r": r}
@@ -477,12 +473,9 @@ def materialize(
         xi_scale=noise_scale(c_diag, sigma),
         omega=block_diagonal(omegas),
         columns=[GramColumns(spec.d, budget) for _ in range(M)],
-        oracle_gram=fusion.sum_rows(_restricted_grams(X, design.support)),
+        oracle_gram=fusion.sum_rows(restricted_gram(X[:, :, design.support])),
         L=L if L is not None else config.resolved_L(),
-        noise_states=(
-            _stream_states(spec.base_seed, TAG_NOISE, range(config.reps), M) if config.fixed_design else None
-        ),
-        noise_generator=np.random.Generator(np.random.PCG64(0)),
+        noise=Streams(spec.base_seed, TAG_NOISE, M, config.reps if config.fixed_design else 0),
     )
 
 
@@ -495,18 +488,10 @@ def _rep_fits(point: PointState, rep: int):
     (``LassoFit.xty``) and the (M, n) responses. Row m of each is machine
     m's.
     """
-    design = point.design
-    spec = design.spec
-    n, M, sigma = point.n, point.M, point.sigma
-    X = design.X[:M, :n]
-    # The draws of ``sample_noise(M, n, spec.base_seed, rep)``, from the
-    # point's seed words when it holds this replication's.
-    states = point.noise_states
-    if states is not None and 0 <= rep < len(states):
-        states = states[rep]
-    else:
-        states = _stream_states(spec.base_seed, TAG_NOISE, [rep], M)[0]
-    Y = point.x_theta + sigma * _draw_rows(np.empty((M, n)), states, point.noise_generator)
+    n, M = point.n, point.M
+    X = point.design.X[:M, :n]
+    # The draws of ``sample_noise(M, n, base_seed, rep)``.
+    Y = point.x_theta + point.sigma * point.noise.fill(np.empty((M, n)), rep)
     fit = fit_lasso(X, Y, point.lam, gram_diag=point.gram_diag, columns=point.columns)
     theta_t, grad = fit.coefficients, fit.gradient  # grad: X'(y - X theta_tilde)/n
     converged, sweeps, kkt = fit.converged, fit.iterations, fit.max_kkt_violation
@@ -554,27 +539,27 @@ def _round1_messages(rule: str, point: PointState, theta_hat, xi, selections: di
 
 
 def _tallies(round1: dict, d: int) -> dict:
-    """One read-only ``fusion.tally`` per round-one selection: rule -> tally
-    of each vote rule among the keys of ``round1`` (rule -> its messages).
+    """One read-only ``fusion.tally`` per round-one selection: rule -> the
+    tally of its selection, for each vote rule among the keys of ``round1``
+    (rule -> its messages).
 
     A selection is tallied from the messages of its signed rule when that
-    runs, else from its unsigned rule's. The unsigned rule beside a signed
-    one sends the same index arrays without their signs, so its tally,
-    which ``fusion.tally`` of its own messages would give, is the signed
-    tally's votes with zero sign sums (``VoteTally.unsigned``), sharing its
-    votes histogram.
+    runs, else from its unsigned rule's, and every rule of the selection
+    reads that one tally. The unsigned rule sends the same index arrays
+    without their signs, so the votes, and with them the votes histogram,
+    are those of its own messages; only the sign sums differ, and the
+    selections that read them are those of the signed rules
+    (``use_signs=True``).
     """
     tallies, by_selection = {}, {}
     # Signed rules first, so that each selection's one tally counts signs.
     for rule in sorted((r for r in round1 if r in _SELECTION), key=lambda r: not r.endswith("_signs")):
-        t = by_selection.get(_SELECTION[rule])
-        if t is None:
-            t = by_selection[_SELECTION[rule]] = fusion.tally(round1[rule], d)
+        key = _SELECTION[rule]
+        if key not in by_selection:
+            t = by_selection[key] = fusion.tally(round1[rule], d)
             t.votes.setflags(write=False)
             t.sign_sums.setflags(write=False)
-        else:
-            t = t.unsigned()
-        tallies[rule] = t
+        tallies[rule] = by_selection[key]
     return tallies
 
 
@@ -596,22 +581,13 @@ def _select_support(scheme, config, point, msgs, t):
     return None, fusion.select_vote_threshold(t, 2.0 * math.log(spec.d), use_signs=use_signs)
 
 
-def _restricted_grams(X: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """The (M, k, k) Grams X_S'X_S of the machines of the (M, n, d) stack
-    ``X`` on ``support``, as one stacked product of the gathered (M, n, k)
-    restricted designs: row m equals machine m's own ``X_S.T @ X_S`` bit
-    for bit."""
-    X_S = X[:, :, support]
-    return X_S.swapaxes(1, 2) @ X_S
-
-
 def _round2_operand(config, point: PointState, support: np.ndarray) -> np.ndarray:
     """The read-only (M, k, k) design-only operand of round two on
     ``support`` for the point's machines: the inverse Gram (X_S'X_S)^-1
     under ``average``, from one inverse of the stacked X_S'X_S, certified
     matrix by matrix, with a thin SVD for each machine whose certificate
     fails (``restricted_gram_inverse``), and the Gram X_S'X_S under
-    ``gram_exact``, from one stacked product (``_restricted_grams``).
+    ``gram_exact``, from one stacked product (``restricted_gram``).
 
     It is formed once per point, rule and support, from the (M, n, k)
     restricted designs gathered then and dropped after, so no later request
@@ -624,12 +600,12 @@ def _round2_operand(config, point: PointState, support: np.ndarray) -> np.ndarra
     key = (config.second_round, support.tobytes())
     operand = point.round2.get(key)
     if operand is None:
-        X = point.design.X[: point.M, : point.n]
+        X_S = point.design.X[: point.M, : point.n][:, :, support]
         try:
             if config.second_round == "gram_exact":
-                operand = _restricted_grams(X, support)
+                operand = restricted_gram(X_S)
             else:
-                operand = restricted_gram_inverse(X[:, :, support])
+                operand = restricted_gram_inverse(X_S)
             operand.setflags(write=False)
         except ValueError as exc:
             operand = exc
@@ -687,8 +663,7 @@ def run_point_rep(
     1. the machines' fits (``_rep_fits``) and the oracle;
     2. round one, per distinct round-1 rule of ``schemes``: the messages
        and their bits; then one read-only tally per round-one selection
-       (``_tallies``): an unsigned rule beside the signed rule of its
-       selection reads that rule's tally;
+       (``_tallies``), which every vote rule of the selection reads;
     3. each scheme's support selection (``_select_support``);
     4. round two, once per distinct nonempty support that a two-round scheme
        selected, unless ``second_round`` is "none", with the l2 error of its

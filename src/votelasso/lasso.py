@@ -29,12 +29,14 @@ machine's own fit bit for bit.
 The fit also returns the undivided X'y it formed (``LassoFit.xty``), so a
 machine's round-two X_S'y on a broadcast support S is its column S, with no
 new pass over X. Restricted least squares, the round-two fit on S, is
-``restricted_gram_inverse(X_S) @ xty[S]``. The inverse Gram of every matrix
+``restricted_gram_inverse(X_S) @ xty[S]``. The Grams X_S'X_S of a stack
+are one product (``restricted_gram``), which the harness also uses for the
+exact-Gram round two and the oracle. The inverse Gram of every matrix
 of a stack comes from one LAPACK inverse of the stacked X_S'X_S, kept where
 ||G||_F ||G^-1||_F certifies X_S well conditioned, and from a thin SVD of
 X_S, which makes the rank decision, where it does not; a caller that solves
 many responses on the same columns (every replication of a fixed design)
-inverts them once. Both helpers accept a stack of designs, and each matrix
+inverts them once. These helpers accept a stack of designs, and each matrix
 of a stack gets the same bits as it would alone.
 """
 
@@ -235,14 +237,23 @@ def fit_lasso_gram(
 CERTIFIED_COND = 1e3
 
 
+def restricted_gram(X_S: np.ndarray) -> np.ndarray:
+    """X_S'X_S of a column subset, or of each matrix of a stack: ``X_S`` is
+    (n, k) or (..., n, k), the result (k, k) or (..., k, k). One stacked
+    product, whose every matrix equals that matrix's own ``X_S.T @ X_S``
+    bit for bit."""
+    return X_S.swapaxes(-1, -2) @ X_S
+
+
 def restricted_gram_inverse(X_S: np.ndarray) -> np.ndarray:
     """(X_S'X_S)^-1 of a column subset, or of each matrix of a stack.
 
     ``X_S`` is (n, k) or stacked (..., n, k); the result is (k, k) or
     (..., k, k). Each matrix's Gram G = X_S'X_S comes from one stacked
-    product and its inverse from one ``np.linalg.inv`` of the stack (matrix
-    by matrix only when the stack raises, NaN for a matrix that does), kept
-    when ||G||_F ||G^-1||_F, an upper bound on cond2(X_S)^2, is at most
+    product (``restricted_gram``) and its inverse from one
+    ``np.linalg.inv`` of the stack (matrix by matrix only when the stack
+    raises, NaN for a matrix that does), kept when ||G||_F ||G^-1||_F, an
+    upper bound on cond2(X_S)^2, is at most
     ``CERTIFIED_COND``^2: such a matrix is full rank with a wide margin.
     The Frobenius norms count every computed eigenvalue by magnitude, so a
     singular G whose computed eigenvalues straddle zero is not certified.
@@ -260,7 +271,7 @@ def restricted_gram_inverse(X_S: np.ndarray) -> np.ndarray:
         return np.zeros(X_S.shape[:-2] + (0, 0))
     stack = X_S.reshape(-1, n, k)
     with np.errstate(all="ignore"):  # a NaN, inf or overflow fails the certificate
-        G = stack.swapaxes(1, 2) @ stack
+        G = restricted_gram(stack)
         try:
             inv = np.linalg.inv(G)
         except np.linalg.LinAlgError:

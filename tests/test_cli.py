@@ -6,7 +6,7 @@ import pytest
 
 from votelasso.cli import main
 from votelasso.datagen import ProblemSpec
-from votelasso.harness import ExperimentConfig, _rep_fits, build_design, materialize
+from votelasso.harness import ExperimentConfig, SweepResult, _rep_fits, build_design, materialize
 
 
 COMMON = ["--d", "40", "--n", "30", "--machines", "4", "--k", "2", "--r", "0.8", "--seed", "3"]
@@ -302,6 +302,19 @@ class TestRun:
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert not (tmp_path / "o").exists()
 
+
+    def test_paper_scale_sets_its_defaults_and_flags_override_them(self, tmp_path, monkeypatch):
+        configs = []
+
+        def recording(config, axis, grid, schemes, out_dir=None):
+            configs.append(config)
+            return SweepResult(rows=[], records=[])
+
+        monkeypatch.setattr("votelasso.cli.run_sweep", recording)
+        for flags in ([], ["--d", "300", "--reps", "2"]):
+            assert main(["run", "--paper-scale", *flags, "--out", str(tmp_path / "o")]) == 0
+        got = [(c.spec.d, c.spec.n, c.spec.M, c.spec.K, c.reps) for c in configs]
+        assert got == [(5000, 250, 100, 5, 500), (300, 250, 100, 5, 2)]
 
     def test_fewer_pooled_samples_than_K_exits_before_the_design(self, tmp_path, monkeypatch):
         def no_design(*args, **kwargs):

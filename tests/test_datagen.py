@@ -7,6 +7,7 @@ from votelasso.datagen import (
     TAG_DESIGN,
     TAG_NOISE,
     ProblemSpec,
+    Streams,
     _draw_rows,
     _stream_states,
     compute_c_omega,
@@ -335,3 +336,21 @@ class TestStreamStates:
     def test_negative_rep_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             _stream_states(0, TAG_NOISE, [1, -1], 2)
+
+
+class TestStreams:
+    """``Streams`` fills row m with ``stream(base_seed, tag, rep, m)``, from
+    the seed words it holds or from words formed when drawn."""
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_rows_are_the_streams(self, count):
+        streams = Streams(7, TAG_NOISE, 3, count=count)
+        assert streams.states.shape == (count, 3, 4)
+        for rep in (0, 1, 2, 2**32 + 1):
+            drawn = streams.fill(np.empty((3, 5)), rep)
+            for m in range(3):
+                assert np.array_equal(drawn[m], stream(7, TAG_NOISE, rep, m).standard_normal(5)), (rep, m)
+
+    def test_negative_rep_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Streams(0, TAG_NOISE, 2, count=3).fill(np.empty((2, 4)), -1)

@@ -518,8 +518,8 @@ class TestSharedWork:
 
 class TestOneTallyPerSelection:
     """An unsigned vote rule beside the signed rule of its selection reads
-    that rule's tally: the tally ``fusion.tally`` gives for its own
-    messages."""
+    that rule's tally, whose votes, and so every selection the unsigned
+    rule makes, are those ``fusion.tally`` gives for its own messages."""
 
     VOTE_RULES = ("thresh_votes", "thresh_signs", "top_L_votes", "top_L_signs")
 
@@ -541,13 +541,19 @@ class TestOneTallyPerSelection:
             assert set(tallies) == set(self.VOTE_RULES)
             for unsigned, signed in (("thresh_votes", "thresh_signs"), ("top_L_votes", "top_L_signs")):
                 got, want = tallies[unsigned], fusion.tally(messages[unsigned], d)
-                assert got.votes is tallies[signed].votes
-                for t in (got, want):
-                    assert t.votes.dtype == t.sign_sums.dtype == np.int64
-                assert np.array_equal(got.votes, want.votes) and np.array_equal(got.sign_sums, want.sign_sums)
+                assert got is tallies[signed]
+                assert got.votes.dtype == want.votes.dtype == np.int64
+                assert np.array_equal(got.votes, want.votes)
                 assert got.contributing_machines == want.contributing_machines == M
                 assert got.votes_histogram == want.votes_histogram
                 assert not (got.votes.flags.writeable or got.sign_sums.flags.writeable)
+                # The unsigned rule's selections read only the votes.
+                for t_votes in (0, 1, M / 2):
+                    chosen = [fusion.select_vote_threshold(t, t_votes).indices for t in (got, want)]
+                    assert np.array_equal(*chosen)
+                for k in (1, 3):
+                    assert np.array_equal(fusion.select_topk(got, k).indices, fusion.select_topk(want, k).indices)
+                assert np.array_equal(fusion.select_majority(got, M).indices, fusion.select_majority(want, M).indices)
         # Both empty and nonempty threshold messages occurred, or only empty ones.
         assert empty_rows == ({True} if case == "all_empty" else {True, False})
 
@@ -1479,8 +1485,9 @@ class TestColumnStores:
 
 
 class TestNoiseStates:
-    """A fixed-design point forms the noise streams' seed words of all its
-    replications at once; every replication still draws ``sample_noise``."""
+    """A fixed-design point's noise streams (``datagen.Streams``) form the
+    seed words of all its replications at once; every replication still
+    draws ``sample_noise``."""
 
     @staticmethod
     def _assert_noise(point, rep):
@@ -1492,7 +1499,7 @@ class TestNoiseStates:
     def test_reps_inside_and_outside_the_points_range(self, small_design, n):
         cfg, design = small_design
         point = materialize(design, cfg, n=n, M=5)
-        assert point.noise_states.shape == (cfg.reps, 5, 4)
+        assert point.noise.states.shape == (cfg.reps, 5, 4)
         for rep in range(cfg.reps):
             self._assert_noise(point, rep)
         # A rep the point does not hold forms its own seed words.
@@ -1504,7 +1511,7 @@ class TestNoiseStates:
     def test_redraw_mode_point_holds_no_states(self):
         cfg = _config(d=30, M=4, n=25, fixed_design=False)
         point = materialize(build_design(cfg, rep=2), cfg)
-        assert point.noise_states is None
+        assert point.noise.states.shape == (0, 4, 4)
         self._assert_noise(point, 2)
 
     def test_points_of_a_machine_sweep_hold_their_own_states(self):
@@ -1512,7 +1519,7 @@ class TestNoiseStates:
         design = build_design(cfg)
         points = [materialize(design, cfg, M=M) for M in (1, 4, 2)]
         for point in points:
-            assert point.noise_states.shape == (cfg.reps, point.M, 4)
+            assert point.noise.states.shape == (cfg.reps, point.M, 4)
             for rep in range(cfg.reps):
                 self._assert_noise(point, rep)
 
