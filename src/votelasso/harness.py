@@ -37,8 +37,9 @@ columns X'x_j/n its fits have needed so far (``columns``,
 ``_kernels.GramColumns``), the oracle's pooled Gram (``oracle_gram``: the
 machine-order ``fusion.sum_rows`` of the machines' X_S'X_S on the true
 support, the stacked product ``lasso.restricted_gram`` that ``gram_exact``
-round two sends), the round-two operands met so far, and the machines'
-noise streams (``noise``, a ``datagen.Streams``). The precision estimates
+round two sends), the round-two operands met so far, the machines'
+noise streams (``noise``, a ``datagen.Streams``) and the buffers of its
+replication blocks (``block``, see below). The precision estimates
 and sandwich diagonals themselves stay ``materialize``'s locals. In
 fixed-design mode the streams hold the seed words of replications 0 to
 ``reps`` - 1, formed in one seeding pass; in redraw mode a point serves
@@ -47,30 +48,48 @@ does not hold, are formed when it is drawn. A replication (``_rep_fits``)
 then computes only what depends on its noise, as one batched pass over the
 prefix where the arithmetic is the same on every machine: the (M, n)
 noise, bit for bit ``sample_noise``'s, and responses x_theta + sigma W,
-X'y (formed by ``fit_lasso`` in one product and returned as
-``LassoFit.xty``: over n, every lasso's gradient at zero), one
-block-diagonal mat-vec and the standardization. Every row of these equals
-the single-machine result bit for bit, and sums over machines add them in
-machine order (``fusion.sum_rows``), so records do not depend on the
-batching. Three steps stay per machine.
+X'y (returned as ``LassoFit.xty``: over n, every lasso's gradient at
+zero), one block-diagonal mat-vec and the standardization.
+
+X'y is one memory-bound pass over every machine's X, and in fixed-design
+mode every replication of a point reads the same X. So the point's
+replications 0 to ``reps`` - 1 come in aligned blocks of ``REP_BLOCK``:
+replication r belongs to the block that starts at r - r mod ``REP_BLOCK``,
+cut at ``reps``. The first time a replication of a block is asked for,
+``_block_rows`` draws the noise of all the block's replications straight
+into the point's (M, B, n) response buffer, one ``Streams.fill`` per
+replication, and forms their X'Y in one (M, B, n) @ (M, n, d) product
+into its (M, B, d) buffer; every replication of the block then reads its
+rows of the two. The buffers (``PointState.block``) are reused from block
+to block, so no block faults in fresh pages. A block row of X'Y has the
+bits of the (B, n) @ X_m product of its block, which may differ in the
+last bits from a one-replication ``y @ X_m``. So a replication's X'y
+depends on the block it belongs to and on nothing else: one asked for
+alone on a fresh point gets the X'y, and at zero fits the record, that it
+has in the full sweep. Redraw mode, whose point serves one replication,
+and replications past ``reps`` draw one replication at a time, and their
+fits form X'y themselves. Every other row of these steps equals the
+single-machine result bit for bit, and sums over machines add them in
+machine order (``fusion.sum_rows``). Three steps stay per machine.
 Each machine's noise row comes from its own seeded stream
 (``Streams.fill``). Each lasso fit solves that machine's own problem, and
 the fits are the call sites the benchmark's probes count: one
-``fit_lasso`` call for the whole stack, which checks every machine's
-inputs at once, forms the stack's X'y/n, tests once over the stack which
-machines' zero start is already optimal and makes one
-``_kernels.cd_residual`` call per machine, handing each its row's answer. A fit takes its row of the point's
-``gram_diag`` for its check that X is finite, so it does not form it
-again. A nonzero fit reads the Gram columns of its working sets from its
-machine's store and forms those the store lacks in one product per solver
-pass; a zero fit (every fit at the default lambda) touches no store. The
-stores of a point keep their columns across its replications, up to
-``GRAM_CACHE_BYTES`` for the point in all; a column's bits are those of
-the product that formed it, so a nonzero fit may differ in the last bits
-depending on which replications of the point ran before it. No machine forms a residual: the debiasing mat-vec takes
-each machine's X'(y - X theta_tilde)/n from its fit, the solver's last
-gradient X'y/n - G theta_tilde (``LassoFit.gradient``); a zero fit's is
-its row of X'y/n.
+``fit_lasso`` call per replication for the whole stack, which checks every
+machine's inputs at once, takes the replication's X'y (or forms it),
+tests once over the stack which machines' zero start is already optimal
+and makes one ``_kernels.cd_residual`` call per machine, handing each its
+row's answer. A fit takes its row of the point's ``gram_diag`` for its
+check that X is finite, so it does not form it again. A nonzero fit
+reads the Gram columns of its working sets from its machine's store and
+forms those the store lacks in one product per solver pass; a zero fit
+(every fit at the default lambda) touches no store. The stores of a point
+keep their columns across its replications, up to ``GRAM_CACHE_BYTES``
+for the point in all; a column's bits are those of the product that
+formed it, so a nonzero fit may differ in the last bits depending on which
+replications of the point ran before it. No machine forms a residual: the
+debiasing mat-vec takes each machine's X'(y - X theta_tilde)/n from its
+fit, the solver's last gradient X'y/n - G theta_tilde
+(``LassoFit.gradient``); a zero fit's is its row of X'y/n.
 
 Messages are batched the same way. Each round-1 rule's selection runs once
 per replication for all M machines (``protocol.select_threshold``,
@@ -103,13 +122,16 @@ one LAPACK inverse of the stack of those products, each certified well
 conditioned by ||G||_F ||G^-1||_F, and a machine's thin SVD runs only when
 its certificate fails (``lasso.restricted_gram_inverse``). A
 rank-deficient support's ValueError is kept the same way. Every
-``materialize`` starts with an empty cache and empty column stores, so each
-``run_sweep`` call, each grid point and, in redraw mode, each replication
-starts cold.
+``materialize`` starts with an empty cache, empty column stores and no
+replication block, so each ``run_sweep`` call, each grid point and, in
+redraw mode, each replication starts cold.
 
 The tuning quantities (vote threshold, lasso and nodewise penalties) are
 each one ``ExperimentConfig`` field, a rule name or a number, resolved at
-each grid point's r and n.
+each grid point's r and n. The lasso penalty is also a sweep axis
+(``"lam"``): every value is its own grid point, with fresh column stores
+and cold fits, on the design's one precision estimate, whose penalty
+``lam_omega`` is a design quantity.
 """
 
 from __future__ import annotations
@@ -160,12 +182,16 @@ TAU_RULES = ("sqrt_2_log_d", "sqrt_2r_log_d")
 LAMBDA_RULES = ("fixed_8",)
 LAMBDA_OMEGA_RULES = ("fixed_2",)
 SECOND_ROUNDS = ("average", "gram_exact", "none")
-SWEEP_AXES = ("r", "n", "M", "L")
+SWEEP_AXES = ("r", "n", "M", "L", "lam")
 
 # The Gram columns a grid point's machines keep across its replications
 # (``PointState.columns``) take at most this many bytes in all; columns
 # formed past it serve the fit that formed them and are then dropped.
 GRAM_CACHE_BYTES = 1_000_000_000
+
+# Replications per block of a fixed-design grid point (``_block_rows``): one
+# noise fill and one X'Y product serve this many replications.
+REP_BLOCK = 16
 
 CSV_COLUMNS = [
     "axis",
@@ -287,7 +313,11 @@ class ExperimentRecord:
     share (local fits, oracle, round-1 messages, tallies and round two) and
     is the same on each of its records; ``wall_time`` is this scheme's own
     remaining work (selection, metrics, the record). Seconds, wall clock.
-    ``lam`` is the lasso penalty resolved at the replication's grid point.
+    In fixed-design mode the first replication asked for of each block of
+    ``REP_BLOCK`` (``_block_rows``) also carries the block's noise draw and
+    X'Y product in its ``shared_time``, and the block's other replications
+    carry neither. ``lam`` is the lasso penalty resolved at the
+    replication's grid point.
     """
 
     rep: int
@@ -352,6 +382,21 @@ class DesignState:
 
 
 @dataclass
+class RepBlock:
+    """The replication blocks of a fixed-design grid point (``_block_rows``):
+    its replications 0 to ``reps`` - 1 in aligned blocks of ``REP_BLOCK``,
+    and the buffers of the block formed last, which every later block
+    reuses. Row (m, b) of ``Y`` and ``XY`` is machine m's responses and X'y
+    in replication ``start`` + b; a block cut at ``reps`` fills a prefix.
+    ``start`` is -1 while the buffers hold no whole block."""
+
+    reps: int
+    Y: np.ndarray  # (M, B, n), B = min(REP_BLOCK, reps)
+    XY: np.ndarray  # (M, B, d)
+    start: int = -1
+
+
+@dataclass
 class PointState:
     """One sweep grid point materialized from a DesignState."""
 
@@ -384,6 +429,9 @@ class PointState:
     # they hold the seed words of replications 0..reps-1; in redraw mode a
     # point serves one replication, which forms its own when drawn.
     noise: Streams
+    # The point's replication blocks; None in redraw mode, where a point
+    # serves one replication.
+    block: RepBlock | None = None
     # (second_round rule, support bytes) -> the (M, k, k) design-only
     # round-two operand of every machine, or the ValueError forming it raised
     # (see ``_round2_operand``).
@@ -431,6 +479,7 @@ def materialize(
     M: int | None = None,
     r: float | None = None,
     L: int | None = None,
+    lam: str | float | None = None,
 ) -> PointState:
     """Slice a design down to one grid point, scale the planted signal and
     form what every replication of the point shares (see the module
@@ -438,10 +487,15 @@ def materialize(
 
     The point's n, M and r are checked as a ``ProblemSpec`` (ValueError),
     and its sandwich diagonals and sigma once for all its replications,
-    by ``debias.noise_scale``, whose scale ``debias.standardize`` takes. In
-    fixed-design mode the point's noise streams hold the seed words of
-    replications 0 to ``config.reps`` - 1, formed in one seeding pass.
+    by ``debias.noise_scale``, whose scale ``debias.standardize`` takes. A
+    given ``lam`` (a ``config.lam`` value: a rule name or a finite
+    positive number, else ValueError) replaces ``config.lam`` at this
+    point. In fixed-design mode the point's noise streams hold the seed
+    words of replications 0 to ``config.reps`` - 1, formed in one seeding
+    pass, and those replications come in blocks (``_block_rows``).
     """
+    if lam is not None:
+        config = config.with_(lam=lam)
     given = {"n": n, "M": M, "r": r}
     spec = design.spec.with_(**{k: v for k, v in given.items() if v is not None})
     n, M, r = spec.n, spec.M, spec.r
@@ -459,6 +513,10 @@ def materialize(
             omegas = [estimate_precision(Xm, config.lam_omega_at(n)).omega_hat for Xm in X]
         c_diag = np.array([sandwich_diag(omega, Xm) for omega, Xm in zip(omegas, X)])
     budget = ColumnBudget(GRAM_CACHE_BYTES)
+    block = None
+    if config.fixed_design:
+        B = min(REP_BLOCK, config.reps)
+        block = RepBlock(config.reps, np.empty((M, B, n)), np.empty((M, B, spec.d)))
     return PointState(
         design=design,
         n=n,
@@ -476,7 +534,40 @@ def materialize(
         oracle_gram=fusion.sum_rows(restricted_gram(X[:, :, design.support])),
         L=L if L is not None else config.resolved_L(),
         noise=Streams(spec.base_seed, TAG_NOISE, M, config.reps if config.fixed_design else 0),
+        block=block,
     )
+
+
+def _block_rows(point: PointState, rep: int):
+    """Replication ``rep``'s (M, n) responses and (M, d) X'y as read-only
+    rows of its aligned block, or None when the point draws it alone
+    (redraw mode, or ``rep`` outside 0..``point.block.reps`` - 1).
+
+    The block holds replications ``start`` = rep - rep mod ``REP_BLOCK`` up
+    to ``REP_BLOCK`` of them, cut at ``point.block.reps``. Unless it is the
+    block formed last, it is formed now in the point's buffers: each
+    replication's noise, the draws of ``sample_noise(M, n, base_seed,
+    rep)``, is drawn straight into its rows of the (M, B, n) buffer and
+    turned into responses x_theta + sigma W in place, and one
+    (M, B, n) @ (M, n, d) product writes the block's X'Y. The rows stay
+    valid until the point forms another block.
+    """
+    block = point.block
+    if block is None or not 0 <= rep < block.reps:
+        return None
+    start = rep - rep % REP_BLOCK
+    if block.start != start:
+        block.start = -1
+        size = min(REP_BLOCK, block.reps - start)
+        for b in range(size):
+            Y = point.noise.fill(block.Y[:, b], start + b)
+            Y *= point.sigma
+            Y += point.x_theta
+        np.matmul(block.Y[:, :size], point.design.X[: point.M, : point.n], out=block.XY[:, :size])
+        block.start = start
+    Y, xty = block.Y[:, rep - start], block.XY[:, rep - start]
+    Y.flags.writeable = xty.flags.writeable = False
+    return Y, xty
 
 
 def _rep_fits(point: PointState, rep: int):
@@ -484,15 +575,21 @@ def _rep_fits(point: PointState, rep: int):
 
     Returns (theta_tilde, theta_hat, xi, converged, sweeps, kkt, xty, Y):
     the lasso, debiased and standardized estimates as (M, d) arrays, each
-    machine's solver status as (M,) arrays, the (M, d) X'y its fit formed
+    machine's solver status as (M,) arrays, the (M, d) X'y of the fit
     (``LassoFit.xty``) and the (M, n) responses. Row m of each is machine
-    m's.
+    m's. A replication of a block (``_block_rows``) returns read-only rows
+    of the point's block buffers as xty and Y, valid until the point forms
+    another block; any other forms its own.
     """
     n, M = point.n, point.M
     X = point.design.X[:M, :n]
-    # The draws of ``sample_noise(M, n, base_seed, rep)``.
-    Y = point.x_theta + point.sigma * point.noise.fill(np.empty((M, n)), rep)
-    fit = fit_lasso(X, Y, point.lam, gram_diag=point.gram_diag, columns=point.columns)
+    rows = _block_rows(point, rep)
+    if rows is None:
+        # The draws of ``sample_noise(M, n, base_seed, rep)``.
+        Y, xty = point.x_theta + point.sigma * point.noise.fill(np.empty((M, n)), rep), None
+    else:
+        Y, xty = rows
+    fit = fit_lasso(X, Y, point.lam, gram_diag=point.gram_diag, columns=point.columns, xty=xty)
     theta_t, grad = fit.coefficients, fit.gradient  # grad: X'(y - X theta_tilde)/n
     converged, sweeps, kkt = fit.converged, fit.iterations, fit.max_kkt_violation
     theta_h = debias(theta_t, grad, point.omega)
@@ -811,11 +908,12 @@ def run_sweep(
 ) -> SweepResult:
     """Replicate every grid point under each of ``schemes`` (required).
 
-    In fixed-design mode the design is calibrated once at the largest grid
-    value of the swept axis (or ``design`` is used as given); smaller values
-    reuse row/machine prefixes of it. In redraw mode every replication
-    builds its own design at the grid value. Emits long-format CSV rows plus
-    per-replication JSON records.
+    In fixed-design mode the design is calibrated once, on an n or M sweep
+    at the largest grid value (or ``design`` is used as given); smaller
+    values reuse row/machine prefixes of it, and every grid point, a lam
+    sweep's too, starts with fresh column stores. In redraw mode every
+    replication builds its own design at the grid value. Emits long-format
+    CSV rows plus per-replication JSON records.
     """
     grid = list(grid)
     schemes = list(schemes)
@@ -824,7 +922,7 @@ def run_sweep(
             raise ValueError(f"unknown scheme {s!r}")
     check_grid(config, sweep_axis, grid, schemes)
     if config.fixed_design and design is None:
-        design = _design_at(config, sweep_axis, max(grid))
+        design = _design_at(config, sweep_axis, max(grid) if sweep_axis in ("n", "M") else None)
     rows, records = [], []
     for value in grid:
         if config.fixed_design:
@@ -850,9 +948,10 @@ def run_sweep(
 def check_grid(config: ExperimentConfig, sweep_axis: str, grid: list, schemes: list[str]) -> None:
     """Raise ValueError unless every grid value of the swept axis gives a
     valid run of every scheme in ``schemes``: n, M and r through
-    ``ProblemSpec``, n, M and L whole numbers, and the L of the top-L schemes
+    ``ProblemSpec``, n, M and L whole numbers, the L of the top-L schemes
     (each grid value on an L sweep, else ``config.resolved_L()``) in [1, d]
-    and, under known sparsity, at least K."""
+    and, under known sparsity, at least K, and lam a ``config.lam`` value
+    (``_check_tuning``)."""
     spec = config.spec
     if sweep_axis not in SWEEP_AXES:
         raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
@@ -863,6 +962,9 @@ def check_grid(config: ExperimentConfig, sweep_axis: str, grid: list, schemes: l
     if known and sweep_axis != "L" and config.resolved_L() < spec.K:
         raise ValueError("top-L schemes need L >= K under known sparsity")
     for value in grid:
+        if sweep_axis == "lam":
+            _check_tuning("lam", value, LAMBDA_RULES)
+            continue
         if sweep_axis != "r" and not float(value).is_integer():
             raise ValueError(f"{sweep_axis} grid values must be whole numbers")
         if sweep_axis == "L":
@@ -872,7 +974,8 @@ def check_grid(config: ExperimentConfig, sweep_axis: str, grid: list, schemes: l
 
 
 def _design_at(config: ExperimentConfig, sweep_axis: str, value, rep: int = 0) -> DesignState:
-    """A design calibrated at ``value`` of the swept axis when that axis is n or M."""
+    """A design calibrated at ``value`` of the swept axis when that axis is
+    n or M (any other axis leaves the design as the config's)."""
     return build_design(
         config,
         n_cal=int(value) if sweep_axis == "n" else None,
@@ -882,5 +985,10 @@ def _design_at(config: ExperimentConfig, sweep_axis: str, value, rep: int = 0) -
 
 
 def _grid_point(design: DesignState, config: ExperimentConfig, sweep_axis: str, value) -> PointState:
-    """Materialize ``design`` at one grid value of the swept axis."""
-    return materialize(design, config, **{sweep_axis: float(value) if sweep_axis == "r" else int(value)})
+    """Materialize ``design`` at one grid value of the swept axis: r a
+    float, lam a float or a rule name, n, M and L integers."""
+    if sweep_axis == "lam":
+        value = value if isinstance(value, str) else float(value)
+    else:
+        value = float(value) if sweep_axis == "r" else int(value)
+    return materialize(design, config, **{sweep_axis: value})

@@ -26,13 +26,15 @@ whole stack's inputs and runs the zero-start test
 machine's problem with its own kernel call, so every row equals the
 machine's own fit bit for bit.
 
-The fit also returns the undivided X'y it formed (``LassoFit.xty``), so a
-machine's round-two X_S'y on a broadcast support S is its column S, with no
-new pass over X. Restricted least squares, the round-two fit on S, is
-``restricted_gram_inverse(X_S) @ xty[S]``. The Grams X_S'X_S of a stack
-are one product (``restricted_gram``), which the harness also uses for the
-exact-Gram round two and the oracle. The inverse Gram of every matrix
-of a stack comes from one LAPACK inverse of the stacked X_S'X_S, kept where
+The fit also returns the undivided X'y it started from (``LassoFit.xty``),
+so a machine's round-two X_S'y on a broadcast support S is its column S,
+with no new pass over X. A caller that has already formed X'y (a block of
+replications of one design, in one product) hands it in, and the fit forms
+no product over X for it. Restricted least squares, the round-two fit on
+S, is ``restricted_gram_inverse(X_S) @ xty[S]``. The Grams X_S'X_S of a
+stack are one product (``restricted_gram``), which the harness also uses
+for the exact-Gram round two and the oracle. The inverse Gram of every
+matrix of a stack comes from one LAPACK inverse of the stacked X_S'X_S, kept where
 ||G||_F ||G^-1||_F certifies X_S well conditioned, and from a thin SVD of
 X_S, which makes the rank decision, where it does not; a caller that solves
 many responses on the same columns (every replication of a fixed design)
@@ -65,8 +67,9 @@ class LassoFit:
 
     ``gradient`` is X'(y - X theta)/n at ``coefficients`` up to roundoff,
     the solver's last gradient, and ``max_kkt_violation`` is its KKT
-    residual. ``xty`` is the undivided X'y the fit formed, with the bits of
-    ``X.T @ y``; its column S is X_S'y for any column subset S. A fit of one
+    residual. ``xty`` is the undivided X'y the fit started from: the
+    caller's when it passed one, else the one it formed, with the bits of
+    ``X.T @ y``. Its column S is X_S'y for any column subset S. A fit of one
     design holds (d,) arrays and Python scalars; a fit of a stack of M
     designs holds (M, d) arrays and (M,) arrays, row m machine m's.
     """
@@ -87,6 +90,7 @@ def fit_lasso(
     max_sweeps: int = MAX_SWEEPS,
     gram_diag: np.ndarray | None = None,
     columns=None,
+    xty: np.ndarray | None = None,
 ) -> LassoFit:
     """Solve the lasso by active-set coordinate descent, for one design or
     a stack of them.
@@ -110,16 +114,19 @@ def fit_lasso(
     that each holds columns of its design only. Without it every problem
     gets a new store without a budget, dropped after the fit.
 
-    The fit forms X'y in one product over the stack whose bits are those of
-    ``X.T @ y`` (``restricted_xty``), returns it as ``xty`` and starts from
-    X'y/n, the gradient at zero. It returns the solver's last gradient
-    X'y/n - (X'X/n) theta at the solution (X'y/n itself for a zero
-    solution) as ``gradient`` and that gradient's KKT residual as
-    ``max_kkt_violation``, equal up to roundoff to ``kkt_violation`` at the
-    solution without forming X'r again. ``converged`` is True only when the
-    last sweep moved no coefficient by ``COEF_TOL`` or more and that
-    residual is within ``KKT_TOL``. Non-convergence within ``max_sweeps`` is
-    reported, not raised.
+    The fit starts from X'y/n, the gradient at zero. X'y is the caller's
+    ``xty`` ((d,) for a design, (M, d) for a stack), which the caller
+    vouches is X'y of X and y up to roundoff (a row of one product of X
+    with several responses may differ from ``X.T @ y`` in the last bits),
+    or else one product over the stack whose bits are those of
+    ``X.T @ y`` (``restricted_xty``); either is returned as ``xty``. The
+    fit returns the solver's last gradient X'y/n - (X'X/n) theta at the
+    solution (X'y/n itself for a zero solution) as ``gradient`` and that
+    gradient's KKT residual as ``max_kkt_violation``, equal up to roundoff
+    to ``kkt_violation`` at the solution without forming X'r again.
+    ``converged`` is True only when the last sweep moved no coefficient by
+    ``COEF_TOL`` or more and that residual is within ``KKT_TOL``.
+    Non-convergence within ``max_sweeps`` is reported, not raised.
 
     ``gram_diag``, the diagonal of X'X/n ((d,) for a design, (M, d) for a
     stack: each column's sum of squares over n, ``_kernels.gram_diagonal``),
@@ -129,12 +136,12 @@ def fit_lasso(
 
     Every fit starts from zero. The inputs are checked once over the whole
     stack, and a fault in any machine's raises ValueError: a NaN or inf in
-    X, y or the X'y/n formed from them (a product past the largest double),
-    a wrong shape, or a ``columns`` of another length than the stack. X is
-    checked in O(d) per machine through its column sums of squares: a
-    column's sum is NaN or inf when the column holds a NaN or inf, and also
-    when its squares sum past the largest double, so a column with an entry
-    of magnitude about 1.3e154 or more is rejected too.
+    X, y or X'y/n (a product past the largest double), a wrong shape, or a
+    ``columns`` of another length than the stack. X is checked in O(d) per
+    machine through its column sums of squares: a column's sum is NaN or
+    inf when the column holds a NaN or inf, and also when its squares sum
+    past the largest double, so a column with an entry of magnitude about
+    1.3e154 or more is rejected too.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -144,6 +151,7 @@ def fit_lasso(
         X, y = X[None], y[None]
         gram_diag = None if gram_diag is None else np.asarray(gram_diag)[None]
         columns = None if columns is None else [columns]
+        xty = None if xty is None else np.asarray(xty, dtype=np.float64)[None]
     if X.ndim != 3:
         raise ValueError("X must be (n, d) or a stack (M, n, d)")
     M, n, d = X.shape
@@ -154,7 +162,12 @@ def fit_lasso(
         raise ValueError("gram_diag has wrong length")
     if not (np.isfinite(diag).all() and np.isfinite(y).all()):
         raise ValueError("NaN or inf in lasso inputs")
-    xty = restricted_xty(X, y)
+    if xty is None:
+        xty = restricted_xty(X, y)
+    else:
+        xty = np.asarray(xty, dtype=np.float64)
+        if xty.shape != (M, d):
+            raise ValueError("xty has wrong shape")
     c = xty / n
     if not np.isfinite(c).all():  # finite X and y whose products overflow
         raise ValueError("NaN or inf in lasso inputs")

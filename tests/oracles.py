@@ -222,12 +222,47 @@ def loop_shards(spec, rep=0, n=None):
     return np.array(slabs)
 
 
+def loop_response(point, rep, m):
+    """Machine m's responses in replication ``rep``: its noise drawn at the
+    design's n_cal from its own stream and cut to the point's n, as
+    ``harness`` drew it before its noise streams, and X_m theta* plus sigma
+    times it."""
+    from votelasso.datagen import TAG_NOISE, stream
+
+    design = point.design
+    w = stream(design.spec.base_seed, TAG_NOISE, rep, m).standard_normal(design.n_cal)[: point.n]
+    return design.X[m][: point.n] @ point.theta_star + point.sigma * w
+
+
+def loop_xty(config, point, rep):
+    """Every machine's X'y in replication ``rep``, machine by machine, as
+    the replication's block forms it: in fixed-design mode, for ``rep``
+    below ``config.reps``, the row of ``rep`` in one (B, n) @ X_m product
+    over the machine's responses (``loop_response``) in the replications of
+    its aligned block (from rep - rep mod ``harness.REP_BLOCK``, at most
+    that many, cut at ``config.reps``); otherwise the (1, n) @ X_m product
+    of its own responses. Returns the (M, d) rows. The bitwise reference
+    for the blocked X'Y; do not batch it over machines."""
+    from votelasso.harness import REP_BLOCK
+
+    if config.fixed_design and 0 <= rep < config.reps:
+        start = rep - rep % REP_BLOCK
+        reps = range(start, min(start + REP_BLOCK, config.reps))
+    else:
+        reps = range(rep, rep + 1)
+    rows = []
+    for m in range(point.M):
+        Y = np.array([loop_response(point, r, m) for r in reps])
+        rows.append((Y @ point.design.X[m][: point.n])[rep - reps[0]])
+    return np.array(rows)
+
+
 def loop_rep_fits(config, point, rep):
     """Round one machine by machine, as ``harness._rep_fits`` computed it
     before its stacked pass: noise, response, X'y/n, lasso, debiasing and
-    standardization, each a separate call per machine. Each machine
-    debiases with the X'(y - X theta_tilde)/n of its own fit, the solver's
-    last gradient, and keeps its own X'y, the product ``y @ X``. Its
+    standardization, each a separate call per machine. Each machine's fit
+    starts from its row of ``loop_xty`` and debiases with the
+    X'(y - X theta_tilde)/n of its own fit, the solver's last gradient. Its
     precision estimate is the design's when the point reuses it (at n_cal,
     or under ``config.precision_reuse``), else the nodewise estimate of its
     first n rows, and its sandwich diagonal is formed from those rows. The
@@ -237,27 +272,25 @@ def loop_rep_fits(config, point, rep):
     point would. Returns what ``_rep_fits`` returns, (theta_tilde,
     theta_hat, xi, converged, sweeps, kkt, xty, Y), each stacked from the
     per-machine results."""
-    from votelasso.datagen import TAG_NOISE, stream
     from votelasso.debias import estimate_precision, noise_scale, sandwich_diag, standardize
     from votelasso.lasso import fit_lasso
 
     design = point.design
-    spec = design.spec
     n, sigma = point.n, point.sigma
     reuse = n == design.n_cal or config.precision_reuse
+    xtys = loop_xty(config, point, rep)
     rows = []
     for m in range(point.M):
         X = design.X[m][:n]
-        w = stream(spec.base_seed, TAG_NOISE, rep, m).standard_normal(design.n_cal)[:n]
-        y = X @ point.theta_star + sigma * w
-        fit = fit_lasso(X, y, point.lam, columns=point.columns[m])
+        y = loop_response(point, rep, m)
+        fit = fit_lasso(X, y, point.lam, columns=point.columns[m], xty=xtys[m])
         theta_t, sweeps, kkt, conv, grad = (
             fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged, fit.gradient
         )
         omega = design.omegas[m] if reuse else estimate_precision(X, config.lam_omega_at(n)).omega_hat
         theta_h = theta_t + omega.matvec(grad)
         xi = standardize(theta_h, noise_scale(sandwich_diag(omega, X), sigma), n)
-        rows.append((theta_t, theta_h, xi, bool(conv), int(sweeps), float(kkt), y @ X, y))
+        rows.append((theta_t, theta_h, xi, bool(conv), int(sweeps), float(kkt), xtys[m], y))
     return tuple(np.array(column) for column in zip(*rows))
 
 
@@ -274,13 +307,15 @@ def loop_oracle_gram(point):
     return gram
 
 
-def loop_oracle_error(point, ys):
-    """``harness._oracle_error`` accumulating X_{m,S}'y_m one machine at a
-    time, each read off the machine's own X'y, ``ys[m] @ X_m``."""
+def loop_oracle_error(config, point, rep):
+    """``harness._oracle_error`` of replication ``rep`` accumulating
+    X_{m,S}'y_m one machine at a time, each read off the machine's own X'y
+    (``loop_xty``)."""
     S = point.design.support
+    xty = loop_xty(config, point, rep)
     v = np.zeros(S.size)
     for m in range(point.M):
-        v += (ys[m] @ point.design.X[m][: point.n])[S]
+        v += xty[m][S]
     beta = np.linalg.solve(point.oracle_gram, v)
     theta = np.zeros(point.design.spec.d)
     theta[S] = beta
@@ -334,21 +369,21 @@ def loop_tallies(messages, d):
     return tallies
 
 
-def loop_second_round(config, point, ys, support):
-    """``harness._second_round`` machine by machine: each machine reads its
-    X_S'y off its own X'y, ``ys[m] @ X_m``, gathers its own restricted
-    design and sends (X_S'X_S)^-1 X_S'y, factored on its own, or X_S'X_S and
-    X_S'y. Returns (theta_hat, total bits). The bitwise reference for the
-    stacked round two; do not batch it."""
+def loop_second_round(config, point, rep, support):
+    """``harness._second_round`` of replication ``rep`` machine by machine:
+    each machine reads its X_S'y off its own X'y (``loop_xty``), gathers its
+    own restricted design and sends (X_S'X_S)^-1 X_S'y, factored on its
+    own, or X_S'X_S and X_S'y. Returns (theta_hat, total bits). The bitwise
+    reference for the stacked round two; do not batch it."""
     from votelasso import fusion
     from votelasso.lasso import restricted_gram_inverse
     from votelasso.protocol import GramSummary, Message, RestrictedEstimate, bit_cost
 
     d = point.design.spec.d
+    xtys = loop_xty(config, point, rep)
     msgs = []
     for m in range(point.M):
-        X = point.design.X[m][: point.n]
-        X_S, xty = X[:, support], (ys[m] @ X)[support]
+        X_S, xty = point.design.X[m][: point.n, support], xtys[m][support]
         if config.second_round == "gram_exact":
             payload = GramSummary(support, X_S.T @ X_S, xty)
         else:

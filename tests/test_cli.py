@@ -375,10 +375,21 @@ class TestSweep:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert [l.split(",")[1] for l in lines[1:]] == ["2", "4"]
 
+    def test_sweep_lambda_axis(self, tmp_path):
+        # Each penalty is its own grid point; every record carries its lam.
+        argv = ["sweep", *COMMON, "--scheme", "thresh_votes", "--axis", "lam", "--grid", "0.3,1.2",
+                "--reps", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert [l.split(",")[:2] for l in lines[1:]] == [["lam", "0.3"], ["lam", "1.2"]]
+        records = [json.loads(line) for line in (tmp_path / "records.jsonl").read_text().splitlines()]
+        assert [(r["value"], r["lam"]) for r in records] == [(0.3, 0.3)] * 2 + [(1.2, 1.2)] * 2
 
     @pytest.mark.parametrize(
         "axis, grid, message",
         [
+            ("lam", "0.5,-1", "lam must be"),
+            ("lam", "0.5,nan", "lam must be"),
             ("r", "0.5,1.5", "r must lie in"),
             ("n", "0,30", "M and n must be positive"),
             ("M", "2,-1", "M and n must be positive"),

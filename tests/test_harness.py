@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from votelasso import fusion, harness, lasso, protocol
+from votelasso import _kernels, fusion, harness, lasso, protocol
 from votelasso.datagen import ProblemSpec, make_theta_star, sample_noise, sample_responses, sample_shards
 from votelasso.debias import SparseRows, debias, estimate_precision, noise_scale, sandwich_diag, standardize
 from votelasso.harness import (
@@ -34,6 +34,7 @@ from oracles import (
     loop_round1_messages,
     loop_second_round,
     loop_tallies,
+    loop_xty,
     naive_debias,
     normal_equations_ols,
     svd_gram_inverse,
@@ -174,10 +175,9 @@ class TestRunReplication:
         assert rec_gram.bits_round2_total > rec_avg.bits_round2_total
         # One point run under both rules, in either order, gives each rule's
         # own estimate: the frozen loop's, and a fresh point's record.
-        ys = _rep_fits(point, 0)[-1]
         S = np.array(rec_avg.S_hat, dtype=np.int64)
         for c, rec in ((cfg, rec_avg), (cfg2, rec_gram)):
-            theta, bits = loop_second_round(c, point, ys, S)
+            theta, bits = loop_second_round(c, point, 0, S)
             assert rec.l2_error == float(np.linalg.norm(theta - point.theta_star))
             assert rec.bits_round2_total == bits
         shared = materialize(design, cfg2)
@@ -344,26 +344,31 @@ def _untimed(rec) -> dict:
     return {k: v for k, v in rec.to_dict().items() if k not in TIMING_FIELDS}
 
 
+def _untimed_row(row: dict) -> dict:
+    """A sweep's record without its timings and grid coordinates."""
+    return {k: v for k, v in row.items() if k not in (*TIMING_FIELDS, "axis", "value")}
+
+
 def _round2_supports(recs) -> set:
     return {tuple(r.S_hat) for r in recs if r.scheme != "avg_deblasso" and r.S_hat}
 
 
 @contextlib.contextmanager
-def _per_machine_loops(monkeypatch):
+def _per_machine_loops(monkeypatch, config):
     """Replace round one, the tallies, round two and the oracle of every
-    replication run inside by the per-machine loops of ``oracles``. The
-    loops read each machine's X'y off its responses themselves, so they are
-    handed the replication's Y in place of its stacked X'y."""
-    ys = {}
+    replication of ``config`` run inside by the per-machine loops of
+    ``oracles``. The loops form each machine's X'y from its responses
+    themselves (``loop_xty``), so they are handed the replication's number
+    in place of its stacked X'y."""
+    current = {}
     rep_fits = harness._rep_fits
 
-    def keeping_ys(point, rep):
-        fits = rep_fits(point, rep)
-        ys["rep"] = fits[-1]
-        return fits
+    def keeping_rep(point, rep):
+        current["rep"] = rep
+        return rep_fits(point, rep)
 
     with monkeypatch.context() as mp:
-        mp.setattr(harness, "_rep_fits", keeping_ys)
+        mp.setattr(harness, "_rep_fits", keeping_rep)
         mp.setattr(
             harness,
             "_round1_messages",
@@ -373,9 +378,9 @@ def _per_machine_loops(monkeypatch):
         mp.setattr(
             harness,
             "_second_round",
-            lambda config, point, xty, support: loop_second_round(config, point, ys["rep"], support),
+            lambda config, point, xty, support: loop_second_round(config, point, current["rep"], support),
         )
-        mp.setattr(harness, "_oracle_error", lambda point, xty: loop_oracle_error(point, ys["rep"]))
+        mp.setattr(harness, "_oracle_error", lambda point, xty: loop_oracle_error(config, point, current["rep"]))
         yield
 
 
@@ -479,7 +484,7 @@ class TestSharedWork:
         cfg = cfg.with_(second_round=second_round)
         point = materialize(design, cfg)
         for rep in (0, 1):
-            with _per_machine_loops(monkeypatch):
+            with _per_machine_loops(monkeypatch, cfg):
                 loop = [_untimed(r) for r in run_point_rep(point, cfg, list(SCHEMES), rep)]
             scored = []
 
@@ -567,7 +572,7 @@ class TestOneTallyPerSelection:
         cfg = cfg.with_(second_round=second_round, sparsity_mode=sparsity_mode)
         point = materialize(design, cfg)
         for rep in (0, 1):
-            with _per_machine_loops(monkeypatch):
+            with _per_machine_loops(monkeypatch, cfg):
                 loop = {r.scheme: _untimed(r) for r in run_point_rep(point, cfg, list(SCHEMES), rep)}
             assert any(v["bits_round1_total"] for k, v in loop.items() if k.startswith("thresh"))
             for subset in (*TALLY_SUBSETS, list(SCHEMES)):
@@ -809,7 +814,7 @@ class TestStackedMessages:
 
     @staticmethod
     def _loop_records(monkeypatch, cfg, axis, grid):
-        with _per_machine_loops(monkeypatch):
+        with _per_machine_loops(monkeypatch, cfg):
             return run_sweep(cfg, axis, grid, schemes=list(SCHEMES)).records
 
     @pytest.mark.parametrize("second_round", ["average", "gram_exact"])
@@ -853,10 +858,10 @@ class TestStackedMessages:
         fit = harness.fit_lasso
         monkeypatch.setattr(harness, "fit_lasso", lambda *a, **kw: fits.append(fit(*a, **kw)) or fits[-1])
         run_point_rep(point, cfg, list(SCHEMES), 0)
-        ys = _rep_fits(point, 0)[-1]
+        xtys = loop_xty(cfg, point, 0)
         assert len(sent) >= 2 * point.M
         for m, S, payload in sent:
-            xty_S = (ys[m] @ design.X[m][:40])[S]
+            xty_S = xtys[m][S]
             # The machine's X_S'y is column S of the X'y its fit formed.
             assert _same_bits(fits[0].xty[m, S], xty_S)
             operand = point.round2[(second_round, S.tobytes())][m]
@@ -1248,14 +1253,13 @@ class TestStackedRoundOne:
             ref_fits = loop_rep_fits(config, point, rep)
             names = ("theta_tilde", "theta_hat", "xi", "converged", "sweeps", "kkt", "xty", "Y")
             assert len(fits) == len(ref_fits) == len(names)
-            ys, ref_ys = fits[-1], ref_fits[-1]
-            assert ys.shape == (point.M, point.n)
+            assert fits[-1].shape == (point.M, point.n)
             for name, rows, ref_rows in zip(names, fits, ref_fits):
                 assert len(rows) == len(ref_rows) == point.M
                 for m in range(point.M):
                     assert _same_bits(rows[m], ref_rows[m]), (m, name)
             assert np.count_nonzero(fits[0])
-            assert _oracle_error(point, fits[-2]) == loop_oracle_error(point, ref_ys)
+            assert _oracle_error(point, fits[-2]) == loop_oracle_error(config, point, rep)
 
     def test_at_n_cal(self, small_design):
         cfg, design = small_design
@@ -1383,8 +1387,8 @@ class TestStackedRoundOne:
         point = materialize(build_design(cfg), cfg)
         assert point.design.support.size == 1 and point.M >= 9
         for rep in range(4):
-            *_, xty, ys = _rep_fits(point, rep)
-            assert _oracle_error(point, xty) == loop_oracle_error(point, ys)
+            xty = _rep_fits(point, rep)[-2]
+            assert _oracle_error(point, xty) == loop_oracle_error(cfg, point, rep)
 
     @pytest.mark.parametrize("n", [None, 30])
     def test_point_gram_diagonal_rows_are_the_machines(self, small_design, n):
@@ -1563,3 +1567,191 @@ class TestScaleInvariance:
         m2 = round1_thresh_votes(0, select_threshold(xi2[None], 2.0)[0][0])
         assert np.array_equal(m1.payload.indices, m2.payload.indices)
         assert np.allclose(xi1, xi2)
+
+
+class TestReplicationBlocks:
+    """A fixed-design point's replications come in aligned blocks of
+    ``REP_BLOCK``: one noise fill and one X'Y product per block."""
+
+    # 20 replications: one full block and a tail block of 4.
+    @staticmethod
+    def _point(**kw):
+        cfg = _config(d=30, K=2, M=4, n=25, reps=20, **kw)
+        design = build_design(cfg)
+        return cfg, design, materialize(design, cfg)
+
+    def test_a_replication_alone_equals_its_sweep_record(self):
+        # At the default lambda every fit is zero, so a record reads the
+        # replication's X'y bits through xi, round two and the oracle, and no
+        # Gram column formed by an earlier replication. A replication in
+        # the middle of a block and one in the tail block, each asked for
+        # first on a fresh point, get their sweep records bit for bit.
+        cfg, design, _ = self._point()
+        assert harness.REP_BLOCK == 16
+        records = run_sweep(cfg, "r", [cfg.spec.r], list(SCHEMES), design=design).records
+        assert any(r["bits_round2_total"] for r in records)
+        for rep in (7, 18):
+            point = materialize(design, cfg)
+            alone = [_untimed(r) for r in run_point_rep(point, cfg, list(SCHEMES), rep)]
+            assert point.block.start == rep - rep % 16
+            swept = [_untimed_row(r) for r in records if r["rep"] == rep]
+            assert alone == swept, rep
+            assert all(r["flags"]["max_sweeps"] == 1 for r in swept)
+
+    def test_full_and_tail_blocks_equal_the_per_machine_loop(self, monkeypatch):
+        # The loop forms each machine's X'y from its own aligned block, cut
+        # at the replication count, so a replication of the full block and
+        # one of the tail block match it bit for bit, with nonzero fits.
+        # Each block draws its own replications' noise once.
+        cfg, _, point = self._point(lam=0.1)
+        drawn = []
+        fill = point.noise.fill
+        monkeypatch.setattr(point.noise, "fill", lambda out, rep: drawn.append(rep) or fill(out, rep))
+        TestStackedRoundOne._assert_matches_loop(cfg, point, reps=(5, 17))
+        assert point.block.start == 16 and drawn == list(range(20))
+
+    def test_blocked_xty_within_the_dot_product_bound(self):
+        # Each entry of X'y is a length-n dot product; two evaluations of it
+        # differ by at most n eps (|X_m|'|y|), twice the first-order error
+        # bound of either (Higham 2002, section 3.1).
+        _, design, point = self._point()
+        n = point.n
+        eps = np.finfo(np.float64).eps
+        for rep in (0, 7, 15, 16, 19):
+            *_, xty, Y = _rep_fits(point, rep)
+            for m in range(point.M):
+                X = design.X[m][:n]
+                bound = n * eps * (np.abs(X).T @ np.abs(Y[m]))
+                assert (np.abs(xty[m] - Y[m] @ X) <= bound).all(), (rep, m)
+
+    def test_every_fit_of_a_block_converges_with_one_kernel_call(self, monkeypatch):
+        cfg, design, point = self._point(lam=0.3)
+        calls = []
+        kernel = _kernels.cd_residual
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "cd_residual", counting)
+        blocks = set()
+        for rep in range(cfg.reps):
+            calls.clear()
+            theta_t, _, _, converged, _, kkt, _, Y = _rep_fits(point, rep)
+            blocks.add((point.block.start, id(point.block.Y), id(point.block.XY)))
+            assert len(calls) == point.M, rep
+            assert converged.all() and kkt.max() <= lasso.KKT_TOL and theta_t.any(), rep
+            for m in range(point.M):
+                cert = kkt_violation(design.X[m][: point.n], Y[m], point.lam, theta_t[m])
+                assert cert <= lasso.KKT_TOL, (rep, m)
+        # Two blocks, both in the buffers the first one allocated.
+        assert len(blocks) == 2 and len({(y, xy) for _, y, xy in blocks}) == 1
+        assert point.block.Y.shape == (point.M, 16, point.n)
+
+    def test_redraw_mode_and_reps_past_the_count_take_the_single_path(self, monkeypatch):
+        # Outside the blocks a fit forms its own X'y, the bits of y @ X_m.
+        given = []
+        fit = harness.fit_lasso
+        monkeypatch.setattr(harness, "fit_lasso", lambda *a, **kw: given.append(kw["xty"]) or fit(*a, **kw))
+        redraw_cfg = _config(d=30, K=2, M=4, n=25, reps=20, fixed_design=False)
+        redraw = materialize(build_design(redraw_cfg, rep=5), redraw_cfg)
+        cfg, _, point = self._point()
+        assert redraw.block is None and point.block.reps == cfg.reps
+        for p, rep in ((redraw, 5), (point, 20), (point, 2**32 + 1)):
+            *_, xty, Y = _rep_fits(p, rep)
+            assert given[-1] is None, rep
+            X = p.design.X[: p.M, : p.n]
+            assert all(_same_bits(xty[m], Y[m] @ X[m]) for m in range(p.M)), rep
+        assert point.block.start == -1
+        # A block already formed stays as it is.
+        _rep_fits(point, 3)
+        assert given[-1] is not None and point.block.start == 0
+        Y0 = point.block.Y.copy()
+        _rep_fits(point, 25)
+        assert given[-1] is None and point.block.start == 0 and _same_bits(point.block.Y, Y0)
+
+
+class TestLambdaAxis:
+    """lam is a sweep axis: every value is its own grid point on one design."""
+
+    def test_sweep_records_equal_single_value_runs(self):
+        cfg = _config(d=30, K=2, M=4, n=25, reps=2)
+        design = build_design(cfg)
+        grid = [0.3, 0.6, "fixed_8"]
+        records = run_sweep(cfg, "lam", grid, ["thresh_votes", "top_L_votes"], design=design).records
+        for value in grid:
+            alone = run_sweep(cfg.with_(lam=value), "r", [cfg.spec.r], ["thresh_votes", "top_L_votes"], design=design)
+            swept = [_untimed_row(r) for r in records if r["value"] == value]
+            assert swept == [_untimed_row(r) for r in alone.records], value
+        assert [r["lam"] for r in records[:4]] == [0.3] * 4
+        assert max(r["flags"]["max_sweeps"] for r in records if r["value"] == 0.3) > 1
+
+    def test_each_value_gets_fresh_column_stores_and_the_designs_lam_omega(self, monkeypatch):
+        cfg = _config(d=30, K=2, M=4, n=25, reps=2, lam_omega=0.4)
+        points = []
+        build = harness.materialize
+        monkeypatch.setattr(harness, "materialize", lambda *a, **kw: points.append(build(*a, **kw)) or points[-1])
+        run_sweep(cfg, "lam", [0.3, 0.2], ["thresh_votes"])
+        assert [p.lam for p in points] == [0.3, 0.2]
+        assert points[0].design is points[1].design and points[0].design.lam_omega == 0.4
+        assert not {id(s) for s in points[0].columns} & {id(s) for s in points[1].columns}
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, True, "fixed_9"])
+    def test_invalid_value_raises(self, small_design, bad):
+        cfg, design = small_design
+        with pytest.raises(ValueError, match="lam must be"):
+            check_grid(cfg, "lam", [0.5, bad], ["thresh_votes"])
+        with pytest.raises(ValueError, match="lam must be"):
+            materialize(design, cfg, lam=bad)
+
+
+class TestCalibration:
+    """With lam_omega -> 0 at n >> d, Omega_hat is Sigma_hat^-1 to the
+    nodewise solver's tolerance, debiasing lands on OLS from any lasso
+    start, and xi is OLS's known-sigma z-statistic
+    sqrt(n) beta_k / (sigma sqrt((Sigma_hat^-1)_kk))."""
+
+    @pytest.mark.parametrize("lam", ["fixed_8", 0.02])
+    def test_xi_is_the_ols_z_statistic(self, lam):
+        lam_omega = 1e-6
+        spec = ProblemSpec(d=20, K=2, M=2, n=2000, r=0.8, base_seed=1)
+        cfg = ExperimentConfig(spec=spec, lam=lam, lam_omega=lam_omega, reps=3)
+        design = build_design(cfg)
+        point = materialize(design, cfg)
+        theta_t, theta_h, xi, converged, *_, Y = _rep_fits(point, 1)
+        assert point.block.start == 0 and converged.all()
+        assert theta_t.any() == (lam == 0.02)
+        n, d, sigma = spec.n, spec.d, point.sigma
+        for m in range(spec.M):
+            X = design.X[m]
+            S_inv = np.linalg.inv(X.T @ X / n)
+            s = np.diag(S_inv)
+            beta = np.linalg.solve(X.T @ X, X.T @ Y[m])
+            z = math.sqrt(n) * beta / (sigma * np.sqrt(s))
+            # The bound, fixed before the first run. Row k of Omega_hat is
+            # (e_k - g_k) / tau_k^2 with g_k the nodewise lasso at lam_omega,
+            # certified to KKT_TOL (build_design raises otherwise). So
+            # E = Omega_hat Sigma_hat - I has |E_kj| <= (lam_omega + KKT_TOL)
+            # / tau_k^2 off the diagonal (the gradient bound) and |E_kk| <=
+            # ||g_k||_1 KKT_TOL / tau_k^2 (tau_k^2's identity): eps_k.
+            omega = dense_rows(design.omegas[m])
+            tau2 = 1.0 / np.diag(omega)
+            g_l1 = tau2 * (np.abs(omega).sum(axis=1) - np.diag(omega))
+            eps_k = (lam_omega + lasso.KKT_TOL * np.maximum(1.0, g_l1)) / tau2
+            # theta_hat = Omega_hat X'y/n + (I - Omega_hat Sigma_hat) theta_tilde,
+            # so theta_hat - beta = E (beta - theta_tilde): at most
+            # eps_k ||beta - theta_tilde||_1.
+            gap = eps_k * np.abs(beta - theta_t[m]).sum()
+            assert (np.abs(theta_h[m] - beta) <= gap).all(), m
+            # c = (I + E) Sigma_hat^-1 (I + E)': |c_kk - s_kk| <= delta_k =
+            # 2 eps_k ||S_inv_k||_1 + d eps_k^2 lambda_max(S_inv), and
+            # |xi_k - z_k| <= sqrt(n)/sigma (gap_k / sqrt(s_kk - delta_k)
+            # + |beta_k| (1/sqrt(s_kk - delta_k) - 1/sqrt(s_kk))), plus the
+            # roundoff of forming either side, 1e-10 (1 + |z_k|) at
+            # cond(Sigma_hat) < 10.
+            delta = 2 * eps_k * np.abs(S_inv).sum(axis=1) + d * eps_k**2 * np.linalg.eigvalsh(S_inv)[-1]
+            low = np.sqrt(s - delta)
+            bound = math.sqrt(n) / sigma * (gap / low + np.abs(beta) * (1 / low - 1 / np.sqrt(s)))
+            bound += 1e-10 * (1 + np.abs(z))
+            assert bound.max() <= 1e-3  # tight enough to tell lam_omega = 1e-3's 1.9e-2 apart
+            assert (np.abs(xi[m] - z) <= bound).all(), (m, np.abs(xi[m] - z).max(), bound.min())

@@ -568,6 +568,33 @@ class TestStackedFit:
             assert fit.xty[m].tobytes() == (X[m].T @ y[m]).tobytes() == (y[m] @ X[m]).tobytes()
             assert fit_lasso(X[m], y[m], lam).xty.tobytes() == fit.xty[m].tobytes()
 
+    @pytest.mark.parametrize("lam", [10.0, 0.05])
+    def test_given_xty_is_the_fits_start(self, rng, lam):
+        # A caller's X'y (here one product over three responses, the way a
+        # block of replications forms it) is the fit's X'y: the fit starts
+        # from it over n and returns it. The same bits as formed give the
+        # same fit; a design takes its row.
+        X, y = self._stack(rng, 3)
+        formed = fit_lasso(X, y, lam)
+        given = fit_lasso(X, y, lam, xty=formed.xty.copy())
+        for name in ("coefficients", "iterations", "max_kkt_violation", "converged", "gradient", "xty"):
+            assert np.array_equal(getattr(given, name), getattr(formed, name)), name
+        blocked = np.stack([np.stack([y[m], y[m][::-1], 2 * y[m]]) @ X[m] for m in range(3)])[:, 0]
+        fit = fit_lasso(X, y, lam, xty=blocked)
+        assert fit.xty is blocked or np.shares_memory(fit.xty, blocked)
+        assert fit.coefficients.any() == (lam < 1.0) and fit.converged.all()
+        if lam > 1.0:
+            assert np.array_equal(fit.gradient, blocked / X.shape[1])
+        alone = fit_lasso(X[1], y[1], lam, xty=blocked[1])
+        assert np.array_equal(alone.coefficients, fit.coefficients[1]) and alone.xty.shape == blocked[1].shape
+
+    def test_non_finite_given_xty_rejected(self, rng):
+        X, y = self._stack(rng, 3)
+        xty = fit_lasso(X, y, 10.0).xty.copy()
+        xty[2, 4] = np.inf
+        with pytest.raises(ValueError, match="^NaN or inf in lasso inputs$"):
+            fit_lasso(X, y, 0.1, xty=xty)
+
     @pytest.mark.parametrize("where", ["X", "y", "c"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_in_one_machine_rejected(self, rng, where, bad):
@@ -597,6 +624,8 @@ class TestStackedFit:
             (dict(gram_diag=np.ones(d)), "^gram_diag has wrong length$"),
             (dict(gram_diag=np.ones((M, d + 1))), "^gram_diag has wrong length$"),
             (dict(columns=[_kernels.GramColumns(d)] * (M - 1)), "^columns must hold one store per design$"),
+            (dict(xty=np.ones(d)), "^xty has wrong shape$"),
+            (dict(xty=np.ones((M, d - 1))), "^xty has wrong shape$"),
             (dict(X=X[None]), "^X must be"),
             (dict(X=X[0, 0]), "^X must be"),
         ]
