@@ -261,7 +261,9 @@ def cmd_sweep(args) -> int:
     spec = _build_spec(args, file_values)
     config, schemes = _build_config(args, spec, file_values)
     try:
-        grid_vals = [float(v) for v in args.grid.split(",")]
+        # A lam value may also be a rule name, which check_grid judges.
+        parse = _rule_or_number if args.axis == "lam" else float
+        grid_vals = [parse(v) for v in args.grid.split(",")]
     except ValueError:
         raise SystemExit(f"--grid: expected comma-separated numbers, got {args.grid!r}") from None
     if args.axis in ("n", "M", "L"):

@@ -16,19 +16,20 @@ single machine's view is its row: the slab ``X[m]`` and the response row
 Only the streams are per machine. ``sample_shards`` fills each slab from
 its machine's stream and then runs the AR(1) column recursion once over
 the whole stack; ``sample_noise`` draws each machine's noise row from its
-own stream. Both draw through ``Streams``, the one object that positions
-streams: instead of seeding M generators, it forms the PCG64 seed words of
-all M machines' streams, for every replication it holds, in one vectorized
-pass of SeedSequence's hash over their entropy keys (``_stream_states``),
-and fills each machine's row from one generator set to its words in turn
-(``_draw_rows``). The pass reproduces NumPy's SeedSequence and PCG64
-seeding word for word, and the tests check every row against ``stream``,
-which seeds through NumPy itself. The responses are X theta* + sigma W, and
-the noise W is the only part that changes between replications of a fixed
-design, so the harness forms X theta* and one ``Streams`` of the noise tag
-per grid point, holding the seed words of all its replications, and draws
-each replication's W from it, while ``cli generate`` calls
-``sample_responses``: both draw the same W as ``sample_noise``.
+own stream. Both draw through ``fill_streams``, the one function that
+positions streams: instead of seeding one generator per stream, it forms
+the PCG64 seed words of every stream of a draw, all M machines times every
+replication asked for, in one vectorized pass of SeedSequence's hash over
+their entropy keys (``_stream_states``), and fills each row from one
+generator set to its stream's words in turn (``_draw_rows``). The pass
+reproduces NumPy's SeedSequence and PCG64 seeding word for word, and the
+tests check every row against ``stream``, which seeds through NumPy
+itself. The responses are X theta* + sigma W, and the noise W is the only
+part that changes between replications of a fixed design, so the harness
+forms X theta* once per grid point and draws the noise of a block of
+replications with one ``fill_streams`` call, while ``cli generate`` calls
+``sample_responses``: both draw the same W as ``sample_noise``. No object
+holds seed words between draws.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ class GroundTruth:
 def stream(base_seed: int, tag: int, *keys: int) -> np.random.Generator:
     """Independent generator for (base_seed, tag, *keys): NumPy's PCG64
     seeded by ``SeedSequence([base_seed, tag, *keys])``, which splits a
-    value of 2**32 or more into 32-bit words. ``Streams`` positions the
-    streams of all machines of a draw at once."""
+    value of 2**32 or more into 32-bit words. ``fill_streams`` positions
+    the streams of all machines and replications of a draw at once."""
     return np.random.default_rng(np.random.SeedSequence([int(base_seed), int(tag), *map(int, keys)]))
 
 
@@ -236,14 +237,14 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8")
 
 
-def _draw_rows(out: np.ndarray, states: np.ndarray, generator: np.random.Generator) -> np.ndarray:
-    """Fill each ``out[m]`` with standard normals from the PCG64 stream
-    seeded from the words ``states[m]`` (``_stream_states``), and return
-    ``out``. ``generator`` is a PCG64 ``Generator`` set to each stream's
-    state in turn; its own state is overwritten, never read, so a caller
-    that draws often keeps one and pays for creating it once."""
+def _draw_rows(rows, states: np.ndarray) -> None:
+    """Fill each C-contiguous array ``rows[i]`` with standard normals from
+    the PCG64 stream seeded from the words ``states[i]``
+    (``_stream_states``): one generator, set to each stream's state in
+    turn."""
+    generator = np.random.Generator(np.random.PCG64(0))
     bit_generator = generator.bit_generator
-    for row, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(out, states.tolist()):
+    for row, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(rows, states.tolist()):
         # pcg64_set_seed: inc = 2 * initseq + 1, state = (inc + seed) * mult + inc.
         inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
         lcg = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
@@ -254,34 +255,21 @@ def _draw_rows(out: np.ndarray, states: np.ndarray, generator: np.random.Generat
             "uinteger": 0,
         }
         generator.standard_normal(out=row)
-    return out
 
 
-class Streams:
-    """The standard normal streams ``stream(base_seed, tag, rep, m)`` of M
-    machines, drawn rep by rep.
+def fill_streams(out: np.ndarray, base_seed: int, tag: int, reps) -> np.ndarray:
+    """Fill each ``out[m, i]`` with the standard normals of
+    ``stream(base_seed, tag, reps[i], m)``, bit for bit, for every machine
+    m < len(out) and every rep of ``reps``, and return ``out``.
 
-    It forms the seed words of reps 0 to ``count`` - 1 in one
-    ``_stream_states`` pass and keeps one PCG64 generator, set to each
-    machine's stream in turn, so a caller that draws many reps of one
-    (base_seed, tag) seeds them all at once and creates one generator. A rep
-    it does not hold forms its words when drawn; a negative rep raises
-    ValueError.
+    ``out`` is (M, len(reps), ...) and each ``out[m, i]`` is C-contiguous.
+    The seed words of all M * len(reps) streams come from one
+    ``_stream_states`` pass, and one ``_draw_rows`` fill draws every row.
+    A negative rep raises ValueError.
     """
-
-    def __init__(self, base_seed: int, tag: int, M: int, count: int = 0):
-        self.base_seed, self.tag, self.M = base_seed, tag, M
-        self.states = _stream_states(base_seed, tag, range(count), M)  # (count, M, 4)
-        self.generator = np.random.Generator(np.random.PCG64(0))
-
-    def fill(self, out: np.ndarray, rep: int) -> np.ndarray:
-        """Fill each ``out[m]`` with the standard normals of
-        ``stream(base_seed, tag, rep, m)``, bit for bit, and return ``out``."""
-        if 0 <= rep < len(self.states):
-            states = self.states[rep]
-        else:
-            states = _stream_states(self.base_seed, self.tag, [rep], self.M)[0]
-        return _draw_rows(out, states, self.generator)
+    states = _stream_states(base_seed, tag, reps, len(out)).swapaxes(0, 1).reshape(-1, 4)
+    _draw_rows([row for rows in out for row in rows], states)
+    return out
 
 
 def sample_shards(spec: ProblemSpec, rep: int = 0, n: int | None = None) -> np.ndarray:
@@ -298,7 +286,8 @@ def sample_shards(spec: ProblemSpec, rep: int = 0, n: int | None = None) -> np.n
     smaller one row for row.
     """
     n = spec.n if n is None else n
-    X = Streams(spec.base_seed, TAG_DESIGN, spec.M).fill(np.empty((spec.M, n, spec.d)), rep)
+    X = np.empty((spec.M, n, spec.d))
+    fill_streams(X[:, None], spec.base_seed, TAG_DESIGN, [rep])
     s = spec.corr_decay
     if s != 0.0:
         q = math.sqrt(1.0 - s * s)
@@ -346,7 +335,9 @@ def sample_noise(M: int, n: int, base_seed: int, rep: int = 0) -> np.ndarray:
     33/250), so a grid point at n below the calibrated size sees the prefix
     of the full-size noise.
     """
-    return Streams(base_seed, TAG_NOISE, M).fill(np.empty((M, n)), rep)
+    W = np.empty((M, n))
+    fill_streams(W[:, None], base_seed, TAG_NOISE, [rep])
+    return W
 
 
 def sample_responses(

@@ -37,46 +37,43 @@ columns X'x_j/n its fits have needed so far (``columns``,
 ``_kernels.GramColumns``), the oracle's pooled Gram (``oracle_gram``: the
 machine-order ``fusion.sum_rows`` of the machines' X_S'X_S on the true
 support, the stacked product ``lasso.restricted_gram`` that ``gram_exact``
-round two sends), the round-two operands met so far, the machines'
-noise streams (``noise``, a ``datagen.Streams``) and the buffers of its
-replication blocks (``block``, see below). The precision estimates
-and sandwich diagonals themselves stay ``materialize``'s locals. In
-fixed-design mode the streams hold the seed words of replications 0 to
-``reps`` - 1, formed in one seeding pass; in redraw mode a point serves
-one replication, whose words, like those of any replication the point
-does not hold, are formed when it is drawn. A replication (``_rep_fits``)
-then computes only what depends on its noise, as one batched pass over the
-prefix where the arithmetic is the same on every machine: the (M, n)
-noise, bit for bit ``sample_noise``'s, and responses x_theta + sigma W,
-X'y (returned as ``LassoFit.xty``: over n, every lasso's gradient at
-zero), one block-diagonal mat-vec and the standardization.
+round two sends), the round-two operands met so far and the buffers of
+its replication blocks (``block``, see below). The precision estimates
+and sandwich diagonals themselves stay ``materialize``'s locals; no point
+holds seed words. A replication (``_rep_fits``) then computes only what
+depends on its noise, as one batched pass over the prefix where the
+arithmetic is the same on every machine: the (M, n) noise, bit for bit
+``sample_noise``'s, and responses x_theta + sigma W, X'y (returned as
+``LassoFit.xty``: over n, every lasso's gradient at zero), one
+block-diagonal mat-vec and the standardization.
 
 X'y is one memory-bound pass over every machine's X, and in fixed-design
-mode every replication of a point reads the same X. So the point's
-replications 0 to ``reps`` - 1 come in aligned blocks of ``REP_BLOCK``:
-replication r belongs to the block that starts at r - r mod ``REP_BLOCK``,
-cut at ``reps``. The first time a replication of a block is asked for,
-``_block_rows`` draws the noise of all the block's replications straight
-into the point's (M, B, n) response buffer, one ``Streams.fill`` per
-replication, and forms their X'Y in one (M, B, n) @ (M, n, d) product
-into its (M, B, d) buffer; every replication of the block then reads its
-rows of the two. The buffers (``PointState.block``) are reused from block
-to block, so no block faults in fresh pages. A block row of X'Y has the
-bits of the (B, n) @ X_m product of its block, which may differ in the
-last bits from a one-replication ``y @ X_m``. So a replication's X'y
-depends on the block it belongs to and on nothing else: one asked for
-alone on a fresh point gets the X'y, and at zero fits the record, that it
-has in the full sweep. Redraw mode, whose point serves one replication,
-and replications past ``reps`` draw one replication at a time, and their
-fits form X'y themselves. Every other row of these steps equals the
-single-machine result bit for bit, and sums over machines add them in
-machine order (``fusion.sum_rows``). Three steps stay per machine.
-Each machine's noise row comes from its own seeded stream
-(``Streams.fill``). Each lasso fit solves that machine's own problem, and
-the fits are the call sites the benchmark's probes count: one
-``fit_lasso`` call per replication for the whole stack, which checks every
-machine's inputs at once, takes the replication's X'y (or forms it),
-tests once over the stack which machines' zero start is already optimal
+mode every replication of a point reads the same X. So every replication
+is a row of exactly one block. A fixed-design point's replications 0 to
+``reps`` - 1 come in aligned blocks of ``REP_BLOCK``: replication r
+belongs to the block that starts at r - r mod ``REP_BLOCK``, cut at
+``reps``. Any other replication, and every replication in redraw mode,
+whose point serves one, is a block of one. The first time a replication
+of a block is asked for, ``_block_rows`` draws the noise of all the
+block's replications straight into the point's (M, B, n) response buffer
+with one ``datagen.fill_streams`` call (one seeding pass and one fill),
+and forms their X'Y in one (M, B, n) @ (M, n, d) product into its
+(M, B, d) buffer; every replication of the block then reads its rows of
+the two. The buffers (``PointState.block``) are reused from block to
+block, so no block faults in fresh pages. A block row of X'Y has the bits
+of the (B, n) @ X_m product of its block, which may differ in the last
+bits from a one-replication ``y @ X_m``; a block of one's row has those
+bits. So a replication's X'y depends on the block it belongs to and on
+nothing else: one asked for alone on a fresh point gets the X'y, and at
+zero fits the record, that it has in the full sweep. Every other row of
+these steps equals the single-machine result bit for bit, and sums over
+machines add them in machine order (``fusion.sum_rows``). Three steps
+stay per machine. Each machine's noise row comes from its own seeded
+stream. Each lasso fit solves that machine's own problem, and the fits
+are the call sites the benchmark's probes count: one ``fit_lasso`` call
+per replication for the whole stack, which checks every machine's inputs
+at once, takes the replication's X'y from its block, tests once over the
+stack which machines' zero start is already optimal
 and makes one ``_kernels.cd_residual`` call per machine, handing each its
 row's answer. A fit takes its row of the point's ``gram_diag`` for its
 check that X is finite, so it does not form it again. A nonzero fit
@@ -147,8 +144,8 @@ from .datagen import (
     TAG_NOISE,
     TAG_THETA,
     ProblemSpec,
-    Streams,
     compute_c_omega,
+    fill_streams,
     make_theta_star,
     sample_shards,
     stream,
@@ -189,8 +186,9 @@ SWEEP_AXES = ("r", "n", "M", "L", "lam")
 # formed past it serve the fit that formed them and are then dropped.
 GRAM_CACHE_BYTES = 1_000_000_000
 
-# Replications per block of a fixed-design grid point (``_block_rows``): one
-# noise fill and one X'Y product serve this many replications.
+# Replications per aligned block of a fixed-design grid point
+# (``_block_rows``): one seeding pass, one noise fill and one X'Y product
+# serve this many replications.
 REP_BLOCK = 16
 
 CSV_COLUMNS = [
@@ -313,10 +311,10 @@ class ExperimentRecord:
     share (local fits, oracle, round-1 messages, tallies and round two) and
     is the same on each of its records; ``wall_time`` is this scheme's own
     remaining work (selection, metrics, the record). Seconds, wall clock.
-    In fixed-design mode the first replication asked for of each block of
-    ``REP_BLOCK`` (``_block_rows``) also carries the block's noise draw and
-    X'Y product in its ``shared_time``, and the block's other replications
-    carry neither. ``lam`` is the lasso penalty resolved at the
+    The first replication asked for of each block (``_block_rows``) also
+    carries the block's seeding pass, noise draw and X'Y product in its
+    ``shared_time``, and the block's other replications carry none of them.
+    ``lam`` is the lasso penalty resolved at the
     replication's grid point.
     """
 
@@ -383,22 +381,27 @@ class DesignState:
 
 @dataclass
 class RepBlock:
-    """The replication blocks of a fixed-design grid point (``_block_rows``):
-    its replications 0 to ``reps`` - 1 in aligned blocks of ``REP_BLOCK``,
-    and the buffers of the block formed last, which every later block
-    reuses. Row (m, b) of ``Y`` and ``XY`` is machine m's responses and X'y
-    in replication ``start`` + b; a block cut at ``reps`` fills a prefix.
-    ``start`` is -1 while the buffers hold no whole block."""
+    """The replication blocks of a grid point (``_block_rows``): its
+    replications 0 to ``reps`` - 1 in aligned blocks of ``REP_BLOCK``, every
+    other replication a block of one, and the buffers of the block formed
+    last, which every later block reuses. ``reps`` is the config's count in
+    fixed-design mode and 0 in redraw mode. Row (m, b) of ``Y`` and ``XY``
+    is machine m's responses and X'y in replication ``start`` + b; a block
+    shorter than the buffers fills a prefix. ``start`` is None while the
+    buffers hold no whole block."""
 
     reps: int
-    Y: np.ndarray  # (M, B, n), B = min(REP_BLOCK, reps)
+    Y: np.ndarray  # (M, B, n), B = min(REP_BLOCK, reps), at least 1
     XY: np.ndarray  # (M, B, d)
-    start: int = -1
+    start: int | None = None
 
 
 @dataclass
 class PointState:
-    """One sweep grid point materialized from a DesignState."""
+    """One sweep grid point materialized from a DesignState: what its
+    replications share (see the module docstring) and the buffers of its
+    replication blocks. It holds no seed words: each block seeds its own
+    noise when formed (``_block_rows``)."""
 
     design: DesignState
     n: int
@@ -425,13 +428,8 @@ class PointState:
     # the machines' ``restricted_gram``.
     oracle_gram: np.ndarray
     L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
-    # The machines' noise streams (``datagen.Streams``). In fixed-design mode
-    # they hold the seed words of replications 0..reps-1; in redraw mode a
-    # point serves one replication, which forms its own when drawn.
-    noise: Streams
-    # The point's replication blocks; None in redraw mode, where a point
-    # serves one replication.
-    block: RepBlock | None = None
+    # The point's replication blocks and the buffers of the one formed last.
+    block: RepBlock
     # (second_round rule, support bytes) -> the (M, k, k) design-only
     # round-two operand of every machine, or the ValueError forming it raised
     # (see ``_round2_operand``).
@@ -488,12 +486,17 @@ def materialize(
     The point's n, M and r are checked as a ``ProblemSpec`` (ValueError),
     and its sandwich diagonals and sigma once for all its replications,
     by ``debias.noise_scale``, whose scale ``debias.standardize`` takes. A
-    given ``lam`` (a ``config.lam`` value: a rule name or a finite
-    positive number, else ValueError) replaces ``config.lam`` at this
-    point. In fixed-design mode the point's noise streams hold the seed
-    words of replications 0 to ``config.reps`` - 1, formed in one seeding
-    pass, and those replications come in blocks (``_block_rows``).
+    given ``L`` is checked before any work to be an integer in [1, d]
+    (ValueError); the top-L schemes' L >= K under known sparsity is
+    ``check_grid``'s rule, since only it knows the schemes. A given ``lam``
+    (a ``config.lam`` value: a rule name or a finite positive number, else
+    ValueError) replaces ``config.lam`` at this point. In fixed-design mode
+    replications 0 to ``config.reps`` - 1 come in aligned blocks and every
+    other replication is a block of one (``_block_rows``); the point's
+    buffers hold one block.
     """
+    if L is not None:
+        _check_L(L, design.spec, known_sparsity=False)
     if lam is not None:
         config = config.with_(lam=lam)
     given = {"n": n, "M": M, "r": r}
@@ -513,10 +516,8 @@ def materialize(
             omegas = [estimate_precision(Xm, config.lam_omega_at(n)).omega_hat for Xm in X]
         c_diag = np.array([sandwich_diag(omega, Xm) for omega, Xm in zip(omegas, X)])
     budget = ColumnBudget(GRAM_CACHE_BYTES)
-    block = None
-    if config.fixed_design:
-        B = min(REP_BLOCK, config.reps)
-        block = RepBlock(config.reps, np.empty((M, B, n)), np.empty((M, B, spec.d)))
+    reps = config.reps if config.fixed_design else 0  # redraw mode: blocks of one
+    B = min(REP_BLOCK, max(reps, 1))
     return PointState(
         design=design,
         n=n,
@@ -533,37 +534,39 @@ def materialize(
         columns=[GramColumns(spec.d, budget) for _ in range(M)],
         oracle_gram=fusion.sum_rows(restricted_gram(X[:, :, design.support])),
         L=L if L is not None else config.resolved_L(),
-        noise=Streams(spec.base_seed, TAG_NOISE, M, config.reps if config.fixed_design else 0),
-        block=block,
+        block=RepBlock(reps, np.empty((M, B, n)), np.empty((M, B, spec.d))),
     )
 
 
 def _block_rows(point: PointState, rep: int):
     """Replication ``rep``'s (M, n) responses and (M, d) X'y as read-only
-    rows of its aligned block, or None when the point draws it alone
-    (redraw mode, or ``rep`` outside 0..``point.block.reps`` - 1).
+    rows of its block.
 
-    The block holds replications ``start`` = rep - rep mod ``REP_BLOCK`` up
-    to ``REP_BLOCK`` of them, cut at ``point.block.reps``. Unless it is the
-    block formed last, it is formed now in the point's buffers: each
-    replication's noise, the draws of ``sample_noise(M, n, base_seed,
-    rep)``, is drawn straight into its rows of the (M, B, n) buffer and
-    turned into responses x_theta + sigma W in place, and one
-    (M, B, n) @ (M, n, d) product writes the block's X'Y. The rows stay
-    valid until the point forms another block.
+    Replication ``rep`` of 0..``point.block.reps`` - 1 belongs to the block
+    of up to ``REP_BLOCK`` replications from ``start`` = rep - rep mod
+    ``REP_BLOCK``, cut at ``point.block.reps``; any other replication (every
+    one in redraw mode) is a block of one. Unless it is the block formed
+    last, the block is formed now in the point's buffers: one
+    ``fill_streams`` call draws the noise of all its replications, the
+    draws of ``sample_noise(M, n, base_seed, rep)``, straight into the
+    (M, B, n) buffer, which becomes the responses x_theta + sigma W in
+    place, and one (M, B, n) @ (M, n, d) product writes the block's X'Y. A
+    block of one's product has the bits of ``y @ X_m``. The rows stay valid
+    until the point forms another block; a negative ``rep`` raises
+    ValueError.
     """
     block = point.block
-    if block is None or not 0 <= rep < block.reps:
-        return None
-    start = rep - rep % REP_BLOCK
-    if block.start != start:
-        block.start = -1
+    if 0 <= rep < block.reps:
+        start = rep - rep % REP_BLOCK
         size = min(REP_BLOCK, block.reps - start)
-        for b in range(size):
-            Y = point.noise.fill(block.Y[:, b], start + b)
-            Y *= point.sigma
-            Y += point.x_theta
-        np.matmul(block.Y[:, :size], point.design.X[: point.M, : point.n], out=block.XY[:, :size])
+    else:
+        start, size = rep, 1
+    if block.start != start:
+        block.start = None
+        Y = fill_streams(block.Y[:, :size], point.design.spec.base_seed, TAG_NOISE, range(start, start + size))
+        Y *= point.sigma
+        Y += point.x_theta[:, None]
+        np.matmul(Y, point.design.X[: point.M, : point.n], out=block.XY[:, :size])
         block.start = start
     Y, xty = block.Y[:, rep - start], block.XY[:, rep - start]
     Y.flags.writeable = xty.flags.writeable = False
@@ -577,18 +580,12 @@ def _rep_fits(point: PointState, rep: int):
     the lasso, debiased and standardized estimates as (M, d) arrays, each
     machine's solver status as (M,) arrays, the (M, d) X'y of the fit
     (``LassoFit.xty``) and the (M, n) responses. Row m of each is machine
-    m's. A replication of a block (``_block_rows``) returns read-only rows
-    of the point's block buffers as xty and Y, valid until the point forms
-    another block; any other forms its own.
+    m's. xty and Y are read-only rows of the point's block buffers
+    (``_block_rows``), valid until the point forms another block.
     """
     n, M = point.n, point.M
     X = point.design.X[:M, :n]
-    rows = _block_rows(point, rep)
-    if rows is None:
-        # The draws of ``sample_noise(M, n, base_seed, rep)``.
-        Y, xty = point.x_theta + point.sigma * point.noise.fill(np.empty((M, n)), rep), None
-    else:
-        Y, xty = rows
+    Y, xty = _block_rows(point, rep)
     fit = fit_lasso(X, Y, point.lam, gram_diag=point.gram_diag, columns=point.columns, xty=xty)
     theta_t, grad = fit.coefficients, fit.gradient  # grad: X'(y - X theta_tilde)/n
     converged, sweeps, kkt = fit.converged, fit.iterations, fit.max_kkt_violation

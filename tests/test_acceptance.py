@@ -110,7 +110,8 @@ def test_null_statistics_are_standard_normal(design):
     # |var - 1| <= 0.02, and the count of |xi| > tau = sqrt(2 r ln d) lies
     # within 4 binomial standard deviations of N P(|Z| > tau) = N erfc(tau / sqrt 2).
     config, built = design
-    point = dataclasses.replace(materialize(built, config), theta_star=0, x_theta=0)
+    point = materialize(built, config)
+    point = dataclasses.replace(point, theta_star=0, x_theta=np.zeros_like(point.x_theta))
     xi = np.concatenate([harness._rep_fits(point, rep)[2].ravel() for rep in range(NULL_REPS)])
     assert xi.size == NULL_REPS * max(MACHINES) * D
     assert abs(xi.mean()) <= 0.01

@@ -6,7 +6,7 @@ import pytest
 
 from votelasso.cli import main
 from votelasso.datagen import ProblemSpec
-from votelasso.harness import ExperimentConfig, SweepResult, _rep_fits, build_design, materialize
+from votelasso.harness import ExperimentConfig, SweepResult, _rep_fits, build_design, materialize, run_sweep
 
 
 COMMON = ["--d", "40", "--n", "30", "--machines", "4", "--k", "2", "--r", "0.8", "--seed", "3"]
@@ -384,6 +384,26 @@ class TestSweep:
         assert [l.split(",")[:2] for l in lines[1:]] == [["lam", "0.3"], ["lam", "1.2"]]
         records = [json.loads(line) for line in (tmp_path / "records.jsonl").read_text().splitlines()]
         assert [(r["value"], r["lam"]) for r in records] == [(0.3, 0.3)] * 2 + [(1.2, 1.2)] * 2
+
+    def test_sweep_lambda_rule_name_on_the_grid(self, tmp_path):
+        # --lambda fixed_8 and run_sweep take the rule name; so does the grid.
+        argv = ["sweep", "--d", "40", "--n", "30", "--machines", "3", "--k", "2", "--reps", "1",
+                "--axis", "lam", "--grid", "fixed_8,0.5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        records = [json.loads(line) for line in (tmp_path / "records.jsonl").read_text().splitlines()]
+        cfg = ExperimentConfig(spec=ProblemSpec(d=40, K=2, M=3, n=30, r=0.8), reps=1)
+        direct = run_sweep(cfg, "lam", ["fixed_8", 0.5], ["thresh_votes"]).records
+        untimed = lambda r: {k: v for k, v in r.items() if k not in ("wall_time", "shared_time")}
+        assert [untimed(r) for r in records] == [untimed(r) for r in json.loads(json.dumps(direct))]
+        assert [(r["value"], r["lam"]) for r in records] == [("fixed_8", 8.0 * np.sqrt(np.log(40) / 30)), (0.5, 0.5)]
+
+    def test_sweep_unknown_lambda_rule_on_the_grid_exits_with_one_line(self, tmp_path):
+        argv = ["sweep", *COMMON, "--axis", "lam", "--grid", "fixed_9", "--reps", "1",
+                "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit, match="bad problem configuration: lam must be .*'fixed_9'") as exc:
+            main(argv)
+        assert "\n" not in exc.value.code
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "axis, grid, message",

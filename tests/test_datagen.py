@@ -7,10 +7,10 @@ from votelasso.datagen import (
     TAG_DESIGN,
     TAG_NOISE,
     ProblemSpec,
-    Streams,
     _draw_rows,
     _stream_states,
     compute_c_omega,
+    fill_streams,
     make_theta_star,
     sample_noise,
     sample_responses,
@@ -320,7 +320,8 @@ class TestStreamStates:
             for m in range(M):
                 want = np.random.SeedSequence([base_seed, TAG_NOISE, rep, m]).generate_state(4, np.uint64)
                 assert np.array_equal(states[i, m], want), (base_seed, rep, m)
-            drawn = _draw_rows(np.empty((M, 7)), states[i], np.random.default_rng(5))
+            drawn = np.empty((M, 7))
+            _draw_rows(drawn, states[i])
             for m in range(M):
                 want = stream(base_seed, TAG_NOISE, rep, m).standard_normal(7)
                 assert np.array_equal(drawn[m], want), (base_seed, rep, m)
@@ -339,18 +340,32 @@ class TestStreamStates:
 
 
 class TestStreams:
-    """``Streams`` fills row m with ``stream(base_seed, tag, rep, m)``, from
-    the seed words it holds or from words formed when drawn."""
+    """``fill_streams`` fills row (m, i) with ``stream(base_seed, tag,
+    reps[i], m)``, every row of a draw from one seeding pass."""
 
-    @pytest.mark.parametrize("count", [0, 2])
-    def test_rows_are_the_streams(self, count):
-        streams = Streams(7, TAG_NOISE, 3, count=count)
-        assert streams.states.shape == (count, 3, 4)
-        for rep in (0, 1, 2, 2**32 + 1):
-            drawn = streams.fill(np.empty((3, 5)), rep)
+    REPS = [0, 1, 2, 2**32 + 1]
+
+    @pytest.mark.parametrize("first", [0, 2])
+    def test_rows_are_the_streams(self, first):
+        # A replication's rows do not depend on the block it is drawn in.
+        reps = self.REPS[first:]
+        together = fill_streams(np.empty((3, len(reps), 5)), 7, TAG_NOISE, reps)
+        for i, rep in enumerate(reps):
+            alone = fill_streams(np.empty((3, 1, 5)), 7, TAG_NOISE, [rep])[:, 0]
+            assert np.array_equal(alone, together[:, i]), rep
             for m in range(3):
-                assert np.array_equal(drawn[m], stream(7, TAG_NOISE, rep, m).standard_normal(5)), (rep, m)
+                assert np.array_equal(together[m, i], stream(7, TAG_NOISE, rep, m).standard_normal(5)), (rep, m)
+
+    def test_rows_inside_a_wider_buffer(self):
+        # A block shorter than its buffer fills a strided prefix, row by row.
+        out = np.zeros((3, 4, 2, 3))
+        fill_streams(out[:, :2], 5, TAG_DESIGN, [9, 2**32])
+        for i, rep in enumerate((9, 2**32)):
+            for m in range(3):
+                want = stream(5, TAG_DESIGN, rep, m).standard_normal((2, 3))
+                assert np.array_equal(out[m, i], want), (rep, m)
+        assert not out[:, 2:].any()
 
     def test_negative_rep_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            Streams(0, TAG_NOISE, 2, count=3).fill(np.empty((2, 4)), -1)
+            fill_streams(np.empty((2, 1, 4)), 0, TAG_NOISE, [-1])

@@ -1129,6 +1129,24 @@ class TestRunSweep:
         assert materialize(design, cfg.with_(L=7)).L == 7
         assert materialize(design, cfg.with_(L=7), L=9).L == 9
 
+    @pytest.mark.parametrize("bad", [0, 61, 2.5, True, -3])
+    def test_materialize_checks_a_given_L(self, small_design, bad, monkeypatch):
+        # A given L is held to an integer in [1, d] before any work; it used
+        # to fail only later, inside protocol.select_top_k.
+        cfg, design = small_design
+        assert cfg.spec.d == 60
+        monkeypatch.setattr(harness, "gram_diagonal", lambda X: pytest.fail("materialize did work"))
+        with pytest.raises(ValueError, match="L must"):
+            materialize(design, cfg, L=bad)
+
+    def test_materialize_leaves_L_below_K_to_check_grid(self, small_design):
+        # Only check_grid knows the schemes, so only it holds a top-L
+        # scheme's L to at least K under known sparsity.
+        cfg, design = small_design
+        assert materialize(design, cfg, L=1).L == 1
+        with pytest.raises(ValueError, match="L >= K"):
+            check_grid(cfg, "L", [1], ["top_L_votes"])
+
     def test_L_below_K_allowed_under_unknown_sparsity(self, small_design):
         cfg, design = small_design
         cfg = cfg.with_(sparsity_mode="unknown", reps=1)
@@ -1489,9 +1507,9 @@ class TestColumnStores:
 
 
 class TestNoiseStates:
-    """A fixed-design point's noise streams (``datagen.Streams``) form the
-    seed words of all its replications at once; every replication still
-    draws ``sample_noise``."""
+    """No point holds seed words: each block of replications seeds and
+    draws its own noise (``datagen.fill_streams``), and every replication,
+    in an aligned block or a block of one, draws ``sample_noise``."""
 
     @staticmethod
     def _assert_noise(point, rep):
@@ -1503,10 +1521,9 @@ class TestNoiseStates:
     def test_reps_inside_and_outside_the_points_range(self, small_design, n):
         cfg, design = small_design
         point = materialize(design, cfg, n=n, M=5)
-        assert point.noise.states.shape == (cfg.reps, 5, 4)
         for rep in range(cfg.reps):
             self._assert_noise(point, rep)
-        # A rep the point does not hold forms its own seed words.
+        # A rep past the count is a block of one.
         for rep in (cfg.reps, cfg.reps + 4, 2**32 + 1):
             self._assert_noise(point, rep)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -1515,7 +1532,8 @@ class TestNoiseStates:
     def test_redraw_mode_point_holds_no_states(self):
         cfg = _config(d=30, M=4, n=25, fixed_design=False)
         point = materialize(build_design(cfg, rep=2), cfg)
-        assert point.noise.states.shape == (0, 4, 4)
+        assert not hasattr(point, "noise")
+        assert point.block.reps == 0 and point.block.Y.shape == (4, 1, 25)
         self._assert_noise(point, 2)
 
     def test_points_of_a_machine_sweep_hold_their_own_states(self):
@@ -1523,7 +1541,7 @@ class TestNoiseStates:
         design = build_design(cfg)
         points = [materialize(design, cfg, M=M) for M in (1, 4, 2)]
         for point in points:
-            assert point.noise.states.shape == (cfg.reps, point.M, 4)
+            assert point.block.Y.shape[0] == point.M
             for rep in range(cfg.reps):
                 self._assert_noise(point, rep)
 
@@ -1570,8 +1588,10 @@ class TestScaleInvariance:
 
 
 class TestReplicationBlocks:
-    """A fixed-design point's replications come in aligned blocks of
-    ``REP_BLOCK``: one noise fill and one X'Y product per block."""
+    """Every replication is a row of exactly one block: a fixed-design
+    point's replications 0 to reps - 1 come in aligned blocks of
+    ``REP_BLOCK``, and any other replication is a block of one. One seeding
+    pass, one noise fill and one X'Y product per block."""
 
     # 20 replications: one full block and a tail block of 4.
     @staticmethod
@@ -1605,10 +1625,22 @@ class TestReplicationBlocks:
         # Each block draws its own replications' noise once.
         cfg, _, point = self._point(lam=0.1)
         drawn = []
-        fill = point.noise.fill
-        monkeypatch.setattr(point.noise, "fill", lambda out, rep: drawn.append(rep) or fill(out, rep))
+        fill = harness.fill_streams
+        monkeypatch.setattr(harness, "fill_streams", lambda out, *a: drawn.append(list(a[-1])) or fill(out, *a))
         TestStackedRoundOne._assert_matches_loop(cfg, point, reps=(5, 17))
-        assert point.block.start == 16 and drawn == list(range(20))
+        assert point.block.start == 16 and drawn == [list(range(16)), list(range(16, 20))]
+
+    def test_one_seeding_pass_per_block(self, monkeypatch):
+        from votelasso import datagen
+
+        cfg, _, point = self._point()
+        seeded = []
+        states = datagen._stream_states
+        monkeypatch.setattr(datagen, "_stream_states", lambda *a: seeded.append(list(a[2])) or states(*a))
+        run_point_rep(point, cfg, ["thresh_votes"], 0)
+        for rep in range(cfg.reps):
+            _rep_fits(point, rep)
+        assert seeded == [list(range(16)), list(range(16, 20))]
 
     def test_blocked_xty_within_the_dot_product_bound(self):
         # Each entry of X'y is a length-n dot product; two evaluations of it
@@ -1648,27 +1680,26 @@ class TestReplicationBlocks:
         assert len(blocks) == 2 and len({(y, xy) for _, y, xy in blocks}) == 1
         assert point.block.Y.shape == (point.M, 16, point.n)
 
-    def test_redraw_mode_and_reps_past_the_count_take_the_single_path(self, monkeypatch):
-        # Outside the blocks a fit forms its own X'y, the bits of y @ X_m.
+    def test_redraw_mode_and_reps_past_the_count_are_blocks_of_one(self, monkeypatch):
+        # Every fit is handed its block's (M, d) X'y. Inside the aligned
+        # blocks that is a row of the block's product; outside them each row
+        # has the bits of y @ X_m, and the block of one takes the buffers.
         given = []
         fit = harness.fit_lasso
         monkeypatch.setattr(harness, "fit_lasso", lambda *a, **kw: given.append(kw["xty"]) or fit(*a, **kw))
         redraw_cfg = _config(d=30, K=2, M=4, n=25, reps=20, fixed_design=False)
         redraw = materialize(build_design(redraw_cfg, rep=5), redraw_cfg)
         cfg, _, point = self._point()
-        assert redraw.block is None and point.block.reps == cfg.reps
-        for p, rep in ((redraw, 5), (point, 20), (point, 2**32 + 1)):
+        assert redraw.block.reps == 0 and point.block.reps == cfg.reps
+        for p, rep in ((redraw, 5), (point, 3), (point, 20), (point, 2**32 + 1), (point, 17)):
             *_, xty, Y = _rep_fits(p, rep)
-            assert given[-1] is None, rep
-            X = p.design.X[: p.M, : p.n]
-            assert all(_same_bits(xty[m], Y[m] @ X[m]) for m in range(p.M)), rep
-        assert point.block.start == -1
-        # A block already formed stays as it is.
-        _rep_fits(point, 3)
-        assert given[-1] is not None and point.block.start == 0
-        Y0 = point.block.Y.copy()
-        _rep_fits(point, 25)
-        assert given[-1] is None and point.block.start == 0 and _same_bits(point.block.Y, Y0)
+            assert given[-1] is xty and xty.shape == (p.M, p.design.spec.d), rep
+            start = rep - rep % 16 if p is point and rep < cfg.reps else rep
+            assert p.block.start == start, rep
+            if start == rep:
+                X = p.design.X[: p.M, : p.n]
+                assert all(_same_bits(xty[m], Y[m] @ X[m]) for m in range(p.M)), rep
+        assert len(given) == 5
 
 
 class TestLambdaAxis:
