@@ -7,8 +7,8 @@ report), ``report`` (merge sweep outputs into one long-format CSV).
 A ``--config FILE`` of ``key = value`` lines (the long flag names,
 underscores for dashes, ``#`` comments) may supply the problem and run
 options; explicit flags override the file. Output, sweep-grid and scale
-flags are command-line only, and a key the command does not read is an
-error.
+flags are command-line only, and a key the command does not read, or one
+set twice, is an error.
 """
 
 from __future__ import annotations
@@ -62,7 +62,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise SystemExit(f"bad config line (expected key = value): {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = val
+        key = key.replace("-", "_")
+        if key in values:
+            raise SystemExit(f"config key {key!r} is set more than once")
+        values[key] = val
     return values
 
 

@@ -17,19 +17,19 @@ Only the streams are per machine. ``sample_shards`` fills each slab from
 its machine's stream and then runs the AR(1) column recursion once over
 the whole stack; ``sample_noise`` draws each machine's noise row from its
 own stream. Both draw through ``fill_streams``, the one function that
-positions streams: instead of seeding one generator per stream, it forms
+positions streams: instead of running a SeedSequence per stream, it forms
 the PCG64 seed words of every stream of a draw, all M machines times every
 replication asked for, in one vectorized pass of SeedSequence's hash over
-their entropy keys (``_stream_states``), and fills each row from one
-generator set to its stream's words in turn (``_draw_rows``). The pass
-reproduces NumPy's SeedSequence and PCG64 seeding word for word, and the
-tests check every row against ``stream``, which seeds through NumPy
-itself. The responses are X theta* + sigma W, and the noise W is the only
-part that changes between replications of a fixed design, so the harness
-forms X theta* once per grid point and draws the noise of a block of
-replications with one ``fill_streams`` call, while ``cli generate`` calls
-``sample_responses``: both draw the same W as ``sample_noise``. No object
-holds seed words between draws.
+their entropy keys (``_stream_states``), and draws each row from a PCG64
+that NumPy seeds from its stream's words. The pass reproduces NumPy's
+SeedSequence hash word for word, and the tests check every row against
+``stream``, which seeds through NumPy itself. The responses are
+X theta* + sigma W, and the noise W is the only part that changes between
+replications of a fixed design, so the harness forms X theta* once per
+grid point and draws the noise of a block of replications with one
+``fill_streams`` call, while ``cli generate`` calls ``sample_responses``:
+both draw the same W as ``sample_noise``. No object holds seed words
+between draws.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ class ProblemSpec:
     ``sigma`` is either an explicit noise level or the string ``"from_r"``,
     meaning sigma = 1/sqrt(r) so that the planted signal strength is held
     fixed while the SNR parameter r varies. The sizes d, K, M, n and
-    ``base_seed`` are integers (Python or NumPy, not bools); any other
+    ``base_seed`` are integers (Python or NumPy, not bools), stored as
+    Python ints; r, ``corr_decay`` and ``sigma`` are not bools. Any other
     value raises a ValueError that names the field.
     """
 
@@ -70,6 +71,10 @@ class ProblemSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("r", "corr_decay", "sigma"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not {getattr(self, name)!r}")
         if self.d < 2:
             raise ValueError("d must be at least 2")
         if not 1 <= self.K < self.d:
@@ -143,14 +148,11 @@ def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
 
 
 # NumPy's SeedSequence (numpy/random/bit_generator.pyx): its pool of 4
-# words, the constants of its entropy hash, pool mix and output hash, and
-# PCG64's 128-bit LCG multiplier.
+# words and the constants of its entropy hash, pool mix and output hash.
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 # The entropy hash's first 16 calls fill the pool (calls 0-3) and mix it:
 # pool word s hashes into every other word t in turn, as call
 # 4 + 3s + t (t < s) or 4 + 3s + t - 1 (t > s). Row s of the mix tables
@@ -187,7 +189,7 @@ def _stream_states(base_seed: int, tag: int, reps, M: int) -> np.ndarray:
     rep in ``reps`` and every machine m < M, as one (len(reps), M, 4) uint64
     array: row (i, m) is ``SeedSequence([base_seed, tag, reps[i], m])
     .generate_state(4, np.uint64)``, the 128-bit seed and increment words
-    PCG64 is seeded from (``_draw_rows`` steps them into its state).
+    from which NumPy's PCG64 seeds itself (``fill_streams``).
 
     ``SeedSequence`` hashes the keys' 32-bit words into a pool of four words
     with a running constant that does not depend on the data, and the seed
@@ -237,24 +239,18 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8")
 
 
-def _draw_rows(rows, states: np.ndarray) -> None:
-    """Fill each C-contiguous array ``rows[i]`` with standard normals from
-    the PCG64 stream seeded from the words ``states[i]``
-    (``_stream_states``): one generator, set to each stream's state in
-    turn."""
-    generator = np.random.Generator(np.random.PCG64(0))
-    bit_generator = generator.bit_generator
-    for row, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(rows, states.tolist()):
-        # pcg64_set_seed: inc = 2 * initseq + 1, state = (inc + seed) * mult + inc.
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        lcg = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": lcg, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        generator.standard_normal(out=row)
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """The seed sequence of one stream, holding its four PCG64 seed words
+    (``_stream_states``): PCG64 asks it for exactly those, and NumPy's own
+    seeding sets the generator from them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 seed words, not {n_words} {np.dtype(dtype)}")
+        return self.words
 
 
 def fill_streams(out: np.ndarray, base_seed: int, tag: int, reps) -> np.ndarray:
@@ -262,13 +258,17 @@ def fill_streams(out: np.ndarray, base_seed: int, tag: int, reps) -> np.ndarray:
     ``stream(base_seed, tag, reps[i], m)``, bit for bit, for every machine
     m < len(out) and every rep of ``reps``, and return ``out``.
 
-    ``out`` is (M, len(reps), ...) and each ``out[m, i]`` is C-contiguous.
-    The seed words of all M * len(reps) streams come from one
-    ``_stream_states`` pass, and one ``_draw_rows`` fill draws every row.
-    A negative rep raises ValueError.
+    ``out`` is (M, len(reps), ...) and each ``out[m, i]`` is C-contiguous;
+    any other second axis raises ValueError, as does a negative rep. The
+    seed words of all M * len(reps) streams come from one
+    ``_stream_states`` pass, and each row is drawn from a PCG64 that NumPy
+    seeds from its stream's words.
     """
-    states = _stream_states(base_seed, tag, reps, len(out)).swapaxes(0, 1).reshape(-1, 4)
-    _draw_rows([row for rows in out for row in rows], states)
+    if out.shape[1:2] != (len(reps),):
+        raise ValueError(f"out of shape {out.shape} is not (M, {len(reps)}, ...) for {len(reps)} reps")
+    for i, words in enumerate(_stream_states(base_seed, tag, reps, len(out))):
+        for row, seed_words in zip(out[:, i], words):
+            np.random.Generator(np.random.PCG64(_SeedWords(seed_words))).standard_normal(out=row)
     return out
 
 

@@ -910,9 +910,10 @@ def run_sweep(
     values reuse row/machine prefixes of it, and every grid point, a lam
     sweep's too, starts with fresh column stores. In redraw mode every
     replication builds its own design at the grid value. Emits long-format
-    CSV rows plus per-replication JSON records.
+    CSV rows plus per-replication JSON records. NumPy scalars on the grid
+    are recorded as the Python numbers they hold.
     """
-    grid = list(grid)
+    grid = [value.item() if isinstance(value, np.generic) else value for value in grid]
     schemes = list(schemes)
     for s in schemes:
         if s not in SCHEMES:

@@ -105,6 +105,21 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
+    @pytest.mark.parametrize(
+        "first, second, key",
+        [("d = 40", "d = 30", "d"), ("d = 40", "d=30", "d"), ("lam_omega = 0.4", "lam-omega = 0.5", "lam_omega")],
+        ids=["d", "d_unspaced", "dash_and_underscore"],
+    )
+    def test_key_set_twice_in_config_exits_with_one_line(self, tmp_path, first, second, key):
+        # The second line would silently win; a dash and an underscore name
+        # the same key.
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(f"{first}\nreps = 1\n{second}\n")
+        with pytest.raises(SystemExit, match=f"^config key '{key}' is set more than once$") as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_text"])
     def test_unreadable_config_file_exits_with_one_line(self, tmp_path, kind):
         cfg = tmp_path / "exp.cfg"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from votelasso.datagen import (
     TAG_DESIGN,
     TAG_NOISE,
     ProblemSpec,
-    _draw_rows,
+    _SeedWords,
     _stream_states,
     compute_c_omega,
     fill_streams,
@@ -77,10 +78,29 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             _spec().with_(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("r", True), ("r", np.True_), ("sigma", True), ("corr_decay", False), ("corr_decay", np.False_)],
+        ids=["r-True", "r-np.True_", "sigma-True", "corr_decay-False", "corr_decay-np.False_"],
+    )
+    def test_r_sigma_and_corr_decay_must_not_be_bools(self, field, value):
+        # r = True would run as r = 1, sigma = True as sigma = 1, and
+        # corr_decay = False as an independent design.
+        with pytest.raises(ValueError, match=f"^{field} must be a number"):
+            _spec(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be a number"):
+            _spec().with_(**{field: value})
+
     def test_numpy_integers_accepted(self):
         spec = _spec(d=np.int64(20), K=np.int32(3), M=np.uint8(4), n=np.int64(50), base_seed=np.uint64(7))
         assert spec == _spec()
         assert np.array_equal(sample_shards(spec), sample_shards(_spec()))
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        # Records hold the spec's sizes, and JSON writes no NumPy integer.
+        spec = _spec(d=np.int64(20), K=np.int32(3), M=np.uint8(4), n=np.int64(50), base_seed=np.uint64(7))
+        assert all(type(getattr(spec, f)) is int for f in ("d", "K", "M", "n", "base_seed"))
+        assert type(spec.with_(n=np.int64(30)).n) is int
 
     def test_sigma_from_r(self):
         assert _spec(r=0.25).sigma_value() == pytest.approx(2.0)
@@ -306,7 +326,7 @@ def test_streams_are_tag_separated():
 
 class TestStreamStates:
     """``_stream_states`` forms the PCG64 seed words of many reps' streams
-    in one seeding pass per key width, and ``_draw_rows`` draws from them."""
+    in one seeding pass per key width, and ``fill_streams`` draws from them."""
 
     # Reps of one, two and two 32-bit words, interleaved, in one call.
     REPS = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2]
@@ -320,11 +340,11 @@ class TestStreamStates:
             for m in range(M):
                 want = np.random.SeedSequence([base_seed, TAG_NOISE, rep, m]).generate_state(4, np.uint64)
                 assert np.array_equal(states[i, m], want), (base_seed, rep, m)
-            drawn = np.empty((M, 7))
-            _draw_rows(drawn, states[i])
+        drawn = fill_streams(np.empty((M, len(self.REPS), 7)), base_seed, TAG_NOISE, self.REPS)
+        for i, rep in enumerate(self.REPS):
             for m in range(M):
                 want = stream(base_seed, TAG_NOISE, rep, m).standard_normal(7)
-                assert np.array_equal(drawn[m], want), (base_seed, rep, m)
+                assert np.array_equal(drawn[m, i], want), (base_seed, rep, m)
 
     def test_one_rep_at_a_time_gives_the_same_states(self):
         together = _stream_states(9, TAG_DESIGN, self.REPS, 3)
@@ -369,3 +389,21 @@ class TestStreams:
     def test_negative_rep_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             fill_streams(np.empty((2, 1, 4)), 0, TAG_NOISE, [-1])
+
+    def test_seed_words_refuse_any_other_request(self):
+        # PCG64 asks for 4 uint64 words; any other request would be handed
+        # words that were not formed for it.
+        words = _stream_states(7, TAG_NOISE, [5], 1)[0, 0]
+        assert _SeedWords(words).generate_state(4, np.uint64) is words
+        for n_words, dtype in [(2, np.uint64), (4, np.uint32), (8, np.uint32)]:
+            with pytest.raises(ValueError, match="holds 4 uint64 seed words"):
+                _SeedWords(words).generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 1, 4)], ids=["three_rows", "one_row"])
+    def test_a_buffer_of_another_rep_count_is_refused(self, shape):
+        # Two reps in a buffer of three or one rows per machine would fill
+        # rows with another machine's streams, or leave rows unfilled.
+        out = np.zeros(shape)
+        with pytest.raises(ValueError, match=re.escape(f"out of shape {shape} is not (M, 2, ...)")):
+            fill_streams(out, 7, 3, [5, 6])
+        assert not out.any()

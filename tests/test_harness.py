@@ -998,6 +998,28 @@ class TestRunSweep:
         ]
         assert list(rec["flags"]) == ["empty_support", "nonconverged_fits", "max_sweeps", "max_kkt", "round2_failed"]
 
+    @pytest.mark.parametrize(
+        "spec_kw, axis, grid, python_grid",
+        [
+            ({"K": np.int64(2)}, "n", [20, 30], [20, 30]),
+            ({}, "n", np.array([20, 30]), [20, 30]),
+            ({}, "M", np.arange(2, 4), [2, 3]),
+            ({}, "r", np.array([0.5, 1.0], dtype=np.float32), [0.5, 1.0]),
+        ],
+        ids=["int64_K", "n_grid_array", "M_grid_arange", "r_grid_float32"],
+    )
+    def test_numpy_inputs_write_the_records_of_python_inputs(self, tmp_path, spec_kw, axis, grid, python_grid):
+        # NumPy scalars reach the records as the fusion log's K and as the
+        # grid value; each is written as the Python number it holds.
+        def written(kw, values, out):
+            spec = ProblemSpec(**{**dict(d=40, K=2, M=3, n=30, r=0.8, base_seed=1), **kw})
+            run_sweep(ExperimentConfig(spec, lam=0.5, reps=2), axis, values, ["thresh_votes", "top_L_votes"], tmp_path / out)
+            lines = (tmp_path / out / "records.jsonl").read_text().splitlines()
+            records = [{k: v for k, v in json.loads(line).items() if k not in TIMING_FIELDS} for line in lines]
+            return records, (tmp_path / out / "summary.csv").read_text()
+
+        assert written(spec_kw, grid, "numpy") == written({}, python_grid, "python")
+
     def test_single_point_equals_replication_aggregate(self, small_design):
         cfg, design = small_design
         res = run_sweep(cfg, "r", [cfg.spec.r], ["thresh_votes"], design=design)
