@@ -29,7 +29,7 @@ from .protocol import (
     Message,
     RestrictedEstimate,
     SignedIndexSet,
-    top_k_indices,
+    select_top_k,
 )
 
 
@@ -175,8 +175,8 @@ def tally(messages: list[Message], d: int) -> VoteTally:
 
 def select_topk(t: VoteTally, K: int, use_signs: bool = False) -> SupportEstimate:
     """The K indices with the most votes (or largest |sign sums|), by
-    ``top_k_indices``. ValueError unless K is an integer in [1, d]."""
-    idx = top_k_indices(t.sign_sums if use_signs else t.votes, K)
+    ``select_top_k`` on one row. ValueError unless K is an integer in [1, d]."""
+    idx = select_top_k((t.sign_sums if use_signs else t.votes)[None], K)[0]
     return SupportEstimate(indices=idx, rule="topK", rule_params={"K": K, "use_signs": use_signs})
 
 
@@ -280,7 +280,7 @@ def avg_debiased(
             raise ValueError("threshold must be nonnegative")
     theta_avg = np.mean(_receipt(messages, DenseEstimate, "avg_debiased")["values"], axis=0)
     if K is not None:
-        idx = top_k_indices(theta_avg, K)
+        idx = select_top_k(theta_avg[None], K)[0]
         est = SupportEstimate(indices=idx, rule="avg_topK", rule_params={"K": K})
     else:
         idx = (np.abs(theta_avg) > threshold).nonzero()[0]

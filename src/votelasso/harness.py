@@ -20,10 +20,18 @@ over n reuse the decorrelation matrices fitted at the largest sample size
 (``precision_reuse``), mirroring a semi-supervised setting; sweeps over M
 calibrate on the largest machine count and use prefixes.
 
+A grid value is a config: ``ExperimentConfig.at(axis, value)`` puts r, n
+or M into the spec and L or lam into the config's fields, and the checks
+that judge any config judge the value. ``check_grid`` builds that config
+for every value and adds only the rule that depends on the schemes, and
+``materialize(design, config)`` turns it into a grid point, reading n, M,
+r, L and the lasso penalty from it. A design built for another problem
+(another d, K, corr_decay, base_seed or nodewise penalty) is refused.
+
 A design stores its machines stacked as ``datagen`` draws them:
-``DesignState.X`` is the C-contiguous (m_cal, n_cal, d) array of
-``sample_shards`` and the sandwich diagonals one (m_cal, d) array, so a grid
-point's machines are the prefix ``X[:M, :n]``.
+``DesignState.X`` is the C-contiguous (spec.M, n_cal, d) array of
+``sample_shards`` and the sandwich diagonals one (spec.M, d) array, so a
+grid point's machines are the prefix ``X[:M, :n]``.
 
 A grid point (``PointState``) holds everything of a replication that does
 not depend on its noise: the planted theta*, the noiseless responses
@@ -206,15 +214,12 @@ CSV_COLUMNS = [
 ]
 
 
-def _check_L(L: int, spec: ProblemSpec, known_sparsity: bool) -> None:
-    """L is an integer (not a bool) in [1, d] and, when ``known_sparsity``
-    binds it (a top-L scheme under known sparsity), at least K."""
+def _check_L(L: int, d: int) -> None:
+    """L is an integer (not a bool) in [1, d]."""
     if isinstance(L, bool) or not isinstance(L, (int, np.integer)):
         raise ValueError(f"L must be an integer, not {L!r}")
-    if not 1 <= L <= spec.d:
+    if not 1 <= L <= d:
         raise ValueError("L must lie in [1, d]")
-    if known_sparsity and L < spec.K:
-        raise ValueError("top-L schemes need L >= K under known sparsity")
 
 
 def _check_tuning(name: str, value, rules: tuple[str, ...]) -> None:
@@ -241,6 +246,7 @@ class ExperimentConfig:
     ``lam_at`` and ``lam_omega_at`` resolve them at a grid point. A given
     ``L`` is an integer in [1, d] whatever schemes run; ``check_grid``
     also holds the top-L schemes' L to at least K under known sparsity.
+    ``at`` gives the config at one sweep grid value.
     """
 
     spec: ProblemSpec
@@ -265,7 +271,7 @@ class ExperimentConfig:
         if isinstance(self.reps, bool) or not isinstance(self.reps, (int, np.integer)) or self.reps < 1:
             raise ValueError(f"reps must be an integer >= 1, not {self.reps!r}")
         if self.L is not None:
-            _check_L(self.L, self.spec, known_sparsity=False)
+            _check_L(self.L, self.spec.d)
 
     def resolved_L(self) -> int:
         return self.L if self.L is not None else self.spec.K
@@ -289,6 +295,23 @@ class ExperimentConfig:
 
     def with_(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
+
+    def at(self, axis: str, value) -> "ExperimentConfig":
+        """The config at one grid value of ``axis`` (``SWEEP_AXES``): r, n
+        and M go into ``spec``, L and lam become fields, and the checks of
+        ``ProblemSpec`` and of this class judge the value (ValueError). A
+        whole float n, M or L becomes an int, any other float a ValueError;
+        a bool is never converted, so it is refused as those checks refuse
+        it."""
+        if axis not in SWEEP_AXES:
+            raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
+        if axis in ("n", "M", "L") and isinstance(value, (float, np.floating)):
+            if not float(value).is_integer():
+                raise ValueError(f"{axis} grid values must be whole numbers")
+            value = int(value)
+        if axis in ("L", "lam"):
+            return self.with_(**{axis: value})
+        return self.with_(spec=self.spec.with_(**{axis: value}))
 
 
 @dataclass
@@ -363,13 +386,12 @@ def f_measure(S_hat, S) -> tuple[float, float, float]:
 class DesignState:
     """Per-experiment calibration artifacts (everything noise-independent)."""
 
-    spec: ProblemSpec
+    spec: ProblemSpec  # spec.M is the calibrated machine count
     n_cal: int
-    m_cal: int
     lam_omega: float
-    X: np.ndarray  # (m_cal, n_cal, d), C-contiguous; X[m] is machine m's design
+    X: np.ndarray  # (spec.M, n_cal, d), C-contiguous; X[m] is machine m's design
     omegas: list[SparseRows]
-    c_diag_cal: np.ndarray  # (m_cal, d) sandwich diagonals at n_cal
+    c_diag_cal: np.ndarray  # (spec.M, d) sandwich diagonals at n_cal
     c_omega: float
     support: np.ndarray
     theta_unit: np.ndarray  # planted vector at theta_min = 1
@@ -427,7 +449,7 @@ class PointState:
     # (K, K) pooled X_S'X_S on the true support S: the machine-order sum of
     # the machines' ``restricted_gram``.
     oracle_gram: np.ndarray
-    L: int  # top-L schemes' L: the grid value on an L sweep, else config.resolved_L()
+    L: int  # top-L schemes' L: config.resolved_L()
     # The point's replication blocks and the buffers of the one formed last.
     block: RepBlock
     # (second_round rule, support bytes) -> the (M, k, k) design-only
@@ -436,21 +458,19 @@ class PointState:
     round2: dict = field(default_factory=dict)
 
 
-def build_design(
-    config: ExperimentConfig,
-    n_cal: int | None = None,
-    m_cal: int | None = None,
-    rep: int = 0,
-) -> DesignState:
-    """Draw designs, estimate per-machine precisions, calibrate the signal."""
+# No run path passes ``n_cal``. It stays only because the benchmark
+# (perfbench/run.py) passes it by keyword, and goes when it stops.
+def build_design(config: ExperimentConfig, n_cal: int | None = None, rep: int = 0) -> DesignState:
+    """Draw the designs of the config's ``spec.M`` machines at ``n_cal``
+    rows (default ``spec.n``), estimate per-machine precisions, calibrate
+    the signal."""
     spec = config.spec
     n_cal = spec.n if n_cal is None else n_cal
-    m_cal = spec.M if m_cal is None else m_cal
     lam_omega = config.lam_omega_at(n_cal)
-    X = sample_shards(spec.with_(M=m_cal), rep=rep, n=n_cal)
-    c_diags = np.empty((m_cal, spec.d))
+    X = sample_shards(spec, rep=rep, n=n_cal)
+    c_diags = np.empty((spec.M, spec.d))
     omegas = []
-    for m in range(m_cal):
+    for m in range(spec.M):
         est = estimate_precision(X[m], lam_omega)
         c_diags[m] = sandwich_diag(est.omega_hat, X[m])
         omegas.append(est.omega_hat)
@@ -459,7 +479,6 @@ def build_design(
     return DesignState(
         spec=spec,
         n_cal=n_cal,
-        m_cal=m_cal,
         lam_omega=lam_omega,
         X=X,
         omegas=omegas,
@@ -470,41 +489,37 @@ def build_design(
     )
 
 
-def materialize(
-    design: DesignState,
-    config: ExperimentConfig,
-    n: int | None = None,
-    M: int | None = None,
-    r: float | None = None,
-    L: int | None = None,
-    lam: str | float | None = None,
-) -> PointState:
-    """Slice a design down to one grid point, scale the planted signal and
-    form what every replication of the point shares (see the module
-    docstring).
+def materialize(design: DesignState, config: ExperimentConfig) -> PointState:
+    """Slice a design down to the grid point of ``config``, scale the
+    planted signal and form what every replication of the point shares (see
+    the module docstring).
 
-    The point's n, M and r are checked as a ``ProblemSpec`` (ValueError),
-    and its sandwich diagonals and sigma once for all its replications,
-    by ``debias.noise_scale``, whose scale ``debias.standardize`` takes. A
-    given ``L`` is checked before any work to be an integer in [1, d]
-    (ValueError); the top-L schemes' L >= K under known sparsity is
-    ``check_grid``'s rule, since only it knows the schemes. A given ``lam``
-    (a ``config.lam`` value: a rule name or a finite positive number, else
-    ValueError) replaces ``config.lam`` at this point. In fixed-design mode
-    replications 0 to ``config.reps`` - 1 come in aligned blocks and every
-    other replication is a block of one (``_block_rows``); the point's
-    buffers hold one block.
+    A sweep passes each grid value's ``config.at(axis, value)``, whose
+    checks have judged the value. The point's n, M, r and sigma are
+    ``config.spec``'s, its L ``config.resolved_L()`` and its lasso penalty
+    ``config.lam_at(n)``; the top-L schemes' L >= K under known sparsity is
+    ``check_grid``'s rule, since only it knows the schemes. A design from
+    another problem is refused before any work: ValueError naming the field
+    when the config's d, K, corr_decay, base_seed or ``lam_omega_at(n_cal)``
+    is not the design's, and when n or M exceeds the calibrated design. The
+    sandwich diagonals and sigma are checked once for all the point's
+    replications, by ``debias.noise_scale``, whose scale
+    ``debias.standardize`` takes. In fixed-design mode replications 0 to
+    ``config.reps`` - 1 come in aligned blocks and every other replication
+    is a block of one (``_block_rows``); the point's buffers hold one block.
     """
-    if L is not None:
-        _check_L(L, design.spec, known_sparsity=False)
-    if lam is not None:
-        config = config.with_(lam=lam)
-    given = {"n": n, "M": M, "r": r}
-    spec = design.spec.with_(**{k: v for k, v in given.items() if v is not None})
+    spec = config.spec
+    problem = ("d", "K", "corr_decay", "base_seed")
+    pairs = [(name, getattr(spec, name), getattr(design.spec, name)) for name in problem]
+    pairs.append(("lam_omega", config.lam_omega_at(design.n_cal), design.lam_omega))
+    for name, ours, theirs in pairs:
+        if ours != theirs:
+            raise ValueError(f"the config's {name} {ours!r} is not the design's {theirs!r}")
     n, M, r = spec.n, spec.M, spec.r
-    if n > design.n_cal or M > design.m_cal:
-        raise ValueError("grid point exceeds the calibrated design")
-    sigma = spec.sigma_value(r)
+    for name, size, calibrated in (("n", n, design.n_cal), ("M", M, design.spec.M)):
+        if size > calibrated:
+            raise ValueError(f"grid point {name} = {size} exceeds the calibrated design's {calibrated}")
+    sigma = spec.sigma_value()
     theta_min = theta_min_from_snr(spec.d, sigma, r, n, design.c_omega)
     theta_star = design.theta_unit * theta_min
     X = design.X[:M, :n]
@@ -533,7 +548,7 @@ def materialize(
         omega=block_diagonal(omegas),
         columns=[GramColumns(spec.d, budget) for _ in range(M)],
         oracle_gram=fusion.sum_rows(restricted_gram(X[:, :, design.support])),
-        L=L if L is not None else config.resolved_L(),
+        L=config.resolved_L(),
         block=RepBlock(reps, np.empty((M, B, n)), np.empty((M, B, spec.d))),
     )
 
@@ -905,13 +920,17 @@ def run_sweep(
 ) -> SweepResult:
     """Replicate every grid point under each of ``schemes`` (required).
 
-    In fixed-design mode the design is calibrated once, on an n or M sweep
-    at the largest grid value (or ``design`` is used as given); smaller
-    values reuse row/machine prefixes of it, and every grid point, a lam
-    sweep's too, starts with fresh column stores. In redraw mode every
-    replication builds its own design at the grid value. Emits long-format
-    CSV rows plus per-replication JSON records. NumPy scalars on the grid
-    are recorded as the Python numbers they hold.
+    Each grid value's config is ``config.at(sweep_axis, value)``, and
+    ``materialize`` turns it into the grid point. In fixed-design mode the
+    design is built once, at ``config.at(sweep_axis, max(grid))`` on an n
+    or M sweep and at ``config`` otherwise, or ``design`` is used as given;
+    a design from another problem (another d, K, corr_decay, base_seed or
+    nodewise penalty) is refused with a ValueError. Smaller n and M reuse
+    row/machine prefixes of it, and every grid point, a lam sweep's too,
+    starts with fresh column stores. In redraw mode every replication
+    builds its own design at the grid value's config. Emits long-format CSV
+    rows plus per-replication JSON records. NumPy scalars on the grid are
+    recorded as the Python numbers they hold.
     """
     grid = [value.item() if isinstance(value, np.generic) else value for value in grid]
     schemes = list(schemes)
@@ -920,17 +939,18 @@ def run_sweep(
             raise ValueError(f"unknown scheme {s!r}")
     check_grid(config, sweep_axis, grid, schemes)
     if config.fixed_design and design is None:
-        design = _design_at(config, sweep_axis, max(grid) if sweep_axis in ("n", "M") else None)
+        design = build_design(config.at(sweep_axis, max(grid)) if sweep_axis in ("n", "M") else config)
     rows, records = [], []
     for value in grid:
+        value_config = config.at(sweep_axis, value)
         if config.fixed_design:
-            point = _grid_point(design, config, sweep_axis, value)
+            point = materialize(design, value_config)
         per_scheme = {s: [] for s in schemes}
         for rep in range(config.reps):
             if not config.fixed_design:
                 # Redraw mode: design, signal and noise are all drawn anew.
-                point = _grid_point(_design_at(config, sweep_axis, value, rep), config, sweep_axis, value)
-            for rec in run_point_rep(point, config, schemes, rep):
+                point = materialize(build_design(value_config, rep=rep), value_config)
+            for rec in run_point_rep(point, value_config, schemes, rep):
                 per_scheme[rec.scheme].append(rec)
                 out = rec.to_dict()
                 out["axis"], out["value"] = sweep_axis, value
@@ -945,48 +965,13 @@ def run_sweep(
 
 def check_grid(config: ExperimentConfig, sweep_axis: str, grid: list, schemes: list[str]) -> None:
     """Raise ValueError unless every grid value of the swept axis gives a
-    valid run of every scheme in ``schemes``: n, M and r through
-    ``ProblemSpec``, n, M and L whole numbers, the L of the top-L schemes
-    (each grid value on an L sweep, else ``config.resolved_L()``) in [1, d]
-    and, under known sparsity, at least K, and lam a ``config.lam`` value
-    (``_check_tuning``)."""
-    spec = config.spec
-    if sweep_axis not in SWEEP_AXES:
-        raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
+    valid run of every scheme in ``schemes``: ``config.at`` judges the axis
+    and each value, and the top-L schemes' L (``resolved_L`` of the value's
+    config) must be at least K under known sparsity."""
     if not grid:
         raise ValueError("grid must be nonempty")
     known = config.sparsity_mode == "known" and any(s.startswith("top_L") for s in schemes)
-    # ExperimentConfig already holds a given L to an integer in [1, d].
-    if known and sweep_axis != "L" and config.resolved_L() < spec.K:
-        raise ValueError("top-L schemes need L >= K under known sparsity")
     for value in grid:
-        if sweep_axis == "lam":
-            _check_tuning("lam", value, LAMBDA_RULES)
-            continue
-        if sweep_axis != "r" and not float(value).is_integer():
-            raise ValueError(f"{sweep_axis} grid values must be whole numbers")
-        if sweep_axis == "L":
-            _check_L(int(value), spec, known)
-        else:
-            spec.with_(**{sweep_axis: value if sweep_axis == "r" else int(value)})
-
-
-def _design_at(config: ExperimentConfig, sweep_axis: str, value, rep: int = 0) -> DesignState:
-    """A design calibrated at ``value`` of the swept axis when that axis is
-    n or M (any other axis leaves the design as the config's)."""
-    return build_design(
-        config,
-        n_cal=int(value) if sweep_axis == "n" else None,
-        m_cal=int(value) if sweep_axis == "M" else None,
-        rep=rep,
-    )
-
-
-def _grid_point(design: DesignState, config: ExperimentConfig, sweep_axis: str, value) -> PointState:
-    """Materialize ``design`` at one grid value of the swept axis: r a
-    float, lam a float or a rule name, n, M and L integers."""
-    if sweep_axis == "lam":
-        value = value if isinstance(value, str) else float(value)
-    else:
-        value = float(value) if sweep_axis == "r" else int(value)
-    return materialize(design, config, **{sweep_axis: value})
+        L = config.at(sweep_axis, value).resolved_L()
+        if known and L < config.spec.K:
+            raise ValueError("top-L schemes need L >= K under known sparsity")

@@ -208,31 +208,6 @@ def selected_signs(scores: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return signs
 
 
-def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """The indices of the k largest |scores| of a 1-D array, increasing, as
-    read-only int64, by ``select_top_k``'s rule and rank key on one row.
-
-    One ``np.partition`` finds the k-th key and one comparison selects the
-    entries at or below it. On a tie at the k-th key it keeps the entries
-    strictly below and then the first tied indices, and sorts them. Raises
-    ValueError unless ``scores`` is 1-D and k is an integer in
-    [1, len(scores)]."""
-    scores = np.asarray(scores)
-    if scores.ndim != 1:
-        raise ValueError("scores must be 1-D")
-    key = _rank_key(scores)
-    _check_k(k, key.size)
-    kth = np.partition(key, k - 1)[k - 1]
-    idx = (key <= kth).nonzero()[0]
-    if idx.size != k:
-        tied = (key == kth).nonzero()[0]
-        idx = np.concatenate(((key < kth).nonzero()[0], tied[: k - (idx.size - tied.size)]))
-        idx.sort()
-    idx = idx.astype(np.int64, copy=False)
-    idx.setflags(write=False)
-    return idx
-
-
 def round1_thresh_votes(machine_id: int, indices: np.ndarray) -> Message:
     """The indices whose standardized estimate strictly exceeds tau in
     magnitude: the machine's row of ``select_threshold``."""

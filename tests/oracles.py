@@ -536,7 +536,7 @@ def scalar_cd_residual(X, y, lam, w, max_sweeps, coef_tol, kkt_tol):
 
 def stable_top_k(scores, k):
     """The top-k rule of ``protocol.round1_top_L`` and ``fusion.select_topk``
-    before ``protocol.top_k_indices``: the first k of a stable argsort of
+    before ``protocol.select_top_k``: the first k of a stable argsort of
     -|scores|, increasing. Ties go to the lower index and NaN ranks last.
     The reference for the partition-based selection; do not optimize it."""
     return np.sort(np.argsort(-np.abs(np.asarray(scores)), kind="stable")[:k])

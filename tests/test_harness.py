@@ -53,6 +53,15 @@ def _config(**kw):
     return ExperimentConfig(**base)
 
 
+def _at(cfg, **values):
+    """``cfg`` at the given grid values, chained through ``cfg.at``; a None
+    value leaves its axis at the config's."""
+    for axis, value in values.items():
+        if value is not None:
+            cfg = cfg.at(axis, value)
+    return cfg
+
+
 @pytest.fixture(scope="module")
 def small_design():
     cfg = _config()
@@ -651,7 +660,7 @@ class TestRoundTwoFactors:
 
     def test_stacked_factor_rows_are_each_machines_own(self, small_design):
         cfg, design = small_design
-        point = materialize(design, cfg, M=7, n=40)
+        point = materialize(design, cfg.at("M", 7).at("n", 40))
         run_point_rep(point, cfg, list(SCHEMES), 0)
         assert point.round2
         for (rule, key), factor in point.round2.items():
@@ -728,8 +737,8 @@ class TestOracleGram:
     def test_equals_the_per_machine_loop_and_the_gram_exact_operand(self, small_design, n, M):
         cfg, design = small_design
         cfg = cfg.with_(second_round="gram_exact")
-        point = materialize(design, cfg, n=n, M=M)
-        assert (point.n < design.n_cal) == (n is not None) and (point.M < design.m_cal) == (M is not None)
+        point = materialize(design, _at(cfg, n=n, M=M))
+        assert (point.n < design.n_cal) == (n is not None) and (point.M < design.spec.M) == (M is not None)
         assert _same_bits(point.oracle_gram, loop_oracle_gram(point))
         operand = harness._round2_operand(cfg, point, design.support)
         assert operand.shape == (point.M, cfg.spec.K, cfg.spec.K)
@@ -764,7 +773,7 @@ class TestRoundTwoGrams:
     def test_stacked_gram_rows_are_each_machines_own(self, small_design):
         cfg, design = small_design
         cfg = cfg.with_(**self.CFG)
-        point = materialize(design, cfg, M=7, n=40)
+        point = materialize(design, cfg.at("M", 7).at("n", 40))
         recs = run_point_rep(point, cfg, list(SCHEMES), 0)
         supports = _round2_supports(recs)
         assert set(point.round2) == {("gram_exact", np.array(S, dtype=np.int64).tobytes()) for S in supports}
@@ -844,7 +853,7 @@ class TestStackedMessages:
     def test_round_two_rows_are_each_machines_own(self, small_design, monkeypatch, second_round):
         cfg, design = small_design
         cfg = cfg.with_(second_round=second_round)
-        point = materialize(design, cfg, M=7, n=40)
+        point = materialize(design, cfg.at("M", 7).at("n", 40))
         name = "round2_gram" if second_round == "gram_exact" else "round2_restricted"
         sent = []
         original = getattr(protocol, name)
@@ -936,7 +945,7 @@ class TestRoundTwoReadsTheFitsXty:
         # A strong signal makes exact supports common at the default lambda.
         cfg = _config(d=30, K=2, n=60, r=1.0, second_round="gram_exact", lam=lam)
         design = build_design(cfg)
-        point = materialize(design, cfg, n=n)
+        point = materialize(design, _at(cfg, n=n))
         exact = 0
         for rep in range(6):
             for rec in run_point_rep(point, cfg, list(SCHEMES), rep):
@@ -949,7 +958,7 @@ class TestRoundTwoReadsTheFitsXty:
     def test_known_supports_and_the_oracle_touch_no_design(self, small_design, monkeypatch, second_round):
         cfg, design = small_design
         cfg = cfg.with_(second_round=second_round)
-        point = materialize(design, cfg, n=40)
+        point = materialize(design, cfg.at("n", 40))
         log = []
 
         def spying(fn, new_operand):
@@ -1106,9 +1115,8 @@ class TestRunSweep:
         cfg, design = small_design
         with pytest.raises(ValueError, match=message):
             run_sweep(cfg, axis, grid, ["thresh_votes"], design=design)
-        if axis != "L":
-            with pytest.raises(ValueError, match=message):
-                materialize(design, cfg, **{axis: grid[-1]})
+        with pytest.raises(ValueError, match=message):
+            materialize(design, cfg.at(axis, grid[-1]))
 
     @pytest.mark.parametrize("schemes", [["top_L_votes"], ["thresh_votes", "top_L_signs"]])
     def test_L_below_K_rejected_for_top_L_under_known_sparsity(self, small_design, schemes):
@@ -1149,25 +1157,89 @@ class TestRunSweep:
         cfg, design = small_design
         assert materialize(design, cfg).L == cfg.spec.K
         assert materialize(design, cfg.with_(L=7)).L == 7
-        assert materialize(design, cfg.with_(L=7), L=9).L == 9
+        assert materialize(design, cfg.with_(L=7).at("L", 9)).L == 9
 
     @pytest.mark.parametrize("bad", [0, 61, 2.5, True, -3])
     def test_materialize_checks_a_given_L(self, small_design, bad, monkeypatch):
-        # A given L is held to an integer in [1, d] before any work; it used
-        # to fail only later, inside protocol.select_top_k.
+        # A given L is held to an integer in [1, d] by the config, so before
+        # materialize does any work; it used to fail only later, inside
+        # protocol.select_top_k.
         cfg, design = small_design
         assert cfg.spec.d == 60
         monkeypatch.setattr(harness, "gram_diagonal", lambda X: pytest.fail("materialize did work"))
         with pytest.raises(ValueError, match="L must"):
-            materialize(design, cfg, L=bad)
+            materialize(design, cfg.with_(L=bad))
 
     def test_materialize_leaves_L_below_K_to_check_grid(self, small_design):
         # Only check_grid knows the schemes, so only it holds a top-L
         # scheme's L to at least K under known sparsity.
         cfg, design = small_design
-        assert materialize(design, cfg, L=1).L == 1
+        assert materialize(design, cfg.at("L", 1)).L == 1
         with pytest.raises(ValueError, match="L >= K"):
             check_grid(cfg, "L", [1], ["top_L_votes"])
+
+    @pytest.mark.parametrize("axis, grid", [("n", [True, 30]), ("M", [True, 3]), ("L", [True]), ("L", [3, False])])
+    def test_bool_grid_values_rejected(self, small_design, axis, grid):
+        # A bool is not a size: ProblemSpec and the config refuse it, and a
+        # grid value is never converted to get past them.
+        cfg, design = small_design
+        with pytest.raises(ValueError, match=f"{axis} must be an integer"):
+            check_grid(cfg, axis, grid, ["thresh_votes"])
+        with pytest.raises(ValueError, match=f"{axis} must be an integer"):
+            run_sweep(cfg, axis, grid, ["thresh_votes"], design=design)
+        with pytest.raises(ValueError, match=f"{axis} must be an integer"):
+            run_sweep(cfg.with_(fixed_design=False, reps=1), axis, grid, ["thresh_votes"])
+
+    def test_grid_value_config(self, small_design):
+        # r, n and M go into the spec, L and lam into the config; whole
+        # floats become ints.
+        cfg, _ = small_design
+        assert cfg.at("r", 0.5).spec == cfg.spec.with_(r=0.5)
+        n = cfg.at("n", 30.0).spec.n
+        assert n == 30 and type(n) is int
+        assert cfg.at("M", np.float64(4.0)).spec == cfg.spec.with_(M=4)
+        assert cfg.at("L", 7.0) == cfg.with_(L=7) and type(cfg.at("L", 7.0).L) is int
+        assert cfg.at("lam", "fixed_8") == cfg and cfg.at("lam", 0.5) == cfg.with_(lam=0.5)
+        with pytest.raises(ValueError, match="sweep_axis must be one of"):
+            cfg.at("sigma", 1.0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("d", 30), ("K", 3), ("base_seed", 7), ("corr_decay", 0.3), ("lam_omega", 0.5)]
+    )
+    def test_design_of_another_problem_refused(self, field, value, monkeypatch):
+        # The design's draws, signal and precision estimates belong to its
+        # own problem: a config of another one is refused before any work,
+        # by materialize and by run_sweep given the design, naming the field.
+        spec = ProblemSpec(d=20, K=2, M=3, n=30, r=0.8, base_seed=1)
+        config = ExperimentConfig(spec=spec, reps=1)
+        design = build_design(config)
+        if field == "lam_omega":
+            other = config.with_(lam_omega=value)
+        else:
+            other = config.with_(spec=spec.with_(**{field: value}))
+        monkeypatch.setattr(harness, "gram_diagonal", lambda X: pytest.fail("materialize did work"))
+        with pytest.raises(ValueError, match=f"config's {field} "):
+            materialize(design, other)
+        with pytest.raises(ValueError, match=f"config's {field} "):
+            run_sweep(other, "r", [0.8], ["thresh_votes"], design=design)
+
+    def test_point_reads_r_and_sigma_from_the_config(self):
+        # A design does not depend on r or sigma, so a config of the same
+        # problem at another r is a valid grid point of it, at its own r.
+        spec = ProblemSpec(d=20, K=2, M=3, n=30, r=0.5, base_seed=1)
+        design = build_design(ExperimentConfig(spec=spec, reps=1))
+        point = materialize(design, ExperimentConfig(spec=spec.with_(r=0.9), reps=1))
+        assert point.sigma == 1 / math.sqrt(0.9)
+        with pytest.raises(ValueError, match="config's base_seed 7 is not the design's 1"):
+            materialize(design, ExperimentConfig(spec=spec.with_(r=0.9, base_seed=7), reps=1))
+
+    @pytest.mark.parametrize("axis, value", [("n", 51), ("M", 13)])
+    def test_point_beyond_the_calibrated_design_refused(self, small_design, axis, value):
+        cfg, design = small_design
+        with pytest.raises(ValueError, match=f"grid point {axis} = {value} exceeds the calibrated design"):
+            materialize(design, cfg.at(axis, value))
+        with pytest.raises(ValueError, match=f"grid point {axis} = {value} exceeds the calibrated design"):
+            run_sweep(cfg, axis, [value], ["thresh_votes"], design=design)
 
     def test_L_below_K_allowed_under_unknown_sparsity(self, small_design):
         cfg, design = small_design
@@ -1242,7 +1314,7 @@ class TestRoundOnePaths:
         for reuse in (True, False):
             cfg = _config(d=50, M=3, n=40, precision_reuse=reuse)
             design = build_design(cfg)
-            point = materialize(design, cfg, n=25)
+            point = materialize(design, cfg.at("n", 25))
             for m in range(3):
                 X = design.X[m][:25]
                 rows = _machine_rows(point, m)
@@ -1312,7 +1384,7 @@ class TestStackedRoundOne:
     def test_covariance_free_branch_below_n_cal(self, reuse):
         cfg = _config(d=50, M=4, n=40, precision_reuse=reuse, **self.LAM)
         design = build_design(cfg)
-        point = materialize(design, cfg, n=25)
+        point = materialize(design, cfg.at("n", 25))
         assert point.n < design.n_cal
         self._assert_matches_loop(cfg, point)
 
@@ -1320,8 +1392,8 @@ class TestStackedRoundOne:
     def test_machine_prefix(self, small_design, M):
         cfg, design = small_design
         cfg = cfg.with_(**self.LAM)
-        point = materialize(design, cfg, M=M)
-        assert point.M < design.m_cal
+        point = materialize(design, cfg.at("M", M))
+        assert point.M < design.spec.M
         self._assert_matches_loop(cfg, point)
 
     @pytest.mark.parametrize("n, lam", [(None, 1.3), (30, 1.8)])
@@ -1331,7 +1403,7 @@ class TestStackedRoundOne:
         # must match the loop, at n_cal and below it.
         cfg, design = small_design
         cfg = cfg.with_(lam=lam)
-        point = materialize(design, cfg, n=n)
+        point = materialize(design, _at(cfg, n=n))
         assert (point.n == design.n_cal) == (n is None)
         for rep in (0, 3):
             live = _rep_fits(point, rep)[0].any(axis=1)
@@ -1347,7 +1419,7 @@ class TestStackedRoundOne:
         # certificate equals the from-scratch one.
         cfg = _config(M=6, lam=1.8)
         design = build_design(cfg)
-        point = materialize(design, cfg, n=40)
+        point = materialize(design, cfg.at("n", 40))
         assert point.n < design.n_cal
         calls = []
 
@@ -1377,7 +1449,7 @@ class TestStackedRoundOne:
         # gradient is its row of X'y/n, and to roundoff at a nonzero fit,
         # whose gradient is X'y/n - G theta from the stored Gram columns.
         cfg, design = small_design
-        point = materialize(design, cfg.with_(lam=lam), n=n)
+        point = materialize(design, _at(cfg, lam=lam, n=n))
         calls = []
         monkeypatch.setattr(lasso, "kkt_violation", lambda *args: calls.append(args))
         for rep in (0, 3):
@@ -1408,14 +1480,14 @@ class TestStackedRoundOne:
 
     def test_block_diagonal_omega_at_machine_prefix(self, small_design, rng):
         cfg, design = small_design
-        point = materialize(design, cfg, M=5)
-        assert point.M < design.m_cal
+        point = materialize(design, cfg.at("M", 5))
+        assert point.M < design.spec.M
         self._assert_block_matches_machines(point, design.omegas[:5], rng)
 
     def test_block_diagonal_omega_below_n_cal_without_reuse(self, rng):
         cfg = _config(d=50, M=4, n=40, precision_reuse=False)
         design = build_design(cfg)
-        point = materialize(design, cfg, n=25)
+        point = materialize(design, cfg.at("n", 25))
         refits = [estimate_precision(X[:25], cfg.lam_omega_at(25)).omega_hat for X in design.X]
         assert not any(_same_rows(a, b) for a, b in zip(refits, design.omegas))
         self._assert_block_matches_machines(point, refits, rng)
@@ -1435,7 +1507,7 @@ class TestStackedRoundOne:
         # Every point holds its machines' column sums of squares over n, at
         # n_cal and below it alike.
         cfg, design = small_design
-        point = materialize(design, cfg, n=n, M=7)
+        point = materialize(design, _at(cfg, n=n, M=7))
         assert point.gram_diag.shape == (7, cfg.spec.d)
         for m in range(7):
             Xm = design.X[m][: point.n]
@@ -1478,7 +1550,7 @@ class TestColumnStores:
     @pytest.mark.parametrize("n", [None, 30])
     def test_nonzero_fits_certified_and_columns_kept_across_replications(self, small_design, n):
         cfg, design = small_design
-        point = materialize(design, cfg.with_(lam=0.1), n=n, M=4)
+        point = materialize(design, _at(cfg, lam=0.1, n=n, M=4))
         held = []
         for rep in range(4):
             theta_t = self._assert_certified(point, rep)
@@ -1494,9 +1566,9 @@ class TestColumnStores:
         # stores in the first replication and stay certified after it.
         cfg, design = small_design
         cfg = cfg.with_(lam=0.1)
-        free = materialize(design, cfg, M=4)
+        free = materialize(design, cfg.at("M", 4))
         monkeypatch.setattr(harness, "GRAM_CACHE_BYTES", 5 * 8 * cfg.spec.d)
-        point = materialize(design, cfg, M=4)
+        point = materialize(design, cfg.at("M", 4))
         first, first_free = _rep_fits(point, 0), _rep_fits(free, 0)
         for name, a, b in zip(("theta_tilde", "theta_hat", "xi"), first, first_free):
             assert _same_bits(a, b), name
@@ -1507,7 +1579,7 @@ class TestColumnStores:
 
     def test_zero_fits_store_nothing(self, small_design):
         cfg, design = small_design
-        point = materialize(design, cfg, M=4)
+        point = materialize(design, cfg.at("M", 4))
         for rep in range(3):
             assert not _rep_fits(point, rep)[0].any()
         assert all(store.rows.size == 0 and (store.slot == -1).all() for store in point.columns)
@@ -1542,7 +1614,7 @@ class TestNoiseStates:
     @pytest.mark.parametrize("n", [None, 30], ids=["gram", "covariance_free"])
     def test_reps_inside_and_outside_the_points_range(self, small_design, n):
         cfg, design = small_design
-        point = materialize(design, cfg, n=n, M=5)
+        point = materialize(design, _at(cfg, n=n, M=5))
         for rep in range(cfg.reps):
             self._assert_noise(point, rep)
         # A rep past the count is a block of one.
@@ -1561,7 +1633,7 @@ class TestNoiseStates:
     def test_points_of_a_machine_sweep_hold_their_own_states(self):
         cfg = _config(d=30, M=4, n=25)
         design = build_design(cfg)
-        points = [materialize(design, cfg, M=M) for M in (1, 4, 2)]
+        points = [materialize(design, cfg.at("M", M)) for M in (1, 4, 2)]
         for point in points:
             assert point.block.Y.shape[0] == point.M
             for rep in range(cfg.reps):
@@ -1569,7 +1641,7 @@ class TestNoiseStates:
 
     def test_one_fit_call_per_replication(self, monkeypatch):
         cfg = _config(d=30, M=4, n=40, lam=0.1)
-        point = materialize(build_design(cfg), cfg, n=25)
+        point = materialize(build_design(cfg), cfg.at("n", 25))
         calls = []
 
         def counting(X, *args, **kwargs):
@@ -1755,7 +1827,7 @@ class TestLambdaAxis:
         with pytest.raises(ValueError, match="lam must be"):
             check_grid(cfg, "lam", [0.5, bad], ["thresh_votes"])
         with pytest.raises(ValueError, match="lam must be"):
-            materialize(design, cfg, lam=bad)
+            materialize(design, cfg.at("lam", bad))
 
 
 class TestCalibration:

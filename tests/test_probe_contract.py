@@ -65,9 +65,9 @@ def test_every_replication_fit_goes_through_a_patched_name(monkeypatch):
     monkeypatch.setattr(_kernels, "cd_residual", counting("columns", _kernels.cd_residual))
     for lam in ("fixed_8", 0.3):
         config = harness.ExperimentConfig(spec=spec, lam=lam)
-        for n in (None, 20):
+        for n in (spec.n, 20):
             calls.clear()
-            theta = harness._rep_fits(harness.materialize(design, config, n=n), rep=0)[0]
+            theta = harness._rep_fits(harness.materialize(design, config.at("n", n)), rep=0)[0]
             assert theta.any() == (lam != "fixed_8")
             assert calls == [("columns", 3)] * spec.M  # (sweeps, kkt, converged)
 
@@ -78,7 +78,7 @@ def test_covariance_free_fits_pass_the_benchmark_probe(probes):
     # reach it positionally, or every fit raises TypeError under the benchmark.
     spec = ProblemSpec(d=20, K=2, M=3, n=30, r=0.8, base_seed=1)
     config = harness.ExperimentConfig(spec=spec, lam=0.3)
-    point = harness.materialize(harness.build_design(config), config, n=20)
+    point = harness.materialize(harness.build_design(config), config.at("n", 20))
     checks = probes.Checks()
     with probes.Patches() as patches:
         checks.install_replication(patches)

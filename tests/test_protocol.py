@@ -28,7 +28,6 @@ from votelasso.protocol import (
     select_top_k,
     selected_signs,
     snr_tau,
-    top_k_indices,
 )
 from votelasso.fusion import centralized_ls
 from votelasso.lasso import restricted_gram_inverse, restricted_xty
@@ -150,7 +149,7 @@ class TestTopL:
         # argsort fallback both run.
         for s, k in tied_scores(np.random.default_rng(15), 10_000):
             want = stable_top_k(s, k)
-            got = top_k_indices(s, k)
+            got = select_top_k(s[None], k)[0]
             assert got.dtype == np.int64 and np.array_equal(got, want), (s, k)
             assert np.array_equal(_top_L_message(1, s, k).payload.indices, want)
             if not np.isnan(s[want]).any():
@@ -161,40 +160,44 @@ class TestTopL:
     def test_one_row_path_equals_the_stack_and_the_stable_argsort_rule(self):
         # Tied integer votes, integer sign sums and floats with NaN and
         # +-0, from d = 1 to 5000: every k below d = 40, else k = 1, d and
-        # samples between; most cases tie at the k-th key.
+        # samples between; most cases tie at the k-th key. A one-row stack,
+        # which the fusion center's top-K rules select from, gives the row
+        # of the three cases' stack.
         rng = np.random.default_rng(24)
         pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.nan])
         cases = 0
         for d in [*range(1, 41), 199, 200, 1000, 5000]:
             ks = range(1, d + 1) if d <= 40 else {1, d, *rng.integers(1, d + 1, 12).tolist()}
             for k in ks:
-                for scores in (
+                rows = (
                     rng.integers(0, 4, d),
                     rng.integers(-3, 4, d),
                     np.where(rng.random(d) < 0.7, rng.choice(pool, d), rng.standard_normal(d)),
-                ):
-                    got = top_k_indices(scores, k)
+                )
+                stack = select_top_k(np.array(rows, dtype=np.float64), k)
+                for scores, want in zip(rows, stack):
+                    got = select_top_k(scores[None], k)[0]
                     assert got.dtype == np.int64 and not got.flags.writeable
                     assert np.array_equal(got, stable_top_k(scores, k)), (scores, k)
-                    assert np.array_equal(got, select_top_k(scores[None], k)[0]), (scores, k)
+                    assert np.array_equal(got, want), (scores, k)
                     cases += 1
         assert cases > 2500
 
     def test_integer_scores(self):
         votes = np.array([3, 0, 3, 7, 1], dtype=np.int64)
-        assert list(top_k_indices(votes, 2)) == [0, 3]
-        assert list(top_k_indices(np.int64(-5) * votes, 3)) == [0, 2, 3]
-        assert list(top_k_indices(votes, np.int64(1))) == [3]
+        assert list(select_top_k(votes[None], 2)[0]) == [0, 3]
+        assert list(select_top_k(np.int64(-5) * votes[None], 3)[0]) == [0, 2, 3]
+        assert list(select_top_k(votes[None], np.int64(1))[0]) == [3]
 
     @pytest.mark.parametrize("k", [0, 6, 2.0, 1.5, True, np.bool_(True), None])
     def test_bad_k_rejected(self, k):
         with pytest.raises(ValueError):
-            top_k_indices(np.arange(5.0), k)
+            select_top_k(np.arange(5.0)[None], k)
 
-    @pytest.mark.parametrize("scores", [np.float64(1.0), np.ones((2, 3))])
-    def test_scores_must_be_one_dimensional(self, scores):
-        with pytest.raises(ValueError, match="1-D"):
-            top_k_indices(scores, 1)
+    @pytest.mark.parametrize("scores", [np.float64(1.0), np.ones(3), np.ones((1, 2, 3))])
+    def test_scores_must_be_two_dimensional(self, scores):
+        with pytest.raises(ValueError, match="2-D"):
+            select_top_k(scores, 1)
 
 
 class TestStackedSelection:
@@ -233,7 +236,7 @@ class TestStackedSelection:
         scores = np.array([[3.0, 1.0, 2.0, 0.5], [1.0, 1.0, 1.0, 0.0], [0.1, -4.0, 0.2, 4.0]])
         got = select_top_k(scores, 2)
         assert got.tolist() == [[0, 2], [0, 1], [1, 3]]
-        assert [top_k_indices(row, 2).tolist() for row in scores] == got.tolist()
+        assert [select_top_k(row[None], 2)[0].tolist() for row in scores] == got.tolist()
 
     def test_threshold_rows_equal_the_per_row_mask(self, rng):
         tau = 1.5
