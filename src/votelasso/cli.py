@@ -95,6 +95,15 @@ def _parse_sigma(raw: str) -> str | float:
     return raw if raw == "from_r" else float(raw)
 
 
+def _grid_number(raw: str) -> int | float:
+    """A grid token: an integer literal as an int, any other number as a
+    float, so a whole-number axis records the grid as written."""
+    try:
+        return int(raw)
+    except ValueError:
+        return float(raw)
+
+
 def _rule_or_number(raw: str) -> str | float:
     """A number, or else the text as a rule name for the config to check."""
     try:
@@ -208,7 +217,7 @@ def cmd_generate(args) -> int:
     config = ExperimentConfig(spec=spec)
     design = build_design(config)
     point = materialize(design, config)
-    sigma, c_omega = point.sigma, design.c_omega
+    sigma, c_omega = spec.sigma_value(), design.c_omega
     truth = GroundTruth(
         theta_star=point.theta_star,
         support=design.support,
@@ -265,16 +274,10 @@ def cmd_sweep(args) -> int:
     config, schemes = _build_config(args, spec, file_values)
     try:
         # A lam value may also be a rule name, which check_grid judges.
-        parse = _rule_or_number if args.axis == "lam" else float
-        grid_vals = [parse(v) for v in args.grid.split(",")]
+        parse = _rule_or_number if args.axis == "lam" else _grid_number
+        grid = [parse(v) for v in args.grid.split(",")]
     except ValueError:
         raise SystemExit(f"--grid: expected comma-separated numbers, got {args.grid!r}") from None
-    if args.axis in ("n", "M", "L"):
-        if not all(v.is_integer() for v in grid_vals):
-            raise SystemExit(f"--grid: expected whole numbers for --axis {args.axis}, got {args.grid!r}")
-        grid = [int(v) for v in grid_vals]
-    else:
-        grid = grid_vals
     try:
         check_grid(config, args.axis, grid, schemes)
     except ValueError as exc:

@@ -96,10 +96,10 @@ class ProblemSpec:
         if self.base_seed < 0:
             raise ValueError("base_seed must be a nonnegative integer")
 
-    def sigma_value(self, r: float | None = None) -> float:
+    def sigma_value(self) -> float:
         """Resolve the noise level, honoring the 'from_r' convention."""
         if isinstance(self.sigma, str):
-            return 1.0 / math.sqrt(self.r if r is None else r)
+            return 1.0 / math.sqrt(self.r)
         return float(self.sigma)
 
     def with_(self, **kwargs) -> "ProblemSpec":

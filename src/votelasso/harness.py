@@ -24,9 +24,13 @@ A grid value is a config: ``ExperimentConfig.at(axis, value)`` puts r, n
 or M into the spec and L or lam into the config's fields, and the checks
 that judge any config judge the value. ``check_grid`` builds that config
 for every value and adds only the rule that depends on the schemes, and
-``materialize(design, config)`` turns it into a grid point, reading n, M,
-r, L and the lasso penalty from it. A design built for another problem
-(another d, K, corr_decay, base_seed or nodewise penalty) is refused.
+``materialize(design, config)`` turns it into a grid point that owns it
+(``PointState.config``). Every step of a replication reads its setting
+from the point alone: d, K, r, n, M, sigma, L, the vote threshold, the
+lasso penalty, the sparsity mode and the round-two rule, so a point
+cannot run under a config it was not built from. A design built for
+another problem (another d, K, corr_decay, base_seed or nodewise penalty)
+is refused.
 
 A design stores its machines stacked as ``datagen`` draws them:
 ``DesignState.X`` is the C-contiguous (spec.M, n_cal, d) array of
@@ -119,10 +123,10 @@ and the stacked work counts as harness time.
 Round two also needs, per machine, an operand that depends only on the
 design and S: the inverse Gram (X_S'X_S)^-1 under ``average`` and the Gram
 X_S'X_S under ``gram_exact``. ``PointState.round2`` keeps it per grid
-point, rule and support, formed for all M machines from one gather of the
-restricted designs X[:M, :n][:, :, S] the first time a replication selects
-S under that rule (``_round2_operand``); the gathered designs are dropped
-afterwards. The Grams are one stacked product; the inverse Grams come from
+point and support, formed under the point's rule for all M machines from
+one gather of the restricted designs X[:M, :n][:, :, S] the first time a
+replication selects S (``_round2_operand``); the gathered designs are
+dropped afterwards. The Grams are one stacked product; the inverse Grams come from
 one LAPACK inverse of the stack of those products, each certified well
 conditioned by ||G||_F ||G^-1||_F, and a machine's thin SVD runs only when
 its certificate fails (``lasso.restricted_gram_inverse``). A
@@ -133,10 +137,10 @@ redraw mode, each replication starts cold.
 
 The tuning quantities (vote threshold, lasso and nodewise penalties) are
 each one ``ExperimentConfig`` field, a rule name or a number, resolved at
-each grid point's r and n. The lasso penalty is also a sweep axis
-(``"lam"``): every value is its own grid point, with fresh column stores
-and cold fits, on the design's one precision estimate, whose penalty
-``lam_omega`` is a design quantity.
+the spec of each grid point's config. The lasso penalty is also a sweep
+axis (``"lam"``): every value is its own grid point, with fresh column
+stores and cold fits, on the design's one precision estimate, whose
+penalty ``lam_omega`` is a design quantity.
 """
 
 from __future__ import annotations
@@ -144,6 +148,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -242,11 +247,13 @@ class ExperimentConfig:
     Each tuning quantity is one field holding a rule name or a finite
     positive number: the vote threshold ``tau`` (``TAU_RULES``), the lasso
     penalty ``lam`` (``"fixed_8"``: 8 sqrt(ln d / n)) and the nodewise
-    penalty ``lam_omega`` (``"fixed_2"``: 2 sqrt(ln d / n)). ``tau_at``,
-    ``lam_at`` and ``lam_omega_at`` resolve them at a grid point. A given
-    ``L`` is an integer in [1, d] whatever schemes run; ``check_grid``
-    also holds the top-L schemes' L to at least K under known sparsity.
-    ``at`` gives the config at one sweep grid value.
+    penalty ``lam_omega`` (``"fixed_2"``: 2 sqrt(ln d / n)). ``tau_at`` and
+    ``lam_at`` resolve the first two at the spec's d, r and n, once per
+    config, and ``lam_omega_at`` the third at a given n, the design's n_cal
+    or the point's n. A given ``L`` is an integer in [1, d] whatever
+    schemes run; ``check_grid`` also holds the top-L schemes' L to at
+    least K under known sparsity. ``at`` gives the config at one sweep grid
+    value.
     """
 
     spec: ProblemSpec
@@ -276,16 +283,26 @@ class ExperimentConfig:
     def resolved_L(self) -> int:
         return self.L if self.L is not None else self.spec.K
 
-    def tau_at(self, r: float) -> float:
+    def tau_at(self) -> float:
+        return self._tau
+
+    def lam_at(self) -> float:
+        return self._lam
+
+    # Resolved once per config, so once per grid point: the replications of
+    # a point read them and never resolve them again.
+    @cached_property
+    def _tau(self) -> float:
         if self.tau == "sqrt_2_log_d":
             return protocol.default_tau(self.spec.d)
         if self.tau == "sqrt_2r_log_d":
-            return protocol.snr_tau(self.spec.d, r)
+            return protocol.snr_tau(self.spec.d, self.spec.r)
         return float(self.tau)
 
-    def lam_at(self, n: int) -> float:
+    @cached_property
+    def _lam(self) -> float:
         if self.lam == "fixed_8":
-            return 8.0 * math.sqrt(math.log(self.spec.d) / n)
+            return 8.0 * math.sqrt(math.log(self.spec.d) / self.spec.n)
         return float(self.lam)
 
     def lam_omega_at(self, n: int) -> float:
@@ -337,8 +354,7 @@ class ExperimentRecord:
     The first replication asked for of each block (``_block_rows``) also
     carries the block's seeding pass, noise draw and X'Y product in its
     ``shared_time``, and the block's other replications carry none of them.
-    ``lam`` is the lasso penalty resolved at the
-    replication's grid point.
+    ``lam`` is the lasso penalty of the grid point's config.
     """
 
     rep: int
@@ -403,34 +419,34 @@ class DesignState:
 
 @dataclass
 class RepBlock:
-    """The replication blocks of a grid point (``_block_rows``): its
-    replications 0 to ``reps`` - 1 in aligned blocks of ``REP_BLOCK``, every
-    other replication a block of one, and the buffers of the block formed
-    last, which every later block reuses. ``reps`` is the config's count in
-    fixed-design mode and 0 in redraw mode. Row (m, b) of ``Y`` and ``XY``
-    is machine m's responses and X'y in replication ``start`` + b; a block
-    shorter than the buffers fills a prefix. ``start`` is None while the
-    buffers hold no whole block."""
+    """The buffers of a grid point's replication block formed last
+    (``_block_rows``), which every later block reuses. Row (m, b) of ``Y``
+    and ``XY`` is machine m's responses and X'y in replication ``start`` +
+    b; a block shorter than the buffers fills a prefix. ``start`` is None
+    while the buffers hold no whole block."""
 
-    reps: int
-    Y: np.ndarray  # (M, B, n), B = min(REP_BLOCK, reps), at least 1
+    Y: np.ndarray  # (M, B, n): B = min(REP_BLOCK, config.reps), 1 in redraw mode
     XY: np.ndarray  # (M, B, d)
     start: int | None = None
 
 
 @dataclass
 class PointState:
-    """One sweep grid point materialized from a DesignState: what its
-    replications share (see the module docstring) and the buffers of its
-    replication blocks. It holds no seed words: each block seeds its own
+    """One sweep grid point materialized from a DesignState: the config it
+    was built from, what its replications share (see the module docstring)
+    and the buffers of its replication blocks.
+
+    ``config`` is the point's one source of settings: every step of a
+    replication reads d, K, sigma, L, the vote threshold, the lasso penalty,
+    the sparsity mode, the round-two rule and the replication count from it.
+    ``n`` and ``M`` are ``config.spec``'s too, kept as the sizes of the
+    point's arrays. The point holds no seed words: each block seeds its own
     noise when formed (``_block_rows``)."""
 
     design: DesignState
+    config: ExperimentConfig
     n: int
     M: int
-    sigma: float
-    tau: float
-    lam: float
     theta_min: float
     theta_star: np.ndarray
     x_theta: np.ndarray  # (M, n) noiseless responses X_m theta*
@@ -449,12 +465,11 @@ class PointState:
     # (K, K) pooled X_S'X_S on the true support S: the machine-order sum of
     # the machines' ``restricted_gram``.
     oracle_gram: np.ndarray
-    L: int  # top-L schemes' L: config.resolved_L()
-    # The point's replication blocks and the buffers of the one formed last.
+    # The buffers of the point's replication block formed last.
     block: RepBlock
-    # (second_round rule, support bytes) -> the (M, k, k) design-only
-    # round-two operand of every machine, or the ValueError forming it raised
-    # (see ``_round2_operand``).
+    # support bytes -> the (M, k, k) design-only round-two operand of every
+    # machine under ``config.second_round``, or the ValueError forming it
+    # raised (see ``_round2_operand``).
     round2: dict = field(default_factory=dict)
 
 
@@ -492,12 +507,13 @@ def build_design(config: ExperimentConfig, n_cal: int | None = None, rep: int = 
 def materialize(design: DesignState, config: ExperimentConfig) -> PointState:
     """Slice a design down to the grid point of ``config``, scale the
     planted signal and form what every replication of the point shares (see
-    the module docstring).
+    the module docstring). The point keeps ``config`` as its own
+    (``PointState.config``), and its replications read every setting from
+    it.
 
     A sweep passes each grid value's ``config.at(axis, value)``, whose
     checks have judged the value. The point's n, M, r and sigma are
-    ``config.spec``'s, its L ``config.resolved_L()`` and its lasso penalty
-    ``config.lam_at(n)``; the top-L schemes' L >= K under known sparsity is
+    ``config.spec``'s; the top-L schemes' L >= K under known sparsity is
     ``check_grid``'s rule, since only it knows the schemes. A design from
     another problem is refused before any work: ValueError naming the field
     when the config's d, K, corr_decay, base_seed or ``lam_omega_at(n_cal)``
@@ -515,12 +531,12 @@ def materialize(design: DesignState, config: ExperimentConfig) -> PointState:
     for name, ours, theirs in pairs:
         if ours != theirs:
             raise ValueError(f"the config's {name} {ours!r} is not the design's {theirs!r}")
-    n, M, r = spec.n, spec.M, spec.r
+    n, M = spec.n, spec.M
     for name, size, calibrated in (("n", n, design.n_cal), ("M", M, design.spec.M)):
         if size > calibrated:
             raise ValueError(f"grid point {name} = {size} exceeds the calibrated design's {calibrated}")
     sigma = spec.sigma_value()
-    theta_min = theta_min_from_snr(spec.d, sigma, r, n, design.c_omega)
+    theta_min = theta_min_from_snr(spec.d, sigma, spec.r, n, design.c_omega)
     theta_star = design.theta_unit * theta_min
     X = design.X[:M, :n]
     omegas = design.omegas[:M]
@@ -531,15 +547,12 @@ def materialize(design: DesignState, config: ExperimentConfig) -> PointState:
             omegas = [estimate_precision(Xm, config.lam_omega_at(n)).omega_hat for Xm in X]
         c_diag = np.array([sandwich_diag(omega, Xm) for omega, Xm in zip(omegas, X)])
     budget = ColumnBudget(GRAM_CACHE_BYTES)
-    reps = config.reps if config.fixed_design else 0  # redraw mode: blocks of one
-    B = min(REP_BLOCK, max(reps, 1))
+    B = min(REP_BLOCK, config.reps) if config.fixed_design else 1  # redraw mode: blocks of one
     return PointState(
         design=design,
+        config=config,
         n=n,
         M=M,
-        sigma=sigma,
-        tau=config.tau_at(r),
-        lam=config.lam_at(n),
         theta_min=theta_min,
         theta_star=theta_star,
         x_theta=X @ theta_star,
@@ -548,8 +561,7 @@ def materialize(design: DesignState, config: ExperimentConfig) -> PointState:
         omega=block_diagonal(omegas),
         columns=[GramColumns(spec.d, budget) for _ in range(M)],
         oracle_gram=fusion.sum_rows(restricted_gram(X[:, :, design.support])),
-        L=config.resolved_L(),
-        block=RepBlock(reps, np.empty((M, B, n)), np.empty((M, B, spec.d))),
+        block=RepBlock(np.empty((M, B, n)), np.empty((M, B, spec.d))),
     )
 
 
@@ -557,12 +569,12 @@ def _block_rows(point: PointState, rep: int):
     """Replication ``rep``'s (M, n) responses and (M, d) X'y as read-only
     rows of its block.
 
-    Replication ``rep`` of 0..``point.block.reps`` - 1 belongs to the block
-    of up to ``REP_BLOCK`` replications from ``start`` = rep - rep mod
-    ``REP_BLOCK``, cut at ``point.block.reps``; any other replication (every
-    one in redraw mode) is a block of one. Unless it is the block formed
-    last, the block is formed now in the point's buffers: one
-    ``fill_streams`` call draws the noise of all its replications, the
+    In fixed-design mode replication ``rep`` of 0..``config.reps`` - 1
+    belongs to the block of up to ``REP_BLOCK`` replications from ``start``
+    = rep - rep mod ``REP_BLOCK``, cut at ``config.reps``; any other
+    replication (every one in redraw mode) is a block of one. Unless it is
+    the block formed last, the block is formed now in the point's buffers:
+    one ``fill_streams`` call draws the noise of all its replications, the
     draws of ``sample_noise(M, n, base_seed, rep)``, straight into the
     (M, B, n) buffer, which becomes the responses x_theta + sigma W in
     place, and one (M, B, n) @ (M, n, d) product writes the block's X'Y. A
@@ -570,16 +582,16 @@ def _block_rows(point: PointState, rep: int):
     until the point forms another block; a negative ``rep`` raises
     ValueError.
     """
-    block = point.block
-    if 0 <= rep < block.reps:
+    block, config = point.block, point.config
+    if config.fixed_design and 0 <= rep < config.reps:
         start = rep - rep % REP_BLOCK
-        size = min(REP_BLOCK, block.reps - start)
+        size = min(REP_BLOCK, config.reps - start)
     else:
         start, size = rep, 1
     if block.start != start:
         block.start = None
-        Y = fill_streams(block.Y[:, :size], point.design.spec.base_seed, TAG_NOISE, range(start, start + size))
-        Y *= point.sigma
+        Y = fill_streams(block.Y[:, :size], config.spec.base_seed, TAG_NOISE, range(start, start + size))
+        Y *= config.spec.sigma_value()
         Y += point.x_theta[:, None]
         np.matmul(Y, point.design.X[: point.M, : point.n], out=block.XY[:, :size])
         block.start = start
@@ -601,7 +613,7 @@ def _rep_fits(point: PointState, rep: int):
     n, M = point.n, point.M
     X = point.design.X[:M, :n]
     Y, xty = _block_rows(point, rep)
-    fit = fit_lasso(X, Y, point.lam, gram_diag=point.gram_diag, columns=point.columns, xty=xty)
+    fit = fit_lasso(X, Y, point.config.lam_at(), gram_diag=point.gram_diag, columns=point.columns, xty=xty)
     theta_t, grad = fit.coefficients, fit.gradient  # grad: X'(y - X theta_tilde)/n
     converged, sweeps, kkt = fit.converged, fit.iterations, fit.max_kkt_violation
     theta_h = debias(theta_t, grad, point.omega)
@@ -633,9 +645,9 @@ def _round1_messages(rule: str, point: PointState, theta_hat, xi, selections: di
     key = _SELECTION[rule]
     if key not in selections:
         if key == "thresh":
-            selections[key] = protocol.select_threshold(xi, point.tau)
+            selections[key] = protocol.select_threshold(xi, point.config.tau_at())
         else:
-            selections[key] = protocol.select_top_k(xi, point.L), None
+            selections[key] = protocol.select_top_k(xi, point.config.resolved_L()), None
     indices, signs = selections[key]
     if rule == "thresh_votes":
         return [protocol.round1_thresh_votes(m, idx) for m, idx in enumerate(indices)]
@@ -672,11 +684,12 @@ def _tallies(round1: dict, d: int) -> dict:
     return tallies
 
 
-def _select_support(scheme, config, point, msgs, t):
-    """Fusion-center support rule for each scheme/sparsity mode."""
-    spec = config.spec
+def _select_support(scheme, point, msgs, t):
+    """Fusion-center support rule for each scheme under the point's
+    sparsity mode."""
+    spec, known = point.config.spec, point.config.sparsity_mode == "known"
     if scheme == "avg_deblasso":
-        if config.sparsity_mode == "known":
+        if known:
             theta_avg, est = fusion.avg_debiased(msgs, K=spec.K)
         else:
             threshold = 11.0 * math.log(spec.d) / point.n
@@ -685,33 +698,32 @@ def _select_support(scheme, config, point, msgs, t):
     use_signs = scheme.endswith("signs")
     if scheme == "bnm21":
         return None, fusion.select_majority(t, point.M)
-    if config.sparsity_mode == "known":
+    if known:
         return None, fusion.select_topk(t, spec.K, use_signs=use_signs)
     return None, fusion.select_vote_threshold(t, 2.0 * math.log(spec.d), use_signs=use_signs)
 
 
-def _round2_operand(config, point: PointState, support: np.ndarray) -> np.ndarray:
+def _round2_operand(point: PointState, support: np.ndarray) -> np.ndarray:
     """The read-only (M, k, k) design-only operand of round two on
-    ``support`` for the point's machines: the inverse Gram (X_S'X_S)^-1
-    under ``average``, from one inverse of the stacked X_S'X_S, certified
-    matrix by matrix, with a thin SVD for each machine whose certificate
-    fails (``restricted_gram_inverse``), and the Gram X_S'X_S under
+    ``support`` for the point's machines under the point's
+    ``config.second_round``: the inverse Gram (X_S'X_S)^-1 under
+    ``average``, from one inverse of the stacked X_S'X_S, certified matrix
+    by matrix, with a thin SVD for each machine whose certificate fails
+    (``restricted_gram_inverse``), and the Gram X_S'X_S under
     ``gram_exact``, from one stacked product (``restricted_gram``).
 
-    It is formed once per point, rule and support, from the (M, n, k)
-    restricted designs gathered then and dropped after, so no later request
-    gathers them. The rule is part of the key because the config is passed
-    apart from the point, so one point may run under both rules. A
-    rank-deficient support's ValueError is kept too and raised again on
-    every later request under the same rule, so it fails in every
-    replication without being refactored.
+    It is formed once per point and support, from the (M, n, k) restricted
+    designs gathered then and dropped after, so no later request gathers
+    them. A rank-deficient support's ValueError is kept too and raised
+    again on every later request, so it fails in every replication without
+    being refactored.
     """
-    key = (config.second_round, support.tobytes())
+    key = support.tobytes()
     operand = point.round2.get(key)
     if operand is None:
         X_S = point.design.X[: point.M, : point.n][:, :, support]
         try:
-            if config.second_round == "gram_exact":
+            if point.config.second_round == "gram_exact":
                 operand = restricted_gram(X_S)
             else:
                 operand = restricted_gram_inverse(X_S)
@@ -724,18 +736,19 @@ def _round2_operand(config, point: PointState, support: np.ndarray) -> np.ndarra
     return operand
 
 
-def _second_round(config, point, xty, support) -> tuple[np.ndarray, int]:
-    """Run round two over the machines; returns (theta_hat, total bits).
+def _second_round(point, xty, support) -> tuple[np.ndarray, int]:
+    """Run round two over the machines under the point's rule; returns
+    (theta_hat, total bits).
 
     ``xty`` is the replication's (M, d) X'y (``LassoFit.xty``), whose
     columns ``support`` are every machine's X_S'y: ``gram_exact`` sends
     those rows, ``average`` the rows of one stacked product with the inverse
     Grams. Each machine's ``protocol`` call wraps its row in a message.
     """
-    d = point.design.spec.d
-    operand = _round2_operand(config, point, support)
+    d = point.config.spec.d
+    operand = _round2_operand(point, support)
     xty_S = xty[:, support]
-    if config.second_round == "gram_exact":
+    if point.config.second_round == "gram_exact":
         msgs = [protocol.round2_gram(m, support, operand[m], xty_S[m]) for m in range(point.M)]
         theta = fusion.centralized_ls(msgs, support, d)
     else:
@@ -763,11 +776,11 @@ def _oracle_error(point: PointState, xty: np.ndarray) -> float:
     return _l2(theta - point.theta_star)
 
 
-def run_point_rep(
-    point: PointState, config: ExperimentConfig, schemes: list[str], rep: int
-) -> list[ExperimentRecord]:
-    """One replication under each of ``schemes``, as one pass in the order
-    the protocol runs, which does each piece of work once:
+def run_point_rep(point: PointState, schemes: list[str], rep: int) -> list[ExperimentRecord]:
+    """One replication of the grid point under each of ``schemes``, with
+    every setting read from the point's own config (``point.config``), as
+    one pass in the order the protocol runs, which does each piece of work
+    once:
 
     1. the machines' fits (``_rep_fits``) and the oracle;
     2. round one, per distinct round-1 rule of ``schemes``: the messages
@@ -775,15 +788,16 @@ def run_point_rep(
        (``_tallies``), which every vote rule of the selection reads;
     3. each scheme's support selection (``_select_support``);
     4. round two, once per distinct nonempty support that a two-round scheme
-       selected, unless ``second_round`` is "none", with the l2 error of its
-       estimate; a ValueError (a singular system) fails round two for every
-       scheme that selected that support;
+       selected, unless the point's ``second_round`` is "none", with the l2
+       error of its estimate; a ValueError (a singular system) fails round
+       two for every scheme that selected that support;
     5. each scheme's record, which reads the F-measure of its S_hat from
        one ``f_measure`` call per distinct S_hat.
 
     Every record carries the time of steps 1, 2 and 4 as ``shared_time``
     and that of its own scheme's steps 3 and 5 as ``wall_time``.
     """
+    config = point.config
     d = config.spec.d
     start = time.perf_counter()
     _, theta_hat, xi, converged, sweeps, kkt, xty, _ = _rep_fits(point, rep)
@@ -801,7 +815,7 @@ def run_point_rep(
     for s in schemes:
         start = time.perf_counter()
         msgs, _, t = round1[_ROUND1_RULE.get(s, s)]
-        selected.append(_select_support(s, config, point, msgs, t))
+        selected.append(_select_support(s, point, msgs, t))
         own.append(time.perf_counter() - start)
 
     start = time.perf_counter()
@@ -811,7 +825,7 @@ def run_point_rep(
         if config.second_round == "none" or s == "avg_deblasso" or not est.indices.size or key in round2:
             continue
         try:
-            theta, bits = _second_round(config, point, xty, est.indices)
+            theta, bits = _second_round(point, xty, est.indices)
             round2[key] = _l2(theta - point.theta_star), bits
         except ValueError:
             round2[key] = None
@@ -819,6 +833,7 @@ def run_point_rep(
 
     records, scores = [], {}  # scores: S_hat bytes -> (F, precision, recall)
     zero_l2 = _l2(point.theta_star)  # the zero estimate's l2 error, bit for bit
+    tau, lam = config.tau_at(), config.lam_at()
     for s, (theta_avg, est), seconds in zip(schemes, selected, own):
         start = time.perf_counter()
         _, bits_r1, t = round1[_ROUND1_RULE.get(s, s)]
@@ -855,11 +870,11 @@ def run_point_rep(
                 bits_round1_per_machine=list(bits_r1),
                 bits_round1_total=bits_r1_total,
                 bits_round2_total=int(bits_r2),
-                lam=point.lam,
+                lam=lam,
                 wall_time=seconds + time.perf_counter() - start,
                 shared_time=shared,
                 flags=RepFlags(S_hat.size == 0, *solver, failed),
-                fusion_log=fusion.fusion_log_record(s, est, t, point.tau, bits_r1_total),
+                fusion_log=fusion.fusion_log_record(s, est, t, tau, bits_r1_total),
             )
         )
     return records
@@ -950,7 +965,7 @@ def run_sweep(
             if not config.fixed_design:
                 # Redraw mode: design, signal and noise are all drawn anew.
                 point = materialize(build_design(value_config, rep=rep), value_config)
-            for rec in run_point_rep(point, value_config, schemes, rep):
+            for rec in run_point_rep(point, schemes, rep):
                 per_scheme[rec.scheme].append(rec)
                 out = rec.to_dict()
                 out["axis"], out["value"] = sweep_axis, value

@@ -231,20 +231,22 @@ def loop_response(point, rep, m):
 
     design = point.design
     w = stream(design.spec.base_seed, TAG_NOISE, rep, m).standard_normal(design.n_cal)[: point.n]
-    return design.X[m][: point.n] @ point.theta_star + point.sigma * w
+    return design.X[m][: point.n] @ point.theta_star + point.config.spec.sigma_value() * w
 
 
-def loop_xty(config, point, rep):
+def loop_xty(point, rep):
     """Every machine's X'y in replication ``rep``, machine by machine, as
     the replication's block forms it: in fixed-design mode, for ``rep``
-    below ``config.reps``, the row of ``rep`` in one (B, n) @ X_m product
-    over the machine's responses (``loop_response``) in the replications of
-    its aligned block (from rep - rep mod ``harness.REP_BLOCK``, at most
-    that many, cut at ``config.reps``); otherwise the (1, n) @ X_m product
-    of its own responses. Returns the (M, d) rows. The bitwise reference
-    for the blocked X'Y; do not batch it over machines."""
+    below the point's ``config.reps``, the row of ``rep`` in one
+    (B, n) @ X_m product over the machine's responses (``loop_response``)
+    in the replications of its aligned block (from rep - rep mod
+    ``harness.REP_BLOCK``, at most that many, cut at ``config.reps``);
+    otherwise the (1, n) @ X_m product of its own responses. Returns the
+    (M, d) rows. The bitwise reference for the blocked X'Y; do not batch it
+    over machines."""
     from votelasso.harness import REP_BLOCK
 
+    config = point.config
     if config.fixed_design and 0 <= rep < config.reps:
         start = rep - rep % REP_BLOCK
         reps = range(start, min(start + REP_BLOCK, config.reps))
@@ -257,7 +259,7 @@ def loop_xty(config, point, rep):
     return np.array(rows)
 
 
-def loop_rep_fits(config, point, rep):
+def loop_rep_fits(point, rep):
     """Round one machine by machine, as ``harness._rep_fits`` computed it
     before its stacked pass: noise, response, X'y/n, lasso, debiasing and
     standardization, each a separate call per machine. Each machine's fit
@@ -265,25 +267,25 @@ def loop_rep_fits(config, point, rep):
     X'(y - X theta_tilde)/n of its own fit, the solver's last gradient. Its
     precision estimate is the design's when the point reuses it (at n_cal,
     or under ``config.precision_reuse``), else the nodewise estimate of its
-    first n rows, and its sandwich diagonal is formed from those rows. The
-    bitwise reference for the stacked pass; do not batch it. Each fit reads
-    its machine's column store on the point, so after a stacked pass it
-    reads the Gram columns that pass formed, as a later replication of the
-    point would. Returns what ``_rep_fits`` returns, (theta_tilde,
+    first n rows, and its sandwich diagonal is formed from those rows.
+    Every setting is the point's own config's. The bitwise reference for
+    the stacked pass; do not batch it. Each fit reads its machine's column
+    store on the point, so after a stacked pass it reads the Gram columns
+    that pass formed, as a later replication of the point would. Returns what ``_rep_fits`` returns, (theta_tilde,
     theta_hat, xi, converged, sweeps, kkt, xty, Y), each stacked from the
     per-machine results."""
     from votelasso.debias import estimate_precision, noise_scale, sandwich_diag, standardize
     from votelasso.lasso import fit_lasso
 
-    design = point.design
-    n, sigma = point.n, point.sigma
+    design, config = point.design, point.config
+    n, sigma = point.n, config.spec.sigma_value()
     reuse = n == design.n_cal or config.precision_reuse
-    xtys = loop_xty(config, point, rep)
+    xtys = loop_xty(point, rep)
     rows = []
     for m in range(point.M):
         X = design.X[m][:n]
         y = loop_response(point, rep, m)
-        fit = fit_lasso(X, y, point.lam, columns=point.columns[m], xty=xtys[m])
+        fit = fit_lasso(X, y, config.lam_at(), columns=point.columns[m], xty=xtys[m])
         theta_t, sweeps, kkt, conv, grad = (
             fit.coefficients, fit.iterations, fit.max_kkt_violation, fit.converged, fit.gradient
         )
@@ -307,12 +309,12 @@ def loop_oracle_gram(point):
     return gram
 
 
-def loop_oracle_error(config, point, rep):
+def loop_oracle_error(point, rep):
     """``harness._oracle_error`` of replication ``rep`` accumulating
     X_{m,S}'y_m one machine at a time, each read off the machine's own X'y
     (``loop_xty``)."""
     S = point.design.support
-    xty = loop_xty(config, point, rep)
+    xty = loop_xty(point, rep)
     v = np.zeros(S.size)
     for m in range(point.M):
         v += xty[m][S]
@@ -337,9 +339,9 @@ def loop_round1_messages(rule, point, theta_hat, xi):
             payload = DenseEstimate(theta_hat[m].copy())
         else:
             if rule.startswith("thresh"):
-                idx = np.flatnonzero(np.abs(row) > point.tau)
+                idx = np.flatnonzero(np.abs(row) > point.config.tau_at())
             else:
-                idx = stable_top_k(row, point.L)
+                idx = stable_top_k(row, point.config.resolved_L())
             signs = np.array([-1 if v < 0 else 1 for v in row[idx]], dtype=np.int64)
             payload = SignedIndexSet(idx, signs) if rule.endswith("signs") else IndexSet(idx)
         msgs.append(Message(m, payload))
@@ -369,27 +371,28 @@ def loop_tallies(messages, d):
     return tallies
 
 
-def loop_second_round(config, point, rep, support):
+def loop_second_round(point, rep, support):
     """``harness._second_round`` of replication ``rep`` machine by machine:
     each machine reads its X_S'y off its own X'y (``loop_xty``), gathers its
     own restricted design and sends (X_S'X_S)^-1 X_S'y, factored on its
-    own, or X_S'X_S and X_S'y. Returns (theta_hat, total bits). The bitwise
+    own, or X_S'X_S and X_S'y, as the point's ``config.second_round`` says.
+    Returns (theta_hat, total bits). The bitwise
     reference for the stacked round two; do not batch it."""
     from votelasso import fusion
     from votelasso.lasso import restricted_gram_inverse
     from votelasso.protocol import GramSummary, Message, RestrictedEstimate, bit_cost
 
-    d = point.design.spec.d
-    xtys = loop_xty(config, point, rep)
+    rule, d = point.config.second_round, point.config.spec.d
+    xtys = loop_xty(point, rep)
     msgs = []
     for m in range(point.M):
         X_S, xty = point.design.X[m][: point.n, support], xtys[m][support]
-        if config.second_round == "gram_exact":
+        if rule == "gram_exact":
             payload = GramSummary(support, X_S.T @ X_S, xty)
         else:
             payload = RestrictedEstimate(support, restricted_gram_inverse(X_S) @ xty)
         msgs.append(Message(m, payload))
-    fold = fusion.centralized_ls if config.second_round == "gram_exact" else fusion.aggregate_round2
+    fold = fusion.centralized_ls if rule == "gram_exact" else fusion.aggregate_round2
     return fold(msgs, support, d), sum(bit_cost(msg, d) for msg in msgs)
 
 

@@ -117,7 +117,7 @@ def test_null_statistics_are_standard_normal(design):
     assert abs(xi.mean()) <= 0.01
     assert abs(xi.var() - 1.0) <= 0.02
     tau = math.sqrt(2.0 * R * math.log(D))
-    assert point.tau == pytest.approx(tau)
+    assert point.config.tau_at() == pytest.approx(tau)
     rate = math.erfc(tau / math.sqrt(2.0))
     count = int((np.abs(xi) > tau).sum())
     assert abs(count - xi.size * rate) <= 4.0 * math.sqrt(xi.size * rate * (1 - rate)), (count, xi.size * rate)

@@ -457,7 +457,8 @@ class TestSweep:
     def test_fractional_integer_grid_exits_with_one_line(self, tmp_path, axis, grid):
         argv = ["sweep", *COMMON, "--scheme", "top_L_votes", "--axis", axis, "--grid", grid,
                 "--reps", "1", "--out", str(tmp_path / "o")]
-        with pytest.raises(SystemExit, match=f"--grid: expected whole numbers for --axis {axis}") as exc:
+        message = f"^bad problem configuration: {axis} grid values must be whole numbers$"
+        with pytest.raises(SystemExit, match=message) as exc:
             main(argv)
         assert "\n" not in exc.value.code
         assert not (tmp_path / "o").exists()

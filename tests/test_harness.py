@@ -130,8 +130,8 @@ class TestRunReplication:
     def test_bit_identical_repeats(self, small_design):
         cfg, design = small_design
         point = materialize(design, cfg)
-        a = run_point_rep(point, cfg, ["thresh_votes"], 0)[0]
-        b = run_point_rep(point, cfg, ["thresh_votes"], 0)[0]
+        a = run_point_rep(point, ["thresh_votes"], 0)[0]
+        b = run_point_rep(point, ["thresh_votes"], 0)[0]
         assert a.to_dict() == b.to_dict() or (
             # the timings differ; compare everything else
             {k: v for k, v in a.to_dict().items() if k not in TIMING_FIELDS}
@@ -142,22 +142,22 @@ class TestRunReplication:
         # A design built anew gives the shared fixture's record.
         cfg, design = small_design
         point = materialize(design, cfg)
-        via_point = run_point_rep(point, cfg, ["thresh_votes"], 1)[0]
-        standalone = run_point_rep(materialize(build_design(cfg), cfg), cfg, ["thresh_votes"], 1)[0]
+        via_point = run_point_rep(point, ["thresh_votes"], 1)[0]
+        standalone = run_point_rep(materialize(build_design(cfg), cfg), ["thresh_votes"], 1)[0]
         assert _untimed(standalone) == _untimed(via_point)
 
     def test_reps_differ(self, small_design):
         cfg, design = small_design
         point = materialize(design, cfg)
-        a = run_point_rep(point, cfg, ["thresh_votes"], 0)[0]
-        b = run_point_rep(point, cfg, ["thresh_votes"], 1)[0]
+        a = run_point_rep(point, ["thresh_votes"], 0)[0]
+        b = run_point_rep(point, ["thresh_votes"], 1)[0]
         assert a.l2_error != b.l2_error
 
     def test_avg_deblasso_dense_bits(self, small_design):
         cfg, design = small_design
         cfg2 = cfg.with_(second_round="none")
         point = materialize(design, cfg2)
-        rec = run_point_rep(point, cfg2, ["avg_deblasso"], 0)[0]
+        rec = run_point_rep(point, ["avg_deblasso"], 0)[0]
         assert all(b == 64 * cfg.spec.d for b in rec.bits_round1_per_machine)
         assert rec.bits_round2_total == 0
 
@@ -166,7 +166,7 @@ class TestRunReplication:
 
         cfg, design = small_design
         point = materialize(design, cfg)
-        rec = run_point_rep(point, cfg, ["thresh_votes"], 2)[0]
+        rec = run_point_rep(point, ["thresh_votes"], 2)[0]
         assert rec.bits_round1_total == sum(rec.bits_round1_per_machine)
         # every entry is a multiple of the per-index cost
         b = index_bits(cfg.spec.d)
@@ -174,25 +174,54 @@ class TestRunReplication:
 
     def test_gram_exact_second_round(self, small_design):
         cfg, design = small_design
-        cfg2 = cfg.with_(second_round="gram_exact")
-        point = materialize(design, cfg2)
-        rec_avg = run_point_rep(point, cfg, ["thresh_votes"], 0)[0]
-        rec_gram = run_point_rep(point, cfg2, ["thresh_votes"], 0)[0]
+        avg_point = materialize(design, cfg)
+        gram_point = materialize(design, cfg.with_(second_round="gram_exact"))
+        rec_avg = run_point_rep(avg_point, ["thresh_votes"], 0)[0]
+        rec_gram = run_point_rep(gram_point, ["thresh_votes"], 0)[0]
         assert rec_gram.S_hat == rec_avg.S_hat
         # pooled LS differs from averaged LS but both are near the truth
         assert rec_gram.l2_error != rec_avg.l2_error
         assert rec_gram.bits_round2_total > rec_avg.bits_round2_total
-        # One point run under both rules, in either order, gives each rule's
-        # own estimate: the frozen loop's, and a fresh point's record.
+        # Each rule's point gives its rule's own estimate: the frozen loop's,
+        # and a fresh point's record.
         S = np.array(rec_avg.S_hat, dtype=np.int64)
-        for c, rec in ((cfg, rec_avg), (cfg2, rec_gram)):
-            theta, bits = loop_second_round(c, point, 0, S)
+        for point, rec in ((avg_point, rec_avg), (gram_point, rec_gram)):
+            theta, bits = loop_second_round(point, 0, S)
             assert rec.l2_error == float(np.linalg.norm(theta - point.theta_star))
             assert rec.bits_round2_total == bits
-        shared = materialize(design, cfg2)
-        for c in (cfg2, cfg):
-            alone = run_point_rep(materialize(design, c), c, ["thresh_votes"], 0)[0]
-            assert _untimed(run_point_rep(shared, c, ["thresh_votes"], 0)[0]) == _untimed(alone)
+            alone = run_point_rep(materialize(design, point.config), ["thresh_votes"], 0)[0]
+            assert _untimed(rec) == _untimed(alone)
+
+    def test_points_of_one_design_read_only_their_own_configs(self, small_design):
+        # Two points of one design whose configs differ in every setting a
+        # replication reads, run in turn: each record carries its own
+        # point's lam, tau, top-L message size, sparsity rule and round two.
+        from votelasso.protocol import index_bits
+
+        cfg, design = small_design
+        configs = (
+            cfg.with_(lam=0.3, L=4, tau=0.5, sparsity_mode="known", second_round="average"),
+            cfg.with_(lam="fixed_8", L=6, tau="sqrt_2r_log_d", sparsity_mode="unknown", second_round="none"),
+        )
+        points = [materialize(design, c) for c in configs]
+        schemes = ["thresh_votes", "top_L_votes", "top_L_signs", "bnm21"]
+        records = [[], []]
+        for rep in range(3):
+            for point, recs in zip(points, records):
+                recs += run_point_rep(point, schemes, rep)
+        known, unknown = records
+        for point, recs in zip(points, records):
+            c = point.config
+            for rec in recs:
+                assert rec.lam == c.lam_at() and rec.fusion_log["tau"] == c.tau_at()
+                if rec.scheme == "top_L_votes":
+                    assert rec.bits_round1_per_machine == [c.L * index_bits(c.spec.d)] * c.spec.M
+        assert configs[0].lam_at() != configs[1].lam_at() and configs[0].tau_at() != configs[1].tau_at()
+        rules = [{r.fusion_log["rule"] for r in recs if r.scheme != "bnm21"} for recs in records]
+        assert rules == [{"topK"}, {"vote_threshold"}]
+        assert any(r.bits_round2_total for r in known)
+        assert all(r.bits_round2_total == 0 for r in unknown)
+        assert all(r.l2_error is None for r in unknown if r.S_hat)
 
     def test_exact_recovery_consistency(self, small_design):
         # With S_hat == S and averaging, the error must equal the error of
@@ -204,7 +233,7 @@ class TestRunReplication:
         point = materialize(design, cfg)
         exact = 0
         for rep in range(5):
-            rec = run_point_rep(point, cfg, ["thresh_votes"], rep)[0]
+            rec = run_point_rep(point, ["thresh_votes"], rep)[0]
             if rec.f_measure != 1.0:
                 continue
             exact += 1
@@ -215,7 +244,7 @@ class TestRunReplication:
             for m in range(spec.M):
                 X = design.X[m]
                 w = stream(spec.base_seed, TAG_NOISE, rep, m).standard_normal(design.n_cal)
-                y = X @ point.theta_star + point.sigma * w
+                y = X @ point.theta_star + point.config.spec.sigma_value() * w
                 betas.append(normal_equations_ols(X[:, design.support], y))
             theta = np.zeros(spec.d)
             theta[design.support] = np.mean(betas, axis=0)
@@ -229,7 +258,7 @@ class TestRunReplication:
         # Absurdly high explicit threshold: nobody votes, support is empty.
         cfg2 = cfg.with_(sparsity_mode="unknown", tau=50.0)
         point = materialize(design, cfg2)
-        rec = run_point_rep(point, cfg2, ["thresh_votes"], 0)[0]
+        rec = run_point_rep(point, ["thresh_votes"], 0)[0]
         assert rec.flags.empty_support
         assert rec.f_measure == 0.0
         assert rec.l2_error == pytest.approx(float(np.linalg.norm(point.theta_star)))
@@ -238,7 +267,7 @@ class TestRunReplication:
         cfg, design = small_design
         cfg2 = cfg.with_(second_round="none")
         point = materialize(design, cfg2)
-        rec = run_point_rep(point, cfg2, ["thresh_votes"], 0)[0]
+        rec = run_point_rep(point, ["thresh_votes"], 0)[0]
         assert rec.l2_error is None
 
 
@@ -247,7 +276,7 @@ class TestSchemes:
         cfg, design = small_design
         schemes = ["thresh_votes", "top_L_votes", "top_L_signs", "bnm21", "avg_deblasso", "thresh_signs"]
         point = materialize(design, cfg)
-        recs = run_point_rep(point, cfg, schemes, 0)
+        recs = run_point_rep(point, schemes, 0)
         assert [r.scheme for r in recs] == schemes
         for rec in recs:
             assert 0.0 <= rec.f_measure <= 1.0
@@ -256,7 +285,7 @@ class TestSchemes:
     def test_top_l_defaults_to_k(self, small_design):
         cfg, design = small_design
         point = materialize(design, cfg)
-        rec = run_point_rep(point, cfg, ["top_L_votes"], 0)[0]
+        rec = run_point_rep(point, ["top_L_votes"], 0)[0]
         from votelasso.protocol import index_bits
 
         assert all(
@@ -288,14 +317,14 @@ class TestSchemes:
         ):
             with pytest.raises(ValueError):
                 _config(**bad)
-        cfg = _config()
-        assert cfg.lam_at(50) == 8.0 * math.sqrt(math.log(60) / 50)
+        cfg = _config(n=40, r=0.5)
+        assert cfg.lam_at() == 8.0 * math.sqrt(math.log(60) / 40)
         assert cfg.lam_omega_at(50) == 2.0 * math.sqrt(math.log(60) / 50)
-        assert cfg.tau_at(0.5) == protocol.default_tau(60)
-        assert _config(tau="sqrt_2r_log_d").tau_at(0.5) == protocol.snr_tau(60, 0.5)
+        assert cfg.tau_at() == protocol.default_tau(60)
+        assert cfg.with_(tau="sqrt_2r_log_d").tau_at() == protocol.snr_tau(60, 0.5)
         assert _config(lam_omega=0.3).lam_omega_at(50) == 0.3
-        assert _config(lam=1, tau=np.float64(2.5)).lam_at(50) == 1.0
-        assert _config(tau=np.float64(2.5)).tau_at(0.5) == 2.5
+        assert _config(lam=1, tau=np.float64(2.5)).lam_at() == 1.0
+        assert _config(tau=np.float64(2.5)).tau_at() == 2.5
 
     @pytest.mark.parametrize("reps", [2.5, 3.0, math.nan, math.inf, True, False, 0, -1, "3", None, np.float64(2.0)])
     def test_reps_must_be_a_positive_integer(self, reps):
@@ -340,7 +369,7 @@ class TestSchemes:
         runs = {}
         for tau in ("sqrt_2_log_d", 0.01):
             c = cfg.with_(tau=tau)
-            runs[tau] = run_point_rep(materialize(design, c), c, ["thresh_votes"], 0)[0]
+            runs[tau] = run_point_rep(materialize(design, c), ["thresh_votes"], 0)[0]
         low, default = runs[0.01], runs["sqrt_2_log_d"]
         assert low.fusion_log["tau"] == 0.01 and default.fusion_log["tau"] == protocol.default_tau(60)
         # Nearly every coordinate crosses tau = 0.01 on every machine.
@@ -363,9 +392,9 @@ def _round2_supports(recs) -> set:
 
 
 @contextlib.contextmanager
-def _per_machine_loops(monkeypatch, config):
+def _per_machine_loops(monkeypatch):
     """Replace round one, the tallies, round two and the oracle of every
-    replication of ``config`` run inside by the per-machine loops of
+    replication run inside by the per-machine loops of
     ``oracles``. The loops form each machine's X'y from its responses
     themselves (``loop_xty``), so they are handed the replication's number
     in place of its stacked X'y."""
@@ -387,9 +416,9 @@ def _per_machine_loops(monkeypatch, config):
         mp.setattr(
             harness,
             "_second_round",
-            lambda config, point, xty, support: loop_second_round(config, point, current["rep"], support),
+            lambda point, xty, support: loop_second_round(point, current["rep"], support),
         )
-        mp.setattr(harness, "_oracle_error", lambda point, xty: loop_oracle_error(config, point, current["rep"]))
+        mp.setattr(harness, "_oracle_error", lambda point, xty: loop_oracle_error(point, current["rep"]))
         yield
 
 
@@ -415,19 +444,19 @@ class TestSharedWork:
         cfg, design = small_design
         cfg = cfg.with_(second_round=second_round, sparsity_mode=sparsity_mode)
         point = materialize(design, cfg)
-        joint = [run_point_rep(point, cfg, list(SCHEMES), rep) for rep in (0, 1)]
+        joint = [run_point_rep(point, list(SCHEMES), rep) for rep in (0, 1)]
         # Both replications select a common support, so work kept from the
         # first would change the second's records.
         assert _round2_supports(joint[0]) & _round2_supports(joint[1])
         for rep, recs in zip((0, 1), joint):
-            alone = [run_point_rep(point, cfg, [s], rep)[0] for s in SCHEMES]
+            alone = [run_point_rep(point, [s], rep)[0] for s in SCHEMES]
             assert [_untimed(r) for r in recs] == [_untimed(r) for r in alone]
 
     def test_shared_time_is_counted_once(self, small_design):
         cfg, design = small_design
         point = materialize(design, cfg)
         t0 = time.perf_counter()
-        recs = run_point_rep(point, cfg, list(SCHEMES), 0)
+        recs = run_point_rep(point, list(SCHEMES), 0)
         elapsed = time.perf_counter() - t0
         assert len({r.shared_time for r in recs}) == 1
         assert all(r.wall_time >= 0.0 for r in recs)
@@ -451,13 +480,13 @@ class TestSharedWork:
 
         with monkeypatch.context() as mp:
             mp.setattr(harness, "_second_round", sleeping(harness._second_round))
-            recs = run_point_rep(point, cfg, schemes, 0)
+            recs = run_point_rep(point, schemes, 0)
         # One round two, for the one support both schemes selected.
         assert recs[0].S_hat == recs[1].S_hat and len(slept) == 1
         assert all(r.shared_time >= pause and r.wall_time < pause for r in recs)
         with monkeypatch.context() as mp:
             mp.setattr(harness, "_select_support", sleeping(harness._select_support, only="thresh_signs"))
-            votes, signs = run_point_rep(point, cfg, schemes, 0)
+            votes, signs = run_point_rep(point, schemes, 0)
         assert signs.wall_time >= pause
         assert votes.wall_time < pause and votes.shared_time < pause
 
@@ -475,7 +504,7 @@ class TestSharedWork:
 
         monkeypatch.setattr(protocol, "round2_restricted", counting("round2", protocol.round2_restricted))
         monkeypatch.setattr(fusion, "tally", counting("tally", fusion.tally))
-        recs = run_point_rep(point, cfg, list(SCHEMES), 0)
+        recs = run_point_rep(point, list(SCHEMES), 0)
         supports = _round2_supports(recs)
         assert 1 < len(supports) < 5
         assert calls["round2"] == point.M * len(supports)
@@ -484,7 +513,7 @@ class TestSharedWork:
         assert calls["tally"] == 2
         for subset in TALLY_SUBSETS:
             calls["tally"] = 0
-            run_point_rep(point, cfg, subset, 0)
+            run_point_rep(point, subset, 0)
             assert calls["tally"] == 1, subset
 
     @pytest.mark.parametrize("second_round", ["average", "gram_exact", "none"])
@@ -493,8 +522,8 @@ class TestSharedWork:
         cfg = cfg.with_(second_round=second_round)
         point = materialize(design, cfg)
         for rep in (0, 1):
-            with _per_machine_loops(monkeypatch, cfg):
-                loop = [_untimed(r) for r in run_point_rep(point, cfg, list(SCHEMES), rep)]
+            with _per_machine_loops(monkeypatch):
+                loop = [_untimed(r) for r in run_point_rep(point, list(SCHEMES), rep)]
             scored = []
 
             def counting(S_hat, S):
@@ -503,7 +532,7 @@ class TestSharedWork:
 
             with monkeypatch.context() as mp:
                 mp.setattr(harness, "f_measure", counting)
-                recs = run_point_rep(point, cfg, list(SCHEMES), rep)
+                recs = run_point_rep(point, list(SCHEMES), rep)
             supports = [r.S_hat for r in recs]
             assert sorted(scored) == sorted(map(list, {tuple(S) for S in supports}))
             assert len(scored) < len(supports)
@@ -512,7 +541,7 @@ class TestSharedWork:
     def test_round2_failure_flags_every_scheme_with_that_support(self, small_design, monkeypatch):
         cfg, design = small_design
         point = materialize(design, cfg)
-        failing = run_point_rep(point, cfg, ["thresh_votes"], 0)[0].S_hat
+        failing = run_point_rep(point, ["thresh_votes"], 0)[0].S_hat
         original = protocol.round2_restricted
 
         def round2(machine_id, support, beta):
@@ -521,7 +550,7 @@ class TestSharedWork:
             return original(machine_id, support, beta)
 
         monkeypatch.setattr(protocol, "round2_restricted", round2)
-        recs = run_point_rep(point, cfg, list(SCHEMES), 0)
+        recs = run_point_rep(point, list(SCHEMES), 0)
         failed = {r.scheme for r in recs if r.flags.round2_failed}
         expected = {r.scheme for r in recs if r.scheme != "avg_deblasso" and r.S_hat == failing}
         assert failed == expected
@@ -547,7 +576,7 @@ class TestOneTallyPerSelection:
                 xi[:] = np.where(rng.random((M, d)) < 0.5, 0.0, xi.clip(-tau, tau))
             else:
                 xi[rng.random(M) < 0.3] *= 0.1  # rows with nothing above tau
-            point = SimpleNamespace(tau=tau, L=int(rng.integers(1, d + 1)))
+            point = SimpleNamespace(config=_config(d=d, M=M, tau=tau, L=int(rng.integers(1, d + 1))))
             selections = {}
             messages = {rule: harness._round1_messages(rule, point, None, xi, selections) for rule in self.VOTE_RULES}
             empty_rows.update(msg.payload.indices.size == 0 for msg in messages["thresh_votes"])
@@ -581,11 +610,11 @@ class TestOneTallyPerSelection:
         cfg = cfg.with_(second_round=second_round, sparsity_mode=sparsity_mode)
         point = materialize(design, cfg)
         for rep in (0, 1):
-            with _per_machine_loops(monkeypatch, cfg):
-                loop = {r.scheme: _untimed(r) for r in run_point_rep(point, cfg, list(SCHEMES), rep)}
+            with _per_machine_loops(monkeypatch):
+                loop = {r.scheme: _untimed(r) for r in run_point_rep(point, list(SCHEMES), rep)}
             assert any(v["bits_round1_total"] for k, v in loop.items() if k.startswith("thresh"))
             for subset in (*TALLY_SUBSETS, list(SCHEMES)):
-                recs = run_point_rep(point, cfg, subset, rep)
+                recs = run_point_rep(point, subset, rep)
                 assert [r.scheme for r in recs] == subset
                 for r in recs:
                     assert _untimed(r) == loop[r.scheme], (subset, r.scheme)
@@ -606,7 +635,7 @@ class TestOneTallyPerSelection:
 
         monkeypatch.setattr(harness, "_tallies", keeping)
         for rep in range(3):
-            records = run_point_rep(point, cfg, list(SCHEMES), rep)
+            records = run_point_rep(point, list(SCHEMES), rep)
             messages, t = kept[-1]
             for unsigned, signed in (("thresh_votes", "thresh_signs"), ("top_L_votes", "top_L_signs")):
                 assert t[unsigned].votes_histogram is t[signed].votes_histogram
@@ -647,24 +676,23 @@ class TestRoundTwoFactors:
         monkeypatch.setattr(protocol, "round2_restricted", counting)
         seen, requests, expected_round2 = set(), 0, 0
         for rep in range(20):
-            supports = _round2_supports(run_point_rep(point, cfg, list(SCHEMES), rep))
+            supports = _round2_supports(run_point_rep(point, list(SCHEMES), rep))
             seen |= supports
             requests += len(supports)
             expected_round2 += point.M * len(supports)
         assert 1 < len(seen) < requests
         assert len(factor_calls) == len(seen)
         assert sorted(factor_calls) == sorted((point.M, point.n, len(S)) for S in seen)
-        assert set(point.round2) == {("average", np.array(S, dtype=np.int64).tobytes()) for S in seen}
+        assert set(point.round2) == {np.array(S, dtype=np.int64).tobytes() for S in seen}
         # The benchmark's probe still sees one message per machine and support.
         assert round2_calls[0] == expected_round2
 
     def test_stacked_factor_rows_are_each_machines_own(self, small_design):
         cfg, design = small_design
         point = materialize(design, cfg.at("M", 7).at("n", 40))
-        run_point_rep(point, cfg, list(SCHEMES), 0)
+        run_point_rep(point, list(SCHEMES), 0)
         assert point.round2
-        for (rule, key), factor in point.round2.items():
-            assert rule == "average"
+        for key, factor in point.round2.items():
             S = np.frombuffer(key, dtype=np.int64)
             assert factor.shape == (7, S.size, S.size) and not factor.flags.writeable
             for m in range(7):
@@ -676,10 +704,13 @@ class TestRoundTwoFactors:
         S = design.support
         X = design.X.copy()
         X[1][:, S[1]] = X[1][:, S[0]]  # machine 1 cannot tell S[0] from S[1]
-        point = materialize(dataclasses.replace(design, X=X, grams=None), cfg)
-        selected_in = set()
+        singular_design = dataclasses.replace(design, X=X, grams=None)
+        point = materialize(singular_design, cfg)
+        selected_in, supports = set(), {}
         for rep in range(20):
-            for rec in run_point_rep(point, cfg, list(SCHEMES), rep):
+            recs = run_point_rep(point, list(SCHEMES), rep)
+            supports[rep] = [rec.S_hat for rec in recs]
+            for rec in recs:
                 if rec.scheme == "avg_deblasso" or not rec.S_hat:
                     continue
                 singular = {int(S[0]), int(S[1])} <= set(rec.S_hat)
@@ -691,16 +722,19 @@ class TestRoundTwoFactors:
         assert failed and len(failed) < len(point.round2)
         # Each support was factored once, the failing ones included.
         assert len(factor_calls) == len(point.round2)
-        # The pooled Gram of gram_exact is not singular there: the failure
-        # kept under average is not raised under it on the same point.
-        cfg2 = cfg.with_(second_round="gram_exact")
+        # The pooled Gram of gram_exact is not singular there: a gram_exact
+        # point of the same design selects the same supports and fails in
+        # none of those replications.
+        gram_point = materialize(singular_design, cfg.with_(second_round="gram_exact"))
         for rep in selected_in:
-            assert not any(r.flags.round2_failed for r in run_point_rep(point, cfg2, list(SCHEMES), rep))
+            recs = run_point_rep(gram_point, list(SCHEMES), rep)
+            assert [rec.S_hat for rec in recs] == supports[rep]
+            assert not any(rec.flags.round2_failed for rec in recs)
 
     def test_every_point_starts_cold(self, small_design, factor_calls):
         cfg, design = small_design
         point = materialize(design, cfg)
-        run_point_rep(point, cfg, ["thresh_votes"], 0)
+        run_point_rep(point, ["thresh_votes"], 0)
         assert point.round2
         assert materialize(design, cfg).round2 == {}
         factor_calls.clear()
@@ -722,11 +756,11 @@ class TestRoundTwoFactors:
         cfg, design = small_design
         cfg = cfg.with_(second_round="gram_exact")
         point = materialize(design, cfg)
-        recs = run_point_rep(point, cfg, list(SCHEMES), 0)
+        recs = run_point_rep(point, list(SCHEMES), 0)
         assert _round2_supports(recs) and not factor_calls
         # The one cache holds X_S'X_S instead (TestRoundTwoGrams).
         supports = _round2_supports(recs)
-        assert set(point.round2) == {("gram_exact", np.array(S, dtype=np.int64).tobytes()) for S in supports}
+        assert set(point.round2) == {np.array(S, dtype=np.int64).tobytes() for S in supports}
 
 
 class TestOracleGram:
@@ -740,7 +774,7 @@ class TestOracleGram:
         point = materialize(design, _at(cfg, n=n, M=M))
         assert (point.n < design.n_cal) == (n is not None) and (point.M < design.spec.M) == (M is not None)
         assert _same_bits(point.oracle_gram, loop_oracle_gram(point))
-        operand = harness._round2_operand(cfg, point, design.support)
+        operand = harness._round2_operand(point, design.support)
         assert operand.shape == (point.M, cfg.spec.K, cfg.spec.K)
         assert _same_bits(point.oracle_gram, fusion.sum_rows(operand))
 
@@ -774,10 +808,10 @@ class TestRoundTwoGrams:
         cfg, design = small_design
         cfg = cfg.with_(**self.CFG)
         point = materialize(design, cfg.at("M", 7).at("n", 40))
-        recs = run_point_rep(point, cfg, list(SCHEMES), 0)
+        recs = run_point_rep(point, list(SCHEMES), 0)
         supports = _round2_supports(recs)
-        assert set(point.round2) == {("gram_exact", np.array(S, dtype=np.int64).tobytes()) for S in supports}
-        for (_, key), gram in point.round2.items():
+        assert set(point.round2) == {np.array(S, dtype=np.int64).tobytes() for S in supports}
+        for key, gram in point.round2.items():
             S = np.frombuffer(key, dtype=np.int64)
             assert gram.shape == (7, S.size, S.size) and not gram.flags.writeable
             for m in range(7):
@@ -789,14 +823,14 @@ class TestRoundTwoGrams:
         cfg = cfg.with_(**self.CFG)
         warm = materialize(design, cfg)
         for rep in range(6):
-            run_point_rep(warm, cfg, list(SCHEMES), rep)
+            run_point_rep(warm, list(SCHEMES), rep)
         seen = len(warm.round2)
         assert seen > 1
         for rep in range(6):
             cold = materialize(design, cfg)
             assert cold.round2 == {}
-            expected = [_untimed(r) for r in run_point_rep(cold, cfg, list(SCHEMES), rep)]
-            assert [_untimed(r) for r in run_point_rep(warm, cfg, list(SCHEMES), rep)] == expected
+            expected = [_untimed(r) for r in run_point_rep(cold, list(SCHEMES), rep)]
+            assert [_untimed(r) for r in run_point_rep(warm, list(SCHEMES), rep)] == expected
         assert len(warm.round2) == seen
 
     def test_one_message_per_machine_and_support(self, small_design, monkeypatch):
@@ -813,7 +847,7 @@ class TestRoundTwoGrams:
         monkeypatch.setattr(protocol, "round2_gram", counting)
         supports = 0
         for rep in range(4):
-            supports += len(_round2_supports(run_point_rep(point, cfg, list(SCHEMES), rep)))
+            supports += len(_round2_supports(run_point_rep(point, list(SCHEMES), rep)))
         assert calls == list(range(point.M)) * supports
 
 
@@ -823,7 +857,7 @@ class TestStackedMessages:
 
     @staticmethod
     def _loop_records(monkeypatch, cfg, axis, grid):
-        with _per_machine_loops(monkeypatch, cfg):
+        with _per_machine_loops(monkeypatch):
             return run_sweep(cfg, axis, grid, schemes=list(SCHEMES)).records
 
     @pytest.mark.parametrize("second_round", ["average", "gram_exact"])
@@ -866,14 +900,14 @@ class TestStackedMessages:
         fits = []
         fit = harness.fit_lasso
         monkeypatch.setattr(harness, "fit_lasso", lambda *a, **kw: fits.append(fit(*a, **kw)) or fits[-1])
-        run_point_rep(point, cfg, list(SCHEMES), 0)
-        xtys = loop_xty(cfg, point, 0)
+        run_point_rep(point, list(SCHEMES), 0)
+        xtys = loop_xty(point, 0)
         assert len(sent) >= 2 * point.M
         for m, S, payload in sent:
             xty_S = xtys[m][S]
             # The machine's X_S'y is column S of the X'y its fit formed.
             assert _same_bits(fits[0].xty[m, S], xty_S)
-            operand = point.round2[(second_round, S.tobytes())][m]
+            operand = point.round2[S.tobytes()][m]
             if second_round == "gram_exact":
                 gram, xty = payload
                 assert _same_bits(gram, operand)
@@ -891,7 +925,7 @@ class TestStackedMessages:
             monkeypatch.setattr(
                 protocol, name, lambda a, *r, _f=original, _n=name: calls.append((_n, len(a))) or _f(a, *r)
             )
-        run_point_rep(point, cfg, list(SCHEMES), 0)
+        run_point_rep(point, list(SCHEMES), 0)
         # One stacked call per selection for all machines; the fusion
         # center's top-K selections take their own 1-D path.
         assert sorted(calls) == [(name, point.M) for name in ("select_threshold", "select_top_k", "selected_signs")]
@@ -948,7 +982,7 @@ class TestRoundTwoReadsTheFitsXty:
         point = materialize(design, _at(cfg, n=n))
         exact = 0
         for rep in range(6):
-            for rec in run_point_rep(point, cfg, list(SCHEMES), rep):
+            for rec in run_point_rep(point, list(SCHEMES), rep):
                 if rec.scheme != "avg_deblasso" and rec.S_hat == design.support.tolist():
                     exact += 1
                     assert rec.l2_error == rec.l2_error_oracle, (rep, rec.scheme)
@@ -981,11 +1015,11 @@ class TestRoundTwoReadsTheFitsXty:
         monkeypatch.setattr(
             harness,
             "_second_round",
-            spying(harness._second_round, lambda c, p, xty, S: (c.second_round, S.tobytes()) not in p.round2),
+            spying(harness._second_round, lambda p, xty, S: S.tobytes() not in p.round2),
         )
         monkeypatch.setattr(harness, "_oracle_error", spying(harness._oracle_error, lambda p, xty: False))
         for rep in range(8):
-            run_point_rep(point, cfg, list(SCHEMES), rep)
+            run_point_rep(point, list(SCHEMES), rep)
         rounds = [(new, touched) for name, new, touched in log if name == "_second_round"]
         assert sum(new for new, _ in rounds) == len(point.round2) < len(rounds)
         # A support's first replication gathers its designs; no later one does.
@@ -1035,7 +1069,7 @@ class TestRunSweep:
         assert len(res.rows) == 1
         row = res.rows[0]
         point = materialize(design, cfg)
-        recs = [run_point_rep(point, cfg, ["thresh_votes"], rep)[0] for rep in range(cfg.reps)]
+        recs = [run_point_rep(point, ["thresh_votes"], rep)[0] for rep in range(cfg.reps)]
         assert row["f_mean"] == pytest.approx(np.mean([r.f_measure for r in recs]))
         assert row["l2_mean"] == pytest.approx(np.mean([r.l2_error for r in recs]))
         assert row["reps"] == cfg.reps
@@ -1152,12 +1186,12 @@ class TestRunSweep:
         check_grid(cfg, axis, grid, ["thresh_votes", "bnm21"])
 
     def test_point_L_resolves_once(self, small_design):
-        # Every point carries the L its top-L schemes use: the L grid value,
-        # else the configured L, else K.
+        # Every point's config gives the L its top-L schemes use: the L grid
+        # value, else the configured L, else K.
         cfg, design = small_design
-        assert materialize(design, cfg).L == cfg.spec.K
-        assert materialize(design, cfg.with_(L=7)).L == 7
-        assert materialize(design, cfg.with_(L=7).at("L", 9)).L == 9
+        assert materialize(design, cfg).config.resolved_L() == cfg.spec.K
+        assert materialize(design, cfg.with_(L=7)).config.resolved_L() == 7
+        assert materialize(design, cfg.with_(L=7).at("L", 9)).config.resolved_L() == 9
 
     @pytest.mark.parametrize("bad", [0, 61, 2.5, True, -3])
     def test_materialize_checks_a_given_L(self, small_design, bad, monkeypatch):
@@ -1174,7 +1208,7 @@ class TestRunSweep:
         # Only check_grid knows the schemes, so only it holds a top-L
         # scheme's L to at least K under known sparsity.
         cfg, design = small_design
-        assert materialize(design, cfg.at("L", 1)).L == 1
+        assert materialize(design, cfg.at("L", 1)).config.resolved_L() == 1
         with pytest.raises(ValueError, match="L >= K"):
             check_grid(cfg, "L", [1], ["top_L_votes"])
 
@@ -1229,7 +1263,7 @@ class TestRunSweep:
         spec = ProblemSpec(d=20, K=2, M=3, n=30, r=0.5, base_seed=1)
         design = build_design(ExperimentConfig(spec=spec, reps=1))
         point = materialize(design, ExperimentConfig(spec=spec.with_(r=0.9), reps=1))
-        assert point.sigma == 1 / math.sqrt(0.9)
+        assert point.config.spec.sigma_value() == 1 / math.sqrt(0.9)
         with pytest.raises(ValueError, match="config's base_seed 7 is not the design's 1"):
             materialize(design, ExperimentConfig(spec=spec.with_(r=0.9, base_seed=7), reps=1))
 
@@ -1280,7 +1314,7 @@ class TestRunSweep:
         assert [rec["rep"] for rec in res.records] == [0, 1, 2]
         for rec in res.records:
             r = rec["rep"]
-            alone = run_point_rep(materialize(build_design(cfg, rep=r), cfg), cfg, ["thresh_votes"], r)[0].to_dict()
+            alone = run_point_rep(materialize(build_design(cfg, rep=r), cfg), ["thresh_votes"], r)[0].to_dict()
             for key, value in alone.items():
                 if key not in TIMING_FIELDS:
                     assert rec[key] == value, key
@@ -1300,7 +1334,8 @@ class TestRoundOnePaths:
         theta_cold, _, xi_cold, conv_cold, *_, ys_cold = _rep_fits(materialize(design, cfg), rep=1)
         rows = estimate_precision(design.X[0], design.lam_omega).omega_hat
         assert _same_rows(_machine_rows(point, 0), rows)
-        assert _same_bits(point.xi_scale[0], noise_scale(sandwich_diag(rows, design.X[0]), point.sigma))
+        sigma = point.config.spec.sigma_value()
+        assert _same_bits(point.xi_scale[0], noise_scale(sandwich_diag(rows, design.X[0]), sigma))
         assert np.array_equal(ys, ys_cold) and theta_warm.any()
         assert np.array_equal(theta_warm != 0, theta_cold != 0)
         assert np.abs(xi_warm - xi_cold).max() <= 1e-8
@@ -1323,7 +1358,7 @@ class TestRoundOnePaths:
                 assert _same_rows(rows, design.omegas[m]) == reuse
                 omega = dense_rows(rows)
                 dense = np.einsum("ij,ij->i", omega @ (X.T @ X / 25), omega)
-                c_diag = (point.xi_scale[m] / point.sigma) ** 2
+                c_diag = (point.xi_scale[m] / point.config.spec.sigma_value()) ** 2
                 assert np.abs(c_diag / dense - 1.0).max() <= 1e-12
 
 
@@ -1359,10 +1394,10 @@ class TestStackedRoundOne:
     LAM = dict(lam=0.1)
 
     @staticmethod
-    def _assert_matches_loop(config, point, reps=(0, 3)):
+    def _assert_matches_loop(point, reps=(0, 3)):
         for rep in reps:
             fits = _rep_fits(point, rep)
-            ref_fits = loop_rep_fits(config, point, rep)
+            ref_fits = loop_rep_fits(point, rep)
             names = ("theta_tilde", "theta_hat", "xi", "converged", "sweeps", "kkt", "xty", "Y")
             assert len(fits) == len(ref_fits) == len(names)
             assert fits[-1].shape == (point.M, point.n)
@@ -1371,14 +1406,14 @@ class TestStackedRoundOne:
                 for m in range(point.M):
                     assert _same_bits(rows[m], ref_rows[m]), (m, name)
             assert np.count_nonzero(fits[0])
-            assert _oracle_error(point, fits[-2]) == loop_oracle_error(config, point, rep)
+            assert _oracle_error(point, fits[-2]) == loop_oracle_error(point, rep)
 
     def test_at_n_cal(self, small_design):
         cfg, design = small_design
         cfg = cfg.with_(**self.LAM)
         point = materialize(design, cfg)
         assert point.n == design.n_cal
-        self._assert_matches_loop(cfg, point)
+        self._assert_matches_loop(point)
 
     @pytest.mark.parametrize("reuse", [True, False])
     def test_covariance_free_branch_below_n_cal(self, reuse):
@@ -1386,7 +1421,7 @@ class TestStackedRoundOne:
         design = build_design(cfg)
         point = materialize(design, cfg.at("n", 25))
         assert point.n < design.n_cal
-        self._assert_matches_loop(cfg, point)
+        self._assert_matches_loop(point)
 
     @pytest.mark.parametrize("M", [3, 1])
     def test_machine_prefix(self, small_design, M):
@@ -1394,7 +1429,7 @@ class TestStackedRoundOne:
         cfg = cfg.with_(**self.LAM)
         point = materialize(design, cfg.at("M", M))
         assert point.M < design.spec.M
-        self._assert_matches_loop(cfg, point)
+        self._assert_matches_loop(point)
 
     @pytest.mark.parametrize("n, lam", [(None, 1.3), (30, 1.8)])
     def test_zero_and_nonzero_fits_in_one_replication(self, small_design, n, lam):
@@ -1410,7 +1445,7 @@ class TestStackedRoundOne:
             assert live.any() and not live.all()
             kept = np.array([store.kept for store in point.columns])
             assert (kept[live] > 0).all()
-        self._assert_matches_loop(cfg, point)
+        self._assert_matches_loop(point)
 
     def test_zero_fits_certified_from_the_replications_xty(self, monkeypatch):
         # Below n_cal as at it, a zero fit's certificate is read off its
@@ -1435,7 +1470,7 @@ class TestStackedRoundOne:
             assert live.any() and not live.all() and converged.all()
             assert not calls
             for m in range(point.M):
-                want = kkt_violation(design.X[m][: point.n], Y[m], point.lam, theta_t[m])
+                want = kkt_violation(design.X[m][: point.n], Y[m], point.config.lam_at(), theta_t[m])
                 assert kkt[m] == pytest.approx(want, rel=0.0, abs=1e-12), (rep, m)
 
     @pytest.mark.parametrize("n, lam", [(None, 1.3), (30, 1.8)], ids=["n_cal", "below_n_cal"])
@@ -1462,7 +1497,7 @@ class TestStackedRoundOne:
                 omega = dense_rows(_machine_rows(point, m))
                 want = naive_debias(X, Y[m], theta_t[m], omega)
                 assert np.abs(theta_h[m] - want).max() <= 1e-12, (rep, m)
-                cert = kkt_violation(X, Y[m], point.lam, theta_t[m])
+                cert = kkt_violation(X, Y[m], point.config.lam_at(), theta_t[m])
                 if live[m]:
                     assert kkt[m] == pytest.approx(cert, rel=0.0, abs=1e-12), (rep, m)
                 else:
@@ -1500,7 +1535,7 @@ class TestStackedRoundOne:
         assert point.design.support.size == 1 and point.M >= 9
         for rep in range(4):
             xty = _rep_fits(point, rep)[-2]
-            assert _oracle_error(point, xty) == loop_oracle_error(cfg, point, rep)
+            assert _oracle_error(point, xty) == loop_oracle_error(point, rep)
 
     @pytest.mark.parametrize("n", [None, 30])
     def test_point_gram_diagonal_rows_are_the_machines(self, small_design, n):
@@ -1543,7 +1578,7 @@ class TestColumnStores:
         assert converged.all() and theta_t.any()
         for m in range(point.M):
             X = point.design.X[m][: point.n]
-            cert = kkt_violation(X, Y[m], point.lam, theta_t[m])
+            cert = kkt_violation(X, Y[m], point.config.lam_at(), theta_t[m])
             assert cert <= 1e-7 and abs(kkt[m] - cert) <= 1e-12, (rep, m)
         return theta_t
 
@@ -1607,8 +1642,8 @@ class TestNoiseStates:
 
     @staticmethod
     def _assert_noise(point, rep):
-        spec = point.design.spec
-        want = point.x_theta + point.sigma * sample_noise(point.M, point.n, spec.base_seed, rep)
+        spec = point.config.spec
+        want = point.x_theta + spec.sigma_value() * sample_noise(point.M, point.n, spec.base_seed, rep)
         assert _same_bits(_rep_fits(point, rep)[-1], want), rep
 
     @pytest.mark.parametrize("n", [None, 30], ids=["gram", "covariance_free"])
@@ -1627,7 +1662,7 @@ class TestNoiseStates:
         cfg = _config(d=30, M=4, n=25, fixed_design=False)
         point = materialize(build_design(cfg, rep=2), cfg)
         assert not hasattr(point, "noise")
-        assert point.block.reps == 0 and point.block.Y.shape == (4, 1, 25)
+        assert point.block.Y.shape == (4, 1, 25)
         self._assert_noise(point, 2)
 
     def test_points_of_a_machine_sweep_hold_their_own_states(self):
@@ -1706,7 +1741,7 @@ class TestReplicationBlocks:
         assert any(r["bits_round2_total"] for r in records)
         for rep in (7, 18):
             point = materialize(design, cfg)
-            alone = [_untimed(r) for r in run_point_rep(point, cfg, list(SCHEMES), rep)]
+            alone = [_untimed(r) for r in run_point_rep(point, list(SCHEMES), rep)]
             assert point.block.start == rep - rep % 16
             swept = [_untimed_row(r) for r in records if r["rep"] == rep]
             assert alone == swept, rep
@@ -1721,7 +1756,7 @@ class TestReplicationBlocks:
         drawn = []
         fill = harness.fill_streams
         monkeypatch.setattr(harness, "fill_streams", lambda out, *a: drawn.append(list(a[-1])) or fill(out, *a))
-        TestStackedRoundOne._assert_matches_loop(cfg, point, reps=(5, 17))
+        TestStackedRoundOne._assert_matches_loop(point, reps=(5, 17))
         assert point.block.start == 16 and drawn == [list(range(16)), list(range(16, 20))]
 
     def test_one_seeding_pass_per_block(self, monkeypatch):
@@ -1731,7 +1766,7 @@ class TestReplicationBlocks:
         seeded = []
         states = datagen._stream_states
         monkeypatch.setattr(datagen, "_stream_states", lambda *a: seeded.append(list(a[2])) or states(*a))
-        run_point_rep(point, cfg, ["thresh_votes"], 0)
+        run_point_rep(point, ["thresh_votes"], 0)
         for rep in range(cfg.reps):
             _rep_fits(point, rep)
         assert seeded == [list(range(16)), list(range(16, 20))]
@@ -1768,7 +1803,7 @@ class TestReplicationBlocks:
             assert len(calls) == point.M, rep
             assert converged.all() and kkt.max() <= lasso.KKT_TOL and theta_t.any(), rep
             for m in range(point.M):
-                cert = kkt_violation(design.X[m][: point.n], Y[m], point.lam, theta_t[m])
+                cert = kkt_violation(design.X[m][: point.n], Y[m], point.config.lam_at(), theta_t[m])
                 assert cert <= lasso.KKT_TOL, (rep, m)
         # Two blocks, both in the buffers the first one allocated.
         assert len(blocks) == 2 and len({(y, xy) for _, y, xy in blocks}) == 1
@@ -1784,7 +1819,7 @@ class TestReplicationBlocks:
         redraw_cfg = _config(d=30, K=2, M=4, n=25, reps=20, fixed_design=False)
         redraw = materialize(build_design(redraw_cfg, rep=5), redraw_cfg)
         cfg, _, point = self._point()
-        assert redraw.block.reps == 0 and point.block.reps == cfg.reps
+        assert redraw.block.Y.shape[1] == 1 and point.block.Y.shape[1] == 16
         for p, rep in ((redraw, 5), (point, 3), (point, 20), (point, 2**32 + 1), (point, 17)):
             *_, xty, Y = _rep_fits(p, rep)
             assert given[-1] is xty and xty.shape == (p.M, p.design.spec.d), rep
@@ -1817,7 +1852,7 @@ class TestLambdaAxis:
         build = harness.materialize
         monkeypatch.setattr(harness, "materialize", lambda *a, **kw: points.append(build(*a, **kw)) or points[-1])
         run_sweep(cfg, "lam", [0.3, 0.2], ["thresh_votes"])
-        assert [p.lam for p in points] == [0.3, 0.2]
+        assert [p.config.lam_at() for p in points] == [0.3, 0.2]
         assert points[0].design is points[1].design and points[0].design.lam_omega == 0.4
         assert not {id(s) for s in points[0].columns} & {id(s) for s in points[1].columns}
 
@@ -1846,7 +1881,7 @@ class TestCalibration:
         theta_t, theta_h, xi, converged, *_, Y = _rep_fits(point, 1)
         assert point.block.start == 0 and converged.all()
         assert theta_t.any() == (lam == 0.02)
-        n, d, sigma = spec.n, spec.d, point.sigma
+        n, d, sigma = spec.n, spec.d, spec.sigma_value()
         for m in range(spec.M):
             X = design.X[m]
             S_inv = np.linalg.inv(X.T @ X / n)

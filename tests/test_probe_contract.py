@@ -103,14 +103,14 @@ ROUND1_RULE = {
 }
 
 
-def _loop_round2_messages(mp, config, point, rep, support):
+def _loop_round2_messages(mp, point, rep, support):
     """The messages ``oracles.loop_second_round`` builds machine by machine,
     caught at its fusion-center fold (patched through ``mp``)."""
     caught = []
     for name in ("centralized_ls", "aggregate_round2"):
         fold = getattr(fusion, name)
         mp.setattr(fusion, name, lambda msgs, *rest, _f=fold: caught.extend(msgs) or _f(msgs, *rest))
-    loop_second_round(config, point, rep, support)
+    loop_second_round(point, rep, support)
     return caught
 
 
@@ -139,7 +139,7 @@ def test_makers_run_once_per_machine_and_send_the_loops_messages(monkeypatch, pr
         with monkeypatch.context() as mp:
             for name in originals:
                 mp.setattr(protocol, name, counting(name))
-            recs = harness.run_point_rep(point, config, list(harness.SCHEMES), rep)
+            recs = harness.run_point_rep(point, list(harness.SCHEMES), rep)
         supports = {tuple(r.S_hat) for r in recs if r.scheme != "avg_deblasso" and r.S_hat}
         round2 = "round2_gram" if second_round == "gram_exact" else "round2_restricted"
         ids = lambda name: [args[0] for n, args, _, _ in calls if n == name]
@@ -155,7 +155,7 @@ def test_makers_run_once_per_machine_and_send_the_loops_messages(monkeypatch, pr
                 want = loop_round1_messages(ROUND1_RULE[name](args), point, theta_hat, xi)[m]
             else:
                 with monkeypatch.context() as mp:
-                    want = _loop_round2_messages(mp, config, point, rep, args[1])[m]
+                    want = _loop_round2_messages(mp, point, rep, args[1])[m]
             assert probes.same_message(msg, want), (name, m)
 
 
